@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -62,6 +63,13 @@ def _stage1_config(args):
     theta = PhaseTag.parse(_resolved(args, "theta"))
     theta_prime = PhaseTag.parse(_resolved(args, "theta_prime"))
     return variant, QndConfig(variant, theta, theta_prime).validate()
+
+
+def _resolved_seed(args) -> int:
+    seed = int(_resolved(args, "seed", int))
+    if not 0 <= seed < 2**64:
+        raise CliError(f"--seed={seed} out of range: seeds lie in [0, 2**64)")
+    return seed
 
 
 def _check_probability(name, value, low=0.0, high=1.0, strict_low=False):
@@ -119,7 +127,7 @@ def cmd_stage1(args) -> int:
     if p1 + p2 > 1 or p1 + p2 <= 0:
         raise CliError("p1 + p2 must lie in (0, 1]")
     variant, cfg = _stage1_config(args)
-    seed = int(_resolved(args, "seed", int))
+    seed = _resolved_seed(args)
     report = stage1_run(
         PdcSourceParams(p1, p2), NoiseParams(f0), variant,
         mode=args.mode, trials=args.trials, seed=seed, cfg=cfg,
@@ -138,42 +146,61 @@ def cmd_stage1(args) -> int:
           f"yield={report.yield_fraction:.12f}")
     _emit(doc, args.out)
     if args.csv:
-        _append_csv(args.csv, _stage1_csv_row(params, report))
+        _append_csv(args.csv, STAGE1_CSV_HEADER, [_stage1_csv_row(params, report)])
     return 0
 
 
-def _stage1_csv_row(params, report):
-    header = ["p1", "p2", "f0", "variant", "mode", "trials", "seed",
-              "fidelity", "closed_form_fidelity", "yield",
-              "kept_correct", "kept_erroneous", "kept_same_port", "discarded"]
-    row = [params["p1"], params["p2"], params["f0"], params["variant"],
-           params["mode"], params["trials"], params["seed"],
-           report.fidelity, report.extras["closed_form_fidelity"],
-           report.yield_fraction,
-           report.counts["kept_correct"], report.counts["kept_erroneous"],
-           report.counts["kept_same_port"], report.counts["discarded"]]
-    return header, row
+STAGE1_CSV_HEADER = ["p1", "p2", "f0", "variant", "mode", "trials", "seed",
+                     "fidelity", "closed_form_fidelity", "yield",
+                     "kept_correct", "kept_erroneous", "kept_same_port", "discarded"]
+STAGE2_CSV_HEADER = ["F", "mode", "trials", "seed", "round",
+                     "fidelity", "yield", "cumulative_yield"]
+BASELINE_CSV_COLUMNS = ["pbs_yield", "yield_ratio"]
 
 
-def _stage2_csv_row(params, row, baseline_yield=None):
-    header = ["F", "mode", "trials", "seed", "round",
-              "fidelity", "yield", "cumulative_yield"]
-    values = [params["F"], params["mode"], params["trials"], params["seed"],
-              row.round, row.fidelity, row.round_yield, row.cumulative_yield]
-    if baseline_yield is not None:
-        header += ["pbs_yield", "yield_ratio"]
-        values += [baseline_yield, row.round_yield / baseline_yield]
-    return header, values
+def _stage1_csv_row(params, report) -> list:
+    return [params["p1"], params["p2"], params["f0"], params["variant"],
+            params["mode"], params["trials"], params["seed"],
+            report.fidelity, report.extras["closed_form_fidelity"],
+            report.yield_fraction,
+            report.counts["kept_correct"], report.counts["kept_erroneous"],
+            report.counts["kept_same_port"], report.counts["discarded"]]
 
 
-def _append_csv(path, header_row) -> None:
-    header, row = header_row
-    exists = Path(path).exists()
-    with open(path, "a", newline="") as fh:
+def _stage2_csv_header(baseline: bool) -> list:
+    return STAGE2_CSV_HEADER + (BASELINE_CSV_COLUMNS if baseline else [])
+
+
+def _stage2_csv_rows(params, rounds, baseline: bool, baseline_yield) -> list:
+    """One row per round; the baseline cells are filled in round 1 only."""
+    rows = []
+    for r in rounds:
+        row = [params["F"], params["mode"], params["trials"], params["seed"],
+               r.round, r.fidelity, r.round_yield, r.cumulative_yield]
+        if baseline:
+            ratio = r.round_yield / baseline_yield if baseline_yield else None
+            row += [baseline_yield, ratio] if r.round == 1 else [None, None]
+        rows.append(row)
+    return rows
+
+
+def _append_csv(path, header, rows) -> None:
+    """Append ``rows`` through one open; a new or empty file gets ``header``.
+
+    An existing file must already start with ``header``: appending rows of
+    another schema would leave a file no reader can parse.
+    """
+    with open(path, "a+", newline="") as fh:
+        fh.seek(0)
+        first = fh.readline()
+        if first and next(csv.reader([first])) != header:
+            raise CliError(f"{path} holds CSV columns other than this command's; "
+                           "write to a new file")
+        fh.seek(0, io.SEEK_END)
         writer = csv.writer(fh)
-        if not exists:
+        if not first:
             writer.writerow(header)
-        writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_stage2(args) -> int:
@@ -182,7 +209,7 @@ def cmd_stage2(args) -> int:
         raise CliError("--F is required")
     if not 0.5 < fidelity <= 1.0:
         raise CliError("--F must lie in (1/2, 1]: the map is only purifying there")
-    seed = int(_resolved(args, "seed", int))
+    seed = _resolved_seed(args)
     rounds = stage2_iterate(fidelity, args.rounds)
     report = stage2_run(fidelity, mode=args.mode, trials=args.trials, seed=seed)
     params = {
@@ -217,9 +244,8 @@ def cmd_stage2(args) -> int:
               f"yield={base.yield_fraction:.12f} ratio={ratio}")
     _emit(doc, args.out)
     if args.csv:
-        for r in rounds:
-            _append_csv(args.csv, _stage2_csv_row(
-                params, r, baseline_yield if r.round == 1 else None))
+        _append_csv(args.csv, _stage2_csv_header(args.baseline),
+                    _stage2_csv_rows(params, rounds, args.baseline, baseline_yield))
     return 0
 
 
@@ -231,14 +257,12 @@ def _parse_grid(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    seed = int(_resolved(args, "seed", int))
+    seed = _resolved_seed(args)
     if args.pipeline == "stage1":
         if not (args.p1 and args.p2 and args.f0):
             raise CliError("sweep stage1 needs --p1, --p2 and --f0 grids")
         variant, cfg = _stage1_config(args)
-        from .sources import NoiseParams, PdcSourceParams
-
-        rows = 0
+        rows = []
         for p1 in _parse_grid(args.p1):
             for p2 in _parse_grid(args.p2):
                 for f0 in _parse_grid(args.f0):
@@ -250,14 +274,14 @@ def cmd_sweep(args) -> int:
                               "variant": variant.value, "mode": args.mode,
                               "trials": args.trials if args.mode == "mc" else None,
                               "seed": seed}
-                    _append_csv(args.csv, _stage1_csv_row(params, report))
-                    rows += 1
-        print(f"wrote {rows} stage1 rows to {args.csv}")
+                    rows.append(_stage1_csv_row(params, report))
+        _append_csv(args.csv, STAGE1_CSV_HEADER, rows)
+        print(f"wrote {len(rows)} stage1 rows to {args.csv}")
         return 0
     if args.pipeline == "stage2":
         if not args.F:
             raise CliError("sweep stage2 needs an --F grid")
-        rows = 0
+        rows = []
         for fidelity in _parse_grid(args.F):
             if not 0.5 < fidelity <= 1.0:
                 raise CliError(f"--F={fidelity} out of (1/2, 1]")
@@ -269,11 +293,10 @@ def cmd_sweep(args) -> int:
                 baseline_yield = pbs_baseline(
                     fidelity, mode=args.mode, trials=args.trials, seed=seed
                 ).yield_fraction
-            for r in stage2_iterate(fidelity, args.rounds):
-                _append_csv(args.csv, _stage2_csv_row(
-                    params, r, baseline_yield if r.round == 1 else None))
-                rows += 1
-        print(f"wrote {rows} stage2 rows to {args.csv}")
+            rows += _stage2_csv_rows(params, stage2_iterate(fidelity, args.rounds),
+                                     args.baseline, baseline_yield)
+        _append_csv(args.csv, _stage2_csv_header(args.baseline), rows)
+        print(f"wrote {len(rows)} stage2 rows to {args.csv}")
         return 0
     raise CliError(f"unknown sweep pipeline {args.pipeline!r}")
 

@@ -25,18 +25,28 @@ yield F^2 + (1-F)^2.  The PBS baseline runs the same mixture through
 polarizing beam splitters and keeps four-port coincidences only, which
 halves the yield at identical fidelity.
 
+Outcomes depend on the parameters (p1, p2, f0 or F) only through
+their weights.  Each pipeline therefore enumerates its branch tree once
+per detector config into an immutable outcome table (an LRU cache of
+TABLE_CACHE_SIZE configs; one table for PBS).  Exact runs and sweeps
+weight the table's rows at each parameter point, and Monte Carlo takes
+its lookup tables and keep probabilities from it.
+
 Monte Carlo trials draw their randomness from a counter-based
 generator keyed by (seed, trial index): trial t always consumes the
 same words no matter how trials are batched, so parallel and serial
-runs aggregate to identical counts.
+runs aggregate to identical counts.  Runs draw MC_CHUNK trials at a
+time, so their memory does not grow with the trial count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as iproduct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +65,13 @@ from .fock import (
 )
 from .qnd import QndConfig, Variant, apply_qnd, default_config
 from .sources import (
+    TWO_PAIR_KINDS,
     NoiseParams,
     PdcSourceParams,
     bell_pair,
     single_pair_state,
-    two_pair_components,
+    two_pair_state,
+    two_pair_weights,
 )
 
 PHI_PLUS_MERGED = bell_pair("phi+", Spatial.MERGED)
@@ -178,8 +190,36 @@ def stage2_iterate(f0: float, rounds: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# stage 1: exact enumeration
+# outcome tables: one branch enumeration per detector config
 # ---------------------------------------------------------------------------
+
+TABLE_CACHE_SIZE = 64
+
+
+class TableRow(NamedTuple):
+    """An ``OutcomeRecord`` without its weight.  ``record(w)`` weighs it by
+    its event class weight ``w`` times ``factors``, multiplied left to right
+    in the order a full enumeration multiplies them in."""
+
+    factors: tuple
+    probe_alice: PhaseTag | None
+    probe_bob: PhaseTag | None
+    verdict: Verdict
+    final_state: PureState | None = None
+    fidelity: float | None = None
+    order: int | None = None
+    kept_pairs: int = 0
+    same_port_keep: bool = False
+
+    bucket = OutcomeRecord.bucket
+
+    def record(self, weight: float) -> OutcomeRecord:
+        for f in self.factors:
+            weight *= f
+        return OutcomeRecord(self.probe_alice, self.probe_bob, self.verdict,
+                             self.final_state, weight, self.fidelity, self.order,
+                             self.kept_pairs, self.same_port_keep)
+
 
 @dataclass(frozen=True)
 class PairLeaf:
@@ -218,29 +258,138 @@ def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
     )
 
 
-def _order2_outcome(l1: PairLeaf, l2: PairLeaf, keep_tag: PhaseTag):
+def _order1_row(leaf: PairLeaf) -> TableRow:
+    """A single emission, always kept: Alice flips when the readings differ."""
+    st = leaf.state
+    if leaf.tag_alice != leaf.tag_bob:
+        st = sigma_x(st, Party.ALICE)
+    final = _couple_pair(st)
+    fid = overlap(final, PHI_PLUS_MERGED)
+    verdict = _verdict(fid, overlap(final, PSI_PLUS_MERGED))
+    return TableRow((leaf.probability,), leaf.tag_alice, leaf.tag_bob, verdict,
+                    final, fid, order=1, kept_pairs=1)
+
+
+def _order2_row(l1: PairLeaf, l2: PairLeaf, keep_tag: PhaseTag) -> TableRow:
     """Classify a joint double-emission outcome from its two pair leaves.
 
-    Returns (bucket, fidelity, final_pair_state, tag_alice, tag_bob);
-    fidelity/state are None unless the event is kept under the
-    headline rule.
+    Only events kept under the headline rule carry a fidelity and a state.
     """
     tag_a = l1.tag_alice + l2.tag_alice
     tag_b = l1.tag_bob + l2.tag_bob
-    if tag_a != tag_b:
-        return "discarded", None, None, tag_a, tag_b
-    if tag_a != keep_tag:
-        return "kept_same_port", None, None, tag_a, tag_b
+    factors = (l1.probability, l2.probability)
+    if tag_a != tag_b or tag_a != keep_tag:
+        return TableRow(factors, tag_a, tag_b, Verdict.DISCARDED, order=2,
+                        same_port_keep=tag_a == tag_b)
     finals = [_couple_pair(l.state) for l in (l1, l2)]
     fids = [overlap(f, PHI_PLUS_MERGED) for f in finals]
     verdicts = [_verdict(f, overlap(final, PSI_PLUS_MERGED))
                 for f, final in zip(fids, finals)]
     if verdicts[0] != verdicts[1]:
         raise SimulationError("the two kept pairs disagree on correctness")
-    return verdicts[0].value, fids[0], finals[0], tag_a, tag_b
+    return TableRow(factors, tag_a, tag_b, verdicts[0], finals[0], fids[0],
+                    order=2, kept_pairs=2)
 
 
-def _stage1_config(variant, cfg) -> tuple:
+class Stage1Table(NamedTuple):
+    singles: tuple  # [flipped]: the order-1 rows of a clean or flipped pair
+    doubles: tuple  # [2*flip1 + flip2]: order-2 rows of every leaf pair, in product order
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _stage1_table(cfg: QndConfig) -> Stage1Table:
+    """The stage-1 outcomes of a valid detector config, for any source and
+    noise.  Validating here checks a config once, when its table is built."""
+    cfg.validate()
+    leaves = [single_pair_leaves(cfg.variant, cfg, flipped) for flipped in (False, True)]
+    keep_tag = cfg.theta + cfg.theta_prime
+    return Stage1Table(
+        tuple(tuple(_order1_row(leaf) for leaf in pair) for pair in leaves),
+        tuple(tuple(_order2_row(l1, l2, keep_tag) for l1, l2 in iproduct(pair1, pair2))
+              for pair1, pair2 in iproduct(leaves, leaves)),
+    )
+
+
+class TwoPairOutcomes(NamedTuple):
+    """The outcomes of one Bell-kind pair of a two-pair round."""
+
+    keep_probability: float
+    rows: tuple
+
+    def kept_verdict(self) -> Verdict:
+        """The verdict every kept row shares; DISCARDED when none is kept."""
+        verdicts = {r.verdict for r in self.rows} - {Verdict.DISCARDED}
+        if len(verdicts) > 1:
+            raise SimulationError("the kept rows of one component disagree on correctness")
+        return verdicts.pop() if verdicts else Verdict.DISCARDED
+
+
+def _kept_pair_rows(state: PureState, factors: tuple, tag_a, tag_b) -> list:
+    """Diagonal-measure the lower pair, phase-correct, classify the upper pair."""
+    rows = []
+    for oa, (pa, s1) in diagonal_outcomes(state, Party.ALICE, Spatial.LOWER).items():
+        if pa == 0.0:
+            continue
+        for ob, (pb, s2) in diagonal_outcomes(s1, Party.BOB, Spatial.LOWER).items():
+            if pb == 0.0:
+                continue
+            final = sigma_z(s2, Party.ALICE, {Spatial.UPPER}) if oa != ob else s2
+            fid = overlap(final, PHI_PLUS_UPPER)
+            verdict = _verdict(fid, overlap(final, PSI_PLUS_UPPER))
+            rows.append(TableRow(factors + (pa, pb), tag_a, tag_b, verdict, final, fid,
+                                 kept_pairs=1))
+    return rows
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _stage2_table(cfg: QndConfig) -> tuple:
+    """Stage-2 outcomes under ``cfg``, one entry per ``TWO_PAIR_KINDS`` entry."""
+    cfg.validate()
+    table = []
+    for kinds in TWO_PAIR_KINDS:
+        st = apply_qnd(two_pair_state(*kinds), cfg)
+        rows, p_keep = [], 0.0
+        for tag_a in probe_outcomes(st, Party.ALICE):
+            p_a, post_a = project_probe(st, Party.ALICE, tag_a)
+            for tag_b in probe_outcomes(post_a, Party.BOB):
+                p_b, post = project_probe(post_a, Party.BOB, tag_b)
+                if tag_a != tag_b:
+                    rows.append(TableRow((p_a, p_b), tag_a, tag_b, Verdict.DISCARDED))
+                    continue
+                p_keep += p_a * p_b
+                if tag_a == ZERO_PHASE:
+                    post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
+                    post = sigma_x(post, Party.BOB, {Spatial.UPPER})
+                rows += _kept_pair_rows(post, (p_a, p_b), tag_a, tag_b)
+        table.append(TwoPairOutcomes(p_keep, tuple(rows)))
+    return tuple(table)
+
+
+@functools.lru_cache(maxsize=1)
+def _pbs_table() -> tuple:
+    """PBS-baseline outcomes, one entry per ``TWO_PAIR_KINDS`` entry: a
+    round keeps the branches with one photon in each of the four ports."""
+    ports = [(p, s) for p in Party for s in (Spatial.UPPER, Spatial.LOWER)]
+    table = []
+    for kinds in TWO_PAIR_KINDS:
+        st = pbs(pbs(two_pair_state(*kinds), Party.ALICE), Party.BOB)
+        keep = [b for b in st.branches
+                if all(b.photons(party=p, spatial=s) == 1 for p, s in ports)]
+        p_keep = sum(abs(b.amplitude) ** 2 for b in keep)
+        rows = []
+        if p_keep < 1.0 - 1e-15:
+            rows.append(TableRow((1.0 - p_keep,), None, None, Verdict.DISCARDED))
+        if p_keep > 0.0:
+            rows += _kept_pair_rows(PureState.of(keep).normalize(), (p_keep,), None, None)
+        table.append(TwoPairOutcomes(p_keep, tuple(rows)))
+    return tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration: table rows weighted at one parameter point
+# ---------------------------------------------------------------------------
+
+def _stage1_config(variant, cfg) -> QndConfig:
     if isinstance(variant, str):
         variant = Variant(variant)
     if variant not in (Variant.QND1, Variant.QND3):
@@ -248,64 +397,35 @@ def _stage1_config(variant, cfg) -> tuple:
     cfg = cfg or default_config(variant)
     if cfg.variant != variant:
         raise ConfigError("config variant does not match the requested detector")
-    cfg.validate()
-    return variant, cfg
+    return cfg
 
 
-def stage1_records(src: PdcSourceParams, noise: NoiseParams,
-                   variant=Variant.QND1, cfg: QndConfig | None = None) -> list:
-    """Exhaustive outcome enumeration of one stage-1 emission event."""
-    variant, cfg = _stage1_config(variant, cfg)
+def _emission_weights(src: PdcSourceParams, noise: NoiseParams) -> tuple:
+    """(one-pair weight, two-pair weight) of an emission event."""
     src.validate()
     noise.validate()
     total = src.p1 + src.p2
     if total <= 0:
         raise ConfigError("p1 + p2 must be positive")
-    w1, w2 = src.p1 / total, src.p2 / total
-    leaves = {
-        False: single_pair_leaves(variant, cfg, False),
-        True: single_pair_leaves(variant, cfg, True),
-    }
-    keep_tag = cfg.theta + cfg.theta_prime
-    noise_weights = [(False, noise.f0), (True, 1.0 - noise.f0)]
+    return src.p1 / total, src.p2 / total
 
+
+def stage1_records(src: PdcSourceParams, noise: NoiseParams,
+                   variant=Variant.QND1, cfg: QndConfig | None = None) -> list:
+    """Exhaustive outcome enumeration of one stage-1 emission event."""
+    table = _stage1_table(_stage1_config(variant, cfg))
+    w1, w2 = _emission_weights(src, noise)
+    noise_weights = [(flipped, wn) for flipped, wn in enumerate((noise.f0, 1.0 - noise.f0))
+                     if wn != 0.0]
     records = []
     if w1 > 0:
         for flipped, wn in noise_weights:
-            if wn == 0.0:
-                continue
-            for leaf in leaves[flipped]:
-                st = leaf.state
-                if leaf.tag_alice != leaf.tag_bob:
-                    st = sigma_x(st, Party.ALICE)
-                final = _couple_pair(st)
-                fid = overlap(final, PHI_PLUS_MERGED)
-                verdict = _verdict(fid, overlap(final, PSI_PLUS_MERGED))
-                records.append(OutcomeRecord(
-                    leaf.tag_alice, leaf.tag_bob, verdict, final,
-                    w1 * wn * leaf.probability, fidelity=fid,
-                    order=1, kept_pairs=1,
-                ))
+            records += [row.record(w1 * wn) for row in table.singles[flipped]]
     if w2 > 0:
         for flip1, wn1 in noise_weights:
-            if wn1 == 0.0:
-                continue
             for flip2, wn2 in noise_weights:
-                if wn2 == 0.0:
-                    continue
-                for l1, l2 in iproduct(leaves[flip1], leaves[flip2]):
-                    w = w2 * wn1 * wn2 * l1.probability * l2.probability
-                    bucket, fid, final, tag_a, tag_b = _order2_outcome(l1, l2, keep_tag)
-                    if bucket in ("kept_correct", "kept_erroneous"):
-                        records.append(OutcomeRecord(
-                            tag_a, tag_b, Verdict(bucket), final, w,
-                            fidelity=fid, order=2, kept_pairs=2,
-                        ))
-                    else:
-                        records.append(OutcomeRecord(
-                            tag_a, tag_b, Verdict.DISCARDED, None, w,
-                            order=2, same_port_keep=(bucket == "kept_same_port"),
-                        ))
+                records += [row.record(w2 * wn1 * wn2)
+                            for row in table.doubles[2 * flip1 + flip2]]
     return records
 
 
@@ -316,31 +436,24 @@ def _counts_from_records(records) -> dict:
     return counts
 
 
-def _stage1_extras(counts, records, src, noise) -> dict:
-    kept = counts["kept_correct"] + counts["kept_erroneous"]
-    same = counts["kept_same_port"]
-    pairs = sum(r.weight * r.kept_pairs for r in records)
-    incl_kept = kept + same
+def _stage1_extras(src, noise, correct, erroneous, same_port, pairs, events=1) -> dict:
+    """Extras from the kept_correct, kept_erroneous and kept_same_port
+    totals and the kept pairs over ``events`` emission events."""
+    incl = correct + erroneous + same_port
     return {
         "closed_form_fidelity": stage1_fidelity_closed_form(src.p1, src.p2, noise.f0),
-        "kept_pairs_per_event": pairs,
-        "fidelity_including_same_port":
-            (counts["kept_correct"] + same) / incl_kept if incl_kept > 0 else None,
-        "yield_including_same_port": incl_kept,
-        "kept_pairs_per_event_including_same_port": pairs + same,
+        "kept_pairs_per_event": pairs / events,
+        "fidelity_including_same_port": (correct + same_port) / incl if incl > 0 else None,
+        "yield_including_same_port": incl / events,
+        "kept_pairs_per_event_including_same_port": (pairs + same_port) / events,
     }
 
 
 def _report(pipeline, records, extras, mode="exact", trials=None, seed=None) -> RunReport:
     counts = _counts_from_records(records)
     kept = counts["kept_correct"] + counts["kept_erroneous"]
-    if kept > 0:
-        fid = sum(
-            r.weight * r.fidelity for r in records
-            if r.verdict != Verdict.DISCARDED
-        ) / kept
-    else:
-        fid = None
+    fid = (sum(r.weight * r.fidelity for r in records if r.verdict != Verdict.DISCARDED) / kept
+           if kept > 0 else None)
     return RunReport(
         pipeline=pipeline, mode=mode, fidelity=fid, yield_fraction=kept,
         counts=counts, trials=trials, seed=seed, extras=extras,
@@ -350,104 +463,40 @@ def _report(pipeline, records, extras, mode="exact", trials=None, seed=None) -> 
 def stage1_exact(src: PdcSourceParams, noise: NoiseParams,
                  variant=Variant.QND1, cfg: QndConfig | None = None) -> RunReport:
     records = stage1_records(src, noise, variant, cfg)
-    counts = _counts_from_records(records)
-    return _report("stage1", records, _stage1_extras(counts, records, src, noise))
+    report = _report("stage1", records, {})
+    pairs = sum(r.weight * r.kept_pairs for r in records)
+    report.extras = _stage1_extras(src, noise, *(report.counts[k] for k in COUNT_KEYS[:3]),
+                                   pairs)
+    return report
 
 
-# ---------------------------------------------------------------------------
-# stage 2 and the PBS baseline: exact enumeration
-# ---------------------------------------------------------------------------
+def _stage2_config(cfg: QndConfig | None) -> QndConfig:
+    cfg = cfg or default_config(Variant.QND2)
+    if cfg.variant != Variant.QND2:
+        raise ConfigError("stage 2 runs with the qnd2 detector")
+    return cfg
 
-def _finish_kept_pair(state: PureState, records, weight, tag_a, tag_b) -> None:
-    """Diagonal-measure the lower pair, phase-correct, classify the upper pair."""
-    for oa, (pa, s1) in diagonal_outcomes(state, Party.ALICE, Spatial.LOWER).items():
-        if pa == 0.0:
-            continue
-        for ob, (pb, s2) in diagonal_outcomes(s1, Party.BOB, Spatial.LOWER).items():
-            if pb == 0.0:
-                continue
-            final = sigma_z(s2, Party.ALICE, {Spatial.UPPER}) if oa != ob else s2
-            fid = overlap(final, PHI_PLUS_UPPER)
-            verdict = _verdict(fid, overlap(final, PSI_PLUS_UPPER))
-            records.append(OutcomeRecord(
-                tag_a, tag_b, verdict, final, weight * pa * pb,
-                fidelity=fid, kept_pairs=1,
-            ))
+
+def _two_pair_records(table: tuple, fidelity: float) -> list:
+    records = []
+    for kinds, w in two_pair_weights(fidelity):
+        records += [row.record(w) for row in table[TWO_PAIR_KINDS.index(kinds)].rows]
+    return records
 
 
 def stage2_records(fidelity: float, cfg: QndConfig | None = None) -> list:
     """Exhaustive outcome enumeration of one stage-2 purification round."""
-    cfg = cfg or default_config(Variant.QND2)
-    if cfg.variant != Variant.QND2:
-        raise ConfigError("stage 2 runs with the qnd2 detector")
-    cfg.validate()
-    records = []
-    for w, _kinds, joint in two_pair_components(fidelity):
-        st = apply_qnd(joint, cfg)
-        for tag_a in probe_outcomes(st, Party.ALICE):
-            p_a, post_a = project_probe(st, Party.ALICE, tag_a)
-            for tag_b in probe_outcomes(post_a, Party.BOB):
-                p_b, post = project_probe(post_a, Party.BOB, tag_b)
-                w_out = w * p_a * p_b
-                if tag_a != tag_b:
-                    records.append(OutcomeRecord(
-                        tag_a, tag_b, Verdict.DISCARDED, None, w_out,
-                    ))
-                    continue
-                kept = post
-                if tag_a == ZERO_PHASE:
-                    kept = sigma_x(kept, Party.ALICE, {Spatial.UPPER})
-                    kept = sigma_x(kept, Party.BOB, {Spatial.UPPER})
-                _finish_kept_pair(kept, records, w_out, tag_a, tag_b)
-    return records
+    return _two_pair_records(_stage2_table(_stage2_config(cfg)), fidelity)
 
 
-def stage2_exact(fidelity: float, cfg: QndConfig | None = None) -> RunReport:
-    records = stage2_records(fidelity, cfg)
-    extras = {
-        "closed_form_fidelity": stage2_fidelity_map(fidelity),
-        "closed_form_yield": stage2_yield(fidelity),
-    }
-    return _report("stage2", records, extras)
-
-
-def _four_port_split(state: PureState) -> tuple:
-    """Project onto one-photon-per-port branches: (probability, kept state)."""
-    keep = []
-    p_keep = 0.0
-    for b in state.branches:
-        if all(
-            b.photons(party=p, spatial=s) == 1
-            for p in Party for s in (Spatial.UPPER, Spatial.LOWER)
-        ):
-            keep.append(b)
-            p_keep += abs(b.amplitude) ** 2
-    kept_state = PureState.of(keep)
-    return p_keep, (kept_state.normalize() if p_keep > 1e-24 else kept_state)
+def _two_pair_extras(fidelity: float, baseline: bool) -> dict:
+    return {"closed_form_fidelity": stage2_fidelity_map(fidelity),
+            "closed_form_yield": (0.5 if baseline else 1.0) * stage2_yield(fidelity)}
 
 
 def pbs_records(fidelity: float) -> list:
     """Exhaustive enumeration of the PBS parity-check baseline round."""
-    records = []
-    for w, _kinds, joint in two_pair_components(fidelity):
-        st = pbs(pbs(joint, Party.ALICE), Party.BOB)
-        p_keep, kept = _four_port_split(st)
-        if p_keep < 1.0 - 1e-15:
-            records.append(OutcomeRecord(
-                None, None, Verdict.DISCARDED, None, w * (1.0 - p_keep),
-            ))
-        if p_keep > 0.0:
-            _finish_kept_pair(kept, records, w * p_keep, None, None)
-    return records
-
-
-def pbs_exact(fidelity: float) -> RunReport:
-    records = pbs_records(fidelity)
-    extras = {
-        "closed_form_fidelity": stage2_fidelity_map(fidelity),
-        "closed_form_yield": 0.5 * stage2_yield(fidelity),
-    }
-    return _report("pbs", records, extras)
+    return _two_pair_records(_pbs_table(), fidelity)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +504,7 @@ def pbs_exact(fidelity: float) -> RunReport:
 # ---------------------------------------------------------------------------
 
 WORDS_PER_TRIAL = 8
+MC_CHUNK = 1 << 16  # trials drawn at once: bounds MC memory whatever the trial count
 
 _BUCKET_IDS = {k: i for i, k in enumerate(COUNT_KEYS)}
 
@@ -464,8 +514,10 @@ def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
 
     Counter-based: trial t always maps to the same fixed block of the
     keyed stream, so any partition of the trial range reproduces the
-    same per-trial values.
+    same per-trial values.  The seed is the 64-bit key, in [0, 2**64).
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bg = np.random.Philox(key=np.uint64(seed))
     blocks_per_trial = WORDS_PER_TRIAL // 4
     if start:
@@ -490,44 +542,34 @@ def _mc_report(pipeline, bucket_counts, trials, seed, extras) -> RunReport:
     )
 
 
+def _chunks(trials: int):
+    """(start, size) of the MC_CHUNK-sized slices covering [0, trials)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return [(start, min(MC_CHUNK, trials - start)) for start in range(0, trials, MC_CHUNK)]
+
+
 def _stage1_mc_buckets(src, noise, variant, cfg, trials, seed, start=0):
     """Per-trial bucket ids and kept-pair counts for a slice of trials."""
-    variant, cfg = _stage1_config(variant, cfg)
-    src.validate()
-    noise.validate()
-    total = src.p1 + src.p2
-    if total <= 0:
-        raise ConfigError("p1 + p2 must be positive")
-    p1n = src.p1 / total
-    leaves = {
-        False: single_pair_leaves(variant, cfg, False),
-        True: single_pair_leaves(variant, cfg, True),
-    }
-    keep_tag = cfg.theta + cfg.theta_prime
-    for leaf_list in leaves.values():
-        if len(leaf_list) != 2:
-            raise SimulationError("expected two homodyne classes per single pair")
-    # leaf-combination lookup: type = flipped*2 + leaf index, combo = 4*type1 + type2
-    lut = np.empty(16, dtype=np.int64)
-    pairs_lut = np.empty(16, dtype=np.int64)
-    for t1 in range(4):
-        for t2 in range(4):
-            l1 = leaves[bool(t1 // 2)][t1 % 2]
-            l2 = leaves[bool(t2 // 2)][t2 % 2]
-            bucket, _, _, _, _ = _order2_outcome(l1, l2, keep_tag)
-            lut[4 * t1 + t2] = _BUCKET_IDS[bucket]
-            pairs_lut[4 * t1 + t2] = 2 if bucket in ("kept_correct", "kept_erroneous") else 0
+    table = _stage1_table(_stage1_config(variant, cfg))
+    p1n, _ = _emission_weights(src, noise)
+    if any(len(leaf_rows) != 2 for leaf_rows in table.singles):
+        raise SimulationError("expected two homodyne classes per single pair")
+    # the 16 leaf pairs, indexed 8*flip1 + 4*flip2 + 2*leaf1 + leaf2
+    doubles = [row for rows in table.doubles for row in rows]
+    lut = np.array([_BUCKET_IDS[row.bucket()] for row in doubles], dtype=np.int64)
+    pairs_lut = np.array([row.kept_pairs for row in doubles], dtype=np.int64)
 
     u = trial_uniforms(seed, trials, start)
     p_flip = 1.0 - noise.f0
     order2 = u[:, 0] >= p1n
-    flip1 = u[:, 1] < p_flip
-    flip2 = u[:, 2] < p_flip
+    flip1 = (u[:, 1] < p_flip).astype(np.int64)
+    flip2 = (u[:, 2] < p_flip).astype(np.int64)
     # index within the (sorted) two-leaf list of each pair
-    leaf_split = leaves[False][0].probability
+    leaf_split = table.singles[0][0].factors[0]
     bit1 = (u[:, 3] >= leaf_split).astype(np.int64)
     bit2 = (u[:, 4] >= leaf_split).astype(np.int64)
-    combo = 4 * (2 * flip1.astype(np.int64) + bit1) + (2 * flip2.astype(np.int64) + bit2)
+    combo = 8 * flip1 + 4 * flip2 + 2 * bit1 + bit2
 
     buckets = np.where(order2, lut[combo], _BUCKET_IDS["kept_correct"])
     pairs = np.where(order2, pairs_lut[combo], 1)
@@ -536,81 +578,40 @@ def _stage1_mc_buckets(src, noise, variant, cfg, trials, seed, start=0):
 
 def stage1_monte_carlo(src, noise, variant=Variant.QND1, cfg=None,
                        trials: int = 100_000, seed: int = 0) -> RunReport:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    buckets, pairs = _stage1_mc_buckets(src, noise, variant, cfg, trials, seed)
-    bucket_counts = np.bincount(buckets, minlength=4)
-    extras = {
-        "closed_form_fidelity": stage1_fidelity_closed_form(src.p1, src.p2, noise.f0),
-        "kept_pairs_per_event": float(pairs.sum()) / trials,
-    }
-    report = _mc_report("stage1", bucket_counts, trials, seed, extras)
-    c, e, s = (report.counts["kept_correct"], report.counts["kept_erroneous"],
-               report.counts["kept_same_port"])
-    incl = c + e + s
-    report.extras["fidelity_including_same_port"] = (c + s) / incl if incl else None
-    report.extras["yield_including_same_port"] = incl / trials
-    report.extras["kept_pairs_per_event_including_same_port"] = \
-        float(pairs.sum() + s) / trials
-    return report
-
-
-def _stage2_component_table(fidelity, cfg, baseline: bool):
-    """(weights, keep probability, kept bucket id) per mixture component."""
-    weights, keep_probs, verdicts = [], [], []
-    for w, kinds, joint in two_pair_components(fidelity):
-        weights.append(w)
-        if baseline:
-            st = pbs(pbs(joint, Party.ALICE), Party.BOB)
-            p_keep, _kept = _four_port_split(st)
-        else:
-            st = apply_qnd(joint, cfg)
-            p_keep = 0.0
-            for tag_a in probe_outcomes(st, Party.ALICE):
-                p_a, post_a = project_probe(st, Party.ALICE, tag_a)
-                for tag_b, p_b in probe_outcomes(post_a, Party.BOB).items():
-                    if tag_a == tag_b:
-                        p_keep += p_a * p_b
-        # the kept verdict is determined by the component: both pairs clean
-        # or both flipped survive, and end exactly in phi+ / psi+
-        if kinds == ("phi+", "phi+"):
-            verdicts.append(_BUCKET_IDS["kept_correct"])
-        elif kinds == ("psi+", "psi+"):
-            verdicts.append(_BUCKET_IDS["kept_erroneous"])
-        else:
-            verdicts.append(_BUCKET_IDS["discarded"])
-        keep_probs.append(p_keep)
-    return np.array(weights), np.array(keep_probs), np.array(verdicts, dtype=np.int64)
+    bucket_counts = np.zeros(len(COUNT_KEYS), dtype=np.int64)
+    kept_pairs = 0
+    for start, size in _chunks(trials):
+        buckets, pairs = _stage1_mc_buckets(src, noise, variant, cfg, size, seed, start)
+        bucket_counts += np.bincount(buckets, minlength=len(COUNT_KEYS))
+        kept_pairs += int(pairs.sum())
+    extras = _stage1_extras(src, noise, *(int(n) for n in bucket_counts[:3]),
+                            kept_pairs, trials)
+    return _mc_report("stage1", bucket_counts, trials, seed, extras)
 
 
 def _stage2_mc_buckets(fidelity, cfg, trials, seed, start=0, baseline=False):
-    weights, keep_probs, verdicts = _stage2_component_table(fidelity, cfg, baseline)
-    cum = np.cumsum(weights)
+    table = _pbs_table() if baseline else _stage2_table(_stage2_config(cfg))
+    weights = two_pair_weights(fidelity)
+    components = [table[TWO_PAIR_KINDS.index(kinds)] for kinds, _ in weights]
+    keep_probs = np.array([c.keep_probability for c in components])
+    verdicts = np.array([_BUCKET_IDS[c.kept_verdict().value] for c in components],
+                        dtype=np.int64)
+    cum = np.cumsum([w for _, w in weights])
     cum[-1] = 1.0  # guard against float round-off at the top edge
     u = trial_uniforms(seed, trials, start)
     comp = np.searchsorted(cum, u[:, 0], side="right")
     kept = u[:, 1] < keep_probs[comp]
-    buckets = np.where(kept, verdicts[comp], _BUCKET_IDS["discarded"])
-    return buckets
+    return np.where(kept, verdicts[comp], _BUCKET_IDS["discarded"])
 
 
 def stage2_monte_carlo(fidelity: float, cfg=None, trials: int = 100_000,
                        seed: int = 0, baseline: bool = False) -> RunReport:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not baseline:
-        cfg = cfg or default_config(Variant.QND2)
-        if cfg.variant != Variant.QND2:
-            raise ConfigError("stage 2 runs with the qnd2 detector")
-        cfg.validate()
-    buckets = _stage2_mc_buckets(fidelity, cfg, trials, seed, baseline=baseline)
-    bucket_counts = np.bincount(buckets, minlength=4)
-    extras = {
-        "closed_form_fidelity": stage2_fidelity_map(fidelity),
-        "closed_form_yield": (0.5 if baseline else 1.0) * stage2_yield(fidelity),
-    }
+    bucket_counts = np.zeros(len(COUNT_KEYS), dtype=np.int64)
+    for start, size in _chunks(trials):
+        buckets = _stage2_mc_buckets(fidelity, cfg, size, seed, start, baseline)
+        bucket_counts += np.bincount(buckets, minlength=len(COUNT_KEYS))
     return _mc_report("pbs" if baseline else "stage2", bucket_counts,
-                      trials, seed, extras)
+                      trials, seed, _two_pair_extras(fidelity, baseline))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +637,7 @@ def stage2_run(fidelity: float, mode: str = "exact", trials: int = 100_000,
                seed: int = 0, cfg: QndConfig | None = None) -> RunReport:
     _check_stage2_domain(fidelity)
     if mode == "exact":
-        return stage2_exact(fidelity, cfg)
+        return _report("stage2", stage2_records(fidelity, cfg), _two_pair_extras(fidelity, False))
     if mode == "mc":
         return stage2_monte_carlo(fidelity, cfg, trials, seed)
     raise ConfigError(f"unknown mode {mode!r}")
@@ -646,7 +647,7 @@ def pbs_baseline(fidelity: float, mode: str = "exact", trials: int = 100_000,
                  seed: int = 0) -> RunReport:
     _check_stage2_domain(fidelity)
     if mode == "exact":
-        return pbs_exact(fidelity)
+        return _report("pbs", pbs_records(fidelity), _two_pair_extras(fidelity, True))
     if mode == "mc":
         return stage2_monte_carlo(fidelity, None, trials, seed, baseline=True)
     raise ConfigError(f"unknown mode {mode!r}")
@@ -679,9 +680,7 @@ def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunR
             trials, seed,
         )
     if pipeline == "stage2":
-        _check_stage2_domain(params["F"])
-        return stage2_monte_carlo(params["F"], params.get("cfg"), trials, seed)
+        return stage2_run(params["F"], "mc", trials, seed, params.get("cfg"))
     if pipeline == "pbs":
-        _check_stage2_domain(params["F"])
-        return stage2_monte_carlo(params["F"], None, trials, seed, baseline=True)
+        return pbs_baseline(params["F"], "mc", trials, seed)
     raise ConfigError(f"unknown pipeline {pipeline!r}")

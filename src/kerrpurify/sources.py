@@ -159,26 +159,35 @@ def bell_pair(kind: str, spatial: Spatial = Spatial.UPPER) -> PureState:
     return PureState.of(branches).normalize()
 
 
-def two_pair_components(fidelity: float) -> list:
-    """The four-component mixture of two pairs drawn from the same source.
+TWO_PAIR_KINDS = (("phi+", "phi+"), ("phi+", "psi+"), ("psi+", "phi+"), ("psi+", "psi+"))
 
-    Each pair is phi+ with probability F and psi+ otherwise; the first
-    pair sits on the upper ports, the second on the lower ports.
-    Returns (weight, (kind1, kind2), joint state) triples.
+
+def two_pair_weights(fidelity: float) -> list:
+    """The two-pair mixture drawn from one source, as Bell-kind weights.
+
+    Each pair is phi+ with probability F and psi+ otherwise.  Returns the
+    ((kind1, kind2), weight) pairs of nonzero weight, in ``TWO_PAIR_KINDS``
+    order; kind1 is the upper pair.
     """
     if not 0.0 < fidelity <= 1.0:
         raise ValueError("fidelity must lie in (0, 1]")
-    comps = []
-    for kind1, w1 in (("phi+", fidelity), ("psi+", 1.0 - fidelity)):
-        for kind2, w2 in (("phi+", fidelity), ("psi+", 1.0 - fidelity)):
-            w = w1 * w2
-            if w == 0.0:
-                continue
-            joint = product_state(
-                bell_pair(kind1, Spatial.UPPER), bell_pair(kind2, Spatial.LOWER)
-            )
-            comps.append((w, (kind1, kind2), joint))
-    return comps
+    single = {"phi+": fidelity, "psi+": 1.0 - fidelity}
+    weights = [((k1, k2), single[k1] * single[k2]) for k1, k2 in TWO_PAIR_KINDS]
+    return [(kinds, w) for kinds, w in weights if w != 0.0]
+
+
+def two_pair_state(kind1: str, kind2: str) -> PureState:
+    """Bell pair ``kind1`` on the upper ports times ``kind2`` on the lower ports."""
+    return product_state(bell_pair(kind1, Spatial.UPPER), bell_pair(kind2, Spatial.LOWER))
+
+
+def two_pair_components(fidelity: float) -> list:
+    """The four-component mixture of two pairs drawn from the same source.
+
+    Returns (weight, (kind1, kind2), joint state) triples, see
+    ``two_pair_weights`` and ``two_pair_state``.
+    """
+    return [(w, kinds, two_pair_state(*kinds)) for kinds, w in two_pair_weights(fidelity)]
 
 
 def ideal_mixed_pairs(fidelity: float, n_pairs: int) -> EnsembleState:

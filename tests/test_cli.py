@@ -1,9 +1,17 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
+import builtins
 import csv
 import json
 
+import pytest
+
 from kerrpurify.cli import main
+
+
+def read_csv(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def run_cli(argv, capsys):
@@ -83,7 +91,7 @@ class TestStage1Command:
         argv = self.ARGS + ["--csv", str(path)]
         run_cli(argv, capsys)
         run_cli(argv, capsys)
-        rows = list(csv.reader(path.open()))
+        rows = read_csv(path)
         assert len(rows) == 3  # header + 2 appended runs
         assert rows[0][0] == "p1"
 
@@ -119,7 +127,7 @@ class TestSweep:
              "--f0", "0.7,0.8,0.9", "--csv", str(path)], capsys
         )
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        rows = read_csv(path)
         assert len(rows) == 1 + 2 * 1 * 3
 
     def test_stage2_grid_with_baseline(self, capsys, tmp_path):
@@ -129,11 +137,70 @@ class TestSweep:
              "--baseline", "--csv", str(path)], capsys
         )
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        rows = read_csv(path)
         assert len(rows) == 1 + 2 * 2
         header = rows[0]
         ratio = float(rows[1][header.index("yield_ratio")])
         assert abs(ratio - 2.0) < 1e-12
+
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "stage2", "--F", "0.6,0.8", "--rounds", "3", "--baseline"],
+        ["stage2", "--F", "0.8", "--rounds", "3", "--baseline"],
+    ], ids=["sweep", "stage2"])
+    def test_rounds_with_baseline_rows_match_the_header(self, capsys, tmp_path, argv):
+        path = tmp_path / "rounds.csv"
+        assert run_cli(argv + ["--csv", str(path)], capsys)[0] == 0
+        header, *rows = read_csv(path)
+        assert header[-2:] == ["pbs_yield", "yield_ratio"]
+        assert rows and all(len(row) == len(header) for row in rows)
+        for row in rows:
+            baseline = [row[header.index(c)] for c in ("pbs_yield", "yield_ratio")]
+            assert (baseline == ["", ""]) == (row[header.index("round")] != "1")
+
+    def test_one_open_per_sweep(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "grid.csv"
+        opens = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _, _ = run_cli(
+            ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001",
+             "--f0", "0.7,0.8,0.9", "--csv", str(path)], capsys
+        )
+        assert code == 0
+        assert opens.count(str(path)) == 1
+
+    def test_mixed_schemas_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(["sweep", "stage1", "--p1", "0.02", "--p2", "0.001",
+                              "--f0", "0.8", "--csv", str(path)], capsys)
+        assert code == 0
+        before = path.read_bytes()
+        code, _, err = run_cli(["sweep", "stage2", "--F", "0.8", "--csv", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        code, _, err = run_cli(["stage2", "--F", "0.8", "--csv", str(path)], capsys)
+        assert code == 2
+        assert path.read_bytes() == before
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", [
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+        ["stage2", "--F", "0.8"],
+    ], ids=["stage1", "stage2"])
+    def test_out_of_range_seed_exits_2(self, capsys, argv, seed):
+        code, out, err = run_cli(argv + ["--mode", "mc", "--trials", "10",
+                                         "--seed", seed], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "seed" in err
+        assert "Traceback" not in out + err
 
 
 class TestConfigFile:

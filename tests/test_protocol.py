@@ -9,6 +9,8 @@ from kerrpurify import (
     ConfigError,
     NoiseParams,
     PdcSourceParams,
+    PhaseTag,
+    QndConfig,
     Variant,
     Verdict,
     enumerate_exact,
@@ -23,14 +25,23 @@ from kerrpurify import (
     stage2_yield,
 )
 from kerrpurify.protocol import (
+    COUNT_KEYS,
+    MC_CHUNK,
     PHI_PLUS_MERGED,
     PSI_PLUS_MERGED,
     PSI_PLUS_UPPER,
+    _pbs_table,
     _stage1_mc_buckets,
+    _stage1_table,
+    _stage2_mc_buckets,
+    _stage2_table,
+    pbs_records,
     stage1_records,
     stage2_records,
     trial_uniforms,
 )
+from kerrpurify.qnd import default_config
+from kerrpurify.sources import TWO_PAIR_KINDS
 
 
 class TestClosedForms:
@@ -287,3 +298,90 @@ class TestMonteCarlo:
                         {"p1": 0.1, "p2": 0.01, "f0": 0.8, "variant": Variant.QND3},
                         20_000, seed=11)
         assert a.counts == b.counts
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            trial_uniforms(seed, 10)
+
+    def test_largest_seed_accepted(self):
+        assert trial_uniforms(2**64 - 1, 10).shape == (10, 8)
+
+
+SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
+TABLES = (_stage1_table, _stage2_table, _pbs_table)
+
+
+def _reports() -> dict:
+    return {
+        "qnd1": stage1_run(SRC, NOISE, Variant.QND1).to_dict(),
+        "qnd3": stage1_run(SRC, NOISE, Variant.QND3).to_dict(),
+        "stage2": stage2_run(0.8).to_dict(),
+        "pbs": pbs_baseline(0.8).to_dict(),
+    }
+
+
+class TestOutcomeTables:
+    def test_warm_cache_report_equals_cold(self):
+        _reports()
+        warm = _reports()
+        for table in TABLES:
+            table.cache_clear()
+        cold = _reports()
+        assert [t.cache_info().misses for t in TABLES] == [2, 1, 1]
+        assert warm == cold
+
+    @pytest.mark.parametrize("enumerate_records", [
+        lambda: stage1_records(SRC, NOISE),
+        lambda: stage2_records(0.8),
+        lambda: pbs_records(0.8),
+    ], ids=["stage1", "stage2", "pbs"])
+    def test_mutating_records_leaves_the_next_call_alone(self, enumerate_records):
+        first = enumerate_records()
+        expected = list(first)
+        first.clear()
+        first.append(None)
+        assert enumerate_records() == expected
+
+    def test_different_angles_do_not_share_an_entry(self):
+        _stage1_table.cache_clear()
+        a = QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(3, 4))
+        b = QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8))
+        table_a, table_b = _stage1_table(a), _stage1_table(b)
+        assert _stage1_table.cache_info().currsize == 2
+        assert _stage1_table(QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(3, 4))) is table_a
+        for cfg in (a, b):
+            kept = {r.probe_alice for r in stage1_records(SRC, NOISE, cfg=cfg)
+                    if r.kept_pairs == 2}
+            assert kept == {cfg.theta + cfg.theta_prime}
+        assert table_a != table_b
+
+    def test_invalid_config_raises_on_every_call(self):
+        bad = QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(1, 4))
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                stage1_run(SRC, NOISE, cfg=bad)
+
+    def test_stage2_verdicts_come_from_the_physics(self):
+        expected = {("phi+", "phi+"): Verdict.KEPT_CORRECT,
+                    ("psi+", "psi+"): Verdict.KEPT_ERRONEOUS,
+                    ("phi+", "psi+"): Verdict.DISCARDED,
+                    ("psi+", "phi+"): Verdict.DISCARDED}
+        for table in (_stage2_table(default_config(Variant.QND2)), _pbs_table()):
+            got = {kinds: c.kept_verdict() for kinds, c in zip(TWO_PAIR_KINDS, table)}
+            assert got == expected
+            for kinds, c in zip(TWO_PAIR_KINDS, table):
+                assert (c.keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
+
+    def test_chunked_mc_counts_equal_one_unchunked_draw(self):
+        trials = 3 * MC_CHUNK + 17
+        buckets, pairs = _stage1_mc_buckets(SRC, NOISE, Variant.QND1, None, trials, 5)
+        report = stage1_run(SRC, NOISE, mode="mc", trials=trials, seed=5)
+        assert [report.counts[k] for k in COUNT_KEYS] == \
+            np.bincount(buckets, minlength=4).tolist()
+        assert report.extras["kept_pairs_per_event"] == pairs.sum() / trials
+        for run, baseline in ((stage2_run, False), (pbs_baseline, True)):
+            buckets = _stage2_mc_buckets(0.8, None, trials, 5, baseline=baseline)
+            report = run(0.8, mode="mc", trials=trials, seed=5)
+            assert [report.counts[k] for k in COUNT_KEYS] == \
+                np.bincount(buckets, minlength=4).tolist()
