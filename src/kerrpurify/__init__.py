@@ -19,8 +19,6 @@ from .fock import (
     PI,
     create_photon,
     inner,
-    mode,
-    normalize,
     overlap,
     probe_outcomes,
     product_state,
@@ -30,7 +28,6 @@ from .elements import (
     bilateral_rotation,
     coupler,
     diagonal_outcomes,
-    measure_diagonal,
     pbs,
     sigma_x,
     sigma_z,

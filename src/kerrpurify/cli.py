@@ -373,7 +373,8 @@ def main(argv=None) -> int:
         else:
             args._config_values = {}
         return args.func(args)
-    except (CliError, ConfigError, ValueError) as exc:
+    except (CliError, ConfigError, ValueError, OSError) as exc:
+        # OSError: a --config, --out or --csv path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationError as exc:

@@ -12,7 +12,6 @@ and norm are preserved (measurements preserve summed probability).
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 from .fock import (
     AmbiguousRoutingError,
@@ -137,12 +136,6 @@ def diagonal_outcomes(state: PureState, party: Party, spatial: Spatial) -> dict:
     return results
 
 
-def measure_diagonal(state: PureState, party: Party, spatial: Spatial, outcome: str):
-    """Project onto one diagonal-basis outcome ('+' or '-')."""
-    prob, post = diagonal_outcomes(state, party, spatial)[outcome]
-    return prob, post
-
-
 def apply_mode_pair_unitary(state: PureState, mode_x: ModeLabel, mode_y: ModeLabel,
                             u) -> PureState:
     """Apply a 2x2 unitary to a pair of modes at the creation-operator level.
@@ -204,14 +197,3 @@ def bilateral_rotation(state: PureState) -> PureState:
             )
     return out
 
-
-def permanent(matrix) -> complex:
-    """Permanent by permutation sum; only used for small oracle checks."""
-    n = len(matrix)
-    total = 0.0 + 0.0j
-    for perm in permutations(range(n)):
-        prod = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            prod *= matrix[i][j]
-        total += prod
-    return total

@@ -81,10 +81,6 @@ class ModeLabel:
         return f"{p}{s}{self.pol.name}"
 
 
-def mode(party: Party, spatial: Spatial, pol: Pol) -> ModeLabel:
-    return ModeLabel(party, spatial, pol)
-
-
 class PhaseTag:
     """A phase (value)*pi with value an exact rational in [0, 2).
 
@@ -315,10 +311,6 @@ def create_photon(state: PureState, m: ModeLabel) -> PureState:
         return BranchState.of(occ, b.amplitude * math.sqrt(n + 1), b.probe)
 
     return state.map_branches(bump)
-
-
-def normalize(state: PureState) -> PureState:
-    return state.normalize()
 
 
 def product_state(a: PureState, b: PureState) -> PureState:

@@ -27,16 +27,21 @@ halves the yield at identical fidelity.
 
 Outcomes depend on the parameters (p1, p2, f0 or F) only through
 their weights.  Each pipeline therefore enumerates its branch tree once
-per detector config into an immutable outcome table (an LRU cache of
-TABLE_CACHE_SIZE configs; one table for PBS).  Exact runs and sweeps
-weight the table's rows at each parameter point, and Monte Carlo takes
-its lookup tables and keep probabilities from it.
+per detector config into an immutable table of outcome rows (an LRU
+cache of TABLE_CACHE_SIZE configs; one table for PBS).  A row carries
+its probability within an event class: a clean or flipped single pair
+or a double emission with its two flips (stage 1), or a Bell-kind pair
+of the two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs
+each table with the function that weights its classes at a parameter
+point, so a row weighs its class weight times its own factor.
 
-Monte Carlo trials draw their randomness from a counter-based
-generator keyed by (seed, trial index): trial t always consumes the
-same words no matter how trials are batched, so parallel and serial
-runs aggregate to identical counts.  Runs draw MC_CHUNK trials at a
-time, so their memory does not grow with the trial count.
+Exact runs weight the rows into records (``enumerate_exact``, and the
+``*_records`` functions for each pipeline) and sum the records per
+bucket.  Monte Carlo draws one uniform per trial and inverts the cumulative row weights with
+it.  Trial t reads word t of a counter-based stream keyed by the seed,
+so any partition of the trial range aggregates to identical counts.
+Runs draw MC_CHUNK trials at a time, so their memory does not grow with
+the trial count.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as iproduct
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -195,30 +200,36 @@ def stage2_iterate(f0: float, rounds: int) -> list:
 
 TABLE_CACHE_SIZE = 64
 
+_BUCKET_IDS = {k: i for i, k in enumerate(COUNT_KEYS)}
 
-class TableRow(NamedTuple):
-    """An ``OutcomeRecord`` without its weight.  ``record(w)`` weighs it by
-    its event class weight ``w`` times ``factors``, multiplied left to right
-    in the order a full enumeration multiplies them in."""
 
-    factors: tuple
-    probe_alice: PhaseTag | None
-    probe_bob: PhaseTag | None
-    verdict: Verdict
-    final_state: PureState | None = None
-    fidelity: float | None = None
-    order: int | None = None
-    kept_pairs: int = 0
-    same_port_keep: bool = False
+class RowTable(NamedTuple):
+    """The outcome rows of one pipeline and config, with read-only columns.
 
-    bucket = OutcomeRecord.bucket
+    ``rows[i]`` is an ``OutcomeRecord`` whose weight is its probability
+    given its event class ``cls[i]``; at a parameter point the row weighs
+    that class's weight times ``factor[i]``.
+    """
 
-    def record(self, weight: float) -> OutcomeRecord:
-        for f in self.factors:
-            weight *= f
-        return OutcomeRecord(self.probe_alice, self.probe_bob, self.verdict,
-                             self.final_state, weight, self.fidelity, self.order,
-                             self.kept_pairs, self.same_port_keep)
+    rows: tuple
+    cls: np.ndarray
+    factor: np.ndarray
+    bucket: np.ndarray  # index into COUNT_KEYS
+    pairs: np.ndarray   # kept pairs
+
+
+def _row_table(classes) -> RowTable:
+    """Flatten the records of each event class, in class order."""
+    rows = tuple(r for records in classes for r in records)
+    columns = [np.array(column) for column in (
+        [c for c, records in enumerate(classes) for _ in records],
+        [r.weight for r in rows],
+        [_BUCKET_IDS[r.bucket()] for r in rows],
+        [r.kept_pairs for r in rows],
+    )]
+    for column in columns:
+        column.flags.writeable = False  # cached: every caller shares it
+    return RowTable(rows, *columns)
 
 
 @dataclass(frozen=True)
@@ -258,7 +269,7 @@ def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
     )
 
 
-def _order1_row(leaf: PairLeaf) -> TableRow:
+def _order1_row(leaf: PairLeaf) -> OutcomeRecord:
     """A single emission, always kept: Alice flips when the readings differ."""
     st = leaf.state
     if leaf.tag_alice != leaf.tag_bob:
@@ -266,65 +277,50 @@ def _order1_row(leaf: PairLeaf) -> TableRow:
     final = _couple_pair(st)
     fid = overlap(final, PHI_PLUS_MERGED)
     verdict = _verdict(fid, overlap(final, PSI_PLUS_MERGED))
-    return TableRow((leaf.probability,), leaf.tag_alice, leaf.tag_bob, verdict,
-                    final, fid, order=1, kept_pairs=1)
+    return OutcomeRecord(leaf.tag_alice, leaf.tag_bob, verdict, final, leaf.probability,
+                         fid, order=1, kept_pairs=1)
 
 
-def _order2_row(l1: PairLeaf, l2: PairLeaf, keep_tag: PhaseTag) -> TableRow:
+def _order2_row(l1: PairLeaf, l2: PairLeaf, keep_tag: PhaseTag) -> OutcomeRecord:
     """Classify a joint double-emission outcome from its two pair leaves.
 
     Only events kept under the headline rule carry a fidelity and a state.
     """
     tag_a = l1.tag_alice + l2.tag_alice
     tag_b = l1.tag_bob + l2.tag_bob
-    factors = (l1.probability, l2.probability)
+    weight = l1.probability * l2.probability
     if tag_a != tag_b or tag_a != keep_tag:
-        return TableRow(factors, tag_a, tag_b, Verdict.DISCARDED, order=2,
-                        same_port_keep=tag_a == tag_b)
+        return OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, weight, order=2,
+                             same_port_keep=tag_a == tag_b)
     finals = [_couple_pair(l.state) for l in (l1, l2)]
     fids = [overlap(f, PHI_PLUS_MERGED) for f in finals]
     verdicts = [_verdict(f, overlap(final, PSI_PLUS_MERGED))
                 for f, final in zip(fids, finals)]
     if verdicts[0] != verdicts[1]:
         raise SimulationError("the two kept pairs disagree on correctness")
-    return TableRow(factors, tag_a, tag_b, verdicts[0], finals[0], fids[0],
-                    order=2, kept_pairs=2)
-
-
-class Stage1Table(NamedTuple):
-    singles: tuple  # [flipped]: the order-1 rows of a clean or flipped pair
-    doubles: tuple  # [2*flip1 + flip2]: order-2 rows of every leaf pair, in product order
+    return OutcomeRecord(tag_a, tag_b, verdicts[0], finals[0], weight, fids[0],
+                         order=2, kept_pairs=2)
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _stage1_table(cfg: QndConfig) -> Stage1Table:
-    """The stage-1 outcomes of a valid detector config, for any source and
-    noise.  Validating here checks a config once, when its table is built."""
+def _stage1_table(cfg: QndConfig) -> RowTable:
+    """The stage-1 rows of a valid detector config, for any source and noise.
+
+    Classes: a clean and a flipped single pair, then the double emissions
+    (flip1, flip2) in product order.  Validating here checks a config once,
+    when its table is built.
+    """
     cfg.validate()
     leaves = [single_pair_leaves(cfg.variant, cfg, flipped) for flipped in (False, True)]
     keep_tag = cfg.theta + cfg.theta_prime
-    return Stage1Table(
-        tuple(tuple(_order1_row(leaf) for leaf in pair) for pair in leaves),
-        tuple(tuple(_order2_row(l1, l2, keep_tag) for l1, l2 in iproduct(pair1, pair2))
-              for pair1, pair2 in iproduct(leaves, leaves)),
+    return _row_table(
+        [[_order1_row(leaf) for leaf in pair] for pair in leaves]
+        + [[_order2_row(l1, l2, keep_tag) for l1, l2 in iproduct(pair1, pair2)]
+           for pair1, pair2 in iproduct(leaves, leaves)]
     )
 
 
-class TwoPairOutcomes(NamedTuple):
-    """The outcomes of one Bell-kind pair of a two-pair round."""
-
-    keep_probability: float
-    rows: tuple
-
-    def kept_verdict(self) -> Verdict:
-        """The verdict every kept row shares; DISCARDED when none is kept."""
-        verdicts = {r.verdict for r in self.rows} - {Verdict.DISCARDED}
-        if len(verdicts) > 1:
-            raise SimulationError("the kept rows of one component disagree on correctness")
-        return verdicts.pop() if verdicts else Verdict.DISCARDED
-
-
-def _kept_pair_rows(state: PureState, factors: tuple, tag_a, tag_b) -> list:
+def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:
     """Diagonal-measure the lower pair, phase-correct, classify the upper pair."""
     rows = []
     for oa, (pa, s1) in diagonal_outcomes(state, Party.ALICE, Spatial.LOWER).items():
@@ -336,41 +332,40 @@ def _kept_pair_rows(state: PureState, factors: tuple, tag_a, tag_b) -> list:
             final = sigma_z(s2, Party.ALICE, {Spatial.UPPER}) if oa != ob else s2
             fid = overlap(final, PHI_PLUS_UPPER)
             verdict = _verdict(fid, overlap(final, PSI_PLUS_UPPER))
-            rows.append(TableRow(factors + (pa, pb), tag_a, tag_b, verdict, final, fid,
-                                 kept_pairs=1))
+            rows.append(OutcomeRecord(tag_a, tag_b, verdict, final, weight * pa * pb, fid,
+                                      kept_pairs=1))
     return rows
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _stage2_table(cfg: QndConfig) -> tuple:
-    """Stage-2 outcomes under ``cfg``, one entry per ``TWO_PAIR_KINDS`` entry."""
+def _stage2_table(cfg: QndConfig) -> RowTable:
+    """Stage-2 rows under ``cfg``; the classes are ``TWO_PAIR_KINDS``."""
     cfg.validate()
-    table = []
+    classes = []
     for kinds in TWO_PAIR_KINDS:
         st = apply_qnd(two_pair_state(*kinds), cfg)
-        rows, p_keep = [], 0.0
+        rows = []
         for tag_a in probe_outcomes(st, Party.ALICE):
             p_a, post_a = project_probe(st, Party.ALICE, tag_a)
             for tag_b in probe_outcomes(post_a, Party.BOB):
                 p_b, post = project_probe(post_a, Party.BOB, tag_b)
                 if tag_a != tag_b:
-                    rows.append(TableRow((p_a, p_b), tag_a, tag_b, Verdict.DISCARDED))
+                    rows.append(OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, p_a * p_b))
                     continue
-                p_keep += p_a * p_b
                 if tag_a == ZERO_PHASE:
                     post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
                     post = sigma_x(post, Party.BOB, {Spatial.UPPER})
-                rows += _kept_pair_rows(post, (p_a, p_b), tag_a, tag_b)
-        table.append(TwoPairOutcomes(p_keep, tuple(rows)))
-    return tuple(table)
+                rows += _kept_pair_rows(post, p_a * p_b, tag_a, tag_b)
+        classes.append(rows)
+    return _row_table(classes)
 
 
 @functools.lru_cache(maxsize=1)
-def _pbs_table() -> tuple:
-    """PBS-baseline outcomes, one entry per ``TWO_PAIR_KINDS`` entry: a
-    round keeps the branches with one photon in each of the four ports."""
+def _pbs_table() -> RowTable:
+    """PBS-baseline rows; the classes are ``TWO_PAIR_KINDS``.  A round keeps
+    the branches with one photon in each of the four ports."""
     ports = [(p, s) for p in Party for s in (Spatial.UPPER, Spatial.LOWER)]
-    table = []
+    classes = []
     for kinds in TWO_PAIR_KINDS:
         st = pbs(pbs(two_pair_state(*kinds), Party.ALICE), Party.BOB)
         keep = [b for b in st.branches
@@ -378,15 +373,15 @@ def _pbs_table() -> tuple:
         p_keep = sum(abs(b.amplitude) ** 2 for b in keep)
         rows = []
         if p_keep < 1.0 - 1e-15:
-            rows.append(TableRow((1.0 - p_keep,), None, None, Verdict.DISCARDED))
+            rows.append(OutcomeRecord(None, None, Verdict.DISCARDED, None, 1.0 - p_keep))
         if p_keep > 0.0:
-            rows += _kept_pair_rows(PureState.of(keep).normalize(), (p_keep,), None, None)
-        table.append(TwoPairOutcomes(p_keep, tuple(rows)))
-    return tuple(table)
+            rows += _kept_pair_rows(PureState.of(keep).normalize(), p_keep, None, None)
+        classes.append(rows)
+    return _row_table(classes)
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration: table rows weighted at one parameter point
+# class weights and extras at one parameter point
 # ---------------------------------------------------------------------------
 
 def _stage1_config(variant, cfg) -> QndConfig:
@@ -400,74 +395,34 @@ def _stage1_config(variant, cfg) -> QndConfig:
     return cfg
 
 
-def _emission_weights(src: PdcSourceParams, noise: NoiseParams) -> tuple:
-    """(one-pair weight, two-pair weight) of an emission event."""
-    src.validate()
-    noise.validate()
+def _stage1_class_weights(params: dict) -> np.ndarray:
+    """Weights of the classes of ``_stage1_table``: an emission is one pair
+    or two in the ratio p1 : p2, and each pair is flipped with probability
+    1 - f0."""
+    src = PdcSourceParams(params["p1"], params["p2"]).validate()
+    f0 = NoiseParams(params["f0"]).validate().f0
     total = src.p1 + src.p2
     if total <= 0:
         raise ConfigError("p1 + p2 must be positive")
-    return src.p1 / total, src.p2 / total
+    w1, w2 = src.p1 / total, src.p2 / total
+    noise = (f0, 1.0 - f0)
+    return np.array([w1 * wn for wn in noise]
+                    + [w2 * wn1 * wn2 for wn1, wn2 in iproduct(noise, noise)])
 
 
-def stage1_records(src: PdcSourceParams, noise: NoiseParams,
-                   variant=Variant.QND1, cfg: QndConfig | None = None) -> list:
-    """Exhaustive outcome enumeration of one stage-1 emission event."""
-    table = _stage1_table(_stage1_config(variant, cfg))
-    w1, w2 = _emission_weights(src, noise)
-    noise_weights = [(flipped, wn) for flipped, wn in enumerate((noise.f0, 1.0 - noise.f0))
-                     if wn != 0.0]
-    records = []
-    if w1 > 0:
-        for flipped, wn in noise_weights:
-            records += [row.record(w1 * wn) for row in table.singles[flipped]]
-    if w2 > 0:
-        for flip1, wn1 in noise_weights:
-            for flip2, wn2 in noise_weights:
-                records += [row.record(w2 * wn1 * wn2)
-                            for row in table.doubles[2 * flip1 + flip2]]
-    return records
-
-
-def _counts_from_records(records) -> dict:
-    counts = {k: 0.0 for k in COUNT_KEYS}
-    for r in records:
-        counts[r.bucket()] += r.weight
-    return counts
-
-
-def _stage1_extras(src, noise, correct, erroneous, same_port, pairs, events=1) -> dict:
-    """Extras from the kept_correct, kept_erroneous and kept_same_port
-    totals and the kept pairs over ``events`` emission events."""
+def _stage1_extras(params: dict, counts: list, pairs, events) -> dict:
+    """Extras from the bucket totals and the kept pairs over ``events``
+    emission events."""
+    correct, erroneous, same_port, _ = counts
     incl = correct + erroneous + same_port
     return {
-        "closed_form_fidelity": stage1_fidelity_closed_form(src.p1, src.p2, noise.f0),
+        "closed_form_fidelity": stage1_fidelity_closed_form(params["p1"], params["p2"],
+                                                            params["f0"]),
         "kept_pairs_per_event": pairs / events,
         "fidelity_including_same_port": (correct + same_port) / incl if incl > 0 else None,
         "yield_including_same_port": incl / events,
         "kept_pairs_per_event_including_same_port": (pairs + same_port) / events,
     }
-
-
-def _report(pipeline, records, extras, mode="exact", trials=None, seed=None) -> RunReport:
-    counts = _counts_from_records(records)
-    kept = counts["kept_correct"] + counts["kept_erroneous"]
-    fid = (sum(r.weight * r.fidelity for r in records if r.verdict != Verdict.DISCARDED) / kept
-           if kept > 0 else None)
-    return RunReport(
-        pipeline=pipeline, mode=mode, fidelity=fid, yield_fraction=kept,
-        counts=counts, trials=trials, seed=seed, extras=extras,
-    )
-
-
-def stage1_exact(src: PdcSourceParams, noise: NoiseParams,
-                 variant=Variant.QND1, cfg: QndConfig | None = None) -> RunReport:
-    records = stage1_records(src, noise, variant, cfg)
-    report = _report("stage1", records, {})
-    pairs = sum(r.weight * r.kept_pairs for r in records)
-    report.extras = _stage1_extras(src, noise, *(report.counts[k] for k in COUNT_KEYS[:3]),
-                                   pairs)
-    return report
 
 
 def _stage2_config(cfg: QndConfig | None) -> QndConfig:
@@ -477,69 +432,86 @@ def _stage2_config(cfg: QndConfig | None) -> QndConfig:
     return cfg
 
 
-def _two_pair_records(table: tuple, fidelity: float) -> list:
-    records = []
-    for kinds, w in two_pair_weights(fidelity):
-        records += [row.record(w) for row in table[TWO_PAIR_KINDS.index(kinds)].rows]
-    return records
+def _two_pair_class_weights(params: dict) -> np.ndarray:
+    """Weights of the ``TWO_PAIR_KINDS`` classes of the stage-2 and PBS tables."""
+    return np.array(two_pair_weights(params["F"]))
 
 
-def stage2_records(fidelity: float, cfg: QndConfig | None = None) -> list:
-    """Exhaustive outcome enumeration of one stage-2 purification round."""
-    return _two_pair_records(_stage2_table(_stage2_config(cfg)), fidelity)
-
-
-def _two_pair_extras(fidelity: float, baseline: bool) -> dict:
+def _two_pair_extras(baseline: bool, params: dict, counts, pairs, events) -> dict:
+    fidelity = params["F"]
     return {"closed_form_fidelity": stage2_fidelity_map(fidelity),
             "closed_form_yield": (0.5 if baseline else 1.0) * stage2_yield(fidelity)}
 
 
-def pbs_records(fidelity: float) -> list:
-    """Exhaustive enumeration of the PBS parity-check baseline round."""
-    return _two_pair_records(_pbs_table(), fidelity)
+# ---------------------------------------------------------------------------
+# the pipeline registry
+# ---------------------------------------------------------------------------
+
+class Pipeline(NamedTuple):
+    """How one pipeline finds its outcome rows and weights them at a point."""
+
+    table: Callable          # params -> the RowTable of the params' detector config
+    class_weights: Callable  # params -> the weight of each class of that table
+    extras: Callable         # (params, bucket totals, kept pairs, events) -> report extras
+
+
+PIPELINES = {
+    "stage1": Pipeline(
+        lambda p: _stage1_table(_stage1_config(p.get("variant", Variant.QND1), p.get("cfg"))),
+        _stage1_class_weights, _stage1_extras),
+    "stage2": Pipeline(lambda p: _stage2_table(_stage2_config(p.get("cfg"))),
+                       _two_pair_class_weights, functools.partial(_two_pair_extras, False)),
+    "pbs": Pipeline(lambda p: _pbs_table(), _two_pair_class_weights,
+                    functools.partial(_two_pair_extras, True)),
+}
+
+
+def _weighted_rows(pipeline: str, params: dict) -> tuple:
+    """(registry entry, table, weight of each row) of a pipeline at ``params``."""
+    if pipeline not in PIPELINES:
+        raise ConfigError(f"unknown pipeline {pipeline!r}")
+    entry = PIPELINES[pipeline]
+    table = entry.table(params)
+    return entry, table, entry.class_weights(params)[table.cls] * table.factor
+
+
+def _exact(pipeline: str, params: dict, records: list) -> RunReport:
+    """Exact report of a pipeline at ``params``: its records summed per bucket."""
+    counts = dict.fromkeys(COUNT_KEYS, 0.0)
+    fid_sum = pairs = 0.0
+    for r in records:
+        counts[r.bucket()] += r.weight
+        pairs += r.weight * r.kept_pairs
+        if r.verdict != Verdict.DISCARDED:
+            fid_sum += r.weight * r.fidelity
+    kept = counts["kept_correct"] + counts["kept_erroneous"]
+    return RunReport(
+        pipeline=pipeline, mode="exact", fidelity=fid_sum / kept if kept > 0 else None,
+        yield_fraction=kept, counts=counts,
+        extras=PIPELINES[pipeline].extras(params, list(counts.values()), pairs, 1),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-WORDS_PER_TRIAL = 8
 MC_CHUNK = 1 << 16  # trials drawn at once: bounds MC memory whatever the trial count
-
-_BUCKET_IDS = {k: i for i, k in enumerate(COUNT_KEYS)}
 
 
 def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
-    """Uniform draws for trials [start, start + n_trials).
+    """One uniform in [0, 1) for each trial of [start, start + n_trials).
 
-    Counter-based: trial t always maps to the same fixed block of the
-    keyed stream, so any partition of the trial range reproduces the
-    same per-trial values.  The seed is the 64-bit key, in [0, 2**64).
+    Counter-based: trial t always reads word t of the stream keyed by the
+    seed, so any partition of the trial range reproduces the same
+    per-trial values.  The seed is the 64-bit key, in [0, 2**64).
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bg = np.random.Philox(key=np.uint64(seed))
-    blocks_per_trial = WORDS_PER_TRIAL // 4
-    if start:
-        bg.advance(start * blocks_per_trial)
-    raw = bg.random_raw(n_trials * WORDS_PER_TRIAL)
-    u = (raw >> np.uint64(11)) * (2.0 ** -53)
-    return u.reshape(n_trials, WORDS_PER_TRIAL)
-
-
-def _mc_report(pipeline, bucket_counts, trials, seed, extras) -> RunReport:
-    counts = {k: int(bucket_counts[i]) for k, i in _BUCKET_IDS.items()}
-    c, e = counts["kept_correct"], counts["kept_erroneous"]
-    kept = c + e
-    fid = c / kept if kept > 0 else None
-    fid_err = math.sqrt(fid * (1.0 - fid) / kept) if kept >= 2 else None
-    y = kept / trials
-    y_err = math.sqrt(y * (1.0 - y) / trials) if trials >= 2 else None
-    return RunReport(
-        pipeline=pipeline, mode="mc", fidelity=fid, yield_fraction=y,
-        counts=counts, trials=trials, seed=seed,
-        fidelity_stderr=fid_err, yield_stderr=y_err, extras=extras,
-    )
+    bg.advance(start // 4)  # one counter step yields four words
+    raw = bg.random_raw(start % 4 + n_trials)[start % 4:]
+    return (raw >> np.uint64(11)) * (2.0 ** -53)
 
 
 def _chunks(trials: int):
@@ -549,138 +521,123 @@ def _chunks(trials: int):
     return [(start, min(MC_CHUNK, trials - start)) for start in range(0, trials, MC_CHUNK)]
 
 
-def _stage1_mc_buckets(src, noise, variant, cfg, trials, seed, start=0):
-    """Per-trial bucket ids and kept-pair counts for a slice of trials."""
-    table = _stage1_table(_stage1_config(variant, cfg))
-    p1n, _ = _emission_weights(src, noise)
-    if any(len(leaf_rows) != 2 for leaf_rows in table.singles):
-        raise SimulationError("expected two homodyne classes per single pair")
-    # the 16 leaf pairs, indexed 8*flip1 + 4*flip2 + 2*leaf1 + leaf2
-    doubles = [row for rows in table.doubles for row in rows]
-    lut = np.array([_BUCKET_IDS[row.bucket()] for row in doubles], dtype=np.int64)
-    pairs_lut = np.array([row.kept_pairs for row in doubles], dtype=np.int64)
+def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
+                   start: int = 0) -> tuple:
+    """(registry entry, table, draws of each row) over trials [start, start + trials).
 
-    u = trial_uniforms(seed, trials, start)
-    p_flip = 1.0 - noise.f0
-    order2 = u[:, 0] >= p1n
-    flip1 = (u[:, 1] < p_flip).astype(np.int64)
-    flip2 = (u[:, 2] < p_flip).astype(np.int64)
-    # index within the (sorted) two-leaf list of each pair
-    leaf_split = table.singles[0][0].factors[0]
-    bit1 = (u[:, 3] >= leaf_split).astype(np.int64)
-    bit2 = (u[:, 4] >= leaf_split).astype(np.int64)
-    combo = 8 * flip1 + 4 * flip2 + 2 * bit1 + bit2
-
-    buckets = np.where(order2, lut[combo], _BUCKET_IDS["kept_correct"])
-    pairs = np.where(order2, pairs_lut[combo], 1)
-    return buckets, pairs
+    Each trial draws the row its uniform selects from the cumulative row
+    weights.
+    """
+    chunks = _chunks(trials)
+    entry, table, w = _weighted_rows(pipeline, params)
+    drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
+    edges = np.cumsum(w[drawn])
+    edges[-1] = 1.0  # round-off must leave no uniform above the top edge
+    counts = np.zeros(len(drawn), dtype=np.int64)
+    for offset, size in chunks:
+        rows = np.searchsorted(edges, trial_uniforms(seed, size, start + offset), side="right")
+        counts += np.bincount(rows, minlength=len(drawn))
+    row_counts = np.zeros(len(w), dtype=np.int64)
+    row_counts[drawn] = counts
+    return entry, table, row_counts
 
 
-def stage1_monte_carlo(src, noise, variant=Variant.QND1, cfg=None,
-                       trials: int = 100_000, seed: int = 0) -> RunReport:
+def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
+    """Seeded Monte Carlo run of a named pipeline; same seed, same report."""
+    entry, table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
     bucket_counts = np.zeros(len(COUNT_KEYS), dtype=np.int64)
-    kept_pairs = 0
-    for start, size in _chunks(trials):
-        buckets, pairs = _stage1_mc_buckets(src, noise, variant, cfg, size, seed, start)
-        bucket_counts += np.bincount(buckets, minlength=len(COUNT_KEYS))
-        kept_pairs += int(pairs.sum())
-    extras = _stage1_extras(src, noise, *(int(n) for n in bucket_counts[:3]),
-                            kept_pairs, trials)
-    return _mc_report("stage1", bucket_counts, trials, seed, extras)
-
-
-def _stage2_mc_buckets(fidelity, cfg, trials, seed, start=0, baseline=False):
-    table = _pbs_table() if baseline else _stage2_table(_stage2_config(cfg))
-    weights = two_pair_weights(fidelity)
-    components = [table[TWO_PAIR_KINDS.index(kinds)] for kinds, _ in weights]
-    keep_probs = np.array([c.keep_probability for c in components])
-    verdicts = np.array([_BUCKET_IDS[c.kept_verdict().value] for c in components],
-                        dtype=np.int64)
-    cum = np.cumsum([w for _, w in weights])
-    cum[-1] = 1.0  # guard against float round-off at the top edge
-    u = trial_uniforms(seed, trials, start)
-    comp = np.searchsorted(cum, u[:, 0], side="right")
-    kept = u[:, 1] < keep_probs[comp]
-    return np.where(kept, verdicts[comp], _BUCKET_IDS["discarded"])
-
-
-def stage2_monte_carlo(fidelity: float, cfg=None, trials: int = 100_000,
-                       seed: int = 0, baseline: bool = False) -> RunReport:
-    bucket_counts = np.zeros(len(COUNT_KEYS), dtype=np.int64)
-    for start, size in _chunks(trials):
-        buckets = _stage2_mc_buckets(fidelity, cfg, size, seed, start, baseline)
-        bucket_counts += np.bincount(buckets, minlength=len(COUNT_KEYS))
-    return _mc_report("pbs" if baseline else "stage2", bucket_counts,
-                      trials, seed, _two_pair_extras(fidelity, baseline))
+    np.add.at(bucket_counts, table.bucket, row_counts)
+    counts = bucket_counts.tolist()
+    kept = counts[0] + counts[1]
+    fid = counts[0] / kept if kept > 0 else None
+    y = kept / trials
+    return RunReport(
+        pipeline=pipeline, mode="mc", fidelity=fid, yield_fraction=y,
+        counts=dict(zip(COUNT_KEYS, counts)), trials=trials, seed=seed,
+        fidelity_stderr=math.sqrt(fid * (1.0 - fid) / kept) if kept >= 2 else None,
+        yield_stderr=math.sqrt(y * (1.0 - y) / trials) if trials >= 2 else None,
+        extras=entry.extras(params, counts, int(row_counts @ table.pairs), trials),
+    )
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _check_stage2_domain(fidelity: float) -> None:
-    if not 0.0 < fidelity <= 1.0:
-        raise ConfigError("fidelity must lie in (0, 1]")
+def enumerate_exact(pipeline: str, params: dict) -> list:
+    """Full outcome enumeration of a named pipeline; weights sum to 1.
+
+    Returns fresh records of the rows of nonzero weight, in table order.
+    """
+    _, table, w = _weighted_rows(pipeline, params)
+    return [_with_weight(row, wi) for row, wi in zip(table.rows, w.tolist()) if wi != 0.0]
+
+
+def _with_weight(r: OutcomeRecord, weight: float) -> OutcomeRecord:
+    """``replace(r, weight=weight)`` without its per-call field lookup."""
+    return OutcomeRecord(r.probe_alice, r.probe_bob, r.verdict, r.final_state, weight,
+                         r.fidelity, r.order, r.kept_pairs, r.same_port_keep)
+
+
+def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:
+    return {"p1": src.p1, "p2": src.p2, "f0": noise.f0, "variant": variant, "cfg": cfg}
+
+
+def stage1_records(src: PdcSourceParams, noise: NoiseParams,
+                   variant=Variant.QND1, cfg: QndConfig | None = None) -> list:
+    """Exhaustive outcome enumeration of one stage-1 emission event."""
+    return enumerate_exact("stage1", _stage1_params(src, noise, variant, cfg))
+
+
+def stage2_records(fidelity: float, cfg: QndConfig | None = None) -> list:
+    """Exhaustive outcome enumeration of one stage-2 purification round."""
+    return enumerate_exact("stage2", {"F": fidelity, "cfg": cfg})
+
+
+def pbs_records(fidelity: float) -> list:
+    """Exhaustive enumeration of the PBS parity-check baseline round."""
+    return enumerate_exact("pbs", {"F": fidelity})
+
+
+def stage1_monte_carlo(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
+                       cfg: QndConfig | None = None, trials: int = 100_000,
+                       seed: int = 0) -> RunReport:
+    """Seeded Monte Carlo run of stage 1."""
+    return monte_carlo("stage1", _stage1_params(src, noise, variant, cfg), trials, seed)
+
+
+def stage2_monte_carlo(fidelity: float, cfg: QndConfig | None = None,
+                       trials: int = 100_000, seed: int = 0) -> RunReport:
+    """Seeded Monte Carlo run of one stage-2 round."""
+    return monte_carlo("stage2", {"F": fidelity, "cfg": cfg}, trials, seed)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "mc"):
+        raise ConfigError(f"unknown mode {mode!r}")
 
 
 def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
                mode: str = "exact", trials: int = 100_000, seed: int = 0,
                cfg: QndConfig | None = None) -> RunReport:
-    if mode == "exact":
-        return stage1_exact(src, noise, variant, cfg)
+    _check_mode(mode)
     if mode == "mc":
         return stage1_monte_carlo(src, noise, variant, cfg, trials, seed)
-    raise ConfigError(f"unknown mode {mode!r}")
+    return _exact("stage1", _stage1_params(src, noise, variant, cfg),
+                  stage1_records(src, noise, variant, cfg))
 
 
 def stage2_run(fidelity: float, mode: str = "exact", trials: int = 100_000,
                seed: int = 0, cfg: QndConfig | None = None) -> RunReport:
-    _check_stage2_domain(fidelity)
-    if mode == "exact":
-        return _report("stage2", stage2_records(fidelity, cfg), _two_pair_extras(fidelity, False))
+    _check_mode(mode)
     if mode == "mc":
         return stage2_monte_carlo(fidelity, cfg, trials, seed)
-    raise ConfigError(f"unknown mode {mode!r}")
+    return _exact("stage2", {"F": fidelity}, stage2_records(fidelity, cfg))
 
 
 def pbs_baseline(fidelity: float, mode: str = "exact", trials: int = 100_000,
                  seed: int = 0) -> RunReport:
-    _check_stage2_domain(fidelity)
-    if mode == "exact":
-        return _report("pbs", pbs_records(fidelity), _two_pair_extras(fidelity, True))
+    _check_mode(mode)
     if mode == "mc":
-        return stage2_monte_carlo(fidelity, None, trials, seed, baseline=True)
-    raise ConfigError(f"unknown mode {mode!r}")
-
-
-def enumerate_exact(pipeline: str, params: dict) -> list:
-    """Full outcome enumeration of a named pipeline; weights sum to 1."""
-    if pipeline == "stage1":
-        return stage1_records(
-            PdcSourceParams(params["p1"], params["p2"]),
-            NoiseParams(params["f0"]),
-            params.get("variant", Variant.QND1),
-            params.get("cfg"),
-        )
-    if pipeline == "stage2":
-        return stage2_records(params["F"], params.get("cfg"))
-    if pipeline == "pbs":
-        return pbs_records(params["F"])
-    raise ConfigError(f"unknown pipeline {pipeline!r}")
-
-
-def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
-    """Seeded Monte Carlo run of a named pipeline; same seed, same report."""
-    if pipeline == "stage1":
-        return stage1_monte_carlo(
-            PdcSourceParams(params["p1"], params["p2"]),
-            NoiseParams(params["f0"]),
-            params.get("variant", Variant.QND1),
-            params.get("cfg"),
-            trials, seed,
-        )
-    if pipeline == "stage2":
-        return stage2_run(params["F"], "mc", trials, seed, params.get("cfg"))
-    if pipeline == "pbs":
-        return pbs_baseline(params["F"], "mc", trials, seed)
-    raise ConfigError(f"unknown pipeline {pipeline!r}")
+        return monte_carlo("pbs", {"F": fidelity}, trials, seed)
+    return _exact("pbs", {"F": fidelity}, pbs_records(fidelity))

@@ -33,6 +33,7 @@ weaker than QND2 for keeping the odd-parity component.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -115,6 +116,7 @@ DEFAULT_THETA = PhaseTag(1, 4)
 DEFAULT_THETA_PRIME = PhaseTag(3, 4)
 
 
+@functools.lru_cache(maxsize=None)  # one immutable, validated config per variant
 def default_config(variant: Variant) -> QndConfig:
     if variant == Variant.QND2:
         return QndConfig(variant, PI).validate()

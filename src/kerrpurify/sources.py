@@ -22,6 +22,7 @@ from itertools import combinations_with_replacement
 from .elements import sigma_x
 from .fock import (
     BranchState,
+    ConfigError,
     EnsembleState,
     ModeLabel,
     Party,
@@ -166,14 +167,13 @@ def two_pair_weights(fidelity: float) -> list:
     """The two-pair mixture drawn from one source, as Bell-kind weights.
 
     Each pair is phi+ with probability F and psi+ otherwise.  Returns the
-    ((kind1, kind2), weight) pairs of nonzero weight, in ``TWO_PAIR_KINDS``
-    order; kind1 is the upper pair.
+    weight of each (kind1, kind2) of ``TWO_PAIR_KINDS``, in that order;
+    kind1 is the upper pair.
     """
     if not 0.0 < fidelity <= 1.0:
-        raise ValueError("fidelity must lie in (0, 1]")
+        raise ConfigError("fidelity must lie in (0, 1]")
     single = {"phi+": fidelity, "psi+": 1.0 - fidelity}
-    weights = [((k1, k2), single[k1] * single[k2]) for k1, k2 in TWO_PAIR_KINDS]
-    return [(kinds, w) for kinds, w in weights if w != 0.0]
+    return [single[k1] * single[k2] for k1, k2 in TWO_PAIR_KINDS]
 
 
 def two_pair_state(kind1: str, kind2: str) -> PureState:
@@ -187,7 +187,8 @@ def two_pair_components(fidelity: float) -> list:
     Returns (weight, (kind1, kind2), joint state) triples, see
     ``two_pair_weights`` and ``two_pair_state``.
     """
-    return [(w, kinds, two_pair_state(*kinds)) for kinds, w in two_pair_weights(fidelity)]
+    return [(w, kinds, two_pair_state(*kinds))
+            for kinds, w in zip(TWO_PAIR_KINDS, two_pair_weights(fidelity)) if w != 0.0]
 
 
 def ideal_mixed_pairs(fidelity: float, n_pairs: int) -> EnsembleState:

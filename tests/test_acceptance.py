@@ -39,7 +39,7 @@ from kerrpurify import (
     stage2_yield,
 )
 from kerrpurify.branches import HHHH, HHVV, VVHH, VVVV, operator_state
-from kerrpurify.protocol import _stage1_mc_buckets, _stage2_mc_buckets
+from kerrpurify.protocol import _mc_row_counts
 
 from conftest import assert_states_equal, random_pure_state
 
@@ -192,23 +192,19 @@ def test_criterion_7_determinism():
         assert json.dumps(s2a.to_dict(), sort_keys=True) == \
                json.dumps(s2b.to_dict(), sort_keys=True)
 
-        src, noise = PdcSourceParams(0.1, 0.01), NoiseParams(0.8)
-        full, pairs_full = _stage1_mc_buckets(src, noise, Variant.QND1, None,
-                                              100_000, 9)
-        lo, pairs_lo = _stage1_mc_buckets(src, noise, Variant.QND1, None, 40_000, 9)
-        hi, pairs_hi = _stage1_mc_buckets(src, noise, Variant.QND1, None, 60_000, 9,
-                                          start=40_000)
-        assert np.array_equal(
-            np.bincount(full, minlength=4),
-            np.bincount(lo, minlength=4) + np.bincount(hi, minlength=4),
-        )
-        assert pairs_full.sum() == pairs_lo.sum() + pairs_hi.sum()
-
+        # trial ranges split at offsets that are not multiples of the
+        # generator's four-word block
         cfg2 = default_config(Variant.QND2)
-        b_full = _stage2_mc_buckets(0.8, cfg2, 50_000, 9)
-        b_lo = _stage2_mc_buckets(0.8, cfg2, 20_000, 9)
-        b_hi = _stage2_mc_buckets(0.8, cfg2, 30_000, 9, start=20_000)
-        assert np.array_equal(
-            np.bincount(b_full, minlength=4),
-            np.bincount(b_lo, minlength=4) + np.bincount(b_hi, minlength=4),
-        )
+        for pipeline, params, trials, split in (
+            ("stage1", params, 100_000, 40_003),
+            ("stage2", {"F": 0.8, "cfg": cfg2}, 50_000, 20_001),
+        ):
+            _, table, full = _mc_row_counts(pipeline, params, trials, 9)
+            _, _, lo = _mc_row_counts(pipeline, params, split, 9)
+            _, _, hi = _mc_row_counts(pipeline, params, trials - split, 9, start=split)
+            assert np.array_equal(
+                np.bincount(table.bucket, weights=full, minlength=4),
+                np.bincount(table.bucket, weights=lo, minlength=4)
+                + np.bincount(table.bucket, weights=hi, minlength=4),
+            )
+            assert full @ table.pairs == lo @ table.pairs + hi @ table.pairs

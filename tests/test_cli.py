@@ -232,3 +232,14 @@ class TestConfigFile:
              "--config", str(cfg)], capsys
         )
         assert code == 2
+
+
+class TestUnusablePaths:
+    @pytest.mark.parametrize("flag", ["--csv", "--out", "--config"])
+    def test_missing_directory_or_file_exits_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "nodir" / "x.txt"
+        code, out, err = run_cli(["stage2", "--F", "0.8", flag, str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in out + err
+        assert not path.parent.exists()

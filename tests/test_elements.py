@@ -1,6 +1,7 @@
 """Linear elements: PBS, coupler, flips, diagonal measurement, rotation."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -19,21 +20,29 @@ from kerrpurify import (
     coupler,
     create_photon,
     diagonal_outcomes,
-    measure_diagonal,
     overlap,
     pbs,
     product_state,
     sigma_x,
     sigma_z,
 )
-from kerrpurify.elements import permanent
-
 from conftest import assert_states_equal, random_pure_state
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
 A1V = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.V)
 A2H = ModeLabel(Party.ALICE, Spatial.LOWER, Pol.H)
 A2V = ModeLabel(Party.ALICE, Spatial.LOWER, Pol.V)
+
+
+def permanent(matrix) -> complex:
+    """Permanent by permutation sum: an oracle for small linear-optics checks."""
+    total = 0.0 + 0.0j
+    for perm in permutations(range(len(matrix))):
+        prod = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            prod *= matrix[i][j]
+        total += prod
+    return total
 
 
 def one_photon(m):
@@ -155,8 +164,8 @@ class TestMeasureDiagonal:
             if all(n == b.occupations[0][1] for _, n in b.occupations)
             and len({m.pol for m, _ in b.occupations}) == 1
         ).normalize()
-        p_a, after_a = measure_diagonal(kept, Party.ALICE, Spatial.LOWER, "+")
-        p_b, after_b = measure_diagonal(after_a, Party.BOB, Spatial.LOWER, "+")
+        p_a, after_a = diagonal_outcomes(kept, Party.ALICE, Spatial.LOWER)["+"]
+        p_b, after_b = diagonal_outcomes(after_a, Party.BOB, Spatial.LOWER)["+"]
         assert abs(p_a * p_b - 0.25) < 1e-12
         assert abs(overlap(after_b, bell_pair("phi+", Spatial.UPPER)) - 1.0) < 1e-12
 
@@ -167,8 +176,8 @@ class TestMeasureDiagonal:
             b for b in joint.branches
             if len({m.pol for m, _ in b.occupations}) == 1
         ).normalize()
-        _, after_a = measure_diagonal(kept, Party.ALICE, Spatial.LOWER, "+")
-        _, after_b = measure_diagonal(after_a, Party.BOB, Spatial.LOWER, "-")
+        _, after_a = diagonal_outcomes(kept, Party.ALICE, Spatial.LOWER)["+"]
+        _, after_b = diagonal_outcomes(after_a, Party.BOB, Spatial.LOWER)["-"]
         fixed = sigma_z(after_b, Party.ALICE)
         assert abs(overlap(fixed, bell_pair("phi+", Spatial.UPPER)) - 1.0) < 1e-12
 

@@ -22,7 +22,6 @@ from kerrpurify import (
     create_photon,
     default_config,
     inner,
-    normalize,
     overlap,
     probe_outcomes,
     product_state,
@@ -128,14 +127,14 @@ class TestCreatePhoton:
 class TestNormalize:
     def test_scalar(self):
         st = PureState.of([BranchState.of({A1H: 1}, 3.0)])
-        assert abs(normalize(st).branches[0].amplitude - 1.0) < 1e-12
+        assert abs(st.normalize().branches[0].amplitude - 1.0) < 1e-12
 
     def test_two_equal_branches(self):
         st = PureState.of([
             BranchState.of({A1H: 1}, 1.0),
             BranchState.of({B1H: 1}, 1.0),
         ])
-        out = normalize(st)
+        out = st.normalize()
         for b in out.branches:
             assert abs(b.amplitude - 1 / math.sqrt(2)) < 1e-12
 
@@ -145,7 +144,7 @@ class TestNormalize:
             BranchState.of({A1H: 1}, -1.0),
         ])
         with pytest.raises(ZeroNormError):
-            normalize(st)
+            st.normalize()
 
     def test_idempotent(self, rng):
         for _ in range(200):

@@ -1,9 +1,12 @@
 """Pipelines: closed forms, exact enumeration, Monte Carlo consistency."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kerrpurify import (
     ConfigError,
@@ -24,16 +27,16 @@ from kerrpurify import (
     stage2_run,
     stage2_yield,
 )
+from kerrpurify import protocol
 from kerrpurify.protocol import (
     COUNT_KEYS,
     MC_CHUNK,
     PHI_PLUS_MERGED,
     PSI_PLUS_MERGED,
     PSI_PLUS_UPPER,
+    _mc_row_counts,
     _pbs_table,
-    _stage1_mc_buckets,
     _stage1_table,
-    _stage2_mc_buckets,
     _stage2_table,
     pbs_records,
     stage1_records,
@@ -148,6 +151,40 @@ class TestStage1Exact:
             stage1_run(PdcSourceParams(0.1, 0.01), NoiseParams(0.8), Variant.QND2)
 
 
+def assert_reports_close(got: dict, expected: dict, tol: float) -> None:
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, dict):
+            assert_reports_close(got[key], value, tol)
+        elif isinstance(value, float):
+            assert abs(got[key] - value) <= tol, key
+        else:
+            assert got[key] == value, key
+
+
+angles = st.builds(Fraction, st.integers(1, 47), st.integers(2, 24))
+
+
+class TestAngleIndependence:
+    @settings(max_examples=25, deadline=None)
+    @given(theta=angles, theta_prime=angles,
+           p1=st.floats(0.01, 0.5), p2=st.floats(0.001, 0.3), f0=st.floats(0.5, 1.0))
+    def test_stage1_report_does_not_depend_on_the_angles(self, theta, theta_prime,
+                                                         p1, p2, f0):
+        src, noise = PdcSourceParams(p1, p2), NoiseParams(f0)
+        reports = []
+        for variant in (Variant.QND1, Variant.QND3):
+            cfg = QndConfig(variant, PhaseTag(theta), PhaseTag(theta_prime))
+            try:
+                cfg.validate()
+            except ConfigError:
+                assume(False)
+            report = stage1_run(src, noise, variant, cfg=cfg).to_dict()
+            assert_reports_close(report, stage1_run(src, noise, variant).to_dict(), 1e-12)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 class TestStage2Exact:
     def test_reference_point(self):
         report = stage2_run(0.8)
@@ -253,7 +290,7 @@ class TestMonteCarlo:
 
     def test_uniforms_slice_consistent(self):
         full = trial_uniforms(3, 1000)
-        parts = np.vstack([
+        parts = np.concatenate([
             trial_uniforms(3, 250),
             trial_uniforms(3, 500, start=250),
             trial_uniforms(3, 250, start=750),
@@ -261,14 +298,16 @@ class TestMonteCarlo:
         assert np.array_equal(full, parts)
 
     def test_parallel_equals_serial_counts(self):
-        src, noise = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
-        full, _ = _stage1_mc_buckets(src, noise, Variant.QND1, None, 80_000, 5)
-        lo, _ = _stage1_mc_buckets(src, noise, Variant.QND1, None, 30_000, 5)
-        hi, _ = _stage1_mc_buckets(src, noise, Variant.QND1, None, 50_000, 5,
-                                   start=30_000)
-        serial = np.bincount(full, minlength=4)
-        parallel = np.bincount(lo, minlength=4) + np.bincount(hi, minlength=4)
+        params = {"p1": 0.1, "p2": 0.02, "f0": 0.8}
+        _, table, full = _mc_row_counts("stage1", params, 80_000, 5)
+        _, _, lo = _mc_row_counts("stage1", params, 30_001, 5)
+        _, _, hi = _mc_row_counts("stage1", params, 49_999, 5, start=30_001)
+        assert np.array_equal(full, lo + hi)
+        serial = np.bincount(table.bucket, weights=full, minlength=4)
+        parallel = (np.bincount(table.bucket, weights=lo, minlength=4)
+                    + np.bincount(table.bucket, weights=hi, minlength=4))
         assert np.array_equal(serial, parallel)
+        assert full @ table.pairs == lo @ table.pairs + hi @ table.pairs
 
     def test_stage1_within_three_sigma(self):
         report = monte_carlo("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8},
@@ -305,7 +344,7 @@ class TestMonteCarlo:
             trial_uniforms(seed, 10)
 
     def test_largest_seed_accepted(self):
-        assert trial_uniforms(2**64 - 1, 10).shape == (10, 8)
+        assert trial_uniforms(2**64 - 1, 10).shape == (10,)
 
 
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
@@ -368,20 +407,51 @@ class TestOutcomeTables:
                     ("phi+", "psi+"): Verdict.DISCARDED,
                     ("psi+", "phi+"): Verdict.DISCARDED}
         for table in (_stage2_table(default_config(Variant.QND2)), _pbs_table()):
-            got = {kinds: c.kept_verdict() for kinds, c in zip(TWO_PAIR_KINDS, table)}
-            assert got == expected
-            for kinds, c in zip(TWO_PAIR_KINDS, table):
-                assert (c.keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
+            kept_rows = table.bucket < 2
+            for c, kinds in enumerate(TWO_PAIR_KINDS):
+                kept = {COUNT_KEYS[b] for b in table.bucket[(table.cls == c) & kept_rows]}
+                assert len(kept) <= 1
+                assert (kept.pop() if kept else "discarded") == expected[kinds].value
+                keep_probability = table.factor[(table.cls == c) & kept_rows].sum()
+                assert (keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
 
-    def test_chunked_mc_counts_equal_one_unchunked_draw(self):
+    def test_chunked_mc_counts_equal_one_unchunked_draw(self, monkeypatch):
         trials = 3 * MC_CHUNK + 17
-        buckets, pairs = _stage1_mc_buckets(SRC, NOISE, Variant.QND1, None, trials, 5)
-        report = stage1_run(SRC, NOISE, mode="mc", trials=trials, seed=5)
-        assert [report.counts[k] for k in COUNT_KEYS] == \
-            np.bincount(buckets, minlength=4).tolist()
-        assert report.extras["kept_pairs_per_event"] == pairs.sum() / trials
-        for run, baseline in ((stage2_run, False), (pbs_baseline, True)):
-            buckets = _stage2_mc_buckets(0.8, None, trials, 5, baseline=baseline)
-            report = run(0.8, mode="mc", trials=trials, seed=5)
-            assert [report.counts[k] for k in COUNT_KEYS] == \
-                np.bincount(buckets, minlength=4).tolist()
+        runs = [("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}), ("stage2", {"F": 0.8}),
+                ("pbs", {"F": 0.8})]
+        chunked = [monte_carlo(name, params, trials, seed=5).to_dict() for name, params in runs]
+        monkeypatch.setattr(protocol, "MC_CHUNK", trials)
+        assert protocol._chunks(trials) == [(0, trials)]
+        assert [monte_carlo(name, params, trials, seed=5).to_dict()
+                for name, params in runs] == chunked
+
+    @pytest.mark.parametrize("pipeline, params", [
+        ("stage1", {"p1": 0.1, "p2": 0.3, "f0": 1.0}),
+        ("stage2", {"F": 1.0}),
+        ("pbs", {"F": 1.0}),
+    ], ids=["stage1", "stage2", "pbs"])
+    def test_zero_weight_rows_are_never_drawn(self, pipeline, params):
+        _, table, w = protocol._weighted_rows(pipeline, params)
+        _, _, rows = _mc_row_counts(pipeline, params, 200_000, 3)
+        assert (w == 0.0).any()
+        assert not rows[w == 0.0].any()
+        assert monte_carlo(pipeline, params, 200_000, seed=3).counts["kept_erroneous"] == 0
+
+    @pytest.mark.parametrize("pipeline, params", [
+        ("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
+        ("stage1", {"p1": 0.0, "p2": 0.05, "f0": 0.6}),
+        ("stage1", {"p1": 0.3, "p2": 0.0, "f0": 0.7}),
+        ("stage1", {"p1": 0.2, "p2": 0.1, "f0": 1.0, "variant": Variant.QND3}),
+        ("stage2", {"F": 0.7}),
+        ("pbs", {"F": 0.9}),
+    ])
+    def test_records_agree_with_the_row_columns(self, pipeline, params):
+        # exact runs sum the records, Monte Carlo folds draws through the
+        # bucket and kept-pair columns: both must see the same rows.  At most
+        # 20 terms of size <= 1 each, so the two orders agree to 20 ulp
+        records = enumerate_exact(pipeline, params)
+        _, table, w = protocol._weighted_rows(pipeline, params)
+        buckets = np.bincount(table.bucket, weights=w, minlength=len(COUNT_KEYS))
+        for key, total in zip(COUNT_KEYS, buckets):
+            assert abs(total - sum(r.weight for r in records if r.bucket() == key)) < 1e-14
+        assert abs(w @ table.pairs - sum(r.weight * r.kept_pairs for r in records)) < 1e-14
