@@ -72,10 +72,10 @@ def _resolved_seed(args) -> int:
     return seed
 
 
-def _check_probability(name, value, low=0.0, high=1.0, strict_low=False):
+def _check_probability(name, value):
     if value is None:
         raise CliError(f"--{name} is required")
-    if value < low or value > high or (strict_low and value == low):
+    if not 0.0 <= value <= 1.0:  # false for NaN too
         raise CliError(f"--{name}={value} out of range")
     return value
 

@@ -8,9 +8,12 @@ Core representation used by every other module:
   coherent probe beam.
 - Probe phases are exact rationals of pi (``PhaseTag``).  Postselection
   compares phases for *equality*, so they must never pass through
-  floating point.
-- Optical modes are labeled by (party, spatial port, polarization);
-  at most 12 distinct modes ever occur.
+  floating point.  A tag holds its value modulo 2 as a reduced integer
+  pair (num, den) with 0 <= num < 2*den: arithmetic is integer
+  arithmetic plus one gcd, equality compares the two ints, and the hash
+  is computed once, when the tag is built.
+- Optical modes are labeled by (party, spatial port, polarization), a
+  tuple of three int enums; at most 12 distinct modes ever occur.
 
 Amplitudes are ordinary complex floats: they are products of small
 rationals and square roots of integers, so true zeros arise only from
@@ -22,10 +25,11 @@ All values are immutable; operations return new states.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, NamedTuple
 
 PRUNE_TOL = 1e-12
 NORM_TOL = 1e-10
@@ -67,9 +71,12 @@ class Pol(IntEnum):
     V = 1
 
 
-@dataclass(frozen=True, order=True)
-class ModeLabel:
-    """One optical mode: (party, spatial port, polarization)."""
+class ModeLabel(NamedTuple):
+    """One optical mode: (party, spatial port, polarization).
+
+    A tuple of three int enums, so a label hashes and compares as an int
+    triple, in C.
+    """
 
     party: Party
     spatial: Spatial
@@ -84,52 +91,67 @@ class ModeLabel:
 class PhaseTag:
     """A phase (value)*pi with value an exact rational in [0, 2).
 
-    Arithmetic is exact and taken modulo 2*pi; equality of two tags is
-    therefore a decidable, float-free comparison.  ``PhaseTag(3, 4)``
-    is the phase 3*pi/4.
+    The value is held as the reduced integer pair (num, den), den > 0 and
+    0 <= num < 2*den.  Arithmetic is exact and taken modulo 2*pi, and two
+    tags are equal when their pairs are, so equality is a float-free
+    integer comparison.  ``PhaseTag(3, 4)`` is the phase 3*pi/4.
     """
 
-    __slots__ = ("frac",)
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, numerator=0, denominator=1):
-        object.__setattr__(self, "frac", Fraction(numerator, denominator) % 2)
+        if type(numerator) is not int or type(denominator) is not int:
+            f = Fraction(numerator, denominator)
+            numerator, denominator = f.numerator, f.denominator
+        elif denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        g = math.gcd(numerator, denominator)
+        den = denominator // g
+        num = numerator // g % (2 * den)  # ZeroDivisionError for a zero denominator
+        _set = object.__setattr__
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "_hash", hash((num, den)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseTag is immutable")
 
     @property
-    def value(self) -> Fraction:
+    def frac(self) -> Fraction:
         """Phase in units of pi, reduced, in [0, 2)."""
-        return self.frac
+        return Fraction(self.num, self.den)
+
+    value = frac
 
     def __add__(self, other: "PhaseTag") -> "PhaseTag":
-        return PhaseTag(self.frac + other.frac)
+        return PhaseTag(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "PhaseTag":
-        return PhaseTag(-self.frac)
+        return PhaseTag(-self.num, self.den)
 
     def __sub__(self, other: "PhaseTag") -> "PhaseTag":
-        return PhaseTag(self.frac - other.frac)
+        return PhaseTag(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, n: int) -> "PhaseTag":
-        return PhaseTag(self.frac * n)
+        return PhaseTag(self.num * n, self.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PhaseTag) and self.frac == other.frac
+        return (isinstance(other, PhaseTag)
+                and self.num == other.num and self.den == other.den)
 
     def __lt__(self, other: "PhaseTag") -> bool:
-        return self.frac < other.frac
+        return self.num * other.den < other.num * self.den
 
     def __le__(self, other: "PhaseTag") -> bool:
-        return self.frac <= other.frac
+        return self.num * other.den <= other.num * self.den
 
     def __hash__(self) -> int:
-        return hash(("PhaseTag", self.frac))
+        return self._hash
 
     def is_zero(self) -> bool:
-        return self.frac == 0
+        return self.num == 0
 
     def magnitude_class(self) -> "PhaseTag":
         """Canonical representative of the {+phi, -phi} pair.
@@ -137,16 +159,18 @@ class PhaseTag:
         An X-quadrature readout cannot tell +phi from -phi; both map to
         the same class, represented by min(phi, 2*pi - phi).
         """
-        neg = -self
-        return self if self.frac <= neg.frac else neg
+        return self if self.num <= self.den else -self
 
     def radians(self) -> float:
-        return float(self.frac) * math.pi
+        return self.num / self.den * math.pi
 
     @classmethod
     def parse(cls, text: str) -> "PhaseTag":
         """Parse 'p/q' or 'p' as the phase (p/q)*pi."""
-        return cls(Fraction(text.strip()))
+        try:
+            return cls(Fraction(text.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"phase {text.strip()!r} has a zero denominator") from None
 
     def __repr__(self) -> str:
         return f"PhaseTag({self.frac}*pi)"
@@ -190,9 +214,9 @@ class BranchState:
         return (self.occupations, self.probe)
 
     def sort_key(self):
-        occ = tuple(((m.party, m.spatial, m.pol), n) for m, n in self.occupations)
-        pr = tuple((t.frac.numerator, t.frac.denominator) for t in self.probe)
-        return (occ, pr)
+        """Occupations, then each probe's (num, den) pair."""
+        a, b = self.probe
+        return (self.occupations, (a.num, a.den, b.num, b.den))
 
     def occupation(self, m: ModeLabel) -> int:
         for mm, n in self.occupations:
@@ -223,9 +247,6 @@ class BranchState:
         probe = list(self.probe)
         probe[party] = tag
         return BranchState(self.occupations, self.amplitude, tuple(probe))
-
-    def add_probe(self, party: Party, tag: PhaseTag) -> "BranchState":
-        return self.with_probe(party, self.probe[party] + tag)
 
     def map_modes(self, fn: Callable[[ModeLabel], ModeLabel]) -> "BranchState":
         """Relabel modes; counts landing on the same label add."""
@@ -266,7 +287,13 @@ class PureState:
         return abs(self.norm_squared() - 1.0) <= tol
 
     def scale(self, factor) -> "PureState":
-        return PureState.of(b.with_amplitude(b.amplitude * factor) for b in self.branches)
+        """Multiply every amplitude by ``factor``.
+
+        Keys and their order do not change, so the result stays canonical
+        with no merge or sort; amplitudes that fall below PRUNE_TOL drop.
+        """
+        scaled = (b.with_amplitude(b.amplitude * factor) for b in self.branches)
+        return PureState(tuple(b for b in scaled if abs(b.amplitude) >= PRUNE_TOL))
 
     def normalize(self) -> "PureState":
         n2 = self.norm_squared()
@@ -338,7 +365,7 @@ def probe_outcomes(state: PureState, party: Party) -> dict:
     for b in state.branches:
         t = b.probe[party]
         dist[t] = dist.get(t, 0.0) + abs(b.amplitude) ** 2
-    return dict(sorted(dist.items(), key=lambda kv: kv[0].frac))
+    return dict(sorted(dist.items()))  # by tag: each tag occurs once
 
 
 def project_probe(state: PureState, party: Party, outcome: PhaseTag):
@@ -379,10 +406,15 @@ class EnsembleState:
 
     @staticmethod
     def of(pairs, check: bool = True) -> "EnsembleState":
-        comps = tuple((float(w), s) for w, s in pairs if w > 0.0)
+        """Mixture of (weight, state) pairs; zero weights are dropped.
+
+        With ``check``, a negative or NaN weight or a total other than 1 raises.
+        """
+        weighted = [(float(w), s) for w, s in pairs]
+        if check and not all(w >= 0 for w, _ in weighted):
+            raise ValueError("negative or NaN ensemble weight")
+        comps = tuple((w, s) for w, s in weighted if w > 0.0)
         if check:
-            if any(w < 0 for w, _ in comps):
-                raise ValueError("negative ensemble weight")
             total = sum(w for w, _ in comps)
             if abs(total - 1.0) > NORM_TOL:
                 raise ValueError(f"ensemble weights sum to {total}, not 1")

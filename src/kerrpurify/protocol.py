@@ -251,7 +251,7 @@ def single_pair_leaves(variant: Variant, cfg: QndConfig, flipped: bool) -> tuple
         for tag_b in probe_outcomes(post_a, Party.BOB):
             p_b, post = project_probe(post_a, Party.BOB, tag_b)
             leaves.append(PairLeaf(p_a * p_b, tag_a, tag_b, flipped, post))
-    leaves.sort(key=lambda l: (l.tag_alice.frac, l.tag_bob.frac))
+    leaves.sort(key=lambda l: (l.tag_alice, l.tag_bob))
     return tuple(leaves)
 
 

@@ -39,6 +39,7 @@ from enum import Enum
 
 from .elements import pbs
 from .fock import (
+    BranchState,
     ConfigError,
     EnsembleState,
     ModeLabel,
@@ -72,9 +73,23 @@ class KerrMedium:
 
 def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
     """Shift the probe by n * phase for the n photons in the signal mode."""
+    return _apply_media(state, (medium,))
+
+
+def _apply_media(state: PureState, media) -> PureState:
+    """Apply a stack of Kerr media in one pass over the branches.
+
+    The media only shift probe phases, so each branch takes the sum of
+    its shifts at once, and the state is put in canonical form once.
+    """
     def shift(b):
-        n = b.occupation(medium.signal_mode)
-        return b.add_probe(medium.probe_party, medium.phase_per_photon * n) if n else b
+        occ = dict(b.occupations)
+        probe = list(b.probe)
+        for medium in media:
+            n = occ.get(medium.signal_mode)
+            if n:
+                probe[medium.probe_party] += medium.phase_per_photon * n
+        return BranchState(b.occupations, b.amplitude, tuple(probe))
 
     return state.map_branches(shift)
 
@@ -140,12 +155,6 @@ def _require_one_photon_per_port(state: PureState) -> None:
                     raise OccupancyViolationError(
                         "detector expects one photon per spatial port of each party"
                     )
-
-
-def _apply_media(state: PureState, media) -> PureState:
-    for medium in media:
-        state = apply_kerr(state, medium)
-    return state
 
 
 def qnd1(state: PureState, cfg: QndConfig) -> PureState:
@@ -240,13 +249,13 @@ def homodyne_x(state: PureState, party: Party,
         groups.setdefault(cls, {}).setdefault(tag, []).append(b)
 
     outcomes = []
-    for cls in sorted(groups, key=lambda t: t.frac):
+    for cls in sorted(groups):
         by_tag = groups[cls]
         cls_prob = sum(
             abs(b.amplitude) ** 2 for branches in by_tag.values() for b in branches
         )
         comps = []
-        for tag in sorted(by_tag, key=lambda t: t.frac):
+        for tag in sorted(by_tag):
             comp = PureState.of(
                 b.with_probe(party, ZERO_PHASE) for b in by_tag[tag]
             )

@@ -42,6 +42,8 @@ class PdcSourceParams:
     p2: float
 
     def validate(self) -> "PdcSourceParams":
+        if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
+            raise ValueError("emission probabilities must be finite numbers")
         if self.p1 < 0 or self.p2 < 0:
             raise ValueError("emission probabilities must be non-negative")
         if self.p1 + self.p2 > 1 + 1e-12:

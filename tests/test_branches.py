@@ -1,12 +1,29 @@
 """Every detector must reproduce its reference transformation exactly."""
 
+from itertools import product as iproduct
+
 import pytest
 
-from kerrpurify import PhaseTag, QndConfig, Variant
+from kerrpurify import (
+    PI,
+    ZERO_PHASE,
+    BranchState,
+    PhaseTag,
+    PureState,
+    QndConfig,
+    Variant,
+    create_photon,
+)
 from kerrpurify.branches import (
+    A1H,
+    A2V,
+    B1H,
     BRANCH_CASES,
     CASE_IDS,
+    U1,
+    U2,
     compare_states,
+    operator_state,
     run_branch_case,
     run_branch_suite,
 )
@@ -51,3 +68,46 @@ def test_compare_states_reports_mismatch():
     )
     detail = compare_states(case.expected_state(cfg), wrong)
     assert detail != ""
+
+
+def _create_photon_chain(entries) -> PureState:
+    """``operator_state`` built with one ``create_photon`` call per mode."""
+    branches = []
+    for entry in entries:
+        coeff, groups = entry[0], entry[1]
+        probe = entry[2] if len(entry) > 2 else (ZERO_PHASE, ZERO_PHASE)
+        for combo in iproduct(*groups):
+            s = PureState((BranchState.of((), coeff, probe),))
+            for term in combo:
+                for m in term:
+                    s = create_photon(s, m)
+            branches.extend(s.branches)
+    return PureState.of(branches).normalize()
+
+
+ALTERNATE_TAGS = {"0": ZERO_PHASE, "pi": PI, "t": PhaseTag(1, 8), "tp": PhaseTag(5, 8),
+                  "2t": PhaseTag(1, 4), "2tp": PhaseTag(5, 4), "t+tp": PhaseTag(3, 4),
+                  "-t": PhaseTag(15, 8)}
+
+ENTRY_SETS = {
+    "one-mode-three-photons": [(1, (((A1H, A1H, A1H),),))],
+    "repeated-pair-terms": [(1, ((U1, U2), (U1, U2), (U1,))), (2, ((U2,), (U2,)))],
+    "tagged-mixed-occupations": [
+        (1, (((A1H, B1H, A1H), (A2V, A2V)), (U1, U2)), (PI, PhaseTag(1, 4))),
+        (-3, (((A2V, A1H, A2V),),), (PhaseTag(3, 8), ZERO_PHASE)),
+    ],
+}
+for _case in BRANCH_CASES:
+    ENTRY_SETS[f"{_case.case_id}-input"] = _case.input_entries
+    ENTRY_SETS[f"{_case.case_id}-expected"] = [
+        (c, groups, (ALTERNATE_TAGS[ra], ALTERNATE_TAGS[rb]))
+        for c, groups, (ra, rb) in _case.expected_entries
+    ]
+
+
+@pytest.mark.parametrize("entries", ENTRY_SETS.values(), ids=ENTRY_SETS)
+def test_operator_state_equals_the_create_photon_chain(entries):
+    # the cases' inputs and expectations both come from operator_state, so a
+    # wrong bosonic factor would cancel out of the suite; compare it here,
+    # amplitudes included, exactly
+    assert operator_state(entries) == _create_photon_chain(entries)

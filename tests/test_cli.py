@@ -234,6 +234,53 @@ class TestConfigFile:
         assert code == 2
 
 
+class TestZeroDenominatorAngles:
+    @pytest.mark.parametrize("flag", ["--theta", "--theta-prime"])
+    @pytest.mark.parametrize("argv", [
+        ["verify-branches"],
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+    ], ids=["verify-branches", "stage1"])
+    def test_flag_exits_2(self, capsys, argv, flag):
+        code, out, err = run_cli(argv + [flag, "1/0"], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "zero denominator" in err
+        assert "Traceback" not in out + err
+
+    def test_config_value_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta-prime=1/0\n")
+        code, _, err = run_cli(["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8",
+                                "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "zero denominator" in err
+
+
+class TestNonFiniteProbabilities:
+    @pytest.mark.parametrize("flag", ["--p1", "--p2", "--f0"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_stage1_exits_2(self, capsys, tmp_path, flag, value):
+        argv = ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"]
+        argv[argv.index(flag) + 1] = value
+        out_file = tmp_path / "run.json"
+        code, _, err = run_cli(argv + ["--out", str(out_file)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flag", ["--p1", "--p2", "--f0"])
+    def test_sweep_writes_no_row(self, capsys, tmp_path, flag):
+        grids = {"--p1": "0.1", "--p2": "0.01", "--f0": "0.8"}
+        grids[flag] = "0.05,nan"
+        path = tmp_path / "grid.csv"
+        argv = ["sweep", "stage1", "--csv", str(path)]
+        for name, grid in grids.items():
+            argv += [name, grid]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert not path.exists()
+
+
 class TestUnusablePaths:
     @pytest.mark.parametrize("flag", ["--csv", "--out", "--config"])
     def test_missing_directory_or_file_exits_2(self, capsys, tmp_path, flag):

@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrpurify import (
     BranchState,
@@ -76,6 +78,63 @@ class TestPhaseTag:
 
     def test_hash_consistency(self):
         assert len({PhaseTag(1, 4), PhaseTag(2, 8), PhaseTag(9, 4)}) == 1
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            PhaseTag.parse("1/0")
+        with pytest.raises(ZeroDivisionError):
+            PhaseTag(1, 0)
+
+
+@st.composite
+def tag_inputs(draw):
+    """(tag, its value as ``Fraction % 2``), the tag built one of four ways."""
+    num = draw(st.integers(-10**6, 10**6))
+    den = draw(st.integers(1, 10**4))
+    value = Fraction(num, den)
+    build = draw(st.sampled_from(["pair", "negative_den", "fraction", "parse"]))
+    if build == "pair":
+        tag = PhaseTag(num, den)
+    elif build == "negative_den":
+        tag = PhaseTag(-num, -den)
+    elif build == "fraction":
+        tag = PhaseTag(value)
+    else:
+        tag = PhaseTag.parse(f" {num}/{den} ")
+    return tag, value % 2
+
+
+class TestPhaseTagProperties:
+    """Integer-pair tags against a ``Fraction % 2`` reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=tag_inputs(), b=tag_inputs(), k=st.integers(-50, 50))
+    def test_arithmetic_and_order_match_the_reference(self, a, b, k):
+        (ta, fa), (tb, fb) = a, b
+        for tag, ref in ((ta, fa), (tb, fb)):
+            assert tag.value == ref == tag.frac
+            assert 0 <= tag.num < 2 * tag.den and math.gcd(tag.num, tag.den) == 1
+        assert (ta + tb).value == (fa + fb) % 2
+        assert (ta - tb).value == (fa - fb) % 2
+        assert (-ta).value == (-fa) % 2
+        assert (ta * k).value == (k * ta).value == (fa * k) % 2
+        assert (ta < tb) == (fa < fb)
+        assert (ta <= tb) == (fa <= fb)
+        assert ta.magnitude_class().value == min(fa, (-fa) % 2)
+        assert ta.is_zero() == (fa == 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=tag_inputs(), b=tag_inputs())
+    def test_equal_tags_hash_alike_whatever_built_them(self, a, b):
+        (ta, fa), (tb, fb) = a, b
+        assert (ta == tb) == (fa == fb)
+        for same in (PhaseTag(fa), PhaseTag(fa.numerator, fa.denominator),
+                     PhaseTag(-fa.numerator, -fa.denominator),
+                     PhaseTag(fa.numerator + 2 * fa.denominator, fa.denominator),
+                     PhaseTag.parse(str(fa))):
+            assert same == ta and hash(same) == hash(ta)
+        if fa == fb:
+            assert hash(ta) == hash(tb)
 
 
 class TestCreatePhoton:
@@ -232,6 +291,14 @@ class TestEnsemble:
         st = single_pair_state()
         with pytest.raises(ValueError):
             EnsembleState.of([(0.5, st)])
+
+    def test_negative_or_nan_weight_rejected(self):
+        # checked before zero and negative weights drop out of the mixture
+        state = single_pair_state()
+        for bad in (-1e-11, float("nan")):
+            with pytest.raises(ValueError, match="negative or NaN"):
+                EnsembleState.of([(1.0, state), (bad, state)])
+        assert len(EnsembleState.of([(1.0, state), (0.0, state)])) == 1
 
     def test_purity_of_pure(self):
         ens = EnsembleState.pure(single_pair_state())

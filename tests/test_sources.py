@@ -21,6 +21,7 @@ from kerrpurify import (
     pdc_emit,
     sigma_x,
     single_pair_state,
+    stage1_run,
 )
 from kerrpurify.sources import pair_emission_terms
 
@@ -116,6 +117,15 @@ class TestNoise:
             NoiseParams(1.2).validate()
         with pytest.raises(ValueError):
             PdcSourceParams(0.9, 0.2).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        for params in (PdcSourceParams(value, 0.01), PdcSourceParams(0.1, value),
+                       NoiseParams(value)):
+            with pytest.raises(ValueError):
+                params.validate()
+        with pytest.raises(ValueError):
+            stage1_run(PdcSourceParams(value, 0.01), NoiseParams(0.8))
 
 
 class TestBellAndMixtures:
