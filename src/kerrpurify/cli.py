@@ -251,9 +251,12 @@ def cmd_stage2(args) -> int:
 
 def _parse_grid(text: str) -> list:
     try:
-        return [float(x) for x in text.split(",") if x != ""]
+        grid = [float(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
         raise CliError(f"bad grid {text!r}: {exc}") from None
+    if not grid:
+        raise CliError(f"grid {text!r} has no values")
+    return grid
 
 
 def cmd_sweep(args) -> int:

@@ -37,11 +37,20 @@ point, so a row weighs its class weight times its own factor.
 
 Exact runs weight the rows into records (``enumerate_exact``, and the
 ``*_records`` functions for each pipeline) and sum the records per
-bucket.  Monte Carlo draws one uniform per trial and inverts the cumulative row weights with
-it.  Trial t reads word t of a counter-based stream keyed by the seed,
-so any partition of the trial range aggregates to identical counts.
-Runs draw MC_CHUNK trials at a time, so their memory does not grow with
-the trial count.
+bucket.  Monte Carlo draws one uniform per trial and inverts the
+cumulative row weights with it.  Trial t reads word t of a counter-based
+stream keyed by the seed, so any partition of the trial range aggregates
+to identical counts.  Runs draw MC_CHUNK trials at a time, so their
+memory does not grow with the trial count.
+
+The uniform of word t is u_t = (word_t >> 11) 2**-53, and trial t draws
+row i when edge[i-1] <= u_t < edge[i].  Since u_t is a multiple of
+2**-53, u_t < e holds exactly when word_t < ceil(e 2**53) << 11, so
+each run turns its edges into integer limits once and counts every chunk
+straight from the raw words: a histogram of their top GUIDE_BITS bits,
+plus exact compares of the few words in the bins a limit cuts.  No float
+uniform and no per-trial search is made, and the stream, the counts and
+the reports are the ones the float inversion gives.
 """
 
 from __future__ import annotations
@@ -497,28 +506,68 @@ def _exact(pipeline: str, params: dict, records: list) -> RunReport:
 # ---------------------------------------------------------------------------
 
 MC_CHUNK = 1 << 16  # trials drawn at once: bounds MC memory whatever the trial count
+GUIDE_BITS = 12  # a chunk's words are binned on their top bits before the exact compares
+_GUIDE_SHIFT = np.uint64(64 - GUIDE_BITS)
+_ABOVE_ALL = 1 << GUIDE_BITS  # the guide bin of the limit 2**64, above every word
 
 
-def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
-    """One uniform in [0, 1) for each trial of [start, start + n_trials).
+def _trial_words(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
+    """The raw 64-bit word of each trial of [start, start + n_trials).
 
-    Counter-based: trial t always reads word t of the stream keyed by the
-    seed, so any partition of the trial range reproduces the same
-    per-trial values.  The seed is the 64-bit key, in [0, 2**64).
+    Counter-based: trial t always reads word t of the Philox stream keyed
+    by the seed, so any partition of the trial range reproduces the same
+    per-trial words.  The seed is the 64-bit key, in [0, 2**64).
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bg = np.random.Philox(key=np.uint64(seed))
     bg.advance(start // 4)  # one counter step yields four words
-    raw = bg.random_raw(start % 4 + n_trials)[start % 4:]
-    return (raw >> np.uint64(11)) * (2.0 ** -53)
+    return bg.random_raw(start % 4 + n_trials)[start % 4:]
+
+
+def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
+    """One uniform in [0, 1) for each trial: (word >> 11) * 2**-53."""
+    return (_trial_words(seed, n_trials, start) >> np.uint64(11)) * (2.0 ** -53)
+
+
+def _word_limits(edges: np.ndarray) -> tuple:
+    """(guide bin, limit) of each edge: u_t < edge exactly when word_t < limit.
+
+    A uniform is a multiple of 2**-53, so u_t >= e is word_t >= ceil(e 2**53)
+    << 11.  An edge of 1.0 or above maps to 2**64, beyond uint64: its guide
+    bin is the sentinel _ABOVE_ALL, which every word lies below.
+    """
+    scaled = np.ceil(edges * 2.0**53)
+    above_all = scaled >= 2.0**53
+    limits = np.where(above_all, 0.0, scaled).astype(np.uint64) << np.uint64(11)
+    bins = np.where(above_all, _ABOVE_ALL, (limits >> _GUIDE_SHIFT).astype(np.int64))
+    return bins, limits
+
+
+def _words_below(words: np.ndarray, bins: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """How many of ``words`` lie below each limit of ``_word_limits``.
+
+    A histogram of the words' top GUIDE_BITS bits counts, for each limit,
+    the words in the bins below the limit's bin; only the words in the bins
+    that a limit cuts are compared with the limits exactly.
+    """
+    top = (words >> _GUIDE_SHIFT).view(np.int64)
+    below = np.zeros(_ABOVE_ALL + 1, dtype=np.int64)
+    np.cumsum(np.bincount(top, minlength=_ABOVE_ALL), out=below[1:])
+    cut = np.zeros(_ABOVE_ALL + 1, dtype=bool)
+    cut[bins] = True
+    near = cut[top]
+    near_top, near_words = top[near], words[near]
+    in_bin_below = (near_top == bins[:, None]) & (near_words < limits[:, None])
+    return below[bins] + in_bin_below.sum(axis=1)
 
 
 def _chunks(trials: int):
-    """(start, size) of the MC_CHUNK-sized slices covering [0, trials)."""
+    """(start, size) of the MC_CHUNK-sized slices covering [0, trials), yielded
+    lazily so that a huge trial count costs no memory up front."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [(start, min(MC_CHUNK, trials - start)) for start in range(0, trials, MC_CHUNK)]
+    return ((start, min(MC_CHUNK, trials - start)) for start in range(0, trials, MC_CHUNK))
 
 
 def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
@@ -526,19 +575,19 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     """(registry entry, table, draws of each row) over trials [start, start + trials).
 
     Each trial draws the row its uniform selects from the cumulative row
-    weights.
+    weights, counted on the raw words against the edges' integer limits.
     """
     chunks = _chunks(trials)
     entry, table, w = _weighted_rows(pipeline, params)
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
     edges[-1] = 1.0  # round-off must leave no uniform above the top edge
-    counts = np.zeros(len(drawn), dtype=np.int64)
+    bins, limits = _word_limits(edges)
+    below = np.zeros(len(drawn), dtype=np.int64)
     for offset, size in chunks:
-        rows = np.searchsorted(edges, trial_uniforms(seed, size, start + offset), side="right")
-        counts += np.bincount(rows, minlength=len(drawn))
+        below += _words_below(_trial_words(seed, size, start + offset), bins, limits)
     row_counts = np.zeros(len(w), dtype=np.int64)
-    row_counts[drawn] = counts
+    row_counts[drawn] = np.diff(below, prepend=0)  # row i: words in [limit[i-1], limit[i])
     return entry, table, row_counts
 
 

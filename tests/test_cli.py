@@ -188,6 +188,24 @@ class TestSweep:
         assert code == 2
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "stage1", "--p1", ",", "--p2", "0.1", "--f0", "0.8"],
+        ["sweep", "stage1", "--p1", "0.02", "--p2", ",", "--f0", "0.8"],
+        ["sweep", "stage1", "--p1", "0.02", "--p2", "0.1", "--f0", ",,"],
+        ["sweep", "stage2", "--F", ","],
+    ], ids=["p1", "p2", "f0", "F"])
+    def test_empty_grid_exits_2_and_leaves_the_csv(self, capsys, tmp_path, argv):
+        path = tmp_path / "grid.csv"
+        filled = {"stage1": ["--p1", "0.02", "--p2", "0.1", "--f0", "0.8"],
+                  "stage2": ["--F", "0.8"]}[argv[1]]
+        assert run_cli(argv[:2] + filled + ["--csv", str(path)], capsys)[0] == 0
+        before = path.read_bytes()
+        code, out, err = run_cli(argv + ["--csv", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "no values" in err
+        assert "wrote" not in out
+        assert path.read_bytes() == before
+
 
 class TestSeedRange:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])

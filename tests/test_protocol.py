@@ -1,6 +1,8 @@
 """Pipelines: closed forms, exact enumeration, Monte Carlo consistency."""
 
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,8 @@ from kerrpurify.protocol import (
     _pbs_table,
     _stage1_table,
     _stage2_table,
+    _word_limits,
+    _words_below,
     pbs_records,
     stage1_records,
     stage2_records,
@@ -347,6 +351,107 @@ class TestMonteCarlo:
         assert trial_uniforms(2**64 - 1, 10).shape == (10,)
 
 
+def _float_row_counts(edges, uniforms):
+    """The float reference: each uniform searched in the edges."""
+    return np.bincount(np.searchsorted(edges, uniforms, side="right"),
+                       minlength=len(edges))
+
+
+def _uniforms(words):
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _integer_row_counts(edges, words):
+    return np.diff(_words_below(words, *_word_limits(edges)), prepend=0)
+
+
+def _edges(weights):
+    """Cumulative edges as ``_mc_row_counts`` builds them."""
+    edges = np.cumsum(np.asarray(weights, dtype=float))
+    edges[-1] = 1.0
+    return edges
+
+
+def _words_at_edges(edges):
+    """The first word whose uniform reaches each edge below 1, and the word
+    just below it, found with exact rationals."""
+    planted = []
+    for e in edges:
+        first = math.ceil(Fraction(float(e)) * 2**53) << 11
+        if first < 2**64:
+            planted += [first, max(first - 1, 0)]
+    return np.array(planted + [0, 2**64 - 1], dtype=np.uint64)
+
+
+class TestWordLimitCounts:
+    """Counting rows on the raw words equals the float uniform search."""
+
+    def test_random_weights_with_tiny_rows(self):
+        rng = np.random.default_rng(20)
+        words = rng.integers(0, 2**64 - 1, size=4000, dtype=np.uint64, endpoint=True)
+        for _ in range(300):
+            w = rng.random(rng.integers(1, 21))
+            tiny = rng.random(len(w)) < 0.3
+            w[tiny] **= rng.integers(1, 31, size=tiny.sum())
+            edges = _edges(w / w.sum())
+            sample = np.concatenate([words, _words_at_edges(edges)])
+            assert np.array_equal(_integer_row_counts(edges, sample),
+                                  _float_row_counts(edges, _uniforms(sample)))
+
+    @pytest.mark.parametrize("edges", [
+        [0.5, 1.0, 1.0, 1.0],                              # rounds to 1.0 early
+        [0.25, 1.0000000000000002, 1.0],                   # rounds above 1.0
+        [1.0],
+        [2.0**-60, 2.0**-53, 0.5 - 2.0**-54, 1 - 2.0**-53, 1.0],
+    ])
+    def test_edges_at_and_above_one(self, edges):
+        edges = np.array(edges)
+        words = np.concatenate([
+            np.random.default_rng(1).integers(0, 2**64 - 1, size=1000, dtype=np.uint64,
+                                              endpoint=True),
+            _words_at_edges(edges),
+            np.array([2**64 - 2048, 2**64 - 2049], dtype=np.uint64),
+        ])
+        assert np.array_equal(_integer_row_counts(edges, words),
+                              _float_row_counts(edges, _uniforms(words)))
+
+    def test_words_planted_at_each_limit(self):
+        edges = _edges([0.1, 0.2, 1e-12, 0.3, 1e-300, 0.4 - 1e-12])
+        _, limits = _word_limits(edges)
+        planted = np.concatenate([limits[:-1], limits[:-1] - np.uint64(1)])
+        counts = _integer_row_counts(edges, planted)
+        assert np.array_equal(counts, _float_row_counts(edges, _uniforms(planted)))
+        assert counts.sum() == len(planted)
+
+    @pytest.mark.parametrize("start", [3, 40_003, MC_CHUNK - 1])
+    @pytest.mark.parametrize("pipeline, params", [
+        ("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
+        ("stage2", {"F": 0.8}),
+        ("pbs", {"F": 1.0}),
+    ], ids=["stage1", "stage2", "pbs"])
+    def test_ranges_across_a_chunk_boundary(self, pipeline, params, start):
+        trials = MC_CHUNK + 4_001
+        _, _, w = protocol._weighted_rows(pipeline, params)
+        _, _, rows = _mc_row_counts(pipeline, params, trials, 13, start=start)
+        drawn = np.flatnonzero(w)
+        reference = _float_row_counts(_edges(w[drawn]), trial_uniforms(13, trials, start))
+        assert np.array_equal(rows[drawn], reference)
+        assert rows.sum() == trials
+
+    def test_chunks_of_a_huge_run_are_lazy(self):
+        with pytest.raises(ValueError, match="trials"):
+            protocol._chunks(0)
+        tracemalloc.start()
+        try:
+            chunks = protocol._chunks(10**15)
+            first_two = [next(chunks), next(chunks)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first_two == [(0, MC_CHUNK), (MC_CHUNK, MC_CHUNK)]
+        assert peak < 4096
+
+
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
 TABLES = (_stage1_table, _stage2_table, _pbs_table)
 
@@ -421,7 +526,7 @@ class TestOutcomeTables:
                 ("pbs", {"F": 0.8})]
         chunked = [monte_carlo(name, params, trials, seed=5).to_dict() for name, params in runs]
         monkeypatch.setattr(protocol, "MC_CHUNK", trials)
-        assert protocol._chunks(trials) == [(0, trials)]
+        assert list(protocol._chunks(trials)) == [(0, trials)]
         assert [monte_carlo(name, params, trials, seed=5).to_dict()
                 for name, params in runs] == chunked
 
