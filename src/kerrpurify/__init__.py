@@ -25,7 +25,6 @@ from .fock import (
     project_probe,
 )
 from .elements import (
-    bilateral_rotation,
     coupler,
     diagonal_outcomes,
     pbs,
@@ -50,11 +49,7 @@ from .qnd import (
 from .sources import (
     NoiseParams,
     PdcSourceParams,
-    apply_bitflip_noise,
     bell_pair,
-    ideal_mixed_pairs,
-    independent_pair_noise,
-    pdc_emit,
     single_pair_state,
     two_pair_components,
 )

@@ -307,7 +307,7 @@ def compare_states(actual: PureState, expected: PureState, tol: float = 1e-10) -
 
 
 def run_branch_case(case: BranchCase, cfg: QndConfig | None = None) -> CaseResult:
-    cfg = (cfg or default_config(case.variant)).validate()
+    cfg = cfg or default_config(case.variant)
     actual = apply_qnd(case.input_state(), cfg)
     detail = compare_states(actual, case.expected_state(cfg))
     return CaseResult(case.case_id, case.description, detail == "", detail)
@@ -320,26 +320,16 @@ def run_branch_suite(theta: PhaseTag | None = None,
 
     theta/theta_prime override the defaults of the one- and two-Kerr
     detectors (the parity gadget keeps its fixed pi, the opposite-shift
-    layout uses theta).
+    layout uses theta).  The configs are built before any case runs, so
+    angles that make any of them invalid raise whatever ``only`` selects.
     """
     if only:
         unknown = set(only) - set(CASE_IDS)
         if unknown:
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
-    results = []
-    for case in BRANCH_CASES:
-        if only and case.case_id not in only:
-            continue
-        base = default_config(case.variant)
-        if case.variant == Variant.QND2:
-            cfg = base
-        elif case.variant == Variant.QND4:
-            cfg = QndConfig(Variant.QND4, theta or base.theta).validate()
-        else:
-            cfg = QndConfig(
-                case.variant,
-                theta or base.theta,
-                theta_prime or base.theta_prime,
-            ).validate()
-        results.append(run_branch_case(case, cfg))
-    return results
+    cfgs = {v: default_config(v) for v in Variant}
+    for v in (Variant.QND1, Variant.QND3):
+        cfgs[v] = QndConfig(v, theta or cfgs[v].theta, theta_prime or cfgs[v].theta_prime)
+    cfgs[Variant.QND4] = QndConfig(Variant.QND4, theta or cfgs[Variant.QND4].theta)
+    return [run_branch_case(case, cfgs[case.variant]) for case in BRANCH_CASES
+            if not only or case.case_id in only]

@@ -6,8 +6,14 @@ sweeps append CSV rows.  Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error.
 
 Option precedence: explicit flags > --config file (flat key=value
-lines) > built-in defaults (theta=1/4, theta-prime=3/4 in units of pi,
-seed=0).  Angles are given in units of pi, e.g. ``--theta 1/4``.
+lines; the keys are those of CONFIG_KEYS, and any other key exits 2) >
+built-in defaults (the detector's angles from ``qnd.default_config``,
+theta=1/4 and theta-prime=3/4 in units of pi, and seed=0).  Angles are
+given in units of pi, e.g. ``--theta 1/4``.
+
+``stage1`` and ``sweep stage1`` run each point through one helper that
+checks it, runs it and builds its CSV row; ``stage2`` and ``sweep
+stage2`` share another.
 """
 
 from __future__ import annotations
@@ -17,15 +23,17 @@ import csv
 import io
 import json
 import sys
+from itertools import product as iproduct
 from pathlib import Path
 
-from .branches import CASE_IDS, run_branch_suite
+from .branches import run_branch_suite
 from .fock import ConfigError, PhaseTag, SimulationError
-from .protocol import pbs_baseline, stage1_run, stage2_iterate, stage2_run
-from .qnd import QndConfig, Variant
+from .protocol import COUNT_KEYS, pbs_baseline, stage1_run, stage2_iterate, stage2_run
+from .qnd import QndConfig, Variant, default_config
 from .sources import NoiseParams, PdcSourceParams
 
-DEFAULTS = {"theta": "1/4", "theta_prime": "3/4", "seed": "0"}
+DEFAULTS = {"seed": "0"}
+CONFIG_KEYS = ("seed", "theta", "theta_prime", "variant")
 
 
 class CliError(Exception):
@@ -40,8 +48,11 @@ def _read_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise CliError(f"config line {raw!r} is not key=value")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key.replace("-", "_") not in CONFIG_KEYS:
+            raise CliError(f"unknown config key {key!r} in {path}; known keys: "
+                           + ", ".join(k.replace("_", "-") for k in CONFIG_KEYS))
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -58,11 +69,13 @@ def _resolved(args, key: str, cast=str):
     return None
 
 
-def _stage1_config(args):
-    variant = Variant(_resolved(args, "variant") or "qnd1")
-    theta = PhaseTag.parse(_resolved(args, "theta"))
-    theta_prime = PhaseTag.parse(_resolved(args, "theta_prime"))
-    return variant, QndConfig(variant, theta, theta_prime).validate()
+def _detector(args, variant: Variant) -> QndConfig:
+    """``variant`` at the angles of flag > config file > its default angles."""
+    base = default_config(variant)
+    theta, theta_prime = _resolved(args, "theta"), _resolved(args, "theta_prime")
+    return QndConfig(variant,
+                     base.theta if theta is None else PhaseTag.parse(theta),
+                     base.theta_prime if theta_prime is None else PhaseTag.parse(theta_prime))
 
 
 def _resolved_seed(args) -> int:
@@ -72,12 +85,11 @@ def _resolved_seed(args) -> int:
     return seed
 
 
-def _check_probability(name, value):
+def _check_probability(name, value) -> None:
     if value is None:
         raise CliError(f"--{name} is required")
     if not 0.0 <= value <= 1.0:  # false for NaN too
         raise CliError(f"--{name}={value} out of range")
-    return value
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -96,18 +108,14 @@ def _report_doc(command: str, params: dict, report) -> dict:
     return doc
 
 
+def _fmt(value) -> str:
+    return "n/a" if value is None else f"{value:.12f}"
+
+
 def cmd_verify_branches(args) -> int:
-    theta = PhaseTag.parse(args.theta) if args.theta else None
-    theta_prime = PhaseTag.parse(args.theta_prime) if args.theta_prime else None
-    only = None
-    if args.only:
-        only = {c for chunk in args.only for c in chunk.split(",") if c}
-        unknown = only - set(CASE_IDS)
-        if unknown:
-            raise CliError(f"unknown case ids: {sorted(unknown)}")
-    if theta is not None and theta_prime is not None and theta == theta_prime:
-        raise ConfigError("theta and theta_prime must differ")
-    results = run_branch_suite(theta=theta, theta_prime=theta_prime, only=only)
+    only = {c for chunk in args.only for c in chunk.split(",") if c} if args.only else None
+    cfg = _detector(args, Variant.QND1)
+    results = run_branch_suite(theta=cfg.theta, theta_prime=cfg.theta_prime, only=only)
     width = max(len(r.case_id) for r in results)
     failed = 0
     for r in results:
@@ -120,68 +128,55 @@ def cmd_verify_branches(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def cmd_stage1(args) -> int:
-    p1 = _check_probability("p1", args.p1)
-    p2 = _check_probability("p2", args.p2)
-    f0 = _check_probability("f0", args.f0)
-    if p1 + p2 > 1 or p1 + p2 <= 0:
-        raise CliError("p1 + p2 must lie in (0, 1]")
-    variant, cfg = _stage1_config(args)
-    seed = _resolved_seed(args)
-    report = stage1_run(
-        PdcSourceParams(p1, p2), NoiseParams(f0), variant,
-        mode=args.mode, trials=args.trials, seed=seed, cfg=cfg,
-    )
-    params = {
-        "p1": p1, "p2": p2, "f0": f0, "variant": variant.value,
-        "theta": str(cfg.theta.value), "theta_prime": str(cfg.theta_prime.value),
-        "mode": args.mode, "trials": args.trials if args.mode == "mc" else None,
-        "seed": seed,
-    }
-    doc = _report_doc("stage1", params, report)
-    doc["closed_form_fidelity"] = report.extras["closed_form_fidelity"]
-    fid = "n/a" if report.fidelity is None else f"{report.fidelity:.12f}"
-    print(f"stage1 [{args.mode}] fidelity={fid} "
-          f"closed_form={doc['closed_form_fidelity']:.12f} "
-          f"yield={report.yield_fraction:.12f}")
-    _emit(doc, args.out)
-    if args.csv:
-        _append_csv(args.csv, STAGE1_CSV_HEADER, [_stage1_csv_row(params, report)])
-    return 0
-
-
 STAGE1_CSV_HEADER = ["p1", "p2", "f0", "variant", "mode", "trials", "seed",
-                     "fidelity", "closed_form_fidelity", "yield",
-                     "kept_correct", "kept_erroneous", "kept_same_port", "discarded"]
+                     "fidelity", "closed_form_fidelity", "yield", *COUNT_KEYS]
 STAGE2_CSV_HEADER = ["F", "mode", "trials", "seed", "round",
                      "fidelity", "yield", "cumulative_yield"]
 BASELINE_CSV_COLUMNS = ["pbs_yield", "yield_ratio"]
 
 
-def _stage1_csv_row(params, report) -> list:
-    return [params["p1"], params["p2"], params["f0"], params["variant"],
-            params["mode"], params["trials"], params["seed"],
-            report.fidelity, report.extras["closed_form_fidelity"],
-            report.yield_fraction,
-            report.counts["kept_correct"], report.counts["kept_erroneous"],
-            report.counts["kept_same_port"], report.counts["discarded"]]
+def _stage1_point(args, cfg: QndConfig, seed: int, p1, p2, f0) -> tuple:
+    """Check one stage-1 point and run it: (report, CSV row)."""
+    for name, value in (("p1", p1), ("p2", p2), ("f0", f0)):
+        _check_probability(name, value)
+    if p1 + p2 > 1 or p1 + p2 <= 0:
+        raise CliError("p1 + p2 must lie in (0, 1]")
+    report = stage1_run(PdcSourceParams(p1, p2), NoiseParams(f0), cfg.variant,
+                        mode=args.mode, trials=args.trials, seed=seed, cfg=cfg)
+    trials = args.trials if args.mode == "mc" else None
+    return report, [p1, p2, f0, cfg.variant.value, args.mode, trials, seed, report.fidelity,
+                    report.extras["closed_form_fidelity"], report.yield_fraction,
+                    *[report.counts[k] for k in COUNT_KEYS]]
+
+
+def _stage2_point(args, seed: int, fidelity) -> tuple:
+    """Check one stage-2 point, iterate it and run its baseline if asked:
+    (rounds, baseline report or None, CSV rows).
+
+    One CSV row per round; the baseline cells are filled in round 1 only.
+    """
+    if fidelity is None:
+        raise CliError("--F is required")
+    if not 0.5 < fidelity <= 1.0:
+        raise CliError(f"--F={fidelity} out of (1/2, 1]: the map is only purifying there")
+    rounds = stage2_iterate(fidelity, args.rounds)
+    base = None
+    if args.baseline:
+        base = pbs_baseline(fidelity, mode=args.mode, trials=args.trials, seed=seed)
+    trials = args.trials if args.mode == "mc" else None
+    rows = []
+    for r in rounds:
+        row = [fidelity, args.mode, trials, seed,
+               r.round, r.fidelity, r.round_yield, r.cumulative_yield]
+        if base is not None:
+            ratio = r.round_yield / base.yield_fraction if base.yield_fraction else None
+            row += [base.yield_fraction, ratio] if r.round == 1 else [None, None]
+        rows.append(row)
+    return rounds, base, rows
 
 
 def _stage2_csv_header(baseline: bool) -> list:
     return STAGE2_CSV_HEADER + (BASELINE_CSV_COLUMNS if baseline else [])
-
-
-def _stage2_csv_rows(params, rounds, baseline: bool, baseline_yield) -> list:
-    """One row per round; the baseline cells are filled in round 1 only."""
-    rows = []
-    for r in rounds:
-        row = [params["F"], params["mode"], params["trials"], params["seed"],
-               r.round, r.fidelity, r.round_yield, r.cumulative_yield]
-        if baseline:
-            ratio = r.round_yield / baseline_yield if baseline_yield else None
-            row += [baseline_yield, ratio] if r.round == 1 else [None, None]
-        rows.append(row)
-    return rows
 
 
 def _append_csv(path, header, rows) -> None:
@@ -203,49 +198,50 @@ def _append_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def cmd_stage1(args) -> int:
+    cfg = _detector(args, Variant(_resolved(args, "variant") or "qnd1"))
+    report, row = _stage1_point(args, cfg, _resolved_seed(args), args.p1, args.p2, args.f0)
+    # the JSON params: the row's point columns, from p1 to seed, and the angles
+    params = dict(zip(STAGE1_CSV_HEADER[:7], row), theta=str(cfg.theta.value),
+                  theta_prime=str(cfg.theta_prime.value))
+    doc = _report_doc("stage1", params, report)
+    doc["closed_form_fidelity"] = report.extras["closed_form_fidelity"]
+    print(f"stage1 [{args.mode}] fidelity={_fmt(report.fidelity)} "
+          f"closed_form={_fmt(doc['closed_form_fidelity'])} "
+          f"yield={_fmt(report.yield_fraction)}")
+    _emit(doc, args.out)
+    if args.csv:
+        _append_csv(args.csv, STAGE1_CSV_HEADER, [row])
+    return 0
+
+
 def cmd_stage2(args) -> int:
-    fidelity = args.F
-    if fidelity is None:
-        raise CliError("--F is required")
-    if not 0.5 < fidelity <= 1.0:
-        raise CliError("--F must lie in (1/2, 1]: the map is only purifying there")
     seed = _resolved_seed(args)
-    rounds = stage2_iterate(fidelity, args.rounds)
-    report = stage2_run(fidelity, mode=args.mode, trials=args.trials, seed=seed)
-    params = {
-        "F": fidelity, "rounds": args.rounds, "mode": args.mode,
-        "trials": args.trials if args.mode == "mc" else None,
-        "seed": seed, "baseline": bool(args.baseline),
-    }
+    rounds, base, rows = _stage2_point(args, seed, args.F)
+    report = stage2_run(args.F, mode=args.mode, trials=args.trials, seed=seed)
+    # the JSON params: the rows' point columns, from F to seed, and the options
+    params = dict(zip(STAGE2_CSV_HEADER[:4], rows[0]), rounds=args.rounds,
+                  baseline=bool(args.baseline))
     doc = _report_doc("stage2", params, report)
     doc["rounds"] = [
         {"round": r.round, "fidelity": r.fidelity, "yield": r.round_yield,
          "cumulative_yield": r.cumulative_yield}
         for r in rounds
     ]
-    fid = "n/a" if report.fidelity is None else f"{report.fidelity:.12f}"
-    print(f"stage2 [{args.mode}] first-round fidelity={fid} "
-          f"yield={report.yield_fraction:.12f}")
+    print(f"stage2 [{args.mode}] first-round fidelity={_fmt(report.fidelity)} "
+          f"yield={_fmt(report.yield_fraction)}")
     for r in rounds:
-        print(f"  round {r.round}: F={r.fidelity:.12f} yield={r.round_yield:.12f} "
-              f"cumulative={r.cumulative_yield:.12f}")
-    baseline_yield = None
-    if args.baseline:
-        base = pbs_baseline(fidelity, mode=args.mode, trials=args.trials, seed=seed)
-        baseline_yield = base.yield_fraction
+        print(f"  round {r.round}: F={_fmt(r.fidelity)} yield={_fmt(r.round_yield)} "
+              f"cumulative={_fmt(r.cumulative_yield)}")
+    if base is not None:
         doc["baseline"] = base.to_dict()
-        doc["yield_ratio"] = (
-            report.yield_fraction / base.yield_fraction
-            if base.yield_fraction else None
-        )
-        base_fid = "n/a" if base.fidelity is None else f"{base.fidelity:.12f}"
-        ratio = "n/a" if doc["yield_ratio"] is None else f"{doc['yield_ratio']:.12f}"
-        print(f"  pbs baseline: fidelity={base_fid} "
-              f"yield={base.yield_fraction:.12f} ratio={ratio}")
+        doc["yield_ratio"] = (report.yield_fraction / base.yield_fraction
+                              if base.yield_fraction else None)
+        print(f"  pbs baseline: fidelity={_fmt(base.fidelity)} "
+              f"yield={_fmt(base.yield_fraction)} ratio={_fmt(doc['yield_ratio'])}")
     _emit(doc, args.out)
     if args.csv:
-        _append_csv(args.csv, _stage2_csv_header(args.baseline),
-                    _stage2_csv_rows(params, rounds, args.baseline, baseline_yield))
+        _append_csv(args.csv, _stage2_csv_header(args.baseline), rows)
     return 0
 
 
@@ -260,48 +256,25 @@ def _parse_grid(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
+    """Every point of the cartesian grid through the command's point helper,
+    each grid parsed once; the rows go to the CSV through one open."""
     seed = _resolved_seed(args)
     if args.pipeline == "stage1":
         if not (args.p1 and args.p2 and args.f0):
             raise CliError("sweep stage1 needs --p1, --p2 and --f0 grids")
-        variant, cfg = _stage1_config(args)
-        rows = []
-        for p1 in _parse_grid(args.p1):
-            for p2 in _parse_grid(args.p2):
-                for f0 in _parse_grid(args.f0):
-                    report = stage1_run(
-                        PdcSourceParams(p1, p2), NoiseParams(f0), variant,
-                        mode=args.mode, trials=args.trials, seed=seed, cfg=cfg,
-                    )
-                    params = {"p1": p1, "p2": p2, "f0": f0,
-                              "variant": variant.value, "mode": args.mode,
-                              "trials": args.trials if args.mode == "mc" else None,
-                              "seed": seed}
-                    rows.append(_stage1_csv_row(params, report))
-        _append_csv(args.csv, STAGE1_CSV_HEADER, rows)
-        print(f"wrote {len(rows)} stage1 rows to {args.csv}")
-        return 0
-    if args.pipeline == "stage2":
+        cfg = _detector(args, Variant(_resolved(args, "variant") or "qnd1"))
+        grids = [_parse_grid(grid) for grid in (args.p1, args.p2, args.f0)]
+        rows = [_stage1_point(args, cfg, seed, *point)[1] for point in iproduct(*grids)]
+        header = STAGE1_CSV_HEADER
+    else:
         if not args.F:
             raise CliError("sweep stage2 needs an --F grid")
-        rows = []
-        for fidelity in _parse_grid(args.F):
-            if not 0.5 < fidelity <= 1.0:
-                raise CliError(f"--F={fidelity} out of (1/2, 1]")
-            params = {"F": fidelity, "mode": args.mode,
-                      "trials": args.trials if args.mode == "mc" else None,
-                      "seed": seed}
-            baseline_yield = None
-            if args.baseline:
-                baseline_yield = pbs_baseline(
-                    fidelity, mode=args.mode, trials=args.trials, seed=seed
-                ).yield_fraction
-            rows += _stage2_csv_rows(params, stage2_iterate(fidelity, args.rounds),
-                                     args.baseline, baseline_yield)
-        _append_csv(args.csv, _stage2_csv_header(args.baseline), rows)
-        print(f"wrote {len(rows)} stage2 rows to {args.csv}")
-        return 0
-    raise CliError(f"unknown sweep pipeline {args.pipeline!r}")
+        rows = [row for fidelity in _parse_grid(args.F)
+                for row in _stage2_point(args, seed, fidelity)[2]]
+        header = _stage2_csv_header(args.baseline)
+    _append_csv(args.csv, header, rows)
+    print(f"wrote {len(rows)} {args.pipeline} rows to {args.csv}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,7 @@
 
 Polarizing beam splitter (H transmits, V reflects), the two-port
 coupler that folds a party's spatial modes into one output, bit- and
-phase-flips, diagonal-basis measurement, and the bilateral 45-degree
-rotation that swaps phase-flip errors into bit-flip errors.
+phase-flips, and diagonal-basis measurement.
 
 Everything here is a pure function on immutable states; photon number
 and norm are preserved (measurements preserve summed probability).
@@ -134,66 +133,3 @@ def diagonal_outcomes(state: PureState, party: Party, spatial: Spatial) -> dict:
         prob = post.norm_squared()
         results[outcome] = (prob, post.normalize() if prob > 1e-24 else post)
     return results
-
-
-def apply_mode_pair_unitary(state: PureState, mode_x: ModeLabel, mode_y: ModeLabel,
-                            u) -> PureState:
-    """Apply a 2x2 unitary to a pair of modes at the creation-operator level.
-
-    x+ -> u[0][0] x+ + u[1][0] y+ ,  y+ -> u[0][1] x+ + u[1][1] y+ .
-    Handles multiple occupation via binomial expansion with bosonic
-    normalization factors.
-    """
-    def transform(b: BranchState):
-        nx = b.occupation(mode_x)
-        ny = b.occupation(mode_y)
-        if nx == 0 and ny == 0:
-            return [b]
-        base = dict(b.occupations)
-        base.pop(mode_x, None)
-        base.pop(mode_y, None)
-        # monomial coefficient of the normalized input state
-        c0 = b.amplitude / math.sqrt(math.factorial(nx) * math.factorial(ny))
-        out = []
-        for j in range(nx + 1):
-            for k in range(ny + 1):
-                coeff = (
-                    math.comb(nx, j) * (u[0][0] ** j) * (u[1][0] ** (nx - j))
-                    * math.comb(ny, k) * (u[0][1] ** k) * (u[1][1] ** (ny - k))
-                )
-                n_new_x = j + k
-                n_new_y = (nx - j) + (ny - k)
-                occ = dict(base)
-                if n_new_x:
-                    occ[mode_x] = occ.get(mode_x, 0) + n_new_x
-                if n_new_y:
-                    occ[mode_y] = occ.get(mode_y, 0) + n_new_y
-                amp = c0 * coeff * math.sqrt(
-                    math.factorial(n_new_x) * math.factorial(n_new_y)
-                )
-                out.append(BranchState.of(occ, amp, b.probe))
-        return out
-
-    return state.map_branches(transform)
-
-
-_ROT45 = ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
-
-
-def bilateral_rotation(state: PureState) -> PureState:
-    """45-degree polarization rotation on every photon of both parties.
-
-    H -> (H+V)/sqrt2, V -> (H-V)/sqrt2.  Self-inverse; conjugates a
-    phase flip into a bit flip.
-    """
-    out = state
-    for party in Party:
-        for spatial in Spatial:
-            out = apply_mode_pair_unitary(
-                out,
-                ModeLabel(party, spatial, Pol.H),
-                ModeLabel(party, spatial, Pol.V),
-                _ROT45,
-            )
-    return out
-

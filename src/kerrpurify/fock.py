@@ -117,11 +117,9 @@ class PhaseTag:
         raise AttributeError("PhaseTag is immutable")
 
     @property
-    def frac(self) -> Fraction:
+    def value(self) -> Fraction:
         """Phase in units of pi, reduced, in [0, 2)."""
         return Fraction(self.num, self.den)
-
-    value = frac
 
     def __add__(self, other: "PhaseTag") -> "PhaseTag":
         return PhaseTag(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -150,9 +148,6 @@ class PhaseTag:
     def __hash__(self) -> int:
         return self._hash
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     def magnitude_class(self) -> "PhaseTag":
         """Canonical representative of the {+phi, -phi} pair.
 
@@ -160,9 +155,6 @@ class PhaseTag:
         the same class, represented by min(phi, 2*pi - phi).
         """
         return self if self.num <= self.den else -self
-
-    def radians(self) -> float:
-        return self.num / self.den * math.pi
 
     @classmethod
     def parse(cls, text: str) -> "PhaseTag":
@@ -173,7 +165,7 @@ class PhaseTag:
             raise ValueError(f"phase {text.strip()!r} has a zero denominator") from None
 
     def __repr__(self) -> str:
-        return f"PhaseTag({self.frac}*pi)"
+        return f"PhaseTag({self.value}*pi)"
 
 
 ZERO_PHASE = PhaseTag(0)
@@ -224,18 +216,13 @@ class BranchState:
                 return n
         return 0
 
-    def total_photons(self) -> int:
-        return sum(n for _, n in self.occupations)
-
-    def photons(self, party=None, spatial=None, pol=None) -> int:
+    def photons(self, party=None, spatial=None) -> int:
         """Count photons matching the given mode filters."""
         total = 0
         for m, n in self.occupations:
             if party is not None and m.party != party:
                 continue
             if spatial is not None and m.spatial != spatial:
-                continue
-            if pol is not None and m.pol != pol:
                 continue
             total += n
         return total
@@ -283,9 +270,6 @@ class PureState:
     def norm_squared(self) -> float:
         return sum(abs(b.amplitude) ** 2 for b in self.branches)
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_squared() - 1.0) <= tol
-
     def scale(self, factor) -> "PureState":
         """Multiply every amplitude by ``factor``.
 
@@ -311,14 +295,6 @@ class PureState:
             else:
                 out.extend(r)
         return PureState.of(out)
-
-    def photon_distribution(self) -> dict:
-        """Probability mass on each total photon number."""
-        dist: dict[int, float] = {}
-        for b in self.branches:
-            n = b.total_photons()
-            dist[n] = dist.get(n, 0.0) + abs(b.amplitude) ** 2
-        return dist
 
     def __len__(self) -> int:
         return len(self.branches)
@@ -405,24 +381,19 @@ class EnsembleState:
     components: tuple
 
     @staticmethod
-    def of(pairs, check: bool = True) -> "EnsembleState":
+    def of(pairs) -> "EnsembleState":
         """Mixture of (weight, state) pairs; zero weights are dropped.
 
-        With ``check``, a negative or NaN weight or a total other than 1 raises.
+        A negative or NaN weight or a total other than 1 raises.
         """
         weighted = [(float(w), s) for w, s in pairs]
-        if check and not all(w >= 0 for w, _ in weighted):
+        if not all(w >= 0 for w, _ in weighted):
             raise ValueError("negative or NaN ensemble weight")
         comps = tuple((w, s) for w, s in weighted if w > 0.0)
-        if check:
-            total = sum(w for w, _ in comps)
-            if abs(total - 1.0) > NORM_TOL:
-                raise ValueError(f"ensemble weights sum to {total}, not 1")
+        total = sum(w for w, _ in comps)
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValueError(f"ensemble weights sum to {total}, not 1")
         return EnsembleState(comps)
-
-    @staticmethod
-    def pure(state: PureState) -> "EnsembleState":
-        return EnsembleState(((1.0, state),))
 
     def overlap(self, target: PureState) -> float:
         """<target| rho |target>."""

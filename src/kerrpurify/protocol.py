@@ -252,7 +252,7 @@ class PairLeaf:
     state: PureState  # post-measurement, probes cleared
 
 
-def single_pair_leaves(variant: Variant, cfg: QndConfig, flipped: bool) -> tuple:
+def single_pair_leaves(cfg: QndConfig, flipped: bool) -> tuple:
     state = apply_qnd(single_pair_state(flipped), cfg)
     leaves = []
     for tag_a in probe_outcomes(state, Party.ALICE):
@@ -316,11 +316,9 @@ def _stage1_table(cfg: QndConfig) -> RowTable:
     """The stage-1 rows of a valid detector config, for any source and noise.
 
     Classes: a clean and a flipped single pair, then the double emissions
-    (flip1, flip2) in product order.  Validating here checks a config once,
-    when its table is built.
+    (flip1, flip2) in product order.
     """
-    cfg.validate()
-    leaves = [single_pair_leaves(cfg.variant, cfg, flipped) for flipped in (False, True)]
+    leaves = [single_pair_leaves(cfg, flipped) for flipped in (False, True)]
     keep_tag = cfg.theta + cfg.theta_prime
     return _row_table(
         [[_order1_row(leaf) for leaf in pair] for pair in leaves]
@@ -349,7 +347,6 @@ def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _stage2_table(cfg: QndConfig) -> RowTable:
     """Stage-2 rows under ``cfg``; the classes are ``TWO_PAIR_KINDS``."""
-    cfg.validate()
     classes = []
     for kinds in TWO_PAIR_KINDS:
         st = apply_qnd(two_pair_state(*kinds), cfg)
@@ -407,9 +404,9 @@ def _stage1_config(variant, cfg) -> QndConfig:
 def _stage1_class_weights(params: dict) -> np.ndarray:
     """Weights of the classes of ``_stage1_table``: an emission is one pair
     or two in the ratio p1 : p2, and each pair is flipped with probability
-    1 - f0."""
-    src = PdcSourceParams(params["p1"], params["p2"]).validate()
-    f0 = NoiseParams(params["f0"]).validate().f0
+    1 - f0.  Building the parameter objects checks them."""
+    src = PdcSourceParams(params["p1"], params["p2"])
+    f0 = NoiseParams(params["f0"]).f0
     total = src.p1 + src.p2
     if total <= 0:
         raise ConfigError("p1 + p2 must be positive")

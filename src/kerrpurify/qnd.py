@@ -96,54 +96,44 @@ def _apply_media(state: PureState, media) -> PureState:
 
 @dataclass(frozen=True)
 class QndConfig:
+    """A detector and its angles.  Building one checks it, so a QndConfig
+    that exists is valid."""
+
     variant: Variant
     theta: PhaseTag
     theta_prime: PhaseTag | None = None
 
-    def validate(self) -> "QndConfig":
+    def __post_init__(self):
+        t, tp = self.theta, self.theta_prime
         if self.variant in (Variant.QND1, Variant.QND3):
-            if self.theta_prime is None:
+            if tp is None:
                 raise ConfigError(f"{self.variant.value} needs theta_prime")
-            if self.theta == self.theta_prime:
+            if t == tp:
                 raise ConfigError("theta and theta_prime must differ mod 2*pi")
-            classes = [
-                ZERO_PHASE,
-                self.theta,
-                self.theta_prime,
-                self.theta * 2,
-                self.theta_prime * 2,
-                self.theta + self.theta_prime,
-            ]
-            if len(set(classes)) != 6:
+            if len({ZERO_PHASE, t, tp, t * 2, tp * 2, t + tp}) != 6:
                 raise ConfigError(
                     "phase classes {0, t, t', 2t, 2t', t+t'} must be pairwise distinct mod 2*pi"
                 )
         elif self.variant == Variant.QND2:
-            if self.theta != PI:
+            if t != PI:
                 raise ConfigError("qnd2 requires theta = pi exactly")
         elif self.variant == Variant.QND4:
-            if self.theta == ZERO_PHASE or self.theta == PI:
+            if t == ZERO_PHASE or t == PI:
                 raise ConfigError("qnd4 requires theta with +theta != -theta mod 2*pi")
-        return self
 
 
-DEFAULT_THETA = PhaseTag(1, 4)
-DEFAULT_THETA_PRIME = PhaseTag(3, 4)
-
-
-@functools.lru_cache(maxsize=None)  # one immutable, validated config per variant
+@functools.lru_cache(maxsize=None)  # one immutable config per variant
 def default_config(variant: Variant) -> QndConfig:
+    """The default angles: theta = pi/4 and theta' = 3pi/4, pi for qnd2."""
     if variant == Variant.QND2:
-        return QndConfig(variant, PI).validate()
-    if variant == Variant.QND4:
-        return QndConfig(variant, DEFAULT_THETA).validate()
-    return QndConfig(variant, DEFAULT_THETA, DEFAULT_THETA_PRIME).validate()
+        return QndConfig(variant, PI)
+    theta_prime = PhaseTag(3, 4) if variant in (Variant.QND1, Variant.QND3) else None
+    return QndConfig(variant, PhaseTag(1, 4), theta_prime)
 
 
 def _require_variant(cfg: QndConfig, variant: Variant) -> None:
     if cfg.variant != variant:
         raise ConfigError(f"config is for {cfg.variant.value}, not {variant.value}")
-    cfg.validate()
 
 
 def _require_one_photon_per_port(state: PureState) -> None:

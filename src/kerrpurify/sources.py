@@ -1,13 +1,11 @@
-"""Photon-pair sources and the noise channels the protocol purifies.
+"""Photon-pair sources and the noise the protocol purifies.
 
 A down-conversion source emits one pair into a superposition of the
 upper and lower mode pairs (four creation terms, equal weight), or two
-pairs.  The two-pair expansion below carries *pair-level* statistics:
-each emitted pair behaves as an independent copy of the single-pair
-superposition, so a doubled emission pattern weighs half of a crossed
-one (4:2 in probability).  This is the weighting the closed-form
-stage-1 fidelity accounting assumes, and it also makes bit-flip noise
-independent per pair by construction.
+pairs.  Stage 1 treats a double emission as two independent copies of
+the single-pair superposition, the weighting its closed-form fidelity
+assumes, and flips each pair independently.  Stage 2 and the PBS
+baseline draw two pairs from one source, each phi+ or psi+.
 
 Bit-flip noise acts on Bob's photon of a pair (convention; the mixed
 states involved are symmetric under which side flips).
@@ -17,13 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
-from .elements import sigma_x
 from .fock import (
-    BranchState,
     ConfigError,
-    EnsembleState,
     ModeLabel,
     Party,
     Pol,
@@ -36,31 +30,31 @@ from .fock import (
 
 @dataclass(frozen=True)
 class PdcSourceParams:
-    """Relative weights of one-pair and two-pair emission events."""
+    """Relative weights of one-pair and two-pair emission events, checked
+    when built."""
 
     p1: float
     p2: float
 
-    def validate(self) -> "PdcSourceParams":
+    def __post_init__(self):
         if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
             raise ValueError("emission probabilities must be finite numbers")
         if self.p1 < 0 or self.p2 < 0:
             raise ValueError("emission probabilities must be non-negative")
         if self.p1 + self.p2 > 1 + 1e-12:
             raise ValueError("p1 + p2 must not exceed 1")
-        return self
 
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """f0: probability that a pair crosses the channel without a bit flip."""
+    """f0: probability that a pair crosses the channel without a bit flip,
+    checked when built."""
 
     f0: float
 
-    def validate(self) -> "NoiseParams":
-        if not 0.0 <= self.f0 <= 1.0:
+    def __post_init__(self):
+        if not 0.0 <= self.f0 <= 1.0:  # false for NaN too
             raise ValueError("f0 must lie in [0, 1]")
-        return self
 
 
 def pair_emission_terms(flipped: bool = False) -> list:
@@ -89,58 +83,6 @@ def single_pair_state(flipped: bool = False) -> PureState:
             s = create_photon(s, m)
         branches.extend(s.branches)
     return PureState.of(branches).normalize()
-
-
-def pdc_emit(params: PdcSourceParams, order: int) -> PureState:
-    """Normalized emission of the given order (1 or 2 pairs).
-
-    Order 2 uses the pair-level weights described in the module
-    docstring: crossed patterns carry amplitude 2, doubled patterns
-    sqrt(2), before normalization.
-    """
-    params.validate()
-    if order == 1:
-        return single_pair_state()
-    if order != 2:
-        raise ValueError("emission order must be 1 or 2")
-    terms = pair_emission_terms()
-    branches = []
-    for (i, t1), (j, t2) in combinations_with_replacement(list(enumerate(terms)), 2):
-        occ: dict[ModeLabel, int] = {}
-        for m in t1 + t2:
-            occ[m] = occ.get(m, 0) + 1
-        amp = 2.0 if i != j else math.sqrt(2.0)
-        branches.append(BranchState.of(occ, amp))
-    return PureState.of(branches).normalize()
-
-
-def apply_bitflip_noise(state: PureState, params: NoiseParams) -> EnsembleState:
-    """Channel acting on one pair: flip Bob's photon with probability 1 - f0."""
-    params.validate()
-    return EnsembleState.of([
-        (params.f0, state),
-        (1.0 - params.f0, sigma_x(state, Party.BOB)),
-    ])
-
-
-def independent_pair_noise(pair_states, params: NoiseParams) -> list:
-    """Independent bit-flip noise on each pair of a multi-pair emission.
-
-    Returns (weight, states, flips) triples covering all flip patterns
-    with nonzero weight; weights multiply out to f0^k (1-f0)^(n-k).
-    """
-    params.validate()
-    components = [(1.0, tuple(), tuple())]
-    for s in pair_states:
-        expanded = []
-        for w, states, flips in components:
-            for flip, wf in ((False, params.f0), (True, 1.0 - params.f0)):
-                if wf == 0.0:
-                    continue
-                out = sigma_x(s, Party.BOB) if flip else s
-                expanded.append((w * wf, states + (out,), flips + (flip,)))
-        components = expanded
-    return components
 
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -191,17 +133,3 @@ def two_pair_components(fidelity: float) -> list:
     """
     return [(w, kinds, two_pair_state(*kinds))
             for kinds, w in zip(TWO_PAIR_KINDS, two_pair_weights(fidelity)) if w != 0.0]
-
-
-def ideal_mixed_pairs(fidelity: float, n_pairs: int) -> EnsembleState:
-    """Mixture F |phi+><phi+| + (1-F) |psi+><psi+|, for one or two pairs."""
-    if n_pairs == 1:
-        return EnsembleState.of([
-            (fidelity, bell_pair("phi+", Spatial.UPPER)),
-            (1.0 - fidelity, bell_pair("psi+", Spatial.UPPER)),
-        ])
-    if n_pairs != 2:
-        raise ValueError("n_pairs must be 1 or 2")
-    return EnsembleState.of(
-        (w, joint) for w, _, joint in two_pair_components(fidelity)
-    )

@@ -61,6 +61,15 @@ def assert_states_equal(actual: PureState, expected: PureState, tol=1e-10):
         assert abs(a[k] - e[k]) <= tol, f"amplitude mismatch at {k}: {a[k]} vs {e[k]}"
 
 
+def photon_distribution(state: PureState) -> dict:
+    """Probability mass on each total photon number."""
+    dist = {}
+    for b in state.branches:
+        n = b.photons()
+        dist[n] = dist.get(n, 0.0) + abs(b.amplitude) ** 2
+    return dist
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

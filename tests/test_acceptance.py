@@ -19,7 +19,6 @@ from kerrpurify import (
     PhaseTag,
     Variant,
     ZERO_PHASE,
-    bilateral_rotation,
     default_config,
     homodyne_x,
     monte_carlo,
@@ -31,6 +30,7 @@ from kerrpurify import (
     qnd4,
     run_branch_suite,
     sigma_x,
+    sigma_z,
     stage1_fidelity_closed_form,
     stage1_run,
     stage2_fidelity_map,
@@ -41,7 +41,7 @@ from kerrpurify import (
 from kerrpurify.branches import HHHH, HHVV, VVHH, VVVV, operator_state
 from kerrpurify.protocol import _mc_row_counts
 
-from conftest import assert_states_equal, random_pure_state
+from conftest import assert_states_equal, photon_distribution, random_pure_state
 
 
 @contextlib.contextmanager
@@ -158,14 +158,14 @@ def test_criterion_6_property_suites():
             st = random_pure_state(rng)
             op_results = [
                 sigma_x(sigma_x(st, Party.ALICE), Party.ALICE),
-                bilateral_rotation(bilateral_rotation(st)),
+                sigma_z(sigma_z(st, Party.BOB), Party.BOB),
                 pbs(pbs(st, Party.BOB), Party.BOB),
             ]
             for out in op_results:
                 assert_states_equal(out, st)
-            once = bilateral_rotation(st)
+            once = pbs(st, Party.ALICE)
             assert abs(once.norm_squared() - 1.0) < 1e-10
-            db, da = st.photon_distribution(), once.photon_distribution()
+            db, da = photon_distribution(st), photon_distribution(once)
             assert set(db) == set(da)
             for n in db:
                 assert abs(db[n] - da[n]) < 1e-10

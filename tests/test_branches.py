@@ -42,7 +42,7 @@ def test_default_angles(case):
     ids=[c.case_id for c in BRANCH_CASES if c.variant in (Variant.QND1, Variant.QND3)],
 )
 def test_alternate_angles(case):
-    cfg = QndConfig(case.variant, PhaseTag(1, 8), PhaseTag(5, 8)).validate()
+    cfg = QndConfig(case.variant, PhaseTag(1, 8), PhaseTag(5, 8))
     result = run_branch_case(case, cfg)
     assert result.passed, result.detail
 
@@ -63,9 +63,7 @@ def test_suite_filtering():
 def test_compare_states_reports_mismatch():
     case = BRANCH_CASES[0]
     cfg = default_config(case.variant)
-    wrong = case.expected_state(
-        QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8)).validate()
-    )
+    wrong = case.expected_state(QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8)))
     detail = compare_states(case.expected_state(cfg), wrong)
     assert detail != ""
 

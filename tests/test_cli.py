@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from kerrpurify import cli
 from kerrpurify.cli import main
 
 
@@ -49,6 +50,22 @@ class TestVerifyBranches:
         )
         assert code == 0
         assert "14/14" in out
+
+    def test_angles_from_config_file(self, capsys, tmp_path):
+        # flag > config file > default, as for stage1
+        equal = tmp_path / "equal.cfg"
+        equal.write_text("theta=1/4\ntheta-prime=1/4\n")
+        code, out, err = run_cli(["verify-branches", "--config", str(equal)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "differ" in err
+        assert "transformation checks" not in out
+        code, out, _ = run_cli(["verify-branches", "--config", str(equal),
+                                "--theta-prime", "5/8"], capsys)
+        assert code == 0 and "14/14" in out
+        alternate = tmp_path / "alternate.cfg"
+        alternate.write_text("theta=1/8\ntheta-prime=5/8\n")
+        code, out, _ = run_cli(["verify-branches", "--config", str(alternate)], capsys)
+        assert code == 0 and "14/14" in out
 
 
 class TestStage1Command:
@@ -158,6 +175,60 @@ class TestSweep:
             baseline = [row[header.index(c)] for c in ("pbs_yield", "yield_ratio")]
             assert (baseline == ["", ""]) == (row[header.index("round")] != "1")
 
+    def test_each_grid_parsed_once(self, capsys, tmp_path, monkeypatch):
+        parsed = []
+        real_parse = cli._parse_grid
+
+        def counting_parse(text):
+            parsed.append(text)
+            return real_parse(text)
+
+        monkeypatch.setattr(cli, "_parse_grid", counting_parse)
+        p1, p2, f0 = "0.01,0.02,0.03,0.04,0.05", "0.001,0.002,0.003,0.004", "0.6,0.7,0.8,0.9,0.95"
+        path = tmp_path / "grid.csv"
+        code, out, _ = run_cli(["sweep", "stage1", "--p1", p1, "--p2", p2, "--f0", f0,
+                                "--csv", str(path)], capsys)
+        assert code == 0 and "wrote 100 stage1 rows" in out
+        assert sorted(parsed) == sorted([p1, p2, f0])
+        assert len(read_csv(path)) == 1 + 100
+
+    @pytest.mark.parametrize("point, grid", [
+        (["stage1", "--p1", "0.05", "--p2", "0.001", "--f0", "0.7", "--variant", "qnd3",
+          "--theta", "1/8", "--theta-prime", "5/8"],
+         ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.7,0.8",
+          "--variant", "qnd3", "--theta", "1/8", "--theta-prime", "5/8"]),
+        (["stage1", "--p1", "0.05", "--p2", "0.001", "--f0", "0.7", "--mode", "mc",
+          "--trials", "2000", "--seed", "4"],
+         ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.7,0.8",
+          "--mode", "mc", "--trials", "2000", "--seed", "4"]),
+        (["stage2", "--F", "0.65", "--rounds", "3", "--baseline"],
+         ["sweep", "stage2", "--F", "0.55,0.65", "--rounds", "3", "--baseline"]),
+        (["stage2", "--F", "0.65", "--rounds", "2", "--baseline", "--mode", "mc",
+          "--trials", "2000", "--seed", "4"],
+         ["sweep", "stage2", "--F", "0.55,0.65", "--rounds", "2", "--baseline", "--mode", "mc",
+          "--trials", "2000", "--seed", "4"]),
+    ], ids=["stage1-exact", "stage1-mc", "stage2-exact", "stage2-mc"])
+    def test_sweep_rows_equal_the_command_rows(self, capsys, tmp_path, point, grid):
+        # a sweep and its command write a point through one helper
+        single, swept = tmp_path / "single.csv", tmp_path / "swept.csv"
+        assert run_cli(point + ["--csv", str(single)], capsys)[0] == 0
+        assert run_cli(grid + ["--csv", str(swept)], capsys)[0] == 0
+        header, *rows = read_csv(single)
+        swept_header, *swept_rows = read_csv(swept)
+        assert swept_header == header
+        assert any(swept_rows[i:i + len(rows)] == rows for i in range(len(swept_rows)))
+
+    @pytest.mark.parametrize("grids", [
+        ["--p1", "0.6,0.02", "--p2", "0.5", "--f0", "0.8"],
+        ["--p1", "0.02,0", "--p2", "0", "--f0", "0.8"],
+    ], ids=["sum-above-one", "sum-zero"])
+    def test_sweep_checks_each_point_like_stage1(self, capsys, tmp_path, grids):
+        path = tmp_path / "grid.csv"
+        code, _, err = run_cli(["sweep", "stage1", "--csv", str(path)] + grids, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "p1 + p2" in err
+        assert not path.exists()
+
     def test_one_open_per_sweep(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "grid.csv"
         opens = []
@@ -241,6 +312,35 @@ class TestConfigFile:
         )
         assert code == 0
         assert json.loads(out_file.read_text())["seed"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+        ["stage2", "--F", "0.8"],
+        ["verify-branches"],
+        ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+    ], ids=["stage1", "stage2", "verify-branches", "sweep"])
+    @pytest.mark.parametrize("line", ["thetaprime=1/8", "p1=0.5"])
+    def test_unknown_key_exits_2(self, capsys, tmp_path, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=1\n{line}\n")
+        out_file, csv_file = tmp_path / "run.json", tmp_path / "rows.csv"
+        extra = ["--out", str(out_file)] + (["--csv", str(csv_file)] if argv[0] != "verify-branches"
+                                            else [])
+        code, out, err = run_cli(argv + ["--config", str(cfg)] + extra, capsys)
+        assert code == 2
+        assert err.startswith("error:") and repr(line.split("=")[0]) in err
+        assert out == "" and not out_file.exists() and not csv_file.exists()
+
+    def test_known_keys_are_read(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\nvariant=qnd3\ntheta=1/8\ntheta_prime=5/8\n")
+        out_file = tmp_path / "run.json"
+        code, _, _ = run_cli(["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8",
+                              "--config", str(cfg), "--out", str(out_file)], capsys)
+        assert code == 0
+        params = json.loads(out_file.read_text())["params"]
+        assert (params["seed"], params["variant"], params["theta"], params["theta_prime"]) \
+            == (5, "qnd3", "1/8", "5/8")
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,9 +1,8 @@
-"""Linear elements: PBS, coupler, flips, diagonal measurement, rotation."""
+"""Linear elements: PBS, coupler, flips, diagonal measurement."""
 
 import math
 from itertools import permutations
 
-import numpy as np
 import pytest
 
 from kerrpurify import (
@@ -16,7 +15,6 @@ from kerrpurify import (
     PureState,
     Spatial,
     bell_pair,
-    bilateral_rotation,
     coupler,
     create_photon,
     diagonal_outcomes,
@@ -26,7 +24,7 @@ from kerrpurify import (
     sigma_x,
     sigma_z,
 )
-from conftest import assert_states_equal, random_pure_state
+from conftest import assert_states_equal, photon_distribution, random_pure_state
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
 A1V = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.V)
@@ -147,7 +145,7 @@ class TestMeasureDiagonal:
         for key in ("+", "-"):
             prob, post = outcomes[key]
             assert abs(prob - 0.5) < 1e-12
-            assert post.branches[0].total_photons() == 0
+            assert post.branches[0].photons() == 0
 
     def test_four_photon_projection_to_phi_plus(self):
         # both parties read '+' on the lower pair of the all-equal
@@ -193,71 +191,20 @@ class TestMeasureDiagonal:
             assert abs(sum(p for p, _ in outs.values()) - 1.0) < 1e-10
 
 
-def rotation_matrix_oracle(state_vec):
-    """Two-qubit 45-degree rotation on the (HH, HV, VH, VV) amplitudes."""
-    r = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    return np.kron(r, r) @ state_vec
-
-
-class TestBilateralRotation:
-    def polarization_vector(self, st, a_mode_pair, b_mode_pair):
-        vec = np.zeros(4, dtype=complex)
-        basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        for i, (pa, pb) in enumerate(basis):
-            target = {a_mode_pair[pa]: 1, b_mode_pair[pb]: 1}
-            for b in st.branches:
-                if dict(b.occupations) == target:
-                    vec[i] = b.amplitude
-        return vec
-
-    def test_phi_minus_to_psi_plus(self):
-        out = bilateral_rotation(bell_pair("phi-", Spatial.UPPER))
-        assert abs(overlap(out, bell_pair("psi+", Spatial.UPPER)) - 1.0) < 1e-12
-
-    def test_phi_plus_invariant(self):
-        out = bilateral_rotation(bell_pair("phi+", Spatial.UPPER))
-        assert abs(overlap(out, bell_pair("phi+", Spatial.UPPER)) - 1.0) < 1e-12
-
-    def test_matrix_oracle_on_random_pair_states(self, rng):
-        a_modes = (A1H, A1V)
-        b_modes = (ModeLabel(Party.BOB, Spatial.UPPER, Pol.H),
-                   ModeLabel(Party.BOB, Spatial.UPPER, Pol.V))
-        for _ in range(100):
-            vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-            vec /= np.linalg.norm(vec)
-            branches = []
-            basis = [(0, 0), (0, 1), (1, 0), (1, 1)]
-            for amp, (pa, pb) in zip(vec, basis):
-                branches.append(
-                    BranchState.of({a_modes[pa]: 1, b_modes[pb]: 1}, amp)
-                )
-            st = PureState.of(branches)
-            out = bilateral_rotation(st)
-            got = self.polarization_vector(out, a_modes, b_modes)
-            expect = rotation_matrix_oracle(vec)
-            assert np.allclose(got, expect, atol=1e-12)
-
-    def test_involution(self, rng):
-        for _ in range(300):
-            st = random_pure_state(rng)
-            assert_states_equal(bilateral_rotation(bilateral_rotation(st)), st)
-
-
 class TestConservation:
     def test_norm_and_photon_number(self, rng):
         ops = [
             lambda s: pbs(s, Party.ALICE),
             lambda s: sigma_x(s, Party.BOB),
             lambda s: sigma_z(s, Party.ALICE),
-            bilateral_rotation,
-        ]
+                ]
         for _ in range(250):
             st = random_pure_state(rng)
-            before = st.photon_distribution()
+            before = photon_distribution(st)
             for op in ops:
                 out = op(st)
                 assert abs(out.norm_squared() - 1.0) < 1e-10
-                after = out.photon_distribution()
+                after = photon_distribution(out)
                 assert set(after) == set(before)
                 for n, p in before.items():
                     assert abs(after[n] - p) < 1e-10

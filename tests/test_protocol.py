@@ -178,9 +178,8 @@ class TestAngleIndependence:
         src, noise = PdcSourceParams(p1, p2), NoiseParams(f0)
         reports = []
         for variant in (Variant.QND1, Variant.QND3):
-            cfg = QndConfig(variant, PhaseTag(theta), PhaseTag(theta_prime))
             try:
-                cfg.validate()
+                cfg = QndConfig(variant, PhaseTag(theta), PhaseTag(theta_prime))
             except ConfigError:
                 assume(False)
             report = stage1_run(src, noise, variant, cfg=cfg).to_dict()
@@ -501,10 +500,11 @@ class TestOutcomeTables:
         assert table_a != table_b
 
     def test_invalid_config_raises_on_every_call(self):
-        bad = QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(1, 4))
+        # the config raises when built, so no table is ever made for it
         for _ in range(2):
             with pytest.raises(ConfigError):
-                stage1_run(SRC, NOISE, cfg=bad)
+                stage1_run(SRC, NOISE, cfg=QndConfig(Variant.QND1, PhaseTag(1, 4),
+                                                     PhaseTag(1, 4)))
 
     def test_stage2_verdicts_come_from_the_physics(self):
         expected = {("phi+", "phi+"): Verdict.KEPT_CORRECT,

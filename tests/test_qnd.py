@@ -34,7 +34,7 @@ from kerrpurify import (
 )
 from kerrpurify.branches import HHHH, HHVV, VVHH, VVVV, operator_state
 
-from conftest import assert_states_equal, random_pure_state
+from conftest import assert_states_equal, photon_distribution, random_pure_state
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
 THETA = PhaseTag(1, 4)
@@ -76,22 +76,23 @@ class TestKerrPrimitive:
 
 
 class TestConfig:
+    # a config checks itself when built: an invalid one never exists
     def test_equal_phases_rejected(self):
         with pytest.raises(ConfigError):
-            QndConfig(Variant.QND1, THETA, THETA).validate()
+            QndConfig(Variant.QND1, THETA, THETA)
 
     def test_degenerate_class_rejected(self):
         # 2 * (1/4) == (5/4) + (1/4) - ... pick theta'=7/4: theta+theta' = 0
         with pytest.raises(ConfigError):
-            QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(7, 4)).validate()
+            QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(7, 4))
 
     def test_parity_detector_needs_pi(self):
         with pytest.raises(ConfigError):
-            QndConfig(Variant.QND2, PhaseTag(1, 2)).validate()
+            QndConfig(Variant.QND2, PhaseTag(1, 2))
 
     def test_opposite_shift_detector_rejects_pi(self):
         with pytest.raises(ConfigError):
-            QndConfig(Variant.QND4, PI).validate()
+            QndConfig(Variant.QND4, PI)
 
     def test_defaults_valid(self):
         for v in Variant:
@@ -138,7 +139,7 @@ class TestGadgetInvariants:
                 before = sorted(abs(b.amplitude) for b in st.branches)
                 after = sorted(abs(b.amplitude) for b in out.branches)
                 assert all(abs(x - y) < 1e-12 for x, y in zip(before, after))
-                db, da = st.photon_distribution(), out.photon_distribution()
+                db, da = photon_distribution(st), photon_distribution(out)
                 assert set(db) == set(da)
                 for n in db:
                     assert abs(db[n] - da[n]) < 1e-10

@@ -1,4 +1,4 @@
-"""Pair sources, emission statistics, and bit-flip noise channels."""
+"""Pair sources, emission statistics, and bit-flip noise."""
 
 from collections import Counter
 
@@ -13,26 +13,30 @@ from kerrpurify import (
     Pol,
     PureState,
     Spatial,
-    apply_bitflip_noise,
     bell_pair,
-    ideal_mixed_pairs,
-    independent_pair_noise,
+    enumerate_exact,
     inner,
-    pdc_emit,
+    monte_carlo,
     sigma_x,
     single_pair_state,
     stage1_run,
+    two_pair_components,
 )
-from kerrpurify.sources import pair_emission_terms
+from kerrpurify.protocol import _stage1_class_weights
+from kerrpurify.sources import (
+    TWO_PAIR_KINDS,
+    pair_emission_terms,
+    two_pair_state,
+    two_pair_weights,
+)
 
 from conftest import assert_states_equal
-
-PARAMS = PdcSourceParams(0.1, 0.01)
+from oracle import pdc_emit
 
 
 class TestSinglePairEmission:
     def test_four_equal_branches(self):
-        st = pdc_emit(PARAMS, 1)
+        st = pdc_emit(1)
         assert len(st) == 4
         for b in st.branches:
             assert abs(b.amplitude - 0.5) < 1e-12
@@ -47,15 +51,15 @@ class TestSinglePairEmission:
                     ModeLabel(Party.BOB, spatial, pol): 1,
                 }
                 branches.append(BranchState.of(occ, 0.5))
-        assert_states_equal(pdc_emit(PARAMS, 1), PureState.of(branches))
+        assert_states_equal(pdc_emit(1), PureState.of(branches))
 
     def test_normalized(self):
-        assert abs(pdc_emit(PARAMS, 1).norm_squared() - 1.0) < 1e-12
+        assert abs(pdc_emit(1).norm_squared() - 1.0) < 1e-12
 
 
 class TestDoubleEmission:
     def test_ten_patterns(self):
-        assert len(pdc_emit(PARAMS, 2)) == 10
+        assert len(pdc_emit(2)) == 10
 
     def test_pattern_weights_against_pair_oracle(self):
         # oracle: two independent pairs, 16 equally likely ordered draws
@@ -65,14 +69,14 @@ class TestDoubleEmission:
             for t2 in terms:
                 pattern = tuple(sorted(Counter(t1 + t2).items()))
                 oracle[pattern] += 1 / 16
-        st = pdc_emit(PARAMS, 2)
+        st = pdc_emit(2)
         got = {b.occupations: abs(b.amplitude) ** 2 for b in st.branches}
         assert set(got) == set(oracle)
         for pattern, prob in oracle.items():
             assert abs(got[pattern] - prob) < 1e-12
 
     def test_cross_to_doubled_ratio(self):
-        st = pdc_emit(PARAMS, 2)
+        st = pdc_emit(2)
         probs = sorted(abs(b.amplitude) ** 2 for b in st.branches)
         doubled, crossed = probs[0], probs[-1]
         assert abs(crossed / doubled - 2.0) < 1e-12
@@ -80,22 +84,23 @@ class TestDoubleEmission:
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            pdc_emit(PARAMS, 3)
+            pdc_emit(3)
 
 
 class TestNoise:
+    """Stage 1 flips each pair independently, through the weights of its
+    event classes: a clean and a flipped single pair, then the double
+    emissions (flip1, flip2) in product order."""
+
     def test_no_noise(self):
-        st = single_pair_state()
-        ens = apply_bitflip_noise(st, NoiseParams(1.0))
-        assert len(ens) == 1
-        assert ens.components[0][0] == 1.0
-        assert ens.components[0][1] == st
+        w = _stage1_class_weights({"p1": 0.1, "p2": 0.01, "f0": 1.0})
+        assert w[0] == pytest.approx(0.1 / 0.11) and w[2] == pytest.approx(0.01 / 0.11)
+        assert w[[1, 3, 4, 5]].tolist() == [0.0] * 4
 
     def test_full_flip(self):
-        st = single_pair_state()
-        ens = apply_bitflip_noise(st, NoiseParams(0.0))
-        assert len(ens) == 1
-        assert_states_equal(ens.components[0][1], single_pair_state(flipped=True))
+        w = _stage1_class_weights({"p1": 0.1, "p2": 0.01, "f0": 0.0})
+        assert w[1] == pytest.approx(0.1 / 0.11) and w[5] == pytest.approx(0.01 / 0.11)
+        assert w[[0, 2, 3, 4]].tolist() == [0.0] * 4
 
     def test_flip_commutes_with_term_bookkeeping(self):
         assert_states_equal(
@@ -103,29 +108,33 @@ class TestNoise:
         )
 
     def test_independent_pair_weights(self):
-        pair = single_pair_state()
-        comps = independent_pair_noise([pair, pair], NoiseParams(0.8))
-        weights = sorted(w for w, _, _ in comps)
-        assert [round(w, 12) for w in weights] == [
-            round(x, 12) for x in sorted([0.64, 0.16, 0.16, 0.04])
-        ]
-        flips = {f for _, _, f in comps}
-        assert flips == {(False, False), (False, True), (True, False), (True, True)}
+        w = _stage1_class_weights({"p1": 0.0, "p2": 0.01, "f0": 0.8})
+        assert w[:2].tolist() == [0.0, 0.0]
+        # (clean, clean), (clean, flipped), (flipped, clean), (flipped, flipped)
+        assert [round(x, 12) for x in w[2:]] == [0.64, 0.16, 0.16, 0.04]
 
     def test_out_of_range_rejected(self):
+        # the parameter objects check themselves when built
         with pytest.raises(ValueError):
-            NoiseParams(1.2).validate()
+            NoiseParams(1.2)
         with pytest.raises(ValueError):
-            PdcSourceParams(0.9, 0.2).validate()
+            PdcSourceParams(0.9, 0.2)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, value):
-        for params in (PdcSourceParams(value, 0.01), PdcSourceParams(0.1, value),
-                       NoiseParams(value)):
+        for build in (lambda: PdcSourceParams(value, 0.01), lambda: PdcSourceParams(0.1, value),
+                      lambda: NoiseParams(value)):
             with pytest.raises(ValueError):
-                params.validate()
+                build()
         with pytest.raises(ValueError):
             stage1_run(PdcSourceParams(value, 0.01), NoiseParams(0.8))
+        # the params of a named pipeline are built into the same objects
+        for params in ({"p1": value, "p2": 0.01, "f0": 0.8},
+                       {"p1": 0.1, "p2": 0.01, "f0": value}):
+            with pytest.raises(ValueError):
+                enumerate_exact("stage1", params)
+            with pytest.raises(ValueError):
+                monte_carlo("stage1", params, 10)
 
 
 class TestBellAndMixtures:
@@ -138,18 +147,22 @@ class TestBellAndMixtures:
                 assert abs(inner(a, b) - expected) < 1e-12
 
     def test_single_pair_mixture(self):
-        ens = ideal_mixed_pairs(1.0, 1)
-        assert len(ens) == 1
+        assert two_pair_weights(1.0) == [1.0, 0.0, 0.0, 0.0]
+        [(w, kinds, _)] = two_pair_components(1.0)
+        assert (w, kinds) == (1.0, ("phi+", "phi+"))
 
     def test_two_pair_weights(self):
-        ens = ideal_mixed_pairs(0.8, 2)
-        weights = sorted(w for w, _ in ens.components)
-        assert [round(w, 12) for w in weights] == [0.04, 0.16, 0.16, 0.64]
+        # in the order of TWO_PAIR_KINDS: phi+ phi+, phi+ psi+, psi+ phi+, psi+ psi+
+        weights = two_pair_weights(0.8)
+        assert [round(w, 12) for w in weights] == [0.64, 0.16, 0.16, 0.04]
+        assert abs(sum(weights) - 1.0) < 1e-12
 
     def test_uniform_at_half(self):
-        ens = ideal_mixed_pairs(0.5, 2)
-        assert all(abs(w - 0.25) < 1e-12 for w, _ in ens.components)
+        assert all(abs(w - 0.25) < 1e-12 for w in two_pair_weights(0.5))
 
     def test_components_normalized(self):
-        for w, st in ideal_mixed_pairs(0.7, 2).components:
+        components = two_pair_components(0.7)
+        assert [kinds for _, kinds, _ in components] == list(TWO_PAIR_KINDS)
+        for _, kinds, st in components:
             assert abs(st.norm_squared() - 1.0) < 1e-12
+            assert st == two_pair_state(*kinds)
