@@ -14,12 +14,11 @@ from kerrpurify import (
     Party,
     Variant,
     ZERO_PHASE,
+    apply_qnd,
     default_config,
     homodyne_x,
     overlap,
     project_probe,
-    qnd2,
-    qnd4,
 )
 from kerrpurify.branches import HHHH, HHVV, VVHH, VVVV, operator_state
 
@@ -28,7 +27,7 @@ odd_parity_target = operator_state([(1, ((HHVV, VVHH),))])
 
 print("Opposite-shift layout + X-quadrature readout:")
 cfg4 = default_config(Variant.QND4)
-out = qnd4(two_pairs, cfg4)
+out = apply_qnd(two_pairs, cfg4)
 for o in homodyne_x(out, Party.ALICE, HomodyneModel.MAGNITUDE_ONLY):
     print(f"  outcome |{o.outcome.value}pi|: probability {o.probability:.3f}, "
           f"{len(o.post_state)} mixture component(s)")
@@ -45,7 +44,7 @@ print(f"  kept odd-parity class: overlap with the target superposition = "
       f"{mixture.overlap(odd_parity_target):.3f}, purity = {mixture.purity():.3f}")
 
 print("\npi-shift parity layout + exact phase readout:")
-out2 = qnd2(two_pairs, default_config(Variant.QND2))
+out2 = apply_qnd(two_pairs, default_config(Variant.QND2))
 _, after_alice = project_probe(out2, Party.ALICE, ZERO_PHASE)
 p_bob, kept = project_probe(after_alice, Party.BOB, ZERO_PHASE)
 print(f"  kept odd-parity class: overlap with the target superposition = "

@@ -41,10 +41,6 @@ from .qnd import (
     apply_qnd,
     default_config,
     homodyne_x,
-    qnd1,
-    qnd2,
-    qnd3,
-    qnd4,
 )
 from .sources import (
     NoiseParams,

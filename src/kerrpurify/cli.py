@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: verify-branches, stage1, stage2, sweep.  Results go to
-stdout as a human summary plus, with --out, a single JSON document;
-sweeps append CSV rows.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error.
+stdout as a human summary plus, with --out (stage1 and stage2), a single
+JSON document; --csv appends CSV rows.  --seed is read by stage1, stage2
+and sweep; a subcommand rejects any flag it does not read.  Exit codes:
+0 success, 1 verification failure, 2 usage or configuration error.
 
 Option precedence: explicit flags > --config file (flat key=value
 lines; the keys are those of CONFIG_KEYS, and any other key exits 2) >
@@ -12,8 +13,9 @@ theta=1/4 and theta-prime=3/4 in units of pi, and seed=0).  Angles are
 given in units of pi, e.g. ``--theta 1/4``.
 
 ``stage1`` and ``sweep stage1`` run each point through one helper that
-checks it, runs it and builds its CSV row; ``stage2`` and ``sweep
-stage2`` share another.
+runs it and builds its CSV row; ``stage2`` and ``sweep stage2`` share
+another.  The CLI checks only that a required flag is given: the
+library checks the values, and its errors exit 2 like the CLI's own.
 """
 
 from __future__ import annotations
@@ -85,13 +87,6 @@ def _resolved_seed(args) -> int:
     return seed
 
 
-def _check_probability(name, value) -> None:
-    if value is None:
-        raise CliError(f"--{name} is required")
-    if not 0.0 <= value <= 1.0:  # false for NaN too
-        raise CliError(f"--{name}={value} out of range")
-
-
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
@@ -136,11 +131,11 @@ BASELINE_CSV_COLUMNS = ["pbs_yield", "yield_ratio"]
 
 
 def _stage1_point(args, cfg: QndConfig, seed: int, p1, p2, f0) -> tuple:
-    """Check one stage-1 point and run it: (report, CSV row)."""
+    """Run one stage-1 point: (report, CSV row).  Building the source and
+    noise parameters and weighting the rows checks the point."""
     for name, value in (("p1", p1), ("p2", p2), ("f0", f0)):
-        _check_probability(name, value)
-    if p1 + p2 > 1 or p1 + p2 <= 0:
-        raise CliError("p1 + p2 must lie in (0, 1]")
+        if value is None:
+            raise CliError(f"--{name} is required")
     report = stage1_run(PdcSourceParams(p1, p2), NoiseParams(f0), cfg.variant,
                         mode=args.mode, trials=args.trials, seed=seed, cfg=cfg)
     trials = args.trials if args.mode == "mc" else None
@@ -150,15 +145,13 @@ def _stage1_point(args, cfg: QndConfig, seed: int, p1, p2, f0) -> tuple:
 
 
 def _stage2_point(args, seed: int, fidelity) -> tuple:
-    """Check one stage-2 point, iterate it and run its baseline if asked:
-    (rounds, baseline report or None, CSV rows).
+    """Iterate one stage-2 point and run its baseline if asked: (rounds,
+    baseline report or None, CSV rows).  ``stage2_iterate`` checks the point.
 
     One CSV row per round; the baseline cells are filled in round 1 only.
     """
     if fidelity is None:
         raise CliError("--F is required")
-    if not 0.5 < fidelity <= 1.0:
-        raise CliError(f"--F={fidelity} out of (1/2, 1]: the map is only purifying there")
     rounds = stage2_iterate(fidelity, args.rounds)
     base = None
     if args.baseline:
@@ -278,50 +271,56 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads; a flag that several
+    subcommands share is declared once, in a parent parser."""
     parser = argparse.ArgumentParser(
         prog="kerrpurify",
         description="Simulate two-stage entanglement purification with cross-Kerr QND detectors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", help="write the JSON document here")
+    def parent():
+        return argparse.ArgumentParser(add_help=False)
 
-    vb = sub.add_parser("verify-branches", parents=[common],
+    config = parent()
+    config.add_argument("--config", help="flat key=value config file")
+    out = parent()
+    out.add_argument("--out", help="write the JSON document here")
+    angles = parent()
+    angles.add_argument("--theta", help="override theta (units of pi, e.g. 1/4)")
+    angles.add_argument("--theta-prime", dest="theta_prime", help="override theta'")
+    variant = parent()
+    variant.add_argument("--variant", choices=["qnd1", "qnd3"])
+    sampling = parent()
+    sampling.add_argument("--mode", choices=["exact", "mc"], default="exact")
+    sampling.add_argument("--trials", type=int, default=100_000)
+    sampling.add_argument("--seed", type=int)
+    rounds = parent()
+    rounds.add_argument("--rounds", type=int, default=1)
+    rounds.add_argument("--baseline", action="store_true",
+                        help="also run the PBS parity-check baseline")
+
+    vb = sub.add_parser("verify-branches", parents=[config, angles],
                         help="check every detector against its reference transformation")
     vb.add_argument("--only", action="append",
                     help="comma-separated case ids to run (repeatable)")
-    vb.add_argument("--theta", help="override theta (units of pi, e.g. 1/4)")
-    vb.add_argument("--theta-prime", dest="theta_prime", help="override theta'")
     vb.set_defaults(func=cmd_verify_branches)
 
-    s1 = sub.add_parser("stage1", parents=[common],
+    s1 = sub.add_parser("stage1", parents=[config, out, angles, variant, sampling],
                         help="source + detector purification stage")
     s1.add_argument("--p1", type=float)
     s1.add_argument("--p2", type=float)
     s1.add_argument("--f0", type=float)
-    s1.add_argument("--variant", choices=["qnd1", "qnd3"], default=None)
-    s1.add_argument("--theta", default=None)
-    s1.add_argument("--theta-prime", dest="theta_prime", default=None)
-    s1.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    s1.add_argument("--trials", type=int, default=100_000)
     s1.add_argument("--csv", help="append a CSV row here")
     s1.set_defaults(func=cmd_stage1)
 
-    s2 = sub.add_parser("stage2", parents=[common],
+    s2 = sub.add_parser("stage2", parents=[config, out, sampling, rounds],
                         help="ideal-source purification stage with iteration")
     s2.add_argument("--F", type=float)
-    s2.add_argument("--rounds", type=int, default=1)
-    s2.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    s2.add_argument("--trials", type=int, default=100_000)
-    s2.add_argument("--baseline", action="store_true",
-                    help="also run the PBS parity-check baseline")
     s2.add_argument("--csv", help="append CSV rows here")
     s2.set_defaults(func=cmd_stage2)
 
-    sw = sub.add_parser("sweep", parents=[common],
+    sw = sub.add_parser("sweep", parents=[config, angles, variant, sampling, rounds],
                         help="cartesian parameter grid, CSV output")
     sw.add_argument("pipeline", choices=["stage1", "stage2"])
     sw.add_argument("--csv", required=True)
@@ -329,13 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--p2")
     sw.add_argument("--f0")
     sw.add_argument("--F")
-    sw.add_argument("--rounds", type=int, default=1)
-    sw.add_argument("--variant", choices=["qnd1", "qnd3"], default=None)
-    sw.add_argument("--theta", default=None)
-    sw.add_argument("--theta-prime", dest="theta_prime", default=None)
-    sw.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    sw.add_argument("--trials", type=int, default=100_000)
-    sw.add_argument("--baseline", action="store_true")
     sw.set_defaults(func=cmd_sweep)
     return parser
 

@@ -26,23 +26,19 @@ from .fock import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def pbs(state: PureState, party: Party, in_upper: Spatial = Spatial.UPPER,
-        in_lower: Spatial = Spatial.LOWER) -> PureState:
-    """Polarizing beam splitter on one party's two spatial ports.
+def pbs(state: PureState, party: Party) -> PureState:
+    """Polarizing beam splitter on one party's upper and lower ports.
 
     H-polarized photons keep their port, V-polarized photons swap
     ports.  Applying the same PBS twice is the identity.
     """
-    if in_upper == in_lower:
-        raise ValueError("PBS needs two distinct spatial ports")
-
     def route(m: ModeLabel) -> ModeLabel:
         if m.party != party or m.pol != Pol.V:
             return m
-        if m.spatial == in_upper:
-            return ModeLabel(party, in_lower, Pol.V)
-        if m.spatial == in_lower:
-            return ModeLabel(party, in_upper, Pol.V)
+        if m.spatial == Spatial.UPPER:
+            return ModeLabel(party, Spatial.LOWER, Pol.V)
+        if m.spatial == Spatial.LOWER:
+            return ModeLabel(party, Spatial.UPPER, Pol.V)
         return m
 
     return state.map_branches(lambda b: b.map_modes(route))

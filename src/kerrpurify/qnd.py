@@ -8,20 +8,25 @@ end-to-end branch map is pinned down by the transformation table in
 ``branches``; the internal layout below is one realization of those
 maps, not the only possible one.
 
-Couplings per party (Alice shown; Bob is the mirror image):
+Couplings per party, one row of ``_COUPLINGS`` per detector (Alice
+shown; Bob's media are the mirror image on his modes and his probe).
+Each medium reads (spatial port, polarization) -> shift per photon:
 
-  QND1  four Kerr media, no rerouting:
-            (upper,H) -> theta     (lower,V) -> theta
-            (upper,V) -> theta'    (lower,H) -> theta'
-  QND2  PBS-ringed pair of media with theta = pi on the two modes whose
-        joint occupancy is the polarization parity of the party's pair:
-            (upper,H) -> pi        (lower,V) -> pi
-  QND3  PBS merging the two ports first (V photons swap ports), then
-        one medium per output port:
-            upper output -> theta  (both polarizations)
-            lower output -> theta' (both polarizations)
-  QND4  parity-check layout with opposite shifts on the H components:
-            (upper,H) -> +theta    (lower,H) -> -theta
+  QND1  four media, no rerouting:
+            (upper,H) -> +theta     (lower,V) -> +theta
+            (upper,V) -> +theta'    (lower,H) -> +theta'
+  QND2  two media, theta = pi, on the modes whose joint occupancy is
+        the polarization parity of the party's two photons:
+            (upper,H) -> +theta     (lower,V) -> +theta
+  QND3  a PBS on the party's two ports first (V photons swap ports),
+        then media on both polarizations of each output port:
+            (upper,H) -> +theta     (upper,V) -> +theta
+            (lower,H) -> +theta'    (lower,V) -> +theta'
+  QND4  opposite shifts on the H components:
+            (upper,H) -> +theta     (lower,H) -> -theta
+
+QND2 and QND4 act on two single-photon pairs and reject any branch
+without one photon in each of a party's two ports.
 
 An ideal homodyne readout resolves the exact probe phase (used with
 QND1-QND3).  An X-quadrature readout cannot distinguish +phi from
@@ -131,9 +136,19 @@ def default_config(variant: Variant) -> QndConfig:
     return QndConfig(variant, PhaseTag(1, 4), theta_prime)
 
 
-def _require_variant(cfg: QndConfig, variant: Variant) -> None:
-    if cfg.variant != variant:
-        raise ConfigError(f"config is for {cfg.variant.value}, not {variant.value}")
+# The module docstring's table: each party's media per detector, as
+# (spatial port, polarization, QndConfig angle, sign).  n photons in that
+# mode shift the party's own probe by n * sign * angle.
+_COUPLINGS = {
+    Variant.QND1: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.V, "theta", 1),
+                   (Spatial.UPPER, Pol.V, "theta_prime", 1),
+                   (Spatial.LOWER, Pol.H, "theta_prime", 1)),
+    Variant.QND2: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.V, "theta", 1)),
+    Variant.QND3: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.UPPER, Pol.V, "theta", 1),
+                   (Spatial.LOWER, Pol.H, "theta_prime", 1),
+                   (Spatial.LOWER, Pol.V, "theta_prime", 1)),
+    Variant.QND4: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.H, "theta", -1)),
+}
 
 
 def _require_one_photon_per_port(state: PureState) -> None:
@@ -147,67 +162,18 @@ def _require_one_photon_per_port(state: PureState) -> None:
                     )
 
 
-def qnd1(state: PureState, cfg: QndConfig) -> PureState:
-    _require_variant(cfg, Variant.QND1)
-    media = []
-    for party in Party:
-        media += [
-            KerrMedium(ModeLabel(party, Spatial.UPPER, Pol.H), cfg.theta, party),
-            KerrMedium(ModeLabel(party, Spatial.LOWER, Pol.V), cfg.theta, party),
-            KerrMedium(ModeLabel(party, Spatial.UPPER, Pol.V), cfg.theta_prime, party),
-            KerrMedium(ModeLabel(party, Spatial.LOWER, Pol.H), cfg.theta_prime, party),
-        ]
-    return _apply_media(state, media)
-
-
-def qnd2(state: PureState, cfg: QndConfig) -> PureState:
-    _require_variant(cfg, Variant.QND2)
-    _require_one_photon_per_port(state)
-    media = []
-    for party in Party:
-        media += [
-            KerrMedium(ModeLabel(party, Spatial.UPPER, Pol.H), cfg.theta, party),
-            KerrMedium(ModeLabel(party, Spatial.LOWER, Pol.V), cfg.theta, party),
-        ]
-    return _apply_media(state, media)
-
-
-def qnd3(state: PureState, cfg: QndConfig) -> PureState:
-    _require_variant(cfg, Variant.QND3)
-    out = state
-    for party in Party:
-        out = pbs(out, party)
-        out = _apply_media(out, [
-            KerrMedium(ModeLabel(party, Spatial.UPPER, Pol.H), cfg.theta, party),
-            KerrMedium(ModeLabel(party, Spatial.UPPER, Pol.V), cfg.theta, party),
-            KerrMedium(ModeLabel(party, Spatial.LOWER, Pol.H), cfg.theta_prime, party),
-            KerrMedium(ModeLabel(party, Spatial.LOWER, Pol.V), cfg.theta_prime, party),
-        ])
-    return out
-
-
-def qnd4(state: PureState, cfg: QndConfig) -> PureState:
-    _require_variant(cfg, Variant.QND4)
-    _require_one_photon_per_port(state)
-    media = []
-    for party in Party:
-        media += [
-            KerrMedium(ModeLabel(party, Spatial.UPPER, Pol.H), cfg.theta, party),
-            KerrMedium(ModeLabel(party, Spatial.LOWER, Pol.H), -cfg.theta, party),
-        ]
-    return _apply_media(state, media)
-
-
-_DETECTORS = {
-    Variant.QND1: qnd1,
-    Variant.QND2: qnd2,
-    Variant.QND3: qnd3,
-    Variant.QND4: qnd4,
-}
-
-
 def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
-    return _DETECTORS[cfg.variant](state, cfg)
+    """Run the detector ``cfg`` names: its ``_COUPLINGS`` row for both parties."""
+    if cfg.variant in (Variant.QND2, Variant.QND4):
+        _require_one_photon_per_port(state)
+    if cfg.variant == Variant.QND3:
+        for party in Party:
+            state = pbs(state, party)
+    media = []
+    for spatial, pol, angle, sign in _COUPLINGS[cfg.variant]:
+        phase = getattr(cfg, angle) if sign > 0 else -getattr(cfg, angle)
+        media += [KerrMedium(ModeLabel(party, spatial, pol), phase, party) for party in Party]
+    return _apply_media(state, media)
 
 
 class HomodyneModel(Enum):
@@ -261,10 +227,6 @@ __all__ = [
     "apply_kerr",
     "QndConfig",
     "default_config",
-    "qnd1",
-    "qnd2",
-    "qnd3",
-    "qnd4",
     "apply_qnd",
     "HomodyneModel",
     "HomodyneOutcome",

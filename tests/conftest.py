@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kerrpurify import (
     BranchState,
@@ -18,6 +21,10 @@ ALL_PORT_MODES = tuple(
     for s in (Spatial.UPPER, Spatial.LOWER)
     for pol in Pol
 )
+
+# angles in units of pi, admissible or not: tests assume() away the
+# pairs a QndConfig rejects
+angles = st.builds(Fraction, st.integers(1, 47), st.integers(2, 24))
 
 PROBE_POOL = (
     ZERO_PHASE,

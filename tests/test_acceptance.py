@@ -19,6 +19,7 @@ from kerrpurify import (
     PhaseTag,
     Variant,
     ZERO_PHASE,
+    apply_qnd,
     default_config,
     homodyne_x,
     monte_carlo,
@@ -26,8 +27,6 @@ from kerrpurify import (
     pbs,
     pbs_baseline,
     project_probe,
-    qnd2,
-    qnd4,
     run_branch_suite,
     sigma_x,
     sigma_z,
@@ -123,7 +122,7 @@ def test_criterion_5_magnitude_readout_degradation():
         target = operator_state([(1, ((HHVV, VVHH),))])
 
         cfg4 = default_config(Variant.QND4)
-        out4 = qnd4(inp, cfg4)
+        out4 = apply_qnd(inp, cfg4)
         outcomes = {o.outcome: o for o in
                     homodyne_x(out4, Party.ALICE, HomodyneModel.MAGNITUDE_ONLY)}
         picked = outcomes[cfg4.theta.magnitude_class()]
@@ -137,7 +136,7 @@ def test_criterion_5_magnitude_readout_degradation():
         assert abs(mixture.overlap(target) - 0.5) < 1e-12
         assert abs(mixture.purity() - 0.5) < 1e-12
 
-        out2 = qnd2(inp, default_config(Variant.QND2))
+        out2 = apply_qnd(inp, default_config(Variant.QND2))
         _, after_a = project_probe(out2, Party.ALICE, ZERO_PHASE)
         _, kept = project_probe(after_a, Party.BOB, ZERO_PHASE)
         assert abs(overlap(kept, target) - 1.0) < 1e-12

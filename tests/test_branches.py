@@ -3,11 +3,13 @@
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import assume, given, settings
 
 from kerrpurify import (
     PI,
     ZERO_PHASE,
     BranchState,
+    ConfigError,
     PhaseTag,
     PureState,
     QndConfig,
@@ -28,6 +30,8 @@ from kerrpurify.branches import (
     run_branch_suite,
 )
 from kerrpurify.qnd import default_config
+
+from conftest import angles
 
 
 @pytest.mark.parametrize("case", BRANCH_CASES, ids=[c.case_id for c in BRANCH_CASES])
@@ -51,6 +55,19 @@ def test_suite_runs_all_cases():
     results = run_branch_suite()
     assert [r.case_id for r in results] == list(CASE_IDS)
     assert all(r.passed for r in results)
+
+
+@settings(max_examples=25, deadline=None)
+@given(theta=angles, theta_prime=angles)
+def test_suite_passes_at_any_admissible_angles(theta, theta_prime):
+    # every detector's coupling table reproduces its reference maps at any
+    # angles its config accepts; the opposite-shift layout runs at theta
+    try:
+        results = run_branch_suite(PhaseTag(theta), PhaseTag(theta_prime))
+    except ConfigError:
+        assume(False)
+    assert len(results) == len(CASE_IDS)
+    assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
 
 
 def test_suite_filtering():

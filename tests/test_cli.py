@@ -324,8 +324,8 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed=1\n{line}\n")
         out_file, csv_file = tmp_path / "run.json", tmp_path / "rows.csv"
-        extra = ["--out", str(out_file)] + (["--csv", str(csv_file)] if argv[0] != "verify-branches"
-                                            else [])
+        extra = ((["--out", str(out_file)] if argv[0] in ("stage1", "stage2") else [])
+                 + (["--csv", str(csv_file)] if argv[0] != "verify-branches" else []))
         code, out, err = run_cli(argv + ["--config", str(cfg)] + extra, capsys)
         assert code == 2
         assert err.startswith("error:") and repr(line.split("=")[0]) in err
@@ -397,6 +397,52 @@ class TestNonFiniteProbabilities:
         assert code == 2
         assert err.startswith("error:")
         assert not path.exists()
+
+
+class TestOutOfRangePoints:
+    # the library's parameter and config checks reach main as exit 2; a
+    # repeated flag overrides the valid point before it
+
+    @pytest.mark.parametrize("flags", [
+        ["--p1", "-0.1"],
+        ["--p1", "0.6", "--p2", "0.6"],
+        ["--p1", "0", "--p2", "0"],
+        ["--f0", "1.5"],
+    ], ids=["p1-negative", "sum-above-one", "sum-zero", "f0-above-one"])
+    @pytest.mark.parametrize("command", [["stage1"], ["sweep", "stage1"]])
+    def test_stage1_point_exits_2(self, capsys, tmp_path, command, flags):
+        valid = ["--p1", "0.1", "--p2", "0.01", "--f0", "0.8"]
+        self.assert_rejected(capsys, tmp_path, command + valid + flags)
+
+    @pytest.mark.parametrize("F", ["0.5", "1.2", "nan"])
+    @pytest.mark.parametrize("command", [["stage2"], ["sweep", "stage2"]])
+    def test_stage2_point_exits_2(self, capsys, tmp_path, command, F):
+        self.assert_rejected(capsys, tmp_path, command + ["--F", F, "--baseline"])
+
+    def assert_rejected(self, capsys, tmp_path, argv):
+        out_file, csv_file = tmp_path / "run.json", tmp_path / "rows.csv"
+        argv = argv + ["--csv", str(csv_file)]
+        if argv[0] != "sweep":
+            argv += ["--out", str(out_file)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in out + err
+        assert not out_file.exists() and not csv_file.exists()
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["verify-branches", "--out", "vb.json", "--seed", "5"],
+        ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--csv", "s.csv",
+         "--out", "s.json"],
+    ], ids=["verify-branches", "sweep"])
+    def test_unread_flags_exit_2_and_write_nothing(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUnusablePaths:

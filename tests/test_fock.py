@@ -22,13 +22,13 @@ from kerrpurify import (
     ZERO_PHASE,
     PI,
     create_photon,
+    apply_qnd,
     default_config,
     inner,
     overlap,
     probe_outcomes,
     product_state,
     project_probe,
-    qnd1,
     single_pair_state,
 )
 from kerrpurify.branches import U1, U2, U3, U4, operator_state
@@ -220,7 +220,7 @@ class TestMergeCanonical:
 class TestProjectProbe:
     def test_clean_pair_after_detector(self):
         cfg = default_config(Variant.QND1)
-        st = qnd1(single_pair_state(), cfg)
+        st = apply_qnd(single_pair_state(), cfg)
         prob, post = project_probe(st, Party.ALICE, cfg.theta)
         assert abs(prob - 0.5) < 1e-12
         # Bob's probe is still theta on every surviving branch

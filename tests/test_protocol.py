@@ -50,6 +50,8 @@ from kerrpurify.protocol import (
 from kerrpurify.qnd import default_config
 from kerrpurify.sources import TWO_PAIR_KINDS
 
+from conftest import angles
+
 
 class TestClosedForms:
     def test_reference_point(self):
@@ -164,9 +166,6 @@ def assert_reports_close(got: dict, expected: dict, tol: float) -> None:
             assert abs(got[key] - value) <= tol, key
         else:
             assert got[key] == value, key
-
-
-angles = st.builds(Fraction, st.integers(1, 47), st.integers(2, 24))
 
 
 class TestAngleIndependence:

@@ -1,5 +1,6 @@
 """Kerr primitive, detector gadget configs, homodyne readout models."""
 
+import re
 from itertools import product
 
 import pytest
@@ -21,17 +22,15 @@ from kerrpurify import (
     ZERO_PHASE,
     PI,
     apply_kerr,
+    apply_qnd,
     create_photon,
     default_config,
     homodyne_x,
     probe_outcomes,
     project_probe,
-    qnd1,
-    qnd2,
-    qnd3,
-    qnd4,
     single_pair_state,
 )
+from kerrpurify import qnd
 from kerrpurify.branches import HHHH, HHVV, VVHH, VVVV, operator_state
 
 from conftest import assert_states_equal, photon_distribution, random_pure_state
@@ -98,9 +97,21 @@ class TestConfig:
         for v in Variant:
             default_config(v)
 
-    def test_variant_mismatch(self):
-        with pytest.raises(ConfigError):
-            qnd1(single_pair_state(), default_config(Variant.QND3))
+
+class TestCouplingTable:
+    def test_module_docstring_draws_the_table(self):
+        # the docstring's rows "(port,pol) -> +-angle", read in order under
+        # each detector's heading, are that detector's _COUPLINGS entry
+        drawn = {}
+        for line in qnd.__doc__.splitlines():
+            heading = re.match(r"  (QND[1-4]) ", line)
+            if heading:
+                media = drawn.setdefault(Variant(heading.group(1).lower()), [])
+            for port, pol, sign, angle in re.findall(r"\((upper|lower),([HV])\) -> ([+-])(theta'?)",
+                                                     line):
+                media.append((Spatial[port.upper()], Pol[pol], angle.replace("'", "_prime"),
+                              1 if sign == "+" else -1))
+        assert drawn == {v: list(rows) for v, rows in qnd._COUPLINGS.items()}
 
 
 class TestParityLaw:
@@ -118,7 +129,7 @@ class TestParityLaw:
                 (Party.BOB, Spatial.LOWER, pb2),
             ]:
                 st = create_photon(st, ModeLabel(party, spatial, pol))
-            out = qnd2(st, cfg)
+            out = apply_qnd(st, cfg)
             tag_a = out.branches[0].probe[Party.ALICE]
             tag_b = out.branches[0].probe[Party.BOB]
             assert (tag_a == PI) == (pa1 == pa2)
@@ -128,13 +139,13 @@ class TestParityLaw:
 
 class TestGadgetInvariants:
     def gadget_states(self, rng):
-        yield qnd1, default_config(Variant.QND1), random_pure_state(rng)
-        yield qnd3, default_config(Variant.QND3), random_pure_state(rng)
+        yield default_config(Variant.QND1), random_pure_state(rng)
+        yield default_config(Variant.QND3), random_pure_state(rng)
 
     def test_norm_and_photons_preserved(self, rng):
         for _ in range(200):
-            for gadget, cfg, st in self.gadget_states(rng):
-                out = gadget(st, cfg)
+            for cfg, st in self.gadget_states(rng):
+                out = apply_qnd(st, cfg)
                 assert abs(out.norm_squared() - 1.0) < 1e-10
                 before = sorted(abs(b.amplitude) for b in st.branches)
                 after = sorted(abs(b.amplitude) for b in out.branches)
@@ -147,7 +158,7 @@ class TestGadgetInvariants:
     def test_occupations_untouched_without_internal_pbs(self, rng):
         for _ in range(100):
             st = random_pure_state(rng)
-            out = qnd1(st, default_config(Variant.QND1))
+            out = apply_qnd(st, default_config(Variant.QND1))
             assert [b.occupations for b in out.branches] == \
                    [b.occupations for b in st.branches]
 
@@ -159,15 +170,15 @@ class TestGadgetInvariants:
                 doubled = create_photon(
                     doubled, ModeLabel(party, Spatial.UPPER, pol)
                 )
-        for gadget, variant in ((qnd2, Variant.QND2), (qnd4, Variant.QND4)):
+        for variant in (Variant.QND2, Variant.QND4):
             with pytest.raises(OccupancyViolationError):
-                gadget(doubled, default_config(variant))
+                apply_qnd(doubled, default_config(variant))
 
 
 class TestHomodyne:
     def test_ideal_matches_project_probe(self):
         cfg = default_config(Variant.QND1)
-        st = qnd1(single_pair_state(), cfg)
+        st = apply_qnd(single_pair_state(), cfg)
         outcomes = homodyne_x(st, Party.ALICE, HomodyneModel.IDEAL)
         assert {o.outcome for o in outcomes} == set(probe_outcomes(st, Party.ALICE))
         for o in outcomes:
@@ -186,7 +197,7 @@ class TestHomodyne:
     def magnitude_outcome(self, outcome_tag):
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
         cfg = default_config(Variant.QND4)
-        out = qnd4(inp, cfg)
+        out = apply_qnd(inp, cfg)
         outcomes = {o.outcome: o for o in
                     homodyne_x(out, Party.ALICE, HomodyneModel.MAGNITUDE_ONLY)}
         return cfg, outcomes[outcome_tag]
@@ -215,7 +226,7 @@ class TestHomodyne:
         from kerrpurify import overlap
 
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
-        out = qnd2(inp, default_config(Variant.QND2))
+        out = apply_qnd(inp, default_config(Variant.QND2))
         _, after_a = project_probe(out, Party.ALICE, ZERO_PHASE)
         _, post = project_probe(after_a, Party.BOB, ZERO_PHASE)
         target = operator_state([(1, ((HHVV, VVHH),))])
