@@ -56,6 +56,7 @@ from .protocol import (
     RunReport,
     Verdict,
     enumerate_exact,
+    exact_reports,
     monte_carlo,
     pbs_baseline,
     stage1_fidelity_closed_form,

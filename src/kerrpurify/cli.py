@@ -7,14 +7,16 @@ and sweep; a subcommand rejects any flag it does not read.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error.
 
 Option precedence: explicit flags > --config file (flat key=value
-lines; the keys are those of CONFIG_KEYS, and any other key exits 2) >
-built-in defaults (the detector's angles from ``qnd.default_config``,
-theta=1/4 and theta-prime=3/4 in units of pi, and seed=0).  Angles are
-given in units of pi, e.g. ``--theta 1/4``.
+lines; the keys are those of CONFIG_KEYS that the command has a flag
+for, and any other key exits 2) > built-in defaults (the detector's
+angles from ``qnd.default_config``, theta=1/4 and theta-prime=3/4 in
+units of pi, and seed=0).  Angles are given in units of pi, e.g.
+``--theta 1/4``.
 
-``stage1`` and ``sweep stage1`` run each point through one helper that
-runs it and builds its CSV row; ``stage2`` and ``sweep stage2`` share
-another.  The CLI checks only that a required flag is given: the
+``stage1`` and ``sweep stage1`` run their grid (a command's is one
+point) through one helper that runs it and builds its CSV rows;
+``stage2`` and ``sweep stage2`` share another.  The CLI checks only that
+a required flag is given: the
 library checks the values, and its errors exit 2 like the CLI's own.
 """
 
@@ -22,17 +24,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
 from pathlib import Path
 
 from .branches import run_branch_suite
 from .fock import ConfigError, PhaseTag, SimulationError
-from .protocol import COUNT_KEYS, pbs_baseline, stage1_run, stage2_iterate, stage2_run
+from .protocol import COUNT_KEYS, exact_reports, monte_carlo, stage2_iterate
 from .qnd import QndConfig, Variant, default_config
-from .sources import NoiseParams, PdcSourceParams
 
 DEFAULTS = {"seed": "0"}
 CONFIG_KEYS = ("seed", "theta", "theta_prime", "variant")
@@ -42,8 +44,9 @@ class CliError(Exception):
     """Usage-level error: reported and mapped to exit code 2."""
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _read_config_file(path: str, keys: list) -> dict:
+    """The key=value lines of ``path``; a key outside ``keys`` exits 2."""
+    values, unknown = {}, []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -51,10 +54,12 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"config line {raw!r} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.replace("-", "_") not in CONFIG_KEYS:
-            raise CliError(f"unknown config key {key!r} in {path}; known keys: "
-                           + ", ".join(k.replace("_", "-") for k in CONFIG_KEYS))
+        if key.replace("-", "_") not in keys:
+            unknown.append(repr(key))
         values[key.replace("-", "_")] = value
+    if unknown:
+        raise CliError(f"unknown config key(s) {', '.join(unknown)} in {path}; this command "
+                       "reads: " + ", ".join(k.replace("_", "-") for k in keys))
     return values
 
 
@@ -130,42 +135,42 @@ STAGE2_CSV_HEADER = ["F", "mode", "trials", "seed", "round",
 BASELINE_CSV_COLUMNS = ["pbs_yield", "yield_ratio"]
 
 
-def _stage1_point(args, cfg: QndConfig, seed: int, p1, p2, f0) -> tuple:
-    """Run one stage-1 point: (report, CSV row).  Building the source and
-    noise parameters and weighting the rows checks the point."""
-    for name, value in (("p1", p1), ("p2", p2), ("f0", f0)):
-        if value is None:
-            raise CliError(f"--{name} is required")
-    report = stage1_run(PdcSourceParams(p1, p2), NoiseParams(f0), cfg.variant,
-                        mode=args.mode, trials=args.trials, seed=seed, cfg=cfg)
+def _reports(pipeline: str, args, seed: int, points: list):
+    """The report at each point of a grid; the library checks each point."""
+    if args.mode == "exact":
+        return exact_reports(pipeline, points)
+    return (monte_carlo(pipeline, p, args.trials, seed) for p in points)
+
+
+def _stage1_runs(args, cfg: QndConfig, seed: int, points):
+    """(report, CSV row) of each (p1, p2, f0) point of a stage-1 grid."""
+    params = [{"p1": p1, "p2": p2, "f0": f0, "variant": cfg.variant, "cfg": cfg}
+              for p1, p2, f0 in points]
     trials = args.trials if args.mode == "mc" else None
-    return report, [p1, p2, f0, cfg.variant.value, args.mode, trials, seed, report.fidelity,
-                    report.extras["closed_form_fidelity"], report.yield_fraction,
-                    *[report.counts[k] for k in COUNT_KEYS]]
+    for p, report in zip(params, _reports("stage1", args, seed, params)):
+        yield report, [p["p1"], p["p2"], p["f0"], cfg.variant.value, args.mode, trials, seed,
+                       report.fidelity, report.extras["closed_form_fidelity"],
+                       report.yield_fraction, *[report.counts[k] for k in COUNT_KEYS]]
 
 
-def _stage2_point(args, seed: int, fidelity) -> tuple:
-    """Iterate one stage-2 point and run its baseline if asked: (rounds,
-    baseline report or None, CSV rows).  ``stage2_iterate`` checks the point.
-
-    One CSV row per round; the baseline cells are filled in round 1 only.
-    """
-    if fidelity is None:
-        raise CliError("--F is required")
-    rounds = stage2_iterate(fidelity, args.rounds)
-    base = None
-    if args.baseline:
-        base = pbs_baseline(fidelity, mode=args.mode, trials=args.trials, seed=seed)
+def _stage2_runs(args, seed: int, fidelities: list):
+    """(rounds, baseline report or None, CSV rows: one per round, with the
+    baseline cells filled in round 1 only) of each point of a stage-2 grid;
+    ``stage2_iterate`` checks every point before any baseline runs."""
+    iterated = [stage2_iterate(fidelity, args.rounds) for fidelity in fidelities]
+    bases = (_reports("pbs", args, seed, [{"F": fidelity} for fidelity in fidelities])
+             if args.baseline else repeat(None))
     trials = args.trials if args.mode == "mc" else None
-    rows = []
-    for r in rounds:
-        row = [fidelity, args.mode, trials, seed,
-               r.round, r.fidelity, r.round_yield, r.cumulative_yield]
-        if base is not None:
-            ratio = r.round_yield / base.yield_fraction if base.yield_fraction else None
-            row += [base.yield_fraction, ratio] if r.round == 1 else [None, None]
-        rows.append(row)
-    return rounds, base, rows
+    for fidelity, rounds, base in zip(fidelities, iterated, bases):
+        rows = []
+        for r in rounds:
+            row = [fidelity, args.mode, trials, seed,
+                   r.round, r.fidelity, r.round_yield, r.cumulative_yield]
+            if base is not None:
+                ratio = r.round_yield / base.yield_fraction if base.yield_fraction else None
+                row += [base.yield_fraction, ratio] if r.round == 1 else [None, None]
+            rows.append(row)
+        yield rounds, base, rows
 
 
 def _stage2_csv_header(baseline: bool) -> list:
@@ -193,7 +198,11 @@ def _append_csv(path, header, rows) -> None:
 
 def cmd_stage1(args) -> int:
     cfg = _detector(args, Variant(_resolved(args, "variant") or "qnd1"))
-    report, row = _stage1_point(args, cfg, _resolved_seed(args), args.p1, args.p2, args.f0)
+    seed = _resolved_seed(args)
+    for name in ("p1", "p2", "f0"):
+        if getattr(args, name) is None:
+            raise CliError(f"--{name} is required")
+    [(report, row)] = _stage1_runs(args, cfg, seed, [(args.p1, args.p2, args.f0)])
     # the JSON params: the row's point columns, from p1 to seed, and the angles
     params = dict(zip(STAGE1_CSV_HEADER[:7], row), theta=str(cfg.theta.value),
                   theta_prime=str(cfg.theta_prime.value))
@@ -210,17 +219,16 @@ def cmd_stage1(args) -> int:
 
 def cmd_stage2(args) -> int:
     seed = _resolved_seed(args)
-    rounds, base, rows = _stage2_point(args, seed, args.F)
-    report = stage2_run(args.F, mode=args.mode, trials=args.trials, seed=seed)
+    if args.F is None:
+        raise CliError("--F is required")
+    [(rounds, base, rows)] = _stage2_runs(args, seed, [args.F])
+    [report] = _reports("stage2", args, seed, [{"F": args.F}])
     # the JSON params: the rows' point columns, from F to seed, and the options
     params = dict(zip(STAGE2_CSV_HEADER[:4], rows[0]), rounds=args.rounds,
                   baseline=bool(args.baseline))
     doc = _report_doc("stage2", params, report)
-    doc["rounds"] = [
-        {"round": r.round, "fidelity": r.fidelity, "yield": r.round_yield,
-         "cumulative_yield": r.cumulative_yield}
-        for r in rounds
-    ]
+    doc["rounds"] = [{"round": r.round, "fidelity": r.fidelity, "yield": r.round_yield,
+                      "cumulative_yield": r.cumulative_yield} for r in rounds]
     print(f"stage2 [{args.mode}] first-round fidelity={_fmt(report.fidelity)} "
           f"yield={_fmt(report.yield_fraction)}")
     for r in rounds:
@@ -249,30 +257,32 @@ def _parse_grid(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    """Every point of the cartesian grid through the command's point helper,
-    each grid parsed once; the rows go to the CSV through one open."""
+    """The cartesian grid through the command's grid helper, each grid parsed
+    once; the rows go to the CSV through one open."""
     seed = _resolved_seed(args)
     if args.pipeline == "stage1":
         if not (args.p1 and args.p2 and args.f0):
             raise CliError("sweep stage1 needs --p1, --p2 and --f0 grids")
         cfg = _detector(args, Variant(_resolved(args, "variant") or "qnd1"))
         grids = [_parse_grid(grid) for grid in (args.p1, args.p2, args.f0)]
-        rows = [_stage1_point(args, cfg, seed, *point)[1] for point in iproduct(*grids)]
+        rows = [row for _, row in _stage1_runs(args, cfg, seed, iproduct(*grids))]
         header = STAGE1_CSV_HEADER
     else:
         if not args.F:
             raise CliError("sweep stage2 needs an --F grid")
-        rows = [row for fidelity in _parse_grid(args.F)
-                for row in _stage2_point(args, seed, fidelity)[2]]
+        rows = [row for _, _, rows in _stage2_runs(args, seed, _parse_grid(args.F))
+                for row in rows]
         header = _stage2_csv_header(args.baseline)
     _append_csv(args.csv, header, rows)
     print(f"wrote {len(rows)} {args.pipeline} rows to {args.csv}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags it reads; a flag that several
-    subcommands share is declared once, in a parent parser."""
+    subcommands share is declared once, in a parent parser.  Built once per
+    process: parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="kerrpurify",
         description="Simulate two-stage entanglement purification with cross-Kerr QND detectors",
@@ -336,10 +346,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args._config_values = _read_config_file(args.config)
-        else:
-            args._config_values = {}
+        keys = [k for k in CONFIG_KEYS if k in vars(args)]
+        args._config_values = _read_config_file(args.config, keys) if args.config else {}
         return args.func(args)
     except (CliError, ConfigError, ValueError, OSError) as exc:
         # OSError: a --config, --out or --csv path that cannot be read or written

@@ -35,13 +35,15 @@ of the two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs
 each table with the function that weights its classes at a parameter
 point, so a row weighs its class weight times its own factor.
 
-Exact runs weight the rows into records (``enumerate_exact``, and the
-``*_records`` functions for each pipeline) and sum the records per
-bucket.  Monte Carlo draws one uniform per trial and inverts the
-cumulative row weights with it.  Trial t reads word t of a counter-based
-stream keyed by the seed, so any partition of the trial range aggregates
-to identical counts.  Runs draw MC_CHUNK trials at a time, so their
-memory does not grow with the trial count.
+An exact result is linear in the class weights, so ``exact_reports``
+adds each row's weight at every point of a grid in one pass over its
+table (the CLI's exact runs); the library's single-point runs sum
+records (``enumerate_exact``, the ``*_records`` functions) in the same
+order, so both agree to the bit.  Monte Carlo draws one uniform per
+trial and inverts the cumulative row weights with it.  Trial t reads
+word t of a counter-based stream keyed by the seed, so any partition of
+the trial range aggregates to identical counts.  Runs draw MC_CHUNK
+trials at a time, so their memory does not grow with the trial count.
 
 The uniform of word t is u_t = (word_t >> 11) 2**-53, and trial t draws
 row i when edge[i-1] <= u_t < edge[i].  Since u_t is a multiple of
@@ -60,7 +62,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as iproduct
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -456,28 +458,32 @@ def _two_pair_extras(baseline: bool, params: dict, counts, pairs, events) -> dic
 class Pipeline(NamedTuple):
     """How one pipeline finds its outcome rows and weights them at a point."""
 
-    table: Callable          # params -> the RowTable of the params' detector config
+    config: Callable         # params -> their detector config, checked
+    table: Callable          # detector config -> its RowTable
     class_weights: Callable  # params -> the weight of each class of that table
     extras: Callable         # (params, bucket totals, kept pairs, events) -> report extras
 
 
 PIPELINES = {
-    "stage1": Pipeline(
-        lambda p: _stage1_table(_stage1_config(p.get("variant", Variant.QND1), p.get("cfg"))),
-        _stage1_class_weights, _stage1_extras),
-    "stage2": Pipeline(lambda p: _stage2_table(_stage2_config(p.get("cfg"))),
+    "stage1": Pipeline(lambda p: _stage1_config(p.get("variant", Variant.QND1), p.get("cfg")),
+                       _stage1_table, _stage1_class_weights, _stage1_extras),
+    "stage2": Pipeline(lambda p: _stage2_config(p.get("cfg")), _stage2_table,
                        _two_pair_class_weights, functools.partial(_two_pair_extras, False)),
-    "pbs": Pipeline(lambda p: _pbs_table(), _two_pair_class_weights,
+    "pbs": Pipeline(lambda p: None, lambda cfg: _pbs_table(), _two_pair_class_weights,
                     functools.partial(_two_pair_extras, True)),
 }
 
 
-def _weighted_rows(pipeline: str, params: dict) -> tuple:
-    """(registry entry, table, weight of each row) of a pipeline at ``params``."""
+def _entry(pipeline: str) -> Pipeline:
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
-    entry = PIPELINES[pipeline]
-    table = entry.table(params)
+    return PIPELINES[pipeline]
+
+
+def _weighted_rows(pipeline: str, params: dict) -> tuple:
+    """(registry entry, table, weight of each row) of a pipeline at ``params``."""
+    entry = _entry(pipeline)
+    table = entry.table(entry.config(params))
     return entry, table, entry.class_weights(params)[table.cls] * table.factor
 
 
@@ -490,12 +496,43 @@ def _exact(pipeline: str, params: dict, records: list) -> RunReport:
         pairs += r.weight * r.kept_pairs
         if r.verdict != Verdict.DISCARDED:
             fid_sum += r.weight * r.fidelity
-    kept = counts["kept_correct"] + counts["kept_erroneous"]
+    return _exact_report(pipeline, params, list(counts.values()), fid_sum, pairs)
+
+
+def _exact_report(pipeline: str, params: dict, counts: list, fid_sum, pairs) -> RunReport:
+    """Exact report at ``params`` from its bucket totals, in COUNT_KEYS order."""
+    kept = counts[0] + counts[1]
     return RunReport(
         pipeline=pipeline, mode="exact", fidelity=fid_sum / kept if kept > 0 else None,
-        yield_fraction=kept, counts=counts,
-        extras=PIPELINES[pipeline].extras(params, list(counts.values()), pairs, 1),
+        yield_fraction=kept, counts=dict(zip(COUNT_KEYS, counts)),
+        extras=PIPELINES[pipeline].extras(params, counts, pairs, 1),
     )
+
+
+def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
+    """The exact report at each of ``points``, parameter dicts of one detector
+    config, each checked as a single run checks it.  One pass over the table
+    adds each row's weight at every point in ``_exact``'s order, so each
+    report is the single run's to the bit."""
+    entry = _entry(pipeline)
+    if not points:
+        return
+    cfg = entry.config(points[0])
+    if any(entry.config(p) != cfg for p in points):
+        raise ConfigError("the points of one grid must share one detector config")
+    table = entry.table(cfg)
+    weights = np.fromiter(map(entry.class_weights, points),
+                          np.dtype((float, int(table.cls[-1]) + 1)), len(points))
+    sums = np.zeros((len(COUNT_KEYS) + 2, len(points)))  # buckets, fidelity sum, pairs
+    for row, c, factor, b in zip(table.rows, table.cls.tolist(), table.factor.tolist(),
+                                 table.bucket.tolist()):
+        w = weights[:, c] * factor  # a zero weight, whose record is left out, adds nothing
+        sums[b] += w
+        if row.verdict != Verdict.DISCARDED:
+            sums[-2] += w * row.fidelity
+        sums[-1] += w * row.kept_pairs
+    for p, (*counts, fid_sum, pairs) in zip(points, sums.T.tolist()):
+        yield _exact_report(pipeline, p, counts, fid_sum, pairs)
 
 
 # ---------------------------------------------------------------------------

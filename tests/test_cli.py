@@ -3,6 +3,7 @@
 import builtins
 import csv
 import json
+from itertools import product as iproduct
 
 import pytest
 
@@ -192,31 +193,43 @@ class TestSweep:
         assert sorted(parsed) == sorted([p1, p2, f0])
         assert len(read_csv(path)) == 1 + 100
 
-    @pytest.mark.parametrize("point, grid", [
-        (["stage1", "--p1", "0.05", "--p2", "0.001", "--f0", "0.7", "--variant", "qnd3",
-          "--theta", "1/8", "--theta-prime", "5/8"],
-         ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.7,0.8",
-          "--variant", "qnd3", "--theta", "1/8", "--theta-prime", "5/8"]),
-        (["stage1", "--p1", "0.05", "--p2", "0.001", "--f0", "0.7", "--mode", "mc",
-          "--trials", "2000", "--seed", "4"],
-         ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.7,0.8",
-          "--mode", "mc", "--trials", "2000", "--seed", "4"]),
-        (["stage2", "--F", "0.65", "--rounds", "3", "--baseline"],
-         ["sweep", "stage2", "--F", "0.55,0.65", "--rounds", "3", "--baseline"]),
-        (["stage2", "--F", "0.65", "--rounds", "2", "--baseline", "--mode", "mc",
-          "--trials", "2000", "--seed", "4"],
-         ["sweep", "stage2", "--F", "0.55,0.65", "--rounds", "2", "--baseline", "--mode", "mc",
-          "--trials", "2000", "--seed", "4"]),
+    @pytest.mark.parametrize("grids, options", [
+        ({"--p1": ["0.02", "0.3"], "--p2": ["0", "0.001"], "--f0": ["0", "0.7", "1"]},
+         ["--variant", "qnd3", "--theta", "1/8", "--theta-prime", "5/8"]),
+        ({"--p1": ["0.02", "0.05"], "--p2": ["0.001"], "--f0": ["0.7", "0.8"]},
+         ["--mode", "mc", "--trials", "2000", "--seed", "4"]),
+        ({"--F": ["0.55", "0.65", "0.999999999", "1"]}, ["--rounds", "2", "--baseline"]),
+        ({"--F": ["0.55", "0.65"]},
+         ["--rounds", "2", "--baseline", "--mode", "mc", "--trials", "2000", "--seed", "4"]),
     ], ids=["stage1-exact", "stage1-mc", "stage2-exact", "stage2-mc"])
-    def test_sweep_rows_equal_the_command_rows(self, capsys, tmp_path, point, grid):
-        # a sweep and its command write a point through one helper
+    def test_sweep_rows_equal_the_command_rows(self, capsys, tmp_path, grids, options):
+        # one command per grid point, in grid order, writes the sweep's file
+        pipeline = "stage1" if "--p1" in grids else "stage2"
         single, swept = tmp_path / "single.csv", tmp_path / "swept.csv"
-        assert run_cli(point + ["--csv", str(single)], capsys)[0] == 0
-        assert run_cli(grid + ["--csv", str(swept)], capsys)[0] == 0
-        header, *rows = read_csv(single)
-        swept_header, *swept_rows = read_csv(swept)
-        assert swept_header == header
-        assert any(swept_rows[i:i + len(rows)] == rows for i in range(len(swept_rows)))
+        for point in iproduct(*grids.values()):
+            flags = [x for pair in zip(grids, point) for x in pair]
+            assert run_cli([pipeline] + flags + options + ["--csv", str(single)], capsys)[0] == 0
+        sweep = [x for flag, grid in grids.items() for x in (flag, ",".join(grid))]
+        assert run_cli(["sweep", pipeline] + sweep + options + ["--csv", str(swept)],
+                       capsys)[0] == 0
+        assert swept.read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8,1.5,0.9"],
+        ["sweep", "stage1", "--p1", "0.1,0.7", "--p2", "0.4", "--f0", "0.8"],
+        ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8,nan", "--mode", "mc",
+         "--trials", "100"],
+        ["sweep", "stage2", "--F", "0.8,0.5,0.9", "--rounds", "2", "--baseline"],
+    ], ids=["stage1-f0", "stage1-sum", "stage1-mc", "stage2"])
+    def test_one_invalid_point_leaves_the_csv(self, capsys, tmp_path, argv):
+        path = tmp_path / "grid.csv"
+        valid = [x.split(",")[0] for x in argv]
+        assert run_cli(valid + ["--csv", str(path)], capsys)[0] == 0
+        before = path.read_bytes()
+        code, out, err = run_cli(argv + ["--csv", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and "wrote" not in out
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("grids", [
         ["--p1", "0.6,0.02", "--p2", "0.5", "--f0", "0.8"],
@@ -331,6 +344,27 @@ class TestConfigFile:
         assert err.startswith("error:") and repr(line.split("=")[0]) in err
         assert out == "" and not out_file.exists() and not csv_file.exists()
 
+    @pytest.mark.parametrize("argv, lines", [
+        (["stage2", "--F", "0.8"], ["theta=1/8", "variant=qnd3"]),
+        (["verify-branches"], ["seed=1", "variant=qnd3"]),
+    ], ids=["stage2", "verify-branches"])
+    def test_keys_without_a_flag_in_the_command_exit_2(self, capsys, tmp_path, argv, lines):
+        # every key the command cannot read is named, not only the first
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert all(repr(line.split("=")[0]) in err for line in lines)
+
+    def test_stage2_reads_its_seed(self, capsys, tmp_path):
+        cfg, out_file = tmp_path / "run.cfg", tmp_path / "run.json"
+        cfg.write_text("seed=3\n")
+        code, _, _ = run_cli(["stage2", "--F", "0.8", "--mode", "mc", "--trials", "100",
+                              "--config", str(cfg), "--out", str(out_file)], capsys)
+        assert code == 0
+        assert json.loads(out_file.read_text())["seed"] == 3
+
     def test_known_keys_are_read(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=5\nvariant=qnd3\ntheta=1/8\ntheta_prime=5/8\n")
@@ -350,6 +384,20 @@ class TestConfigFile:
              "--config", str(cfg)], capsys
         )
         assert code == 2
+
+
+class TestParser:
+    def test_built_once_and_left_as_it_was(self, capsys, tmp_path):
+        # a cached parser must not carry one call's flags into the next
+        assert cli.build_parser() is cli.build_parser()
+        out_file = tmp_path / "run.json"
+        argv = ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--out", str(out_file)]
+        assert run_cli(argv + ["--variant", "qnd3", "--theta", "1/8", "--theta-prime", "5/8",
+                               "--mode", "mc", "--trials", "10", "--seed", "4"], capsys)[0] == 0
+        assert run_cli(argv, capsys)[0] == 0
+        params = json.loads(out_file.read_text())["params"]
+        assert (params["variant"], params["theta"], params["mode"], params["seed"]) \
+            == ("qnd1", "1/4", "exact", 0)
 
 
 class TestZeroDenominatorAngles:

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from kerrpurify import (
     Variant,
     Verdict,
     enumerate_exact,
+    exact_reports,
     monte_carlo,
     overlap,
     pbs_baseline,
@@ -559,3 +561,52 @@ class TestOutcomeTables:
         for key, total in zip(COUNT_KEYS, buckets):
             assert abs(total - sum(r.weight for r in records if r.bucket() == key)) < 1e-14
         assert abs(w @ table.pairs - sum(r.weight * r.kept_pairs for r in records)) < 1e-14
+
+
+class TestExactReports:
+    """One pass over a table gives every point the report of its single run,
+    equal as floats, not only close."""
+
+    @pytest.mark.parametrize("variant", [Variant.QND1, Variant.QND3])
+    @pytest.mark.parametrize("angles", [None, (PhaseTag(1, 8), PhaseTag(5, 8))],
+                             ids=["default", "1/8,5/8"])
+    def test_stage1_grid_equals_single_runs(self, variant, angles):
+        cfg = QndConfig(variant, *angles) if angles else None
+        points = [{"p1": p1, "p2": p2, "f0": f0, "variant": variant, "cfg": cfg}
+                  for p1, p2, f0 in iproduct((0.0, 0.1, 0.3), (0.0, 0.02), (0.0, 0.8, 1.0))
+                  if p1 + p2 > 0]
+        single = [stage1_run(PdcSourceParams(p["p1"], p["p2"]), NoiseParams(p["f0"]),
+                             variant, cfg=cfg).to_dict() for p in points]
+        assert [r.to_dict() for r in exact_reports("stage1", points)] == single
+
+    @pytest.mark.parametrize("run, pipeline", [(stage2_run, "stage2"), (pbs_baseline, "pbs")])
+    def test_two_pair_grid_equals_single_runs(self, run, pipeline):
+        grid = [1.0, 0.999999999, 0.8, 0.55, 0.3]
+        reports = exact_reports(pipeline, [{"F": F} for F in grid])
+        assert [r.to_dict() for r in reports] == [run(F).to_dict() for F in grid]
+
+    def test_empty_grid_has_no_reports(self):
+        assert list(exact_reports("stage1", [])) == []
+
+    @pytest.mark.parametrize("pipeline, bad", [
+        ("stage1", {"p1": 0.6, "p2": 0.6, "f0": 0.8}),
+        ("stage1", {"p1": 0.0, "p2": 0.0, "f0": 0.8}),
+        ("stage1", {"p1": 0.1, "p2": 0.01, "f0": float("nan")}),
+        ("stage2", {"F": 0.0}),
+        ("pbs", {"F": 1.5}),
+    ], ids=["sum-above-one", "sum-zero", "f0-nan", "stage2", "pbs"])
+    def test_an_invalid_point_raises_the_single_run_error(self, pipeline, bad):
+        good = {"F": 0.8} if pipeline != "stage1" else {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        with pytest.raises((ValueError, ConfigError)) as single:
+            enumerate_exact(pipeline, bad)
+        with pytest.raises(type(single.value)) as grid:
+            list(exact_reports(pipeline, [good, bad, good]))
+        assert str(grid.value) == str(single.value)
+
+    def test_points_of_two_configs_raise(self):
+        other = QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8))
+        point = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        with pytest.raises(ConfigError, match="one detector config"):
+            list(exact_reports("stage1", [point, dict(point, cfg=other)]))
+        with pytest.raises(ConfigError, match="one detector config"):
+            list(exact_reports("stage1", [point, dict(point, variant=Variant.QND3)]))
