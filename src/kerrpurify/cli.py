@@ -1,17 +1,19 @@
 """Command-line front end.
 
-Subcommands: verify-branches, stage1, stage2, sweep.  Results go to
-stdout as a human summary plus, with --out (stage1 and stage2), a single
-JSON document; --csv appends CSV rows.  --seed is read by stage1, stage2
-and sweep; a subcommand rejects any flag it does not read.  Exit codes:
-0 success, 1 verification failure, 2 usage or configuration error.
+Commands: verify-branches, stage1, stage2, sweep stage1 and sweep
+stage2.  Results go to stdout as a human summary plus, with --out
+(stage1 and stage2), a single JSON document; --csv appends CSV rows.
+--seed is read by every command but verify-branches; a command rejects
+any flag it does not read.  Exit codes: 0 success, 1 verification
+failure, 2 usage or configuration error.
 
 Option precedence: explicit flags > --config file (flat key=value
 lines; the keys are those of CONFIG_KEYS that the command has a flag
 for, and any other key exits 2) > built-in defaults (the detector's
 angles from ``qnd.default_config``, theta=1/4 and theta-prime=3/4 in
-units of pi, and seed=0).  Angles are given in units of pi, e.g.
-``--theta 1/4``.
+units of pi, and seed=0).  ``main`` reads the file once and fills each
+flag left unset with its value, so a command reads only its flags.
+Angles are given in units of pi, e.g. ``--theta 1/4``.
 
 ``stage1`` and ``sweep stage1`` run their grid (a command's is one
 point) through one helper that runs it and builds its CSV rows;
@@ -36,7 +38,6 @@ from .fock import ConfigError, PhaseTag, SimulationError
 from .protocol import COUNT_KEYS, exact_reports, monte_carlo, stage2_iterate
 from .qnd import QndConfig, Variant, default_config
 
-DEFAULTS = {"seed": "0"}
 CONFIG_KEYS = ("seed", "theta", "theta_prime", "variant")
 
 
@@ -63,30 +64,17 @@ def _read_config_file(path: str, keys: list) -> dict:
     return values
 
 
-def _resolved(args, key: str, cast=str):
-    """flag > config file > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    file_values = getattr(args, "_config_values", {})
-    if key in file_values:
-        return cast(file_values[key])
-    if key in DEFAULTS:
-        return cast(DEFAULTS[key])
-    return None
-
-
 def _detector(args, variant: Variant) -> QndConfig:
-    """``variant`` at the angles of flag > config file > its default angles."""
+    """``variant`` at the given angles, else at its default ones."""
     base = default_config(variant)
-    theta, theta_prime = _resolved(args, "theta"), _resolved(args, "theta_prime")
     return QndConfig(variant,
-                     base.theta if theta is None else PhaseTag.parse(theta),
-                     base.theta_prime if theta_prime is None else PhaseTag.parse(theta_prime))
+                     base.theta if args.theta is None else PhaseTag.parse(args.theta),
+                     base.theta_prime if args.theta_prime is None
+                     else PhaseTag.parse(args.theta_prime))
 
 
 def _resolved_seed(args) -> int:
-    seed = int(_resolved(args, "seed", int))
+    seed = 0 if args.seed is None else int(args.seed)
     if not 0 <= seed < 2**64:
         raise CliError(f"--seed={seed} out of range: seeds lie in [0, 2**64)")
     return seed
@@ -197,7 +185,7 @@ def _append_csv(path, header, rows) -> None:
 
 
 def cmd_stage1(args) -> int:
-    cfg = _detector(args, Variant(_resolved(args, "variant") or "qnd1"))
+    cfg = _detector(args, Variant(args.variant or "qnd1"))
     seed = _resolved_seed(args)
     for name in ("p1", "p2", "f0"):
         if getattr(args, name) is None:
@@ -263,7 +251,7 @@ def cmd_sweep(args) -> int:
     if args.pipeline == "stage1":
         if not (args.p1 and args.p2 and args.f0):
             raise CliError("sweep stage1 needs --p1, --p2 and --f0 grids")
-        cfg = _detector(args, Variant(_resolved(args, "variant") or "qnd1"))
+        cfg = _detector(args, Variant(args.variant or "qnd1"))
         grids = [_parse_grid(grid) for grid in (args.p1, args.p2, args.f0)]
         rows = [row for _, row in _stage1_runs(args, cfg, seed, iproduct(*grids))]
         header = STAGE1_CSV_HEADER
@@ -280,9 +268,10 @@ def cmd_sweep(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand takes only the flags it reads; a flag that several
-    subcommands share is declared once, in a parent parser.  Built once per
-    process: parsing leaves the parser as it was."""
+    """Each command, down to ``sweep stage1`` and ``sweep stage2``, takes
+    only the flags it reads; a flag that several commands share is declared
+    once, in a parent parser.  Built once per process: parsing leaves the
+    parser as it was."""
     parser = argparse.ArgumentParser(
         prog="kerrpurify",
         description="Simulate two-stage entanglement purification with cross-Kerr QND detectors",
@@ -330,24 +319,29 @@ def build_parser() -> argparse.ArgumentParser:
     s2.add_argument("--csv", help="append CSV rows here")
     s2.set_defaults(func=cmd_stage2)
 
-    sw = sub.add_parser("sweep", parents=[config, angles, variant, sampling, rounds],
-                        help="cartesian parameter grid, CSV output")
-    sw.add_argument("pipeline", choices=["stage1", "stage2"])
-    sw.add_argument("--csv", required=True)
-    sw.add_argument("--p1")
-    sw.add_argument("--p2")
-    sw.add_argument("--f0")
-    sw.add_argument("--F")
-    sw.set_defaults(func=cmd_sweep)
+    sweep = sub.add_parser("sweep", help="cartesian parameter grid, CSV output")
+    pipelines = sweep.add_subparsers(dest="pipeline", required=True)
+    sw1 = pipelines.add_parser("stage1", parents=[config, angles, variant, sampling],
+                               help="grids of --p1, --p2 and --f0")
+    for name in ("--p1", "--p2", "--f0"):
+        sw1.add_argument(name)
+    sw2 = pipelines.add_parser("stage2", parents=[config, sampling, rounds],
+                               help="a grid of --F")
+    sw2.add_argument("--F")
+    for leaf in (sw1, sw2):
+        leaf.add_argument("--csv", required=True)
+        leaf.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        keys = [k for k in CONFIG_KEYS if k in vars(args)]
-        args._config_values = _read_config_file(args.config, keys) if args.config else {}
+        if args.config:
+            keys = [k for k in CONFIG_KEYS if k in vars(args)]
+            for key, value in _read_config_file(args.config, keys).items():
+                if getattr(args, key) is None:
+                    setattr(args, key, value)
         return args.func(args)
     except (CliError, ConfigError, ValueError, OSError) as exc:
         # OSError: a --config, --out or --csv path that cannot be read or written

@@ -38,8 +38,9 @@ point, so a row weighs its class weight times its own factor.
 An exact result is linear in the class weights, so ``exact_reports``
 adds each row's weight at every point of a grid in one pass over its
 table (the CLI's exact runs); the library's single-point runs sum
-records (``enumerate_exact``, the ``*_records`` functions) in the same
-order, so both agree to the bit.  Monte Carlo draws one uniform per
+records (``enumerate_exact``, the ``*_records`` functions).  Both sum
+through one loop, ``_row_sums``, in table order, so they agree to the
+bit.  Monte Carlo draws one uniform per
 trial and inverts the cumulative row weights with it.  Trial t reads
 word t of a counter-based stream keyed by the seed, so any partition of
 the trial range aggregates to identical counts.  Runs draw MC_CHUNK
@@ -487,20 +488,28 @@ def _weighted_rows(pipeline: str, params: dict) -> tuple:
     return entry, table, entry.class_weights(params)[table.cls] * table.factor
 
 
+def _row_sums(weighted_rows, zero) -> list:
+    """The bucket totals in COUNT_KEYS order, fidelity sum and kept-pair sum
+    of (row, weight) pairs, each weight added in row order onto ``zero``: 0.0
+    for one run, or one zero per point of a grid, so both agree to the bit."""
+    sums = [zero] * (len(COUNT_KEYS) + 2)
+    for row, w in weighted_rows:
+        b = _BUCKET_IDS[row.bucket()]
+        sums[b] = sums[b] + w
+        if row.verdict != Verdict.DISCARDED:
+            sums[-2] = sums[-2] + w * row.fidelity
+        sums[-1] = sums[-1] + w * row.kept_pairs
+    return sums
+
+
 def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     """Exact report of a pipeline at ``params``: its records summed per bucket."""
-    counts = dict.fromkeys(COUNT_KEYS, 0.0)
-    fid_sum = pairs = 0.0
-    for r in records:
-        counts[r.bucket()] += r.weight
-        pairs += r.weight * r.kept_pairs
-        if r.verdict != Verdict.DISCARDED:
-            fid_sum += r.weight * r.fidelity
-    return _exact_report(pipeline, params, list(counts.values()), fid_sum, pairs)
+    return _exact_report(pipeline, params, _row_sums(((r, r.weight) for r in records), 0.0))
 
 
-def _exact_report(pipeline: str, params: dict, counts: list, fid_sum, pairs) -> RunReport:
-    """Exact report at ``params`` from its bucket totals, in COUNT_KEYS order."""
+def _exact_report(pipeline: str, params: dict, sums: list) -> RunReport:
+    """Exact report at ``params`` from its ``_row_sums``."""
+    *counts, fid_sum, pairs = sums
     kept = counts[0] + counts[1]
     return RunReport(
         pipeline=pipeline, mode="exact", fidelity=fid_sum / kept if kept > 0 else None,
@@ -512,8 +521,8 @@ def _exact_report(pipeline: str, params: dict, counts: list, fid_sum, pairs) -> 
 def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
     """The exact report at each of ``points``, parameter dicts of one detector
     config, each checked as a single run checks it.  One pass over the table
-    adds each row's weight at every point in ``_exact``'s order, so each
-    report is the single run's to the bit."""
+    adds each row's weight at every point, so each report is the single
+    run's to the bit."""
     entry = _entry(pipeline)
     if not points:
         return
@@ -523,16 +532,10 @@ def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
     table = entry.table(cfg)
     weights = np.fromiter(map(entry.class_weights, points),
                           np.dtype((float, int(table.cls[-1]) + 1)), len(points))
-    sums = np.zeros((len(COUNT_KEYS) + 2, len(points)))  # buckets, fidelity sum, pairs
-    for row, c, factor, b in zip(table.rows, table.cls.tolist(), table.factor.tolist(),
-                                 table.bucket.tolist()):
-        w = weights[:, c] * factor  # a zero weight, whose record is left out, adds nothing
-        sums[b] += w
-        if row.verdict != Verdict.DISCARDED:
-            sums[-2] += w * row.fidelity
-        sums[-1] += w * row.kept_pairs
-    for p, (*counts, fid_sum, pairs) in zip(points, sums.T.tolist()):
-        yield _exact_report(pipeline, p, counts, fid_sum, pairs)
+    row_weights = weights[:, table.cls] * table.factor  # a zero weight adds nothing
+    sums = _row_sums(zip(table.rows, row_weights.T), np.zeros(len(points)))
+    for p, point_sums in zip(points, np.array(sums).T.tolist()):
+        yield _exact_report(pipeline, p, point_sums)
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,17 @@ class TestSweep:
         assert code == 2
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "stage1", "--p1", "0.1", "--p2", "0.01"], "--f0"),
+        (["sweep", "stage2", "--rounds", "2"], "--F"),
+    ], ids=["stage1", "stage2"])
+    def test_missing_grid_exits_2_and_writes_no_csv(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "grid.csv"
+        code, out, err = run_cli(argv + ["--csv", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flag in err
+        assert not path.exists()
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "stage1", "--p1", ",", "--p2", "0.1", "--f0", "0.8"],
         ["sweep", "stage1", "--p1", "0.02", "--p2", ",", "--f0", "0.8"],
@@ -347,15 +358,35 @@ class TestConfigFile:
     @pytest.mark.parametrize("argv, lines", [
         (["stage2", "--F", "0.8"], ["theta=1/8", "variant=qnd3"]),
         (["verify-branches"], ["seed=1", "variant=qnd3"]),
-    ], ids=["stage2", "verify-branches"])
-    def test_keys_without_a_flag_in_the_command_exit_2(self, capsys, tmp_path, argv, lines):
+        (["sweep", "stage2", "--F", "0.8", "--csv", "s.csv"], ["theta=1/8", "variant=qnd3"]),
+    ], ids=["stage2", "verify-branches", "sweep-stage2"])
+    def test_keys_without_a_flag_in_the_command_exit_2(self, capsys, tmp_path, monkeypatch,
+                                                         argv, lines):
         # every key the command cannot read is named, not only the first
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error:")
         assert all(repr(line.split("=")[0]) in err for line in lines)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_sweep_stage1_reads_the_file_under_its_flags(self, capsys, tmp_path):
+        cfg, path = tmp_path / "run.cfg", tmp_path / "grid.csv"
+        cfg.write_text("theta=1/8\ntheta_prime=5/8\nvariant=qnd3\nseed=5\n")
+        argv = ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01,0.02", "--f0", "0.8",
+                "--mode", "mc", "--trials", "100", "--config", str(cfg), "--csv", str(path)]
+        assert run_cli(argv, capsys)[0] == 0
+        assert run_cli(argv + ["--seed", "3"], capsys)[0] == 0
+        header, *rows = read_csv(path)
+        assert [(row[header.index("variant")], row[header.index("seed")]) for row in rows] \
+            == [("qnd3", "5")] * 2 + [("qnd3", "3")] * 2
+        # the file's angles reach the detector: one it cannot build exits 2
+        cfg.write_text("theta=1/8\ntheta_prime=1/0\n")
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and "zero denominator" in err
+        assert len(read_csv(path)) == 5
 
     def test_stage2_reads_its_seed(self, capsys, tmp_path):
         cfg, out_file = tmp_path / "run.cfg", tmp_path / "run.json"
@@ -483,7 +514,9 @@ class TestFlagsPerCommand:
         ["verify-branches", "--out", "vb.json", "--seed", "5"],
         ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--csv", "s.csv",
          "--out", "s.json"],
-    ], ids=["verify-branches", "sweep"])
+        ["sweep", "stage2", "--F", "0.8", "--csv", "s.csv", "--variant", "qnd3",
+         "--theta", "1/8", "--theta-prime", "5/8"],
+    ], ids=["verify-branches", "sweep", "sweep-stage2"])
     def test_unread_flags_exit_2_and_write_nothing(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
