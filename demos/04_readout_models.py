@@ -10,7 +10,6 @@ branches identically (0 mod 2pi) and keeps their superposition.
 
 from kerrpurify import (
     EnsembleState,
-    HomodyneModel,
     Party,
     Variant,
     ZERO_PHASE,
@@ -28,15 +27,15 @@ odd_parity_target = operator_state([(1, ((HHVV, VVHH),))])
 print("Opposite-shift layout + X-quadrature readout:")
 cfg4 = default_config(Variant.QND4)
 out = apply_qnd(two_pairs, cfg4)
-for o in homodyne_x(out, Party.ALICE, HomodyneModel.MAGNITUDE_ONLY):
+for o in homodyne_x(out, Party.ALICE):
     print(f"  outcome |{o.outcome.value}pi|: probability {o.probability:.3f}, "
           f"{len(o.post_state)} mixture component(s)")
 
-picked = [o for o in homodyne_x(out, Party.ALICE, HomodyneModel.MAGNITUDE_ONLY)
+picked = [o for o in homodyne_x(out, Party.ALICE)
           if o.outcome == cfg4.theta.magnitude_class()][0]
 final = []
 for w, comp in picked.post_state.components:
-    for ob in homodyne_x(comp, Party.BOB, HomodyneModel.MAGNITUDE_ONLY):
+    for ob in homodyne_x(comp, Party.BOB):
         for w2, c2 in ob.post_state.components:
             final.append((w * ob.probability * w2, c2))
 mixture = EnsembleState.of(final)

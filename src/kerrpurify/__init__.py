@@ -32,7 +32,6 @@ from .elements import (
     sigma_z,
 )
 from .qnd import (
-    HomodyneModel,
     HomodyneOutcome,
     KerrMedium,
     QndConfig,

@@ -287,13 +287,13 @@ class CaseResult:
     detail: str = ""
 
 
-def compare_states(actual: PureState, expected: PureState, tol: float = 1e-10) -> str:
-    """Return '' if equal branch-by-branch, else a description of the first
-    mismatch in the order of the printed keys."""
+def compare_states(actual: PureState, expected: PureState) -> str:
+    """Return '' if equal branch-by-branch, amplitudes to 1e-10, else a
+    description of the first mismatch in the order of the printed keys."""
     a = {b.key(): b.amplitude for b in actual.branches}
     e = {b.key(): b.amplitude for b in expected.branches}
     mismatches = [k for k in a.keys() | e.keys()
-                  if k not in a or k not in e or abs(a[k] - e[k]) > tol]
+                  if k not in a or k not in e or abs(a[k] - e[k]) > 1e-10]
     if not mismatches:
         return ""
     key = min(mismatches, key=lambda k: (str(k[0]), str(k[1])))

@@ -7,9 +7,9 @@ stage2.  Results go to stdout as a human summary plus, with --out
 any flag it does not read.  Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error.
 
-Option precedence: explicit flags > --config file (flat key=value
-lines; the keys are those of CONFIG_KEYS that the command has a flag
-for, and any other key exits 2) > built-in defaults (the detector's
+Option precedence: explicit flags > --config file (flat key=value lines,
+each key once and with a value, of the CONFIG_KEYS the command has a
+flag for; anything else exits 2) > built-in defaults (the detector's
 angles from ``qnd.default_config``, theta=1/4 and theta-prime=3/4 in
 units of pi, and seed=0).  ``main`` reads the file once and fills each
 flag left unset with its value, so a command reads only its flags.
@@ -46,7 +46,7 @@ class CliError(Exception):
 
 
 def _read_config_file(path: str, keys: list) -> dict:
-    """The key=value lines of ``path``; a key outside ``keys`` exits 2."""
+    """The key=value lines of ``path``; an unknown or repeated key or an empty value exits 2."""
     values, unknown = {}, []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -55,9 +55,12 @@ def _read_config_file(path: str, keys: list) -> dict:
         if "=" not in line:
             raise CliError(f"config line {raw!r} is not key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.replace("-", "_") not in keys:
+        name = key.replace("-", "_")
+        if name not in keys:
             unknown.append(repr(key))
-        values[key.replace("-", "_")] = value
+        if not value or name in values:
+            raise CliError(f"config key {key!r} is {'repeated' if value else 'empty'} in {path}")
+        values[name] = value
     if unknown:
         raise CliError(f"unknown config key(s) {', '.join(unknown)} in {path}; this command "
                        "reads: " + ", ".join(k.replace("_", "-") for k in keys))
@@ -102,6 +105,8 @@ def _fmt(value) -> str:
 
 def cmd_verify_branches(args) -> int:
     only = {c for chunk in args.only for c in chunk.split(",") if c} if args.only else None
+    if only == set():
+        raise CliError("--only names no case id")
     cfg = _detector(args, Variant.QND1)
     results = run_branch_suite(theta=cfg.theta, theta_prime=cfg.theta_prime, only=only)
     width = max(len(r.case_id) for r in results)
@@ -181,6 +186,10 @@ def _append_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         if not first:
             writer.writerow(header)
+        else:  # end a last line left open, or the first row would join it
+            fh.buffer.seek(-1, io.SEEK_END)
+            if fh.buffer.read(1) not in b"\r\n":
+                fh.write(writer.dialect.lineterminator)
         writer.writerows(rows)
 
 

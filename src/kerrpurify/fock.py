@@ -286,15 +286,8 @@ class PureState:
         return self.scale(1.0 / math.sqrt(n2))
 
     def map_branches(self, fn) -> "PureState":
-        """Apply fn to each branch; fn may return one branch or a list."""
-        out = []
-        for b in self.branches:
-            r = fn(b)
-            if isinstance(r, BranchState):
-                out.append(r)
-            else:
-                out.extend(r)
-        return PureState.of(out)
+        """Apply fn, a map from branch to branch, to each branch."""
+        return PureState.of(map(fn, self.branches))
 
     def __len__(self) -> int:
         return len(self.branches)

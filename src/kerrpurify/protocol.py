@@ -37,11 +37,12 @@ point, so a row weighs its class weight times its own factor.
 
 An exact result is linear in the class weights, so ``exact_reports``
 adds each row's weight at every point of a grid in one pass over its
-table (the CLI's exact runs); the library's single-point runs sum
-records (``enumerate_exact``, the ``*_records`` functions).  Both sum
-through one loop, ``_row_sums``, in table order, so they agree to the
-bit.  Monte Carlo draws one uniform per
-trial and inverts the cumulative row weights with it.  Trial t reads
+table (the CLI's exact runs); the library's exact-only single-point runs
+(``stage1_run``, ``stage2_run``, ``pbs_baseline``) sum records
+(``enumerate_exact``, the ``*_records`` functions).  Both sum through
+one loop, ``_row_sums``, in table order, so they agree to the bit.
+Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
+per trial and inverts the cumulative row weights with it.  Trial t reads
 word t of a counter-based stream keyed by the seed, so any partition of
 the trial range aggregates to identical counts.  Runs draw MC_CHUNK
 trials at a time, so their memory does not grow with the trial count.
@@ -251,7 +252,6 @@ class PairLeaf:
     probability: float
     tag_alice: PhaseTag
     tag_bob: PhaseTag
-    flipped: bool
     state: PureState  # post-measurement, probes cleared
 
 
@@ -262,7 +262,7 @@ def single_pair_leaves(cfg: QndConfig, flipped: bool) -> tuple:
         p_a, post_a = project_probe(state, Party.ALICE, tag_a)
         for tag_b in probe_outcomes(post_a, Party.BOB):
             p_b, post = project_probe(post_a, Party.BOB, tag_b)
-            leaves.append(PairLeaf(p_a * p_b, tag_a, tag_b, flipped, post))
+            leaves.append(PairLeaf(p_a * p_b, tag_a, tag_b, post))
     leaves.sort(key=lambda l: (l.tag_alice, l.tag_bob))
     return tuple(leaves)
 
@@ -698,32 +698,18 @@ def stage2_monte_carlo(fidelity: float, cfg: QndConfig | None = None,
     return monte_carlo("stage2", {"F": fidelity, "cfg": cfg}, trials, seed)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "mc"):
-        raise ConfigError(f"unknown mode {mode!r}")
-
-
 def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
-               mode: str = "exact", trials: int = 100_000, seed: int = 0,
                cfg: QndConfig | None = None) -> RunReport:
-    _check_mode(mode)
-    if mode == "mc":
-        return stage1_monte_carlo(src, noise, variant, cfg, trials, seed)
+    """Exact report of one stage-1 emission event."""
     return _exact("stage1", _stage1_params(src, noise, variant, cfg),
                   stage1_records(src, noise, variant, cfg))
 
 
-def stage2_run(fidelity: float, mode: str = "exact", trials: int = 100_000,
-               seed: int = 0, cfg: QndConfig | None = None) -> RunReport:
-    _check_mode(mode)
-    if mode == "mc":
-        return stage2_monte_carlo(fidelity, cfg, trials, seed)
+def stage2_run(fidelity: float, cfg: QndConfig | None = None) -> RunReport:
+    """Exact report of one stage-2 purification round."""
     return _exact("stage2", {"F": fidelity}, stage2_records(fidelity, cfg))
 
 
-def pbs_baseline(fidelity: float, mode: str = "exact", trials: int = 100_000,
-                 seed: int = 0) -> RunReport:
-    _check_mode(mode)
-    if mode == "mc":
-        return monte_carlo("pbs", {"F": fidelity}, trials, seed)
+def pbs_baseline(fidelity: float) -> RunReport:
+    """Exact report of one PBS parity-check baseline round."""
     return _exact("pbs", {"F": fidelity}, pbs_records(fidelity))

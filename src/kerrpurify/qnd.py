@@ -28,11 +28,12 @@ Each medium reads (spatial port, polarization) -> shift per photon:
 QND2 and QND4 act on two single-photon pairs and reject any branch
 without one photon in each of a party's two ports.
 
-An ideal homodyne readout resolves the exact probe phase (used with
-QND1-QND3).  An X-quadrature readout cannot distinguish +phi from
--phi: the two tags fall in one outcome class, and postselecting that
-class leaves a *mixture* of the +phi and -phi branch groups, never
-their superposition.  That coarse-graining is what makes QND4 strictly
+Each probe is read out by homodyning it.  ``fock.project_probe`` is the
+exact-phase readout (used with QND1-QND3).  ``homodyne_x`` is the
+X-quadrature readout, which cannot distinguish +phi from -phi: the two
+tags fall in one outcome class, and postselecting that class leaves a
+*mixture* of the +phi and -phi branch groups, never their
+superposition.  That coarse-graining is what makes QND4 strictly
 weaker than QND2 for keeping the odd-parity component.
 """
 
@@ -57,6 +58,7 @@ from .fock import (
     PI,
     ZERO_PHASE,
     probe_outcomes,
+    project_probe,
 )
 
 
@@ -176,11 +178,6 @@ def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
     return _apply_media(state, media)
 
 
-class HomodyneModel(Enum):
-    IDEAL = "ideal"
-    MAGNITUDE_ONLY = "magnitude_only"
-
-
 @dataclass(frozen=True)
 class HomodyneOutcome:
     outcome: PhaseTag
@@ -188,35 +185,22 @@ class HomodyneOutcome:
     post_state: EnsembleState
 
 
-def homodyne_x(state: PureState, party: Party,
-               model: HomodyneModel = HomodyneModel.IDEAL) -> list:
-    """Enumerate the homodyne outcome classes for one party's probe.
+def homodyne_x(state: PureState, party: Party) -> list:
+    """Enumerate the X-quadrature outcome classes of one party's probe.
 
-    IDEAL resolves the exact phase tag; the post-state of each outcome
-    is pure.  MAGNITUDE_ONLY groups +phi with -phi; within one outcome
-    class the branch groups with different exact tags decohere, so the
-    post-state is an ensemble with one component per surviving tag.
-    The measured probe register resets to 0 either way.
+    The readout cannot tell +phi from -phi, so each outcome is a
+    ``magnitude_class`` of the exact tags.  Within a class the branch
+    groups of different tags decohere: the post-state is an ensemble with
+    one component per tag, the ``project_probe`` state of that tag at
+    weight p_tag / p_class.  The measured probe register resets to 0.
     """
-    groups: dict[PhaseTag, dict[PhaseTag, list]] = {}
-    for b in state.branches:
-        tag = b.probe[party]
-        cls = tag if model == HomodyneModel.IDEAL else tag.magnitude_class()
-        groups.setdefault(cls, {}).setdefault(tag, []).append(b)
-
+    classes: dict[PhaseTag, list] = {}
+    for tag, prob in probe_outcomes(state, party).items():
+        classes.setdefault(tag.magnitude_class(), []).append((tag, prob))
     outcomes = []
-    for cls in sorted(groups):
-        by_tag = groups[cls]
-        cls_prob = sum(
-            abs(b.amplitude) ** 2 for branches in by_tag.values() for b in branches
-        )
-        comps = []
-        for tag in sorted(by_tag):
-            comp = PureState.of(
-                b.with_probe(party, ZERO_PHASE) for b in by_tag[tag]
-            )
-            w = comp.norm_squared() / cls_prob
-            comps.append((w, comp.normalize()))
+    for cls, tags in sorted(classes.items()):
+        cls_prob = sum(prob for _, prob in tags)
+        comps = [(prob / cls_prob, project_probe(state, party, tag)[1]) for tag, prob in tags]
         outcomes.append(HomodyneOutcome(cls, cls_prob, EnsembleState.of(comps)))
     return outcomes
 
@@ -228,7 +212,6 @@ __all__ = [
     "QndConfig",
     "default_config",
     "apply_qnd",
-    "HomodyneModel",
     "HomodyneOutcome",
     "homodyne_x",
     "probe_outcomes",

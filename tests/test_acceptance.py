@@ -12,7 +12,6 @@ import numpy as np
 
 from kerrpurify import (
     EnsembleState,
-    HomodyneModel,
     NoiseParams,
     Party,
     PdcSourceParams,
@@ -124,12 +123,12 @@ def test_criterion_5_magnitude_readout_degradation():
         cfg4 = default_config(Variant.QND4)
         out4 = apply_qnd(inp, cfg4)
         outcomes = {o.outcome: o for o in
-                    homodyne_x(out4, Party.ALICE, HomodyneModel.MAGNITUDE_ONLY)}
+                    homodyne_x(out4, Party.ALICE)}
         picked = outcomes[cfg4.theta.magnitude_class()]
         assert abs(picked.probability - 0.5) < 1e-12
         final = []
         for w, comp in picked.post_state.components:
-            for ob in homodyne_x(comp, Party.BOB, HomodyneModel.MAGNITUDE_ONLY):
+            for ob in homodyne_x(comp, Party.BOB):
                 for w2, c2 in ob.post_state.components:
                     final.append((w * ob.probability * w2, c2))
         mixture = EnsembleState.of(final)

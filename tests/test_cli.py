@@ -39,6 +39,13 @@ class TestVerifyBranches:
         assert code == 2
         assert "unknown case ids" in err
 
+    @pytest.mark.parametrize("only", [[""], [","], [",", ""]], ids=["empty", "comma", "both"])
+    def test_only_without_a_case_id_exits_2(self, capsys, only):
+        argv = ["verify-branches"] + [arg for value in only for arg in ("--only", value)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--only" in err
+
     def test_equal_angles_exit_2(self, capsys):
         code, _, err = run_cli(
             ["verify-branches", "--theta", "1/4", "--theta-prime", "1/4"], capsys
@@ -272,6 +279,24 @@ class TestSweep:
         assert code == 2
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.8"],
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+        ["sweep", "stage2", "--F", "0.6,0.8", "--rounds", "2", "--baseline"],
+        ["stage2", "--F", "0.8", "--rounds", "2"],
+    ], ids=["sweep-stage1", "stage1", "sweep-stage2", "stage2"])
+    @pytest.mark.parametrize("cut", ["\r\n", "\n"])
+    def test_append_ends_an_open_last_line(self, capsys, tmp_path, argv, cut):
+        # a last line that lost its line end is ended before the new rows
+        path = tmp_path / "rows.csv"
+        assert run_cli(argv + ["--csv", str(path)], capsys)[0] == 0
+        path.write_bytes(path.read_bytes().removesuffix(cut.encode()))
+        assert run_cli(argv + ["--csv", str(path)], capsys)[0] == 0
+        header, *rows = read_csv(path)
+        assert rows and len(rows) % 2 == 0
+        assert all(len(row) == len(header) for row in rows)
+        assert rows[:len(rows) // 2] == rows[len(rows) // 2:]
+
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "stage1", "--p1", "0.1", "--p2", "0.01"], "--f0"),
         (["sweep", "stage2", "--rounds", "2"], "--F"),
@@ -370,6 +395,24 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err.startswith("error:")
         assert all(repr(line.split("=")[0]) in err for line in lines)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("lines, word", [
+        (["seed=1", "seed=2"], "repeated"),
+        (["theta_prime=5/8", "theta=1/8", "theta-prime=3/8"], "repeated"),
+        (["variant="], "empty"),
+        (["seed = "], "empty"),
+    ], ids=["seed-twice", "theta-prime-two-spellings", "empty-variant", "empty-seed"])
+    def test_repeated_or_empty_key_exits_2_and_writes_nothing(self, capsys, tmp_path,
+                                                             monkeypatch, lines, word):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8",
+                                  "--config", str(cfg), "--out", "run.json",
+                                  "--csv", "rows.csv"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and word in err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_sweep_stage1_reads_the_file_under_its_flags(self, capsys, tmp_path):

@@ -342,6 +342,23 @@ class TestMonteCarlo:
                         20_000, seed=11)
         assert a.counts == b.counts
 
+    @pytest.mark.parametrize("variant, cfg", [
+        (Variant.QND1, None),
+        (Variant.QND3, QndConfig(Variant.QND3, PhaseTag(1, 8), PhaseTag(5, 8))),
+    ], ids=["qnd1-default", "qnd3-1/8-5/8"])
+    def test_stage1_wrapper_equals_monte_carlo(self, variant, cfg):
+        params = {"p1": 0.1, "p2": 0.02, "f0": 0.8, "variant": variant, "cfg": cfg}
+        report = protocol.stage1_monte_carlo(PdcSourceParams(0.1, 0.02), NoiseParams(0.8),
+                                             variant, cfg, trials=30_000, seed=4)
+        assert report.to_dict() == monte_carlo("stage1", params, 30_000, 4).to_dict()
+
+    def test_stage2_wrapper_equals_monte_carlo(self):
+        # the wrapper's defaults: the qnd2 detector, 100000 trials, seed 0
+        assert protocol.stage2_monte_carlo(0.8).to_dict() \
+            == monte_carlo("stage2", {"F": 0.8}, 100_000, 0).to_dict()
+        report = protocol.stage2_monte_carlo(0.7, default_config(Variant.QND2), 30_000, 9)
+        assert report.to_dict() == monte_carlo("stage2", {"F": 0.7}, 30_000, 9).to_dict()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):

@@ -1,4 +1,4 @@
-"""Kerr primitive, detector gadget configs, homodyne readout models."""
+"""Kerr primitive, detector gadget configs, X-quadrature homodyne readout."""
 
 import re
 from itertools import product
@@ -8,7 +8,6 @@ import pytest
 from kerrpurify import (
     ConfigError,
     EnsembleState,
-    HomodyneModel,
     KerrMedium,
     ModeLabel,
     OccupancyViolationError,
@@ -28,7 +27,6 @@ from kerrpurify import (
     homodyne_x,
     probe_outcomes,
     project_probe,
-    single_pair_state,
 )
 from kerrpurify import qnd
 from kerrpurify.branches import HHHH, HHVV, VVHH, VVVV, operator_state
@@ -176,30 +174,40 @@ class TestGadgetInvariants:
 
 
 class TestHomodyne:
-    def test_ideal_matches_project_probe(self):
-        cfg = default_config(Variant.QND1)
-        st = apply_qnd(single_pair_state(), cfg)
-        outcomes = homodyne_x(st, Party.ALICE, HomodyneModel.IDEAL)
-        assert {o.outcome for o in outcomes} == set(probe_outcomes(st, Party.ALICE))
-        for o in outcomes:
-            prob, post = project_probe(st, Party.ALICE, o.outcome)
-            assert abs(o.probability - prob) < 1e-12
-            assert len(o.post_state) == 1
-            assert_states_equal(o.post_state.components[0][1], post)
+    def test_components_are_project_probe_states(self, rng):
+        # each class holds the project_probe state of each of its tags,
+        # weighted by the tag's share of the class probability
+        two_tag_classes = 0
+        for _ in range(200):
+            st = random_pure_state(rng)
+            for party in Party:
+                probs = probe_outcomes(st, party)
+                outcomes = homodyne_x(st, party)
+                assert [o.outcome for o in outcomes] == \
+                    sorted({tag.magnitude_class() for tag in probs})
+                for o in outcomes:
+                    tags = [tag for tag in probs if tag.magnitude_class() == o.outcome]
+                    two_tag_classes += len(tags) == 2
+                    assert abs(o.probability - sum(probs[tag] for tag in tags)) < 1e-12
+                    assert len(o.post_state) == len(tags)
+                    for tag, (w, comp) in zip(tags, o.post_state.components):
+                        prob, post = project_probe(st, party, tag)
+                        assert abs(w - prob / o.probability) < 1e-12
+                        assert_states_equal(comp, post)
+        assert two_tag_classes > 0
 
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(200):
             st = random_pure_state(rng)
-            for model in HomodyneModel:
-                outs = homodyne_x(st, Party.BOB, model)
-                assert abs(sum(o.probability for o in outs) - 1.0) < 1e-10
+            outs = homodyne_x(st, Party.BOB)
+            assert abs(sum(o.probability for o in outs) - 1.0) < 1e-10
 
     def magnitude_outcome(self, outcome_tag):
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
         cfg = default_config(Variant.QND4)
         out = apply_qnd(inp, cfg)
         outcomes = {o.outcome: o for o in
-                    homodyne_x(out, Party.ALICE, HomodyneModel.MAGNITUDE_ONLY)}
+                    homodyne_x(out, Party.ALICE)}
         return cfg, outcomes[outcome_tag]
 
     def test_magnitude_class_is_mixture(self):
@@ -208,7 +216,7 @@ class TestHomodyne:
         # finish with Bob's readout; each component is already tag-definite
         final = []
         for w, comp in o.post_state.components:
-            for ob in homodyne_x(comp, Party.BOB, HomodyneModel.MAGNITUDE_ONLY):
+            for ob in homodyne_x(comp, Party.BOB):
                 for w2, c2 in ob.post_state.components:
                     final.append((w * ob.probability * w2, c2))
         ens = EnsembleState.of(final)
