@@ -316,14 +316,17 @@ def run_branch_case(case: BranchCase, cfg: QndConfig | None = None) -> CaseResul
 def run_branch_suite(theta: PhaseTag | None = None,
                      theta_prime: PhaseTag | None = None,
                      only=None) -> list:
-    """Run the transformation suite, optionally restricted to some case ids.
+    """Run the transformation suite, or only the case ids ``only`` names;
+    an empty selection raises ValueError like an unknown case id.
 
     theta/theta_prime override the defaults of the one- and two-Kerr
     detectors (the parity gadget keeps its fixed pi, the opposite-shift
     layout uses theta).  The configs are built before any case runs, so
     angles that make any of them invalid raise whatever ``only`` selects.
     """
-    if only:
+    if only is not None:
+        if not only:
+            raise ValueError("only names no case id; pass None to run every case")
         unknown = set(only) - set(CASE_IDS)
         if unknown:
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
@@ -332,4 +335,4 @@ def run_branch_suite(theta: PhaseTag | None = None,
         cfgs[v] = QndConfig(v, theta or cfgs[v].theta, theta_prime or cfgs[v].theta_prime)
     cfgs[Variant.QND4] = QndConfig(Variant.QND4, theta or cfgs[Variant.QND4].theta)
     return [run_branch_case(case, cfgs[case.variant]) for case in BRANCH_CASES
-            if not only or case.case_id in only]
+            if only is None or case.case_id in only]

@@ -29,6 +29,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from itertools import product as iproduct, repeat
 from pathlib import Path
@@ -85,10 +86,22 @@ def _resolved_seed(args) -> int:
 
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
+    path = Path(out) if out else None
+    if path is None:
         print(text)
+    elif path.is_symlink() or path.exists() and not path.is_file():
+        path.write_text(text + "\n")  # a link, FIFO or device is written through
+    else:
+        # a regular file is written beside itself, then renamed over with its
+        # old mode: a failed run leaves the old file whole
+        tmp = Path(f"{out}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text + "\n")
+            if path.exists():
+                os.chmod(tmp, path.stat().st_mode & 0o7777)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _report_doc(command: str, params: dict, report) -> dict:

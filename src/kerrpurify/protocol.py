@@ -33,7 +33,10 @@ its probability within an event class: a clean or flipped single pair
 or a double emission with its two flips (stage 1), or a Bell-kind pair
 of the two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs
 each table with the function that weights its classes at a parameter
-point, so a row weighs its class weight times its own factor.
+point, so a row weighs its class weight times its own factor.  Stage-1
+tables reuse the angle-free steps: the two cached source states, and
+``_classify_pair``, which couples and classifies each probe-free pair
+state once per process (an LRU cache of PAIR_CACHE_SIZE states).
 
 An exact result is linear in the class weights, so ``exact_reports``
 adds each row's weight at every point of a grid in one pass over its
@@ -212,6 +215,7 @@ def stage2_iterate(f0: float, rounds: int) -> list:
 # ---------------------------------------------------------------------------
 
 TABLE_CACHE_SIZE = 64
+PAIR_CACHE_SIZE = 32  # bounds _classify_pair; stage 1 meets 12 keys at any angles
 
 _BUCKET_IDS = {k: i for i, k in enumerate(COUNT_KEYS)}
 
@@ -267,10 +271,6 @@ def single_pair_leaves(cfg: QndConfig, flipped: bool) -> tuple:
     return tuple(leaves)
 
 
-def _couple_pair(state: PureState) -> PureState:
-    return coupler(coupler(state, Party.ALICE), Party.BOB)
-
-
 def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
     if fid_phi > 1.0 - _FID_TOL:
         return Verdict.KEPT_CORRECT
@@ -281,14 +281,20 @@ def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
     )
 
 
+@functools.lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _classify_pair(state: PureState, flip: bool) -> tuple:
+    """(coupled state, phi+ fidelity, verdict) of a projected pair that Alice
+    bit-flips first when ``flip``: a probe-free key, shared by all angles."""
+    if flip:
+        state = sigma_x(state, Party.ALICE)
+    final = coupler(coupler(state, Party.ALICE), Party.BOB)
+    fid = overlap(final, PHI_PLUS_MERGED)
+    return final, fid, _verdict(fid, overlap(final, PSI_PLUS_MERGED))
+
+
 def _order1_row(leaf: PairLeaf) -> OutcomeRecord:
     """A single emission, always kept: Alice flips when the readings differ."""
-    st = leaf.state
-    if leaf.tag_alice != leaf.tag_bob:
-        st = sigma_x(st, Party.ALICE)
-    final = _couple_pair(st)
-    fid = overlap(final, PHI_PLUS_MERGED)
-    verdict = _verdict(fid, overlap(final, PSI_PLUS_MERGED))
+    final, fid, verdict = _classify_pair(leaf.state, leaf.tag_alice != leaf.tag_bob)
     return OutcomeRecord(leaf.tag_alice, leaf.tag_bob, verdict, final, leaf.probability,
                          fid, order=1, kept_pairs=1)
 
@@ -304,14 +310,10 @@ def _order2_row(l1: PairLeaf, l2: PairLeaf, keep_tag: PhaseTag) -> OutcomeRecord
     if tag_a != tag_b or tag_a != keep_tag:
         return OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, weight, order=2,
                              same_port_keep=tag_a == tag_b)
-    finals = [_couple_pair(l.state) for l in (l1, l2)]
-    fids = [overlap(f, PHI_PLUS_MERGED) for f in finals]
-    verdicts = [_verdict(f, overlap(final, PSI_PLUS_MERGED))
-                for f, final in zip(fids, finals)]
-    if verdicts[0] != verdicts[1]:
+    (final, fid, verdict), (_, _, verdict2) = (_classify_pair(l.state, False) for l in (l1, l2))
+    if verdict != verdict2:
         raise SimulationError("the two kept pairs disagree on correctness")
-    return OutcomeRecord(tag_a, tag_b, verdicts[0], finals[0], weight, fids[0],
-                         order=2, kept_pairs=2)
+    return OutcomeRecord(tag_a, tag_b, verdict, final, weight, fid, order=2, kept_pairs=2)
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)

@@ -28,6 +28,11 @@ Each medium reads (spatial port, polarization) -> shift per photon:
 QND2 and QND4 act on two single-photon pairs and reject any branch
 without one photon in each of a party's two ports.
 
+The angles reach a state only through these probe shifts, so
+``apply_qnd`` sums each branch's signed photon counts per (party, angle)
+from ``_SLOTS`` (compiled once per process) and builds one shifted probe
+pair per distinct (probes, counts) key, not one tag step per medium.
+
 Each probe is read out by homodyning it.  ``fock.project_probe`` is the
 exact-phase readout (used with QND1-QND3).  ``homodyne_x`` is the
 X-quadrature readout, which cannot distinguish +phi from -phi: the two
@@ -80,22 +85,12 @@ class KerrMedium:
 
 def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
     """Shift the probe by n * phase for the n photons in the signal mode."""
-    return _apply_media(state, (medium,))
-
-
-def _apply_media(state: PureState, media) -> PureState:
-    """Apply a stack of Kerr media in one pass over the branches.
-
-    The media only shift probe phases, so each branch takes the sum of
-    its shifts at once, and the state is put in canonical form once.
-    """
     def shift(b):
-        occ = dict(b.occupations)
+        n = b.occupation(medium.signal_mode)
+        if not n:
+            return b
         probe = list(b.probe)
-        for medium in media:
-            n = occ.get(medium.signal_mode)
-            if n:
-                probe[medium.probe_party] += medium.phase_per_photon * n
+        probe[medium.probe_party] += medium.phase_per_photon * n
         return BranchState(b.occupations, b.amplitude, tuple(probe))
 
     return state.map_branches(shift)
@@ -152,6 +147,13 @@ _COUPLINGS = {
     Variant.QND4: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.H, "theta", -1)),
 }
 
+# _COUPLINGS compiled once per detector: signal mode -> (slot, sign), where
+# slot 2 * party + (0 for theta, 1 for theta') counts the photons that
+# shift that party's probe by sign * that angle.
+_SLOTS = {v: {ModeLabel(party, spatial, pol): (2 * party + (angle == "theta_prime"), sign)
+              for spatial, pol, angle, sign in row for party in Party}
+          for v, row in _COUPLINGS.items()}
+
 
 def _require_one_photon_per_port(state: PureState) -> None:
     """Two single-photon pairs: one photon in each party's upper and lower port."""
@@ -171,11 +173,24 @@ def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
     if cfg.variant == Variant.QND3:
         for party in Party:
             state = pbs(state, party)
-    media = []
-    for spatial, pol, angle, sign in _COUPLINGS[cfg.variant]:
-        phase = getattr(cfg, angle) if sign > 0 else -getattr(cfg, angle)
-        media += [KerrMedium(ModeLabel(party, spatial, pol), phase, party) for party in Party]
-    return _apply_media(state, media)
+    slots, angles = _SLOTS[cfg.variant], (cfg.theta, cfg.theta_prime) * 2
+    shifted = {}  # (probes, counts) -> shifted probes; about half the branches repeat a key
+
+    def shift(b):
+        counts = [0, 0, 0, 0]
+        for m, n in b.occupations:
+            slot, sign = slots.get(m, (0, 0))
+            counts[slot] += sign * n
+        key = (b.probe, tuple(counts))
+        if key not in shifted:
+            probe = list(b.probe)
+            for slot, n in enumerate(counts):
+                if n:
+                    probe[slot // 2] += angles[slot] * n
+            shifted[key] = tuple(probe)
+        return BranchState(b.occupations, b.amplitude, shifted[key])
+
+    return state.map_branches(shift)
 
 
 @dataclass(frozen=True)

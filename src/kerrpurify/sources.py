@@ -13,6 +13,7 @@ states involved are symmetric under which side flips).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,7 @@ def pair_emission_terms(flipped: bool = False) -> list:
     return terms
 
 
+@functools.cache  # two values, immutable: every caller shares them
 def single_pair_state(flipped: bool = False) -> PureState:
     """Normalized one-pair emission (four branches, amplitude 1/2)."""
     branches = []

@@ -26,6 +26,13 @@ ALL_PORT_MODES = tuple(
 # pairs a QndConfig rejects
 angles = st.builds(Fraction, st.integers(1, 47), st.integers(2, 24))
 
+def random_angle_pair(rng) -> tuple:
+    """Two angles (p/q)*pi with q in [4, 64] from a ``random.Random``,
+    admissible or not."""
+    return tuple(PhaseTag(rng.randrange(1, 2 * q), q)
+                 for q in (rng.randint(4, 64), rng.randint(4, 64)))
+
+
 PROBE_POOL = (
     ZERO_PHASE,
     PhaseTag(1, 4),

@@ -77,6 +77,13 @@ def test_suite_filtering():
         run_branch_suite(only={"nonexistent-case"})
 
 
+@pytest.mark.parametrize("only", [[], "", set(), ()], ids=["list", "str", "set", "tuple"])
+def test_empty_selection_raises(only):
+    # an empty selection is not "no selection": it must not run all 14 cases
+    with pytest.raises(ValueError, match="no case id"):
+        run_branch_suite(only=only)
+
+
 def test_compare_states_reports_mismatch():
     case = BRANCH_CASES[0]
     cfg = default_config(case.variant)

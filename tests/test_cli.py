@@ -3,6 +3,9 @@
 import builtins
 import csv
 import json
+import os
+import stat
+import threading
 from itertools import product as iproduct
 
 import pytest
@@ -567,6 +570,68 @@ class TestFlagsPerCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestOutFile:
+    ARGS = ["stage2", "--F", "0.8"]
+
+    def test_rewrite_replaces_the_file_and_leaves_no_temp(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text("old\n")
+        assert run_cli(self.ARGS + ["--out", str(path)], capsys)[0] == 0
+        assert json.loads(path.read_text())["pipeline"] == "stage2"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("failure", ["mid-write", "rename"])
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp(self, capsys, tmp_path,
+                                                              monkeypatch, failure):
+        path = tmp_path / "run.json"
+        path.write_text("old\n")
+        if failure == "mid-write":
+            write_text = cli.Path.write_text
+
+            def killed(self, text, *args, **kwargs):
+                write_text(self, text[:len(text) // 2], *args, **kwargs)
+                raise OSError("killed mid-write")
+
+            monkeypatch.setattr(cli.Path, "write_text", killed)
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+
+            monkeypatch.setattr(cli.os, "replace", refuse)
+        code, _, err = run_cli(self.ARGS + ["--out", str(path)], capsys)
+        assert code == 2 and err.startswith("error:")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_rewrite_keeps_the_file_mode(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        assert run_cli(self.ARGS + ["--out", str(path)], capsys)[0] == 0
+        assert path.stat().st_mode & 0o777 == 0o600
+
+    def test_symlink_is_written_through(self, capsys, tmp_path):
+        target, link = tmp_path / "run.json", tmp_path / "link.json"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run_cli(self.ARGS + ["--out", str(link)], capsys)[0] == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["pipeline"] == "stage2"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "run.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_written_through(self, capsys, tmp_path):
+        fifo, got = tmp_path / "pipe", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code = run_cli(self.ARGS + ["--out", str(fifo)], capsys)[0]
+        reader.join(timeout=10)
+        assert code == 0 and stat.S_ISFIFO(fifo.stat().st_mode)
+        assert json.loads(got[0])["pipeline"] == "stage2"
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 class TestUnusablePaths:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
@@ -52,7 +53,7 @@ from kerrpurify.protocol import (
 from kerrpurify.qnd import default_config
 from kerrpurify.sources import TWO_PAIR_KINDS
 
-from conftest import angles
+from conftest import angles, random_angle_pair
 
 
 class TestClosedForms:
@@ -480,6 +481,43 @@ def _reports() -> dict:
         "stage2": stage2_run(0.8).to_dict(),
         "pbs": pbs_baseline(0.8).to_dict(),
     }
+
+
+class TestPairCache:
+    @staticmethod
+    def fresh_configs(count: int, seed: int) -> list:
+        rng, configs = random.Random(seed), []
+        while len(configs) < count:
+            theta, theta_prime = random_angle_pair(rng)
+            try:
+                cfg = QndConfig(rng.choice((Variant.QND1, Variant.QND3)), theta, theta_prime)
+            except ConfigError:
+                continue
+            if cfg not in configs and cfg != default_config(cfg.variant):
+                configs.append(cfg)
+        return configs
+
+    def test_fresh_configs_share_few_entries_and_equal_cold_builds(self):
+        # a projected pair holds no probe phase, so stage-1 tables at 50 fresh
+        # angle pairs fill only a handful of entries; every table and report
+        # built warm is, repr for repr, the one built with the cache cleared
+        def build(cfg):
+            report = stage1_run(SRC, NOISE, cfg.variant, cfg=cfg).to_dict()
+            return repr(_stage1_table(cfg).rows), report
+
+        configs = self.fresh_configs(50, seed=17)
+        protocol._classify_pair.cache_clear()
+        _stage1_table.cache_clear()
+        warm = [build(cfg) for cfg in configs]
+        info = protocol._classify_pair.cache_info()
+        assert info.currsize <= 16 and info.currsize <= info.maxsize
+        assert info.hits > info.misses
+        cold = []
+        for cfg in configs:
+            protocol._classify_pair.cache_clear()
+            _stage1_table.cache_clear()
+            cold.append(build(cfg))
+        assert warm == cold
 
 
 class TestOutcomeTables:

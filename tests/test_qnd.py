@@ -1,8 +1,10 @@
 """Kerr primitive, detector gadget configs, X-quadrature homodyne readout."""
 
+import random
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 from kerrpurify import (
@@ -25,13 +27,16 @@ from kerrpurify import (
     create_photon,
     default_config,
     homodyne_x,
+    pbs,
     probe_outcomes,
     project_probe,
+    single_pair_state,
 )
 from kerrpurify import qnd
-from kerrpurify.branches import HHHH, HHVV, VVHH, VVVV, operator_state
+from kerrpurify.branches import BRANCH_CASES, HHHH, HHVV, VVHH, VVVV, operator_state
 
-from conftest import assert_states_equal, photon_distribution, random_pure_state
+from conftest import (assert_states_equal, photon_distribution, random_angle_pair,
+                      random_pure_state)
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
 THETA = PhaseTag(1, 4)
@@ -110,6 +115,67 @@ class TestCouplingTable:
                 media.append((Spatial[port.upper()], Pol[pol], angle.replace("'", "_prime"),
                               1 if sign == "+" else -1))
         assert drawn == {v: list(rows) for v, rows in qnd._COUPLINGS.items()}
+
+
+def _per_medium_apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
+    """Reference detector: after qnd3's PBS, one ``apply_kerr`` (a PhaseTag
+    multiply and add per branch) for each _COUPLINGS medium."""
+    if cfg.variant in (Variant.QND2, Variant.QND4) and any(
+            b.photons(party=party, spatial=spatial) != 1 for b in state.branches
+            for party in Party for spatial in (Spatial.UPPER, Spatial.LOWER)):
+        raise OccupancyViolationError("one photon per port")
+    if cfg.variant == Variant.QND3:
+        state = pbs(pbs(state, Party.ALICE), Party.BOB)
+    for spatial, pol, angle, sign in qnd._COUPLINGS[cfg.variant]:
+        phase = getattr(cfg, angle) if sign > 0 else -getattr(cfg, angle)
+        for party in Party:
+            state = apply_kerr(state, KerrMedium(ModeLabel(party, spatial, pol), phase, party))
+    return state
+
+
+def _admissible_angle_pairs(count: int, seed: int) -> list:
+    """``count`` distinct angle pairs that qnd1, qnd3 and qnd4 all accept."""
+    rng, pairs = random.Random(seed), []
+    while len(pairs) < count:
+        theta, theta_prime = random_angle_pair(rng)
+        try:
+            for variant in (Variant.QND1, Variant.QND3):
+                QndConfig(variant, theta, theta_prime)
+            QndConfig(Variant.QND4, theta)
+        except ConfigError:
+            continue
+        if (theta, theta_prime) not in pairs:
+            pairs.append((theta, theta_prime))
+    return pairs
+
+
+class TestCountingDetector:
+    def test_equals_one_tag_step_per_medium(self):
+        # apply_qnd sums photon counts per (party, angle) and builds each
+        # shifted probe pair once; the result must be the per-medium one,
+        # repr for repr, and a rejected input must be rejected by both
+        rng = np.random.default_rng(3)
+        inputs = ([case.input_state() for case in BRANCH_CASES]
+                  + [single_pair_state(flipped) for flipped in (False, True)]
+                  + [random_pure_state(rng) for _ in range(8)])  # nonzero probes too
+
+        def outcome(detector, state, cfg):
+            try:
+                return repr(detector(state, cfg))
+            except OccupancyViolationError:
+                return "rejected"
+
+        pairs = _admissible_angle_pairs(40, seed=11)
+        configs = [default_config(Variant.QND2)] + [
+            cfg for theta, theta_prime in pairs
+            for cfg in (QndConfig(Variant.QND1, theta, theta_prime),
+                        QndConfig(Variant.QND3, theta, theta_prime),
+                        QndConfig(Variant.QND4, theta))]
+        for cfg in configs:
+            for state in inputs:
+                assert (outcome(apply_qnd, state, cfg)
+                        == outcome(_per_medium_apply_qnd, state, cfg)), (cfg, state)
+        assert any(outcome(apply_qnd, s, configs[-1]) == "rejected" for s in inputs)
 
 
 class TestParityLaw:
