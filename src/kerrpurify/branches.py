@@ -290,20 +290,21 @@ class CaseResult:
 def compare_states(actual: PureState, expected: PureState) -> str:
     """Return '' if equal branch-by-branch, amplitudes to 1e-10, else a
     description of the first mismatch in the order of the printed keys."""
-    a = {b.key(): b.amplitude for b in actual.branches}
-    e = {b.key(): b.amplitude for b in expected.branches}
-    mismatches = [k for k in a.keys() | e.keys()
-                  if k not in a or k not in e or abs(a[k] - e[k]) > 1e-10]
+    want = {b.key(): b for b in expected.branches}
+    pairs = [(b, want.pop(b.key(), None)) for b in actual.branches]
+    mismatches = [(str((got or exp).occupations), str((got or exp).probe), got, exp)
+                  for got, exp in pairs + [(None, b) for b in want.values()]
+                  if got is None or exp is None or abs(got.amplitude - exp.amplitude) > 1e-10]
     if not mismatches:
         return ""
-    key = min(mismatches, key=lambda k: (str(k[0]), str(k[1])))
-    occ, probe = key
+    *_, got, exp = min(mismatches, key=lambda m: m[:2])
+    occ, probe = (got or exp).occupations, (got or exp).probe
     label = f"branch {dict(occ)} probes ({probe[0]}, {probe[1]})"
-    if key not in a:
-        return f"missing {label} (expected amplitude {e[key]:.6g})"
-    if key not in e:
-        return f"unexpected {label} (amplitude {a[key]:.6g})"
-    return f"{label}: amplitude {a[key]:.12g}, expected {e[key]:.12g}"
+    if got is None:
+        return f"missing {label} (expected amplitude {exp.amplitude:.6g})"
+    if exp is None:
+        return f"unexpected {label} (amplitude {got.amplitude:.6g})"
+    return f"{label}: amplitude {got.amplitude:.12g}, expected {exp.amplitude:.12g}"
 
 
 def run_branch_case(case: BranchCase, cfg: QndConfig | None = None) -> CaseResult:

@@ -12,6 +12,8 @@ Core representation used by every other module:
   pair (num, den) with 0 <= num < 2*den: arithmetic is integer
   arithmetic plus one gcd, equality compares the two ints, and the hash
   is computed once, when the tag is built.
+- A branch has one key: its occupations and its probes' four ints (num,
+  den).  ``PureState.of`` merges and sorts on it; ``inner`` matches on it.
 - Optical modes are labeled by (party, spatial port, polarization), a
   tuple of three int enums; at most 12 distinct modes ever occur.
 
@@ -203,12 +205,10 @@ class BranchState:
         return BranchState(_canonical_occupations(occupations), complex(amplitude), tuple(probe))
 
     def key(self):
-        return (self.occupations, self.probe)
-
-    def sort_key(self):
-        """Occupations, then each probe's (num, den) pair."""
+        """Occupations, then each probe's reduced num and den, in one flat
+        tuple of ints: it hashes and orders in C."""
         a, b = self.probe
-        return (self.occupations, (a.num, a.den, b.num, b.den))
+        return (self.occupations, a.num, a.den, b.num, b.den)
 
     def occupation(self, m: ModeLabel) -> int:
         for mm, n in self.occupations:
@@ -255,13 +255,10 @@ class PureState:
         merged: dict = {}
         for b in branches:
             k = b.key()
-            if k in merged:
-                merged[k] = merged[k].with_amplitude(merged[k].amplitude + b.amplitude)
-            else:
-                merged[k] = b
-        kept = [b for b in merged.values() if abs(b.amplitude) >= PRUNE_TOL]
-        kept.sort(key=BranchState.sort_key)
-        return PureState(tuple(kept))
+            old = merged.get(k)
+            merged[k] = b if old is None else old.with_amplitude(old.amplitude + b.amplitude)
+        return PureState(tuple(merged[k] for k in sorted(merged)
+                               if abs(merged[k].amplitude) >= PRUNE_TOL))
 
     @staticmethod
     def vacuum() -> "PureState":

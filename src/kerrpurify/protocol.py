@@ -27,8 +27,9 @@ halves the yield at identical fidelity.
 
 Outcomes depend on the parameters (p1, p2, f0 or F) only through
 their weights.  Each pipeline therefore enumerates its branch tree once
-per detector config into an immutable table of outcome rows (an LRU
-cache of TABLE_CACHE_SIZE configs; one table for PBS).  A row carries
+per detector config into an immutable table of outcome rows: an LRU
+cache of TABLE_CACHE_SIZE stage-1 configs, and one table each for stage
+2, whose pi parity detector takes no config, and for PBS.  A row carries
 its probability within an event class: a clean or flipped single pair
 or a double emission with its two flips (stage 1), or a Bell-kind pair
 of the two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs
@@ -259,16 +260,17 @@ class PairLeaf:
     state: PureState  # post-measurement, probes cleared
 
 
-def single_pair_leaves(cfg: QndConfig, flipped: bool) -> tuple:
-    state = apply_qnd(single_pair_state(flipped), cfg)
-    leaves = []
+def _readings(state: PureState) -> Iterator[tuple]:
+    """(probability, Alice's tag, Bob's tag, post-state) per joint readout, in tag order."""
     for tag_a in probe_outcomes(state, Party.ALICE):
         p_a, post_a = project_probe(state, Party.ALICE, tag_a)
         for tag_b in probe_outcomes(post_a, Party.BOB):
             p_b, post = project_probe(post_a, Party.BOB, tag_b)
-            leaves.append(PairLeaf(p_a * p_b, tag_a, tag_b, post))
-    leaves.sort(key=lambda l: (l.tag_alice, l.tag_bob))
-    return tuple(leaves)
+            yield p_a * p_b, tag_a, tag_b, post
+
+
+def single_pair_leaves(cfg: QndConfig, flipped: bool) -> tuple:
+    return tuple(PairLeaf(*r) for r in _readings(apply_qnd(single_pair_state(flipped), cfg)))
 
 
 def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
@@ -349,24 +351,21 @@ def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:
     return rows
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _stage2_table(cfg: QndConfig) -> RowTable:
-    """Stage-2 rows under ``cfg``; the classes are ``TWO_PAIR_KINDS``."""
+@functools.lru_cache(maxsize=1)
+def _stage2_table() -> RowTable:
+    """Stage-2 rows of the pi parity detector; the classes are ``TWO_PAIR_KINDS``."""
     classes = []
     for kinds in TWO_PAIR_KINDS:
-        st = apply_qnd(two_pair_state(*kinds), cfg)
         rows = []
-        for tag_a in probe_outcomes(st, Party.ALICE):
-            p_a, post_a = project_probe(st, Party.ALICE, tag_a)
-            for tag_b in probe_outcomes(post_a, Party.BOB):
-                p_b, post = project_probe(post_a, Party.BOB, tag_b)
-                if tag_a != tag_b:
-                    rows.append(OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, p_a * p_b))
-                    continue
-                if tag_a == ZERO_PHASE:
-                    post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
-                    post = sigma_x(post, Party.BOB, {Spatial.UPPER})
-                rows += _kept_pair_rows(post, p_a * p_b, tag_a, tag_b)
+        for p, tag_a, tag_b, post in _readings(apply_qnd(two_pair_state(*kinds),
+                                                         default_config(Variant.QND2))):
+            if tag_a != tag_b:
+                rows.append(OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, p))
+                continue
+            if tag_a == ZERO_PHASE:
+                post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
+                post = sigma_x(post, Party.BOB, {Spatial.UPPER})
+            rows += _kept_pair_rows(post, p, tag_a, tag_b)
         classes.append(rows)
     return _row_table(classes)
 
@@ -436,13 +435,6 @@ def _stage1_extras(params: dict, counts: list, pairs, events) -> dict:
     }
 
 
-def _stage2_config(cfg: QndConfig | None) -> QndConfig:
-    cfg = cfg or default_config(Variant.QND2)
-    if cfg.variant != Variant.QND2:
-        raise ConfigError("stage 2 runs with the qnd2 detector")
-    return cfg
-
-
 def _two_pair_class_weights(params: dict) -> np.ndarray:
     """Weights of the ``TWO_PAIR_KINDS`` classes of the stage-2 and PBS tables."""
     return np.array(two_pair_weights(params["F"]))
@@ -461,31 +453,40 @@ def _two_pair_extras(baseline: bool, params: dict, counts, pairs, events) -> dic
 class Pipeline(NamedTuple):
     """How one pipeline finds its outcome rows and weights them at a point."""
 
-    config: Callable         # params -> their detector config, checked
-    table: Callable          # detector config -> its RowTable
+    keys: frozenset          # the parameter keys it reads; any other raises
+    config: Callable         # params -> their detector config, checked; None: stage 2, PBS
+    table: Callable          # detector config -> its RowTable; stage 2 and PBS have one
     class_weights: Callable  # params -> the weight of each class of that table
     extras: Callable         # (params, bucket totals, kept pairs, events) -> report extras
 
 
 PIPELINES = {
-    "stage1": Pipeline(lambda p: _stage1_config(p.get("variant", Variant.QND1), p.get("cfg")),
+    "stage1": Pipeline(frozenset({"p1", "p2", "f0", "variant", "cfg"}),
+                       lambda p: _stage1_config(p.get("variant", Variant.QND1), p.get("cfg")),
                        _stage1_table, _stage1_class_weights, _stage1_extras),
-    "stage2": Pipeline(lambda p: _stage2_config(p.get("cfg")), _stage2_table,
+    "stage2": Pipeline(frozenset({"F"}), lambda p: None, lambda cfg: _stage2_table(),
                        _two_pair_class_weights, functools.partial(_two_pair_extras, False)),
-    "pbs": Pipeline(lambda p: None, lambda cfg: _pbs_table(), _two_pair_class_weights,
-                    functools.partial(_two_pair_extras, True)),
+    "pbs": Pipeline(frozenset({"F"}), lambda p: None, lambda cfg: _pbs_table(),
+                    _two_pair_class_weights, functools.partial(_two_pair_extras, True)),
 }
 
 
-def _entry(pipeline: str) -> Pipeline:
+def _entry(pipeline: str, points) -> Pipeline:
+    """The registry entry of ``pipeline``; each of ``points`` holds only its keys."""
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
-    return PIPELINES[pipeline]
+    entry = PIPELINES[pipeline]
+    for p in points:
+        if not entry.keys.issuperset(p):
+            unknown = ", ".join(repr(k) for k in p if k not in entry.keys)
+            raise ConfigError(f"unknown parameter(s) {unknown} for {pipeline}; it reads: "
+                              + ", ".join(sorted(entry.keys)))
+    return entry
 
 
 def _weighted_rows(pipeline: str, params: dict) -> tuple:
     """(registry entry, table, weight of each row) of a pipeline at ``params``."""
-    entry = _entry(pipeline)
+    entry = _entry(pipeline, [params])
     table = entry.table(entry.config(params))
     return entry, table, entry.class_weights(params)[table.cls] * table.factor
 
@@ -525,7 +526,7 @@ def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
     config, each checked as a single run checks it.  One pass over the table
     adds each row's weight at every point, so each report is the single
     run's to the bit."""
-    entry = _entry(pipeline)
+    entry = _entry(pipeline, points)
     if not points:
         return
     cfg = entry.config(points[0])
@@ -677,9 +678,9 @@ def stage1_records(src: PdcSourceParams, noise: NoiseParams,
     return enumerate_exact("stage1", _stage1_params(src, noise, variant, cfg))
 
 
-def stage2_records(fidelity: float, cfg: QndConfig | None = None) -> list:
+def stage2_records(fidelity: float) -> list:
     """Exhaustive outcome enumeration of one stage-2 purification round."""
-    return enumerate_exact("stage2", {"F": fidelity, "cfg": cfg})
+    return enumerate_exact("stage2", {"F": fidelity})
 
 
 def pbs_records(fidelity: float) -> list:
@@ -694,10 +695,9 @@ def stage1_monte_carlo(src: PdcSourceParams, noise: NoiseParams, variant=Variant
     return monte_carlo("stage1", _stage1_params(src, noise, variant, cfg), trials, seed)
 
 
-def stage2_monte_carlo(fidelity: float, cfg: QndConfig | None = None,
-                       trials: int = 100_000, seed: int = 0) -> RunReport:
+def stage2_monte_carlo(fidelity: float, trials: int = 100_000, seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of one stage-2 round."""
-    return monte_carlo("stage2", {"F": fidelity, "cfg": cfg}, trials, seed)
+    return monte_carlo("stage2", {"F": fidelity}, trials, seed)
 
 
 def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
@@ -707,9 +707,9 @@ def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
                   stage1_records(src, noise, variant, cfg))
 
 
-def stage2_run(fidelity: float, cfg: QndConfig | None = None) -> RunReport:
+def stage2_run(fidelity: float) -> RunReport:
     """Exact report of one stage-2 purification round."""
-    return _exact("stage2", {"F": fidelity}, stage2_records(fidelity, cfg))
+    return _exact("stage2", {"F": fidelity}, stage2_records(fidelity))
 
 
 def pbs_baseline(fidelity: float) -> RunReport:

@@ -116,6 +116,8 @@ class QndConfig:
                 raise ConfigError(
                     "phase classes {0, t, t', 2t, 2t', t+t'} must be pairwise distinct mod 2*pi"
                 )
+        elif tp is not None:
+            raise ConfigError(f"{self.variant.value} reads no theta_prime")
         elif self.variant == Variant.QND2:
             if t != PI:
                 raise ConfigError("qnd2 requires theta = pi exactly")

@@ -92,6 +92,23 @@ def test_compare_states_reports_mismatch():
     assert detail != ""
 
 
+def test_compare_states_prints_the_first_mismatch_with_its_tags():
+    # branches are matched on their integer key, but each message names the
+    # first mismatch in printed order, with its occupations and probe tags
+    tags = "probes (PhaseTag(1/4*pi), PhaseTag(1/4*pi))"
+    state = BRANCH_CASES[0].expected_state(default_config(Variant.QND1))
+    first_dropped = PureState(state.branches[1:])
+    last_negated = PureState(state.branches[:-1]
+                             + (state.branches[-1].with_amplitude(-0.5),))
+    assert compare_states(state, first_dropped) \
+        == f"unexpected branch {{a1H: 1, b1H: 1}} {tags} (amplitude 0.5+0j)"
+    assert compare_states(first_dropped, state) \
+        == f"missing branch {{a1H: 1, b1H: 1}} {tags} (expected amplitude 0.5+0j)"
+    assert compare_states(last_negated, state) \
+        == f"branch {{a2V: 1, b2V: 1}} {tags}: amplitude -0.5+0j, expected 0.5+0j"
+    assert compare_states(state, state) == ""
+
+
 def _create_photon_chain(entries) -> PureState:
     """``operator_state`` built with one ``create_photon`` call per mode."""
     branches = []

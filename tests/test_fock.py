@@ -217,6 +217,32 @@ class TestMergeCanonical:
             assert reversed_build == st
 
 
+class TestOneBranchKey:
+    # a tag is reduced when built, so branches whose tags are equal but built
+    # differently have one key: PureState.of merges them and inner matches them
+    ALIKE = (PhaseTag(2, 8), PhaseTag(9, 4), PhaseTag(Fraction(-7, 4)), PhaseTag(1, 4))
+
+    def test_equal_tags_built_differently_merge(self):
+        merged = PureState.of(BranchState.of({A1H: 1}, 0.25, (t, PhaseTag(9, 4)))
+                              for t in self.ALIKE)
+        assert len(merged) == 1
+        assert merged.branches[0].amplitude == 1.0
+        assert merged.branches[0].key() == (((A1H, 1),), 1, 4, 1, 4)
+
+    def test_equal_tags_built_differently_match_in_inner(self):
+        ref = PureState.of([BranchState.of({A1H: 1}, 1.0, (PhaseTag(1, 4), ZERO_PHASE))])
+        for t in self.ALIKE:
+            st = PureState.of([BranchState.of({A1H: 1}, 1.0, (t, PhaseTag(4, 2)))])
+            assert inner(st, ref) == 1.0
+        shifted = PureState.of([BranchState.of({A1H: 1}, 1.0, (PhaseTag(3, 4), ZERO_PHASE))])
+        assert inner(shifted, ref) == 0
+
+    def test_branches_are_ordered_by_their_key(self, rng):
+        for _ in range(100):
+            keys = [b.key() for b in random_pure_state(rng).branches]
+            assert keys == sorted(set(keys))
+
+
 class TestProjectProbe:
     def test_clean_pair_after_detector(self):
         cfg = default_config(Variant.QND1)

@@ -190,6 +190,23 @@ class TestAngleIndependence:
         assert reports[0] == reports[1]
 
 
+class TestSinglePairLeaves:
+    def test_leaves_come_in_tag_order_at_fresh_angles(self):
+        # the two probes are read in tag order, so the leaves need no sort
+        rng, pairs = random.Random(29), 0
+        while pairs < 24:
+            angle_pair = random_angle_pair(rng)
+            try:
+                cfgs = [QndConfig(v, *angle_pair) for v in (Variant.QND1, Variant.QND3)]
+            except ConfigError:
+                continue
+            pairs += 1
+            for cfg, flipped in iproduct(cfgs, (False, True)):
+                leaves = protocol.single_pair_leaves(cfg, flipped)
+                tags = [(leaf.tag_alice, leaf.tag_bob) for leaf in leaves]
+                assert tags == sorted(tags) and len(set(tags)) == len(tags) == 2
+
+
 class TestStage2Exact:
     def test_reference_point(self):
         report = stage2_run(0.8)
@@ -354,10 +371,10 @@ class TestMonteCarlo:
         assert report.to_dict() == monte_carlo("stage1", params, 30_000, 4).to_dict()
 
     def test_stage2_wrapper_equals_monte_carlo(self):
-        # the wrapper's defaults: the qnd2 detector, 100000 trials, seed 0
+        # the wrapper's defaults: 100000 trials, seed 0
         assert protocol.stage2_monte_carlo(0.8).to_dict() \
             == monte_carlo("stage2", {"F": 0.8}, 100_000, 0).to_dict()
-        report = protocol.stage2_monte_carlo(0.7, default_config(Variant.QND2), 30_000, 9)
+        report = protocol.stage2_monte_carlo(0.7, 30_000, 9)
         assert report.to_dict() == monte_carlo("stage2", {"F": 0.7}, 30_000, 9).to_dict()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -567,7 +584,7 @@ class TestOutcomeTables:
                     ("psi+", "psi+"): Verdict.KEPT_ERRONEOUS,
                     ("phi+", "psi+"): Verdict.DISCARDED,
                     ("psi+", "phi+"): Verdict.DISCARDED}
-        for table in (_stage2_table(default_config(Variant.QND2)), _pbs_table()):
+        for table in (_stage2_table(), _pbs_table()):
             kept_rows = table.bucket < 2
             for c, kinds in enumerate(TWO_PAIR_KINDS):
                 kept = {COUNT_KEYS[b] for b in table.bucket[(table.cls == c) & kept_rows]}
@@ -657,6 +674,37 @@ class TestExactReports:
         with pytest.raises(type(single.value)) as grid:
             list(exact_reports(pipeline, [good, bad, good]))
         assert str(grid.value) == str(single.value)
+
+    @pytest.mark.parametrize("pipeline, key, value", [
+        ("stage1", "varaint", "qnd3"),
+        ("stage1", "F", 0.8),
+        ("stage2", "cfg", default_config(Variant.QND2)),
+        ("stage2", "f0", 0.8),
+        ("pbs", "cfg", default_config(Variant.QND4)),
+        ("pbs", "variant", "qnd1"),
+    ])
+    def test_a_key_the_pipeline_does_not_read_raises(self, pipeline, key, value):
+        # a misspelt or stale key must not fall back to a default silently;
+        # a grid is checked at every point before its first report
+        good = {"F": 0.8} if pipeline != "stage1" else {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        bad = dict(good, **{key: value})
+        for run in (lambda: monte_carlo(pipeline, bad, 1000, 1),
+                    lambda: enumerate_exact(pipeline, bad),
+                    lambda: next(exact_reports(pipeline, [bad])),
+                    lambda: next(exact_reports(pipeline, [good, good, bad]))):
+            with pytest.raises(ConfigError, match=f"unknown parameter.*'{key}'.*{pipeline}"):
+                run()
+
+    def test_stage2_and_pbs_have_one_table_each(self):
+        for table in (_stage2_table, _pbs_table):
+            table.cache_clear()
+        for F in (0.6, 0.8):
+            for pipeline in ("stage2", "pbs"):
+                enumerate_exact(pipeline, {"F": F})
+                monte_carlo(pipeline, {"F": F}, 1000, 1)
+        for table in (_stage2_table, _pbs_table):
+            info = table.cache_info()
+            assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
 
     def test_points_of_two_configs_raise(self):
         other = QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8))

@@ -92,6 +92,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             QndConfig(Variant.QND2, PhaseTag(1, 2))
 
+    @pytest.mark.parametrize("variant, theta", [(Variant.QND2, PI), (Variant.QND4, THETA)],
+                             ids=["qnd2", "qnd4"])
+    @pytest.mark.parametrize("theta_prime", [PhaseTag(1, 3), PhaseTag(3, 4)], ids=["1/3", "3/4"])
+    def test_single_angle_detectors_reject_theta_prime(self, variant, theta, theta_prime):
+        # no medium of qnd2 or qnd4 reads theta': a config that set it would
+        # be a second name, and a second cached table, for one detector
+        with pytest.raises(ConfigError, match="theta_prime"):
+            QndConfig(variant, theta, theta_prime)
+
     def test_opposite_shift_detector_rejects_pi(self):
         with pytest.raises(ConfigError):
             QndConfig(Variant.QND4, PI)
