@@ -5,47 +5,23 @@ amplitudes, probe phase tags) that a detector must produce for one
 physically meaningful input class: single emitted pairs with and
 without a transmission bit flip, double emissions with zero, one or
 two flipped pairs, the four two-pair Bell products through the
-parity-check detector, and the opposite-shift parity layout.
-
-States are written as sums of products of creation-term groups; the
-builder expands the polynomial and applies creation operators with
-bosonic factors, so input and expectation share one convention.
+parity-check detector, and the opposite-shift parity layout.  Inputs
+and expectations are ``sources.operator_state`` polynomials over the
+source's pair terms.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 
-from .fock import (
-    BranchState,
-    ModeLabel,
-    Party,
-    PhaseTag,
-    Pol,
-    PureState,
-    Spatial,
-    ZERO_PHASE,
-    PI,
-)
+from .fock import ModeLabel, Party, PhaseTag, Pol, PureState, Spatial, ZERO_PHASE, PI
 from .qnd import QndConfig, Variant, apply_qnd, default_config
-
-A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
-A1V = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.V)
-A2H = ModeLabel(Party.ALICE, Spatial.LOWER, Pol.H)
-A2V = ModeLabel(Party.ALICE, Spatial.LOWER, Pol.V)
-B1H = ModeLabel(Party.BOB, Spatial.UPPER, Pol.H)
-B1V = ModeLabel(Party.BOB, Spatial.UPPER, Pol.V)
-B2H = ModeLabel(Party.BOB, Spatial.LOWER, Pol.H)
-B2V = ModeLabel(Party.BOB, Spatial.LOWER, Pol.V)
-
-# one-pair creation terms: clean (U*) and with Bob's photon flipped (F*)
-U1, U2, U3, U4 = (A1H, B1H), (A1V, B1V), (A2H, B2H), (A2V, B2V)
-F1, F2, F3, F4 = (A1V, B1H), (A1H, B1V), (A2V, B2H), (A2H, B2V)
-CLEAN = (U1, U2, U3, U4)
-FLIPPED = (F1, F2, F3, F4)
+from .sources import (
+    A1H, A1V, A2H, A2V, B1H, B1V, B2H, B2V,
+    CLEAN, FLIPPED, U1, U2, U3, U4, F1, F2, F3, F4,
+    operator_state,
+)
 
 # output-port terms of the two-Kerr detector acting on a flipped pair
 G1, G2, G3, G4 = (A1V, B2H), (A1H, B2V), (A2V, B1H), (A2H, B1V)
@@ -78,30 +54,6 @@ VHVH = _pol4(V, H, V, H)
 VHHV = _pol4(V, H, H, V)
 HVVH = _pol4(H, V, V, H)
 HVHV = _pol4(H, V, H, V)
-
-
-def operator_state(entries) -> PureState:
-    """Build sum_k coeff_k * prod(group sums) |0>, normalized.
-
-    entries: (coeff, groups[, (tag_a, tag_b)]) with groups a sequence
-    of term lists; every term is a tuple of modes to create.  Modes are
-    created in order, each multiplying the amplitude by the bosonic
-    sqrt(n+1), as a chain of ``create_photon`` calls would.
-    """
-    branches = []
-    for entry in entries:
-        coeff, groups = entry[0], entry[1]
-        probe = tuple(entry[2]) if len(entry) > 2 else (ZERO_PHASE, ZERO_PHASE)
-        for combo in iproduct(*groups):
-            occ: dict = {}
-            amplitude = complex(coeff)
-            for term in combo:
-                for m in term:
-                    n = occ.get(m, 0)
-                    occ[m] = n + 1
-                    amplitude *= math.sqrt(n + 1)
-            branches.append(BranchState(tuple(sorted(occ.items())), amplitude, probe))
-    return PureState.of(branches).normalize()
 
 
 def _tags(cfg: QndConfig):

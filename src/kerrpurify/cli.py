@@ -3,9 +3,10 @@
 Commands: verify-branches, stage1, stage2, sweep stage1 and sweep
 stage2.  Results go to stdout as a human summary plus, with --out
 (stage1 and stage2), a single JSON document; --csv appends CSV rows.
---seed is read by every command but verify-branches; a command rejects
-any flag it does not read.  Exit codes: 0 success, 1 verification
-failure, 2 usage or configuration error.
+--seed is read by every command but verify-branches, and --trials only
+with --mode mc; a command rejects any flag it does not read.  Exit
+codes: 0 success, 1 verification failure, 2 usage or configuration
+error.
 
 Option precedence: explicit flags > --config file (flat key=value lines,
 each key once and with a value, of the CONFIG_KEYS the command has a
@@ -77,7 +78,12 @@ def _detector(args, variant: Variant) -> QndConfig:
                      else PhaseTag.parse(args.theta_prime))
 
 
-def _resolved_seed(args) -> int:
+def _resolved_sampling(args) -> int:
+    """Check --trials, which only --mode mc reads (default 100000); return the seed."""
+    if args.mode == "exact" and args.trials is not None:
+        raise CliError("--trials is read only with --mode mc")
+    if args.mode == "mc" and args.trials is None:
+        args.trials = 100_000
     seed = 0 if args.seed is None else int(args.seed)
     if not 0 <= seed < 2**64:
         raise CliError(f"--seed={seed} out of range: seeds lie in [0, 2**64)")
@@ -152,9 +158,8 @@ def _stage1_runs(args, cfg: QndConfig, seed: int, points):
     """(report, CSV row) of each (p1, p2, f0) point of a stage-1 grid."""
     params = [{"p1": p1, "p2": p2, "f0": f0, "variant": cfg.variant, "cfg": cfg}
               for p1, p2, f0 in points]
-    trials = args.trials if args.mode == "mc" else None
     for p, report in zip(params, _reports("stage1", args, seed, params)):
-        yield report, [p["p1"], p["p2"], p["f0"], cfg.variant.value, args.mode, trials, seed,
+        yield report, [p["p1"], p["p2"], p["f0"], cfg.variant.value, args.mode, args.trials, seed,
                        report.fidelity, report.extras["closed_form_fidelity"],
                        report.yield_fraction, *[report.counts[k] for k in COUNT_KEYS]]
 
@@ -166,11 +171,10 @@ def _stage2_runs(args, seed: int, fidelities: list):
     iterated = [stage2_iterate(fidelity, args.rounds) for fidelity in fidelities]
     bases = (_reports("pbs", args, seed, [{"F": fidelity} for fidelity in fidelities])
              if args.baseline else repeat(None))
-    trials = args.trials if args.mode == "mc" else None
     for fidelity, rounds, base in zip(fidelities, iterated, bases):
         rows = []
         for r in rounds:
-            row = [fidelity, args.mode, trials, seed,
+            row = [fidelity, args.mode, args.trials, seed,
                    r.round, r.fidelity, r.round_yield, r.cumulative_yield]
             if base is not None:
                 ratio = r.round_yield / base.yield_fraction if base.yield_fraction else None
@@ -208,7 +212,7 @@ def _append_csv(path, header, rows) -> None:
 
 def cmd_stage1(args) -> int:
     cfg = _detector(args, Variant(args.variant or "qnd1"))
-    seed = _resolved_seed(args)
+    seed = _resolved_sampling(args)
     for name in ("p1", "p2", "f0"):
         if getattr(args, name) is None:
             raise CliError(f"--{name} is required")
@@ -228,7 +232,7 @@ def cmd_stage1(args) -> int:
 
 
 def cmd_stage2(args) -> int:
-    seed = _resolved_seed(args)
+    seed = _resolved_sampling(args)
     if args.F is None:
         raise CliError("--F is required")
     [(rounds, base, rows)] = _stage2_runs(args, seed, [args.F])
@@ -269,7 +273,7 @@ def _parse_grid(text: str) -> list:
 def cmd_sweep(args) -> int:
     """The cartesian grid through the command's grid helper, each grid parsed
     once; the rows go to the CSV through one open."""
-    seed = _resolved_seed(args)
+    seed = _resolved_sampling(args)
     if args.pipeline == "stage1":
         if not (args.p1 and args.p2 and args.f0):
             raise CliError("sweep stage1 needs --p1, --p2 and --f0 grids")
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     variant.add_argument("--variant", choices=["qnd1", "qnd3"])
     sampling = parent()
     sampling.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    sampling.add_argument("--trials", type=int, default=100_000)
+    sampling.add_argument("--trials", type=int, help="MC trials (--mode mc only; default 100000)")
     sampling.add_argument("--seed", type=int)
     rounds = parent()
     rounds.add_argument("--rounds", type=int, default=1)

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product as iproduct
@@ -633,6 +634,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
 
 def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of a named pipeline; same seed, same report."""
+    seed = operator.index(seed)  # 1.5 raises; a numpy integer is reported as an int
     entry, table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
     bucket_counts = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     np.add.at(bucket_counts, table.bucket, row_counts)

@@ -176,14 +176,15 @@ def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
         for party in Party:
             state = pbs(state, party)
     slots, angles = _SLOTS[cfg.variant], (cfg.theta, cfg.theta_prime) * 2
-    shifted = {}  # (probes, counts) -> shifted probes; about half the branches repeat a key
+    shifted = {}  # (probe ints, counts) -> shifted probes; about half the branches repeat a key
 
     def shift(b):
         counts = [0, 0, 0, 0]
         for m, n in b.occupations:
             slot, sign = slots.get(m, (0, 0))
             counts[slot] += sign * n
-        key = (b.probe, tuple(counts))
+        a, c = b.probe
+        key = (a.num, a.den, c.num, c.den, *counts)  # ints hash in C, tags in Python
         if key not in shifted:
             probe = list(b.probe)
             for slot, n in enumerate(counts):

@@ -9,6 +9,11 @@ baseline draw two pairs from one source, each phi+ or psi+.
 
 Bit-flip noise acts on Bob's photon of a pair (convention; the mixed
 states involved are symmetric under which side flips).
+
+States are written as sums of products of creation-term groups; the
+builder expands the polynomial and applies creation operators with
+bosonic factors, so every source state and the reference branch table
+share one convention.
 """
 
 from __future__ import annotations
@@ -16,17 +21,59 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 from .fock import (
+    BranchState,
     ConfigError,
     ModeLabel,
     Party,
     Pol,
     PureState,
     Spatial,
-    create_photon,
+    ZERO_PHASE,
     product_state,
 )
+
+A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
+A1V = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.V)
+A2H = ModeLabel(Party.ALICE, Spatial.LOWER, Pol.H)
+A2V = ModeLabel(Party.ALICE, Spatial.LOWER, Pol.V)
+B1H = ModeLabel(Party.BOB, Spatial.UPPER, Pol.H)
+B1V = ModeLabel(Party.BOB, Spatial.UPPER, Pol.V)
+B2H = ModeLabel(Party.BOB, Spatial.LOWER, Pol.H)
+B2V = ModeLabel(Party.BOB, Spatial.LOWER, Pol.V)
+
+# the four creation terms of one emitted pair, (Alice mode, Bob mode): clean
+# (U*) and with Bob's photon flipped (F*)
+U1, U2, U3, U4 = (A1H, B1H), (A1V, B1V), (A2H, B2H), (A2V, B2V)
+F1, F2, F3, F4 = (A1V, B1H), (A1H, B1V), (A2V, B2H), (A2H, B2V)
+CLEAN = (U1, U2, U3, U4)
+FLIPPED = (F1, F2, F3, F4)
+
+
+def operator_state(entries) -> PureState:
+    """Build sum_k coeff_k * prod(group sums) |0>, normalized.
+
+    entries: (coeff, groups[, (tag_a, tag_b)]) with groups a sequence
+    of term lists; every term is a tuple of modes to create.  Modes are
+    created in order, each multiplying the amplitude by the bosonic
+    sqrt(n+1), as a chain of ``create_photon`` calls would.
+    """
+    branches = []
+    for entry in entries:
+        coeff, groups = entry[0], entry[1]
+        probe = tuple(entry[2]) if len(entry) > 2 else (ZERO_PHASE, ZERO_PHASE)
+        for combo in iproduct(*groups):
+            occ: dict = {}
+            amplitude = complex(coeff)
+            for term in combo:
+                for m in term:
+                    n = occ.get(m, 0)
+                    occ[m] = n + 1
+                    amplitude *= math.sqrt(n + 1)
+            branches.append(BranchState(tuple(sorted(occ.items())), amplitude, probe))
+    return PureState.of(branches).normalize()
 
 
 @dataclass(frozen=True)
@@ -58,33 +105,10 @@ class NoiseParams:
             raise ValueError("f0 must lie in [0, 1]")
 
 
-def pair_emission_terms(flipped: bool = False) -> list:
-    """The four creation terms of one emitted pair.
-
-    Each term is (Alice mode, Bob mode); ``flipped`` applies the bit
-    flip on Bob's photon.
-    """
-    terms = []
-    for spatial in (Spatial.UPPER, Spatial.LOWER):
-        for pol in (Pol.H, Pol.V):
-            bob_pol = pol if not flipped else (Pol.V if pol == Pol.H else Pol.H)
-            terms.append((
-                ModeLabel(Party.ALICE, spatial, pol),
-                ModeLabel(Party.BOB, spatial, bob_pol),
-            ))
-    return terms
-
-
 @functools.cache  # two values, immutable: every caller shares them
 def single_pair_state(flipped: bool = False) -> PureState:
     """Normalized one-pair emission (four branches, amplitude 1/2)."""
-    branches = []
-    for term in pair_emission_terms(flipped):
-        s = PureState.vacuum()
-        for m in term:
-            s = create_photon(s, m)
-        branches.extend(s.branches)
-    return PureState.of(branches).normalize()
+    return operator_state([(1, (FLIPPED if flipped else CLEAN,))])
 
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -94,16 +118,9 @@ def bell_pair(kind: str, spatial: Spatial = Spatial.UPPER) -> PureState:
     """One of the four Bell pairs on (Alice, spatial) x (Bob, spatial)."""
     if kind not in BELL_KINDS:
         raise ValueError(f"unknown Bell state {kind!r}")
-    same_pol = kind.startswith("phi")
-    sign = 1.0 if kind.endswith("+") else -1.0
-    branches = []
-    for pol, amp in ((Pol.H, 1.0), (Pol.V, sign)):
-        bob_pol = pol if same_pol else (Pol.V if pol == Pol.H else Pol.H)
-        s = PureState.vacuum()
-        s = create_photon(s, ModeLabel(Party.ALICE, spatial, pol))
-        s = create_photon(s, ModeLabel(Party.BOB, spatial, bob_pol))
-        branches.extend(b.with_amplitude(b.amplitude * amp) for b in s.branches)
-    return PureState.of(branches).normalize()
+    ah, av, bh, bv = (ModeLabel(party, spatial, pol) for party in Party for pol in Pol)
+    first, second = ((ah, bh), (av, bv)) if kind.startswith("phi") else ((ah, bv), (av, bh))
+    return operator_state([(1, ((first,),)), (1 if kind.endswith("+") else -1, ((second,),))])
 
 
 TWO_PAIR_KINDS = (("phi+", "phi+"), ("phi+", "psi+"), ("psi+", "phi+"), ("psi+", "psi+"))

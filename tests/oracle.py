@@ -10,7 +10,7 @@ import math
 from itertools import combinations_with_replacement
 
 from kerrpurify import BranchState, ModeLabel, PureState, single_pair_state
-from kerrpurify.sources import pair_emission_terms
+from kerrpurify.sources import CLEAN
 
 
 def pdc_emit(order: int) -> PureState:
@@ -25,9 +25,8 @@ def pdc_emit(order: int) -> PureState:
         return single_pair_state()
     if order != 2:
         raise ValueError("emission order must be 1 or 2")
-    terms = pair_emission_terms()
     branches = []
-    for (i, t1), (j, t2) in combinations_with_replacement(list(enumerate(terms)), 2):
+    for (i, t1), (j, t2) in combinations_with_replacement(list(enumerate(CLEAN)), 2):
         occ: dict[ModeLabel, int] = {}
         for m in t1 + t2:
             occ[m] = occ.get(m, 0) + 1

@@ -10,11 +10,17 @@ from kerrpurify import (
     ZERO_PHASE,
     BranchState,
     ConfigError,
+    ModeLabel,
+    Party,
     PhaseTag,
+    Pol,
     PureState,
     QndConfig,
+    Spatial,
     Variant,
+    bell_pair,
     create_photon,
+    single_pair_state,
 )
 from kerrpurify.branches import (
     A1H,
@@ -22,6 +28,8 @@ from kerrpurify.branches import (
     B1H,
     BRANCH_CASES,
     CASE_IDS,
+    CLEAN,
+    FLIPPED,
     U1,
     U2,
     compare_states,
@@ -143,6 +151,24 @@ for _case in BRANCH_CASES:
         for c, groups, (ra, rb) in _case.expected_entries
     ]
 
+# each source state with its polynomial, spelled out here: a Bell pair is its
+# (Alice pol, Bob pol) terms at one spatial port, the second term signed
+BELL_TERMS = {"phi+": ((Pol.H, Pol.H), (Pol.V, Pol.V), 1),
+              "phi-": ((Pol.H, Pol.H), (Pol.V, Pol.V), -1),
+              "psi+": ((Pol.H, Pol.V), (Pol.V, Pol.H), 1),
+              "psi-": ((Pol.H, Pol.V), (Pol.V, Pol.H), -1)}
+SOURCE_STATES = {
+    "single-pair-clean": (single_pair_state(), [(1, (CLEAN,))]),
+    "single-pair-flipped": (single_pair_state(flipped=True), [(1, (FLIPPED,))]),
+}
+for _kind, (_first, _second, _sign) in BELL_TERMS.items():
+    for _spatial in Spatial:
+        _t1, _t2 = ((ModeLabel(Party.ALICE, _spatial, pa), ModeLabel(Party.BOB, _spatial, pb))
+                    for pa, pb in (_first, _second))
+        SOURCE_STATES[f"bell-{_kind}-{_spatial.name.lower()}"] = (
+            bell_pair(_kind, _spatial), [(1, ((_t1,),)), (_sign, ((_t2,),))])
+ENTRY_SETS.update({name: entries for name, (_, entries) in SOURCE_STATES.items()})
+
 
 @pytest.mark.parametrize("entries", ENTRY_SETS.values(), ids=ENTRY_SETS)
 def test_operator_state_equals_the_create_photon_chain(entries):
@@ -150,3 +176,10 @@ def test_operator_state_equals_the_create_photon_chain(entries):
     # wrong bosonic factor would cancel out of the suite; compare it here,
     # amplitudes included, exactly
     assert operator_state(entries) == _create_photon_chain(entries)
+
+
+@pytest.mark.parametrize("state, entries", SOURCE_STATES.values(), ids=SOURCE_STATES)
+def test_source_states_equal_the_create_photon_chain(state, entries):
+    # the sources build every state with operator_state; the chain above is
+    # their reference, amplitudes and signs included, exactly
+    assert state == _create_photon_chain(entries)

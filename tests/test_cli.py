@@ -572,6 +572,37 @@ class TestFlagsPerCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("argv", [
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--out", "run.json",
+         "--csv", "rows.csv"],
+        ["stage2", "--F", "0.8", "--rounds", "2", "--baseline", "--out", "run.json",
+         "--csv", "rows.csv"],
+        ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--csv", "rows.csv"],
+        ["sweep", "stage2", "--F", "0.8", "--baseline", "--csv", "rows.csv"],
+    ], ids=["stage1", "stage2", "sweep-stage1", "sweep-stage2"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "exact"]], ids=["default", "exact"])
+    def test_trials_without_mc_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                           argv, mode):
+        # exact mode reads no trial count, so a given one is an unread flag
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv + mode + ["--trials", "5"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--trials" in err and "--mode mc" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+        ["stage2", "--F", "0.8", "--baseline"],
+    ], ids=["stage1", "stage2"])
+    def test_mc_trials_default_to_100000(self, capsys, tmp_path, argv):
+        default, given = tmp_path / "default.json", tmp_path / "given.json"
+        mc = argv + ["--mode", "mc", "--seed", "3"]
+        assert run_cli(mc + ["--out", str(default)], capsys)[0] == 0
+        assert run_cli(mc + ["--trials", "100000", "--out", str(given)], capsys)[0] == 0
+        assert default.read_bytes() == given.read_bytes()
+        assert json.loads(default.read_text())["trials"] == 100_000
+
+
 class TestOutFile:
     ARGS = ["stage2", "--F", "0.8"]
 

@@ -310,6 +310,20 @@ class TestMonteCarlo:
         b = monte_carlo("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8}, 50_000, seed=8)
         assert a.counts != b.counts
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+    def test_a_seed_that_is_not_an_integer_raises(self, seed):
+        # 1.5 must not draw seed 1's stream while reporting "seed": 1.5
+        with pytest.raises(TypeError):
+            monte_carlo("stage2", {"F": 0.8}, 1000, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5)], ids=["uint64", "int64"])
+    def test_an_integer_seed_is_reported_as_a_plain_int(self, seed):
+        report = monte_carlo("stage2", {"F": 0.8}, 1000, seed=seed)
+        assert type(report.seed) is int
+        # the report serializes, and equals the plain int seed's
+        plain = monte_carlo("stage2", {"F": 0.8}, 1000, seed=int(seed))
+        assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
+
     def test_uniforms_slice_consistent(self):
         full = trial_uniforms(3, 1000)
         parts = np.concatenate([

@@ -24,8 +24,8 @@ from kerrpurify import (
 )
 from kerrpurify.protocol import _stage1_class_weights
 from kerrpurify.sources import (
+    CLEAN,
     TWO_PAIR_KINDS,
-    pair_emission_terms,
     two_pair_state,
     two_pair_weights,
 )
@@ -63,10 +63,9 @@ class TestDoubleEmission:
 
     def test_pattern_weights_against_pair_oracle(self):
         # oracle: two independent pairs, 16 equally likely ordered draws
-        terms = pair_emission_terms()
         oracle = Counter()
-        for t1 in terms:
-            for t2 in terms:
+        for t1 in CLEAN:
+            for t2 in CLEAN:
                 pattern = tuple(sorted(Counter(t1 + t2).items()))
                 oracle[pattern] += 1 / 16
         st = pdc_emit(2)
