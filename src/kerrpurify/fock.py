@@ -103,6 +103,8 @@ class PhaseTag:
 
     def __init__(self, numerator=0, denominator=1):
         if type(numerator) is not int or type(denominator) is not int:
+            if isinstance(numerator, float) or isinstance(denominator, float):
+                raise TypeError("a phase is an exact rational of pi, not a float")
             f = Fraction(numerator, denominator)
             numerator, denominator = f.numerator, f.denominator
         elif denominator < 0:
@@ -234,6 +236,11 @@ class BranchState:
         probe = list(self.probe)
         probe[party] = tag
         return BranchState(self.occupations, self.amplitude, tuple(probe))
+
+    def one_photon_per_port(self) -> bool:
+        """One photon in each party's upper and lower port: two single-photon pairs."""
+        return all(self.photons(party=p, spatial=s) == 1
+                   for p in Party for s in (Spatial.UPPER, Spatial.LOWER))
 
     def map_modes(self, fn: Callable[[ModeLabel], ModeLabel]) -> "BranchState":
         """Relabel modes; counts landing on the same label add."""

@@ -9,8 +9,9 @@ readings differ).  Double emissions are kept only when both parties
 read theta+theta', the class whose photons exit one per port; those
 events yield two pairs.  Double emissions where both parties read the
 same doubled shift (2*theta or 2*theta') leave both pairs bunched at
-one port: they are tallied separately (``kept_same_port``) and excluded
-from the headline fidelity, which then matches the closed form
+one port: their rows carry the verdict ``KEPT_SAME_PORT``, are tallied
+separately and are excluded from the headline fidelity, which then
+matches the closed form
 
     (p1 + p2 f0^2 / 2) / (p1 + p2 [f0^2 + (1-f0)^2] / 2)
 
@@ -34,8 +35,10 @@ its probability within an event class: a clean or flipped single pair
 or a double emission with its two flips (stage 1), or a Bell-kind pair
 of the two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs
 each table with the function that weights its classes at a parameter
-point, so a row weighs its class weight times its own factor.  Stage-1
-tables reuse the angle-free steps: the two cached source states, and
+point, so a row weighs its class weight times its own factor.  A row's
+class is its one ``Verdict`` field, and ``COUNT_KEYS``, the report's
+count buckets, are the verdicts' values in their order.  Stage-1 tables
+reuse the angle-free steps: the two cached source states, and
 ``_classify_pair``, which couples and classifies each probe-free pair
 state once per process (an LRU cache of PAIR_CACHE_SIZE states).
 
@@ -44,7 +47,8 @@ adds each row's weight at every point of a grid in one pass over its
 table (the CLI's exact runs); the library's exact-only single-point runs
 (``stage1_run``, ``stage2_run``, ``pbs_baseline``) sum records
 (``enumerate_exact``, the ``*_records`` functions).  Both sum through
-one loop, ``_row_sums``, in table order, so they agree to the bit.
+one loop, ``_row_sums``, in table order, so they agree to the bit, and
+every report, exact or Monte Carlo, is built by ``_report``.
 Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
 per trial and inverts the cumulative row weights with it.  Trial t reads
 word t of a counter-based stream keyed by the seed, so any partition of
@@ -66,7 +70,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product as iproduct
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -106,17 +110,27 @@ _FID_TOL = 1e-9
 
 
 class Verdict(Enum):
+    """The class of an outcome row, and the report bucket it is counted in.
+
+    ``KEPT_SAME_PORT``: a stage-1 double emission where both parties read
+    the same doubled shift, so both pairs leave bunched at one port; the
+    headline fidelity and yield leave it out.
+    """
+
     KEPT_CORRECT = "kept_correct"
     KEPT_ERRONEOUS = "kept_erroneous"
+    KEPT_SAME_PORT = "kept_same_port"
     DISCARDED = "discarded"
 
 
-COUNT_KEYS = ("kept_correct", "kept_erroneous", "kept_same_port", "discarded")
+COUNT_KEYS = tuple(v.value for v in Verdict)
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """One enumerated leaf of a pipeline: readings, verdict, kept state."""
+class OutcomeRecord(NamedTuple):
+    """One enumerated leaf of a pipeline: readings, verdict, kept state.
+
+    Only a KEPT_CORRECT or KEPT_ERRONEOUS row carries a fidelity and a state.
+    """
 
     probe_alice: PhaseTag | None
     probe_bob: PhaseTag | None
@@ -126,12 +140,6 @@ class OutcomeRecord:
     fidelity: float | None = None
     order: int | None = None
     kept_pairs: int = 0
-    same_port_keep: bool = False
-
-    def bucket(self) -> str:
-        if self.same_port_keep:
-            return "kept_same_port"
-        return self.verdict.value
 
 
 @dataclass
@@ -150,18 +158,8 @@ class RunReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "mode": self.mode,
-            "fidelity": self.fidelity,
-            "yield": self.yield_fraction,
-            "counts": dict(self.counts),
-            "trials": self.trials,
-            "seed": self.seed,
-            "fidelity_stderr": self.fidelity_stderr,
-            "yield_stderr": self.yield_stderr,
-            "extras": dict(self.extras),
-        }
+        """The fields in order, ``yield_fraction`` under the key "yield"."""
+        return {"yield" if k == "yield_fraction" else k: v for k, v in asdict(self).items()}
 
 
 def stage1_fidelity_closed_form(p1: float, p2: float, f0: float) -> float:
@@ -219,7 +217,7 @@ def stage2_iterate(f0: float, rounds: int) -> list:
 TABLE_CACHE_SIZE = 64
 PAIR_CACHE_SIZE = 32  # bounds _classify_pair; stage 1 meets 12 keys at any angles
 
-_BUCKET_IDS = {k: i for i, k in enumerate(COUNT_KEYS)}
+_BUCKET_IDS = {v: i for i, v in enumerate(Verdict)}  # a verdict's index in COUNT_KEYS
 
 
 class RowTable(NamedTuple):
@@ -243,7 +241,7 @@ def _row_table(classes) -> RowTable:
     columns = [np.array(column) for column in (
         [c for c, records in enumerate(classes) for _ in records],
         [r.weight for r in rows],
-        [_BUCKET_IDS[r.bucket()] for r in rows],
+        [_BUCKET_IDS[r.verdict] for r in rows],
         [r.kept_pairs for r in rows],
     )]
     for column in columns:
@@ -251,9 +249,8 @@ def _row_table(classes) -> RowTable:
     return RowTable(rows, *columns)
 
 
-@dataclass(frozen=True)
-class PairLeaf:
-    """One homodyne outcome of a single pair run through the detector."""
+class Reading(NamedTuple):
+    """One joint homodyne readout of both parties' probes."""
 
     probability: float
     tag_alice: PhaseTag
@@ -261,17 +258,17 @@ class PairLeaf:
     state: PureState  # post-measurement, probes cleared
 
 
-def _readings(state: PureState) -> Iterator[tuple]:
-    """(probability, Alice's tag, Bob's tag, post-state) per joint readout, in tag order."""
+def _readings(state: PureState) -> Iterator[Reading]:
+    """Each joint readout of ``state``, in tag order."""
     for tag_a in probe_outcomes(state, Party.ALICE):
         p_a, post_a = project_probe(state, Party.ALICE, tag_a)
         for tag_b in probe_outcomes(post_a, Party.BOB):
             p_b, post = project_probe(post_a, Party.BOB, tag_b)
-            yield p_a * p_b, tag_a, tag_b, post
+            yield Reading(p_a * p_b, tag_a, tag_b, post)
 
 
 def single_pair_leaves(cfg: QndConfig, flipped: bool) -> tuple:
-    return tuple(PairLeaf(*r) for r in _readings(apply_qnd(single_pair_state(flipped), cfg)))
+    return tuple(_readings(apply_qnd(single_pair_state(flipped), cfg)))
 
 
 def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
@@ -295,24 +292,21 @@ def _classify_pair(state: PureState, flip: bool) -> tuple:
     return final, fid, _verdict(fid, overlap(final, PSI_PLUS_MERGED))
 
 
-def _order1_row(leaf: PairLeaf) -> OutcomeRecord:
+def _order1_row(leaf: Reading) -> OutcomeRecord:
     """A single emission, always kept: Alice flips when the readings differ."""
     final, fid, verdict = _classify_pair(leaf.state, leaf.tag_alice != leaf.tag_bob)
     return OutcomeRecord(leaf.tag_alice, leaf.tag_bob, verdict, final, leaf.probability,
                          fid, order=1, kept_pairs=1)
 
 
-def _order2_row(l1: PairLeaf, l2: PairLeaf, keep_tag: PhaseTag) -> OutcomeRecord:
-    """Classify a joint double-emission outcome from its two pair leaves.
-
-    Only events kept under the headline rule carry a fidelity and a state.
-    """
+def _order2_row(l1: Reading, l2: Reading, keep_tag: PhaseTag) -> OutcomeRecord:
+    """Classify a joint double-emission outcome from its two pair leaves."""
     tag_a = l1.tag_alice + l2.tag_alice
     tag_b = l1.tag_bob + l2.tag_bob
     weight = l1.probability * l2.probability
     if tag_a != tag_b or tag_a != keep_tag:
-        return OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, weight, order=2,
-                             same_port_keep=tag_a == tag_b)
+        verdict = Verdict.KEPT_SAME_PORT if tag_a == tag_b else Verdict.DISCARDED
+        return OutcomeRecord(tag_a, tag_b, verdict, None, weight, order=2)
     (final, fid, verdict), (_, _, verdict2) = (_classify_pair(l.state, False) for l in (l1, l2))
     if verdict != verdict2:
         raise SimulationError("the two kept pairs disagree on correctness")
@@ -375,12 +369,10 @@ def _stage2_table() -> RowTable:
 def _pbs_table() -> RowTable:
     """PBS-baseline rows; the classes are ``TWO_PAIR_KINDS``.  A round keeps
     the branches with one photon in each of the four ports."""
-    ports = [(p, s) for p in Party for s in (Spatial.UPPER, Spatial.LOWER)]
     classes = []
     for kinds in TWO_PAIR_KINDS:
         st = pbs(pbs(two_pair_state(*kinds), Party.ALICE), Party.BOB)
-        keep = [b for b in st.branches
-                if all(b.photons(party=p, spatial=s) == 1 for p, s in ports)]
+        keep = [b for b in st.branches if b.one_photon_per_port()]
         p_keep = sum(abs(b.amplitude) ** 2 for b in keep)
         rows = []
         if p_keep < 1.0 - 1e-15:
@@ -498,28 +490,36 @@ def _row_sums(weighted_rows, zero) -> list:
     for one run, or one zero per point of a grid, so both agree to the bit."""
     sums = [zero] * (len(COUNT_KEYS) + 2)
     for row, w in weighted_rows:
-        b = _BUCKET_IDS[row.bucket()]
+        b = _BUCKET_IDS[row.verdict]
         sums[b] = sums[b] + w
-        if row.verdict != Verdict.DISCARDED:
+        if row.fidelity is not None:
             sums[-2] = sums[-2] + w * row.fidelity
         sums[-1] = sums[-1] + w * row.kept_pairs
     return sums
 
 
+def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
+            seed: int | None = None) -> RunReport:
+    """The report of a run at ``params`` from its totals in ``_row_sums`` order:
+    the weight sums of an exact run (``trials`` None, one event), or the
+    draw counts of a Monte Carlo run, whose fidelity sum is its correct draws."""
+    *counts, fid_sum, pairs = sums
+    kept, mc = counts[0] + counts[1], trials is not None
+    events = trials if mc else 1
+    fid = fid_sum / kept if kept > 0 else None
+    y = kept / events
+    return RunReport(
+        pipeline=pipeline, mode="mc" if mc else "exact", fidelity=fid, yield_fraction=y,
+        counts=dict(zip(COUNT_KEYS, counts)), trials=trials, seed=seed,
+        fidelity_stderr=math.sqrt(fid * (1.0 - fid) / kept) if mc and kept >= 2 else None,
+        yield_stderr=math.sqrt(y * (1.0 - y) / trials) if mc and trials >= 2 else None,
+        extras=PIPELINES[pipeline].extras(params, counts, pairs, events),
+    )
+
+
 def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     """Exact report of a pipeline at ``params``: its records summed per bucket."""
-    return _exact_report(pipeline, params, _row_sums(((r, r.weight) for r in records), 0.0))
-
-
-def _exact_report(pipeline: str, params: dict, sums: list) -> RunReport:
-    """Exact report at ``params`` from its ``_row_sums``."""
-    *counts, fid_sum, pairs = sums
-    kept = counts[0] + counts[1]
-    return RunReport(
-        pipeline=pipeline, mode="exact", fidelity=fid_sum / kept if kept > 0 else None,
-        yield_fraction=kept, counts=dict(zip(COUNT_KEYS, counts)),
-        extras=PIPELINES[pipeline].extras(params, counts, pairs, 1),
-    )
+    return _report(pipeline, params, _row_sums(((r, r.weight) for r in records), 0.0))
 
 
 def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
@@ -539,7 +539,7 @@ def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
     row_weights = weights[:, table.cls] * table.factor  # a zero weight adds nothing
     sums = _row_sums(zip(table.rows, row_weights.T), np.zeros(len(points)))
     for p, point_sums in zip(points, np.array(sums).T.tolist()):
-        yield _exact_report(pipeline, p, point_sums)
+        yield _report(pipeline, p, point_sums)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +557,9 @@ def _trial_words(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
 
     Counter-based: trial t always reads word t of the Philox stream keyed
     by the seed, so any partition of the trial range reproduces the same
-    per-trial words.  The seed is the 64-bit key, in [0, 2**64).
+    per-trial words.  The seed is the 64-bit key, an integer in [0, 2**64).
     """
+    seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bg = np.random.Philox(key=np.uint64(seed))
@@ -634,21 +635,14 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
 
 def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of a named pipeline; same seed, same report."""
-    seed = operator.index(seed)  # 1.5 raises; a numpy integer is reported as an int
-    entry, table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
+    # 1.5 raises; a numpy integer is reported as a plain int
+    trials, seed = operator.index(trials), operator.index(seed)
+    _, table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
     bucket_counts = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     np.add.at(bucket_counts, table.bucket, row_counts)
     counts = bucket_counts.tolist()
-    kept = counts[0] + counts[1]
-    fid = counts[0] / kept if kept > 0 else None
-    y = kept / trials
-    return RunReport(
-        pipeline=pipeline, mode="mc", fidelity=fid, yield_fraction=y,
-        counts=dict(zip(COUNT_KEYS, counts)), trials=trials, seed=seed,
-        fidelity_stderr=math.sqrt(fid * (1.0 - fid) / kept) if kept >= 2 else None,
-        yield_stderr=math.sqrt(y * (1.0 - y) / trials) if trials >= 2 else None,
-        extras=entry.extras(params, counts, int(row_counts @ table.pairs), trials),
-    )
+    return _report(pipeline, params, [*counts, counts[0], int(row_counts @ table.pairs)],
+                   trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -661,13 +655,11 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
     Returns fresh records of the rows of nonzero weight, in table order.
     """
     _, table, w = _weighted_rows(pipeline, params)
-    return [_with_weight(row, wi) for row, wi in zip(table.rows, w.tolist()) if wi != 0.0]
-
-
-def _with_weight(r: OutcomeRecord, weight: float) -> OutcomeRecord:
-    """``replace(r, weight=weight)`` without its per-call field lookup."""
-    return OutcomeRecord(r.probe_alice, r.probe_bob, r.verdict, r.final_state, weight,
-                         r.fidelity, r.order, r.kept_pairs, r.same_port_keep)
+    # not row._replace(weight=wi): it builds each record from a resized
+    # temporary tuple that stays on CPython's free list, a tenth more traced
+    # peak memory per fresh-angles study
+    return [OutcomeRecord(*row[:4], wi, *row[5:])
+            for row, wi in zip(table.rows, w.tolist()) if wi != 0.0]
 
 
 def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:

@@ -99,7 +99,7 @@ def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
 @dataclass(frozen=True)
 class QndConfig:
     """A detector and its angles.  Building one checks it, so a QndConfig
-    that exists is valid."""
+    that exists is valid: each angle it reads is a ``PhaseTag``."""
 
     variant: Variant
     theta: PhaseTag
@@ -107,17 +107,22 @@ class QndConfig:
 
     def __post_init__(self):
         t, tp = self.theta, self.theta_prime
-        if self.variant in (Variant.QND1, Variant.QND3):
-            if tp is None:
-                raise ConfigError(f"{self.variant.value} needs theta_prime")
+        reads_prime = self.variant in (Variant.QND1, Variant.QND3)
+        if reads_prime and tp is None:
+            raise ConfigError(f"{self.variant.value} needs theta_prime")
+        if not reads_prime and tp is not None:
+            raise ConfigError(f"{self.variant.value} reads no theta_prime")
+        for angle in (t, tp)[:1 + reads_prime]:
+            if not isinstance(angle, PhaseTag):
+                raise ConfigError("an angle is a PhaseTag, an exact rational of pi, "
+                                  f"not {type(angle).__name__}")
+        if reads_prime:
             if t == tp:
                 raise ConfigError("theta and theta_prime must differ mod 2*pi")
             if len({ZERO_PHASE, t, tp, t * 2, tp * 2, t + tp}) != 6:
                 raise ConfigError(
                     "phase classes {0, t, t', 2t, 2t', t+t'} must be pairwise distinct mod 2*pi"
                 )
-        elif tp is not None:
-            raise ConfigError(f"{self.variant.value} reads no theta_prime")
         elif self.variant == Variant.QND2:
             if t != PI:
                 raise ConfigError("qnd2 requires theta = pi exactly")
@@ -157,21 +162,12 @@ _SLOTS = {v: {ModeLabel(party, spatial, pol): (2 * party + (angle == "theta_prim
           for v, row in _COUPLINGS.items()}
 
 
-def _require_one_photon_per_port(state: PureState) -> None:
-    """Two single-photon pairs: one photon in each party's upper and lower port."""
-    for b in state.branches:
-        for party in Party:
-            for spatial in (Spatial.UPPER, Spatial.LOWER):
-                if b.photons(party=party, spatial=spatial) != 1:
-                    raise OccupancyViolationError(
-                        "detector expects one photon per spatial port of each party"
-                    )
-
-
 def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
     """Run the detector ``cfg`` names: its ``_COUPLINGS`` row for both parties."""
     if cfg.variant in (Variant.QND2, Variant.QND4):
-        _require_one_photon_per_port(state)
+        if not all(b.one_photon_per_port() for b in state.branches):
+            raise OccupancyViolationError(
+                "detector expects one photon per spatial port of each party")
     if cfg.variant == Variant.QND3:
         for party in Party:
             state = pbs(state, party)

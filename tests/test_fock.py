@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,19 @@ class TestPhaseTag:
             PhaseTag.parse("1/0")
         with pytest.raises(ZeroDivisionError):
             PhaseTag(1, 0)
+
+    @pytest.mark.parametrize("args", [(0.1,), (0.25,), (1, 4.0), (1.0, 4), (np.float64(0.5),)],
+                             ids=["0.1", "0.25", "den 4.0", "num 1.0", "float64"])
+    def test_a_float_argument_raises(self, args):
+        # a float would be taken at its binary value: 0.1 is not pi/10
+        with pytest.raises(TypeError, match="float"):
+            PhaseTag(*args)
+
+    def test_exact_non_int_arguments_still_build(self):
+        assert PhaseTag(Fraction(1, 4)) == PhaseTag(1, 4)
+        assert PhaseTag(Fraction(3, 2), 3) == PhaseTag(1, 2)
+        assert PhaseTag(np.int64(3), np.uint8(4)) == PhaseTag(3, 4)
+        assert PhaseTag.parse("0.25") == PhaseTag(1, 4)
 
 
 @st.composite
@@ -285,6 +299,23 @@ class TestProjectProbe:
             for party in Party:
                 total = sum(probe_outcomes(st, party).values())
                 assert abs(total - 1.0) < 1e-10
+
+
+class TestOnePhotonPerPort:
+    def test_two_pairs_at_the_four_ports(self):
+        ports = [ModeLabel(p, s, Pol.H) for p in Party for s in (Spatial.UPPER, Spatial.LOWER)]
+        assert BranchState.of([(m, 1) for m in ports], 1.0).one_photon_per_port()
+        for doubled in ports:
+            occ = [(m, 2 if m == doubled else 1) for m in ports]
+            assert not BranchState.of(occ, 1.0).one_photon_per_port()
+            assert not BranchState.of([(m, 1) for m in ports if m != doubled],
+                                      1.0).one_photon_per_port()
+        # polarization does not matter, only the port
+        mixed = [A1H, ModeLabel(Party.ALICE, Spatial.LOWER, Pol.V),
+                 ModeLabel(Party.BOB, Spatial.UPPER, Pol.V),
+                 ModeLabel(Party.BOB, Spatial.LOWER, Pol.H)]
+        assert BranchState.of([(m, 1) for m in mixed], 1.0).one_photon_per_port()
+        assert not BranchState.of([], 1.0).one_photon_per_port()
 
 
 class TestProductAndOverlap:

@@ -106,7 +106,7 @@ class TestStage1Exact:
         w2 = 0.01 / 0.11
         kept = sum(r.weight for r in records if r.order == 2 and r.kept_pairs > 0)
         assert abs(kept - 0.5 * w2) < 1e-12
-        same_port = sum(r.weight for r in records if r.same_port_keep)
+        same_port = sum(r.weight for r in records if r.verdict == Verdict.KEPT_SAME_PORT)
         assert abs(same_port - 0.5 * w2) < 1e-12
 
     def test_single_emissions_exactly_phi_plus(self):
@@ -323,6 +323,24 @@ class TestMonteCarlo:
         # the report serializes, and equals the plain int seed's
         plain = monte_carlo("stage2", {"F": 0.8}, 1000, seed=int(seed))
         assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
+
+    @pytest.mark.parametrize("trials", [np.int64(1000), np.uint64(1000)],
+                             ids=["int64", "uint64"])
+    def test_a_numpy_trial_count_is_reported_as_a_plain_int(self, trials):
+        report = monte_carlo("stage2", {"F": 0.8}, trials, 1)
+        assert type(report.trials) is int
+        plain = monte_carlo("stage2", {"F": 0.8}, 1000, 1)
+        assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
+
+    def test_a_trial_count_that_is_not_an_integer_raises(self):
+        with pytest.raises(TypeError):
+            monte_carlo("stage2", {"F": 0.8}, 1000.0, 1)
+
+    def test_a_uniforms_seed_that_is_not_an_integer_raises(self):
+        # 1.5 must not draw seed 1's words
+        with pytest.raises(TypeError):
+            trial_uniforms(1.5, 8)
+        assert np.array_equal(trial_uniforms(np.uint64(1), 8), trial_uniforms(1, 8))
 
     def test_uniforms_slice_consistent(self):
         full = trial_uniforms(3, 1000)
@@ -645,8 +663,55 @@ class TestOutcomeTables:
         _, table, w = protocol._weighted_rows(pipeline, params)
         buckets = np.bincount(table.bucket, weights=w, minlength=len(COUNT_KEYS))
         for key, total in zip(COUNT_KEYS, buckets):
-            assert abs(total - sum(r.weight for r in records if r.bucket() == key)) < 1e-14
+            assert abs(total - sum(r.weight for r in records if r.verdict.value == key)) < 1e-14
         assert abs(w @ table.pairs - sum(r.weight * r.kept_pairs for r in records)) < 1e-14
+
+
+class TestOutcomeVocabulary:
+    """A row's class is its one ``Verdict``; a report serializes its fields."""
+
+    REPORT_KEYS = ["pipeline", "mode", "fidelity", "yield", "counts", "trials", "seed",
+                   "fidelity_stderr", "yield_stderr", "extras"]
+
+    def test_count_keys_are_the_verdicts(self):
+        assert COUNT_KEYS == ("kept_correct", "kept_erroneous", "kept_same_port", "discarded")
+        assert [Verdict(k) for k in COUNT_KEYS] == list(Verdict)
+
+    def test_same_port_rows_carry_their_own_verdict(self):
+        rng, configs = random.Random(41), [default_config(Variant.QND1),
+                                           default_config(Variant.QND3)]
+        while len(configs) < 2 + 2 * 20:
+            try:
+                configs += [QndConfig(v, *random_angle_pair(rng))
+                            for v in (Variant.QND1, Variant.QND3)]
+            except ConfigError:
+                continue
+        for cfg in configs:
+            params = {"p1": 0.1, "p2": 0.05, "f0": 0.8, "variant": cfg.variant, "cfg": cfg}
+            keep_tag = cfg.theta + cfg.theta_prime
+            same_port = 0
+            for r in enumerate_exact("stage1", params):
+                bunched = r.order == 2 and r.probe_alice == r.probe_bob != keep_tag
+                assert (r.verdict == Verdict.KEPT_SAME_PORT) == bunched
+                if bunched:
+                    same_port += 1
+                    assert (r.fidelity, r.final_state, r.kept_pairs) == (None, None, 0)
+            assert same_port > 0
+
+    @pytest.mark.parametrize("pipeline, params", [
+        ("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8}),
+        ("stage1", {"p1": 0.1, "p2": 0.05, "f0": 0.7, "variant": Variant.QND3}),
+        ("stage2", {"F": 0.8}),
+        ("pbs", {"F": 0.8}),
+    ])
+    def test_report_dicts_hold_the_ten_fields(self, pipeline, params):
+        for report in (next(exact_reports(pipeline, [params])),
+                       monte_carlo(pipeline, params, 5000, 2)):
+            doc = report.to_dict()
+            assert list(doc) == self.REPORT_KEYS
+            for key in self.REPORT_KEYS:
+                assert doc[key] == getattr(report, "yield_fraction" if key == "yield" else key)
+            assert json.loads(json.dumps(doc)) == doc
 
 
 class TestExactReports:

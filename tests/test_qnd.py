@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -108,6 +109,22 @@ class TestConfig:
     def test_defaults_valid(self):
         for v in Variant:
             default_config(v)
+
+    @pytest.mark.parametrize("variant, angles", [
+        (Variant.QND1, (Fraction(1, 4), Fraction(3, 4))),
+        (Variant.QND3, (Fraction(1, 4), Fraction(3, 4))),
+        (Variant.QND1, (0.25, 0.75)),
+        (Variant.QND1, (THETA, Fraction(3, 4))),
+        (Variant.QND3, (0.25, PhaseTag(3, 4))),
+        (Variant.QND2, (1.0,)),
+        (Variant.QND2, (1,)),
+        (Variant.QND4, (Fraction(1, 4),)),
+    ], ids=["qnd1-fractions", "qnd3-fractions", "qnd1-floats", "qnd1-fraction-prime",
+            "qnd3-float-theta", "qnd2-float", "qnd2-int", "qnd4-fraction"])
+    def test_an_angle_that_is_not_a_phase_tag_is_rejected(self, variant, angles):
+        # a config that exists is valid: its probe phases are exact tags
+        with pytest.raises(ConfigError, match="PhaseTag"):
+            QndConfig(variant, *angles)
 
 
 class TestCouplingTable:
