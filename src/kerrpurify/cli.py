@@ -187,18 +187,21 @@ def _stage2_csv_header(baseline: bool) -> list:
     return STAGE2_CSV_HEADER + (BASELINE_CSV_COLUMNS if baseline else [])
 
 
-def _append_csv(path, header, rows) -> None:
-    """Append ``rows`` through one open; a new or empty file gets ``header``.
+def _csv_first_line(path, fh, header) -> str:
+    """The first line of the CSV ``fh`` open at ``path``: exit 2 unless it is
+    empty or ``header``, as rows of another schema would make it unreadable."""
+    fh.seek(0)
+    first = fh.readline()
+    if first and next(csv.reader([first])) != header:
+        raise CliError(f"{path} holds CSV columns other than this command's; "
+                       "write to a new file")
+    return first
 
-    An existing file must already start with ``header``: appending rows of
-    another schema would leave a file no reader can parse.
-    """
+
+def _append_csv(path, header, rows) -> None:
+    """Append ``rows`` through one open; a new or empty file gets ``header``."""
     with open(path, "a+", newline="") as fh:
-        fh.seek(0)
-        first = fh.readline()
-        if first and next(csv.reader([first])) != header:
-            raise CliError(f"{path} holds CSV columns other than this command's; "
-                           "write to a new file")
+        first = _csv_first_line(path, fh, header)
         fh.seek(0, io.SEEK_END)
         writer = csv.writer(fh)
         if not first:
@@ -208,6 +211,16 @@ def _append_csv(path, header, rows) -> None:
             if fh.buffer.read(1) not in b"\r\n":
                 fh.write(writer.dialect.lineterminator)
         writer.writerows(rows)
+
+
+def _write_run(args, doc: dict, header, rows) -> None:
+    """JSON to --out (else stdout), then rows to --csv; a CSV of other columns exits 2 first."""
+    if args.csv and os.path.isfile(args.csv):
+        with open(args.csv, newline="") as fh:
+            _csv_first_line(args.csv, fh, header)
+    _emit(doc, args.out)
+    if args.csv:
+        _append_csv(args.csv, header, rows)
 
 
 def cmd_stage1(args) -> int:
@@ -225,9 +238,7 @@ def cmd_stage1(args) -> int:
     print(f"stage1 [{args.mode}] fidelity={_fmt(report.fidelity)} "
           f"closed_form={_fmt(doc['closed_form_fidelity'])} "
           f"yield={_fmt(report.yield_fraction)}")
-    _emit(doc, args.out)
-    if args.csv:
-        _append_csv(args.csv, STAGE1_CSV_HEADER, [row])
+    _write_run(args, doc, STAGE1_CSV_HEADER, [row])
     return 0
 
 
@@ -254,9 +265,7 @@ def cmd_stage2(args) -> int:
                               if base.yield_fraction else None)
         print(f"  pbs baseline: fidelity={_fmt(base.fidelity)} "
               f"yield={_fmt(base.yield_fraction)} ratio={_fmt(doc['yield_ratio'])}")
-    _emit(doc, args.out)
-    if args.csv:
-        _append_csv(args.csv, _stage2_csv_header(args.baseline), rows)
+    _write_run(args, doc, _stage2_csv_header(args.baseline), rows)
     return 0
 
 

@@ -42,13 +42,14 @@ reuse the angle-free steps: the two cached source states, and
 ``_classify_pair``, which couples and classifies each probe-free pair
 state once per process (an LRU cache of PAIR_CACHE_SIZE states).
 
-An exact result is linear in the class weights, so ``exact_reports``
-adds each row's weight at every point of a grid in one pass over its
-table (the CLI's exact runs); the library's exact-only single-point runs
-(``stage1_run``, ``stage2_run``, ``pbs_baseline``) sum records
-(``enumerate_exact``, the ``*_records`` functions).  Both sum through
-one loop, ``_row_sums``, in table order, so they agree to the bit, and
-every report, exact or Monte Carlo, is built by ``_report``.
+``_weighted_rows`` weights the rows at each point of a grid of one
+detector config; a single run is a grid of one.  An exact result is
+linear in the class weights, so ``exact_reports`` sums a whole grid in
+one pass over its table (the CLI's exact runs); the library's exact-only
+single-point runs (``stage1_run``, ``stage2_run``, ``pbs_baseline``) sum
+the records of ``enumerate_exact``, and ``monte_carlo`` its draws of
+each row.  All three add through one loop, ``_row_sums``, in table
+order, so they agree to the bit, and ``_report`` builds every report.
 Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
 per trial and inverts the cumulative row weights with it.  Trial t reads
 word t of a counter-based stream keyed by the seed, so any partition of
@@ -231,22 +232,16 @@ class RowTable(NamedTuple):
     rows: tuple
     cls: np.ndarray
     factor: np.ndarray
-    bucket: np.ndarray  # index into COUNT_KEYS
-    pairs: np.ndarray   # kept pairs
 
 
 def _row_table(classes) -> RowTable:
     """Flatten the records of each event class, in class order."""
     rows = tuple(r for records in classes for r in records)
-    columns = [np.array(column) for column in (
-        [c for c, records in enumerate(classes) for _ in records],
-        [r.weight for r in rows],
-        [_BUCKET_IDS[r.verdict] for r in rows],
-        [r.kept_pairs for r in rows],
-    )]
-    for column in columns:
+    cls = np.array([c for c, records in enumerate(classes) for _ in records])
+    factor = np.array([r.weight for r in rows])
+    for column in (cls, factor):
         column.flags.writeable = False  # cached: every caller shares it
-    return RowTable(rows, *columns)
+    return RowTable(rows, cls, factor)
 
 
 class Reading(NamedTuple):
@@ -464,8 +459,9 @@ PIPELINES = {
 }
 
 
-def _entry(pipeline: str, points) -> Pipeline:
-    """The registry entry of ``pipeline``; each of ``points`` holds only its keys."""
+def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
+    """(table, weight of each row at each point) of a pipeline over ``points``,
+    parameter dicts of one detector config, each checked; a run is a grid of one."""
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     entry = PIPELINES[pipeline]
@@ -474,20 +470,22 @@ def _entry(pipeline: str, points) -> Pipeline:
             unknown = ", ".join(repr(k) for k in p if k not in entry.keys)
             raise ConfigError(f"unknown parameter(s) {unknown} for {pipeline}; it reads: "
                               + ", ".join(sorted(entry.keys)))
-    return entry
-
-
-def _weighted_rows(pipeline: str, params: dict) -> tuple:
-    """(registry entry, table, weight of each row) of a pipeline at ``params``."""
-    entry = _entry(pipeline, [params])
-    table = entry.table(entry.config(params))
-    return entry, table, entry.class_weights(params)[table.cls] * table.factor
+    if not points:
+        return None, None
+    cfg = entry.config(points[0])
+    if any(entry.config(p) != cfg for p in points[1:]):
+        raise ConfigError("the points of one grid must share one detector config")
+    table = entry.table(cfg)
+    weights = np.fromiter(map(entry.class_weights, points),
+                          np.dtype((float, int(table.cls[-1]) + 1)), len(points))
+    return table, weights[:, table.cls] * table.factor  # a zero weight adds nothing
 
 
 def _row_sums(weighted_rows, zero) -> list:
     """The bucket totals in COUNT_KEYS order, fidelity sum and kept-pair sum
     of (row, weight) pairs, each weight added in row order onto ``zero``: 0.0
-    for one run, or one zero per point of a grid, so both agree to the bit."""
+    for one run, one zero per point of a grid, so both agree to the bit, or
+    0 for the integer draw counts of a Monte Carlo run."""
     sums = [zero] * (len(COUNT_KEYS) + 2)
     for row, w in weighted_rows:
         b = _BUCKET_IDS[row.verdict]
@@ -527,16 +525,9 @@ def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
     config, each checked as a single run checks it.  One pass over the table
     adds each row's weight at every point, so each report is the single
     run's to the bit."""
-    entry = _entry(pipeline, points)
+    table, row_weights = _weighted_rows(pipeline, points)
     if not points:
         return
-    cfg = entry.config(points[0])
-    if any(entry.config(p) != cfg for p in points):
-        raise ConfigError("the points of one grid must share one detector config")
-    table = entry.table(cfg)
-    weights = np.fromiter(map(entry.class_weights, points),
-                          np.dtype((float, int(table.cls[-1]) + 1)), len(points))
-    row_weights = weights[:, table.cls] * table.factor  # a zero weight adds nothing
     sums = _row_sums(zip(table.rows, row_weights.T), np.zeros(len(points)))
     for p, point_sums in zip(points, np.array(sums).T.tolist()):
         yield _report(pipeline, p, point_sums)
@@ -614,13 +605,13 @@ def _chunks(trials: int):
 
 def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
                    start: int = 0) -> tuple:
-    """(registry entry, table, draws of each row) over trials [start, start + trials).
+    """(table, draws of each row) over trials [start, start + trials).
 
     Each trial draws the row its uniform selects from the cumulative row
     weights, counted on the raw words against the edges' integer limits.
     """
     chunks = _chunks(trials)
-    entry, table, w = _weighted_rows(pipeline, params)
+    table, (w,) = _weighted_rows(pipeline, [params])
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
     edges[-1] = 1.0  # round-off must leave no uniform above the top edge
@@ -630,19 +621,17 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
         below += _words_below(_trial_words(seed, size, start + offset), bins, limits)
     row_counts = np.zeros(len(w), dtype=np.int64)
     row_counts[drawn] = np.diff(below, prepend=0)  # row i: words in [limit[i-1], limit[i])
-    return entry, table, row_counts
+    return table, row_counts
 
 
 def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of a named pipeline; same seed, same report."""
     # 1.5 raises; a numpy integer is reported as a plain int
     trials, seed = operator.index(trials), operator.index(seed)
-    _, table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
-    bucket_counts = np.zeros(len(COUNT_KEYS), dtype=np.int64)
-    np.add.at(bucket_counts, table.bucket, row_counts)
-    counts = bucket_counts.tolist()
-    return _report(pipeline, params, [*counts, counts[0], int(row_counts @ table.pairs)],
-                   trials, seed)
+    table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
+    *counts, _, pairs = _row_sums(zip(table.rows, row_counts.tolist()), 0)
+    # the fidelity slot of a Monte Carlo run is its count of correct draws
+    return _report(pipeline, params, [*counts, counts[0], pairs], trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +643,7 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
 
     Returns fresh records of the rows of nonzero weight, in table order.
     """
-    _, table, w = _weighted_rows(pipeline, params)
+    table, (w,) = _weighted_rows(pipeline, [params])
     # not row._replace(weight=wi): it builds each record from a resized
     # temporary tuple that stays on CPython's free list, a tenth more traced
     # peak memory per fresh-angles study

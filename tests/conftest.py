@@ -14,6 +14,7 @@ from kerrpurify import (
     Spatial,
     ZERO_PHASE,
 )
+from kerrpurify.protocol import _row_sums
 
 ALL_PORT_MODES = tuple(
     ModeLabel(p, s, pol)
@@ -25,6 +26,14 @@ ALL_PORT_MODES = tuple(
 # angles in units of pi, admissible or not: tests assume() away the
 # pairs a QndConfig rejects
 angles = st.builds(Fraction, st.integers(1, 47), st.integers(2, 24))
+
+
+def mc_totals(table, row_counts) -> list:
+    """The integer totals a Monte Carlo run reports from its draws of each
+    row of ``table``: the draws of each verdict, then the kept pairs."""
+    *draws, _, pairs = _row_sums(zip(table.rows, row_counts.tolist()), 0)
+    return [*draws, pairs]
+
 
 def random_angle_pair(rng) -> tuple:
     """Two angles (p/q)*pi with q in [4, 64] from a ``random.Random``,

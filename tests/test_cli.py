@@ -652,6 +652,26 @@ class TestOutFile:
         assert json.loads(target.read_text())["pipeline"] == "stage2"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "run.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+        ["stage2", "--F", "0.8"],
+    ], ids=["stage1", "stage2"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_csv_of_other_columns_writes_no_out_file(self, capsys, tmp_path, argv,
+                                                       existing):
+        # the CSV header is checked before the JSON document is written
+        out_file, csv_file = tmp_path / "run.json", tmp_path / "rows.csv"
+        csv_file.write_text("a,b\n1,2\n")
+        if existing:
+            out_file.write_text("old\n")
+        code, _, err = run_cli(argv + ["--out", str(out_file), "--csv", str(csv_file)],
+                               capsys)
+        assert code == 2 and err.startswith("error:") and "CSV columns" in err
+        assert csv_file.read_text() == "a,b\n1,2\n"
+        assert (out_file.read_text() == "old\n") if existing else not out_file.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["rows.csv", "run.json"] if existing else ["rows.csv"])
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_is_written_through(self, capsys, tmp_path):
         fifo, got = tmp_path / "pipe", []

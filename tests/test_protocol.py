@@ -53,7 +53,7 @@ from kerrpurify.protocol import (
 from kerrpurify.qnd import default_config
 from kerrpurify.sources import TWO_PAIR_KINDS
 
-from conftest import angles, random_angle_pair
+from conftest import angles, mc_totals, random_angle_pair
 
 
 class TestClosedForms:
@@ -353,15 +353,13 @@ class TestMonteCarlo:
 
     def test_parallel_equals_serial_counts(self):
         params = {"p1": 0.1, "p2": 0.02, "f0": 0.8}
-        _, table, full = _mc_row_counts("stage1", params, 80_000, 5)
-        _, _, lo = _mc_row_counts("stage1", params, 30_001, 5)
-        _, _, hi = _mc_row_counts("stage1", params, 49_999, 5, start=30_001)
+        table, full = _mc_row_counts("stage1", params, 80_000, 5)
+        _, lo = _mc_row_counts("stage1", params, 30_001, 5)
+        _, hi = _mc_row_counts("stage1", params, 49_999, 5, start=30_001)
         assert np.array_equal(full, lo + hi)
-        serial = np.bincount(table.bucket, weights=full, minlength=4)
-        parallel = (np.bincount(table.bucket, weights=lo, minlength=4)
-                    + np.bincount(table.bucket, weights=hi, minlength=4))
-        assert np.array_equal(serial, parallel)
-        assert full @ table.pairs == lo @ table.pairs + hi @ table.pairs
+        serial = mc_totals(table, full)
+        assert serial == [a + b for a, b in zip(mc_totals(table, lo), mc_totals(table, hi))]
+        assert sum(serial[:-1]) == 80_000
 
     def test_stage1_within_three_sigma(self):
         report = monte_carlo("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8},
@@ -498,8 +496,8 @@ class TestWordLimitCounts:
     ], ids=["stage1", "stage2", "pbs"])
     def test_ranges_across_a_chunk_boundary(self, pipeline, params, start):
         trials = MC_CHUNK + 4_001
-        _, _, w = protocol._weighted_rows(pipeline, params)
-        _, _, rows = _mc_row_counts(pipeline, params, trials, 13, start=start)
+        _, (w,) = protocol._weighted_rows(pipeline, [params])
+        _, rows = _mc_row_counts(pipeline, params, trials, 13, start=start)
         drawn = np.flatnonzero(w)
         reference = _float_row_counts(_edges(w[drawn]), trial_uniforms(13, trials, start))
         assert np.array_equal(rows[drawn], reference)
@@ -617,11 +615,13 @@ class TestOutcomeTables:
                     ("phi+", "psi+"): Verdict.DISCARDED,
                     ("psi+", "phi+"): Verdict.DISCARDED}
         for table in (_stage2_table(), _pbs_table()):
-            kept_rows = table.bucket < 2
+            kept_rows = np.array([r.verdict in (Verdict.KEPT_CORRECT, Verdict.KEPT_ERRONEOUS)
+                                  for r in table.rows])
             for c, kinds in enumerate(TWO_PAIR_KINDS):
-                kept = {COUNT_KEYS[b] for b in table.bucket[(table.cls == c) & kept_rows]}
+                kept = {table.rows[i].verdict
+                        for i in np.flatnonzero((table.cls == c) & kept_rows)}
                 assert len(kept) <= 1
-                assert (kept.pop() if kept else "discarded") == expected[kinds].value
+                assert (kept.pop() if kept else Verdict.DISCARDED) == expected[kinds]
                 keep_probability = table.factor[(table.cls == c) & kept_rows].sum()
                 assert (keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
 
@@ -641,8 +641,8 @@ class TestOutcomeTables:
         ("pbs", {"F": 1.0}),
     ], ids=["stage1", "stage2", "pbs"])
     def test_zero_weight_rows_are_never_drawn(self, pipeline, params):
-        _, table, w = protocol._weighted_rows(pipeline, params)
-        _, _, rows = _mc_row_counts(pipeline, params, 200_000, 3)
+        _, (w,) = protocol._weighted_rows(pipeline, [params])
+        _, rows = _mc_row_counts(pipeline, params, 200_000, 3)
         assert (w == 0.0).any()
         assert not rows[w == 0.0].any()
         assert monte_carlo(pipeline, params, 200_000, seed=3).counts["kept_erroneous"] == 0
@@ -656,15 +656,12 @@ class TestOutcomeTables:
         ("pbs", {"F": 0.9}),
     ])
     def test_records_agree_with_the_row_columns(self, pipeline, params):
-        # exact runs sum the records, Monte Carlo folds draws through the
-        # bucket and kept-pair columns: both must see the same rows.  At most
-        # 20 terms of size <= 1 each, so the two orders agree to 20 ulp
+        # single runs sum the records, grids and Monte Carlo the weighted
+        # table rows, all through one loop: the totals agree to the bit
         records = enumerate_exact(pipeline, params)
-        _, table, w = protocol._weighted_rows(pipeline, params)
-        buckets = np.bincount(table.bucket, weights=w, minlength=len(COUNT_KEYS))
-        for key, total in zip(COUNT_KEYS, buckets):
-            assert abs(total - sum(r.weight for r in records if r.verdict.value == key)) < 1e-14
-        assert abs(w @ table.pairs - sum(r.weight * r.kept_pairs for r in records)) < 1e-14
+        table, (w,) = protocol._weighted_rows(pipeline, [params])
+        assert (protocol._row_sums(zip(table.rows, w), 0.0)
+                == protocol._row_sums(((r, r.weight) for r in records), 0.0))
 
 
 class TestOutcomeVocabulary:
@@ -738,6 +735,8 @@ class TestExactReports:
 
     def test_empty_grid_has_no_reports(self):
         assert list(exact_reports("stage1", [])) == []
+        with pytest.raises(ConfigError, match="unknown pipeline"):
+            next(exact_reports("nope", []))
 
     @pytest.mark.parametrize("pipeline, bad", [
         ("stage1", {"p1": 0.6, "p2": 0.6, "f0": 0.8}),
