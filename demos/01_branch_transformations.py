@@ -2,7 +2,7 @@
 """Walk each QND detector through its characteristic inputs.
 
 Prints the branch structure (occupation pattern, amplitude, probe
-phases) the detector produces for clean pairs, flipped pairs, and
+phases at the default angles) the detector produces for clean pairs, flipped pairs, and
 double emissions, then runs the full reference-transformation suite.
 """
 
@@ -11,11 +11,12 @@ from kerrpurify.branches import BRANCH_CASES
 from kerrpurify.qnd import apply_qnd, default_config
 
 
-def show_state(state, label):
+def show_state(state, label, cfg):
     print(f"  {label}:")
     for b in state.branches:
         occ = " ".join(f"{m}:{n}" for m, n in b.occupations)
-        tags = f"(alice {b.probe[Party.ALICE].value}pi, bob {b.probe[Party.BOB].value}pi)"
+        alice, bob = (cfg.phase(b.probe[party]).value for party in Party)
+        tags = f"(alice {alice}pi, bob {bob}pi)"
         print(f"    amp {b.amplitude.real:+.4f}  {occ:<34s} probes {tags}")
 
 
@@ -28,8 +29,8 @@ for case in BRANCH_CASES:
     cfg = default_config(case.variant)
     print(f"\n== {case.case_id}: {case.description}")
     state = case.input_state()
-    show_state(state, "input")
-    show_state(apply_qnd(state, cfg), "after detector")
+    show_state(state, "input", cfg)
+    show_state(apply_qnd(state, cfg), "after detector", cfg)
 
 print("\nFull transformation suite:")
 for r in run_branch_suite():

@@ -12,7 +12,7 @@ from kerrpurify import (
     EnsembleState,
     Party,
     Variant,
-    ZERO_PHASE,
+    ZERO_COUNTS,
     apply_qnd,
     default_config,
     homodyne_x,
@@ -27,15 +27,15 @@ odd_parity_target = operator_state([(1, ((HHVV, VVHH),))])
 print("Opposite-shift layout + X-quadrature readout:")
 cfg4 = default_config(Variant.QND4)
 out = apply_qnd(two_pairs, cfg4)
-for o in homodyne_x(out, Party.ALICE):
+for o in homodyne_x(out, Party.ALICE, cfg4):
     print(f"  outcome |{o.outcome.value}pi|: probability {o.probability:.3f}, "
           f"{len(o.post_state)} mixture component(s)")
 
-picked = [o for o in homodyne_x(out, Party.ALICE)
+picked = [o for o in homodyne_x(out, Party.ALICE, cfg4)
           if o.outcome == cfg4.theta.magnitude_class()][0]
 final = []
 for w, comp in picked.post_state.components:
-    for ob in homodyne_x(comp, Party.BOB):
+    for ob in homodyne_x(comp, Party.BOB, cfg4):
         for w2, c2 in ob.post_state.components:
             final.append((w * ob.probability * w2, c2))
 mixture = EnsembleState.of(final)
@@ -44,7 +44,7 @@ print(f"  kept odd-parity class: overlap with the target superposition = "
 
 print("\npi-shift parity layout + exact phase readout:")
 out2 = apply_qnd(two_pairs, default_config(Variant.QND2))
-_, after_alice = project_probe(out2, Party.ALICE, ZERO_PHASE)
-p_bob, kept = project_probe(after_alice, Party.BOB, ZERO_PHASE)
+_, after_alice = project_probe(out2, Party.ALICE, ZERO_COUNTS)
+p_bob, kept = project_probe(after_alice, Party.BOB, ZERO_COUNTS)
 print(f"  kept odd-parity class: overlap with the target superposition = "
       f"{overlap(kept, odd_parity_target):.3f} (pure state)")

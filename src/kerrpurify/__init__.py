@@ -15,6 +15,7 @@ from .fock import (
     SimulationError,
     Spatial,
     ZeroNormError,
+    ZERO_COUNTS,
     ZERO_PHASE,
     PI,
     create_photon,

@@ -1,13 +1,18 @@
 """Reference branch transformations for the four QND detector gadgets.
 
 Each case pins down the exact normalized output (occupation patterns,
-amplitudes, probe phase tags) that a detector must produce for one
+amplitudes, probe counts) that a detector must produce for one
 physically meaningful input class: single emitted pairs with and
 without a transmission bit flip, double emissions with zero, one or
 two flipped pairs, the four two-pair Bell products through the
 parity-check detector, and the opposite-shift parity layout.  Inputs
 and expectations are ``sources.operator_state`` polynomials over the
 source's pair terms.
+
+Probe counts hold no angle, so each case compares its detector's output
+with its expectation once per process.  At an angle pair the suite
+builds the configs, which reject angles whose phases would not keep the
+counts apart, and renders the counts of a mismatch as phases.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .fock import ModeLabel, Party, PhaseTag, Pol, PureState, Spatial, ZERO_PHASE, PI
+from .fock import ConfigError, ModeLabel, Party, PhaseTag, Pol, PureState, Spatial
 from .qnd import QndConfig, Variant, apply_qnd, default_config
 from .sources import (
     A1H, A1V, A2H, A2V, B1H, B1V, B2H, B2V,
@@ -56,40 +61,34 @@ HVVH = _pol4(H, V, V, H)
 HVHV = _pol4(H, V, H, V)
 
 
-def _tags(cfg: QndConfig):
-    t = cfg.theta
-    tp = cfg.theta_prime if cfg.theta_prime is not None else ZERO_PHASE
-    return {
-        "0": ZERO_PHASE,
-        "pi": PI,
-        "t": t,
-        "tp": tp,
-        "2t": t * 2,
-        "2tp": tp * 2,
-        "t+tp": t + tp,
-        "-t": -t,
-    }
+# each phase recipe of the expected entries as probe counts (a, b), the phase
+# a*theta + b*theta'; qnd2's theta is pi, so its "pi" is one theta
+_COUNTS = {"0": (0, 0), "pi": (1, 0), "t": (1, 0), "tp": (0, 1), "2t": (2, 0),
+           "2tp": (0, 2), "t+tp": (1, 1), "-t": (-1, 0)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a module constant, hashed by identity for its caches
 class BranchCase:
     case_id: str
     variant: Variant
     description: str
     input_entries: tuple
-    expected_entries: tuple  # (coeff, groups, (tag_recipe_a, tag_recipe_b))
+    expected_entries: tuple  # (coeff, groups, (phase_recipe_a, phase_recipe_b))
 
-    @functools.cache  # the input does not depend on the angles
+    @functools.cache
     def input_state(self) -> PureState:
         return operator_state(self.input_entries)
 
-    def expected_state(self, cfg: QndConfig) -> PureState:
-        tags = _tags(cfg)
-        entries = [
-            (coeff, groups, (tags[ra], tags[rb]))
-            for coeff, groups, (ra, rb) in self.expected_entries
-        ]
-        return operator_state(entries)
+    @functools.cache
+    def expected_state(self) -> PureState:
+        return operator_state([(coeff, groups, (_COUNTS[ra], _COUNTS[rb]))
+                               for coeff, groups, (ra, rb) in self.expected_entries])
+
+    @functools.cache  # the counts hold no angle: one comparison per process
+    def mismatches(self) -> tuple:
+        """The branches where the detector's output and the expectation differ."""
+        actual = apply_qnd(self.input_state(), default_config(self.variant))
+        return _mismatches(actual, self.expected_state())
 
 
 BRANCH_CASES = (
@@ -239,19 +238,29 @@ class CaseResult:
     detail: str = ""
 
 
-def compare_states(actual: PureState, expected: PureState) -> str:
-    """Return '' if equal branch-by-branch, amplitudes to 1e-10, else a
-    description of the first mismatch in the order of the printed keys."""
+def _mismatches(actual: PureState, expected: PureState) -> tuple:
+    """The (actual, expected) branch pairs of one key that differ, amplitudes
+    to 1e-10; a branch missing on one side is None there."""
     want = {b.key(): b for b in expected.branches}
     pairs = [(b, want.pop(b.key(), None)) for b in actual.branches]
-    mismatches = [(str((got or exp).occupations), str((got or exp).probe), got, exp)
-                  for got, exp in pairs + [(None, b) for b in want.values()]
-                  if got is None or exp is None or abs(got.amplitude - exp.amplitude) > 1e-10]
+    return tuple((got, exp) for got, exp in pairs + [(None, b) for b in want.values()]
+                 if got is None or exp is None or abs(got.amplitude - exp.amplitude) > 1e-10)
+
+
+def _describe(mismatches: tuple, cfg: QndConfig) -> str:
+    """'' for no mismatch, else the first in the order of the printed keys,
+    with its probe counts printed as phases at ``cfg``'s angles."""
     if not mismatches:
         return ""
-    *_, got, exp = min(mismatches, key=lambda m: m[:2])
-    occ, probe = (got or exp).occupations, (got or exp).probe
-    label = f"branch {dict(occ)} probes ({probe[0]}, {probe[1]})"
+
+    def printed(pair):
+        branch = pair[0] or pair[1]
+        return str(branch.occupations), str(tuple(map(cfg.phase, branch.probe)))
+
+    got, exp = min(mismatches, key=printed)
+    branch = got or exp
+    tag_a, tag_b = map(cfg.phase, branch.probe)
+    label = f"branch {dict(branch.occupations)} probes ({tag_a}, {tag_b})"
     if got is None:
         return f"missing {label} (expected amplitude {exp.amplitude:.6g})"
     if exp is None:
@@ -259,10 +268,20 @@ def compare_states(actual: PureState, expected: PureState) -> str:
     return f"{label}: amplitude {got.amplitude:.12g}, expected {exp.amplitude:.12g}"
 
 
+def compare_states(actual: PureState, expected: PureState, cfg: QndConfig) -> str:
+    """Return '' if equal branch-by-branch, amplitudes to 1e-10, else a
+    description of the first mismatch, its probes as phases at ``cfg``."""
+    return _describe(_mismatches(actual, expected), cfg)
+
+
 def run_branch_case(case: BranchCase, cfg: QndConfig | None = None) -> CaseResult:
+    """The case's check, a mismatch reported at the angles of ``cfg``, a
+    config of the case's detector (its default one if None)."""
     cfg = cfg or default_config(case.variant)
-    actual = apply_qnd(case.input_state(), cfg)
-    detail = compare_states(actual, case.expected_state(cfg))
+    if cfg.variant != case.variant:
+        raise ConfigError(f"case {case.case_id} runs {case.variant.value}, "
+                          f"not {cfg.variant.value}")
+    detail = _describe(case.mismatches(), cfg)
     return CaseResult(case.case_id, case.description, detail == "", detail)
 
 

@@ -198,10 +198,21 @@ def _csv_first_line(path, fh, header) -> str:
     return first
 
 
-def _append_csv(path, header, rows) -> None:
-    """Append ``rows`` through one open; a new or empty file gets ``header``."""
+def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
+    """Append ``rows`` through one open; a new or empty file gets ``header``.
+
+    ``before_rows`` runs once the header is checked and before any row is
+    written; if it raises, a file this call created is removed again.
+    """
+    created = not os.path.lexists(path)
     with open(path, "a+", newline="") as fh:
-        first = _csv_first_line(path, fh, header)
+        try:
+            first = _csv_first_line(path, fh, header)
+            before_rows()
+        except BaseException:
+            if created:
+                os.unlink(path)
+            raise
         fh.seek(0, io.SEEK_END)
         writer = csv.writer(fh)
         if not first:
@@ -214,13 +225,13 @@ def _append_csv(path, header, rows) -> None:
 
 
 def _write_run(args, doc: dict, header, rows) -> None:
-    """JSON to --out (else stdout), then rows to --csv; a CSV of other columns exits 2 first."""
-    if args.csv and os.path.isfile(args.csv):
-        with open(args.csv, newline="") as fh:
-            _csv_first_line(args.csv, fh, header)
-    _emit(doc, args.out)
+    """JSON to --out (else stdout), then rows to --csv.  The CSV is opened
+    and checked first: a --csv path that cannot be appended to, or a CSV of
+    other columns, exits 2 before any output."""
     if args.csv:
-        _append_csv(args.csv, header, rows)
+        _append_csv(args.csv, header, rows, lambda: _emit(doc, args.out))
+    else:
+        _emit(doc, args.out)
 
 
 def cmd_stage1(args) -> int:

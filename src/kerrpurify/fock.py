@@ -4,16 +4,22 @@ Core representation used by every other module:
 
 - A state is a superposition of *branches*.  Each branch holds an
   occupation pattern (photon counts per optical mode), one complex
-  amplitude, and one phase accumulator per party for that party's
-  coherent probe beam.
-- Probe phases are exact rationals of pi (``PhaseTag``).  Postselection
-  compares phases for *equality*, so they must never pass through
-  floating point.  A tag holds its value modulo 2 as a reduced integer
-  pair (num, den) with 0 <= num < 2*den: arithmetic is integer
-  arithmetic plus one gcd, equality compares the two ints, and the hash
-  is computed once, when the tag is built.
-- A branch has one key: its occupations and its probes' four ints (num,
-  den).  ``PureState.of`` merges and sorts on it; ``inner`` matches on it.
+  amplitude, and one register per party for that party's coherent
+  probe beam.
+- A probe register holds integer *probe counts* (a, b): the probe's
+  phase is a*theta + b*theta' at the detector's angles.  Postselection
+  compares phases for *equality*, and at angles a ``QndConfig`` accepts
+  the counts a detector produces are equal exactly when their phases
+  are, so states never hold an angle: the branches are enumerated once
+  per detector, and ``QndConfig.phase`` turns counts into a
+  ``PhaseTag`` where a phase leaves the library.
+- Probe phases are exact rationals of pi (``PhaseTag``), never floats.
+  A tag holds its value modulo 2 as a reduced integer pair (num, den)
+  with 0 <= num < 2*den: arithmetic is integer arithmetic plus one gcd,
+  and equality compares the two ints.
+- A branch has one key: its occupations and its probe counts, a tuple
+  of ints.  ``PureState.of`` merges and sorts on it; ``inner`` matches
+  on it.
 - Optical modes are labeled by (party, spatial port, polarization), a
   tuple of three int enums; at most 12 distinct modes ever occur.
 
@@ -99,7 +105,7 @@ class PhaseTag:
     integer comparison.  ``PhaseTag(3, 4)`` is the phase 3*pi/4.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, numerator=0, denominator=1):
         if type(numerator) is not int or type(denominator) is not int:
@@ -112,10 +118,8 @@ class PhaseTag:
         g = math.gcd(numerator, denominator)
         den = denominator // g
         num = numerator // g % (2 * den)  # ZeroDivisionError for a zero denominator
-        _set = object.__setattr__
-        _set(self, "num", num)
-        _set(self, "den", den)
-        _set(self, "_hash", hash((num, den)))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PhaseTag is immutable")
@@ -150,7 +154,7 @@ class PhaseTag:
         return self.num * other.den <= other.num * self.den
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.num, self.den))
 
     def magnitude_class(self) -> "PhaseTag":
         """Canonical representative of the {+phi, -phi} pair.
@@ -175,7 +179,8 @@ class PhaseTag:
 ZERO_PHASE = PhaseTag(0)
 PI = PhaseTag(1)
 
-_NO_PROBE = (ZERO_PHASE, ZERO_PHASE)
+ZERO_COUNTS = (0, 0)  # the probe counts of an unshifted probe
+_NO_PROBE = (ZERO_COUNTS, ZERO_COUNTS)
 
 
 def _canonical_occupations(occupations) -> tuple:
@@ -192,10 +197,11 @@ def _canonical_occupations(occupations) -> tuple:
 
 @dataclass(frozen=True)
 class BranchState:
-    """One coherent branch: occupation pattern, amplitude, probe phases.
+    """One coherent branch: occupation pattern, amplitude, probe counts.
 
     ``occupations`` is a sorted tuple of (mode, count) pairs with all
-    counts > 0; ``probe`` is indexed by ``Party``.
+    counts > 0; ``probe`` is indexed by ``Party`` and holds each party's
+    probe counts (a, b), two ints.
     """
 
     occupations: tuple
@@ -207,10 +213,8 @@ class BranchState:
         return BranchState(_canonical_occupations(occupations), complex(amplitude), tuple(probe))
 
     def key(self):
-        """Occupations, then each probe's reduced num and den, in one flat
-        tuple of ints: it hashes and orders in C."""
-        a, b = self.probe
-        return (self.occupations, a.num, a.den, b.num, b.den)
+        """Occupations, then the probe counts: ints that hash and order in C."""
+        return (self.occupations, self.probe)
 
     def occupation(self, m: ModeLabel) -> int:
         for mm, n in self.occupations:
@@ -232,9 +236,9 @@ class BranchState:
     def with_amplitude(self, amplitude) -> "BranchState":
         return BranchState(self.occupations, complex(amplitude), self.probe)
 
-    def with_probe(self, party: Party, tag: PhaseTag) -> "BranchState":
+    def with_probe(self, party: Party, counts: tuple) -> "BranchState":
         probe = list(self.probe)
-        probe[party] = tag
+        probe[party] = counts
         return BranchState(self.occupations, self.amplitude, tuple(probe))
 
     def one_photon_per_port(self) -> bool:
@@ -316,7 +320,7 @@ def create_photon(state: PureState, m: ModeLabel) -> PureState:
 def product_state(a: PureState, b: PureState) -> PureState:
     """Tensor product of states living on disjoint mode sets.
 
-    Probe phases add.  Raises if the two states share an occupied mode
+    Probe counts add.  Raises if the two states share an occupied mode
     (a general bosonic product would need symmetrization there).
     """
     out = []
@@ -327,36 +331,37 @@ def product_state(a: PureState, b: PureState) -> PureState:
                 raise OccupancyViolationError("product_state requires disjoint modes")
             occ = dict(ba.occupations)
             occ.update(bb.occupations)
-            probe = tuple(ba.probe[p] + bb.probe[p] for p in Party)
+            probe = tuple((a1 + a2, b1 + b2)
+                          for (a1, b1), (a2, b2) in zip(ba.probe, bb.probe))
             out.append(BranchState.of(occ, ba.amplitude * bb.amplitude, probe))
     return PureState.of(out)
 
 
 def probe_outcomes(state: PureState, party: Party) -> dict:
-    """Probability of each distinct probe phase for one party."""
-    dist: dict[PhaseTag, float] = {}
+    """Probability of each distinct value of one party's probe counts."""
+    dist: dict[tuple, float] = {}
     for b in state.branches:
-        t = b.probe[party]
-        dist[t] = dist.get(t, 0.0) + abs(b.amplitude) ** 2
-    return dict(sorted(dist.items()))  # by tag: each tag occurs once
+        c = b.probe[party]
+        dist[c] = dist.get(c, 0.0) + abs(b.amplitude) ** 2
+    return dict(sorted(dist.items()))  # by counts: each occurs once
 
 
-def project_probe(state: PureState, party: Party, outcome: PhaseTag):
-    """Project one party's probe register onto an exact phase value.
+def project_probe(state: PureState, party: Party, outcome: tuple):
+    """Project one party's probe register onto the probe counts ``outcome``.
 
     Returns (probability, post-measurement state); the measured
-    register resets to 0.  Phase comparison is exact, never float.
+    register resets to 0.  Counts compare as ints, never as floats.
     """
     matching = [b for b in state.branches if b.probe[party] == outcome]
     prob = sum(abs(b.amplitude) ** 2 for b in matching)
     if not matching or prob <= PRUNE_TOL**2:
         raise ZeroNormError(f"probe outcome {outcome} has probability 0")
-    post = PureState.of(b.with_probe(party, ZERO_PHASE) for b in matching).normalize()
+    post = PureState.of(b.with_probe(party, ZERO_COUNTS) for b in matching).normalize()
     return prob, post
 
 
 def inner(a: PureState, b: PureState) -> complex:
-    """<b|a> over canonical branches (occupations and probes both label the basis)."""
+    """<b|a> over canonical branches (occupations and probe counts both label the basis)."""
     amps_b = {br.key(): br.amplitude for br in b.branches}
     total = 0.0 + 0.0j
     for br in a.branches:

@@ -27,20 +27,23 @@ polarizing beam splitters and keeps four-port coincidences only, which
 halves the yield at identical fidelity.
 
 Outcomes depend on the parameters (p1, p2, f0 or F) only through
-their weights.  Each pipeline therefore enumerates its branch tree once
-per detector config into an immutable table of outcome rows: an LRU
-cache of TABLE_CACHE_SIZE stage-1 configs, and one table each for stage
-2, whose pi parity detector takes no config, and for PBS.  A row carries
+their weights, and on the angles only through the phases the probes
+read.  Each pipeline therefore enumerates its branch tree once per
+process into an immutable table of outcome rows: stage 1 once per
+detector, with probe counts for readings (see ``fock``), and stage 2,
+whose pi parity detector takes no config, and PBS once each.  A
+stage-1 config renders its detector's rows: it reads each count as a
+``PhaseTag`` and sorts each class into the order in which the readout
+meets the phases, so its table is, row for row, the one an enumeration
+in phases would build.  The last two configs keep their tables, so a
+sweep renders once.  A row carries
 its probability within an event class: a clean or flipped single pair
 or a double emission with its two flips (stage 1), or a Bell-kind pair
 of the two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs
 each table with the function that weights its classes at a parameter
 point, so a row weighs its class weight times its own factor.  A row's
 class is its one ``Verdict`` field, and ``COUNT_KEYS``, the report's
-count buckets, are the verdicts' values in their order.  Stage-1 tables
-reuse the angle-free steps: the two cached source states, and
-``_classify_pair``, which couples and classifies each probe-free pair
-state once per process (an LRU cache of PAIR_CACHE_SIZE states).
+count buckets, are the verdicts' values in their order.
 
 ``_weighted_rows`` weights the rows at each point of a grid of one
 detector config; a single run is a grid of one.  An exact result is
@@ -86,7 +89,7 @@ from .fock import (
     PureState,
     SimulationError,
     Spatial,
-    ZERO_PHASE,
+    ZERO_COUNTS,
     overlap,
     probe_outcomes,
     project_probe,
@@ -212,11 +215,8 @@ def stage2_iterate(f0: float, rounds: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# outcome tables: one branch enumeration per detector config
+# outcome tables: one branch enumeration per detector
 # ---------------------------------------------------------------------------
-
-TABLE_CACHE_SIZE = 64
-PAIR_CACHE_SIZE = 32  # bounds _classify_pair; stage 1 meets 12 keys at any angles
 
 _BUCKET_IDS = {v: i for i, v in enumerate(Verdict)}  # a verdict's index in COUNT_KEYS
 
@@ -245,25 +245,27 @@ def _row_table(classes) -> RowTable:
 
 
 class Reading(NamedTuple):
-    """One joint homodyne readout of both parties' probes."""
+    """One joint homodyne readout of both parties' probes, as probe counts."""
 
     probability: float
-    tag_alice: PhaseTag
-    tag_bob: PhaseTag
+    alice: tuple
+    bob: tuple
     state: PureState  # post-measurement, probes cleared
 
 
 def _readings(state: PureState) -> Iterator[Reading]:
-    """Each joint readout of ``state``, in tag order."""
-    for tag_a in probe_outcomes(state, Party.ALICE):
-        p_a, post_a = project_probe(state, Party.ALICE, tag_a)
-        for tag_b in probe_outcomes(post_a, Party.BOB):
-            p_b, post = project_probe(post_a, Party.BOB, tag_b)
-            yield Reading(p_a * p_b, tag_a, tag_b, post)
+    """Each joint readout of ``state``, in count order."""
+    for alice in probe_outcomes(state, Party.ALICE):
+        p_a, post_a = project_probe(state, Party.ALICE, alice)
+        for bob in probe_outcomes(post_a, Party.BOB):
+            p_b, post = project_probe(post_a, Party.BOB, bob)
+            yield Reading(p_a * p_b, alice, bob, post)
 
 
-def single_pair_leaves(cfg: QndConfig, flipped: bool) -> tuple:
-    return tuple(_readings(apply_qnd(single_pair_state(flipped), cfg)))
+@functools.cache  # counts, not phases: one enumeration per detector and flip
+def single_pair_leaves(variant: Variant, flipped: bool) -> tuple:
+    """The joint readouts of one emitted pair through the detector ``variant``."""
+    return tuple(_readings(apply_qnd(single_pair_state(flipped), default_config(variant))))
 
 
 def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
@@ -276,10 +278,10 @@ def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
     )
 
 
-@functools.lru_cache(maxsize=PAIR_CACHE_SIZE)
+@functools.cache  # the two detectors' leaves project onto 12 pair states
 def _classify_pair(state: PureState, flip: bool) -> tuple:
     """(coupled state, phi+ fidelity, verdict) of a projected pair that Alice
-    bit-flips first when ``flip``: a probe-free key, shared by all angles."""
+    bit-flips first when ``flip``."""
     if flip:
         state = sigma_x(state, Party.ALICE)
     final = coupler(coupler(state, Party.ALICE), Party.BOB)
@@ -287,41 +289,62 @@ def _classify_pair(state: PureState, flip: bool) -> tuple:
     return final, fid, _verdict(fid, overlap(final, PSI_PLUS_MERGED))
 
 
+# The stage-1 rows below hold probe counts where a record holds tags.
+_KEEP = (1, 1)  # theta + theta': the double emissions that leave one photon per port
+
+
 def _order1_row(leaf: Reading) -> OutcomeRecord:
     """A single emission, always kept: Alice flips when the readings differ."""
-    final, fid, verdict = _classify_pair(leaf.state, leaf.tag_alice != leaf.tag_bob)
-    return OutcomeRecord(leaf.tag_alice, leaf.tag_bob, verdict, final, leaf.probability,
+    final, fid, verdict = _classify_pair(leaf.state, leaf.alice != leaf.bob)
+    return OutcomeRecord(leaf.alice, leaf.bob, verdict, final, leaf.probability,
                          fid, order=1, kept_pairs=1)
 
 
-def _order2_row(l1: Reading, l2: Reading, keep_tag: PhaseTag) -> OutcomeRecord:
+def _order2_row(l1: Reading, l2: Reading) -> OutcomeRecord:
     """Classify a joint double-emission outcome from its two pair leaves."""
-    tag_a = l1.tag_alice + l2.tag_alice
-    tag_b = l1.tag_bob + l2.tag_bob
+    alice = (l1.alice[0] + l2.alice[0], l1.alice[1] + l2.alice[1])
+    bob = (l1.bob[0] + l2.bob[0], l1.bob[1] + l2.bob[1])
     weight = l1.probability * l2.probability
-    if tag_a != tag_b or tag_a != keep_tag:
-        verdict = Verdict.KEPT_SAME_PORT if tag_a == tag_b else Verdict.DISCARDED
-        return OutcomeRecord(tag_a, tag_b, verdict, None, weight, order=2)
+    if alice != bob or alice != _KEEP:
+        verdict = Verdict.KEPT_SAME_PORT if alice == bob else Verdict.DISCARDED
+        return OutcomeRecord(alice, bob, verdict, None, weight, order=2)
     (final, fid, verdict), (_, _, verdict2) = (_classify_pair(l.state, False) for l in (l1, l2))
     if verdict != verdict2:
         raise SimulationError("the two kept pairs disagree on correctness")
-    return OutcomeRecord(tag_a, tag_b, verdict, final, weight, fid, order=2, kept_pairs=2)
+    return OutcomeRecord(alice, bob, verdict, final, weight, fid, order=2, kept_pairs=2)
 
 
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+@functools.cache  # two detectors, enumerated once each
+def _stage1_rows(variant: Variant) -> tuple:
+    """The stage-1 rows of a detector, each with the leaves it came from, by
+    class: a clean and a flipped single pair, then the double emissions
+    (flip1, flip2) in product order."""
+    leaves = [single_pair_leaves(variant, flipped) for flipped in (False, True)]
+    return tuple(
+        [tuple(((leaf,), _order1_row(leaf)) for leaf in pair) for pair in leaves]
+        + [tuple(((l1, l2), _order2_row(l1, l2)) for l1, l2 in iproduct(pair1, pair2))
+           for pair1, pair2 in iproduct(leaves, leaves)]
+    )
+
+
+@functools.lru_cache(maxsize=2)  # a sweep, or qnd1 and qnd3 runs in turn, render once
 def _stage1_table(cfg: QndConfig) -> RowTable:
     """The stage-1 rows of a valid detector config, for any source and noise.
 
-    Classes: a clean and a flipped single pair, then the double emissions
-    (flip1, flip2) in product order.
+    Its detector's rows with each count rendered as a phase, each class
+    sorted by the phases its leaves read: the readout's order, so a row
+    sits where a per-config enumeration would put it.  The config admits
+    only angles that keep the protocol's six count classes apart, so the
+    rows' verdicts, decided on counts, are the phases' verdicts.
     """
-    leaves = [single_pair_leaves(cfg, flipped) for flipped in (False, True)]
-    keep_tag = cfg.theta + cfg.theta_prime
-    return _row_table(
-        [[_order1_row(leaf) for leaf in pair] for pair in leaves]
-        + [[_order2_row(l1, l2, keep_tag) for l1, l2 in iproduct(pair1, pair2)]
-           for pair1, pair2 in iproduct(leaves, leaves)]
-    )
+    phase = functools.cache(cfg.phase)  # a handful of distinct counts
+
+    def readout_order(entry):
+        return [phase(counts) for leaf in entry[0] for counts in (leaf.alice, leaf.bob)]
+
+    return _row_table([[OutcomeRecord(phase(row.probe_alice), phase(row.probe_bob), *row[2:])
+                        for _, row in sorted(entries, key=readout_order)]
+                       for entries in _stage1_rows(cfg.variant)])
 
 
 def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:
@@ -344,15 +367,15 @@ def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:
 @functools.lru_cache(maxsize=1)
 def _stage2_table() -> RowTable:
     """Stage-2 rows of the pi parity detector; the classes are ``TWO_PAIR_KINDS``."""
-    classes = []
+    cfg, classes = default_config(Variant.QND2), []
     for kinds in TWO_PAIR_KINDS:
         rows = []
-        for p, tag_a, tag_b, post in _readings(apply_qnd(two_pair_state(*kinds),
-                                                         default_config(Variant.QND2))):
-            if tag_a != tag_b:
+        for p, alice, bob, post in _readings(apply_qnd(two_pair_state(*kinds), cfg)):
+            tag_a, tag_b = cfg.phase(alice), cfg.phase(bob)
+            if alice != bob:
                 rows.append(OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, p))
                 continue
-            if tag_a == ZERO_PHASE:
+            if alice == ZERO_COUNTS:
                 post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
                 post = sigma_x(post, Party.BOB, {Spatial.UPPER})
             rows += _kept_pair_rows(post, p, tag_a, tag_b)

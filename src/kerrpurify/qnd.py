@@ -2,11 +2,12 @@
 
 A Kerr medium couples one signal mode to one party's coherent probe:
 n photons in the signal mode shift that probe's phase by n*theta and
-leave the photons untouched.  Each detector gadget is a fixed stack of
-Kerr couplings (plus an internal PBS for the two-Kerr variant) whose
-end-to-end branch map is pinned down by the transformation table in
-``branches``; the internal layout below is one realization of those
-maps, not the only possible one.
+leave the photons untouched; in the probe counts of ``fock`` a shift by
+theta adds (1, 0) and one by theta' adds (0, 1).  Each detector
+gadget is a fixed stack of Kerr couplings (plus an internal PBS for the
+two-Kerr variant) whose end-to-end branch map is pinned down by the
+transformation table in ``branches``; the internal layout below is one
+realization of those maps, not the only possible one.
 
 Couplings per party, one row of ``_COUPLINGS`` per detector (Alice
 shown; Bob's media are the mirror image on his modes and his probe).
@@ -28,17 +29,20 @@ Each medium reads (spatial port, polarization) -> shift per photon:
 QND2 and QND4 act on two single-photon pairs and reject any branch
 without one photon in each of a party's two ports.
 
-The angles reach a state only through these probe shifts, so
-``apply_qnd`` sums each branch's signed photon counts per (party, angle)
-from ``_SLOTS`` (compiled once per process) and builds one shifted probe
-pair per distinct (probes, counts) key, not one tag step per medium.
+``apply_qnd`` adds each branch's signed photon counts per (party, angle)
+from ``_SLOTS`` (compiled once per process) to its probe counts; QND2's
+theta is pi, so it keeps its count mod 2, and QND4 keeps signed counts.
+No angle enters, so a detector's output is the same at every config of
+its variant.  ``QndConfig.phase`` reads counts as a ``PhaseTag``, and a
+config accepts only angles at which the counts the protocol produces
+read distinct phases.
 
 Each probe is read out by homodyning it.  ``fock.project_probe`` is the
-exact-phase readout (used with QND1-QND3).  ``homodyne_x`` is the
-X-quadrature readout, which cannot distinguish +phi from -phi: the two
-tags fall in one outcome class, and postselecting that class leaves a
-*mixture* of the +phi and -phi branch groups, never their
-superposition.  That coarse-graining is what makes QND4 strictly
+exact-phase readout (used with QND1-QND3), on the counts.
+``homodyne_x`` is the X-quadrature readout, which cannot distinguish
++phi from -phi: the two phases fall in one outcome class, and
+postselecting that class leaves a *mixture* of the +phi and -phi branch
+groups, never their superposition.  That coarse-graining is what makes QND4 strictly
 weaker than QND2 for keeping the odd-parity component.
 """
 
@@ -76,21 +80,23 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class KerrMedium:
-    """One cross-Kerr coupling: signal mode -> probe phase per photon."""
+    """One cross-Kerr coupling: signal mode -> probe counts per photon,
+    (1, 0) for a shift by theta and (0, 1) for one by theta'."""
 
     signal_mode: ModeLabel
-    phase_per_photon: PhaseTag
+    counts_per_photon: tuple
     probe_party: Party
 
 
 def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
-    """Shift the probe by n * phase for the n photons in the signal mode."""
+    """Add n * counts to the probe for the n photons in the signal mode."""
     def shift(b):
         n = b.occupation(medium.signal_mode)
         if not n:
             return b
         probe = list(b.probe)
-        probe[medium.probe_party] += medium.phase_per_photon * n
+        (a, c), (da, dc) = probe[medium.probe_party], medium.counts_per_photon
+        probe[medium.probe_party] = (a + n * da, c + n * dc)
         return BranchState(b.occupations, b.amplitude, tuple(probe))
 
     return state.map_branches(shift)
@@ -130,6 +136,13 @@ class QndConfig:
             if t == ZERO_PHASE or t == PI:
                 raise ConfigError("qnd4 requires theta with +theta != -theta mod 2*pi")
 
+    def phase(self, counts: tuple) -> PhaseTag:
+        """The probe phase a*theta + b*theta' of the probe counts (a, b)."""
+        a, b = counts
+        if b and self.theta_prime is None:
+            raise ConfigError(f"{self.variant.value} reads no theta_prime")
+        return self.theta * a + self.theta_prime * b if b else self.theta * a
+
 
 @functools.lru_cache(maxsize=None)  # one immutable config per variant
 def default_config(variant: Variant) -> QndConfig:
@@ -163,7 +176,8 @@ _SLOTS = {v: {ModeLabel(party, spatial, pol): (2 * party + (angle == "theta_prim
 
 
 def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
-    """Run the detector ``cfg`` names: its ``_COUPLINGS`` row for both parties."""
+    """Run the detector ``cfg`` names: its ``_COUPLINGS`` row for both parties.
+    The probes gain counts, so every config of one variant gives one result."""
     if cfg.variant in (Variant.QND2, Variant.QND4):
         if not all(b.one_photon_per_port() for b in state.branches):
             raise OccupancyViolationError(
@@ -171,23 +185,19 @@ def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
     if cfg.variant == Variant.QND3:
         for party in Party:
             state = pbs(state, party)
-    slots, angles = _SLOTS[cfg.variant], (cfg.theta, cfg.theta_prime) * 2
-    shifted = {}  # (probe ints, counts) -> shifted probes; about half the branches repeat a key
+    slots = _SLOTS[cfg.variant]
+    period = 2 if cfg.variant == Variant.QND2 else 0  # theta = pi: two shifts are none
 
     def shift(b):
         counts = [0, 0, 0, 0]
         for m, n in b.occupations:
             slot, sign = slots.get(m, (0, 0))
             counts[slot] += sign * n
-        a, c = b.probe
-        key = (a.num, a.den, c.num, c.den, *counts)  # ints hash in C, tags in Python
-        if key not in shifted:
-            probe = list(b.probe)
-            for slot, n in enumerate(counts):
-                if n:
-                    probe[slot // 2] += angles[slot] * n
-            shifted[key] = tuple(probe)
-        return BranchState(b.occupations, b.amplitude, shifted[key])
+        probe = []
+        for party, (a, c) in enumerate(b.probe):
+            a, c = a + counts[2 * party], c + counts[2 * party + 1]
+            probe.append((a % period if period else a, c))
+        return BranchState(b.occupations, b.amplitude, tuple(probe))
 
     return state.map_branches(shift)
 
@@ -199,22 +209,30 @@ class HomodyneOutcome:
     post_state: EnsembleState
 
 
-def homodyne_x(state: PureState, party: Party) -> list:
+def homodyne_x(state: PureState, party: Party, cfg: QndConfig) -> list:
     """Enumerate the X-quadrature outcome classes of one party's probe.
 
     The readout cannot tell +phi from -phi, so each outcome is a
-    ``magnitude_class`` of the exact tags.  Within a class the branch
-    groups of different tags decohere: the post-state is an ensemble with
-    one component per tag, the ``project_probe`` state of that tag at
-    weight p_tag / p_class.  The measured probe register resets to 0.
+    ``magnitude_class`` of the exact phases at ``cfg``'s angles.  Within a
+    class the branch groups of different phases decohere: the post-state
+    is an ensemble with one component per phase, the ``project_probe``
+    state of its counts at weight p_phase / p_class.  The measured probe
+    register resets to 0.  Two counts of one phase raise ConfigError: the
+    angles would make the readout merge branch groups the counts keep apart.
     """
     classes: dict[PhaseTag, list] = {}
-    for tag, prob in probe_outcomes(state, party).items():
-        classes.setdefault(tag.magnitude_class(), []).append((tag, prob))
+    phases = set()
+    for counts, prob in probe_outcomes(state, party).items():
+        tag = cfg.phase(counts)
+        if tag in phases:
+            raise ConfigError(f"two probe counts read the phase {tag} at these angles")
+        phases.add(tag)
+        classes.setdefault(tag.magnitude_class(), []).append((tag, counts, prob))
     outcomes = []
-    for cls, tags in sorted(classes.items()):
-        cls_prob = sum(prob for _, prob in tags)
-        comps = [(prob / cls_prob, project_probe(state, party, tag)[1]) for tag, prob in tags]
+    for cls, members in sorted(classes.items()):
+        cls_prob = sum(prob for *_, prob in members)
+        comps = [(prob / cls_prob, project_probe(state, party, counts)[1])
+                 for _, counts, prob in sorted(members)]
         outcomes.append(HomodyneOutcome(cls, cls_prob, EnsembleState.of(comps)))
     return outcomes
 

@@ -31,7 +31,7 @@ from .fock import (
     Pol,
     PureState,
     Spatial,
-    ZERO_PHASE,
+    ZERO_COUNTS,
     product_state,
 )
 
@@ -55,15 +55,16 @@ FLIPPED = (F1, F2, F3, F4)
 def operator_state(entries) -> PureState:
     """Build sum_k coeff_k * prod(group sums) |0>, normalized.
 
-    entries: (coeff, groups[, (tag_a, tag_b)]) with groups a sequence
-    of term lists; every term is a tuple of modes to create.  Modes are
+    entries: (coeff, groups[, (counts_a, counts_b)]) with groups a
+    sequence of term lists, every term a tuple of modes to create, and
+    the optional probe counts of each party (see ``fock``).  Modes are
     created in order, each multiplying the amplitude by the bosonic
     sqrt(n+1), as a chain of ``create_photon`` calls would.
     """
     branches = []
     for entry in entries:
         coeff, groups = entry[0], entry[1]
-        probe = tuple(entry[2]) if len(entry) > 2 else (ZERO_PHASE, ZERO_PHASE)
+        probe = tuple(entry[2]) if len(entry) > 2 else (ZERO_COUNTS, ZERO_COUNTS)
         for combo in iproduct(*groups):
             occ: dict = {}
             amplitude = complex(coeff)

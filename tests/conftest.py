@@ -12,7 +12,7 @@ from kerrpurify import (
     Pol,
     PureState,
     Spatial,
-    ZERO_PHASE,
+    ZERO_COUNTS,
 )
 from kerrpurify.protocol import _row_sums
 
@@ -42,14 +42,9 @@ def random_angle_pair(rng) -> tuple:
                  for q in (rng.randint(4, 64), rng.randint(4, 64)))
 
 
-PROBE_POOL = (
-    ZERO_PHASE,
-    PhaseTag(1, 4),
-    PhaseTag(3, 4),
-    PhaseTag(1, 2),
-    PhaseTag(3, 2),
-    PhaseTag(1),
-)
+# probe counts (a, b); at qnd1's default angles theta = pi/4 and
+# theta' = 3pi/4 they read the distinct phases 0, pi/4, 3pi/4, pi/2, 3pi/2, pi
+PROBE_POOL = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
 
 
 def random_pure_state(rng, max_branches=4, max_photons=4, with_probe=True) -> PureState:
@@ -69,7 +64,7 @@ def random_pure_state(rng, max_branches=4, max_photons=4, with_probe=True) -> Pu
                     PROBE_POOL[rng.integers(len(PROBE_POOL))],
                 )
             else:
-                probe = (ZERO_PHASE, ZERO_PHASE)
+                probe = (ZERO_COUNTS, ZERO_COUNTS)
             branches.append(BranchState.of(occ, amp, probe))
         state = PureState.of(branches)
         if state.norm_squared() > 1e-6:

@@ -1,15 +1,22 @@
-"""Reference states built independently of the pipelines, for cross-checks.
+"""References built independently of the pipelines, for cross-checks.
 
 ``pdc_emit`` expands a down-conversion emission of one or two pairs as
 one state.  The pipelines never build it: stage 1 treats a double
 emission as two independent single pairs.  It is kept here as input for
 an oracle that compares the two pictures.
+
+``per_medium_phases`` runs a detector the long way, in phases: one
+``PhaseTag`` step per Kerr medium and branch at the config's angles.
+The library's detectors add probe counts and read them as phases only
+at the end; ``rendered_phases`` reads a count-valued state that way, so
+the two can be compared at any angles.
 """
 
 import math
 from itertools import combinations_with_replacement
 
-from kerrpurify import BranchState, ModeLabel, PureState, single_pair_state
+from kerrpurify import BranchState, ModeLabel, Party, PureState, Variant, pbs, single_pair_state
+from kerrpurify.qnd import _COUPLINGS
 from kerrpurify.sources import CLEAN
 
 
@@ -33,3 +40,44 @@ def pdc_emit(order: int) -> PureState:
         amp = 2.0 if i != j else math.sqrt(2.0)
         branches.append(BranchState.of(occ, amp))
     return PureState.of(branches).normalize()
+
+
+def _merged(items) -> dict:
+    """{key: summed amplitude} over (key, amplitude) items, dropping the
+    amplitudes that cancel."""
+    out: dict = {}
+    for key, amplitude in items:
+        out[key] = out.get(key, 0) + amplitude
+    return {k: a for k, a in out.items() if abs(a) >= 1e-12}
+
+
+def rendered_phases(state: PureState, cfg) -> dict:
+    """{(occupations, phase_a, phase_b): amplitude}: the state's probe counts
+    read as phases at ``cfg``'s angles, branches of one phase pair added."""
+    return _merged(((b.occupations, *map(cfg.phase, b.probe)), b.amplitude)
+                   for b in state.branches)
+
+
+def per_medium_phases(state: PureState, cfg) -> dict:
+    """The detector ``cfg`` names, in phases: after qnd3's beam splitters,
+    each medium of its coupling table adds sign * angle per photon in its
+    mode to its party's phase, one ``PhaseTag`` step per medium and branch.
+    Returns what ``rendered_phases`` returns.  The one-photon-per-port
+    check of qnd2 and qnd4 is the caller's."""
+    if cfg.variant == Variant.QND3:
+        state = pbs(pbs(state, Party.ALICE), Party.BOB)
+    items = []
+    for b in state.branches:
+        phases = [cfg.phase(counts) for counts in b.probe]
+        for spatial, pol, angle, sign in _COUPLINGS[cfg.variant]:
+            for party in Party:
+                n = b.occupation(ModeLabel(party, spatial, pol))
+                phases[party] = phases[party] + getattr(cfg, angle) * (sign * n)
+        items.append(((b.occupations, *phases), b.amplitude))
+    return _merged(items)
+
+
+def assert_same_phases(got: dict, want: dict, tol: float = 1e-12) -> None:
+    assert got.keys() == want.keys(), set(got) ^ set(want)
+    for key, amplitude in got.items():
+        assert abs(amplitude - want[key]) <= tol, (key, amplitude, want[key])

@@ -17,7 +17,7 @@ from kerrpurify import (
     PdcSourceParams,
     PhaseTag,
     Variant,
-    ZERO_PHASE,
+    ZERO_COUNTS,
     apply_qnd,
     default_config,
     homodyne_x,
@@ -124,12 +124,12 @@ def test_criterion_5_magnitude_readout_degradation():
         cfg4 = default_config(Variant.QND4)
         out4 = apply_qnd(inp, cfg4)
         outcomes = {o.outcome: o for o in
-                    homodyne_x(out4, Party.ALICE)}
+                    homodyne_x(out4, Party.ALICE, cfg4)}
         picked = outcomes[cfg4.theta.magnitude_class()]
         assert abs(picked.probability - 0.5) < 1e-12
         final = []
         for w, comp in picked.post_state.components:
-            for ob in homodyne_x(comp, Party.BOB):
+            for ob in homodyne_x(comp, Party.BOB, cfg4):
                 for w2, c2 in ob.post_state.components:
                     final.append((w * ob.probability * w2, c2))
         mixture = EnsembleState.of(final)
@@ -137,8 +137,8 @@ def test_criterion_5_magnitude_readout_degradation():
         assert abs(mixture.purity() - 0.5) < 1e-12
 
         out2 = apply_qnd(inp, default_config(Variant.QND2))
-        _, after_a = project_probe(out2, Party.ALICE, ZERO_PHASE)
-        _, kept = project_probe(after_a, Party.BOB, ZERO_PHASE)
+        _, after_a = project_probe(out2, Party.ALICE, ZERO_COUNTS)
+        _, kept = project_probe(after_a, Party.BOB, ZERO_COUNTS)
         assert abs(overlap(kept, target) - 1.0) < 1e-12
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from kerrpurify import (
-    PI,
-    ZERO_PHASE,
+    ZERO_COUNTS,
     BranchState,
     ConfigError,
     ModeLabel,
@@ -18,6 +17,7 @@ from kerrpurify import (
     QndConfig,
     Spatial,
     Variant,
+    apply_qnd,
     bell_pair,
     create_photon,
     single_pair_state,
@@ -40,6 +40,7 @@ from kerrpurify.branches import (
 from kerrpurify.qnd import default_config
 
 from conftest import angles
+from oracle import assert_same_phases, per_medium_phases, rendered_phases
 
 
 @pytest.mark.parametrize("case", BRANCH_CASES, ids=[c.case_id for c in BRANCH_CASES])
@@ -78,6 +79,32 @@ def test_suite_passes_at_any_admissible_angles(theta, theta_prime):
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
 
 
+@settings(max_examples=25, deadline=None)
+@given(theta=angles, theta_prime=angles)
+def test_cases_read_the_per_medium_phases_at_any_admissible_angles(theta, theta_prime):
+    # each case compares probe counts once per process; read at an accepted
+    # angle pair, its detector's output and its expectation must both be the
+    # phases of one PhaseTag step per Kerr medium
+    try:
+        cfgs = {v: QndConfig(v, PhaseTag(theta), PhaseTag(theta_prime))
+                for v in (Variant.QND1, Variant.QND3)}
+        cfgs[Variant.QND4] = QndConfig(Variant.QND4, PhaseTag(theta))
+    except ConfigError:
+        assume(False)
+    cfgs[Variant.QND2] = default_config(Variant.QND2)
+    for case in BRANCH_CASES:
+        cfg = cfgs[case.variant]
+        want = per_medium_phases(case.input_state(), cfg)
+        assert_same_phases(rendered_phases(apply_qnd(case.input_state(), cfg), cfg), want)
+        assert_same_phases(rendered_phases(case.expected_state(), cfg), want)
+        assert run_branch_case(case, cfg).passed
+
+
+def test_a_case_runs_only_at_its_own_detector():
+    with pytest.raises(ConfigError, match="runs qnd1, not qnd3"):
+        run_branch_case(BRANCH_CASES[0], default_config(Variant.QND3))
+
+
 def test_suite_filtering():
     results = run_branch_suite(only={"qnd1-double-clean"})
     assert len(results) == 1 and results[0].case_id == "qnd1-double-clean"
@@ -93,28 +120,33 @@ def test_empty_selection_raises(only):
 
 
 def test_compare_states_reports_mismatch():
+    # the expectation with theta and theta' swapped on Alice's probe
     case = BRANCH_CASES[0]
     cfg = default_config(case.variant)
-    wrong = case.expected_state(QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8)))
-    detail = compare_states(case.expected_state(cfg), wrong)
-    assert detail != ""
+    expected = case.expected_state()
+    wrong = PureState.of(b.with_probe(Party.ALICE, b.probe[Party.ALICE][::-1])
+                         for b in expected.branches)
+    assert compare_states(expected, wrong, cfg) != ""
+    assert compare_states(expected, expected, cfg) == ""
 
 
 def test_compare_states_prints_the_first_mismatch_with_its_tags():
     # branches are matched on their integer key, but each message names the
-    # first mismatch in printed order, with its occupations and probe tags
+    # first mismatch in printed order, with its occupations and its probe
+    # counts read as phases at the config's angles
     tags = "probes (PhaseTag(1/4*pi), PhaseTag(1/4*pi))"
-    state = BRANCH_CASES[0].expected_state(default_config(Variant.QND1))
+    cfg = default_config(Variant.QND1)
+    state = BRANCH_CASES[0].expected_state()
     first_dropped = PureState(state.branches[1:])
     last_negated = PureState(state.branches[:-1]
                              + (state.branches[-1].with_amplitude(-0.5),))
-    assert compare_states(state, first_dropped) \
+    assert compare_states(state, first_dropped, cfg) \
         == f"unexpected branch {{a1H: 1, b1H: 1}} {tags} (amplitude 0.5+0j)"
-    assert compare_states(first_dropped, state) \
+    assert compare_states(first_dropped, state, cfg) \
         == f"missing branch {{a1H: 1, b1H: 1}} {tags} (expected amplitude 0.5+0j)"
-    assert compare_states(last_negated, state) \
+    assert compare_states(last_negated, state, cfg) \
         == f"branch {{a2V: 1, b2V: 1}} {tags}: amplitude -0.5+0j, expected 0.5+0j"
-    assert compare_states(state, state) == ""
+    assert compare_states(state, state, cfg) == ""
 
 
 def _create_photon_chain(entries) -> PureState:
@@ -122,7 +154,7 @@ def _create_photon_chain(entries) -> PureState:
     branches = []
     for entry in entries:
         coeff, groups = entry[0], entry[1]
-        probe = entry[2] if len(entry) > 2 else (ZERO_PHASE, ZERO_PHASE)
+        probe = entry[2] if len(entry) > 2 else (ZERO_COUNTS, ZERO_COUNTS)
         for combo in iproduct(*groups):
             s = PureState((BranchState.of((), coeff, probe),))
             for term in combo:
@@ -132,22 +164,22 @@ def _create_photon_chain(entries) -> PureState:
     return PureState.of(branches).normalize()
 
 
-ALTERNATE_TAGS = {"0": ZERO_PHASE, "pi": PI, "t": PhaseTag(1, 8), "tp": PhaseTag(5, 8),
-                  "2t": PhaseTag(1, 4), "2tp": PhaseTag(5, 4), "t+tp": PhaseTag(3, 4),
-                  "-t": PhaseTag(15, 8)}
+# the expectations' phase recipes as probe counts
+RECIPE_COUNTS = {"0": (0, 0), "pi": (1, 0), "t": (1, 0), "tp": (0, 1), "2t": (2, 0),
+                 "2tp": (0, 2), "t+tp": (1, 1), "-t": (-1, 0)}
 
 ENTRY_SETS = {
     "one-mode-three-photons": [(1, (((A1H, A1H, A1H),),))],
     "repeated-pair-terms": [(1, ((U1, U2), (U1, U2), (U1,))), (2, ((U2,), (U2,)))],
     "tagged-mixed-occupations": [
-        (1, (((A1H, B1H, A1H), (A2V, A2V)), (U1, U2)), (PI, PhaseTag(1, 4))),
-        (-3, (((A2V, A1H, A2V),),), (PhaseTag(3, 8), ZERO_PHASE)),
+        (1, (((A1H, B1H, A1H), (A2V, A2V)), (U1, U2)), ((1, 0), (2, -1))),
+        (-3, (((A2V, A1H, A2V),),), ((3, 5), ZERO_COUNTS)),
     ],
 }
 for _case in BRANCH_CASES:
     ENTRY_SETS[f"{_case.case_id}-input"] = _case.input_entries
     ENTRY_SETS[f"{_case.case_id}-expected"] = [
-        (c, groups, (ALTERNATE_TAGS[ra], ALTERNATE_TAGS[rb]))
+        (c, groups, (RECIPE_COUNTS[ra], RECIPE_COUNTS[rb]))
         for c, groups, (ra, rb) in _case.expected_entries
     ]
 

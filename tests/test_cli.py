@@ -694,3 +694,44 @@ class TestUnusablePaths:
         assert err.startswith("error:") and str(path) in err
         assert "Traceback" not in out + err
         assert not path.parent.exists()
+
+
+def _snapshot(root) -> dict:
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+class TestFailedRunWritesNothing:
+    """A run that exits 2 leaves the directory it writes to byte for byte
+    as it found it: the --csv path is opened and checked before --out."""
+
+    STAGE1 = ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"]
+    STAGE2 = ["stage2", "--F", "0.8"]
+
+    @pytest.mark.parametrize("argv", [STAGE1, STAGE2], ids=["stage1", "stage2"])
+    @pytest.mark.parametrize("unusable", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_an_unusable_csv_path_writes_no_out_file(self, capsys, tmp_path, argv,
+                                                     unusable, existing):
+        (tmp_path / "d.csv").mkdir()
+        if existing:
+            (tmp_path / "o.json").write_text("old\n")
+        csv_path = tmp_path / ("nodir/x.csv" if unusable == "missing-dir" else "d.csv")
+        before = _snapshot(tmp_path)
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "o.json"),
+                                       "--csv", str(csv_path)], capsys)
+        assert code == 2 and err.startswith("error:") and str(csv_path) in err
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("argv", [STAGE1, STAGE2], ids=["stage1", "stage2"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-csv", "existing-csv"])
+    def test_an_unwritable_out_path_leaves_the_csv(self, capsys, tmp_path, argv, existing):
+        csv_path = tmp_path / "rows.csv"
+        if existing:
+            assert run_cli(argv + ["--csv", str(csv_path)], capsys)[0] == 0
+        before = _snapshot(tmp_path)
+        code, _, err = run_cli(argv + ["--out", str(tmp_path / "nodir" / "o.json"),
+                                       "--csv", str(csv_path)], capsys)
+        assert code == 2 and err.startswith("error:")
+        assert _snapshot(tmp_path) == before

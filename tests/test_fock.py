@@ -1,4 +1,4 @@
-"""Core state representation: exact phases, branches, projection."""
+"""Core state representation: exact phases, branches, probe counts, projection."""
 
 import math
 from collections import Counter
@@ -12,17 +12,21 @@ from hypothesis import strategies as st
 from kerrpurify import (
     BranchState,
     EnsembleState,
+    KerrMedium,
     ModeLabel,
     Party,
     PhaseTag,
     Pol,
     PureState,
+    QndConfig,
     Spatial,
     Variant,
     ZeroNormError,
+    ZERO_COUNTS,
     ZERO_PHASE,
     PI,
     create_photon,
+    apply_kerr,
     apply_qnd,
     default_config,
     inner,
@@ -232,23 +236,42 @@ class TestMergeCanonical:
 
 
 class TestOneBranchKey:
-    # a tag is reduced when built, so branches whose tags are equal but built
-    # differently have one key: PureState.of merges them and inner matches them
+    # probe counts are plain ints, so branches whose counts are equal however
+    # they were reached have one key: PureState.of merges them and inner
+    # matches them.  The phases those counts read are PhaseTags, reduced when
+    # built, so equal phases built differently are equal tags.
     ALIKE = (PhaseTag(2, 8), PhaseTag(9, 4), PhaseTag(Fraction(-7, 4)), PhaseTag(1, 4))
 
-    def test_equal_tags_built_differently_merge(self):
-        merged = PureState.of(BranchState.of({A1H: 1}, 0.25, (t, PhaseTag(9, 4)))
-                              for t in self.ALIKE)
-        assert len(merged) == 1
-        assert merged.branches[0].amplitude == 1.0
-        assert merged.branches[0].key() == (((A1H, 1),), 1, 4, 1, 4)
+    @staticmethod
+    def alike_counts() -> list:
+        """The counts (1, 1) reached three ways: directly, as the sum of two
+        product factors' counts, and through two Kerr media on one photon."""
+        shifted = PureState((BranchState((), 1.0, ((1, 0), (0, 1))),))
+        factor = PureState((BranchState((), 1.0, ((0, 1), (1, 0))),))
+        photon = create_photon(PureState.vacuum(), A1H)
+        for counts in ((1, 0), (0, 1)):
+            photon = apply_kerr(photon, KerrMedium(A1H, counts, Party.ALICE))
+        return [(1, 1), product_state(shifted, factor).branches[0].probe[Party.ALICE],
+                photon.branches[0].probe[Party.ALICE]]
 
-    def test_equal_tags_built_differently_match_in_inner(self):
-        ref = PureState.of([BranchState.of({A1H: 1}, 1.0, (PhaseTag(1, 4), ZERO_PHASE))])
+    def test_equal_counts_built_differently_merge(self):
+        merged = PureState.of(BranchState.of({A1H: 1}, 0.25, (c, (1, 1)))
+                              for c in self.alike_counts())
+        assert len(merged) == 1
+        assert merged.branches[0].amplitude == 0.75
+        assert merged.branches[0].key() == (((A1H, 1),), ((1, 1), (1, 1)))
+        theta, theta_prime = self.ALIKE[0], PhaseTag(3, 4)
+        cfg = QndConfig(Variant.QND1, theta, theta_prime)
+        assert {cfg.phase(c) for c in self.alike_counts()} == {PI}  # pi/4 + 3pi/4
         for t in self.ALIKE:
-            st = PureState.of([BranchState.of({A1H: 1}, 1.0, (t, PhaseTag(4, 2)))])
+            assert QndConfig(Variant.QND1, t, theta_prime).phase((1, 1)) == PI
+
+    def test_equal_counts_built_differently_match_in_inner(self):
+        ref = PureState.of([BranchState.of({A1H: 1}, 1.0, ((1, 1), ZERO_COUNTS))])
+        for c in self.alike_counts():
+            st = PureState.of([BranchState.of({A1H: 1}, 1.0, (c, (0, 0)))])
             assert inner(st, ref) == 1.0
-        shifted = PureState.of([BranchState.of({A1H: 1}, 1.0, (PhaseTag(3, 4), ZERO_PHASE))])
+        shifted = PureState.of([BranchState.of({A1H: 1}, 1.0, ((0, 1), ZERO_COUNTS))])
         assert inner(shifted, ref) == 0
 
     def test_branches_are_ordered_by_their_key(self, rng):
@@ -261,36 +284,36 @@ class TestProjectProbe:
     def test_clean_pair_after_detector(self):
         cfg = default_config(Variant.QND1)
         st = apply_qnd(single_pair_state(), cfg)
-        prob, post = project_probe(st, Party.ALICE, cfg.theta)
+        theta = (1, 0)  # the counts of one theta shift
+        assert cfg.phase(theta) == cfg.theta
+        prob, post = project_probe(st, Party.ALICE, theta)
         assert abs(prob - 0.5) < 1e-12
-        # Bob's probe is still theta on every surviving branch
-        assert all(b.probe[Party.BOB] == cfg.theta for b in post.branches)
-        expected = operator_state([(1, ((U1, U4),), (ZERO_PHASE, cfg.theta))])
+        # Bob's probe still reads theta on every surviving branch
+        assert all(b.probe[Party.BOB] == theta for b in post.branches)
+        expected = operator_state([(1, ((U1, U4),), (ZERO_COUNTS, theta))])
         assert_states_equal(post, expected)
 
     def test_uniform_zero_probe(self, rng):
         st = random_pure_state(rng, with_probe=False)
-        prob, post = project_probe(st, Party.ALICE, ZERO_PHASE)
+        prob, post = project_probe(st, Party.ALICE, ZERO_COUNTS)
         assert abs(prob - 1.0) < 1e-12
         assert_states_equal(post, st)
 
     def test_no_match_raises(self):
         st = single_pair_state()
         with pytest.raises(ZeroNormError):
-            project_probe(st, Party.ALICE, PhaseTag(1, 3))
+            project_probe(st, Party.ALICE, (1, 0))
 
     def test_weighted_class_superposition(self):
         # superposition of the three normalized double-emission phase
         # classes with weights 1 : 1 : 2; the heaviest class carries 4/6
-        cfg = default_config(Variant.QND1)
-        t, tp = cfg.theta, cfg.theta_prime
-        g1 = operator_state([(1, ((U1, U4), (U1, U4)), (2 * t, 2 * t))])
-        g2 = operator_state([(1, ((U2, U3), (U2, U3)), (2 * tp, 2 * tp))])
-        g3 = operator_state([(1, ((U1, U4), (U2, U3)), (t + tp, t + tp))])
+        g1 = operator_state([(1, ((U1, U4), (U1, U4)), ((2, 0), (2, 0)))])
+        g2 = operator_state([(1, ((U2, U3), (U2, U3)), ((0, 2), (0, 2)))])
+        g3 = operator_state([(1, ((U1, U4), (U2, U3)), ((1, 1), (1, 1)))])
         combined = PureState.of(
             list(g1.branches) + list(g2.branches) + list(g3.scale(2.0).branches)
         ).normalize()
-        prob, _ = project_probe(combined, Party.ALICE, t + tp)
+        prob, _ = project_probe(combined, Party.ALICE, (1, 1))
         assert abs(prob - 4.0 / 6.0) < 1e-12
 
     def test_outcome_probabilities_sum_to_one(self, rng):

@@ -51,9 +51,10 @@ from kerrpurify.protocol import (
     trial_uniforms,
 )
 from kerrpurify.qnd import default_config
-from kerrpurify.sources import TWO_PAIR_KINDS
+from kerrpurify.sources import TWO_PAIR_KINDS, single_pair_state
 
 from conftest import angles, mc_totals, random_angle_pair
+from oracle import per_medium_phases
 
 
 class TestClosedForms:
@@ -192,7 +193,9 @@ class TestAngleIndependence:
 
 class TestSinglePairLeaves:
     def test_leaves_come_in_tag_order_at_fresh_angles(self):
-        # the two probes are read in tag order, so the leaves need no sort
+        # a detector's leaves hold probe counts, two distinct readings; a
+        # config's table reads them as phases and puts the rows of each
+        # single-pair class in tag order, the order the readout meets them
         rng, pairs = random.Random(29), 0
         while pairs < 24:
             angle_pair = random_angle_pair(rng)
@@ -202,9 +205,65 @@ class TestSinglePairLeaves:
                 continue
             pairs += 1
             for cfg, flipped in iproduct(cfgs, (False, True)):
-                leaves = protocol.single_pair_leaves(cfg, flipped)
-                tags = [(leaf.tag_alice, leaf.tag_bob) for leaf in leaves]
-                assert tags == sorted(tags) and len(set(tags)) == len(tags) == 2
+                leaves = protocol.single_pair_leaves(cfg.variant, flipped)
+                assert len({(leaf.alice, leaf.bob) for leaf in leaves}) == len(leaves) == 2
+                table = _stage1_table(cfg)
+                tags = [(row.probe_alice, row.probe_bob)
+                        for row, c in zip(table.rows, table.cls) if c == flipped]
+                assert tags == sorted(tags)
+                assert set(tags) == {(cfg.phase(leaf.alice), cfg.phase(leaf.bob))
+                                     for leaf in leaves}
+
+
+def _per_medium_rows(cfg: QndConfig) -> list:
+    """(Alice's phase, Bob's phase, factor) of each stage-1 row in table
+    order, enumerated in phases: each pair's readings from one PhaseTag step
+    per Kerr medium, in tag order, and the classes of ``_stage1_table``."""
+    leaves = []
+    for flipped in (False, True):
+        readings = {}
+        for (_, tag_a, tag_b), amplitude in per_medium_phases(single_pair_state(flipped),
+                                                              cfg).items():
+            readings[tag_a, tag_b] = readings.get((tag_a, tag_b), 0.0) + abs(amplitude) ** 2
+        leaves.append(sorted(readings.items()))
+    classes = [[(a, b, p) for (a, b), p in pair] for pair in leaves]
+    classes += [[(a1 + a2, b1 + b2, p1 * p2)
+                 for ((a1, b1), p1), ((a2, b2), p2) in iproduct(pair1, pair2)]
+                for pair1, pair2 in iproduct(leaves, leaves)]
+    return [row for rows in classes for row in rows]
+
+
+class TestPerAngleRender:
+    """A config reads its detector's count-valued rows as phases; at every
+    accepted angle pair they must be the rows of an enumeration in phases."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=angles, theta_prime=angles)
+    def test_rendered_records_equal_a_per_medium_enumeration(self, theta, theta_prime):
+        point = {"p1": 0.2, "p2": 0.05, "f0": 0.7}
+        for variant in (Variant.QND1, Variant.QND3):
+            try:
+                cfg = QndConfig(variant, PhaseTag(theta), PhaseTag(theta_prime))
+            except ConfigError:
+                assume(False)
+            expected = _per_medium_rows(cfg)
+            records = enumerate_exact("stage1", dict(point, variant=variant, cfg=cfg))
+            table = _stage1_table(cfg)
+            assert len(records) == len(table.rows) == len(expected)
+            for record, row, factor, (tag_a, tag_b, p) in zip(records, table.rows,
+                                                                table.factor, expected):
+                assert (record.probe_alice, record.probe_bob) == (tag_a, tag_b)
+                assert record[2:4] + record[5:] == row[2:4] + row[5:]
+                assert abs(factor - p) < 1e-12
+                # the keep rule, read on the phases themselves
+                if record.order == 1:
+                    kept = True
+                else:
+                    kept = tag_a == tag_b == cfg.theta + cfg.theta_prime
+                    assert (record.verdict == Verdict.KEPT_SAME_PORT) == (tag_a == tag_b
+                                                                         and not kept)
+                assert (record.verdict in (Verdict.KEPT_CORRECT,
+                                           Verdict.KEPT_ERRONEOUS)) == kept
 
 
 class TestStage2Exact:
@@ -544,25 +603,31 @@ class TestPairCache:
                 configs.append(cfg)
         return configs
 
+    CACHES = (protocol.single_pair_leaves, protocol._classify_pair, protocol._stage1_rows,
+              _stage1_table)
+
     def test_fresh_configs_share_few_entries_and_equal_cold_builds(self):
-        # a projected pair holds no probe phase, so stage-1 tables at 50 fresh
-        # angle pairs fill only a handful of entries; every table and report
-        # built warm is, repr for repr, the one built with the cache cleared
+        # probe counts hold no angle, so 50 fresh angle pairs share one
+        # enumeration per detector, the projected pairs fill only a handful
+        # of entries, and a table is kept for the last config of each
+        # detector only; every table and report built warm is, repr for
+        # repr, the one built with every cache cleared
         def build(cfg):
             report = stage1_run(SRC, NOISE, cfg.variant, cfg=cfg).to_dict()
             return repr(_stage1_table(cfg).rows), report
 
         configs = self.fresh_configs(50, seed=17)
-        protocol._classify_pair.cache_clear()
-        _stage1_table.cache_clear()
+        for cache in self.CACHES:
+            cache.cache_clear()
         warm = [build(cfg) for cfg in configs]
-        info = protocol._classify_pair.cache_info()
-        assert info.currsize <= 16 and info.currsize <= info.maxsize
-        assert info.hits > info.misses
+        assert protocol._classify_pair.cache_info().currsize <= 16
+        rows = protocol._stage1_rows.cache_info()
+        assert (rows.misses, rows.currsize) == (2, 2) and rows.hits == 48
+        assert _stage1_table.cache_info().currsize == 2
         cold = []
         for cfg in configs:
-            protocol._classify_pair.cache_clear()
-            _stage1_table.cache_clear()
+            for cache in self.CACHES:
+                cache.cache_clear()
             cold.append(build(cfg))
         assert warm == cold
 
@@ -571,7 +636,7 @@ class TestOutcomeTables:
     def test_warm_cache_report_equals_cold(self):
         _reports()
         warm = _reports()
-        for table in TABLES:
+        for table in TABLES + (protocol._stage1_rows,):
             table.cache_clear()
         cold = _reports()
         assert [t.cache_info().misses for t in TABLES] == [2, 1, 1]

@@ -1,5 +1,7 @@
 """Kerr primitive, detector gadget configs, X-quadrature homodyne readout."""
 
+import contextlib
+import io
 import random
 import re
 from fractions import Fraction
@@ -7,8 +9,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrpurify import (
+    BranchState,
     ConfigError,
     EnsembleState,
     KerrMedium,
@@ -21,6 +26,7 @@ from kerrpurify import (
     QndConfig,
     Spatial,
     Variant,
+    ZERO_COUNTS,
     ZERO_PHASE,
     PI,
     apply_kerr,
@@ -33,34 +39,38 @@ from kerrpurify import (
     project_probe,
     single_pair_state,
 )
-from kerrpurify import qnd
+from kerrpurify import cli, qnd
 from kerrpurify.branches import BRANCH_CASES, HHHH, HHVV, VVHH, VVVV, operator_state
 
 from conftest import (assert_states_equal, photon_distribution, random_angle_pair,
                       random_pure_state)
+from oracle import assert_same_phases, per_medium_phases, rendered_phases
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
 THETA = PhaseTag(1, 4)
 
 
 class TestKerrPrimitive:
-    def medium(self, phase=THETA):
-        return KerrMedium(A1H, phase, Party.ALICE)
+    # a shift by theta adds the probe counts (1, 0); QndConfig.phase reads them
+    def medium(self, counts=(1, 0)):
+        return KerrMedium(A1H, counts, Party.ALICE)
 
     def test_one_photon_shifts_probe(self):
         st = create_photon(PureState.vacuum(), A1H)
         out = apply_kerr(st, self.medium())
-        assert out.branches[0].probe[Party.ALICE] == THETA
-        assert out.branches[0].probe[Party.BOB] == ZERO_PHASE
+        assert out.branches[0].probe[Party.ALICE] == (1, 0)
+        assert out.branches[0].probe[Party.BOB] == ZERO_COUNTS
+        assert default_config(Variant.QND1).phase((1, 0)) == THETA
 
     def test_vacuum_unshifted(self):
         out = apply_kerr(PureState.vacuum(), self.medium())
-        assert out.branches[0].probe[Party.ALICE] == ZERO_PHASE
+        assert out.branches[0].probe[Party.ALICE] == ZERO_COUNTS
 
     def test_two_photons_double_shift(self):
         st = create_photon(create_photon(PureState.vacuum(), A1H), A1H)
         out = apply_kerr(st, self.medium())
-        assert out.branches[0].probe[Party.ALICE] == THETA * 2
+        assert out.branches[0].probe[Party.ALICE] == (2, 0)
+        assert default_config(Variant.QND1).phase((2, 0)) == THETA * 2
 
     def test_signal_untouched(self):
         st = create_photon(PureState.vacuum(), A1H)
@@ -69,13 +79,17 @@ class TestKerrPrimitive:
         assert out.branches[0].amplitude == st.branches[0].amplitude
 
     def test_additivity_equals_summed_medium(self, rng):
+        # counts add as ints, and the phases they read add mod 2*pi
+        cfg = QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8))
         for _ in range(1000):
             st = random_pure_state(rng)
-            a, b = PhaseTag(int(rng.integers(-8, 8)), 8), PhaseTag(int(rng.integers(-8, 8)), 8)
+            a, b = (tuple(int(n) for n in rng.integers(-8, 8, size=2)) for _ in range(2))
             two = apply_kerr(apply_kerr(st, KerrMedium(A1H, a, Party.ALICE)),
                              KerrMedium(A1H, b, Party.ALICE))
-            one = apply_kerr(st, KerrMedium(A1H, a + b, Party.ALICE))
+            summed = (a[0] + b[0], a[1] + b[1])
+            one = apply_kerr(st, KerrMedium(A1H, summed, Party.ALICE))
             assert_states_equal(two, one)
+            assert cfg.phase(summed) == cfg.phase(a) + cfg.phase(b)
 
 
 class TestConfig:
@@ -143,20 +157,33 @@ class TestCouplingTable:
         assert drawn == {v: list(rows) for v, rows in qnd._COUPLINGS.items()}
 
 
-def _per_medium_apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
-    """Reference detector: after qnd3's PBS, one ``apply_kerr`` (a PhaseTag
-    multiply and add per branch) for each _COUPLINGS medium."""
+def _check_ports(state: PureState, cfg: QndConfig) -> None:
     if cfg.variant in (Variant.QND2, Variant.QND4) and any(
             b.photons(party=party, spatial=spatial) != 1 for b in state.branches
             for party in Party for spatial in (Spatial.UPPER, Spatial.LOWER)):
         raise OccupancyViolationError("one photon per port")
+
+
+def _per_medium_apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
+    """Reference detector: after qnd3's PBS, one ``apply_kerr`` (a count step
+    per branch) for each _COUPLINGS medium; qnd2's theta is pi, so its theta
+    count is then taken mod 2."""
+    _check_ports(state, cfg)
     if cfg.variant == Variant.QND3:
         state = pbs(pbs(state, Party.ALICE), Party.BOB)
     for spatial, pol, angle, sign in qnd._COUPLINGS[cfg.variant]:
-        phase = getattr(cfg, angle) if sign > 0 else -getattr(cfg, angle)
+        counts = (sign, 0) if angle == "theta" else (0, sign)
         for party in Party:
-            state = apply_kerr(state, KerrMedium(ModeLabel(party, spatial, pol), phase, party))
+            state = apply_kerr(state, KerrMedium(ModeLabel(party, spatial, pol), counts, party))
+    if cfg.variant == Variant.QND2:
+        state = state.map_branches(lambda b: BranchState(
+            b.occupations, b.amplitude, tuple((a % 2, c) for a, c in b.probe)))
     return state
+
+
+def _per_medium_phases(state: PureState, cfg: QndConfig) -> dict:
+    _check_ports(state, cfg)
+    return per_medium_phases(state, cfg)
 
 
 def _admissible_angle_pairs(count: int, seed: int) -> list:
@@ -177,9 +204,11 @@ def _admissible_angle_pairs(count: int, seed: int) -> list:
 
 class TestCountingDetector:
     def test_equals_one_tag_step_per_medium(self):
-        # apply_qnd sums photon counts per (party, angle) and builds each
-        # shifted probe pair once; the result must be the per-medium one,
-        # repr for repr, and a rejected input must be rejected by both
+        # apply_qnd sums photon counts per (party, angle) into the probe
+        # counts.  They must be the counts of one apply_kerr step per medium,
+        # repr for repr, and at 40 admissible angle pairs they must read the
+        # phases of one PhaseTag step per medium; a rejected input must be
+        # rejected by all three
         rng = np.random.default_rng(3)
         inputs = ([case.input_state() for case in BRANCH_CASES]
                   + [single_pair_state(flipped) for flipped in (False, True)]
@@ -187,21 +216,72 @@ class TestCountingDetector:
 
         def outcome(detector, state, cfg):
             try:
-                return repr(detector(state, cfg))
+                return detector(state, cfg)
             except OccupancyViolationError:
                 return "rejected"
 
+        for variant in Variant:
+            cfg = default_config(variant)
+            for state in inputs:
+                assert (repr(outcome(apply_qnd, state, cfg))
+                        == repr(outcome(_per_medium_apply_qnd, state, cfg))), (cfg, state)
         pairs = _admissible_angle_pairs(40, seed=11)
         configs = [default_config(Variant.QND2)] + [
             cfg for theta, theta_prime in pairs
             for cfg in (QndConfig(Variant.QND1, theta, theta_prime),
                         QndConfig(Variant.QND3, theta, theta_prime),
                         QndConfig(Variant.QND4, theta))]
+        compared = 0
         for cfg in configs:
             for state in inputs:
-                assert (outcome(apply_qnd, state, cfg)
-                        == outcome(_per_medium_apply_qnd, state, cfg)), (cfg, state)
+                if cfg.theta_prime is None and any(c[1] for b in state.branches
+                                                   for c in b.probe):
+                    continue  # theta' counts, which a one-angle detector cannot read
+                got, want = outcome(apply_qnd, state, cfg), outcome(_per_medium_phases, state, cfg)
+                if want == "rejected":
+                    assert got == want
+                else:
+                    assert_same_phases(rendered_phases(got, cfg), want)
+                    compared += 1
+        assert compared > len(configs) * len(BRANCH_CASES) // 2
         assert any(outcome(apply_qnd, s, configs[-1]) == "rejected" for s in inputs)
+
+
+def _six_classes_distinct(theta: Fraction, theta_prime: Fraction) -> bool:
+    """0, t, t', 2t, 2t' and t+t' (in units of pi) are distinct mod 2."""
+    classes = (Fraction(0), theta, theta_prime, 2 * theta, 2 * theta_prime, theta + theta_prime)
+    return len({c % 2 for c in classes}) == 6
+
+
+small_angles = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+class TestAdmissibilityBoundary:
+    """Counts decide postselection in place of phases only where a config
+    accepts the angles, so every config must accept exactly those."""
+
+    @staticmethod
+    def accepts(variant, *angles) -> bool:
+        try:
+            QndConfig(variant, *map(PhaseTag, angles))
+        except ConfigError:
+            return False
+        return True
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=small_angles, theta_prime=small_angles)
+    def test_configs_accept_exactly_the_admissible_angles(self, theta, theta_prime):
+        admissible = _six_classes_distinct(theta, theta_prime)
+        for variant in (Variant.QND1, Variant.QND3):
+            assert self.accepts(variant, theta, theta_prime) == admissible
+        assert self.accepts(Variant.QND2, theta) == (theta % 2 == 1)
+        assert self.accepts(Variant.QND4, theta) == (theta % 2 not in (0, 1))
+        # verify-branches exits 2 on every rejected pair and passes every other
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify-branches", f"--theta={theta}",
+                             f"--theta-prime={theta_prime}"])
+        assert code == (0 if admissible else 2)
 
 
 class TestParityLaw:
@@ -220,8 +300,8 @@ class TestParityLaw:
             ]:
                 st = create_photon(st, ModeLabel(party, spatial, pol))
             out = apply_qnd(st, cfg)
-            tag_a = out.branches[0].probe[Party.ALICE]
-            tag_b = out.branches[0].probe[Party.BOB]
+            tag_a = cfg.phase(out.branches[0].probe[Party.ALICE])
+            tag_b = cfg.phase(out.branches[0].probe[Party.BOB])
             assert (tag_a == PI) == (pa1 == pa2)
             assert (tag_b == PI) == (pb1 == pb2)
             assert (tag_a == tag_b) == ((pa1 == pa2) == (pb1 == pb2))
@@ -266,32 +346,43 @@ class TestGadgetInvariants:
 
 
 class TestHomodyne:
+    POOL_CFG = default_config(Variant.QND1)  # reads conftest's probe counts as six phases
+
     def test_components_are_project_probe_states(self, rng):
-        # each class holds the project_probe state of each of its tags,
-        # weighted by the tag's share of the class probability
-        two_tag_classes = 0
+        # each class holds the project_probe state of the counts of each of
+        # its phases, weighted by the phase's share of the class probability
+        cfg, two_tag_classes = self.POOL_CFG, 0
         for _ in range(200):
             st = random_pure_state(rng)
             for party in Party:
                 probs = probe_outcomes(st, party)
-                outcomes = homodyne_x(st, party)
+                outcomes = homodyne_x(st, party, cfg)
                 assert [o.outcome for o in outcomes] == \
-                    sorted({tag.magnitude_class() for tag in probs})
+                    sorted({cfg.phase(counts).magnitude_class() for counts in probs})
                 for o in outcomes:
-                    tags = [tag for tag in probs if tag.magnitude_class() == o.outcome]
-                    two_tag_classes += len(tags) == 2
-                    assert abs(o.probability - sum(probs[tag] for tag in tags)) < 1e-12
-                    assert len(o.post_state) == len(tags)
-                    for tag, (w, comp) in zip(tags, o.post_state.components):
-                        prob, post = project_probe(st, party, tag)
+                    members = sorted((cfg.phase(counts), counts) for counts in probs
+                                     if cfg.phase(counts).magnitude_class() == o.outcome)
+                    two_tag_classes += len(members) == 2
+                    assert abs(o.probability - sum(probs[c] for _, c in members)) < 1e-12
+                    assert len(o.post_state) == len(members)
+                    for (_, counts), (w, comp) in zip(members, o.post_state.components):
+                        prob, post = project_probe(st, party, counts)
                         assert abs(w - prob / o.probability) < 1e-12
                         assert_states_equal(comp, post)
         assert two_tag_classes > 0
 
+    def test_two_counts_of_one_phase_raise(self):
+        # 3 * pi/4 = 3pi/4: at qnd1's default angles the counts (3, 0) and
+        # (0, 1) read one phase, whose readout the counts cannot represent
+        st = PureState.of(BranchState.of({A1H: 1}, 1.0, (counts, ZERO_COUNTS))
+                          for counts in ((3, 0), (0, 1)))
+        with pytest.raises(ConfigError, match="read the phase"):
+            homodyne_x(st, Party.ALICE, self.POOL_CFG)
+
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(200):
             st = random_pure_state(rng)
-            outs = homodyne_x(st, Party.BOB)
+            outs = homodyne_x(st, Party.BOB, self.POOL_CFG)
             assert abs(sum(o.probability for o in outs) - 1.0) < 1e-10
 
     def magnitude_outcome(self, outcome_tag):
@@ -299,7 +390,7 @@ class TestHomodyne:
         cfg = default_config(Variant.QND4)
         out = apply_qnd(inp, cfg)
         outcomes = {o.outcome: o for o in
-                    homodyne_x(out, Party.ALICE)}
+                    homodyne_x(out, Party.ALICE, cfg)}
         return cfg, outcomes[outcome_tag]
 
     def test_magnitude_class_is_mixture(self):
@@ -308,7 +399,7 @@ class TestHomodyne:
         # finish with Bob's readout; each component is already tag-definite
         final = []
         for w, comp in o.post_state.components:
-            for ob in homodyne_x(comp, Party.BOB):
+            for ob in homodyne_x(comp, Party.BOB, cfg):
                 for w2, c2 in ob.post_state.components:
                     final.append((w * ob.probability * w2, c2))
         ens = EnsembleState.of(final)
@@ -327,8 +418,8 @@ class TestHomodyne:
 
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
         out = apply_qnd(inp, default_config(Variant.QND2))
-        _, after_a = project_probe(out, Party.ALICE, ZERO_PHASE)
-        _, post = project_probe(after_a, Party.BOB, ZERO_PHASE)
+        _, after_a = project_probe(out, Party.ALICE, ZERO_COUNTS)
+        _, post = project_probe(after_a, Party.BOB, ZERO_COUNTS)
         target = operator_state([(1, ((HHVV, VVHH),))])
         assert abs(post.norm_squared() - 1.0) < 1e-12
         assert abs(overlap(post, target) - 1.0) < 1e-12
