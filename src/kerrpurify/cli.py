@@ -204,14 +204,14 @@ def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
     ``before_rows`` runs once the header is checked and before any row is
     written; if it raises, a file this call created is removed again.
     """
-    created = not os.path.lexists(path)
+    created = not os.path.exists(path)  # a dangling link's target is created too
     with open(path, "a+", newline="") as fh:
         try:
             first = _csv_first_line(path, fh, header)
             before_rows()
         except BaseException:
             if created:
-                os.unlink(path)
+                os.unlink(os.path.realpath(path))
             raise
         fh.seek(0, io.SEEK_END)
         writer = csv.writer(fh)

@@ -32,18 +32,17 @@ read.  Each pipeline therefore enumerates its branch tree once per
 process into an immutable table of outcome rows: stage 1 once per
 detector, with probe counts for readings (see ``fock``), and stage 2,
 whose pi parity detector takes no config, and PBS once each.  A
-stage-1 config renders its detector's rows: it reads each count as a
-``PhaseTag`` and sorts each class into the order in which the readout
-meets the phases, so its table is, row for row, the one an enumeration
-in phases would build.  The last two configs keep their tables, so a
-sweep renders once.  A row carries
-its probability within an event class: a clean or flipped single pair
-or a double emission with its two flips (stage 1), or a Bell-kind pair
-of the two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs
-each table with the function that weights its classes at a parameter
-point, so a row weighs its class weight times its own factor.  A row's
-class is its one ``Verdict`` field, and ``COUNT_KEYS``, the report's
-count buckets, are the verdicts' values in their order.
+stage-1 config only labels its detector's rows: it reads each count as
+a ``PhaseTag`` and keeps the rows in count order, so only their tags
+depend on the angles.  The last two configs keep their tables, so a
+sweep renders once.  A row carries its probability within an event
+class: a clean or flipped single pair or a double emission with its
+two flips (stage 1), or a Bell-kind pair of the two-pair mixture
+(stage 2, PBS).  The PIPELINES registry pairs each table with the
+function that weights its classes at a parameter point, so a row
+weighs its class weight times its own factor.  A row's class is its
+one ``Verdict`` field, and ``COUNT_KEYS``, the report's count buckets,
+are the verdicts' values in their order.
 
 ``_weighted_rows`` weights the rows at each point of a grid of one
 detector config; a single run is a grid of one.  An exact result is
@@ -315,36 +314,26 @@ def _order2_row(l1: Reading, l2: Reading) -> OutcomeRecord:
 
 
 @functools.cache  # two detectors, enumerated once each
-def _stage1_rows(variant: Variant) -> tuple:
-    """The stage-1 rows of a detector, each with the leaves it came from, by
-    class: a clean and a flipped single pair, then the double emissions
-    (flip1, flip2) in product order."""
+def _stage1_rows(variant: Variant) -> RowTable:
+    """The stage-1 rows of a detector, read in probe counts, by class: a
+    clean and a flipped single pair, then the double emissions (flip1,
+    flip2) in product order."""
     leaves = [single_pair_leaves(variant, flipped) for flipped in (False, True)]
-    return tuple(
-        [tuple(((leaf,), _order1_row(leaf)) for leaf in pair) for pair in leaves]
-        + [tuple(((l1, l2), _order2_row(l1, l2)) for l1, l2 in iproduct(pair1, pair2))
-           for pair1, pair2 in iproduct(leaves, leaves)]
-    )
+    return _row_table([[_order1_row(leaf) for leaf in pair] for pair in leaves]
+                      + [[_order2_row(l1, l2) for l1, l2 in iproduct(pair1, pair2)]
+                         for pair1, pair2 in iproduct(leaves, leaves)])
 
 
 @functools.lru_cache(maxsize=2)  # a sweep, or qnd1 and qnd3 runs in turn, render once
 def _stage1_table(cfg: QndConfig) -> RowTable:
-    """The stage-1 rows of a valid detector config, for any source and noise.
-
-    Its detector's rows with each count rendered as a phase, each class
-    sorted by the phases its leaves read: the readout's order, so a row
-    sits where a per-config enumeration would put it.  The config admits
-    only angles that keep the protocol's six count classes apart, so the
-    rows' verdicts, decided on counts, are the phases' verdicts.
-    """
-    phase = functools.cache(cfg.phase)  # a handful of distinct counts
-
-    def readout_order(entry):
-        return [phase(counts) for leaf in entry[0] for counts in (leaf.alice, leaf.bob)]
-
-    return _row_table([[OutcomeRecord(phase(row.probe_alice), phase(row.probe_bob), *row[2:])
-                        for _, row in sorted(entries, key=readout_order)]
-                       for entries in _stage1_rows(cfg.variant)])
+    """The stage-1 rows of a valid detector config, for any source and noise:
+    its detector's rows, in count order and sharing their columns, with each
+    count read as a phase.  The config admits only angles that keep the
+    protocol's six count classes apart, so the verdicts, decided on counts,
+    are the phases' verdicts, and the angles change only the rows' tags."""
+    table, phase = _stage1_rows(cfg.variant), functools.cache(cfg.phase)  # few distinct counts
+    return table._replace(rows=tuple(OutcomeRecord(phase(row.probe_alice), phase(row.probe_bob),
+                                                   *row[2:]) for row in table.rows))
 
 
 def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:

@@ -1,14 +1,19 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import builtins
+import contextlib
 import csv
+import io
 import json
 import os
 import stat
+import tempfile
 import threading
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kerrpurify import cli
 from kerrpurify.cli import main
@@ -697,9 +702,21 @@ class TestUnusablePaths:
 
 
 def _snapshot(root) -> dict:
-    """Every path under ``root``: a file's bytes, or None for a directory."""
-    return {p.relative_to(root): None if p.is_dir() else p.read_bytes()
-            for p in sorted(root.rglob("*"))}
+    """Every path under ``root``: a link's target, else its mode and a file's
+    bytes (None for a directory)."""
+    tree = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = os.path.join(dirpath, name)
+            mode = os.lstat(path).st_mode
+            if stat.S_ISLNK(mode):
+                tree[path] = os.readlink(path)
+            elif stat.S_ISDIR(mode):
+                tree[path] = (mode, None)
+            else:
+                with open(path, "rb") as fh:
+                    tree[path] = (mode, fh.read())
+    return tree
 
 
 class TestFailedRunWritesNothing:
@@ -735,3 +752,109 @@ class TestFailedRunWritesNothing:
                                        "--csv", str(csv_path)], capsys)
         assert code == 2 and err.startswith("error:")
         assert _snapshot(tmp_path) == before
+
+
+# The CLI contract over argv x file-system states: a command line is a
+# command, optionally its valid base flags, then flags drawn with valid and
+# invalid values (flags a command does not read included); later flags win.
+COMMANDS = {
+    ("verify-branches",): [],
+    ("stage1",): ["--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+    ("stage2",): ["--F", "0.8"],
+    ("sweep", "stage1"): ["--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.7,0.9",
+                          "--csv", "grid.csv"],
+    ("sweep", "stage2"): ["--F", "0.55,0.75", "--csv", "grid.csv"],
+}
+PATHS = ["rows.csv", "run.json", "cfg.txt", "adir", "link", "nodir/x.csv", "rows.csv/x", ""]
+FLAG_VALUES = {
+    "--p1": ["0.1", "0", "-0.1", "nan", "inf", "1.5", "abc", "0.02,0.05", ","],
+    "--p2": ["0.01", "0", "0.95", "-1", "nan", "0.001,0.002"],
+    "--f0": ["0.8", "0", "1", "1.1", "nan", "-inf", "0.7,,0.9"],
+    "--F": ["0.8", "0.5", "1", "0", "1.01", "nan", "inf", "x", "", "0.55,0.75"],
+    "--variant": ["qnd1", "qnd3", "qnd2", "qnd9"],
+    "--theta": ["1/8", "3/16", "29/64", "1/2", "1/4", "1/0", "nan", "x/y", ""],
+    "--theta-prime": ["5/8", "29/64", "3/16", "1", "3/4", "1/4", "2/0", "1e400"],
+    "--mode": ["exact", "mc", "both"],
+    "--trials": ["1", "500", "0", "-3", "1e3", "nan"],
+    "--seed": ["0", "7", "-1", str(2**64 - 1), str(2**64), "1.5"],
+    "--rounds": ["1", "3", "0", "-2", "x"],
+    "--only": ["qnd1-double-clean", "", ",", "no-such-case"],
+    "--baseline": None,
+    "--out": PATHS,
+    "--csv": PATHS,
+    "--config": PATHS,
+}
+STAGE1_HEADER = ",".join(cli.STAGE1_CSV_HEADER)
+STAGE1_ROW = "0.1,0.01,0.8,qnd1,exact,,0,0.99,0.99,0.9,0.9,0,0,0.1"
+CSV_TEXTS = [f"{STAGE1_HEADER}\r\n{STAGE1_ROW}\r\n",
+             f"{STAGE1_HEADER}\r\n{STAGE1_ROW}",  # its last line left open
+             ",".join(cli.STAGE2_CSV_HEADER) + "\n", "a,b,c\n1,2,3\n", ""]
+CONFIG_TEXTS = ["theta=1/8\ntheta-prime=5/8\n", "seed=3\n", "variant=qnd3\n", "variant=qnd2\n",
+                "theta=1/2\ntheta_prime=1\n", "foo=1\n", "seed=1\nseed=2\n", "theta=\n",
+                "seed=abc\n", "not a pair\n", "\xff\xfe"]
+
+
+@st.composite
+def command_lines(draw) -> list:
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command) + (COMMANDS[command] if draw(st.booleans()) else [])
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=6, unique=True)):
+        values = FLAG_VALUES[flag]
+        argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+file_states = st.fixed_dictionaries({
+    "rows.csv": st.none() | st.sampled_from(CSV_TEXTS),
+    "read_only": st.booleans(),
+    "run.json": st.none() | st.just("{}\n"),
+    "cfg.txt": st.none() | st.sampled_from(CONFIG_TEXTS),
+    "adir": st.booleans(),
+    "link": st.none() | st.sampled_from(["run.json", "missing.csv", "adir"]),
+})
+
+
+def _make_files(root: str, state: dict) -> None:
+    for name in ("rows.csv", "run.json", "cfg.txt"):
+        if state[name] is not None:
+            with open(os.path.join(root, name), "w", encoding="latin-1", newline="") as fh:
+                fh.write(state[name])
+    if state["adir"]:
+        os.mkdir(os.path.join(root, "adir"))
+    if state["link"] is not None:
+        os.symlink(state["link"], os.path.join(root, "link"))
+    if state["read_only"] and state["rows.csv"] is not None:
+        os.chmod(os.path.join(root, "rows.csv"), 0o444)
+
+
+class TestCliContract:
+    """Whatever the command line and the files around it: the exit code is
+    0, 1 or 2, stderr holds no traceback, and a run that exits non-zero
+    leaves every file byte for byte as it found it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=command_lines(), state=file_states)
+    # a --csv link to a missing file, then an --out that cannot be written:
+    # the link's new target must go again
+    @example(argv=["stage2", "--F", "0.8", "--csv", "link", "--out", "nodir/x.csv"],
+             state={"rows.csv": None, "read_only": False, "run.json": None, "cfg.txt": None,
+                    "adir": False, "link": "missing.csv"})
+    def test_exit_code_stderr_and_files(self, argv, state):
+        with tempfile.TemporaryDirectory() as root:
+            _make_files(root, state)
+            before = _snapshot(root)
+            err = io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(root)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse's usage errors
+                        code = exc.code
+            finally:
+                os.chdir(cwd)
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
+            if code != 0:
+                assert _snapshot(root) == before, (argv, code, err.getvalue())

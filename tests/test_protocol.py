@@ -161,41 +161,42 @@ class TestStage1Exact:
             stage1_run(PdcSourceParams(0.1, 0.01), NoiseParams(0.8), Variant.QND2)
 
 
-def assert_reports_close(got: dict, expected: dict, tol: float) -> None:
-    assert got.keys() == expected.keys()
-    for key, value in expected.items():
-        if isinstance(value, dict):
-            assert_reports_close(got[key], value, tol)
-        elif isinstance(value, float):
-            assert abs(got[key] - value) <= tol, key
-        else:
-            assert got[key] == value, key
-
-
 class TestAngleIndependence:
     @settings(max_examples=25, deadline=None)
     @given(theta=angles, theta_prime=angles,
            p1=st.floats(0.01, 0.5), p2=st.floats(0.001, 0.3), f0=st.floats(0.5, 1.0))
     def test_stage1_report_does_not_depend_on_the_angles(self, theta, theta_prime,
                                                          p1, p2, f0):
+        # an admissible angle pair, in either order, only labels the rows: a
+        # single run, a grid and a seeded Monte Carlo run read the default
+        # config's numbers to the bit
         src, noise = PdcSourceParams(p1, p2), NoiseParams(f0)
+        grid = [{"p1": p1, "p2": p2, "f0": f0}, {"p1": p2, "p2": p1, "f0": 1.5 - f0}]
+
+        def runs(variant, cfg):
+            points = [dict(p, variant=variant, cfg=cfg) for p in grid]
+            return (stage1_run(src, noise, variant, cfg=cfg).to_dict(),
+                    [r.to_dict() for r in exact_reports("stage1", points)],
+                    monte_carlo("stage1", points[0], 20_000, seed=13).to_dict())
+
         reports = []
         for variant in (Variant.QND1, Variant.QND3):
-            try:
-                cfg = QndConfig(variant, PhaseTag(theta), PhaseTag(theta_prime))
-            except ConfigError:
-                assume(False)
-            report = stage1_run(src, noise, variant, cfg=cfg).to_dict()
-            assert_reports_close(report, stage1_run(src, noise, variant).to_dict(), 1e-12)
-            reports.append(report)
+            expected = runs(variant, default_config(variant))
+            for angle_pair in ((theta, theta_prime), (theta_prime, theta)):
+                try:
+                    cfg = QndConfig(variant, *map(PhaseTag, angle_pair))
+                except ConfigError:
+                    assume(False)
+                assert runs(variant, cfg) == expected
+            reports.append(expected[0])
         assert reports[0] == reports[1]
 
 
 class TestSinglePairLeaves:
-    def test_leaves_come_in_tag_order_at_fresh_angles(self):
+    def test_leaves_come_in_count_order_at_fresh_angles(self):
         # a detector's leaves hold probe counts, two distinct readings; a
-        # config's table reads them as phases and puts the rows of each
-        # single-pair class in tag order, the order the readout meets them
+        # config's table is its detector's count table row for row, in count
+        # order and sharing its columns, with only the tags read as phases
         rng, pairs = random.Random(29), 0
         while pairs < 24:
             angle_pair = random_angle_pair(rng)
@@ -204,38 +205,45 @@ class TestSinglePairLeaves:
             except ConfigError:
                 continue
             pairs += 1
+            for cfg in cfgs:
+                counted, table = protocol._stage1_rows(cfg.variant), _stage1_table(cfg)
+                assert table.cls is counted.cls and table.factor is counted.factor
+                assert [row[2:] for row in table.rows] == [row[2:] for row in counted.rows]
+                assert [(row.probe_alice, row.probe_bob) for row in table.rows] == [
+                    (cfg.phase(row.probe_alice), cfg.phase(row.probe_bob))
+                    for row in counted.rows]
             for cfg, flipped in iproduct(cfgs, (False, True)):
                 leaves = protocol.single_pair_leaves(cfg.variant, flipped)
                 assert len({(leaf.alice, leaf.bob) for leaf in leaves}) == len(leaves) == 2
                 table = _stage1_table(cfg)
                 tags = [(row.probe_alice, row.probe_bob)
                         for row, c in zip(table.rows, table.cls) if c == flipped]
-                assert tags == sorted(tags)
                 assert set(tags) == {(cfg.phase(leaf.alice), cfg.phase(leaf.bob))
                                      for leaf in leaves}
 
 
-def _per_medium_rows(cfg: QndConfig) -> list:
-    """(Alice's phase, Bob's phase, factor) of each stage-1 row in table
-    order, enumerated in phases: each pair's readings from one PhaseTag step
-    per Kerr medium, in tag order, and the classes of ``_stage1_table``."""
+def _per_medium_classes(cfg: QndConfig) -> list:
+    """(Alice's phase, Bob's phase, factor) of the stage-1 rows of each class
+    of ``_stage1_table``, enumerated in phases: each pair's readings from one
+    PhaseTag step per Kerr medium."""
     leaves = []
     for flipped in (False, True):
         readings = {}
         for (_, tag_a, tag_b), amplitude in per_medium_phases(single_pair_state(flipped),
                                                               cfg).items():
             readings[tag_a, tag_b] = readings.get((tag_a, tag_b), 0.0) + abs(amplitude) ** 2
-        leaves.append(sorted(readings.items()))
+        leaves.append(list(readings.items()))
     classes = [[(a, b, p) for (a, b), p in pair] for pair in leaves]
     classes += [[(a1 + a2, b1 + b2, p1 * p2)
                  for ((a1, b1), p1), ((a2, b2), p2) in iproduct(pair1, pair2)]
                 for pair1, pair2 in iproduct(leaves, leaves)]
-    return [row for rows in classes for row in rows]
+    return classes
 
 
 class TestPerAngleRender:
     """A config reads its detector's count-valued rows as phases; at every
-    accepted angle pair they must be the rows of an enumeration in phases."""
+    accepted angle pair each class must hold the rows of an enumeration in
+    phases, compared as lists sorted by tags."""
 
     @settings(max_examples=40, deadline=None)
     @given(theta=angles, theta_prime=angles)
@@ -246,16 +254,14 @@ class TestPerAngleRender:
                 cfg = QndConfig(variant, PhaseTag(theta), PhaseTag(theta_prime))
             except ConfigError:
                 assume(False)
-            expected = _per_medium_rows(cfg)
+            expected = _per_medium_classes(cfg)
             records = enumerate_exact("stage1", dict(point, variant=variant, cfg=cfg))
             table = _stage1_table(cfg)
-            assert len(records) == len(table.rows) == len(expected)
-            for record, row, factor, (tag_a, tag_b, p) in zip(records, table.rows,
-                                                                table.factor, expected):
-                assert (record.probe_alice, record.probe_bob) == (tag_a, tag_b)
-                assert record[2:4] + record[5:] == row[2:4] + row[5:]
-                assert abs(factor - p) < 1e-12
+            assert len(records) == len(table.rows) == sum(map(len, expected))
+            for record, row in zip(records, table.rows):
+                assert record[:4] + record[5:] == row[:4] + row[5:]
                 # the keep rule, read on the phases themselves
+                tag_a, tag_b = record.probe_alice, record.probe_bob
                 if record.order == 1:
                     kept = True
                 else:
@@ -264,6 +270,14 @@ class TestPerAngleRender:
                                                                          and not kept)
                 assert (record.verdict in (Verdict.KEPT_CORRECT,
                                            Verdict.KEPT_ERRONEOUS)) == kept
+            for c, want in enumerate(expected):
+                got = sorted((row.probe_alice, row.probe_bob, factor)
+                             for row, k, factor in zip(table.rows, table.cls, table.factor)
+                             if k == c)
+                assert len(got) == len(want)
+                for (tag_a, tag_b, factor), (want_a, want_b, p) in zip(got, sorted(want)):
+                    assert (tag_a, tag_b) == (want_a, want_b)
+                    assert abs(factor - p) < 1e-12
 
 
 class TestStage2Exact:
