@@ -106,6 +106,8 @@ def _emit(doc: dict, out: str | None) -> None:
             if path.exists():
                 os.chmod(tmp, path.stat().st_mode & 0o7777)
             os.replace(tmp, path)
+        except OSError as exc:  # name the path given, not the temp file
+            raise OSError(exc.errno, exc.strerror, out) from None
         finally:
             tmp.unlink(missing_ok=True)
 
@@ -226,8 +228,13 @@ def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
 
 def _write_run(args, doc: dict, header, rows) -> None:
     """JSON to --out (else stdout), then rows to --csv.  The CSV is opened
-    and checked first: a --csv path that cannot be appended to, or a CSV of
-    other columns, exits 2 before any output."""
+    and checked first: --out and --csv naming one file, a --csv path that
+    cannot be appended to, or a CSV of other columns, exits 2 before any
+    output."""
+    paths = (args.out, args.csv)
+    if all(paths) and (len(set(map(os.path.realpath, paths))) == 1  # one path, or a link to it
+                       or all(map(os.path.exists, paths)) and os.path.samefile(*paths)):
+        raise CliError(f"--out {args.out} and --csv {args.csv} name one file; give each its own")
     if args.csv:
         _append_csv(args.csv, header, rows, lambda: _emit(doc, args.out))
     else:

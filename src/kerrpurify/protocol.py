@@ -29,16 +29,14 @@ halves the yield at identical fidelity.
 Outcomes depend on the parameters (p1, p2, f0 or F) only through
 their weights, and on the angles only through the phases the probes
 read.  Each pipeline therefore enumerates its branch tree once per
-process into an immutable table of outcome rows: stage 1 once per
-detector, with probe counts for readings (see ``fock``), and stage 2,
-whose pi parity detector takes no config, and PBS once each.  A
-stage-1 config only labels its detector's rows: it reads each count as
-a ``PhaseTag`` and keeps the rows in count order, so only their tags
-depend on the angles.  The last two configs keep their tables, so a
-sweep renders once.  A row carries its probability within an event
-class: a clean or flipped single pair or a double emission with its
-two flips (stage 1), or a Bell-kind pair of the two-pair mixture
-(stage 2, PBS).  The PIPELINES registry pairs each table with the
+process into an immutable table of outcome rows, with probe counts for
+readings (see ``fock``): stage 1 once per detector, stage 2 (whose pi
+parity detector takes no config) and PBS once each.  A config only
+labels a run's records: ``enumerate_exact`` reads their counts as
+``PhaseTag``s, and grids and Monte Carlo read no tag.  A row carries its
+probability within an event class: a clean or flipped single pair or a
+double emission with its two flips (stage 1), or a Bell-kind pair of the
+two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs each table with the
 function that weights its classes at a parameter point, so a row
 weighs its class weight times its own factor.  A row's class is its
 one ``Verdict`` field, and ``COUNT_KEYS``, the report's count buckets,
@@ -52,6 +50,8 @@ single-point runs (``stage1_run``, ``stage2_run``, ``pbs_baseline``) sum
 the records of ``enumerate_exact``, and ``monte_carlo`` its draws of
 each row.  All three add through one loop, ``_row_sums``, in table
 order, so they agree to the bit, and ``_report`` builds every report.
+Every kept row's fidelity is exactly 1.0 (correct) or 0.0 (erroneous),
+so a report's fidelity is its correct total over its kept total.
 Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
 per trial and inverts the cumulative row weights with it.  Trial t reads
 word t of a counter-based stream keyed by the seed, so any partition of
@@ -288,7 +288,7 @@ def _classify_pair(state: PureState, flip: bool) -> tuple:
     return final, fid, _verdict(fid, overlap(final, PSI_PLUS_MERGED))
 
 
-# The stage-1 rows below hold probe counts where a record holds tags.
+# The rows below hold probe counts where a record holds tags.
 _KEEP = (1, 1)  # theta + theta': the double emissions that leave one photon per port
 
 
@@ -324,19 +324,7 @@ def _stage1_rows(variant: Variant) -> RowTable:
                          for pair1, pair2 in iproduct(leaves, leaves)])
 
 
-@functools.lru_cache(maxsize=2)  # a sweep, or qnd1 and qnd3 runs in turn, render once
-def _stage1_table(cfg: QndConfig) -> RowTable:
-    """The stage-1 rows of a valid detector config, for any source and noise:
-    its detector's rows, in count order and sharing their columns, with each
-    count read as a phase.  The config admits only angles that keep the
-    protocol's six count classes apart, so the verdicts, decided on counts,
-    are the phases' verdicts, and the angles change only the rows' tags."""
-    table, phase = _stage1_rows(cfg.variant), functools.cache(cfg.phase)  # few distinct counts
-    return table._replace(rows=tuple(OutcomeRecord(phase(row.probe_alice), phase(row.probe_bob),
-                                                   *row[2:]) for row in table.rows))
-
-
-def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:
+def _kept_pair_rows(state: PureState, weight: float, alice, bob) -> list:
     """Diagonal-measure the lower pair, phase-correct, classify the upper pair."""
     rows = []
     for oa, (pa, s1) in diagonal_outcomes(state, Party.ALICE, Spatial.LOWER).items():
@@ -348,26 +336,26 @@ def _kept_pair_rows(state: PureState, weight: float, tag_a, tag_b) -> list:
             final = sigma_z(s2, Party.ALICE, {Spatial.UPPER}) if oa != ob else s2
             fid = overlap(final, PHI_PLUS_UPPER)
             verdict = _verdict(fid, overlap(final, PSI_PLUS_UPPER))
-            rows.append(OutcomeRecord(tag_a, tag_b, verdict, final, weight * pa * pb, fid,
+            rows.append(OutcomeRecord(alice, bob, verdict, final, weight * pa * pb, fid,
                                       kept_pairs=1))
     return rows
 
 
 @functools.lru_cache(maxsize=1)
 def _stage2_table() -> RowTable:
-    """Stage-2 rows of the pi parity detector; the classes are ``TWO_PAIR_KINDS``."""
+    """Stage-2 rows of the pi parity detector, in probe counts; the classes
+    are ``TWO_PAIR_KINDS``."""
     cfg, classes = default_config(Variant.QND2), []
     for kinds in TWO_PAIR_KINDS:
         rows = []
         for p, alice, bob, post in _readings(apply_qnd(two_pair_state(*kinds), cfg)):
-            tag_a, tag_b = cfg.phase(alice), cfg.phase(bob)
             if alice != bob:
-                rows.append(OutcomeRecord(tag_a, tag_b, Verdict.DISCARDED, None, p))
+                rows.append(OutcomeRecord(alice, bob, Verdict.DISCARDED, None, p))
                 continue
             if alice == ZERO_COUNTS:
                 post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
                 post = sigma_x(post, Party.BOB, {Spatial.UPPER})
-            rows += _kept_pair_rows(post, p, tag_a, tag_b)
+            rows += _kept_pair_rows(post, p, alice, bob)
         classes.append(rows)
     return _row_table(classes)
 
@@ -406,7 +394,7 @@ def _stage1_config(variant, cfg) -> QndConfig:
 
 
 def _stage1_class_weights(params: dict) -> np.ndarray:
-    """Weights of the classes of ``_stage1_table``: an emission is one pair
+    """Weights of the classes of ``_stage1_rows``: an emission is one pair
     or two in the ratio p1 : p2, and each pair is flipped with probability
     1 - f0.  Building the parameter objects checks them."""
     src = PdcSourceParams(params["p1"], params["p2"])
@@ -454,7 +442,7 @@ class Pipeline(NamedTuple):
     """How one pipeline finds its outcome rows and weights them at a point."""
 
     keys: frozenset          # the parameter keys it reads; any other raises
-    config: Callable         # params -> their detector config, checked; None: stage 2, PBS
+    config: Callable         # params -> their detector config, checked; None: PBS
     table: Callable          # detector config -> its RowTable; stage 2 and PBS have one
     class_weights: Callable  # params -> the weight of each class of that table
     extras: Callable         # (params, bucket totals, kept pairs, events) -> report extras
@@ -463,8 +451,10 @@ class Pipeline(NamedTuple):
 PIPELINES = {
     "stage1": Pipeline(frozenset({"p1", "p2", "f0", "variant", "cfg"}),
                        lambda p: _stage1_config(p.get("variant", Variant.QND1), p.get("cfg")),
-                       _stage1_table, _stage1_class_weights, _stage1_extras),
-    "stage2": Pipeline(frozenset({"F"}), lambda p: None, lambda cfg: _stage2_table(),
+                       lambda cfg: _stage1_rows(cfg.variant), _stage1_class_weights,
+                       _stage1_extras),
+    "stage2": Pipeline(frozenset({"F"}), lambda p: default_config(Variant.QND2),
+                       lambda cfg: _stage2_table(),
                        _two_pair_class_weights, functools.partial(_two_pair_extras, False)),
     "pbs": Pipeline(frozenset({"F"}), lambda p: None, lambda cfg: _pbs_table(),
                     _two_pair_class_weights, functools.partial(_two_pair_extras, True)),
@@ -484,26 +474,24 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
                               + ", ".join(sorted(entry.keys)))
     if not points:
         return None, None
-    cfg = entry.config(points[0])
-    if any(entry.config(p) != cfg for p in points[1:]):
+    configs = {entry.config(p) for p in points}
+    if len(configs) > 1:
         raise ConfigError("the points of one grid must share one detector config")
-    table = entry.table(cfg)
+    table = entry.table(*configs)
     weights = np.fromiter(map(entry.class_weights, points),
                           np.dtype((float, int(table.cls[-1]) + 1)), len(points))
     return table, weights[:, table.cls] * table.factor  # a zero weight adds nothing
 
 
 def _row_sums(weighted_rows, zero) -> list:
-    """The bucket totals in COUNT_KEYS order, fidelity sum and kept-pair sum
-    of (row, weight) pairs, each weight added in row order onto ``zero``: 0.0
-    for one run, one zero per point of a grid, so both agree to the bit, or
-    0 for the integer draw counts of a Monte Carlo run."""
-    sums = [zero] * (len(COUNT_KEYS) + 2)
+    """The bucket totals in COUNT_KEYS order and the kept-pair sum of (row,
+    weight) pairs, each weight added in row order onto ``zero``: 0.0 for one
+    run, one zero per point of a grid, so both agree to the bit, or 0 for the
+    integer draw counts of a Monte Carlo run."""
+    sums = [zero] * (len(COUNT_KEYS) + 1)
     for row, w in weighted_rows:
         b = _BUCKET_IDS[row.verdict]
         sums[b] = sums[b] + w
-        if row.fidelity is not None:
-            sums[-2] = sums[-2] + w * row.fidelity
         sums[-1] = sums[-1] + w * row.kept_pairs
     return sums
 
@@ -512,11 +500,11 @@ def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
             seed: int | None = None) -> RunReport:
     """The report of a run at ``params`` from its totals in ``_row_sums`` order:
     the weight sums of an exact run (``trials`` None, one event), or the
-    draw counts of a Monte Carlo run, whose fidelity sum is its correct draws."""
-    *counts, fid_sum, pairs = sums
+    draw counts of a Monte Carlo run."""
+    *counts, pairs = sums
     kept, mc = counts[0] + counts[1], trials is not None
     events = trials if mc else 1
-    fid = fid_sum / kept if kept > 0 else None
+    fid = counts[0] / kept if kept > 0 else None
     y = kept / events
     return RunReport(
         pipeline=pipeline, mode="mc" if mc else "exact", fidelity=fid, yield_fraction=y,
@@ -641,9 +629,8 @@ def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunR
     # 1.5 raises; a numpy integer is reported as a plain int
     trials, seed = operator.index(trials), operator.index(seed)
     table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
-    *counts, _, pairs = _row_sums(zip(table.rows, row_counts.tolist()), 0)
-    # the fidelity slot of a Monte Carlo run is its count of correct draws
-    return _report(pipeline, params, [*counts, counts[0], pairs], trials, seed)
+    return _report(pipeline, params, _row_sums(zip(table.rows, row_counts.tolist()), 0),
+                   trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +640,14 @@ def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunR
 def enumerate_exact(pipeline: str, params: dict) -> list:
     """Full outcome enumeration of a named pipeline; weights sum to 1.
 
-    Returns fresh records of the rows of nonzero weight, in table order.
+    Returns fresh records of the rows of nonzero weight, in table order,
+    with their counts read as phases of the point's config: its angles keep
+    the six count classes apart, so the rows' verdicts hold for the phases.
     """
     table, (w,) = _weighted_rows(pipeline, [params])
-    # not row._replace(weight=wi): it builds each record from a resized
-    # temporary tuple that stays on CPython's free list, a tenth more traced
-    # peak memory per fresh-angles study
-    return [OutcomeRecord(*row[:4], wi, *row[5:])
+    cfg = PIPELINES[pipeline].config(params)
+    tag = functools.cache(cfg.phase) if cfg else lambda counts: None  # PBS reads no probe
+    return [OutcomeRecord(tag(row.probe_alice), tag(row.probe_bob), *row[2:4], wi, *row[5:])
             for row, wi in zip(table.rows, w.tolist()) if wi != 0.0]
 
 

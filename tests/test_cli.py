@@ -696,7 +696,8 @@ class TestUnusablePaths:
         path = tmp_path / "nodir" / "x.txt"
         code, out, err = run_cli(["stage2", "--F", "0.8", flag, str(path)], capsys)
         assert code == 2
-        assert err.startswith("error:") and str(path) in err
+        # the message names the path given, not the temp file --out writes first
+        assert err.startswith("error:") and repr(str(path)) in err and ".tmp" not in err
         assert "Traceback" not in out + err
         assert not path.parent.exists()
 
@@ -751,6 +752,26 @@ class TestFailedRunWritesNothing:
         code, _, err = run_cli(argv + ["--out", str(tmp_path / "nodir" / "o.json"),
                                        "--csv", str(csv_path)], capsys)
         assert code == 2 and err.startswith("error:")
+        assert _snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("argv", [STAGE1, STAGE2], ids=["stage1", "stage2"])
+    @pytest.mark.parametrize("alias", ["new", "same-path", "symlink", "hardlink"])
+    def test_out_and_csv_naming_one_file_exit_2(self, capsys, tmp_path, argv, alias):
+        # the JSON would replace the file the CSV rows go to: refuse both
+        rows, out = tmp_path / "rows.csv", tmp_path / "alias.csv"
+        if alias == "new":
+            out = rows
+        else:
+            for _ in range(2):
+                assert run_cli(argv + ["--csv", str(rows)], capsys)[0] == 0
+            assert len(read_csv(rows)) == 3
+            if alias == "same-path":
+                out = tmp_path / "." / "rows.csv"
+            else:
+                (out.symlink_to if alias == "symlink" else out.hardlink_to)(rows)
+        before = _snapshot(tmp_path)
+        code, _, err = run_cli(argv + ["--out", str(out), "--csv", str(rows)], capsys)
+        assert code == 2 and err.startswith("error:") and "name one file" in err
         assert _snapshot(tmp_path) == before
 
 
@@ -829,8 +850,9 @@ def _make_files(root: str, state: dict) -> None:
 
 class TestCliContract:
     """Whatever the command line and the files around it: the exit code is
-    0, 1 or 2, stderr holds no traceback, and a run that exits non-zero
-    leaves every file byte for byte as it found it."""
+    0, 1 or 2, stderr holds no traceback, a run that exits non-zero leaves
+    every file byte for byte as it found it, and a stage run that exits 0
+    leaves its --out holding its JSON and its --csv starting with its header."""
 
     @settings(max_examples=300, deadline=None)
     @given(argv=command_lines(), state=file_states)
@@ -839,6 +861,12 @@ class TestCliContract:
     @example(argv=["stage2", "--F", "0.8", "--csv", "link", "--out", "nodir/x.csv"],
              state={"rows.csv": None, "read_only": False, "run.json": None, "cfg.txt": None,
                     "adir": False, "link": "missing.csv"})
+    # --out and --csv naming one file, the --out through a link: the JSON
+    # would replace the CSV, so the run must refuse both
+    @example(argv=["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8",
+                   "--out", "link", "--csv", "run.json"],
+             state={"rows.csv": None, "read_only": False, "run.json": None, "cfg.txt": None,
+                    "adir": False, "link": "run.json"})
     def test_exit_code_stderr_and_files(self, argv, state):
         with tempfile.TemporaryDirectory() as root:
             _make_files(root, state)
@@ -858,3 +886,13 @@ class TestCliContract:
             assert "Traceback" not in err.getvalue(), argv
             if code != 0:
                 assert _snapshot(root) == before, (argv, code, err.getvalue())
+            elif argv[0] in ("stage1", "stage2"):
+                # a run that exits 0 leaves both outputs well formed
+                given = {flag: argv[i + 1] for i, flag in enumerate(argv[:-1])
+                         if flag in ("--out", "--csv")}
+                if given.get("--out"):
+                    with open(os.path.join(root, given["--out"])) as fh:
+                        assert json.load(fh)["command"] == argv[0], argv
+                if given.get("--csv"):
+                    first = read_csv(os.path.join(root, given["--csv"]))[0]
+                    assert first[0] == ("p1" if argv[0] == "stage1" else "F"), argv

@@ -41,7 +41,6 @@ from kerrpurify.protocol import (
     PSI_PLUS_UPPER,
     _mc_row_counts,
     _pbs_table,
-    _stage1_table,
     _stage2_table,
     _word_limits,
     _words_below,
@@ -195,9 +194,10 @@ class TestAngleIndependence:
 class TestSinglePairLeaves:
     def test_leaves_come_in_count_order_at_fresh_angles(self):
         # a detector's leaves hold probe counts, two distinct readings; a
-        # config's table is its detector's count table row for row, in count
-        # order and sharing its columns, with only the tags read as phases
+        # config's records are its detector's count rows row for row, in
+        # count order, with only the tags read as phases
         rng, pairs = random.Random(29), 0
+        point = {"p1": 0.2, "p2": 0.05, "f0": 0.7}  # every row weighs something
         while pairs < 24:
             angle_pair = random_angle_pair(rng)
             try:
@@ -206,26 +206,26 @@ class TestSinglePairLeaves:
                 continue
             pairs += 1
             for cfg in cfgs:
-                counted, table = protocol._stage1_rows(cfg.variant), _stage1_table(cfg)
-                assert table.cls is counted.cls and table.factor is counted.factor
-                assert [row[2:] for row in table.rows] == [row[2:] for row in counted.rows]
-                assert [(row.probe_alice, row.probe_bob) for row in table.rows] == [
+                counted = protocol._stage1_rows(cfg.variant)
+                records = enumerate_exact("stage1", dict(point, variant=cfg.variant, cfg=cfg))
+                assert [r[2:4] + r[5:] for r in records] == [
+                    row[2:4] + row[5:] for row in counted.rows]
+                assert [(r.probe_alice, r.probe_bob) for r in records] == [
                     (cfg.phase(row.probe_alice), cfg.phase(row.probe_bob))
                     for row in counted.rows]
-            for cfg, flipped in iproduct(cfgs, (False, True)):
-                leaves = protocol.single_pair_leaves(cfg.variant, flipped)
-                assert len({(leaf.alice, leaf.bob) for leaf in leaves}) == len(leaves) == 2
-                table = _stage1_table(cfg)
-                tags = [(row.probe_alice, row.probe_bob)
-                        for row, c in zip(table.rows, table.cls) if c == flipped]
-                assert set(tags) == {(cfg.phase(leaf.alice), cfg.phase(leaf.bob))
-                                     for leaf in leaves}
+                for flipped in (False, True):
+                    leaves = protocol.single_pair_leaves(cfg.variant, flipped)
+                    assert len({(leaf.alice, leaf.bob) for leaf in leaves}) == len(leaves) == 2
+                    tags = [(r.probe_alice, r.probe_bob)
+                            for r, c in zip(records, counted.cls) if c == flipped]
+                    assert set(tags) == {(cfg.phase(leaf.alice), cfg.phase(leaf.bob))
+                                         for leaf in leaves}
 
 
 def _per_medium_classes(cfg: QndConfig) -> list:
     """(Alice's phase, Bob's phase, factor) of the stage-1 rows of each class
-    of ``_stage1_table``, enumerated in phases: each pair's readings from one
-    PhaseTag step per Kerr medium."""
+    of ``_stage1_rows`` at ``cfg``, enumerated in phases: each pair's readings
+    from one PhaseTag step per Kerr medium."""
     leaves = []
     for flipped in (False, True):
         readings = {}
@@ -256,10 +256,12 @@ class TestPerAngleRender:
                 assume(False)
             expected = _per_medium_classes(cfg)
             records = enumerate_exact("stage1", dict(point, variant=variant, cfg=cfg))
-            table = _stage1_table(cfg)
+            table = protocol._stage1_rows(variant)
             assert len(records) == len(table.rows) == sum(map(len, expected))
             for record, row in zip(records, table.rows):
-                assert record[:4] + record[5:] == row[:4] + row[5:]
+                assert record[2:4] + record[5:] == row[2:4] + row[5:]
+                assert (record.probe_alice, record.probe_bob) == (cfg.phase(row.probe_alice),
+                                                                  cfg.phase(row.probe_bob))
                 # the keep rule, read on the phases themselves
                 tag_a, tag_b = record.probe_alice, record.probe_bob
                 if record.order == 1:
@@ -271,8 +273,8 @@ class TestPerAngleRender:
                 assert (record.verdict in (Verdict.KEPT_CORRECT,
                                            Verdict.KEPT_ERRONEOUS)) == kept
             for c, want in enumerate(expected):
-                got = sorted((row.probe_alice, row.probe_bob, factor)
-                             for row, k, factor in zip(table.rows, table.cls, table.factor)
+                got = sorted((record.probe_alice, record.probe_bob, factor)
+                             for record, k, factor in zip(records, table.cls, table.factor)
                              if k == c)
                 assert len(got) == len(want)
                 for (tag_a, tag_b, factor), (want_a, want_b, p) in zip(got, sorted(want)):
@@ -591,7 +593,7 @@ class TestWordLimitCounts:
 
 
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
-TABLES = (_stage1_table, _stage2_table, _pbs_table)
+TABLES = (protocol._stage1_rows, _stage2_table, _pbs_table)
 
 
 def _reports() -> dict:
@@ -617,32 +619,32 @@ class TestPairCache:
                 configs.append(cfg)
         return configs
 
-    CACHES = (protocol.single_pair_leaves, protocol._classify_pair, protocol._stage1_rows,
-              _stage1_table)
+    CACHES = (protocol.single_pair_leaves, protocol._classify_pair, protocol._stage1_rows)
 
     def test_fresh_configs_share_few_entries_and_equal_cold_builds(self):
         # probe counts hold no angle, so 50 fresh angle pairs share one
-        # enumeration per detector, the projected pairs fill only a handful
-        # of entries, and a table is kept for the last config of each
-        # detector only; every table and report built warm is, repr for
-        # repr, the one built with every cache cleared
-        def build(cfg):
-            report = stage1_run(SRC, NOISE, cfg.variant, cfg=cfg).to_dict()
-            return repr(_stage1_table(cfg).rows), report
+        # enumeration per detector and the projected pairs fill only a
+        # handful of entries; every report and record list built warm is,
+        # repr for repr, the one built with every cache cleared
+        def run(cfg):
+            return stage1_run(SRC, NOISE, cfg.variant, cfg=cfg).to_dict()
+
+        def records(cfg):
+            return repr(stage1_records(SRC, NOISE, cfg.variant, cfg))
 
         configs = self.fresh_configs(50, seed=17)
         for cache in self.CACHES:
             cache.cache_clear()
-        warm = [build(cfg) for cfg in configs]
+        warm = [run(cfg) for cfg in configs]
         assert protocol._classify_pair.cache_info().currsize <= 16
         rows = protocol._stage1_rows.cache_info()
         assert (rows.misses, rows.currsize) == (2, 2) and rows.hits == 48
-        assert _stage1_table.cache_info().currsize == 2
+        warm = list(zip(warm, map(records, configs)))
         cold = []
         for cfg in configs:
             for cache in self.CACHES:
                 cache.cache_clear()
-            cold.append(build(cfg))
+            cold.append((run(cfg), records(cfg)))
         assert warm == cold
 
 
@@ -650,7 +652,7 @@ class TestOutcomeTables:
     def test_warm_cache_report_equals_cold(self):
         _reports()
         warm = _reports()
-        for table in TABLES + (protocol._stage1_rows,):
+        for table in TABLES:
             table.cache_clear()
         cold = _reports()
         assert [t.cache_info().misses for t in TABLES] == [2, 1, 1]
@@ -669,17 +671,15 @@ class TestOutcomeTables:
         assert enumerate_records() == expected
 
     def test_different_angles_do_not_share_an_entry(self):
-        _stage1_table.cache_clear()
+        # one cached count table serves both configs; each run's records
+        # read its own config's tags
         a = QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(3, 4))
         b = QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8))
-        table_a, table_b = _stage1_table(a), _stage1_table(b)
-        assert _stage1_table.cache_info().currsize == 2
-        assert _stage1_table(QndConfig(Variant.QND1, PhaseTag(1, 4), PhaseTag(3, 4))) is table_a
         for cfg in (a, b):
             kept = {r.probe_alice for r in stage1_records(SRC, NOISE, cfg=cfg)
                     if r.kept_pairs == 2}
             assert kept == {cfg.theta + cfg.theta_prime}
-        assert table_a != table_b
+        assert stage1_records(SRC, NOISE, cfg=a) != stage1_records(SRC, NOISE, cfg=b)
 
     def test_invalid_config_raises_on_every_call(self):
         # the config raises when built, so no table is ever made for it
