@@ -67,7 +67,7 @@ _COUNTS = {"0": (0, 0), "pi": (1, 0), "t": (1, 0), "tp": (0, 1), "2t": (2, 0),
            "2tp": (0, 2), "t+tp": (1, 1), "-t": (-1, 0)}
 
 
-@dataclass(frozen=True, eq=False)  # a module constant, hashed by identity for its caches
+@dataclass(frozen=True, eq=False)  # a module constant, hashed by identity for its cache
 class BranchCase:
     case_id: str
     variant: Variant
@@ -75,11 +75,9 @@ class BranchCase:
     input_entries: tuple
     expected_entries: tuple  # (coeff, groups, (phase_recipe_a, phase_recipe_b))
 
-    @functools.cache
     def input_state(self) -> PureState:
         return operator_state(self.input_entries)
 
-    @functools.cache
     def expected_state(self) -> PureState:
         return operator_state([(coeff, groups, (_COUNTS[ra], _COUNTS[rb]))
                                for coeff, groups, (ra, rb) in self.expected_entries])
@@ -268,16 +266,9 @@ def _describe(mismatches: tuple, cfg: QndConfig) -> str:
     return f"{label}: amplitude {got.amplitude:.12g}, expected {exp.amplitude:.12g}"
 
 
-def compare_states(actual: PureState, expected: PureState, cfg: QndConfig) -> str:
-    """Return '' if equal branch-by-branch, amplitudes to 1e-10, else a
-    description of the first mismatch, its probes as phases at ``cfg``."""
-    return _describe(_mismatches(actual, expected), cfg)
-
-
-def run_branch_case(case: BranchCase, cfg: QndConfig | None = None) -> CaseResult:
+def run_branch_case(case: BranchCase, cfg: QndConfig) -> CaseResult:
     """The case's check, a mismatch reported at the angles of ``cfg``, a
-    config of the case's detector (its default one if None)."""
-    cfg = cfg or default_config(case.variant)
+    config of the case's detector."""
     if cfg.variant != case.variant:
         raise ConfigError(f"case {case.case_id} runs {case.variant.value}, "
                           f"not {cfg.variant.value}")

@@ -90,12 +90,15 @@ def _resolved_sampling(args) -> int:
     return seed
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _emit(doc: dict, out: str | None, summary: str) -> None:
+    """The summary, then the JSON, on stdout; or the JSON to ``out``, then the
+    summary, so a write that fails prints nothing."""
     text = json.dumps(doc, indent=2, sort_keys=True)
-    path = Path(out) if out else None
-    if path is None:
-        print(text)
-    elif path.is_symlink() or path.exists() and not path.is_file():
+    if not out:
+        print(summary, text, sep="\n")
+        return
+    path = Path(out)
+    if path.is_symlink() or path.exists() and not path.is_file():
         path.write_text(text + "\n")  # a link, FIFO or device is written through
     else:
         # a regular file is written beside itself, then renamed over with its
@@ -110,6 +113,7 @@ def _emit(doc: dict, out: str | None) -> None:
             raise OSError(exc.errno, exc.strerror, out) from None
         finally:
             tmp.unlink(missing_ok=True)
+    print(summary)
 
 
 def _report_doc(command: str, params: dict, report) -> dict:
@@ -226,19 +230,19 @@ def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
         writer.writerows(rows)
 
 
-def _write_run(args, doc: dict, header, rows) -> None:
-    """JSON to --out (else stdout), then rows to --csv.  The CSV is opened
-    and checked first: --out and --csv naming one file, a --csv path that
-    cannot be appended to, or a CSV of other columns, exits 2 before any
-    output."""
+def _write_run(args, doc: dict, header, rows, summary: str) -> None:
+    """The summary and JSON (see ``_emit``), then rows to --csv.  The CSV is
+    opened and checked first: --out and --csv naming one file, a --csv path
+    that cannot be appended to, or a CSV of other columns, exits 2 before
+    any output."""
     paths = (args.out, args.csv)
     if all(paths) and (len(set(map(os.path.realpath, paths))) == 1  # one path, or a link to it
                        or all(map(os.path.exists, paths)) and os.path.samefile(*paths)):
         raise CliError(f"--out {args.out} and --csv {args.csv} name one file; give each its own")
     if args.csv:
-        _append_csv(args.csv, header, rows, lambda: _emit(doc, args.out))
+        _append_csv(args.csv, header, rows, lambda: _emit(doc, args.out, summary))
     else:
-        _emit(doc, args.out)
+        _emit(doc, args.out, summary)
 
 
 def cmd_stage1(args) -> int:
@@ -253,10 +257,10 @@ def cmd_stage1(args) -> int:
                   theta_prime=str(cfg.theta_prime.value))
     doc = _report_doc("stage1", params, report)
     doc["closed_form_fidelity"] = report.extras["closed_form_fidelity"]
-    print(f"stage1 [{args.mode}] fidelity={_fmt(report.fidelity)} "
-          f"closed_form={_fmt(doc['closed_form_fidelity'])} "
-          f"yield={_fmt(report.yield_fraction)}")
-    _write_run(args, doc, STAGE1_CSV_HEADER, [row])
+    summary = (f"stage1 [{args.mode}] fidelity={_fmt(report.fidelity)} "
+               f"closed_form={_fmt(doc['closed_form_fidelity'])} "
+               f"yield={_fmt(report.yield_fraction)}")
+    _write_run(args, doc, STAGE1_CSV_HEADER, [row], summary)
     return 0
 
 
@@ -272,18 +276,17 @@ def cmd_stage2(args) -> int:
     doc = _report_doc("stage2", params, report)
     doc["rounds"] = [{"round": r.round, "fidelity": r.fidelity, "yield": r.round_yield,
                       "cumulative_yield": r.cumulative_yield} for r in rounds]
-    print(f"stage2 [{args.mode}] first-round fidelity={_fmt(report.fidelity)} "
-          f"yield={_fmt(report.yield_fraction)}")
-    for r in rounds:
-        print(f"  round {r.round}: F={_fmt(r.fidelity)} yield={_fmt(r.round_yield)} "
-              f"cumulative={_fmt(r.cumulative_yield)}")
+    summary = [f"stage2 [{args.mode}] first-round fidelity={_fmt(report.fidelity)} "
+               f"yield={_fmt(report.yield_fraction)}"]
+    summary += [f"  round {r.round}: F={_fmt(r.fidelity)} yield={_fmt(r.round_yield)} "
+                f"cumulative={_fmt(r.cumulative_yield)}" for r in rounds]
     if base is not None:
         doc["baseline"] = base.to_dict()
         doc["yield_ratio"] = (report.yield_fraction / base.yield_fraction
                               if base.yield_fraction else None)
-        print(f"  pbs baseline: fidelity={_fmt(base.fidelity)} "
-              f"yield={_fmt(base.yield_fraction)} ratio={_fmt(doc['yield_ratio'])}")
-    _write_run(args, doc, _stage2_csv_header(args.baseline), rows)
+        summary.append(f"  pbs baseline: fidelity={_fmt(base.fidelity)} "
+                       f"yield={_fmt(base.yield_fraction)} ratio={_fmt(doc['yield_ratio'])}")
+    _write_run(args, doc, _stage2_csv_header(args.baseline), rows, "\n".join(summary))
     return 0
 
 

@@ -135,13 +135,8 @@ class PhaseTag:
     def __neg__(self) -> "PhaseTag":
         return PhaseTag(-self.num, self.den)
 
-    def __sub__(self, other: "PhaseTag") -> "PhaseTag":
-        return PhaseTag(self.num * other.den - other.num * self.den, self.den * other.den)
-
     def __mul__(self, n: int) -> "PhaseTag":
         return PhaseTag(self.num * n, self.den)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PhaseTag)
@@ -149,9 +144,6 @@ class PhaseTag:
 
     def __lt__(self, other: "PhaseTag") -> bool:
         return self.num * other.den < other.num * self.den
-
-    def __le__(self, other: "PhaseTag") -> bool:
-        return self.num * other.den <= other.num * self.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
@@ -270,10 +262,6 @@ class PureState:
             merged[k] = b if old is None else old.with_amplitude(old.amplitude + b.amplitude)
         return PureState(tuple(merged[k] for k in sorted(merged)
                                if abs(merged[k].amplitude) >= PRUNE_TOL))
-
-    @staticmethod
-    def vacuum() -> "PureState":
-        return PureState((BranchState.of((), 1.0),))
 
     def norm_squared(self) -> float:
         return sum(abs(b.amplitude) ** 2 for b in self.branches)

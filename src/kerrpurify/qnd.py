@@ -236,15 +236,3 @@ def homodyne_x(state: PureState, party: Party, cfg: QndConfig) -> list:
         outcomes.append(HomodyneOutcome(cls, cls_prob, EnsembleState.of(comps)))
     return outcomes
 
-
-__all__ = [
-    "Variant",
-    "KerrMedium",
-    "apply_kerr",
-    "QndConfig",
-    "default_config",
-    "apply_qnd",
-    "HomodyneOutcome",
-    "homodyne_x",
-    "probe_outcomes",
-]

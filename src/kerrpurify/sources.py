@@ -18,7 +18,6 @@ share one convention.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
@@ -106,7 +105,6 @@ class NoiseParams:
             raise ValueError("f0 must lie in [0, 1]")
 
 
-@functools.cache  # two values, immutable: every caller shares them
 def single_pair_state(flipped: bool = False) -> PureState:
     """Normalized one-pair emission (four branches, amplitude 1/2)."""
     return operator_state([(1, (FLIPPED if flipped else CLEAN,))])

@@ -1,3 +1,5 @@
+import contextlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -85,6 +87,21 @@ def photon_distribution(state: PureState) -> dict:
         n = b.photons()
         dist[n] = dist.get(n, 0.0) + abs(b.amplitude) ** 2
     return dist
+
+
+def pytest_runtest_makereport(item, call):
+    """Import hypothesis's failure-patch module before its plugin does.
+
+    On a failed test the plugin imports ``hypothesis.extra._patching``, which
+    imports libcst, whose import raises a third-party DeprecationWarning;
+    under ``-W error`` that ends the run in INTERNALERROR instead of naming
+    the failure.  Importing it here first, with only DeprecationWarning
+    ignored and only after a failure, leaves passing runs as they were.
+    Without libcst the plugin skips the module, and so does this hook."""
+    if call.when == "call" and call.excinfo is not None:
+        with warnings.catch_warnings(), contextlib.suppress(ImportError):
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

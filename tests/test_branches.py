@@ -32,7 +32,8 @@ from kerrpurify.branches import (
     FLIPPED,
     U1,
     U2,
-    compare_states,
+    _describe,
+    _mismatches,
     operator_state,
     run_branch_case,
     run_branch_suite,
@@ -45,7 +46,7 @@ from oracle import assert_same_phases, per_medium_phases, rendered_phases
 
 @pytest.mark.parametrize("case", BRANCH_CASES, ids=[c.case_id for c in BRANCH_CASES])
 def test_default_angles(case):
-    result = run_branch_case(case)
+    result = run_branch_case(case, default_config(case.variant))
     assert result.passed, result.detail
 
 
@@ -126,8 +127,8 @@ def test_compare_states_reports_mismatch():
     expected = case.expected_state()
     wrong = PureState.of(b.with_probe(Party.ALICE, b.probe[Party.ALICE][::-1])
                          for b in expected.branches)
-    assert compare_states(expected, wrong, cfg) != ""
-    assert compare_states(expected, expected, cfg) == ""
+    assert _describe(_mismatches(expected, wrong), cfg) != ""
+    assert _describe(_mismatches(expected, expected), cfg) == ""
 
 
 def test_compare_states_prints_the_first_mismatch_with_its_tags():
@@ -140,13 +141,13 @@ def test_compare_states_prints_the_first_mismatch_with_its_tags():
     first_dropped = PureState(state.branches[1:])
     last_negated = PureState(state.branches[:-1]
                              + (state.branches[-1].with_amplitude(-0.5),))
-    assert compare_states(state, first_dropped, cfg) \
+    assert _describe(_mismatches(state, first_dropped), cfg) \
         == f"unexpected branch {{a1H: 1, b1H: 1}} {tags} (amplitude 0.5+0j)"
-    assert compare_states(first_dropped, state, cfg) \
+    assert _describe(_mismatches(first_dropped, state), cfg) \
         == f"missing branch {{a1H: 1, b1H: 1}} {tags} (expected amplitude 0.5+0j)"
-    assert compare_states(last_negated, state, cfg) \
+    assert _describe(_mismatches(last_negated, state), cfg) \
         == f"branch {{a2V: 1, b2V: 1}} {tags}: amplitude -0.5+0j, expected 0.5+0j"
-    assert compare_states(state, state, cfg) == ""
+    assert _describe(_mismatches(state, state), cfg) == ""
 
 
 def _create_photon_chain(entries) -> PureState:

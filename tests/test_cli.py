@@ -669,9 +669,10 @@ class TestOutFile:
         csv_file.write_text("a,b\n1,2\n")
         if existing:
             out_file.write_text("old\n")
-        code, _, err = run_cli(argv + ["--out", str(out_file), "--csv", str(csv_file)],
-                               capsys)
+        code, out, err = run_cli(argv + ["--out", str(out_file), "--csv", str(csv_file)],
+                                 capsys)
         assert code == 2 and err.startswith("error:") and "CSV columns" in err
+        assert out == ""  # a refused run prints no result line
         assert csv_file.read_text() == "a,b\n1,2\n"
         assert (out_file.read_text() == "old\n") if existing else not out_file.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == (
@@ -737,9 +738,9 @@ class TestFailedRunWritesNothing:
             (tmp_path / "o.json").write_text("old\n")
         csv_path = tmp_path / ("nodir/x.csv" if unusable == "missing-dir" else "d.csv")
         before = _snapshot(tmp_path)
-        code, _, err = run_cli(argv + ["--out", str(tmp_path / "o.json"),
-                                       "--csv", str(csv_path)], capsys)
-        assert code == 2 and err.startswith("error:") and str(csv_path) in err
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / "o.json"),
+                                         "--csv", str(csv_path)], capsys)
+        assert code == 2 and err.startswith("error:") and str(csv_path) in err and out == ""
         assert _snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("argv", [STAGE1, STAGE2], ids=["stage1", "stage2"])
@@ -749,9 +750,9 @@ class TestFailedRunWritesNothing:
         if existing:
             assert run_cli(argv + ["--csv", str(csv_path)], capsys)[0] == 0
         before = _snapshot(tmp_path)
-        code, _, err = run_cli(argv + ["--out", str(tmp_path / "nodir" / "o.json"),
-                                       "--csv", str(csv_path)], capsys)
-        assert code == 2 and err.startswith("error:")
+        code, out, err = run_cli(argv + ["--out", str(tmp_path / "nodir" / "o.json"),
+                                         "--csv", str(csv_path)], capsys)
+        assert code == 2 and err.startswith("error:") and out == ""
         assert _snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("argv", [STAGE1, STAGE2], ids=["stage1", "stage2"])
@@ -770,8 +771,9 @@ class TestFailedRunWritesNothing:
             else:
                 (out.symlink_to if alias == "symlink" else out.hardlink_to)(rows)
         before = _snapshot(tmp_path)
-        code, _, err = run_cli(argv + ["--out", str(out), "--csv", str(rows)], capsys)
+        code, stdout, err = run_cli(argv + ["--out", str(out), "--csv", str(rows)], capsys)
         assert code == 2 and err.startswith("error:") and "name one file" in err
+        assert stdout == ""  # a refused run prints no result line
         assert _snapshot(tmp_path) == before
 
 
@@ -850,9 +852,10 @@ def _make_files(root: str, state: dict) -> None:
 
 class TestCliContract:
     """Whatever the command line and the files around it: the exit code is
-    0, 1 or 2, stderr holds no traceback, a run that exits non-zero leaves
-    every file byte for byte as it found it, and a stage run that exits 0
-    leaves its --out holding its JSON and its --csv starting with its header."""
+    0, 1 or 2, stderr holds no traceback, a run that exits 2 prints nothing on
+    stdout, a run that exits non-zero leaves every file byte for byte as it
+    found it, and a stage run that exits 0 leaves its --out holding its JSON
+    and its --csv starting with its header."""
 
     @settings(max_examples=300, deadline=None)
     @given(argv=command_lines(), state=file_states)
@@ -871,11 +874,11 @@ class TestCliContract:
         with tempfile.TemporaryDirectory() as root:
             _make_files(root, state)
             before = _snapshot(root)
-            err = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             cwd = os.getcwd()
             os.chdir(root)
             try:
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     try:
                         code = main(argv)
                     except SystemExit as exc:  # argparse's usage errors
@@ -884,6 +887,8 @@ class TestCliContract:
                 os.chdir(cwd)
             assert code in (0, 1, 2), (argv, code)
             assert "Traceback" not in err.getvalue(), argv
+            if code == 2:
+                assert out.getvalue() == "", (argv, out.getvalue())
             if code != 0:
                 assert _snapshot(root) == before, (argv, code, err.getvalue())
             elif argv[0] in ("stage1", "stage2"):

@@ -24,6 +24,8 @@ from kerrpurify import (
     sigma_x,
     sigma_z,
 )
+from kerrpurify.sources import operator_state
+
 from conftest import assert_states_equal, photon_distribution, random_pure_state
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
@@ -44,7 +46,7 @@ def permanent(matrix) -> complex:
 
 
 def one_photon(m):
-    return create_photon(PureState.vacuum(), m)
+    return create_photon(operator_state([(1, ())]), m)
 
 
 class TestPbs:
@@ -91,7 +93,7 @@ class TestCoupler:
         assert_states_equal(merged, bell_pair("phi+", Spatial.MERGED))
 
     def test_vacuum(self):
-        assert coupler(PureState.vacuum(), Party.ALICE) == PureState.vacuum()
+        assert coupler(operator_state([(1, ())]), Party.ALICE) == operator_state([(1, ())])
 
     def test_ambiguous_routing(self):
         st = create_photon(one_photon(A1H), A2H)

@@ -67,7 +67,7 @@ class TestPhaseTag:
 
     def test_scalar_multiple(self):
         assert PhaseTag(1, 4) * 3 == PhaseTag(3, 4)
-        assert 2 * PhaseTag(3, 4) == PhaseTag(3, 2)
+        assert PhaseTag(3, 4) * 2 == PhaseTag(3, 2)
         assert PhaseTag(1, 2) * 4 == ZERO_PHASE
 
     def test_magnitude_class(self):
@@ -132,11 +132,9 @@ class TestPhaseTagProperties:
             assert tag.value == ref
             assert 0 <= tag.num < 2 * tag.den and math.gcd(tag.num, tag.den) == 1
         assert (ta + tb).value == (fa + fb) % 2
-        assert (ta - tb).value == (fa - fb) % 2
         assert (-ta).value == (-fa) % 2
-        assert (ta * k).value == (k * ta).value == (fa * k) % 2
+        assert (ta * k).value == (fa * k) % 2
         assert (ta < tb) == (fa < fb)
-        assert (ta <= tb) == (fa <= fb)
         assert ta.magnitude_class().value == min(fa, (-fa) % 2)
 
     @settings(max_examples=300, deadline=None)
@@ -154,14 +152,17 @@ class TestPhaseTagProperties:
 
 
 class TestCreatePhoton:
+    def test_empty_product_is_the_vacuum(self):
+        assert operator_state([(1, ())]) == PureState((BranchState.of((), 1.0),))
+
     def test_single_on_vacuum(self):
-        st = create_photon(PureState.vacuum(), A1H)
+        st = create_photon(operator_state([(1, ())]), A1H)
         assert len(st) == 1
         assert st.branches[0].occupation(A1H) == 1
         assert abs(st.branches[0].amplitude - 1.0) < 1e-12
 
     def test_bosonic_factor(self):
-        st = create_photon(create_photon(PureState.vacuum(), A1H), A1H)
+        st = create_photon(create_photon(operator_state([(1, ())]), A1H), A1H)
         assert st.branches[0].occupation(A1H) == 2
         assert abs(st.branches[0].amplitude - math.sqrt(2)) < 1e-12
 
@@ -178,7 +179,7 @@ class TestCreatePhoton:
                 branches.extend(s.branches)
             return PureState.of(branches)
 
-        engine = apply_sum(apply_sum(PureState.vacuum())).normalize()
+        engine = apply_sum(apply_sum(operator_state([(1, ())]))).normalize()
 
         # oracle: expand the operator polynomial over ordered term pairs
         amplitudes = {}
@@ -248,7 +249,7 @@ class TestOneBranchKey:
         product factors' counts, and through two Kerr media on one photon."""
         shifted = PureState((BranchState((), 1.0, ((1, 0), (0, 1))),))
         factor = PureState((BranchState((), 1.0, ((0, 1), (1, 0))),))
-        photon = create_photon(PureState.vacuum(), A1H)
+        photon = create_photon(operator_state([(1, ())]), A1H)
         for counts in ((1, 0), (0, 1)):
             photon = apply_kerr(photon, KerrMedium(A1H, counts, Party.ALICE))
         return [(1, 1), product_state(shifted, factor).branches[0].probe[Party.ALICE],
@@ -343,13 +344,13 @@ class TestOnePhotonPerPort:
 
 class TestProductAndOverlap:
     def test_product_disjoint(self):
-        a = create_photon(PureState.vacuum(), A1H)
-        b = create_photon(PureState.vacuum(), B1H)
+        a = create_photon(operator_state([(1, ())]), A1H)
+        b = create_photon(operator_state([(1, ())]), B1H)
         joint = product_state(a, b)
         assert joint.branches[0].photons() == 2
 
     def test_product_collision_raises(self):
-        a = create_photon(PureState.vacuum(), A1H)
+        a = create_photon(operator_state([(1, ())]), A1H)
         with pytest.raises(Exception):
             product_state(a, a)
 
@@ -359,8 +360,8 @@ class TestProductAndOverlap:
             assert abs(overlap(st, st) - 1.0) < 1e-10
 
     def test_inner_orthogonal(self):
-        a = create_photon(PureState.vacuum(), A1H)
-        b = create_photon(PureState.vacuum(), B1H)
+        a = create_photon(operator_state([(1, ())]), A1H)
+        b = create_photon(operator_state([(1, ())]), B1H)
         assert inner(a, b) == 0
 
 
@@ -383,7 +384,7 @@ class TestEnsemble:
         assert abs(ens.purity() - 1.0) < 1e-12
 
     def test_mixture_purity(self):
-        a = create_photon(PureState.vacuum(), A1H)
-        b = create_photon(PureState.vacuum(), B1H)
+        a = create_photon(operator_state([(1, ())]), A1H)
+        b = create_photon(operator_state([(1, ())]), B1H)
         ens = EnsembleState.of([(0.5, a), (0.5, b)])
         assert abs(ens.purity() - 0.5) < 1e-12

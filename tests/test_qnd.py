@@ -56,24 +56,24 @@ class TestKerrPrimitive:
         return KerrMedium(A1H, counts, Party.ALICE)
 
     def test_one_photon_shifts_probe(self):
-        st = create_photon(PureState.vacuum(), A1H)
+        st = create_photon(operator_state([(1, ())]), A1H)
         out = apply_kerr(st, self.medium())
         assert out.branches[0].probe[Party.ALICE] == (1, 0)
         assert out.branches[0].probe[Party.BOB] == ZERO_COUNTS
         assert default_config(Variant.QND1).phase((1, 0)) == THETA
 
     def test_vacuum_unshifted(self):
-        out = apply_kerr(PureState.vacuum(), self.medium())
+        out = apply_kerr(operator_state([(1, ())]), self.medium())
         assert out.branches[0].probe[Party.ALICE] == ZERO_COUNTS
 
     def test_two_photons_double_shift(self):
-        st = create_photon(create_photon(PureState.vacuum(), A1H), A1H)
+        st = create_photon(create_photon(operator_state([(1, ())]), A1H), A1H)
         out = apply_kerr(st, self.medium())
         assert out.branches[0].probe[Party.ALICE] == (2, 0)
         assert default_config(Variant.QND1).phase((2, 0)) == THETA * 2
 
     def test_signal_untouched(self):
-        st = create_photon(PureState.vacuum(), A1H)
+        st = create_photon(operator_state([(1, ())]), A1H)
         out = apply_kerr(st, self.medium())
         assert out.branches[0].occupations == st.branches[0].occupations
         assert out.branches[0].amplitude == st.branches[0].amplitude
@@ -291,7 +291,7 @@ class TestParityLaw:
         # same polarization parity
         cfg = default_config(Variant.QND2)
         for pa1, pb1, pa2, pb2 in product(Pol, repeat=4):
-            st = PureState.vacuum()
+            st = operator_state([(1, ())])
             for party, spatial, pol in [
                 (Party.ALICE, Spatial.UPPER, pa1),
                 (Party.BOB, Spatial.UPPER, pb1),
@@ -334,7 +334,7 @@ class TestGadgetInvariants:
 
     def test_duplicate_pair_input_rejected(self):
         # both photons of each party at the upper port, lower port empty
-        doubled = PureState.vacuum()
+        doubled = operator_state([(1, ())])
         for party in Party:
             for pol in Pol:
                 doubled = create_photon(
