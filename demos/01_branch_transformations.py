@@ -30,7 +30,7 @@ for case in BRANCH_CASES:
     print(f"\n== {case.case_id}: {case.description}")
     state = case.input_state()
     show_state(state, "input", cfg)
-    show_state(apply_qnd(state, cfg), "after detector", cfg)
+    show_state(apply_qnd(state, case.variant), "after detector", cfg)
 
 print("\nFull transformation suite:")
 for r in run_branch_suite():

@@ -26,7 +26,7 @@ odd_parity_target = operator_state([(1, ((HHVV, VVHH),))])
 
 print("Opposite-shift layout + X-quadrature readout:")
 cfg4 = default_config(Variant.QND4)
-out = apply_qnd(two_pairs, cfg4)
+out = apply_qnd(two_pairs, Variant.QND4)
 for o in homodyne_x(out, Party.ALICE, cfg4):
     print(f"  outcome |{o.outcome.value}pi|: probability {o.probability:.3f}, "
           f"{len(o.post_state)} mixture component(s)")
@@ -43,7 +43,7 @@ print(f"  kept odd-parity class: overlap with the target superposition = "
       f"{mixture.overlap(odd_parity_target):.3f}, purity = {mixture.purity():.3f}")
 
 print("\npi-shift parity layout + exact phase readout:")
-out2 = apply_qnd(two_pairs, default_config(Variant.QND2))
+out2 = apply_qnd(two_pairs, Variant.QND2)
 _, after_alice = project_probe(out2, Party.ALICE, ZERO_COUNTS)
 p_bob, kept = project_probe(after_alice, Party.BOB, ZERO_COUNTS)
 print(f"  kept odd-parity class: overlap with the target superposition = "

@@ -85,7 +85,7 @@ class BranchCase:
     @functools.cache  # the counts hold no angle: one comparison per process
     def mismatches(self) -> tuple:
         """The branches where the detector's output and the expectation differ."""
-        actual = apply_qnd(self.input_state(), default_config(self.variant))
+        actual = apply_qnd(self.input_state(), self.variant)
         return _mismatches(actual, self.expected_state())
 
 

@@ -266,20 +266,12 @@ class PureState:
     def norm_squared(self) -> float:
         return sum(abs(b.amplitude) ** 2 for b in self.branches)
 
-    def scale(self, factor) -> "PureState":
-        """Multiply every amplitude by ``factor``.
-
-        Keys and their order do not change, so the result stays canonical
-        with no merge or sort; amplitudes that fall below PRUNE_TOL drop.
-        """
-        scaled = (b.with_amplitude(b.amplitude * factor) for b in self.branches)
-        return PureState(tuple(b for b in scaled if abs(b.amplitude) >= PRUNE_TOL))
-
     def normalize(self) -> "PureState":
         n2 = self.norm_squared()
         if n2 <= PRUNE_TOL**2 or not self.branches:
             raise ZeroNormError("state has zero norm")
-        return self.scale(1.0 / math.sqrt(n2))
+        factor = 1.0 / math.sqrt(n2)
+        return self.map_branches(lambda b: b.with_amplitude(b.amplitude * factor))
 
     def map_branches(self, fn) -> "PureState":
         """Apply fn, a map from branch to branch, to each branch."""

@@ -261,10 +261,9 @@ def _readings(state: PureState) -> Iterator[Reading]:
             yield Reading(p_a * p_b, alice, bob, post)
 
 
-@functools.cache  # counts, not phases: one enumeration per detector and flip
 def single_pair_leaves(variant: Variant, flipped: bool) -> tuple:
     """The joint readouts of one emitted pair through the detector ``variant``."""
-    return tuple(_readings(apply_qnd(single_pair_state(flipped), default_config(variant))))
+    return tuple(_readings(apply_qnd(single_pair_state(flipped), variant)))
 
 
 def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
@@ -277,7 +276,6 @@ def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
     )
 
 
-@functools.cache  # the two detectors' leaves project onto 12 pair states
 def _classify_pair(state: PureState, flip: bool) -> tuple:
     """(coupled state, phi+ fidelity, verdict) of a projected pair that Alice
     bit-flips first when ``flip``."""
@@ -328,11 +326,7 @@ def _kept_pair_rows(state: PureState, weight: float, alice, bob) -> list:
     """Diagonal-measure the lower pair, phase-correct, classify the upper pair."""
     rows = []
     for oa, (pa, s1) in diagonal_outcomes(state, Party.ALICE, Spatial.LOWER).items():
-        if pa == 0.0:
-            continue
         for ob, (pb, s2) in diagonal_outcomes(s1, Party.BOB, Spatial.LOWER).items():
-            if pb == 0.0:
-                continue
             final = sigma_z(s2, Party.ALICE, {Spatial.UPPER}) if oa != ob else s2
             fid = overlap(final, PHI_PLUS_UPPER)
             verdict = _verdict(fid, overlap(final, PSI_PLUS_UPPER))
@@ -345,10 +339,10 @@ def _kept_pair_rows(state: PureState, weight: float, alice, bob) -> list:
 def _stage2_table() -> RowTable:
     """Stage-2 rows of the pi parity detector, in probe counts; the classes
     are ``TWO_PAIR_KINDS``."""
-    cfg, classes = default_config(Variant.QND2), []
+    classes = []
     for kinds in TWO_PAIR_KINDS:
         rows = []
-        for p, alice, bob, post in _readings(apply_qnd(two_pair_state(*kinds), cfg)):
+        for p, alice, bob, post in _readings(apply_qnd(two_pair_state(*kinds), Variant.QND2)):
             if alice != bob:
                 rows.append(OutcomeRecord(alice, bob, Verdict.DISCARDED, None, p))
                 continue

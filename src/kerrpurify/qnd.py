@@ -29,13 +29,13 @@ Each medium reads (spatial port, polarization) -> shift per photon:
 QND2 and QND4 act on two single-photon pairs and reject any branch
 without one photon in each of a party's two ports.
 
-``apply_qnd`` adds each branch's signed photon counts per (party, angle)
-from ``_SLOTS`` (compiled once per process) to its probe counts; QND2's
-theta is pi, so it keeps its count mod 2, and QND4 keeps signed counts.
-No angle enters, so a detector's output is the same at every config of
-its variant.  ``QndConfig.phase`` reads counts as a ``PhaseTag``, and a
-config accepts only angles at which the counts the protocol produces
-read distinct phases.
+``apply_qnd(state, variant)`` adds each branch's signed photon counts
+per (party, angle) from ``_SLOTS`` (compiled once per process) to its
+probe counts; QND2's theta is pi, so it keeps its count mod 2, and QND4
+keeps signed counts.  No angle enters: a detector runs by its ``Variant``.
+A ``QndConfig`` is read only where a phase leaves the library: its
+``phase`` reads counts as a ``PhaseTag``, and it accepts only angles at
+which the counts the protocol produces read distinct phases.
 
 Each probe is read out by homodyning it.  ``fock.project_probe`` is the
 exact-phase readout (used with QND1-QND3), on the counts.
@@ -104,8 +104,9 @@ def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
 
 @dataclass(frozen=True)
 class QndConfig:
-    """A detector and its angles.  Building one checks it, so a QndConfig
-    that exists is valid: each angle it reads is a ``PhaseTag``."""
+    """The angles at which a detector's probe counts read as phases.
+    Building one checks it, so a QndConfig that exists is valid: each
+    angle it reads is a ``PhaseTag``."""
 
     variant: Variant
     theta: PhaseTag
@@ -175,18 +176,20 @@ _SLOTS = {v: {ModeLabel(party, spatial, pol): (2 * party + (angle == "theta_prim
           for v, row in _COUPLINGS.items()}
 
 
-def apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
-    """Run the detector ``cfg`` names: its ``_COUPLINGS`` row for both parties.
-    The probes gain counts, so every config of one variant gives one result."""
-    if cfg.variant in (Variant.QND2, Variant.QND4):
+def apply_qnd(state: PureState, variant: Variant) -> PureState:
+    """Run the detector ``variant``: its ``_COUPLINGS`` row for both parties.
+    The probes gain counts, so no angle enters."""
+    if not isinstance(variant, Variant):
+        raise TypeError(f"apply_qnd runs a Variant, not {type(variant).__name__}")
+    if variant in (Variant.QND2, Variant.QND4):
         if not all(b.one_photon_per_port() for b in state.branches):
             raise OccupancyViolationError(
                 "detector expects one photon per spatial port of each party")
-    if cfg.variant == Variant.QND3:
+    if variant == Variant.QND3:
         for party in Party:
             state = pbs(state, party)
-    slots = _SLOTS[cfg.variant]
-    period = 2 if cfg.variant == Variant.QND2 else 0  # theta = pi: two shifts are none
+    slots = _SLOTS[variant]
+    period = 2 if variant == Variant.QND2 else 0  # theta = pi: two shifts are none
 
     def shift(b):
         counts = [0, 0, 0, 0]

@@ -122,7 +122,7 @@ def test_criterion_5_magnitude_readout_degradation():
         target = operator_state([(1, ((HHVV, VVHH),))])
 
         cfg4 = default_config(Variant.QND4)
-        out4 = apply_qnd(inp, cfg4)
+        out4 = apply_qnd(inp, Variant.QND4)
         outcomes = {o.outcome: o for o in
                     homodyne_x(out4, Party.ALICE, cfg4)}
         picked = outcomes[cfg4.theta.magnitude_class()]
@@ -136,7 +136,7 @@ def test_criterion_5_magnitude_readout_degradation():
         assert abs(mixture.overlap(target) - 0.5) < 1e-12
         assert abs(mixture.purity() - 0.5) < 1e-12
 
-        out2 = apply_qnd(inp, default_config(Variant.QND2))
+        out2 = apply_qnd(inp, Variant.QND2)
         _, after_a = project_probe(out2, Party.ALICE, ZERO_COUNTS)
         _, kept = project_probe(after_a, Party.BOB, ZERO_COUNTS)
         assert abs(overlap(kept, target) - 1.0) < 1e-12

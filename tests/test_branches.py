@@ -96,7 +96,7 @@ def test_cases_read_the_per_medium_phases_at_any_admissible_angles(theta, theta_
     for case in BRANCH_CASES:
         cfg = cfgs[case.variant]
         want = per_medium_phases(case.input_state(), cfg)
-        assert_same_phases(rendered_phases(apply_qnd(case.input_state(), cfg), cfg), want)
+        assert_same_phases(rendered_phases(apply_qnd(case.input_state(), case.variant), cfg), want)
         assert_same_phases(rendered_phases(case.expected_state(), cfg), want)
         assert run_branch_case(case, cfg).passed
 

@@ -284,7 +284,7 @@ class TestOneBranchKey:
 class TestProjectProbe:
     def test_clean_pair_after_detector(self):
         cfg = default_config(Variant.QND1)
-        st = apply_qnd(single_pair_state(), cfg)
+        st = apply_qnd(single_pair_state(), Variant.QND1)
         theta = (1, 0)  # the counts of one theta shift
         assert cfg.phase(theta) == cfg.theta
         prob, post = project_probe(st, Party.ALICE, theta)
@@ -311,8 +311,9 @@ class TestProjectProbe:
         g1 = operator_state([(1, ((U1, U4), (U1, U4)), ((2, 0), (2, 0)))])
         g2 = operator_state([(1, ((U2, U3), (U2, U3)), ((0, 2), (0, 2)))])
         g3 = operator_state([(1, ((U1, U4), (U2, U3)), ((1, 1), (1, 1)))])
+        doubled = g3.map_branches(lambda b: b.with_amplitude(2.0 * b.amplitude))
         combined = PureState.of(
-            list(g1.branches) + list(g2.branches) + list(g3.scale(2.0).branches)
+            list(g1.branches) + list(g2.branches) + list(doubled.branches)
         ).normalize()
         prob, _ = project_probe(combined, Party.ALICE, (1, 1))
         assert abs(prob - 4.0 / 6.0) < 1e-12

@@ -1,7 +1,8 @@
 """The library keeps no code that only tests call: every function and class
 defined in ``src/kerrpurify`` is named by library, demo or perfbench code,
 or pinned by name in the tracer's ``LAYERS``.  The check works at name
-level, so a method that shares a name with a used function passes."""
+level, so a method that shares a name with a used function passes.  And
+``src/`` stays within the seed's line count."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ SOURCES = sorted(ROOT.glob("src/kerrpurify/*.py"))
 # the functions only ``LAYERS`` names; deleting them is a benchmark change
 PINNED_ONLY = {"create_photon", "apply_kerr", "trial_uniforms", "stage1_monte_carlo",
                "stage2_monte_carlo", "two_pair_components"}
+
+SRC_LINE_CEILING = 2565  # the seed's src/: it may shrink, never grow past this
 
 
 def _nodes(paths):
@@ -32,3 +35,9 @@ def test_every_library_definition_has_a_caller_outside_tests():
     stray = unused - {fn for fns in layers.values() for fn in fns}
     assert not stray, f"only tests call {sorted(stray)}"
     assert unused == PINNED_ONLY
+
+
+def test_src_stays_within_the_seed_line_count():
+    # counted as ``wc -l`` counts: the newline bytes of every src/**/*.py
+    lines = sum(path.read_bytes().count(b"\n") for path in ROOT.glob("src/**/*.py"))
+    assert lines <= SRC_LINE_CEILING, f"src/ has {lines} lines, over {SRC_LINE_CEILING}"

@@ -33,6 +33,7 @@ from kerrpurify import (
     stage2_yield,
 )
 from kerrpurify import protocol
+from kerrpurify.branches import BRANCH_CASES, BranchCase
 from kerrpurify.protocol import (
     COUNT_KEYS,
     MC_CHUNK,
@@ -619,13 +620,12 @@ class TestPairCache:
                 configs.append(cfg)
         return configs
 
-    CACHES = (protocol.single_pair_leaves, protocol._classify_pair, protocol._stage1_rows)
+    CACHES = (protocol._stage1_rows,)
 
     def test_fresh_configs_share_few_entries_and_equal_cold_builds(self):
         # probe counts hold no angle, so 50 fresh angle pairs share one
-        # enumeration per detector and the projected pairs fill only a
-        # handful of entries; every report and record list built warm is,
-        # repr for repr, the one built with every cache cleared
+        # enumeration per detector; every report and record list built
+        # warm is, repr for repr, the one built with the cache cleared
         def run(cfg):
             return stage1_run(SRC, NOISE, cfg.variant, cfg=cfg).to_dict()
 
@@ -636,7 +636,6 @@ class TestPairCache:
         for cache in self.CACHES:
             cache.cache_clear()
         warm = [run(cfg) for cfg in configs]
-        assert protocol._classify_pair.cache_info().currsize <= 16
         rows = protocol._stage1_rows.cache_info()
         assert (rows.misses, rows.currsize) == (2, 2) and rows.hits == 48
         warm = list(zip(warm, map(records, configs)))
@@ -649,6 +648,21 @@ class TestPairCache:
 
 
 class TestOutcomeTables:
+    def test_tables_build_with_no_config_or_phase_tag(self, monkeypatch):
+        # the branch maps depend on the angles only through the readings,
+        # so every table and every branch case builds cold from probe
+        # counts alone: making a QndConfig or a PhaseTag there fails
+        def angle_read(*args, **kwargs):
+            raise AssertionError("an angle was read")
+
+        for cache in TABLES + (default_config, BranchCase.mismatches):
+            cache.cache_clear()
+        monkeypatch.setattr(QndConfig, "__post_init__", angle_read)
+        monkeypatch.setattr(PhaseTag, "__init__", angle_read)
+        tables = [protocol._stage1_rows(v) for v in (Variant.QND1, Variant.QND3)]
+        assert all(t.rows for t in tables + [_stage2_table(), _pbs_table()])
+        assert all(case.mismatches() == () for case in BRANCH_CASES)
+
     def test_warm_cache_report_equals_cold(self):
         _reports()
         warm = _reports()

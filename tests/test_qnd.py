@@ -220,10 +220,13 @@ class TestCountingDetector:
             except OccupancyViolationError:
                 return "rejected"
 
+        def counted(state, cfg):  # apply_qnd runs the config's variant
+            return apply_qnd(state, cfg.variant)
+
         for variant in Variant:
             cfg = default_config(variant)
             for state in inputs:
-                assert (repr(outcome(apply_qnd, state, cfg))
+                assert (repr(outcome(counted, state, cfg))
                         == repr(outcome(_per_medium_apply_qnd, state, cfg))), (cfg, state)
         pairs = _admissible_angle_pairs(40, seed=11)
         configs = [default_config(Variant.QND2)] + [
@@ -237,14 +240,14 @@ class TestCountingDetector:
                 if cfg.theta_prime is None and any(c[1] for b in state.branches
                                                    for c in b.probe):
                     continue  # theta' counts, which a one-angle detector cannot read
-                got, want = outcome(apply_qnd, state, cfg), outcome(_per_medium_phases, state, cfg)
+                got, want = outcome(counted, state, cfg), outcome(_per_medium_phases, state, cfg)
                 if want == "rejected":
                     assert got == want
                 else:
                     assert_same_phases(rendered_phases(got, cfg), want)
                     compared += 1
         assert compared > len(configs) * len(BRANCH_CASES) // 2
-        assert any(outcome(apply_qnd, s, configs[-1]) == "rejected" for s in inputs)
+        assert any(outcome(counted, s, configs[-1]) == "rejected" for s in inputs)
 
 
 def _six_classes_distinct(theta: Fraction, theta_prime: Fraction) -> bool:
@@ -299,7 +302,7 @@ class TestParityLaw:
                 (Party.BOB, Spatial.LOWER, pb2),
             ]:
                 st = create_photon(st, ModeLabel(party, spatial, pol))
-            out = apply_qnd(st, cfg)
+            out = apply_qnd(st, Variant.QND2)
             tag_a = cfg.phase(out.branches[0].probe[Party.ALICE])
             tag_b = cfg.phase(out.branches[0].probe[Party.BOB])
             assert (tag_a == PI) == (pa1 == pa2)
@@ -309,13 +312,13 @@ class TestParityLaw:
 
 class TestGadgetInvariants:
     def gadget_states(self, rng):
-        yield default_config(Variant.QND1), random_pure_state(rng)
-        yield default_config(Variant.QND3), random_pure_state(rng)
+        yield Variant.QND1, random_pure_state(rng)
+        yield Variant.QND3, random_pure_state(rng)
 
     def test_norm_and_photons_preserved(self, rng):
         for _ in range(200):
-            for cfg, st in self.gadget_states(rng):
-                out = apply_qnd(st, cfg)
+            for variant, st in self.gadget_states(rng):
+                out = apply_qnd(st, variant)
                 assert abs(out.norm_squared() - 1.0) < 1e-10
                 before = sorted(abs(b.amplitude) for b in st.branches)
                 after = sorted(abs(b.amplitude) for b in out.branches)
@@ -328,7 +331,7 @@ class TestGadgetInvariants:
     def test_occupations_untouched_without_internal_pbs(self, rng):
         for _ in range(100):
             st = random_pure_state(rng)
-            out = apply_qnd(st, default_config(Variant.QND1))
+            out = apply_qnd(st, Variant.QND1)
             assert [b.occupations for b in out.branches] == \
                    [b.occupations for b in st.branches]
 
@@ -342,7 +345,13 @@ class TestGadgetInvariants:
                 )
         for variant in (Variant.QND2, Variant.QND4):
             with pytest.raises(OccupancyViolationError):
-                apply_qnd(doubled, default_config(variant))
+                apply_qnd(doubled, variant)
+
+    def test_only_a_variant_runs(self):
+        # a detector runs by its Variant alone: a config or a name is refused
+        for detector in (default_config(Variant.QND1), "qnd1"):
+            with pytest.raises(TypeError, match="Variant"):
+                apply_qnd(single_pair_state(), detector)
 
 
 class TestHomodyne:
@@ -388,7 +397,7 @@ class TestHomodyne:
     def magnitude_outcome(self, outcome_tag):
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
         cfg = default_config(Variant.QND4)
-        out = apply_qnd(inp, cfg)
+        out = apply_qnd(inp, Variant.QND4)
         outcomes = {o.outcome: o for o in
                     homodyne_x(out, Party.ALICE, cfg)}
         return cfg, outcomes[outcome_tag]
@@ -417,7 +426,7 @@ class TestHomodyne:
         from kerrpurify import overlap
 
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
-        out = apply_qnd(inp, default_config(Variant.QND2))
+        out = apply_qnd(inp, Variant.QND2)
         _, after_a = project_probe(out, Party.ALICE, ZERO_COUNTS)
         _, post = project_probe(after_a, Party.BOB, ZERO_COUNTS)
         target = operator_state([(1, ((HHVV, VVHH),))])
