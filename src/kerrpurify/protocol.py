@@ -42,14 +42,19 @@ weighs its class weight times its own factor.  A row's class is its
 one ``Verdict`` field, and ``COUNT_KEYS``, the report's count buckets,
 are the verdicts' values in their order.
 
-``_weighted_rows`` weights the rows at each point of a grid of one
-detector config; a single run is a grid of one.  An exact result is
-linear in the class weights, so ``exact_reports`` sums a whole grid in
-one pass over its table (the CLI's exact runs); the library's exact-only
-single-point runs (``stage1_run``, ``stage2_run``, ``pbs_baseline``) sum
-the records of ``enumerate_exact``, and ``monte_carlo`` its draws of
-each row.  All three add through one loop, ``_row_sums``, in table
-order, so they agree to the bit, and ``_report`` builds every report.
+``_weighted_rows`` checks a grid of points of one detector config and
+gives each point's class weights; a single run is a grid of one.  A
+table carries the row indices of each verdict and the rows that keep a
+pair, so ``_row_sums`` adds each bucket's rows in table order with no
+lookup per row: ``exact_reports`` (the CLI's exact runs) sums each
+point's row weights with it, and ``monte_carlo`` its draws of each row.
+The library's exact-only single-point runs (``stage1_run``,
+``stage2_run``, ``pbs_baseline``) add the records of ``enumerate_exact``,
+the same rows less those of zero weight, in the same order, so every
+mode agrees to the bit, and ``_report`` builds every report.  Exact runs
+weight and sum their (at most 20) rows in Python floats, with the IEEE
+products and sums a vector library would give; only Monte Carlo, for
+the Philox stream and the word counts below, imports numpy.
 Every kept row's fidelity is exactly 1.0 (correct) or 0.0 (erroneous),
 so a report's fidelity is its correct total over its kept total.
 Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
@@ -76,9 +81,7 @@ import operator
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product as iproduct
-from typing import Callable, Iterator, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .elements import coupler, diagonal_outcomes, pbs, sigma_x, sigma_z
 from .fock import (
@@ -103,6 +106,9 @@ from .sources import (
     two_pair_state,
     two_pair_weights,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PHI_PLUS_MERGED = bell_pair("phi+", Spatial.MERGED)
 PSI_PLUS_MERGED = bell_pair("psi+", Spatial.MERGED)
@@ -217,30 +223,38 @@ def stage2_iterate(f0: float, rounds: int) -> list:
 # outcome tables: one branch enumeration per detector
 # ---------------------------------------------------------------------------
 
-_BUCKET_IDS = {v: i for i, v in enumerate(Verdict)}  # a verdict's index in COUNT_KEYS
+_VERDICTS = tuple(Verdict)  # in COUNT_KEYS order
 
 
 class RowTable(NamedTuple):
-    """The outcome rows of one pipeline and config, with read-only columns.
+    """The outcome rows of one pipeline and config, with their columns.
 
     ``rows[i]`` is an ``OutcomeRecord`` whose weight is its probability
     given its event class ``cls[i]``; at a parameter point the row weighs
-    that class's weight times ``factor[i]``.
+    that class's weight times ``factor[i]``.  ``by_verdict`` holds the
+    indices of each verdict's rows in COUNT_KEYS order, and ``kept`` the
+    (index, kept pairs) of each row that keeps a pair.
     """
 
     rows: tuple
-    cls: np.ndarray
-    factor: np.ndarray
+    cls: tuple
+    factor: tuple
+    by_verdict: tuple
+    kept: tuple
+
+    def weights(self, class_weights: Sequence) -> list:
+        """The weight of each row at a point whose classes weigh ``class_weights``."""
+        return [class_weights[c] * f for c, f in zip(self.cls, self.factor)]
 
 
 def _row_table(classes) -> RowTable:
     """Flatten the records of each event class, in class order."""
     rows = tuple(r for records in classes for r in records)
-    cls = np.array([c for c, records in enumerate(classes) for _ in records])
-    factor = np.array([r.weight for r in rows])
-    for column in (cls, factor):
-        column.flags.writeable = False  # cached: every caller shares it
-    return RowTable(rows, cls, factor)
+    return RowTable(rows, tuple(c for c, records in enumerate(classes) for _ in records),
+                    tuple(r.weight for r in rows),
+                    tuple(tuple(i for i, r in enumerate(rows) if r.verdict is verdict)
+                          for verdict in _VERDICTS),
+                    tuple((i, r.kept_pairs) for i, r in enumerate(rows) if r.kept_pairs))
 
 
 class Reading(NamedTuple):
@@ -387,7 +401,7 @@ def _stage1_config(variant, cfg) -> QndConfig:
     return cfg
 
 
-def _stage1_class_weights(params: dict) -> np.ndarray:
+def _stage1_class_weights(params: dict) -> list:
     """Weights of the classes of ``_stage1_rows``: an emission is one pair
     or two in the ratio p1 : p2, and each pair is flipped with probability
     1 - f0.  Building the parameter objects checks them."""
@@ -398,8 +412,7 @@ def _stage1_class_weights(params: dict) -> np.ndarray:
         raise ConfigError("p1 + p2 must be positive")
     w1, w2 = src.p1 / total, src.p2 / total
     noise = (f0, 1.0 - f0)
-    return np.array([w1 * wn for wn in noise]
-                    + [w2 * wn1 * wn2 for wn1, wn2 in iproduct(noise, noise)])
+    return [w1 * wn for wn in noise] + [w2 * wn1 * wn2 for wn1, wn2 in iproduct(noise, noise)]
 
 
 def _stage1_extras(params: dict, counts: list, pairs, events) -> dict:
@@ -417,9 +430,9 @@ def _stage1_extras(params: dict, counts: list, pairs, events) -> dict:
     }
 
 
-def _two_pair_class_weights(params: dict) -> np.ndarray:
+def _two_pair_class_weights(params: dict) -> list:
     """Weights of the ``TWO_PAIR_KINDS`` classes of the stage-2 and PBS tables."""
-    return np.array(two_pair_weights(params["F"]))
+    return two_pair_weights(params["F"])
 
 
 def _two_pair_extras(baseline: bool, params: dict, counts, pairs, events) -> dict:
@@ -456,8 +469,9 @@ PIPELINES = {
 
 
 def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
-    """(table, weight of each row at each point) of a pipeline over ``points``,
-    parameter dicts of one detector config, each checked; a run is a grid of one."""
+    """(table, class weights at each point) of a pipeline over ``points``,
+    parameter dicts of one detector config, each checked; a run is a grid of
+    one.  A row weighs its class weight times its factor (``RowTable.weights``)."""
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     entry = PIPELINES[pipeline]
@@ -467,26 +481,30 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
             raise ConfigError(f"unknown parameter(s) {unknown} for {pipeline}; it reads: "
                               + ", ".join(sorted(entry.keys)))
     if not points:
-        return None, None
+        return None, []
     configs = {entry.config(p) for p in points}
     if len(configs) > 1:
         raise ConfigError("the points of one grid must share one detector config")
-    table = entry.table(*configs)
-    weights = np.fromiter(map(entry.class_weights, points),
-                          np.dtype((float, int(table.cls[-1]) + 1)), len(points))
-    return table, weights[:, table.cls] * table.factor  # a zero weight adds nothing
+    return entry.table(*configs), list(map(entry.class_weights, points))
 
 
-def _row_sums(weighted_rows, zero) -> list:
-    """The bucket totals in COUNT_KEYS order and the kept-pair sum of (row,
-    weight) pairs, each weight added in row order onto ``zero``: 0.0 for one
-    run, one zero per point of a grid, so both agree to the bit, or 0 for the
-    integer draw counts of a Monte Carlo run."""
-    sums = [zero] * (len(COUNT_KEYS) + 1)
-    for row, w in weighted_rows:
-        b = _BUCKET_IDS[row.verdict]
-        sums[b] = sums[b] + w
-        sums[-1] = sums[-1] + w * row.kept_pairs
+def _row_sums(table: RowTable, values: Sequence, zero) -> list:
+    """The bucket totals in COUNT_KEYS order and the kept-pair sum of the rows
+    of ``table`` valued ``values``, one per row: each verdict's values added in
+    row order onto ``zero``, 0.0 for the weights of an exact run, so a grid
+    point and a single run agree to the bit, or 0 for the integer draw counts
+    of a Monte Carlo run.  A row that keeps no pair adds nothing to the
+    pair sum (every value is >= 0, so skipping it changes no bit)."""
+    sums = []
+    for rows in table.by_verdict:
+        total = zero
+        for i in rows:
+            total += values[i]
+        sums.append(total)
+    pairs = zero
+    for i, kept in table.kept:
+        pairs += values[i] * kept
+    sums.append(pairs)
     return sums
 
 
@@ -510,30 +528,36 @@ def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
 
 
 def _exact(pipeline: str, params: dict, records: list) -> RunReport:
-    """Exact report of a pipeline at ``params``: its records summed per bucket."""
-    return _report(pipeline, params, _row_sums(((r, r.weight) for r in records), 0.0))
+    """Exact report of a pipeline at ``params``: its records, the table's rows
+    less those of zero weight, added per bucket in ``_row_sums`` order.  One
+    pass over the records, as building their index columns would allocate
+    more than the report itself."""
+    sums = [0.0] * (len(COUNT_KEYS) + 1)
+    for r in records:
+        sums[_VERDICTS.index(r.verdict)] += r.weight  # identity compares, no hash
+        sums[-1] += r.weight * r.kept_pairs
+    return _report(pipeline, params, sums)
 
 
 def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
     """The exact report at each of ``points``, parameter dicts of one detector
-    config, each checked as a single run checks it.  One pass over the table
-    adds each row's weight at every point, so each report is the single
-    run's to the bit."""
-    table, row_weights = _weighted_rows(pipeline, points)
-    if not points:
-        return
-    sums = _row_sums(zip(table.rows, row_weights.T), np.zeros(len(points)))
-    for p, point_sums in zip(points, np.array(sums).T.tolist()):
-        yield _report(pipeline, p, point_sums)
+    config, all checked, as a single run checks each, before the first
+    report.  Each point sums the table's rows at its weights, and a single
+    run its records, the same rows less those of zero weight, so each
+    report is the single run's to the bit."""
+    table, class_weights = _weighted_rows(pipeline, points)
+    for p, weights in zip(points, class_weights):
+        yield _report(pipeline, p, _row_sums(table, table.weights(weights), 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+# Only the Monte Carlo functions below import numpy, inside their bodies, so
+# exact runs and the CLI's start-up never load it.
 MC_CHUNK = 1 << 16  # trials drawn at once: bounds MC memory whatever the trial count
 GUIDE_BITS = 12  # a chunk's words are binned on their top bits before the exact compares
-_GUIDE_SHIFT = np.uint64(64 - GUIDE_BITS)
 _ABOVE_ALL = 1 << GUIDE_BITS  # the guide bin of the limit 2**64, above every word
 
 
@@ -544,6 +568,7 @@ def _trial_words(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
     by the seed, so any partition of the trial range reproduces the same
     per-trial words.  The seed is the 64-bit key, an integer in [0, 2**64).
     """
+    import numpy as np
     seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
@@ -554,6 +579,7 @@ def _trial_words(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
 
 def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
     """One uniform in [0, 1) for each trial: (word >> 11) * 2**-53."""
+    import numpy as np
     return (_trial_words(seed, n_trials, start) >> np.uint64(11)) * (2.0 ** -53)
 
 
@@ -564,10 +590,12 @@ def _word_limits(edges: np.ndarray) -> tuple:
     << 11.  An edge of 1.0 or above maps to 2**64, beyond uint64: its guide
     bin is the sentinel _ABOVE_ALL, which every word lies below.
     """
+    import numpy as np
     scaled = np.ceil(edges * 2.0**53)
     above_all = scaled >= 2.0**53
     limits = np.where(above_all, 0.0, scaled).astype(np.uint64) << np.uint64(11)
-    bins = np.where(above_all, _ABOVE_ALL, (limits >> _GUIDE_SHIFT).astype(np.int64))
+    bins = np.where(above_all, _ABOVE_ALL,
+                    (limits >> np.uint64(64 - GUIDE_BITS)).astype(np.int64))
     return bins, limits
 
 
@@ -578,7 +606,8 @@ def _words_below(words: np.ndarray, bins: np.ndarray, limits: np.ndarray) -> np.
     the words in the bins below the limit's bin; only the words in the bins
     that a limit cuts are compared with the limits exactly.
     """
-    top = (words >> _GUIDE_SHIFT).view(np.int64)
+    import numpy as np
+    top = (words >> np.uint64(64 - GUIDE_BITS)).view(np.int64)
     below = np.zeros(_ABOVE_ALL + 1, dtype=np.int64)
     np.cumsum(np.bincount(top, minlength=_ABOVE_ALL), out=below[1:])
     cut = np.zeros(_ABOVE_ALL + 1, dtype=bool)
@@ -604,8 +633,10 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     Each trial draws the row its uniform selects from the cumulative row
     weights, counted on the raw words against the edges' integer limits.
     """
+    import numpy as np
     chunks = _chunks(trials)
-    table, (w,) = _weighted_rows(pipeline, [params])
+    table, (class_weights,) = _weighted_rows(pipeline, [params])
+    w = np.array(table.weights(class_weights))
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
     edges[-1] = 1.0  # round-off must leave no uniform above the top edge
@@ -623,8 +654,7 @@ def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunR
     # 1.5 raises; a numpy integer is reported as a plain int
     trials, seed = operator.index(trials), operator.index(seed)
     table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
-    return _report(pipeline, params, _row_sums(zip(table.rows, row_counts.tolist()), 0),
-                   trials, seed)
+    return _report(pipeline, params, _row_sums(table, row_counts.tolist(), 0), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +668,11 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
     with their counts read as phases of the point's config: its angles keep
     the six count classes apart, so the rows' verdicts hold for the phases.
     """
-    table, (w,) = _weighted_rows(pipeline, [params])
+    table, (class_weights,) = _weighted_rows(pipeline, [params])
     cfg = PIPELINES[pipeline].config(params)
     tag = functools.cache(cfg.phase) if cfg else lambda counts: None  # PBS reads no probe
     return [OutcomeRecord(tag(row.probe_alice), tag(row.probe_bob), *row[2:4], wi, *row[5:])
-            for row, wi in zip(table.rows, w.tolist()) if wi != 0.0]
+            for row, wi in zip(table.rows, table.weights(class_weights)) if wi != 0.0]
 
 
 def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:

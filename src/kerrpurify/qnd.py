@@ -102,6 +102,18 @@ def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
     return state.map_branches(shift)
 
 
+@functools.lru_cache(maxsize=8)  # qnd1 and qnd3 at one angle pair share one check
+def _check_phase_classes(t: PhaseTag, tp: PhaseTag) -> None:
+    """Refuse an angle pair at which two of the six count classes read one
+    phase; a refusal is not cached, so it raises on every build."""
+    if t == tp:
+        raise ConfigError("theta and theta_prime must differ mod 2*pi")
+    if len({ZERO_PHASE, t, tp, t * 2, tp * 2, t + tp}) != 6:
+        raise ConfigError(
+            "phase classes {0, t, t', 2t, 2t', t+t'} must be pairwise distinct mod 2*pi"
+        )
+
+
 @dataclass(frozen=True)
 class QndConfig:
     """The angles at which a detector's probe counts read as phases.
@@ -124,12 +136,7 @@ class QndConfig:
                 raise ConfigError("an angle is a PhaseTag, an exact rational of pi, "
                                   f"not {type(angle).__name__}")
         if reads_prime:
-            if t == tp:
-                raise ConfigError("theta and theta_prime must differ mod 2*pi")
-            if len({ZERO_PHASE, t, tp, t * 2, tp * 2, t + tp}) != 6:
-                raise ConfigError(
-                    "phase classes {0, t, t', 2t, 2t', t+t'} must be pairwise distinct mod 2*pi"
-                )
+            _check_phase_classes(t, tp)
         elif self.variant == Variant.QND2:
             if t != PI:
                 raise ConfigError("qnd2 requires theta = pi exactly")

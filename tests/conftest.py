@@ -33,7 +33,7 @@ angles = st.builds(Fraction, st.integers(1, 47), st.integers(2, 24))
 def mc_totals(table, row_counts) -> list:
     """The integer totals a Monte Carlo run reports from its draws of each
     row of ``table``: the draws of each verdict, then the kept pairs."""
-    return _row_sums(zip(table.rows, row_counts.tolist()), 0)
+    return _row_sums(table, row_counts.tolist(), 0)
 
 
 def random_angle_pair(rng) -> tuple:

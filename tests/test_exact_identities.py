@@ -60,7 +60,7 @@ def stage1_weights(p1: Fraction, p2: Fraction, f0: Fraction) -> list:
     noise = (f0, 1 - f0)
     weights = [w1 * n for n in noise] + [w2 * a * b for a, b in iproduct(noise, noise)]
     library = _stage1_class_weights({"p1": float(p1), "p2": float(p2), "f0": float(f0)})
-    assert [float(w) for w in weights] == pytest.approx(library.tolist(), abs=1e-15)
+    assert [float(w) for w in weights] == pytest.approx(library, abs=1e-15)
     return weights
 
 

@@ -1,10 +1,14 @@
 """The library keeps no code that only tests call: every function and class
 defined in ``src/kerrpurify`` is named by library, demo or perfbench code,
 or pinned by name in the tracer's ``LAYERS``.  The check works at name
-level, so a method that shares a name with a used function passes.  And
-``src/`` stays within the seed's line count."""
+level, so a method that shares a name with a used function passes.
+``src/`` stays within the seed's line count, and only Monte Carlo
+imports numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +45,35 @@ def test_src_stays_within_the_seed_line_count():
     # counted as ``wc -l`` counts: the newline bytes of every src/**/*.py
     lines = sum(path.read_bytes().count(b"\n") for path in ROOT.glob("src/**/*.py"))
     assert lines <= SRC_LINE_CEILING, f"src/ has {lines} lines, over {SRC_LINE_CEILING}"
+
+
+EXACT_RUNS_THEN_MC = """
+import os, sys, tempfile
+import kerrpurify as kp
+from kerrpurify import cli
+
+src, noise = kp.PdcSourceParams(0.1, 0.01), kp.NoiseParams(0.8)
+kp.stage1_run(src, noise)
+kp.stage1_run(src, noise, kp.Variant.QND3)
+kp.stage2_run(0.8)
+kp.pbs_baseline(0.8)
+grid = [{"p1": 0.1, "p2": 0.01, "f0": f0} for f0 in (0.7, 0.8, 0.9)]
+assert len(list(kp.exact_reports("stage1", grid))) == 3
+with tempfile.TemporaryDirectory() as tmp:
+    argv = ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.7,0.8",
+            "--csv", os.path.join(tmp, "grid.csv")]
+    assert cli.main(argv) == 0
+    assert cli.main(["stage2", "--F", "0.8", "--rounds", "2", "--baseline"]) == 0
+print("exact runs loaded numpy:", "numpy" in sys.modules)
+kp.monte_carlo("stage1", grid[0], 1000, seed=1)
+print("monte carlo loaded numpy:", "numpy" in sys.modules)
+"""
+
+
+def test_exact_runs_and_the_cli_leave_numpy_unimported():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", EXACT_RUNS_THEN_MC], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["exact runs loaded numpy: False",
+                                            "monte carlo loaded numpy: True"]

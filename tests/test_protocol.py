@@ -572,7 +572,8 @@ class TestWordLimitCounts:
     ], ids=["stage1", "stage2", "pbs"])
     def test_ranges_across_a_chunk_boundary(self, pipeline, params, start):
         trials = MC_CHUNK + 4_001
-        _, (w,) = protocol._weighted_rows(pipeline, [params])
+        table, (class_weights,) = protocol._weighted_rows(pipeline, [params])
+        w = np.array(table.weights(class_weights))
         _, rows = _mc_row_counts(pipeline, params, trials, 13, start=start)
         drawn = np.flatnonzero(w)
         reference = _float_row_counts(_edges(w[drawn]), trial_uniforms(13, trials, start))
@@ -710,12 +711,13 @@ class TestOutcomeTables:
         for table in (_stage2_table(), _pbs_table()):
             kept_rows = np.array([r.verdict in (Verdict.KEPT_CORRECT, Verdict.KEPT_ERRONEOUS)
                                   for r in table.rows])
+            cls, factor = np.asarray(table.cls), np.asarray(table.factor)
             for c, kinds in enumerate(TWO_PAIR_KINDS):
                 kept = {table.rows[i].verdict
-                        for i in np.flatnonzero((table.cls == c) & kept_rows)}
+                        for i in np.flatnonzero((cls == c) & kept_rows)}
                 assert len(kept) <= 1
                 assert (kept.pop() if kept else Verdict.DISCARDED) == expected[kinds]
-                keep_probability = table.factor[(table.cls == c) & kept_rows].sum()
+                keep_probability = factor[(cls == c) & kept_rows].sum()
                 assert (keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
 
     def test_chunked_mc_counts_equal_one_unchunked_draw(self, monkeypatch):
@@ -734,7 +736,8 @@ class TestOutcomeTables:
         ("pbs", {"F": 1.0}),
     ], ids=["stage1", "stage2", "pbs"])
     def test_zero_weight_rows_are_never_drawn(self, pipeline, params):
-        _, (w,) = protocol._weighted_rows(pipeline, [params])
+        table, (class_weights,) = protocol._weighted_rows(pipeline, [params])
+        w = np.array(table.weights(class_weights))
         _, rows = _mc_row_counts(pipeline, params, 200_000, 3)
         assert (w == 0.0).any()
         assert not rows[w == 0.0].any()
@@ -748,13 +751,23 @@ class TestOutcomeTables:
         ("stage2", {"F": 0.7}),
         ("pbs", {"F": 0.9}),
     ])
-    def test_records_agree_with_the_row_columns(self, pipeline, params):
+    def test_records_agree_with_the_row_columns(self, pipeline, params, monkeypatch):
         # single runs sum the records, grids and Monte Carlo the weighted
-        # table rows, all through one loop: the totals agree to the bit
+        # table rows by verdict: the totals agree to the bit, and with a loop
+        # that adds every row, zero-weight and pairless ones too
         records = enumerate_exact(pipeline, params)
-        table, (w,) = protocol._weighted_rows(pipeline, [params])
-        assert (protocol._row_sums(zip(table.rows, w), 0.0)
-                == protocol._row_sums(((r, r.weight) for r in records), 0.0))
+        table, (class_weights,) = protocol._weighted_rows(pipeline, [params])
+        w = table.weights(class_weights)
+        sums = protocol._row_sums(table, w, 0.0)
+        summed = []
+        monkeypatch.setattr(protocol, "_report", lambda *args: summed.append(args[2]))
+        protocol._exact(pipeline, params, records)
+        assert summed == [sums]
+        reference = [0.0] * (len(COUNT_KEYS) + 1)
+        for row, weight in zip(table.rows, w):
+            reference[COUNT_KEYS.index(row.verdict.value)] += weight
+            reference[-1] += weight * row.kept_pairs
+        assert sums == reference
 
 
 class TestOutcomeVocabulary:

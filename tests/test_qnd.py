@@ -124,6 +124,17 @@ class TestConfig:
         for v in Variant:
             default_config(v)
 
+    def test_an_angle_pair_is_checked_once_and_refused_every_time(self):
+        # qnd1 and qnd3 read one set of six phase classes; a refusal is not cached
+        qnd._check_phase_classes.cache_clear()
+        for _ in range(2):
+            for variant in (Variant.QND1, Variant.QND3):
+                QndConfig(variant, PhaseTag(3, 16), PhaseTag(29, 64))
+                with pytest.raises(ConfigError, match="pairwise distinct"):
+                    QndConfig(variant, PhaseTag(1, 2), PI)
+        info = qnd._check_phase_classes.cache_info()
+        assert (info.misses, info.hits) == (1 + 4, 3)
+
     @pytest.mark.parametrize("variant, angles", [
         (Variant.QND1, (Fraction(1, 4), Fraction(3, 4))),
         (Variant.QND3, (Fraction(1, 4), Fraction(3, 4))),
