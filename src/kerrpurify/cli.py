@@ -82,8 +82,13 @@ def _resolved_sampling(args) -> int:
     """Check --trials, which only --mode mc reads (default 100000); return the seed."""
     if args.mode == "exact" and args.trials is not None:
         raise CliError("--trials is read only with --mode mc")
-    if args.mode == "mc" and args.trials is None:
-        args.trials = 100_000
+    if args.mode == "mc":
+        try:  # only Monte Carlo draws on numpy: without it, exit 2 before any run
+            import numpy  # noqa: F401
+        except ImportError as exc:
+            raise CliError(f"--mode mc needs numpy, which does not import: {exc}") from None
+        if args.trials is None:
+            args.trials = 100_000
     seed = 0 if args.seed is None else int(args.seed)
     if not 0 <= seed < 2**64:
         raise CliError(f"--seed={seed} out of range: seeds lie in [0, 2**64)")

@@ -60,8 +60,14 @@ so a report's fidelity is its correct total over its kept total.
 Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
 per trial and inverts the cumulative row weights with it.  Trial t reads
 word t of a counter-based stream keyed by the seed, so any partition of
-the trial range aggregates to identical counts.  Runs draw MC_CHUNK
-trials at a time, so their memory does not grow with the trial count.
+the trial range aggregates to identical counts.  A run cuts its range
+into one contiguous span per CPU the process may run on, but never more
+spans than MC_CHUNK blocks, so a small run stays on one thread.  The
+caller counts the first span and a thread each other one, every span
+reading its words from one Philox generator advanced to the span's
+start; numpy releases the GIL while it draws and counts, so the spans
+run in parallel.  A span draws MC_CHUNK // spans trials at a time, so at
+most MC_CHUNK words are in flight whatever the trial or CPU count.
 
 The uniform of word t is u_t = (word_t >> 11) 2**-53, and trial t draws
 row i when edge[i-1] <= u_t < edge[i].  Since u_t is a multiple of
@@ -78,6 +84,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product as iproduct
@@ -561,20 +569,27 @@ GUIDE_BITS = 12  # a chunk's words are binned on their top bits before the exact
 _ABOVE_ALL = 1 << GUIDE_BITS  # the guide bin of the limit 2**64, above every word
 
 
-def _trial_words(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
-    """The raw 64-bit word of each trial of [start, start + n_trials).
-
-    Counter-based: trial t always reads word t of the Philox stream keyed
-    by the seed, so any partition of the trial range reproduces the same
-    per-trial words.  The seed is the 64-bit key, an integer in [0, 2**64).
-    """
+def _philox(seed: int, start: int):
+    """The Philox generator keyed by the seed, its next word that of trial
+    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64)."""
     import numpy as np
     seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bg = np.random.Philox(key=np.uint64(seed))
     bg.advance(start // 4)  # one counter step yields four words
-    return bg.random_raw(start % 4 + n_trials)[start % 4:]
+    bg.random_raw(start % 4)  # drop the step's words before the start
+    return bg
+
+
+def _trial_words(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
+    """The raw 64-bit word of each trial of [start, start + n_trials).
+
+    Counter-based: trial t always reads word t of the Philox stream keyed
+    by the seed, so any partition of the trial range reproduces the same
+    per-trial words.
+    """
+    return _philox(seed, start).random_raw(n_trials)
 
 
 def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
@@ -618,12 +633,28 @@ def _words_below(words: np.ndarray, bins: np.ndarray, limits: np.ndarray) -> np.
     return below[bins] + in_bin_below.sum(axis=1)
 
 
-def _chunks(trials: int):
-    """(start, size) of the MC_CHUNK-sized slices covering [0, trials), yielded
+def _chunks(trials: int, spans: int = 1):
+    """(start, size) of the slices covering [0, trials) that one of ``spans``
+    concurrent spans draws at a time, MC_CHUNK // spans trials each, yielded
     lazily so that a huge trial count costs no memory up front."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return ((start, min(MC_CHUNK, trials - start)) for start in range(0, trials, MC_CHUNK))
+    step = max(1, MC_CHUNK // spans)
+    return ((start, min(step, trials - start)) for start in range(0, trials, step))
+
+
+def _span_words(bg, slices) -> Iterator[np.ndarray]:
+    """The next words of the generator ``bg``, one array per (start, size)
+    slice of ``_chunks``: a span's words, drawn a slice at a time."""
+    return (bg.random_raw(size) for _, size in slices)
+
+
+def _workers() -> int:
+    """The CPUs this process may run on: a run counts one span on each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
@@ -631,21 +662,49 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     """(table, draws of each row) over trials [start, start + trials).
 
     Each trial draws the row its uniform selects from the cumulative row
-    weights, counted on the raw words against the edges' integer limits.
+    weights, counted on the raw words against the edges' integer limits,
+    span by span (see the module docstring).  A span that raises stops the
+    others, and its error is raised once every thread has ended.
     """
     import numpy as np
-    chunks = _chunks(trials)
+    spans = max(1, min(_workers(), -(-trials // MC_CHUNK)))
+    cuts = [start + trials * k // spans for k in range(spans + 1)]
+    slices = [_chunks(end - begin, spans) for begin, end in zip(cuts, cuts[1:])]
     table, (class_weights,) = _weighted_rows(pipeline, [params])
     w = np.array(table.weights(class_weights))
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
     edges[-1] = 1.0  # round-off must leave no uniform above the top edge
     bins, limits = _word_limits(edges)
-    below = np.zeros(len(drawn), dtype=np.int64)
-    for offset, size in chunks:
-        below += _words_below(_trial_words(seed, size, start + offset), bins, limits)
+    streams = [_philox(seed, cut) for cut in cuts[:-1]]  # checks the seed before any thread
+    below = np.zeros((spans, len(drawn)), dtype=np.int64)
+    errors = []
+
+    def count(k: int) -> None:
+        try:
+            for words in _span_words(streams[k], slices[k]):
+                if errors:  # another span failed, and its error is raised
+                    return
+                below[k] += _words_below(words, bins, limits)
+        except BaseException as exc:  # raised by the caller once all spans stop
+            errors.append(exc)
+
+    threads = [threading.Thread(target=count, args=(k,)) for k in range(1, spans)]
+    try:
+        for thread in threads:
+            thread.start()
+        count(0)
+    except BaseException as exc:  # a thread that could not start
+        errors.append(exc)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]
     row_counts = np.zeros(len(w), dtype=np.int64)
-    row_counts[drawn] = np.diff(below, prepend=0)  # row i: words in [limit[i-1], limit[i])
+    # row i: words in [limit[i-1], limit[i])
+    row_counts[drawn] = np.diff(below.sum(axis=0), prepend=0)
     return table, row_counts
 
 

@@ -7,9 +7,12 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -347,6 +350,35 @@ class TestSeedRange:
         assert code == 2
         assert err.startswith("error:") and "seed" in err
         assert "Traceback" not in out + err
+
+
+NO_NUMPY_CLI = """
+import sys
+sys.modules["numpy"] = None  # importing numpy raises ImportError
+from kerrpurify.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestMonteCarloWithoutNumpy:
+    # only Monte Carlo needs numpy: without it, --mode mc exits 2 with an
+    # error line, never a traceback, and writes no file
+    @pytest.mark.parametrize("argv", [
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--out", "run.json",
+         "--csv", "rows.csv"],
+        ["stage2", "--F", "0.8", "--baseline", "--out", "run.json"],
+        ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.7,0.8",
+         "--csv", "rows.csv"],
+    ], ids=["stage1", "stage2", "sweep"])
+    def test_mc_exits_2_and_writes_nothing(self, tmp_path, argv):
+        src = Path(cli.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", NO_NUMPY_CLI, *argv, "--mode", "mc",
+                              "--trials", "100"], cwd=tmp_path, capture_output=True,
+                             text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 2, out.stderr
+        assert out.stdout == "" and out.stderr.startswith("error:") and "numpy" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

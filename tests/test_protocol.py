@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +47,10 @@ from kerrpurify.protocol import (
     PSI_PLUS_UPPER,
     _mc_row_counts,
     _pbs_table,
+    _philox,
+    _span_words,
     _stage2_table,
+    _trial_words,
     _word_limits,
     _words_below,
     pbs_records,
@@ -592,6 +600,160 @@ class TestWordLimitCounts:
             tracemalloc.stop()
         assert first_two == [(0, MC_CHUNK), (MC_CHUNK, MC_CHUNK)]
         assert peak < 4096
+
+
+MC_RUNS = [("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
+           ("stage1", {"p1": 0.2, "p2": 0.1, "f0": 0.7, "variant": "qnd3"}),
+           ("stage2", {"F": 0.8}),
+           ("pbs", {"F": 0.7})]
+
+PINNED_RUNS = """
+import json, os, sys
+from kerrpurify import protocol
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert protocol._workers() == 1
+print(json.dumps([protocol.monte_carlo(name, params, 300_001, 17).to_dict()
+                  for name, params in json.loads(sys.argv[1])]))
+"""
+
+
+class TestSpans:
+    """A Monte Carlo run counts one span of its trial range on each CPU, every
+    span from its own Philox generator; the counts do not depend on the cut."""
+
+    @staticmethod
+    def reference_words(seed, n, start):
+        """Words start .. start + n - 1, drawn whole from a fresh generator."""
+        bg = np.random.Philox(key=np.uint64(seed))
+        bg.advance(start // 4)  # four words a counter step
+        return bg.random_raw(start % 4 + n)[start % 4:]
+
+    @pytest.mark.parametrize("spans", [1, 2, 3, 4])
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4_001, 40_002, 2**40 + 3])
+    def test_a_span_reads_the_trial_words(self, monkeypatch, start, spans):
+        # steps of 64 // spans words: 1000 words cross many steps, and every
+        # value of start % 4 starts a span
+        monkeypatch.setattr(protocol, "MC_CHUNK", 64)
+        reads = list(_span_words(_philox(9, start), protocol._chunks(1000, spans)))
+        assert len(reads) >= 15 and {len(r) for r in reads[:-1]} == {64 // spans}
+        words = np.concatenate(reads)
+        assert np.array_equal(words, self.reference_words(9, 1000, start))
+        assert np.array_equal(words, _trial_words(9, 1000, start))
+        if start < 10**6:  # the advance skips four words a step
+            unadvanced = np.random.Philox(key=np.uint64(9)).random_raw(start + 1000)
+            assert np.array_equal(words, unadvanced[start:])
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 65_538])
+    def test_a_span_shorter_than_a_step_reads_the_trial_words(self, start):
+        [words] = _span_words(_philox(4, start), protocol._chunks(7, 2))
+        assert np.array_equal(words, self.reference_words(4, 7, start))
+        assert np.array_equal(words, _trial_words(4, 7, start))
+
+    @staticmethod
+    def counted_spans(monkeypatch, workers):
+        """Patch the worker count; return the list each span's start joins."""
+        starts, philox = [], protocol._philox
+        monkeypatch.setattr(protocol, "_workers", lambda: workers)
+        monkeypatch.setattr(protocol, "_philox",
+                            lambda seed, start: starts.append(start) or philox(seed, start))
+        return starts
+
+    @pytest.mark.parametrize("start", [0, 5])
+    @pytest.mark.parametrize("pipeline, params", MC_RUNS, ids=["qnd1", "qnd3", "stage2", "pbs"])
+    def test_row_counts_do_not_depend_on_the_worker_count(self, monkeypatch, pipeline,
+                                                          params, start):
+        monkeypatch.setattr(protocol, "MC_CHUNK", 1000)
+        trials = 4_003
+        counts, cuts = [], []
+        for workers in (1, 2, 3, 4):
+            starts = self.counted_spans(monkeypatch, workers)
+            counts.append(_mc_row_counts(pipeline, params, trials, 21, start=start)[1])
+            assert len(starts) == workers
+            cuts += starts[1:]
+        assert any(cut % 4 for cut in cuts)  # some span starts inside a 4-word block
+        assert all(np.array_equal(c, counts[0]) for c in counts)
+        assert counts[0].sum() == trials
+
+    def test_four_spans_of_full_chunks_count_as_one(self, monkeypatch):
+        trials, start = 4 * MC_CHUNK + 6, 1
+        starts = self.counted_spans(monkeypatch, 4)
+        table, four = _mc_row_counts("stage2", {"F": 0.8}, trials, 2, start=start)
+        assert [s % 4 for s in starts] == [1, 2, 0, 1]
+        self.counted_spans(monkeypatch, 1)
+        assert np.array_equal(four, _mc_row_counts("stage2", {"F": 0.8}, trials, 2,
+                                                   start=start)[1])
+
+    def test_never_more_spans_than_chunks(self, monkeypatch):
+        for trials, spans in ((1, 1), (MC_CHUNK, 1), (MC_CHUNK + 1, 2), (3 * MC_CHUNK, 3)):
+            starts = self.counted_spans(monkeypatch, 8)
+            _mc_row_counts("pbs", {"F": 0.8}, trials, 1)
+            assert len(starts) == spans
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity call on this platform")
+    def test_a_run_pinned_to_one_cpu_reports_the_same(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(protocol.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", PINNED_RUNS, json.dumps(MC_RUNS)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        unpinned = [monte_carlo(name, params, 300_001, 17).to_dict()
+                    for name, params in MC_RUNS]
+        assert json.loads(out.stdout) == json.loads(json.dumps(unpinned))
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_memory_does_not_grow_with_the_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(protocol, "_workers", lambda: workers)
+        params = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        monte_carlo("stage1", params, 1000, 1)  # the table and numpy load first
+        tracemalloc.start()
+        try:
+            monte_carlo("stage1", params, 10**6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_failing_span_raises_and_every_thread_ends(self, monkeypatch, workers):
+        class SpanFailed(Exception):
+            pass
+
+        calls, words_below = iter(range(10**6)), protocol._words_below
+
+        def fail_second(*args):
+            if next(calls) == 1:
+                raise SpanFailed
+            return words_below(*args)
+
+        monkeypatch.setattr(protocol, "_workers", lambda: workers)
+        before = threading.active_count()
+        monkeypatch.setattr(protocol, "_words_below", fail_second)
+        with pytest.raises(SpanFailed):
+            monte_carlo("stage2", {"F": 0.8}, 8 * MC_CHUNK, 3)
+        assert threading.active_count() == before
+        monkeypatch.setattr(protocol, "_words_below", words_below)
+        monte_carlo("stage2", {"F": 0.8}, 8 * MC_CHUNK, 3)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("seed, error", [(2**64, ValueError), (-1, ValueError),
+                                             (1.5, TypeError)])
+    def test_the_seed_is_checked_before_any_thread_starts(self, monkeypatch, seed, error):
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(protocol, "_workers", lambda: 4)
+        monkeypatch.setattr(protocol.threading, "Thread", Thread)
+        with pytest.raises(error):
+            _mc_row_counts("stage2", {"F": 0.8}, 4 * MC_CHUNK, seed)
+        with pytest.raises(error):
+            monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK, seed)
+        assert started == []
+        _mc_row_counts("stage2", {"F": 0.8}, 4 * MC_CHUNK, 1)
+        assert len(started) == 3
 
 
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
