@@ -61,13 +61,15 @@ Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
 per trial and inverts the cumulative row weights with it.  Trial t reads
 word t of a counter-based stream keyed by the seed, so any partition of
 the trial range aggregates to identical counts.  A run cuts its range
-into one contiguous span per CPU the process may run on, but never more
-spans than MC_CHUNK blocks, so a small run stays on one thread.  The
-caller counts the first span and a thread each other one, every span
-reading its words from one Philox generator advanced to the span's
-start; numpy releases the GIL while it draws and counts, so the spans
-run in parallel.  A span draws MC_CHUNK // spans trials at a time, so at
-most MC_CHUNK words are in flight whatever the trial or CPU count.
+into one contiguous span per CPU the process may run on, but at most
+MC_SPANS (the widest split benchmarked) and never more spans than
+MC_CHUNK blocks, so a small run stays on one thread.  The caller counts
+the first span and a thread each other one (the caller too, should no
+thread start), every span reading its words from one Philox generator
+advanced to the span's start; numpy releases the GIL while it draws and
+counts, so the spans run in parallel.  A span draws MC_CHUNK // spans
+trials at a time, so at most MC_CHUNK words are in flight whatever the
+trial or CPU count, plus one guide-bin histogram per span.
 
 The uniform of word t is u_t = (word_t >> 11) 2**-53, and trial t draws
 row i when edge[i-1] <= u_t < edge[i].  Since u_t is a multiple of
@@ -565,6 +567,7 @@ def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
 # Only the Monte Carlo functions below import numpy, inside their bodies, so
 # exact runs and the CLI's start-up never load it.
 MC_CHUNK = 1 << 16  # trials drawn at once: bounds MC memory whatever the trial count
+MC_SPANS = 2  # most spans counted at once: the widest split benchmarked (BENCH_22.json)
 GUIDE_BITS = 12  # a chunk's words are binned on their top bits before the exact compares
 _ABOVE_ALL = 1 << GUIDE_BITS  # the guide bin of the limit 2**64, above every word
 
@@ -599,7 +602,8 @@ def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
 
 
 def _word_limits(edges: np.ndarray) -> tuple:
-    """(guide bin, limit) of each edge: u_t < edge exactly when word_t < limit.
+    """(guide bin, limit) of each edge, and the mask of the guide bins the
+    limits cut: u_t < edge exactly when word_t < limit.
 
     A uniform is a multiple of 2**-53, so u_t >= e is word_t >= ceil(e 2**53)
     << 11.  An edge of 1.0 or above maps to 2**64, beyond uint64: its guide
@@ -611,50 +615,49 @@ def _word_limits(edges: np.ndarray) -> tuple:
     limits = np.where(above_all, 0.0, scaled).astype(np.uint64) << np.uint64(11)
     bins = np.where(above_all, _ABOVE_ALL,
                     (limits >> np.uint64(64 - GUIDE_BITS)).astype(np.int64))
-    return bins, limits
+    cut = np.zeros(_ABOVE_ALL + 1, dtype=bool)
+    cut[bins] = True
+    return bins, limits, cut
 
 
-def _words_below(words: np.ndarray, bins: np.ndarray, limits: np.ndarray) -> np.ndarray:
+def _words_below(words: np.ndarray, bins: np.ndarray, limits: np.ndarray,
+                 cut: np.ndarray) -> np.ndarray:
     """How many of ``words`` lie below each limit of ``_word_limits``.
 
     A histogram of the words' top GUIDE_BITS bits counts, for each limit,
     the words in the bins below the limit's bin; only the words in the bins
-    that a limit cuts are compared with the limits exactly.
+    that a limit cuts are compared with the limits exactly.  The histogram
+    is the one array of fixed size a call makes.
     """
     import numpy as np
     top = (words >> np.uint64(64 - GUIDE_BITS)).view(np.int64)
-    below = np.zeros(_ABOVE_ALL + 1, dtype=np.int64)
-    np.cumsum(np.bincount(top, minlength=_ABOVE_ALL), out=below[1:])
-    cut = np.zeros(_ABOVE_ALL + 1, dtype=bool)
-    cut[bins] = True
+    upto = np.bincount(top, minlength=_ABOVE_ALL + 1)
+    in_bin = upto[bins]
+    upto.cumsum(out=upto)  # upto[b]: words in bins 0 .. b
     near = cut[top]
     near_top, near_words = top[near], words[near]
     in_bin_below = (near_top == bins[:, None]) & (near_words < limits[:, None])
-    return below[bins] + in_bin_below.sum(axis=1)
+    return upto[bins] - in_bin + in_bin_below.sum(axis=1)
 
 
 def _chunks(trials: int, spans: int = 1):
-    """(start, size) of the slices covering [0, trials) that one of ``spans``
+    """Sizes of the slices covering [0, trials) that one of ``spans``
     concurrent spans draws at a time, MC_CHUNK // spans trials each, yielded
     lazily so that a huge trial count costs no memory up front."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     step = max(1, MC_CHUNK // spans)
-    return ((start, min(step, trials - start)) for start in range(0, trials, step))
-
-
-def _span_words(bg, slices) -> Iterator[np.ndarray]:
-    """The next words of the generator ``bg``, one array per (start, size)
-    slice of ``_chunks``: a span's words, drawn a slice at a time."""
-    return (bg.random_raw(size) for _, size in slices)
+    return (min(step, trials - start) for start in range(0, trials, step))
 
 
 def _workers() -> int:
-    """The CPUs this process may run on: a run counts one span on each."""
+    """Spans a run counts at once: the CPUs this process may run on, at
+    most MC_SPANS."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(MC_SPANS, cpus)
 
 
 def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
@@ -669,37 +672,44 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     import numpy as np
     spans = max(1, min(_workers(), -(-trials // MC_CHUNK)))
     cuts = [start + trials * k // spans for k in range(spans + 1)]
-    slices = [_chunks(end - begin, spans) for begin, end in zip(cuts, cuts[1:])]
+    sizes = [_chunks(end - begin, spans) for begin, end in zip(cuts, cuts[1:])]
     table, (class_weights,) = _weighted_rows(pipeline, [params])
     w = np.array(table.weights(class_weights))
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
     edges[-1] = 1.0  # round-off must leave no uniform above the top edge
-    bins, limits = _word_limits(edges)
+    limits = _word_limits(edges)
     streams = [_philox(seed, cut) for cut in cuts[:-1]]  # checks the seed before any thread
     below = np.zeros((spans, len(drawn)), dtype=np.int64)
     errors = []
 
     def count(k: int) -> None:
         try:
-            for words in _span_words(streams[k], slices[k]):
+            for size in sizes[k]:
                 if errors:  # another span failed, and its error is raised
                     return
-                below[k] += _words_below(words, bins, limits)
+                below[k] += _words_below(streams[k].random_raw(size), *limits)
         except BaseException as exc:  # raised by the caller once all spans stop
             errors.append(exc)
 
-    threads = [threading.Thread(target=count, args=(k,)) for k in range(1, spans)]
+    mine, started = [0], []  # the caller counts span 0 and any span no thread took
     try:
-        for thread in threads:
-            thread.start()
-        count(0)
-    except BaseException as exc:  # a thread that could not start
-        errors.append(exc)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
+        for k in range(1, spans):
+            thread = threading.Thread(target=count, args=(k,))
+            try:
+                thread.start()
+            except RuntimeError:  # no new thread to be had
+                mine.append(k)
+            else:
+                started.append(thread)
+        for k in mine:
+            count(k)
+        for thread in started:
+            thread.join()
+    except BaseException as exc:  # interrupted while starting or joining
+        errors.append(exc)  # stops the spans still counting
+        for thread in started:
+            thread.join()
     if errors:
         raise errors[0]
     row_counts = np.zeros(len(w), dtype=np.int64)

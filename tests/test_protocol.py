@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
@@ -48,7 +49,6 @@ from kerrpurify.protocol import (
     _mc_row_counts,
     _pbs_table,
     _philox,
-    _span_words,
     _stage2_table,
     _trial_words,
     _word_limits,
@@ -566,7 +566,7 @@ class TestWordLimitCounts:
 
     def test_words_planted_at_each_limit(self):
         edges = _edges([0.1, 0.2, 1e-12, 0.3, 1e-300, 0.4 - 1e-12])
-        _, limits = _word_limits(edges)
+        _, limits, _ = _word_limits(edges)
         planted = np.concatenate([limits[:-1], limits[:-1] - np.uint64(1)])
         counts = _integer_row_counts(edges, planted)
         assert np.array_equal(counts, _float_row_counts(edges, _uniforms(planted)))
@@ -598,7 +598,7 @@ class TestWordLimitCounts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert first_two == [(0, MC_CHUNK), (MC_CHUNK, MC_CHUNK)]
+        assert first_two == [MC_CHUNK, MC_CHUNK]
         assert peak < 4096
 
 
@@ -628,13 +628,19 @@ class TestSpans:
         bg.advance(start // 4)  # four words a counter step
         return bg.random_raw(start % 4 + n)[start % 4:]
 
+    @staticmethod
+    def span_reads(seed, start, trials, spans):
+        """A span's reads as a run draws them: its generator, a chunk at a time."""
+        bg = _philox(seed, start)
+        return [bg.random_raw(size) for size in protocol._chunks(trials, spans)]
+
     @pytest.mark.parametrize("spans", [1, 2, 3, 4])
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 4_001, 40_002, 2**40 + 3])
     def test_a_span_reads_the_trial_words(self, monkeypatch, start, spans):
         # steps of 64 // spans words: 1000 words cross many steps, and every
         # value of start % 4 starts a span
         monkeypatch.setattr(protocol, "MC_CHUNK", 64)
-        reads = list(_span_words(_philox(9, start), protocol._chunks(1000, spans)))
+        reads = self.span_reads(9, start, 1000, spans)
         assert len(reads) >= 15 and {len(r) for r in reads[:-1]} == {64 // spans}
         words = np.concatenate(reads)
         assert np.array_equal(words, self.reference_words(9, 1000, start))
@@ -645,7 +651,7 @@ class TestSpans:
 
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 65_538])
     def test_a_span_shorter_than_a_step_reads_the_trial_words(self, start):
-        [words] = _span_words(_philox(4, start), protocol._chunks(7, 2))
+        [words] = self.span_reads(4, start, 7, 2)
         assert np.array_equal(words, self.reference_words(4, 7, start))
         assert np.array_equal(words, _trial_words(4, 7, start))
 
@@ -674,6 +680,20 @@ class TestSpans:
         assert all(np.array_equal(c, counts[0]) for c in counts)
         assert counts[0].sum() == trials
 
+    def test_eight_spans_under_a_short_switch_interval_count_as_one(self, monkeypatch):
+        # more spans than cores, switching threads every microsecond: a count
+        # lost or doubled between spans would change the rows
+        monkeypatch.setattr(protocol, "MC_CHUNK", 256)
+        one = _mc_row_counts("pbs", {"F": 0.7}, 20_003, 6, start=3)[1]
+        self.counted_spans(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            eight = _mc_row_counts("pbs", {"F": 0.7}, 20_003, 6, start=3)[1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(eight, one)
+
     def test_four_spans_of_full_chunks_count_as_one(self, monkeypatch):
         trials, start = 4 * MC_CHUNK + 6, 1
         starts = self.counted_spans(monkeypatch, 4)
@@ -700,7 +720,7 @@ class TestSpans:
                     for name, params in MC_RUNS]
         assert json.loads(out.stdout) == json.loads(json.dumps(unpinned))
 
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8, 16])
     def test_memory_does_not_grow_with_the_worker_count(self, monkeypatch, workers):
         monkeypatch.setattr(protocol, "_workers", lambda: workers)
         params = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
@@ -734,6 +754,52 @@ class TestSpans:
         monkeypatch.setattr(protocol, "_words_below", words_below)
         monte_carlo("stage2", {"F": 0.8}, 8 * MC_CHUNK, 3)
         assert threading.active_count() == before
+
+    def test_a_span_whose_thread_does_not_start_is_counted_by_the_caller(self, monkeypatch):
+        class Thread(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        expected = monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK + 3, 8).to_dict()
+        before = threading.active_count()
+        starts = self.counted_spans(monkeypatch, 4)
+        monkeypatch.setattr(protocol.threading, "Thread", Thread)
+        assert monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK + 3, 8).to_dict() == expected
+        assert len(starts) == 4 and threading.active_count() == before
+
+    def test_an_interrupt_while_joining_stops_every_span(self, monkeypatch):
+        joins, thread_calls = [], []
+
+        class Thread(threading.Thread):
+            def join(self, timeout=None):
+                joins.append(self)
+                if len(joins) == 1:  # Ctrl-C while the caller waits
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        words_below = protocol._words_below
+
+        def count_words(*args):  # the thread's span is slow: the caller's ends first
+            if threading.current_thread() is not threading.main_thread():
+                thread_calls.append(None)
+                time.sleep(0.001)
+            return words_below(*args)
+
+        before = threading.active_count()
+        monkeypatch.setattr(protocol, "_workers", lambda: 2)
+        monkeypatch.setattr(protocol, "_words_below", count_words)
+        monkeypatch.setattr(protocol.threading, "Thread", Thread)
+        monkeypatch.setattr(protocol, "MC_CHUNK", 64)
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo("stage2", {"F": 0.8}, 100_000, 3)
+        assert len(joins) == 2 and threading.active_count() == before
+        assert len(thread_calls) < 50_000 // 32 // 2  # the thread's span stopped early
+
+    @pytest.mark.parametrize("workers", [2, 3, 64])
+    def test_at_most_mc_spans_spans(self, monkeypatch, workers):
+        monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                            raising=False)
+        assert protocol._workers() == min(workers, protocol.MC_SPANS) == 2
 
     @pytest.mark.parametrize("seed, error", [(2**64, ValueError), (-1, ValueError),
                                              (1.5, TypeError)])
@@ -888,7 +954,7 @@ class TestOutcomeTables:
                 ("pbs", {"F": 0.8})]
         chunked = [monte_carlo(name, params, trials, seed=5).to_dict() for name, params in runs]
         monkeypatch.setattr(protocol, "MC_CHUNK", trials)
-        assert list(protocol._chunks(trials)) == [(0, trials)]
+        assert list(protocol._chunks(trials)) == [trials]
         assert [monte_carlo(name, params, trials, seed=5).to_dict()
                 for name, params in runs] == chunked
 
