@@ -66,17 +66,22 @@ MC_SPANS (the widest split benchmarked) and never more spans than
 MC_CHUNK blocks, so a small run stays on one thread.  The caller counts
 the first span and a thread each other one (the caller too, should no
 thread start), every span reading its words from one Philox generator
-advanced to the span's start; numpy releases the GIL while it draws and
-counts, so the spans run in parallel.  A span draws MC_CHUNK // spans
-trials at a time, so at most MC_CHUNK words are in flight whatever the
-trial or CPU count, plus one guide-bin histogram per span.
+advanced to the span's start; numpy releases the GIL while it draws, the
+largest share of the work, so the spans run in parallel.  A span draws
+MC_CHUNK // spans trials at a time and frees them before the next draw,
+so at most MC_CHUNK words are in flight whatever the trial or CPU count,
+plus per span one buffer of their top bits and two count arrays.
 
 The uniform of word t is u_t = (word_t >> 11) 2**-53, and trial t draws
 row i when edge[i-1] <= u_t < edge[i].  Since u_t is a multiple of
 2**-53, u_t < e holds exactly when word_t < ceil(e 2**53) << 11, so
-each run turns its edges into integer limits once and counts every chunk
-straight from the raw words: a histogram of their top GUIDE_BITS bits,
-plus exact compares of the few words in the bins a limit cuts.  No float
+each run turns its edges into integer limits once and counts straight
+from the raw words.  Each span keeps two counts for its whole life: a
+histogram of the words' top GUIDE_BITS bits, and for each limit the
+words in its guide bin below it, found by sorting the few words of the
+bins a limit cuts and searching them for the bin's start and the limit.
+Once all spans end, their counts are summed: the words below a limit are
+those of the bins below its bin plus those of its bin below it.  No float
 uniform and no per-trial search is made, and the stream, the counts and
 the reports are the ones the float inversion gives.
 """
@@ -602,42 +607,53 @@ def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
 
 
 def _word_limits(edges: np.ndarray) -> tuple:
-    """(guide bin, limit) of each edge, and the mask of the guide bins the
-    limits cut: u_t < edge exactly when word_t < limit.
+    """(guide bin of each edge, bounds, mask of the guide bins the limits
+    cut).  ``bounds`` holds the start of each edge's guide bin, then its
+    limit: u_t < edge exactly when word_t < limit.
 
     A uniform is a multiple of 2**-53, so u_t >= e is word_t >= ceil(e 2**53)
     << 11.  An edge of 1.0 or above maps to 2**64, beyond uint64: its guide
-    bin is the sentinel _ABOVE_ALL, which every word lies below.
+    bin is the sentinel _ABOVE_ALL, which every word lies below, and its
+    bin start and limit are both 0.
     """
     import numpy as np
+    shift = np.uint64(64 - GUIDE_BITS)
     scaled = np.ceil(edges * 2.0**53)
     above_all = scaled >= 2.0**53
     limits = np.where(above_all, 0.0, scaled).astype(np.uint64) << np.uint64(11)
-    bins = np.where(above_all, _ABOVE_ALL,
-                    (limits >> np.uint64(64 - GUIDE_BITS)).astype(np.int64))
+    bins = np.where(above_all, _ABOVE_ALL, (limits >> shift).astype(np.int64))
     cut = np.zeros(_ABOVE_ALL + 1, dtype=bool)
     cut[bins] = True
-    return bins, limits, cut
+    return bins, np.concatenate([limits >> shift << shift, limits]), cut
 
 
-def _words_below(words: np.ndarray, bins: np.ndarray, limits: np.ndarray,
-                 cut: np.ndarray) -> np.ndarray:
-    """How many of ``words`` lie below each limit of ``_word_limits``.
-
-    A histogram of the words' top GUIDE_BITS bits counts, for each limit,
-    the words in the bins below the limit's bin; only the words in the bins
-    that a limit cuts are compared with the limits exactly.  The histogram
-    is the one array of fixed size a call makes.
-    """
+def _count_chunk(stream, size: int, buf: np.ndarray, bounds: np.ndarray, cut: np.ndarray,
+                 hist: np.ndarray, in_bin: np.ndarray) -> None:
+    """Draw the next ``size`` words of ``stream`` and add them to a span's
+    counts, both kept for the span's life: ``hist`` counts the words' top
+    GUIDE_BITS bits, written into ``buf``, and ``in_bin`` the words in each
+    limit's guide bin below the limit (see ``_word_limits``).  Only the
+    words of the bins a limit cuts, a few per thousand, are kept, sorted and
+    searched for the bin starts and limits in ``bounds``; the chunk itself
+    is freed before the histogram is made."""
     import numpy as np
-    top = (words >> np.uint64(64 - GUIDE_BITS)).view(np.int64)
-    upto = np.bincount(top, minlength=_ABOVE_ALL + 1)
-    in_bin = upto[bins]
-    upto.cumsum(out=upto)  # upto[b]: words in bins 0 .. b
-    near = cut[top]
-    near_top, near_words = top[near], words[near]
-    in_bin_below = (near_top == bins[:, None]) & (near_words < limits[:, None])
-    return upto[bins] - in_bin + in_bin_below.sum(axis=1)
+    words = stream.random_raw(size)
+    top = np.right_shift(words, np.uint64(64 - GUIDE_BITS), out=buf[:size]).view(np.int64)
+    near = words[cut[top]]
+    del words
+    near.sort()
+    below = np.searchsorted(near, bounds)  # near words below each bin start, then limit
+    in_bin += below[len(in_bin):] - below[:len(in_bin)]
+    hist += np.bincount(top, minlength=_ABOVE_ALL + 1)
+
+
+def _rows_drawn(bins: np.ndarray, hist: np.ndarray, in_bin: np.ndarray) -> np.ndarray:
+    """The words in [limit[i-1], limit[i]) for each limit i, from the
+    counts of ``_count_chunk`` over all chunks: the words in the bins below
+    a limit's bin plus those in its bin below it.  Every word lies in the
+    bins below the sentinel _ABOVE_ALL, whose ``hist`` and ``in_bin`` are 0."""
+    import numpy as np
+    return np.diff(np.cumsum(hist)[bins] - hist[bins] + in_bin, prepend=0)
 
 
 def _chunks(trials: int, spans: int = 1):
@@ -678,17 +694,21 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
     edges[-1] = 1.0  # round-off must leave no uniform above the top edge
-    limits = _word_limits(edges)
-    streams = [_philox(seed, cut) for cut in cuts[:-1]]  # checks the seed before any thread
-    below = np.zeros((spans, len(drawn)), dtype=np.int64)
+    bins, bounds, cut = _word_limits(edges)
+    streams = [_philox(seed, begin) for begin in cuts[:-1]]  # checks the seed before any thread
+    hist = np.zeros((spans, _ABOVE_ALL + 1), dtype=np.int64)  # each span's counts
+    in_bin = np.zeros((spans, len(bins)), dtype=np.int64)
     errors = []
 
     def count(k: int) -> None:
+        buf = None  # the span's top bits, sized by its first (largest) slice
         try:
             for size in sizes[k]:
                 if errors:  # another span failed, and its error is raised
                     return
-                below[k] += _words_below(streams[k].random_raw(size), *limits)
+                if buf is None:
+                    buf = np.empty(size, dtype=np.uint64)
+                _count_chunk(streams[k], size, buf, bounds, cut, hist[k], in_bin[k])
         except BaseException as exc:  # raised by the caller once all spans stop
             errors.append(exc)
 
@@ -713,8 +733,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     if errors:
         raise errors[0]
     row_counts = np.zeros(len(w), dtype=np.int64)
-    # row i: words in [limit[i-1], limit[i])
-    row_counts[drawn] = np.diff(below.sum(axis=0), prepend=0)
+    row_counts[drawn] = _rows_drawn(bins, hist.sum(axis=0), in_bin.sum(axis=0))
     return table, row_counts
 
 

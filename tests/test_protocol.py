@@ -12,6 +12,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,13 +47,14 @@ from kerrpurify.protocol import (
     PHI_PLUS_MERGED,
     PSI_PLUS_MERGED,
     PSI_PLUS_UPPER,
+    _count_chunk,
     _mc_row_counts,
     _pbs_table,
     _philox,
+    _rows_drawn,
     _stage2_table,
     _trial_words,
     _word_limits,
-    _words_below,
     pbs_records,
     stage1_records,
     stage2_records,
@@ -510,8 +512,21 @@ def _uniforms(words):
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _integer_row_counts(edges, words):
-    return np.diff(_words_below(words, *_word_limits(edges)), prepend=0)
+def _integer_row_counts(edges, words, sizes=None):
+    """The rows drawn by ``words``, counted as one span counts them: chunk
+    by chunk, ``sizes`` words at a time (one chunk if None), into one
+    histogram and one in-bin count per limit."""
+    bins, bounds, cut = _word_limits(edges)
+    sizes = sizes or [len(words)]
+    assert sum(sizes) == len(words)
+    chunks = iter(np.split(words, np.cumsum(sizes)[:-1]))
+    stream = SimpleNamespace(random_raw=lambda size: next(chunks))
+    buf = np.empty(max(sizes), dtype=np.uint64)
+    hist = np.zeros(protocol._ABOVE_ALL + 1, dtype=np.int64)
+    in_bin = np.zeros(len(bins), dtype=np.int64)
+    for size in sizes:
+        _count_chunk(stream, size, buf, bounds, cut, hist, in_bin)
+    return _rows_drawn(bins, hist, in_bin)
 
 
 def _edges(weights):
@@ -566,11 +581,56 @@ class TestWordLimitCounts:
 
     def test_words_planted_at_each_limit(self):
         edges = _edges([0.1, 0.2, 1e-12, 0.3, 1e-300, 0.4 - 1e-12])
-        _, limits, _ = _word_limits(edges)
+        limits = _word_limits(edges)[1][len(edges):]
         planted = np.concatenate([limits[:-1], limits[:-1] - np.uint64(1)])
         counts = _integer_row_counts(edges, planted)
         assert np.array_equal(counts, _float_row_counts(edges, _uniforms(planted)))
         assert counts.sum() == len(planted)
+
+    @staticmethod
+    def planted_around(edges, rng, n_random=3000):
+        """Random words plus, for each limit below 2**64, the words at it and
+        one either side of it, shuffled."""
+        limits = _word_limits(edges)[1][len(edges):].astype(object)
+        planted = [w + d for w in limits[:-1] for d in (-1, 0, 1)]
+        words = np.concatenate([
+            rng.integers(0, 2**64 - 1, size=n_random, dtype=np.uint64, endpoint=True),
+            np.array(planted + [0, 2**64 - 1], dtype=np.uint64)])
+        rng.shuffle(words)
+        return words
+
+    def test_several_limits_in_one_guide_bin(self):
+        # four limits inside one 2**-12-wide bin, which holds a crowd of
+        # words, none of them at the bin's start, and one limit in a lower bin
+        edges = _edges([0.3, 0.20003, 1e-5, 2e-5, 3e-5, 0.5 - 9e-5])
+        bins, bounds, _ = _word_limits(edges)
+        assert bins[0] < bins[1] and len(set(bins[1:5].tolist())) == 1
+        assert bounds[1] < bounds[len(edges) + 1]
+        rng = np.random.default_rng(23)
+        crowd = rng.integers(2**63, 2**63 + 2**52, size=5000, dtype=np.uint64)
+        words = np.concatenate([self.planted_around(edges, rng), crowd])
+        counts = _integer_row_counts(edges, words)
+        assert np.array_equal(counts, _float_row_counts(edges, _uniforms(words)))
+        assert counts[2:5].sum() > 100 and counts.sum() == len(words)
+
+    @pytest.mark.parametrize("edges", [[0.25, 0.5, 1.0], [2.0**-12, 0.75, 1.0]])
+    def test_a_limit_exactly_at_its_bin_start(self, edges):
+        edges = np.array(edges)
+        bins, bounds, _ = _word_limits(edges)
+        starts, limits = bounds[:len(edges)], bounds[len(edges):]
+        assert np.array_equal(starts[:-1], limits[:-1])
+        words = self.planted_around(edges, np.random.default_rng(29))
+        assert np.array_equal(_integer_row_counts(edges, words),
+                              _float_row_counts(edges, _uniforms(words)))
+
+    @pytest.mark.parametrize("sizes", [[3006], [1000, 5, 1, 2000], [2, 3003, 1], [1502, 1504]])
+    def test_planted_words_over_chunks_of_unequal_size(self, sizes):
+        edges = _edges([0.1, 0.2, 1e-12, 0.3, 2.0**-12, 0.4 - 1e-12 - 2.0**-12])
+        words = self.planted_around(edges, np.random.default_rng(31), n_random=2989)
+        assert len(words) == sum(sizes)
+        counts = _integer_row_counts(edges, words, sizes)
+        assert np.array_equal(counts, _float_row_counts(edges, _uniforms(words)))
+        assert np.array_equal(counts, _integer_row_counts(edges, words))
 
     @pytest.mark.parametrize("start", [3, 40_003, MC_CHUNK - 1])
     @pytest.mark.parametrize("pipeline, params", [
@@ -731,27 +791,31 @@ class TestSpans:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        # at 1 and 2 spans, two chunks' words alive at once or the top bits
+        # allocated per chunk would pass the 1.3 MB (1.3e6 bytes) that the
+        # previous counter peaked at
+        assert peak < (1.3e6 if workers <= 2 else 2 * 2**20)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_a_failing_span_raises_and_every_thread_ends(self, monkeypatch, workers):
         class SpanFailed(Exception):
             pass
 
-        calls, words_below = iter(range(10**6)), protocol._words_below
+        calls, count_chunk = iter(range(10**6)), protocol._count_chunk
 
         def fail_second(*args):
             if next(calls) == 1:
                 raise SpanFailed
-            return words_below(*args)
+            return count_chunk(*args)
 
         monkeypatch.setattr(protocol, "_workers", lambda: workers)
         before = threading.active_count()
-        monkeypatch.setattr(protocol, "_words_below", fail_second)
+        monkeypatch.setattr(protocol, "_count_chunk", fail_second)
         with pytest.raises(SpanFailed):
             monte_carlo("stage2", {"F": 0.8}, 8 * MC_CHUNK, 3)
         assert threading.active_count() == before
-        monkeypatch.setattr(protocol, "_words_below", words_below)
+        assert next(calls) <= 1 + workers  # each other span stopped at its next chunk
+        monkeypatch.setattr(protocol, "_count_chunk", count_chunk)
         monte_carlo("stage2", {"F": 0.8}, 8 * MC_CHUNK, 3)
         assert threading.active_count() == before
 
@@ -761,11 +825,19 @@ class TestSpans:
                 raise RuntimeError("can't start new thread")
 
         expected = monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK + 3, 8).to_dict()
-        before = threading.active_count()
+        before, counted, count_chunk = threading.active_count(), [], protocol._count_chunk
+
+        def count_here(stream, size, *args):  # which thread counts each chunk
+            counted.append((threading.current_thread(), size))
+            return count_chunk(stream, size, *args)
+
         starts = self.counted_spans(monkeypatch, 4)
         monkeypatch.setattr(protocol.threading, "Thread", Thread)
+        monkeypatch.setattr(protocol, "_count_chunk", count_here)
         assert monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK + 3, 8).to_dict() == expected
         assert len(starts) == 4 and threading.active_count() == before
+        assert {thread for thread, _ in counted} == {threading.main_thread()}
+        assert sum(size for _, size in counted) == 4 * MC_CHUNK + 3
 
     def test_an_interrupt_while_joining_stops_every_span(self, monkeypatch):
         joins, thread_calls = [], []
@@ -777,17 +849,17 @@ class TestSpans:
                     raise KeyboardInterrupt
                 super().join(timeout)
 
-        words_below = protocol._words_below
+        count_chunk = protocol._count_chunk
 
         def count_words(*args):  # the thread's span is slow: the caller's ends first
             if threading.current_thread() is not threading.main_thread():
                 thread_calls.append(None)
                 time.sleep(0.001)
-            return words_below(*args)
+            return count_chunk(*args)
 
         before = threading.active_count()
         monkeypatch.setattr(protocol, "_workers", lambda: 2)
-        monkeypatch.setattr(protocol, "_words_below", count_words)
+        monkeypatch.setattr(protocol, "_count_chunk", count_words)
         monkeypatch.setattr(protocol.threading, "Thread", Thread)
         monkeypatch.setattr(protocol, "MC_CHUNK", 64)
         with pytest.raises(KeyboardInterrupt):
