@@ -111,7 +111,8 @@ class PhaseTag:
         if type(numerator) is not int or type(denominator) is not int:
             if isinstance(numerator, float) or isinstance(denominator, float):
                 raise TypeError("a phase is an exact rational of pi, not a float")
-            f = Fraction(numerator, denominator)
+            f = (numerator if type(numerator) is Fraction and denominator == 1
+                 else Fraction(numerator, denominator))
             numerator, denominator = f.numerator, f.denominator
         elif denominator < 0:
             numerator, denominator = -numerator, -denominator

@@ -32,9 +32,10 @@ read.  Each pipeline therefore enumerates its branch tree once per
 process into an immutable table of outcome rows, with probe counts for
 readings (see ``fock``): stage 1 once per detector, stage 2 (whose pi
 parity detector takes no config) and PBS once each.  A config only
-labels a run's records: ``enumerate_exact`` reads their counts as
-``PhaseTag``s, and grids and Monte Carlo read no tag.  A row carries its
-probability within an event class: a clean or flipped single pair or a
+labels a run's records: ``enumerate_exact`` reads each distinct count
+class of the table (its ``probes``) once as a ``PhaseTag`` and copies
+the rows by unpacking, and grids and Monte Carlo read no tag.  A row carries
+its probability within an event class: a clean or flipped single pair or a
 double emission with its two flips (stage 1), or a Bell-kind pair of the
 two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs each table with the
 function that weights its classes at a parameter point, so a row
@@ -247,8 +248,10 @@ class RowTable(NamedTuple):
     ``rows[i]`` is an ``OutcomeRecord`` whose weight is its probability
     given its event class ``cls[i]``; at a parameter point the row weighs
     that class's weight times ``factor[i]``.  ``by_verdict`` holds the
-    indices of each verdict's rows in COUNT_KEYS order, and ``kept`` the
-    (index, kept pairs) of each row that keeps a pair.
+    indices of each verdict's rows in COUNT_KEYS order, ``kept`` the
+    (index, kept pairs) of each row that keeps a pair, and ``probes`` the
+    distinct probe counts of the rows in first-appearance order: a run
+    reads each of these once as a phase.
     """
 
     rows: tuple
@@ -256,6 +259,7 @@ class RowTable(NamedTuple):
     factor: tuple
     by_verdict: tuple
     kept: tuple
+    probes: tuple
 
     def weights(self, class_weights: Sequence) -> list:
         """The weight of each row at a point whose classes weigh ``class_weights``."""
@@ -269,7 +273,8 @@ def _row_table(classes) -> RowTable:
                     tuple(r.weight for r in rows),
                     tuple(tuple(i for i, r in enumerate(rows) if r.verdict is verdict)
                           for verdict in _VERDICTS),
-                    tuple((i, r.kept_pairs) for i, r in enumerate(rows) if r.kept_pairs))
+                    tuple((i, r.kept_pairs) for i, r in enumerate(rows) if r.kept_pairs),
+                    tuple(dict.fromkeys(c for r in rows for c in r[:2])))
 
 
 class Reading(NamedTuple):
@@ -548,9 +553,9 @@ def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     pass over the records, as building their index columns would allocate
     more than the report itself."""
     sums = [0.0] * (len(COUNT_KEYS) + 1)
-    for r in records:
-        sums[_VERDICTS.index(r.verdict)] += r.weight  # identity compares, no hash
-        sums[-1] += r.weight * r.kept_pairs
+    for _, _, verdict, _, weight, _, _, pairs in records:
+        sums[_VERDICTS.index(verdict)] += weight  # identity compares, no hash
+        sums[-1] += weight * pairs
     return _report(pipeline, params, sums)
 
 
@@ -758,9 +763,12 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
     """
     table, (class_weights,) = _weighted_rows(pipeline, [params])
     cfg = PIPELINES[pipeline].config(params)
-    tag = functools.cache(cfg.phase) if cfg else lambda counts: None  # PBS reads no probe
-    return [OutcomeRecord(tag(row.probe_alice), tag(row.probe_bob), *row[2:4], wi, *row[5:])
-            for row, wi in zip(table.rows, table.weights(class_weights)) if wi != 0.0]
+    # one tag per count class; PBS rows read no probe, so its one class is None
+    tag = {c: cfg.phase(c) if cfg else None for c in table.probes}
+    make = OutcomeRecord._make
+    return [make((tag[a], tag[b], verdict, state, wi, fid, order, pairs))
+            for (a, b, verdict, state, _, fid, order, pairs), wi
+            in zip(table.rows, table.weights(class_weights)) if wi != 0.0]
 
 
 def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:

@@ -147,9 +147,12 @@ class QndConfig:
     def phase(self, counts: tuple) -> PhaseTag:
         """The probe phase a*theta + b*theta' of the probe counts (a, b)."""
         a, b = counts
-        if b and self.theta_prime is None:
+        t, tp = self.theta, self.theta_prime
+        if not b:
+            return PhaseTag(t.num * a, t.den)
+        if tp is None:
             raise ConfigError(f"{self.variant.value} reads no theta_prime")
-        return self.theta * a + self.theta_prime * b if b else self.theta * a
+        return PhaseTag(t.num * a * tp.den + tp.num * b * t.den, t.den * tp.den)
 
 
 @functools.lru_cache(maxsize=None)  # one immutable config per variant

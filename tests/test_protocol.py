@@ -383,6 +383,39 @@ class TestEnumerateExact:
         with pytest.raises(ConfigError):
             enumerate_exact("nope", {})
 
+    @pytest.mark.parametrize("variant", [Variant.QND1, Variant.QND3], ids=["qnd1", "qnd3"])
+    def test_a_run_tags_each_probe_count_class_once(self, variant, monkeypatch):
+        # a fresh admissible pair, so no cache can hold its tags: a run reads
+        # each count class of its table once, not once per row that reads it
+        cfg = QndConfig(variant, PhaseTag(7, 32), PhaseTag(45, 64))
+        table, made = protocol._stage1_rows(variant), []
+        init = PhaseTag.__init__
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PhaseTag, "__init__", counted)
+        records = enumerate_exact("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8,
+                                             "variant": variant, "cfg": cfg})
+        monkeypatch.undo()
+        assert len(records) == len(table.rows) == 20
+        assert 0 < len(made) <= len(table.probes) == 5
+
+    def test_a_table_lists_its_rows_probe_counts_once_in_first_appearance_order(self):
+        tables = {"qnd1": protocol._stage1_rows(Variant.QND1),
+                  "qnd3": protocol._stage1_rows(Variant.QND3),
+                  "stage2": _stage2_table(), "pbs": _pbs_table()}
+        for name, table in tables.items():
+            seen = []
+            for row in table.rows:
+                for counts in (row.probe_alice, row.probe_bob):
+                    if counts not in seen:
+                        seen.append(counts)
+            assert table.probes == tuple(seen), name
+        assert [len(t.probes) for t in tables.values()] == [5, 5, 2, 1]
+        assert tables["pbs"].probes == (None,)
+
 
 class TestMonteCarlo:
     def test_seed_reproducibility(self):

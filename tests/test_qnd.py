@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kerrpurify import (
@@ -42,7 +42,7 @@ from kerrpurify import (
 from kerrpurify import cli, qnd
 from kerrpurify.branches import BRANCH_CASES, HHHH, HHVV, VVHH, VVVV, operator_state
 
-from conftest import (assert_states_equal, photon_distribution, random_angle_pair,
+from conftest import (angles, assert_states_equal, photon_distribution, random_angle_pair,
                       random_pure_state)
 from oracle import assert_same_phases, per_medium_phases, rendered_phases
 
@@ -119,6 +119,30 @@ class TestConfig:
     def test_opposite_shift_detector_rejects_pi(self):
         with pytest.raises(ConfigError):
             QndConfig(Variant.QND4, PI)
+
+    @settings(max_examples=80, deadline=None)
+    @given(theta=angles, theta_prime=angles, a=st.integers(-2, 2), b=st.integers(0, 2))
+    def test_phase_is_the_tag_sum_of_its_counts(self, theta, theta_prime, a, b):
+        # phase builds the sum a*theta + b*theta' as one reduced pair: it must
+        # be the tag the PhaseTag arithmetic gives, at either angle order
+        try:
+            QndConfig(Variant.QND1, PhaseTag(theta), PhaseTag(theta_prime))
+        except ConfigError:
+            assume(False)
+        for t, tp in ((theta, theta_prime), (theta_prime, theta)):
+            for variant in (Variant.QND1, Variant.QND3):
+                cfg = QndConfig(variant, PhaseTag(t), PhaseTag(tp))
+                got, want = cfg.phase((a, b)), cfg.theta * a + cfg.theta_prime * b
+                assert (got.num, got.den) == (want.num, want.den)
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=angles, a=st.integers(-2, 2), b=st.integers(1, 2))
+    def test_single_angle_detectors_read_no_theta_prime_count(self, theta, a, b):
+        assume(PhaseTag(theta) not in (ZERO_PHASE, PI))
+        for cfg in (default_config(Variant.QND2), QndConfig(Variant.QND4, PhaseTag(theta))):
+            assert cfg.phase((a, 0)) == cfg.theta * a
+            with pytest.raises(ConfigError, match="reads no theta_prime"):
+                cfg.phase((a, b))
 
     def test_defaults_valid(self):
         for v in Variant:
