@@ -12,7 +12,8 @@ source's pair terms.
 Probe counts hold no angle, so each case compares its detector's output
 with its expectation once per process.  At an angle pair the suite
 builds the configs, which reject angles whose phases would not keep the
-counts apart, and renders the counts of a mismatch as phases.
+counts apart, and renders the counts of a mismatch as phases; a passing
+case prints no phase, so it returns one frozen result at every pair.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ class BranchCase:
         """The branches where the detector's output and the expectation differ."""
         actual = apply_qnd(self.input_state(), self.variant)
         return _mismatches(actual, self.expected_state())
+
+    @functools.cache  # a pass prints no phase, so every angle pair shares it
+    def passing_result(self) -> CaseResult:
+        return CaseResult(self.case_id, self.description, True)
 
 
 BRANCH_CASES = (
@@ -268,12 +273,14 @@ def _describe(mismatches: tuple, cfg: QndConfig) -> str:
 
 def run_branch_case(case: BranchCase, cfg: QndConfig) -> CaseResult:
     """The case's check, a mismatch reported at the angles of ``cfg``, a
-    config of the case's detector."""
+    config of the case's detector; a pass is the case's one frozen result."""
     if cfg.variant != case.variant:
         raise ConfigError(f"case {case.case_id} runs {case.variant.value}, "
                           f"not {cfg.variant.value}")
-    detail = _describe(case.mismatches(), cfg)
-    return CaseResult(case.case_id, case.description, detail == "", detail)
+    mismatches = case.mismatches()
+    if not mismatches:
+        return case.passing_result()
+    return CaseResult(case.case_id, case.description, False, _describe(mismatches, cfg))
 
 
 def run_branch_suite(theta: PhaseTag | None = None,

@@ -33,8 +33,10 @@ process into an immutable table of outcome rows, with probe counts for
 readings (see ``fock``): stage 1 once per detector, stage 2 (whose pi
 parity detector takes no config) and PBS once each.  A config only
 labels a run's records: ``enumerate_exact`` reads each distinct count
-class of the table (its ``probes``) once as a ``PhaseTag`` and copies
-the rows by unpacking, and grids and Monte Carlo read no tag.  A row carries
+class of the table (its ``probes``) once through the config that
+``_weighted_rows`` checked, which hands out the tags it keeps, and copies
+the rows by unpacking, so a run builds no tag; grids and Monte Carlo read
+no tag.  A row carries
 its probability within an event class: a clean or flipped single pair or a
 double emission with its two flips (stage 1), or a Bell-kind pair of the
 two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs each table with the
@@ -142,6 +144,8 @@ class Verdict(Enum):
     headline fidelity and yield leave it out.
     """
 
+    __hash__ = object.__hash__  # an Enum equals only itself, so hash it by identity
+
     KEPT_CORRECT = "kept_correct"
     KEPT_ERRONEOUS = "kept_erroneous"
     KEPT_SAME_PORT = "kept_same_port"
@@ -239,7 +243,8 @@ def stage2_iterate(f0: float, rounds: int) -> list:
 # outcome tables: one branch enumeration per detector
 # ---------------------------------------------------------------------------
 
-_VERDICTS = tuple(Verdict)  # in COUNT_KEYS order
+_BUCKET = {verdict: i for i, verdict in enumerate(Verdict)}  # its index in COUNT_KEYS
+_new_record = functools.partial(tuple.__new__, OutcomeRecord)  # _make less its Python frame
 
 
 class RowTable(NamedTuple):
@@ -272,7 +277,7 @@ def _row_table(classes) -> RowTable:
     return RowTable(rows, tuple(c for c, records in enumerate(classes) for _ in records),
                     tuple(r.weight for r in rows),
                     tuple(tuple(i for i, r in enumerate(rows) if r.verdict is verdict)
-                          for verdict in _VERDICTS),
+                          for verdict in _BUCKET),
                     tuple((i, r.kept_pairs) for i, r in enumerate(rows) if r.kept_pairs),
                     tuple(dict.fromkeys(c for r in rows for c in r[:2])))
 
@@ -489,7 +494,7 @@ PIPELINES = {
 
 
 def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
-    """(table, class weights at each point) of a pipeline over ``points``,
+    """(table, class weights at each point, config) of a pipeline over ``points``,
     parameter dicts of one detector config, each checked; a run is a grid of
     one.  A row weighs its class weight times its factor (``RowTable.weights``)."""
     if pipeline not in PIPELINES:
@@ -501,11 +506,12 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
             raise ConfigError(f"unknown parameter(s) {unknown} for {pipeline}; it reads: "
                               + ", ".join(sorted(entry.keys)))
     if not points:
-        return None, []
+        return None, [], None
     configs = {entry.config(p) for p in points}
     if len(configs) > 1:
         raise ConfigError("the points of one grid must share one detector config")
-    return entry.table(*configs), list(map(entry.class_weights, points))
+    (cfg,) = configs
+    return entry.table(cfg), list(map(entry.class_weights, points)), cfg
 
 
 def _row_sums(table: RowTable, values: Sequence, zero) -> list:
@@ -552,10 +558,11 @@ def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     less those of zero weight, added per bucket in ``_row_sums`` order.  One
     pass over the records, as building their index columns would allocate
     more than the report itself."""
-    sums = [0.0] * (len(COUNT_KEYS) + 1)
-    for _, _, verdict, _, weight, _, _, pairs in records:
-        sums[_VERDICTS.index(verdict)] += weight  # identity compares, no hash
-        sums[-1] += weight * pairs
+    sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
+    for _, _, verdict, _, weight, _, _, kept in records:
+        sums[_BUCKET[verdict]] += weight
+        pairs += weight * kept
+    sums[-1] = pairs
     return _report(pipeline, params, sums)
 
 
@@ -565,7 +572,7 @@ def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
     report.  Each point sums the table's rows at its weights, and a single
     run its records, the same rows less those of zero weight, so each
     report is the single run's to the bit."""
-    table, class_weights = _weighted_rows(pipeline, points)
+    table, class_weights, _ = _weighted_rows(pipeline, points)
     for p, weights in zip(points, class_weights):
         yield _report(pipeline, p, _row_sums(table, table.weights(weights), 0.0))
 
@@ -694,7 +701,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     spans = max(1, min(_workers(), -(-trials // MC_CHUNK)))
     cuts = [start + trials * k // spans for k in range(spans + 1)]
     sizes = [_chunks(end - begin, spans) for begin, end in zip(cuts, cuts[1:])]
-    table, (class_weights,) = _weighted_rows(pipeline, [params])
+    table, (class_weights,), _ = _weighted_rows(pipeline, [params])
     w = np.array(table.weights(class_weights))
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
@@ -759,14 +766,13 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
 
     Returns fresh records of the rows of nonzero weight, in table order,
     with their counts read as phases of the point's config: its angles keep
-    the six count classes apart, so the rows' verdicts hold for the phases.
+    the six count classes apart, so the rows' verdicts hold for the phases,
+    and each record holds the config's own tag of its class.
     """
-    table, (class_weights,) = _weighted_rows(pipeline, [params])
-    cfg = PIPELINES[pipeline].config(params)
-    # one tag per count class; PBS rows read no probe, so its one class is None
+    table, (class_weights,), cfg = _weighted_rows(pipeline, [params])
+    # the config's tag of each count class; PBS rows read no probe, so its one class is None
     tag = {c: cfg.phase(c) if cfg else None for c in table.probes}
-    make = OutcomeRecord._make
-    return [make((tag[a], tag[b], verdict, state, wi, fid, order, pairs))
+    return [_new_record((tag[a], tag[b], verdict, state, wi, fid, order, pairs))
             for (a, b, verdict, state, _, fid, order, pairs), wi
             in zip(table.rows, table.weights(class_weights)) if wi != 0.0]
 

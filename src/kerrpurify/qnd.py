@@ -49,7 +49,7 @@ weaker than QND2 for keeping the odd-parity component.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .elements import pbs
@@ -65,6 +65,7 @@ from .fock import (
     PureState,
     Spatial,
     PI,
+    ZERO_COUNTS,
     ZERO_PHASE,
     probe_outcomes,
     project_probe,
@@ -72,6 +73,8 @@ from .fock import (
 
 
 class Variant(Enum):
+    __hash__ = object.__hash__  # an Enum equals only itself, so hash it by identity
+
     QND1 = "qnd1"
     QND2 = "qnd2"
     QND3 = "qnd3"
@@ -103,26 +106,32 @@ def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
 
 
 @functools.lru_cache(maxsize=8)  # qnd1 and qnd3 at one angle pair share one check
-def _check_phase_classes(t: PhaseTag, tp: PhaseTag) -> None:
-    """Refuse an angle pair at which two of the six count classes read one
-    phase; a refusal is not cached, so it raises on every build."""
+def _check_phase_classes(t: PhaseTag, tp: PhaseTag) -> dict:
+    """The tag of each of the six count classes at (t, tp), or ConfigError
+    if two of them read one phase; a refusal is not cached, so it raises
+    on every build."""
     if t == tp:
         raise ConfigError("theta and theta_prime must differ mod 2*pi")
-    if len({ZERO_PHASE, t, tp, t * 2, tp * 2, t + tp}) != 6:
+    classes = {ZERO_COUNTS: ZERO_PHASE, (1, 0): t, (0, 1): tp, (2, 0): t * 2, (0, 2): tp * 2,
+               (1, 1): t + tp}
+    if len(set(classes.values())) != 6:
         raise ConfigError(
             "phase classes {0, t, t', 2t, 2t', t+t'} must be pairwise distinct mod 2*pi"
         )
+    return classes
 
 
 @dataclass(frozen=True)
 class QndConfig:
     """The angles at which a detector's probe counts read as phases.
     Building one checks it, so a QndConfig that exists is valid: each
-    angle it reads is a ``PhaseTag``."""
+    angle it reads is a ``PhaseTag``.  It keeps the tag of each count class
+    its detector reads, shared by the configs of one angle pair."""
 
     variant: Variant
     theta: PhaseTag
     theta_prime: PhaseTag | None = None
+    _classes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t, tp = self.theta, self.theta_prime
@@ -135,17 +144,19 @@ class QndConfig:
             if not isinstance(angle, PhaseTag):
                 raise ConfigError("an angle is a PhaseTag, an exact rational of pi, "
                                   f"not {type(angle).__name__}")
-        if reads_prime:
-            _check_phase_classes(t, tp)
-        elif self.variant == Variant.QND2:
-            if t != PI:
-                raise ConfigError("qnd2 requires theta = pi exactly")
-        elif self.variant == Variant.QND4:
-            if t == ZERO_PHASE or t == PI:
-                raise ConfigError("qnd4 requires theta with +theta != -theta mod 2*pi")
+        if self.variant == Variant.QND2 and t != PI:
+            raise ConfigError("qnd2 requires theta = pi exactly")
+        if self.variant == Variant.QND4 and (t == ZERO_PHASE or t == PI):
+            raise ConfigError("qnd4 requires theta with +theta != -theta mod 2*pi")
+        object.__setattr__(self, "_classes", _check_phase_classes(t, tp) if reads_prime
+                           else {ZERO_COUNTS: ZERO_PHASE, (1, 0): t})
 
     def phase(self, counts: tuple) -> PhaseTag:
-        """The probe phase a*theta + b*theta' of the probe counts (a, b)."""
+        """The probe phase a*theta + b*theta' of the probe counts (a, b): the
+        config's own tag of a count class it keeps, else a new tag."""
+        tag = self._classes.get(counts)
+        if tag is not None:
+            return tag
         a, b = counts
         t, tp = self.theta, self.theta_prime
         if not b:

@@ -1,5 +1,6 @@
 """Every detector must reproduce its reference transformation exactly."""
 
+import dataclasses
 from itertools import product as iproduct
 
 import pytest
@@ -28,6 +29,7 @@ from kerrpurify.branches import (
     B1H,
     BRANCH_CASES,
     CASE_IDS,
+    BranchCase,
     CLEAN,
     FLIPPED,
     U1,
@@ -104,6 +106,28 @@ def test_cases_read_the_per_medium_phases_at_any_admissible_angles(theta, theta_
 def test_a_case_runs_only_at_its_own_detector():
     with pytest.raises(ConfigError, match="runs qnd1, not qnd3"):
         run_branch_case(BRANCH_CASES[0], default_config(Variant.QND3))
+
+
+def test_a_passing_case_is_shared_across_angle_pairs_and_a_failure_is_not(monkeypatch):
+    # a pass prints no phase, so every pair returns the case's one frozen
+    # result; a planted mismatch is described at each pair's own phases
+    case = next(c for c in BRANCH_CASES if c.case_id == "qnd1-single-flipped")
+    branch = next(b for b in case.expected_state().branches if b.probe == ((1, 0), (0, 1)))
+    planted = ((branch, None),)  # an unexpected branch with probes (t, t')
+    mismatches = BranchCase.mismatches
+    monkeypatch.setattr(BranchCase, "mismatches",
+                        lambda self: planted if self is case else mismatches(self))
+    pairs = [(PhaseTag(3, 16), PhaseTag(29, 64)), (PhaseTag(29, 64), PhaseTag(3, 16))]
+    first, second = (run_branch_suite(theta=t, theta_prime=tp) for t, tp in pairs)
+    failed = [[r for r in results if not r.passed] for results in (first, second)]
+    for (t, tp), (result, *others) in zip(pairs, failed):
+        assert result.case_id == case.case_id and not others
+        assert f"probes ({t}, {tp})" in result.detail
+    for a, b in zip(first, second):
+        if a.passed:
+            assert a is b
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                a.detail = "changed"
 
 
 def test_suite_filtering():

@@ -39,7 +39,7 @@ from kerrpurify import (
     stage2_run,
     stage2_yield,
 )
-from kerrpurify import protocol
+from kerrpurify import protocol, qnd
 from kerrpurify.branches import BRANCH_CASES, BranchCase
 from kerrpurify.protocol import (
     COUNT_KEYS,
@@ -384,10 +384,12 @@ class TestEnumerateExact:
             enumerate_exact("nope", {})
 
     @pytest.mark.parametrize("variant", [Variant.QND1, Variant.QND3], ids=["qnd1", "qnd3"])
-    def test_a_run_tags_each_probe_count_class_once(self, variant, monkeypatch):
-        # a fresh admissible pair, so no cache can hold its tags: a run reads
-        # each count class of its table once, not once per row that reads it
-        cfg = QndConfig(variant, PhaseTag(7, 32), PhaseTag(45, 64))
+    def test_a_config_tags_each_count_class_once_and_a_run_none(self, variant, monkeypatch):
+        # a fresh admissible pair, so no cache holds its tags: building its
+        # qnd1 and qnd3 configs tags each count class at most once, the two
+        # sharing the tags, and a run builds no tag but hands out the config's
+        theta, theta_prime = PhaseTag(7, 32), PhaseTag(45, 64)
+        qnd._check_phase_classes.cache_clear()
         table, made = protocol._stage1_rows(variant), []
         init = PhaseTag.__init__
 
@@ -396,11 +398,20 @@ class TestEnumerateExact:
             init(self, *args)
 
         monkeypatch.setattr(PhaseTag, "__init__", counted)
+        cfgs = {v: QndConfig(v, theta, theta_prime) for v in (Variant.QND1, Variant.QND3)}
+        built = len(made)
         records = enumerate_exact("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8,
-                                             "variant": variant, "cfg": cfg})
+                                             "variant": variant, "cfg": cfgs[variant]})
         monkeypatch.undo()
+        assert 0 < built <= 6
+        assert len(made) == built
+        six = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
+        assert all(cfgs[Variant.QND1].phase(c) is cfgs[Variant.QND3].phase(c) for c in six)
         assert len(records) == len(table.rows) == 20
-        assert 0 < len(made) <= len(table.probes) == 5
+        cfg = cfgs[variant]
+        for record, row in zip(records, table.rows):
+            assert record.probe_alice is cfg.phase(row.probe_alice)
+            assert record.probe_bob is cfg.phase(row.probe_bob)
 
     def test_a_table_lists_its_rows_probe_counts_once_in_first_appearance_order(self):
         tables = {"qnd1": protocol._stage1_rows(Variant.QND1),
@@ -673,7 +684,7 @@ class TestWordLimitCounts:
     ], ids=["stage1", "stage2", "pbs"])
     def test_ranges_across_a_chunk_boundary(self, pipeline, params, start):
         trials = MC_CHUNK + 4_001
-        table, (class_weights,) = protocol._weighted_rows(pipeline, [params])
+        table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
         w = np.array(table.weights(class_weights))
         _, rows = _mc_row_counts(pipeline, params, trials, 13, start=start)
         drawn = np.flatnonzero(w)
@@ -1069,7 +1080,7 @@ class TestOutcomeTables:
         ("pbs", {"F": 1.0}),
     ], ids=["stage1", "stage2", "pbs"])
     def test_zero_weight_rows_are_never_drawn(self, pipeline, params):
-        table, (class_weights,) = protocol._weighted_rows(pipeline, [params])
+        table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
         w = np.array(table.weights(class_weights))
         _, rows = _mc_row_counts(pipeline, params, 200_000, 3)
         assert (w == 0.0).any()
@@ -1089,7 +1100,7 @@ class TestOutcomeTables:
         # table rows by verdict: the totals agree to the bit, and with a loop
         # that adds every row, zero-weight and pairless ones too
         records = enumerate_exact(pipeline, params)
-        table, (class_weights,) = protocol._weighted_rows(pipeline, [params])
+        table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
         w = table.weights(class_weights)
         sums = protocol._row_sums(table, w, 0.0)
         summed = []

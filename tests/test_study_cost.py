@@ -1,0 +1,62 @@
+"""What one exact study at a fresh angle pair builds, counted, not timed.
+
+A study runs the branch suite, a stage-1 run of each two-angle detector,
+a stage-2 run and the PBS baseline at one admissible pair, as the
+benchmark's fresh-angle workload does.  Once the process is warm, the
+only work the pair brings is its six count classes: no passing branch
+result is rebuilt, no tag beyond the classes' is made, and no ``Enum``
+member is hashed in Python.
+"""
+
+import enum
+
+from kerrpurify import (
+    NoiseParams,
+    PdcSourceParams,
+    PhaseTag,
+    QndConfig,
+    Variant,
+    pbs_baseline,
+    run_branch_suite,
+    stage1_run,
+    stage2_run,
+)
+from kerrpurify.branches import CaseResult
+
+
+def _study(theta: PhaseTag, theta_prime: PhaseTag) -> list:
+    src, noise = PdcSourceParams(0.12, 0.03), NoiseParams(0.8)
+    return ([run_branch_suite(theta=theta, theta_prime=theta_prime)]
+            + [stage1_run(src, noise, v, cfg=QndConfig(v, theta, theta_prime))
+               for v in (Variant.QND1, Variant.QND3)]
+            + [stage2_run(0.85), pbs_baseline(0.85)])
+
+
+def test_a_warm_study_at_a_fresh_pair_builds_only_its_count_classes(monkeypatch):
+    _study(PhaseTag(5, 16), PhaseTag(37, 64))  # warms every per-process cache
+    theta, theta_prime = PhaseTag(11, 32), PhaseTag(51, 64)  # no cache holds this pair
+    tags, passing, enum_hashes = [], [], []
+    tag_init, result_init, enum_hash = PhaseTag.__init__, CaseResult.__init__, enum.Enum.__hash__
+
+    def count_tag(self, *args):
+        tags.append(args)
+        tag_init(self, *args)
+
+    def count_result(self, *args, **kwargs):
+        result_init(self, *args, **kwargs)
+        if self.passed:
+            passing.append(self)
+
+    def count_hash(self):
+        enum_hashes.append(self)
+        return enum_hash(self)
+
+    monkeypatch.setattr(PhaseTag, "__init__", count_tag)
+    monkeypatch.setattr(CaseResult, "__init__", count_result)
+    monkeypatch.setattr(enum.Enum, "__hash__", count_hash)
+    suite, *reports = _study(theta, theta_prime)
+    monkeypatch.undo()
+    assert all(r.passed for r in suite) and len(reports) == 4
+    assert passing == []
+    assert len(tags) <= 6  # at most one per count class {0, t, t', 2t, 2t', t+t'}
+    assert enum_hashes == []
