@@ -251,10 +251,8 @@ def _mismatches(actual: PureState, expected: PureState) -> tuple:
 
 
 def _describe(mismatches: tuple, cfg: QndConfig) -> str:
-    """'' for no mismatch, else the first in the order of the printed keys,
-    with its probe counts printed as phases at ``cfg``'s angles."""
-    if not mismatches:
-        return ""
+    """The first mismatch in the order of the printed keys, with its probe
+    counts printed as phases at ``cfg``'s angles."""
 
     def printed(pair):
         branch = pair[0] or pair[1]

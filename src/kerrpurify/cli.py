@@ -18,9 +18,9 @@ Angles are given in units of pi, e.g. ``--theta 1/4``.
 
 ``stage1`` and ``sweep stage1`` run their grid (a command's is one
 point) through one helper that runs it and builds its CSV rows;
-``stage2`` and ``sweep stage2`` share another.  The CLI checks only that
-a required flag is given: the
-library checks the values, and its errors exit 2 like the CLI's own.
+``stage2`` and ``sweep stage2`` share another.  The parser checks each
+flag's own value (given once, a required one given, a grid parsed), the
+library what the values mean; its errors exit 2 like the CLI's own.
 """
 
 from __future__ import annotations
@@ -122,11 +122,7 @@ def _emit(doc: dict, out: str | None, summary: str) -> None:
 
 
 def _report_doc(command: str, params: dict, report) -> dict:
-    doc = report.to_dict()
-    doc["command"] = command
-    doc["params"] = params
-    doc["seed"] = params.get("seed")
-    return doc
+    return {**report.to_dict(), "command": command, "params": params, "seed": params.get("seed")}
 
 
 def _fmt(value) -> str:
@@ -198,19 +194,9 @@ def _stage2_csv_header(baseline: bool) -> list:
     return STAGE2_CSV_HEADER + (BASELINE_CSV_COLUMNS if baseline else [])
 
 
-def _csv_first_line(path, fh, header) -> str:
-    """The first line of the CSV ``fh`` open at ``path``: exit 2 unless it is
-    empty or ``header``, as rows of another schema would make it unreadable."""
-    fh.seek(0)
-    first = fh.readline()
-    if first and next(csv.reader([first])) != header:
-        raise CliError(f"{path} holds CSV columns other than this command's; "
-                       "write to a new file")
-    return first
-
-
 def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
-    """Append ``rows`` through one open; a new or empty file gets ``header``.
+    """Append ``rows`` through one open; a new or empty file gets ``header``,
+    and a file of other columns exits 2, as its rows would be unreadable.
 
     ``before_rows`` runs once the header is checked and before any row is
     written; if it raises, a file this call created is removed again.
@@ -218,7 +204,11 @@ def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
     created = not os.path.exists(path)  # a dangling link's target is created too
     with open(path, "a+", newline="") as fh:
         try:
-            first = _csv_first_line(path, fh, header)
+            fh.seek(0)
+            first = fh.readline()
+            if first and next(csv.reader([first])) != header:
+                raise CliError(f"{path} holds CSV columns other than this command's; "
+                               "write to a new file")
             before_rows()
         except BaseException:
             if created:
@@ -253,9 +243,6 @@ def _write_run(args, doc: dict, header, rows, summary: str) -> None:
 def cmd_stage1(args) -> int:
     cfg = _detector(args, Variant(args.variant or "qnd1"))
     seed = _resolved_sampling(args)
-    for name in ("p1", "p2", "f0"):
-        if getattr(args, name) is None:
-            raise CliError(f"--{name} is required")
     [(report, row)] = _stage1_runs(args, cfg, seed, [(args.p1, args.p2, args.f0)])
     # the JSON params: the row's point columns, from p1 to seed, and the angles
     params = dict(zip(STAGE1_CSV_HEADER[:7], row), theta=str(cfg.theta.value),
@@ -271,8 +258,6 @@ def cmd_stage1(args) -> int:
 
 def cmd_stage2(args) -> int:
     seed = _resolved_sampling(args)
-    if args.F is None:
-        raise CliError("--F is required")
     [(rounds, base, rows)] = _stage2_runs(args, seed, [args.F])
     [report] = _reports("stage2", args, seed, [{"F": args.F}])
     # the JSON params: the rows' point columns, from F to seed, and the options
@@ -299,48 +284,63 @@ def _parse_grid(text: str) -> list:
     try:
         grid = [float(x) for x in text.split(",") if x != ""]
     except ValueError as exc:
-        raise CliError(f"bad grid {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
     if not grid:
-        raise CliError(f"grid {text!r} has no values")
+        raise argparse.ArgumentTypeError(f"grid {text!r} has no values")
     return grid
 
 
 def cmd_sweep(args) -> int:
-    """The cartesian grid through the command's grid helper, each grid parsed
-    once; the rows go to the CSV through one open."""
+    """The cartesian grid, its grids parsed by the parser, through the
+    command's grid helper; the rows go to the CSV through one open."""
     seed = _resolved_sampling(args)
     if args.pipeline == "stage1":
-        if not (args.p1 and args.p2 and args.f0):
-            raise CliError("sweep stage1 needs --p1, --p2 and --f0 grids")
         cfg = _detector(args, Variant(args.variant or "qnd1"))
-        grids = [_parse_grid(grid) for grid in (args.p1, args.p2, args.f0)]
-        rows = [row for _, row in _stage1_runs(args, cfg, seed, iproduct(*grids))]
+        grid = iproduct(args.p1, args.p2, args.f0)
+        rows = [row for _, row in _stage1_runs(args, cfg, seed, grid)]
         header = STAGE1_CSV_HEADER
     else:
-        if not args.F:
-            raise CliError("sweep stage2 needs an --F grid")
-        rows = [row for _, _, rows in _stage2_runs(args, seed, _parse_grid(args.F))
-                for row in rows]
+        rows = [row for _, _, rows in _stage2_runs(args, seed, args.F) for row in rows]
         header = _stage2_csv_header(args.baseline)
     _append_csv(args.csv, header, rows)
     print(f"wrote {len(rows)} {args.pipeline} rows to {args.csv}")
     return 0
 
 
+class _StoreOnce(argparse.Action):
+    """``store``, but a second value of one flag, in any spelling, exits 2."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # kept on the namespace, not the action: the parser serves every parse
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice; give each flag once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, with its parents and subparsers, whose value flags store once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Each command, down to ``sweep stage1`` and ``sweep stage2``, takes
-    only the flags it reads; a flag that several commands share is declared
-    once, in a parent parser.  Built once per process: parsing leaves the
-    parser as it was."""
-    parser = argparse.ArgumentParser(
+    only the flags it reads and checks each one's own value; a flag that
+    several commands share is declared once, in a parent parser.  Built
+    once per process: parsing leaves the parser as it was."""
+    parser = _Parser(
         prog="kerrpurify",
         description="Simulate two-stage entanglement purification with cross-Kerr QND detectors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def parent():
-        return argparse.ArgumentParser(add_help=False)
+        return _Parser(add_help=False)
 
     config = parent()
     config.add_argument("--config", help="flat key=value config file")
@@ -368,15 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s1 = sub.add_parser("stage1", parents=[config, out, angles, variant, sampling],
                         help="source + detector purification stage")
-    s1.add_argument("--p1", type=float)
-    s1.add_argument("--p2", type=float)
-    s1.add_argument("--f0", type=float)
+    for name in ("--p1", "--p2", "--f0"):
+        s1.add_argument(name, type=float, required=True)
     s1.add_argument("--csv", help="append a CSV row here")
     s1.set_defaults(func=cmd_stage1)
 
     s2 = sub.add_parser("stage2", parents=[config, out, sampling, rounds],
                         help="ideal-source purification stage with iteration")
-    s2.add_argument("--F", type=float)
+    s2.add_argument("--F", type=float, required=True)
     s2.add_argument("--csv", help="append CSV rows here")
     s2.set_defaults(func=cmd_stage2)
 
@@ -385,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     sw1 = pipelines.add_parser("stage1", parents=[config, angles, variant, sampling],
                                help="grids of --p1, --p2 and --f0")
     for name in ("--p1", "--p2", "--f0"):
-        sw1.add_argument(name)
+        sw1.add_argument(name, required=True, type=_parse_grid)
     sw2 = pipelines.add_parser("stage2", parents=[config, sampling, rounds],
                                help="a grid of --F")
-    sw2.add_argument("--F")
+    sw2.add_argument("--F", required=True, type=_parse_grid)
     for leaf in (sw1, sw2):
         leaf.add_argument("--csv", required=True)
         leaf.set_defaults(func=cmd_sweep)

@@ -134,6 +134,9 @@ PHI_PLUS_UPPER = bell_pair("phi+", Spatial.UPPER)
 PSI_PLUS_UPPER = bell_pair("psi+", Spatial.UPPER)
 
 _FID_TOL = 1e-9
+# the most stage2_iterate rounds: round 1 keeps >= 1/2 for F in (1/2, 1], each later round
+# >= 1/4 of the last, so round N keeps >= 2^-(2N-1), a nonzero double while 2N - 1 <= 1074
+MAX_ROUNDS = 537
 
 
 class Verdict(Enum):
@@ -226,8 +229,8 @@ def stage2_iterate(f0: float, rounds: int) -> list:
     """
     if not 0.5 < f0 <= 1.0:
         raise ConfigError("iteration requires fidelity in (1/2, 1]")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]")
     rows = []
     fid = f0
     cumulative = 1.0

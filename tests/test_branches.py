@@ -152,7 +152,8 @@ def test_compare_states_reports_mismatch():
     wrong = PureState.of(b.with_probe(Party.ALICE, b.probe[Party.ALICE][::-1])
                          for b in expected.branches)
     assert _describe(_mismatches(expected, wrong), cfg) != ""
-    assert _describe(_mismatches(expected, expected), cfg) == ""
+    assert _mismatches(expected, expected) == ()
+    assert run_branch_case(case, cfg) == case.passing_result()
 
 
 def test_compare_states_prints_the_first_mismatch_with_its_tags():
@@ -171,7 +172,9 @@ def test_compare_states_prints_the_first_mismatch_with_its_tags():
         == f"missing branch {{a1H: 1, b1H: 1}} {tags} (expected amplitude 0.5+0j)"
     assert _describe(_mismatches(last_negated, state), cfg) \
         == f"branch {{a2V: 1, b2V: 1}} {tags}: amplitude -0.5+0j, expected 0.5+0j"
-    assert _describe(_mismatches(state, state), cfg) == ""
+    assert _mismatches(state, state) == ()
+    result = run_branch_case(BRANCH_CASES[0], cfg)
+    assert result.passed and result.detail == ""
 
 
 def _create_photon_chain(entries) -> PureState:

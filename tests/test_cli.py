@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -33,6 +34,15 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def refused(argv, capsys):
+    """(stdout, stderr) of a command line the parser refuses: it exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
 class TestVerifyBranches:
     def test_default_all_pass(self, capsys):
         code, out, _ = run_cli(["verify-branches"], capsys)
@@ -44,6 +54,13 @@ class TestVerifyBranches:
                                capsys)
         assert code == 0
         assert "1/1" in out
+
+    def test_only_is_repeatable(self, capsys):
+        # --only is the one flag that takes a value more than once
+        code, out, _ = run_cli(["verify-branches", "--only", "qnd1-double-clean",
+                                "--only=qnd3-single-clean"], capsys)
+        assert code == 0
+        assert "2/2" in out
 
     def test_unknown_case_exits_2(self, capsys):
         code, _, err = run_cli(["verify-branches", "--only", "no-such-case"], capsys)
@@ -118,9 +135,12 @@ class TestStage1Command:
         )
         assert code == 2
 
-    def test_missing_flag_exits_2(self, capsys):
-        code, _, _ = run_cli(["stage1", "--p1", "0.1", "--p2", "0.01"], capsys)
-        assert code == 2
+    def test_missing_flag_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out, err = refused(["stage1", "--p1", "0.1", "--p2", "0.01", "--out", "run.json",
+                            "--csv", "rows.csv"], capsys)
+        assert out == "" and "required: --f0" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_csv_append(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
@@ -153,6 +173,23 @@ class TestStage2Command:
     def test_above_one_exits_2(self, capsys):
         code, _, _ = run_cli(["stage2", "--F", "1.1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("rounds", ["538", "1000000000"])
+    @pytest.mark.parametrize("argv", [
+        ["stage2", "--F", "0.8", "--out", "run.json", "--csv", "rows.csv"],
+        ["sweep", "stage2", "--F", "0.6,0.8", "--baseline", "--csv", "rows.csv"],
+    ], ids=["stage2", "sweep"])
+    def test_rounds_above_the_cap_exit_2_before_any_work(self, capsys, tmp_path,
+                                                         monkeypatch, argv, rounds):
+        # every round is kept and written, so a count past the cap is refused
+        # before the first round runs, at once and with no file written
+        monkeypatch.chdir(tmp_path)
+        start = time.monotonic()
+        code, out, err = run_cli(argv + ["--rounds", rounds], capsys)
+        assert time.monotonic() - start < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "rounds must lie in [1, 537]" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:
@@ -202,11 +239,16 @@ class TestSweep:
             parsed.append(text)
             return real_parse(text)
 
+        # the grids' declared type is read when the cached parser is built
         monkeypatch.setattr(cli, "_parse_grid", counting_parse)
         p1, p2, f0 = "0.01,0.02,0.03,0.04,0.05", "0.001,0.002,0.003,0.004", "0.6,0.7,0.8,0.9,0.95"
         path = tmp_path / "grid.csv"
-        code, out, _ = run_cli(["sweep", "stage1", "--p1", p1, "--p2", p2, "--f0", f0,
-                                "--csv", str(path)], capsys)
+        cli.build_parser.cache_clear()
+        try:
+            code, out, _ = run_cli(["sweep", "stage1", "--p1", p1, "--p2", p2, "--f0", f0,
+                                    "--csv", str(path)], capsys)
+        finally:
+            cli.build_parser.cache_clear()
         assert code == 0 and "wrote 100 stage1 rows" in out
         assert sorted(parsed) == sorted([p1, p2, f0])
         assert len(read_csv(path)) == 1 + 100
@@ -314,9 +356,8 @@ class TestSweep:
     ], ids=["stage1", "stage2"])
     def test_missing_grid_exits_2_and_writes_no_csv(self, capsys, tmp_path, argv, flag):
         path = tmp_path / "grid.csv"
-        code, out, err = run_cli(argv + ["--csv", str(path)], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and flag in err
+        out, err = refused(argv + ["--csv", str(path)], capsys)
+        assert out == "" and f"required: {flag}" in err
         assert not path.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -331,10 +372,10 @@ class TestSweep:
                   "stage2": ["--F", "0.8"]}[argv[1]]
         assert run_cli(argv[:2] + filled + ["--csv", str(path)], capsys)[0] == 0
         before = path.read_bytes()
-        code, out, err = run_cli(argv + ["--csv", str(path)], capsys)
-        assert code == 2
-        assert err.startswith("error:") and "no values" in err
-        assert "wrote" not in out
+        flag = next(f for f, grid in zip(argv[2::2], argv[3::2]) if not grid.strip(","))
+        out, err = refused(argv + ["--csv", str(path)], capsys)
+        assert out == ""
+        assert f"argument {flag}: grid" in err and "no values" in err
         assert path.read_bytes() == before
 
 
@@ -562,8 +603,8 @@ class TestNonFiniteProbabilities:
 
 
 class TestOutOfRangePoints:
-    # the library's parameter and config checks reach main as exit 2; a
-    # repeated flag overrides the valid point before it
+    # the library's parameter and config checks reach main as exit 2; each
+    # point is the valid one with the given flags' values put in
 
     @pytest.mark.parametrize("flags", [
         ["--p1", "-0.1"],
@@ -573,8 +614,10 @@ class TestOutOfRangePoints:
     ], ids=["p1-negative", "sum-above-one", "sum-zero", "f0-above-one"])
     @pytest.mark.parametrize("command", [["stage1"], ["sweep", "stage1"]])
     def test_stage1_point_exits_2(self, capsys, tmp_path, command, flags):
-        valid = ["--p1", "0.1", "--p2", "0.01", "--f0", "0.8"]
-        self.assert_rejected(capsys, tmp_path, command + valid + flags)
+        point = {"--p1": "0.1", "--p2": "0.01", "--f0": "0.8"}
+        point.update(zip(flags[::2], flags[1::2]))
+        argv = [x for pair in point.items() for x in pair]
+        self.assert_rejected(capsys, tmp_path, command + argv)
 
     @pytest.mark.parametrize("F", ["0.5", "1.2", "nan"])
     @pytest.mark.parametrize("command", [["stage2"], ["sweep", "stage2"]])
@@ -606,6 +649,27 @@ class TestFlagsPerCommand:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "stage2", "--F", "0.6", "--F", "0.9", "--csv", "g.csv"], "--F"),
+        (["stage1", "--p1", "0.1", "--p1", "0.3", "--p2", "0.01", "--f0", "0.8",
+          "--out", "run.json"], "--p1"),
+        (["stage2", "--F=0.8", "--F", "0.8", "--csv", "rows.csv"], "--F"),
+        (["verify-branches", "--theta-p", "5/8", "--theta-prime", "5/8"], "--theta-prime"),
+        (["stage2", "--F", "0.8", "--mode", "exact", "--mode", "exact"], "--mode"),
+        (["stage2", "--F", "0.8", "--out", "a.json", "--out", "b.json"], "--out"),
+        (["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--csv", "a.csv",
+          "--csv", "b.csv"], "--csv"),
+    ], ids=["sweep-grid", "stage1-point", "joined-form", "abbreviation", "equal-values",
+            "out", "csv"])
+    def test_a_repeated_value_flag_exits_2_and_writes_nothing(self, capsys, tmp_path,
+                                                               monkeypatch, argv, flag):
+        # a second value would silently replace the first, as argparse's
+        # store does: a --config file refuses a repeated key in the same way
+        monkeypatch.chdir(tmp_path)
+        out, err = refused(argv, capsys)
+        assert out == "" and f"argument {flag}: given twice" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -810,8 +874,9 @@ class TestFailedRunWritesNothing:
 
 
 # The CLI contract over argv x file-system states: a command line is a
-# command, optionally its valid base flags, then flags drawn with valid and
-# invalid values (flags a command does not read included); later flags win.
+# command, optionally its valid base flags, then flags outside that base drawn
+# with valid and invalid values (flags a command does not read included), so
+# each flag is given once; a value flag given twice is drawn on its own.
 COMMANDS = {
     ("verify-branches",): [],
     ("stage1",): ["--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
@@ -832,7 +897,7 @@ FLAG_VALUES = {
     "--mode": ["exact", "mc", "both"],
     "--trials": ["1", "500", "0", "-3", "1e3", "nan"],
     "--seed": ["0", "7", "-1", str(2**64 - 1), str(2**64), "1.5"],
-    "--rounds": ["1", "3", "0", "-2", "x"],
+    "--rounds": ["1", "3", "0", "-2", "x", "1000000000"],
     "--only": ["qnd1-double-clean", "", ",", "no-such-case"],
     "--baseline": None,
     "--out": PATHS,
@@ -852,10 +917,30 @@ CONFIG_TEXTS = ["theta=1/8\ntheta-prime=5/8\n", "seed=3\n", "variant=qnd3\n", "v
 @st.composite
 def command_lines(draw) -> list:
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    argv = list(command) + (COMMANDS[command] if draw(st.booleans()) else [])
-    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=6, unique=True)):
+    base = COMMANDS[command] if draw(st.booleans()) else []
+    argv = list(command) + base
+    extra = sorted(set(FLAG_VALUES) - set(base[::2]))
+    for flag in draw(st.lists(st.sampled_from(extra), max_size=6, unique=True)):
         values = FLAG_VALUES[flag]
         argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+# the flags that store one value: all but the switch --baseline and --only,
+# which appends
+STORE_FLAGS = sorted(flag for flag, values in FLAG_VALUES.items()
+                     if values is not None and flag != "--only")
+
+
+@st.composite
+def repeated_flag_lines(draw) -> list:
+    """A command line, then one store flag given twice, each time as
+    ``--flag value`` or ``--flag=value``."""
+    argv = draw(command_lines())
+    flag = draw(st.sampled_from(STORE_FLAGS))
+    for _ in range(2):
+        value = draw(st.sampled_from(FLAG_VALUES[flag]))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
     return argv
 
 
@@ -882,6 +967,27 @@ def _make_files(root: str, state: dict) -> None:
         os.chmod(os.path.join(root, "rows.csv"), 0o444)
 
 
+@contextlib.contextmanager
+def _ran_in(state: dict, argv: list):
+    """Run ``argv`` in a temp dir laid out as ``state``; yield (exit code,
+    stdout, stderr, the dir's snapshot before the run, the dir)."""
+    with tempfile.TemporaryDirectory() as root:
+        _make_files(root, state)
+        before = _snapshot(root)
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+        yield code, out.getvalue(), err.getvalue(), before, root
+
+
 class TestCliContract:
     """Whatever the command line and the files around it: the exit code is
     0, 1 or 2, stderr holds no traceback, a run that exits 2 prints nothing on
@@ -902,27 +1008,18 @@ class TestCliContract:
                    "--out", "link", "--csv", "run.json"],
              state={"rows.csv": None, "read_only": False, "run.json": None, "cfg.txt": None,
                     "adir": False, "link": "run.json"})
+    # a round count past the cap: refused before the first round, not run
+    @example(argv=["stage2", "--F", "0.8", "--rounds", "1000000000", "--out", "run.json"],
+             state={"rows.csv": None, "read_only": False, "run.json": None, "cfg.txt": None,
+                    "adir": False, "link": None})
     def test_exit_code_stderr_and_files(self, argv, state):
-        with tempfile.TemporaryDirectory() as root:
-            _make_files(root, state)
-            before = _snapshot(root)
-            out, err = io.StringIO(), io.StringIO()
-            cwd = os.getcwd()
-            os.chdir(root)
-            try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = main(argv)
-                    except SystemExit as exc:  # argparse's usage errors
-                        code = exc.code
-            finally:
-                os.chdir(cwd)
+        with _ran_in(state, argv) as (code, out, err, before, root):
             assert code in (0, 1, 2), (argv, code)
-            assert "Traceback" not in err.getvalue(), argv
+            assert "Traceback" not in err, argv
             if code == 2:
-                assert out.getvalue() == "", (argv, out.getvalue())
+                assert out == "", (argv, out)
             if code != 0:
-                assert _snapshot(root) == before, (argv, code, err.getvalue())
+                assert _snapshot(root) == before, (argv, code, err)
             elif argv[0] in ("stage1", "stage2"):
                 # a run that exits 0 leaves both outputs well formed
                 given = {flag: argv[i + 1] for i, flag in enumerate(argv[:-1])
@@ -933,3 +1030,16 @@ class TestCliContract:
                 if given.get("--csv"):
                     first = read_csv(os.path.join(root, given["--csv"]))[0]
                     assert first[0] == ("p1" if argv[0] == "stage1" else "F"), argv
+
+    @settings(max_examples=100, deadline=None)
+    @given(argv=repeated_flag_lines(), state=file_states)
+    @example(argv=["sweep", "stage2", "--F", "0.6", "--F", "0.9", "--csv", "grid.csv"],
+             state={"rows.csv": None, "read_only": False, "run.json": None, "cfg.txt": None,
+                    "adir": False, "link": None})
+    def test_a_repeated_value_flag_exits_2(self, argv, state):
+        # whatever else the command line holds, a value flag given twice is
+        # refused: argv, like a --config file, gives each value once
+        with _ran_in(state, argv) as (code, out, err, before, root):
+            assert code == 2, (argv, code)
+            assert out == "" and "Traceback" not in err, (argv, out, err)
+            assert _snapshot(root) == before, (argv, err)

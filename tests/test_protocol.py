@@ -351,6 +351,16 @@ class TestIteration:
         with pytest.raises(ConfigError):
             stage2_iterate(0.5, 2)
 
+    def test_round_cap(self):
+        # round 1 keeps at least 1/2 and each later round at least 1/4 of the
+        # last, so round 537 keeps at least 2^-1073, still a nonzero double
+        assert protocol.MAX_ROUNDS == 537
+        for f0 in (0.5 + 1e-15, 1.0):
+            assert stage2_iterate(f0, 537)[-1].cumulative_yield > 0
+            for rounds in (0, 538):
+                with pytest.raises(ValueError, match=r"\[1, 537\]"):
+                    stage2_iterate(f0, rounds)
+
 
 class TestPbsBaseline:
     def test_reference_point(self):
