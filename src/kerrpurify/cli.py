@@ -32,7 +32,7 @@ import io
 import json
 import os
 import sys
-from itertools import product as iproduct, repeat
+from itertools import chain, product as iproduct, repeat
 from pathlib import Path
 
 from .branches import run_branch_suite
@@ -195,8 +195,10 @@ def _stage2_csv_header(baseline: bool) -> list:
 
 
 def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
-    """Append ``rows`` through one open; a new or empty file gets ``header``,
-    and a file of other columns exits 2, as its rows would be unreadable.
+    """Append ``rows`` through one open, one CRLF-ended line of comma-joined
+    cells (None empty) at a time: the csv module's default dialect, since no
+    cell (a number or a fixed name) needs quotes.  A new or empty file gets
+    ``header``; a file of other columns exits 2, as its rows would be unreadable.
 
     ``before_rows`` runs once the header is checked and before any row is
     written; if it raises, a file this call created is removed again.
@@ -215,14 +217,12 @@ def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
                 os.unlink(os.path.realpath(path))
             raise
         fh.seek(0, io.SEEK_END)
-        writer = csv.writer(fh)
-        if not first:
-            writer.writerow(header)
-        else:  # end a last line left open, or the first row would join it
+        lead = [header]
+        if first:  # an empty row ends a last line left open, or the first row would join it
             fh.buffer.seek(-1, io.SEEK_END)
-            if fh.buffer.read(1) not in b"\r\n":
-                fh.write(writer.dialect.lineterminator)
-        writer.writerows(rows)
+            lead = [] if fh.buffer.read(1) in b"\r\n" else [()]
+        fh.writelines(",".join(["" if v is None else str(v) for v in row]) + "\r\n"
+                      for row in chain(lead, rows))
 
 
 def _write_run(args, doc: dict, header, rows, summary: str) -> None:

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -377,6 +378,83 @@ class TestSweep:
         assert out == ""
         assert f"argument {flag}: grid" in err and "no values" in err
         assert path.read_bytes() == before
+
+
+def _writer_text(lines) -> str:
+    """``lines`` as the csv module's default dialect writes them."""
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(lines)
+    return text.getvalue()
+
+
+# every kind of cell a CLI row holds: floats at their edges, counts and seeds
+# up to 2**64 - 1, empty cells and the fixed names
+CSV_CELLS = (st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300])
+             | st.integers(0, 2**64 - 1) | st.none()
+             | st.sampled_from(["qnd1", "qnd3", "exact", "mc"]))
+CSV_HEADERS = [cli.STAGE1_CSV_HEADER, cli._stage2_csv_header(False),
+               cli._stage2_csv_header(True)]
+
+
+@st.composite
+def csv_appends(draw) -> tuple:
+    """(header, the file's text before or None for no file, rows to append)."""
+    header = draw(st.sampled_from(CSV_HEADERS))
+    rows = st.lists(st.lists(CSV_CELLS, min_size=len(header), max_size=len(header)),
+                    max_size=4)
+    before = draw(st.sampled_from([None, "", "headed", "\r\n", "\n"]))
+    if before not in (None, ""):
+        text = _writer_text([header] + draw(rows))
+        before = text if before == "headed" else text.removesuffix(before)
+    return header, before, draw(rows)
+
+
+class TestCsvText:
+    """``_append_csv`` writes rows as joined text, not through ``csv.writer``;
+    the bytes must stay the writer's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_appends())
+    def test_bytes_equal_the_csv_writers(self, case):
+        # a new, empty, headed or open-ended file gains exactly the bytes
+        # csv.writer would add: the header or an ended last line, then the rows
+        header, before, rows = case
+        lead = ([header] if not before
+                else [] if before.endswith(("\r", "\n")) else [[]])
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "rows.csv")
+            if before is not None:
+                with open(path, "w", newline="") as fh:
+                    fh.write(before)
+            cli._append_csv(path, header, rows)
+            with open(path, "rb") as fh:
+                written = fh.read()
+        assert written == ((before or "") + _writer_text(lead + rows)).encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "stage1", "--p1", "0.02,0.05", "--p2", "0.001", "--f0", "0.7,0.9"],
+        ["sweep", "stage2", "--F", "0.55,0.75", "--rounds", "2", "--baseline"],
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8"],
+        ["stage2", "--F", "0.8", "--rounds", "2", "--baseline"],
+    ], ids=["sweep-stage1", "sweep-stage2", "stage1", "stage2"])
+    @pytest.mark.parametrize("mode", [["--mode", "mc", "--trials", "2000", "--seed", "3"],
+                                      ["--mode", "exact"]], ids=["mc", "exact"])
+    def test_rows_hold_builtin_cells_only(self, capsys, tmp_path, monkeypatch, argv, mode):
+        # str and repr differ for a numpy scalar (np.float64(0.5) renders as
+        # 0.5 and as np.float64(0.5)), so every cell must be a built-in value:
+        # Monte Carlo counts reach the rows through .tolist()
+        cells = []
+        real_append = cli._append_csv
+
+        def recording_append(path, header, rows, *args):
+            cells.extend(v for row in rows for v in row)
+            return real_append(path, header, rows, *args)
+
+        monkeypatch.setattr(cli, "_append_csv", recording_append)
+        assert run_cli(argv + mode + ["--csv", str(tmp_path / "rows.csv")], capsys)[0] == 0
+        assert cells
+        assert {type(v) for v in cells} <= {float, int, type(None), str}, cells
+        assert {v for v in cells if type(v) is str} <= {"qnd1", "qnd3", "exact", "mc"}
 
 
 class TestSeedRange:
@@ -988,6 +1066,20 @@ def _ran_in(state: dict, argv: list):
         yield code, out.getvalue(), err.getvalue(), before, root
 
 
+def _appended_csv(root: str, name: str, before: dict) -> tuple:
+    """(the header, the text a run appended) of the CSV ``name`` under
+    ``root``, given the ``_snapshot`` taken before the run."""
+    path = os.path.join(root, name)
+    target = before.get(path)
+    if isinstance(target, str):  # a link, by its target's name
+        path = os.path.join(root, target)
+    prior = before.get(path, (None, b""))[1]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert data.startswith(prior), (name, prior, data)
+    return next(csv.reader(data.decode().splitlines()[:1])), data[len(prior):].decode()
+
+
 class TestCliContract:
     """Whatever the command line and the files around it: the exit code is
     0, 1 or 2, stderr holds no traceback, a run that exits 2 prints nothing on
@@ -1020,7 +1112,7 @@ class TestCliContract:
                 assert out == "", (argv, out)
             if code != 0:
                 assert _snapshot(root) == before, (argv, code, err)
-            elif argv[0] in ("stage1", "stage2"):
+            else:
                 # a run that exits 0 leaves both outputs well formed
                 given = {flag: argv[i + 1] for i, flag in enumerate(argv[:-1])
                          if flag in ("--out", "--csv")}
@@ -1028,8 +1120,15 @@ class TestCliContract:
                     with open(os.path.join(root, given["--out"])) as fh:
                         assert json.load(fh)["command"] == argv[0], argv
                 if given.get("--csv"):
-                    first = read_csv(os.path.join(root, given["--csv"]))[0]
-                    assert first[0] == ("p1" if argv[0] == "stage1" else "F"), argv
+                    header, appended = _appended_csv(root, given["--csv"], before)
+                    assert header[0] == ("p1" if "stage1" in argv[:2] else "F"), argv
+                    # the appended bytes are csv.writer's rendering of what
+                    # csv.reader reads back, so no cell needed quoting; the
+                    # first line may be the line end of an open last line
+                    lines = list(csv.reader(io.StringIO(appended, newline="")))
+                    assert _writer_text(lines) == appended, (argv, appended)
+                    assert len(lines[0]) in (0, len(header)), (argv, appended)
+                    assert all(len(line) == len(header) for line in lines[1:]), argv
 
     @settings(max_examples=100, deadline=None)
     @given(argv=repeated_flag_lines(), state=file_states)
