@@ -99,7 +99,7 @@ import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product as iproduct
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .elements import coupler, diagonal_outcomes, pbs, sigma_x, sigma_z
 from .fock import (
@@ -569,12 +569,13 @@ def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     return _report(pipeline, params, sums)
 
 
-def exact_reports(pipeline: str, points: Sequence) -> Iterator[RunReport]:
-    """The exact report at each of ``points``, parameter dicts of one detector
-    config, all checked, as a single run checks each, before the first
-    report.  Each point sums the table's rows at its weights, and a single
-    run its records, the same rows less those of zero weight, so each
-    report is the single run's to the bit."""
+def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
+    """The exact report at each of ``points``, any iterable of parameter
+    dicts of one detector config, all checked, as a single run checks each,
+    before the first report.  Each point sums the table's rows at its
+    weights, and a single run its records, the same rows less those of zero
+    weight, so each report is the single run's to the bit."""
+    points = list(points)  # walked thrice: checked, weighed, reported
     table, class_weights, _ = _weighted_rows(pipeline, points)
     for p, weights in zip(points, class_weights):
         yield _report(pipeline, p, _row_sums(table, table.weights(weights), 0.0))
@@ -594,7 +595,12 @@ _ABOVE_ALL = 1 << GUIDE_BITS  # the guide bin of the limit 2**64, above every wo
 
 def _philox(seed: int, start: int):
     """The Philox generator keyed by the seed, its next word that of trial
-    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64)."""
+    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64).
+
+    Counter-based: trial t always reads word t of the stream keyed by the
+    seed, so any partition of the trial range reproduces the same
+    per-trial words.
+    """
     import numpy as np
     seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
     if not 0 <= seed < 2**64:
@@ -605,20 +611,10 @@ def _philox(seed: int, start: int):
     return bg
 
 
-def _trial_words(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
-    """The raw 64-bit word of each trial of [start, start + n_trials).
-
-    Counter-based: trial t always reads word t of the Philox stream keyed
-    by the seed, so any partition of the trial range reproduces the same
-    per-trial words.
-    """
-    return _philox(seed, start).random_raw(n_trials)
-
-
 def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
     """One uniform in [0, 1) for each trial: (word >> 11) * 2**-53."""
     import numpy as np
-    return (_trial_words(seed, n_trials, start) >> np.uint64(11)) * (2.0 ** -53)
+    return (_philox(seed, start).random_raw(n_trials) >> np.uint64(11)) * (2.0 ** -53)
 
 
 def _word_limits(edges: np.ndarray) -> tuple:

@@ -29,10 +29,10 @@ Each medium reads (spatial port, polarization) -> shift per photon:
 QND2 and QND4 act on two single-photon pairs and reject any branch
 without one photon in each of a party's two ports.
 
-``apply_qnd(state, variant)`` adds each branch's signed photon counts
-per (party, angle) from ``_SLOTS`` (compiled once per process) to its
-probe counts; QND2's theta is pi, so it keeps its count mod 2, and QND4
-keeps signed counts.  No angle enters: a detector runs by its ``Variant``.
+``apply_qnd(state, variant)`` runs ``apply_kerr`` once per medium of
+the detector's row and party, Bob's on his own modes and probe; QND2's
+theta is pi, so it then keeps its count mod 2, and QND4 keeps signed
+counts.  No angle enters: a detector runs by its ``Variant``.
 A ``QndConfig`` is read only where a phase leaves the library: its
 ``phase`` reads counts as a ``PhaseTag``, and it accepts only angles at
 which the counts the protocol produces read distinct phases.
@@ -158,12 +158,11 @@ class QndConfig:
         if tag is not None:
             return tag
         a, b = counts
-        t, tp = self.theta, self.theta_prime
         if not b:
-            return PhaseTag(t.num * a, t.den)
-        if tp is None:
+            return self.theta * a
+        if self.theta_prime is None:
             raise ConfigError(f"{self.variant.value} reads no theta_prime")
-        return PhaseTag(t.num * a * tp.den + tp.num * b * t.den, t.den * tp.den)
+        return self.theta * a + self.theta_prime * b
 
 
 @functools.lru_cache(maxsize=None)  # one immutable config per variant
@@ -189,17 +188,10 @@ _COUPLINGS = {
     Variant.QND4: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.H, "theta", -1)),
 }
 
-# _COUPLINGS compiled once per detector: signal mode -> (slot, sign), where
-# slot 2 * party + (0 for theta, 1 for theta') counts the photons that
-# shift that party's probe by sign * that angle.
-_SLOTS = {v: {ModeLabel(party, spatial, pol): (2 * party + (angle == "theta_prime"), sign)
-              for spatial, pol, angle, sign in row for party in Party}
-          for v, row in _COUPLINGS.items()}
-
 
 def apply_qnd(state: PureState, variant: Variant) -> PureState:
-    """Run the detector ``variant``: its ``_COUPLINGS`` row for both parties.
-    The probes gain counts, so no angle enters."""
+    """Run the detector ``variant``: one ``apply_kerr`` per medium of its
+    ``_COUPLINGS`` row and party.  The probes gain counts, so no angle enters."""
     if not isinstance(variant, Variant):
         raise TypeError(f"apply_qnd runs a Variant, not {type(variant).__name__}")
     if variant in (Variant.QND2, Variant.QND4):
@@ -209,21 +201,14 @@ def apply_qnd(state: PureState, variant: Variant) -> PureState:
     if variant == Variant.QND3:
         for party in Party:
             state = pbs(state, party)
-    slots = _SLOTS[variant]
-    period = 2 if variant == Variant.QND2 else 0  # theta = pi: two shifts are none
-
-    def shift(b):
-        counts = [0, 0, 0, 0]
-        for m, n in b.occupations:
-            slot, sign = slots.get(m, (0, 0))
-            counts[slot] += sign * n
-        probe = []
-        for party, (a, c) in enumerate(b.probe):
-            a, c = a + counts[2 * party], c + counts[2 * party + 1]
-            probe.append((a % period if period else a, c))
-        return BranchState(b.occupations, b.amplitude, tuple(probe))
-
-    return state.map_branches(shift)
+    for spatial, pol, angle, sign in _COUPLINGS[variant]:
+        counts = (sign, 0) if angle == "theta" else (0, sign)
+        for party in Party:  # each party's medium on its own mode, shifting its own probe
+            state = apply_kerr(state, KerrMedium(ModeLabel(party, spatial, pol), counts, party))
+    if variant == Variant.QND2:  # theta = pi: two shifts are none
+        state = state.map_branches(lambda b: BranchState(
+            b.occupations, b.amplitude, tuple((a % 2, c) for a, c in b.probe)))
+    return state
 
 
 @dataclass(frozen=True)

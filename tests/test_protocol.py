@@ -53,7 +53,6 @@ from kerrpurify.protocol import (
     _philox,
     _rows_drawn,
     _stage2_table,
-    _trial_words,
     _word_limits,
     pbs_records,
     stage1_records,
@@ -758,7 +757,7 @@ class TestSpans:
         assert len(reads) >= 15 and {len(r) for r in reads[:-1]} == {64 // spans}
         words = np.concatenate(reads)
         assert np.array_equal(words, self.reference_words(9, 1000, start))
-        assert np.array_equal(words, _trial_words(9, 1000, start))
+        assert np.array_equal(words, _philox(9, start).random_raw(1000))
         if start < 10**6:  # the advance skips four words a step
             unadvanced = np.random.Philox(key=np.uint64(9)).random_raw(start + 1000)
             assert np.array_equal(words, unadvanced[start:])
@@ -767,7 +766,7 @@ class TestSpans:
     def test_a_span_shorter_than_a_step_reads_the_trial_words(self, start):
         [words] = self.span_reads(4, start, 7, 2)
         assert np.array_equal(words, self.reference_words(4, 7, start))
-        assert np.array_equal(words, _trial_words(4, 7, start))
+        assert np.array_equal(words, _philox(4, start).random_raw(7))
 
     @staticmethod
     def counted_spans(monkeypatch, workers):
@@ -1186,15 +1185,19 @@ class TestExactReports:
         single = [stage1_run(PdcSourceParams(p["p1"], p["p2"]), NoiseParams(p["f0"]),
                              variant, cfg=cfg).to_dict() for p in points]
         assert [r.to_dict() for r in exact_reports("stage1", points)] == single
+        # the points are walked more than once, so a generator is read whole first
+        assert [r.to_dict() for r in exact_reports("stage1", (p for p in points))] == single
 
     @pytest.mark.parametrize("run, pipeline", [(stage2_run, "stage2"), (pbs_baseline, "pbs")])
     def test_two_pair_grid_equals_single_runs(self, run, pipeline):
         grid = [1.0, 0.999999999, 0.8, 0.55, 0.3]
-        reports = exact_reports(pipeline, [{"F": F} for F in grid])
-        assert [r.to_dict() for r in reports] == [run(F).to_dict() for F in grid]
+        single = [run(F).to_dict() for F in grid]
+        for points in ([{"F": F} for F in grid], ({"F": F} for F in grid)):
+            assert [r.to_dict() for r in exact_reports(pipeline, points)] == single
 
     def test_empty_grid_has_no_reports(self):
         assert list(exact_reports("stage1", [])) == []
+        assert list(exact_reports("stage2", iter([]))) == []
         with pytest.raises(ConfigError, match="unknown pipeline"):
             next(exact_reports("nope", []))
 

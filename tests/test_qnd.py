@@ -199,21 +199,25 @@ def _check_ports(state: PureState, cfg: QndConfig) -> None:
         raise OccupancyViolationError("one photon per port")
 
 
-def _per_medium_apply_qnd(state: PureState, cfg: QndConfig) -> PureState:
-    """Reference detector: after qnd3's PBS, one ``apply_kerr`` (a count step
-    per branch) for each _COUPLINGS medium; qnd2's theta is pi, so its theta
-    count is then taken mod 2."""
+def _summed_counts(state: PureState, cfg: QndConfig) -> PureState:
+    """Reference detector in counts, with no ``apply_kerr``: after qnd3's PBS,
+    each party's probe gains, per angle, the signed photon counts of that
+    party's own _COUPLINGS modes; qnd2's theta is pi, so its theta count is
+    then taken mod 2."""
     _check_ports(state, cfg)
     if cfg.variant == Variant.QND3:
         state = pbs(pbs(state, Party.ALICE), Party.BOB)
-    for spatial, pol, angle, sign in qnd._COUPLINGS[cfg.variant]:
-        counts = (sign, 0) if angle == "theta" else (0, sign)
-        for party in Party:
-            state = apply_kerr(state, KerrMedium(ModeLabel(party, spatial, pol), counts, party))
-    if cfg.variant == Variant.QND2:
-        state = state.map_branches(lambda b: BranchState(
-            b.occupations, b.amplitude, tuple((a % 2, c) for a, c in b.probe)))
-    return state
+
+    def counted(b):
+        probe = []
+        for party, (a, c) in zip(Party, b.probe):
+            for spatial, pol, angle, sign in qnd._COUPLINGS[cfg.variant]:
+                n = sign * b.occupation(ModeLabel(party, spatial, pol))
+                a, c = (a + n, c) if angle == "theta" else (a, c + n)
+            probe.append((a % 2 if cfg.variant == Variant.QND2 else a, c))
+        return BranchState(b.occupations, b.amplitude, tuple(probe))
+
+    return state.map_branches(counted)
 
 
 def _per_medium_phases(state: PureState, cfg: QndConfig) -> dict:
@@ -239,11 +243,11 @@ def _admissible_angle_pairs(count: int, seed: int) -> list:
 
 class TestCountingDetector:
     def test_equals_one_tag_step_per_medium(self):
-        # apply_qnd sums photon counts per (party, angle) into the probe
-        # counts.  They must be the counts of one apply_kerr step per medium,
-        # repr for repr, and at 40 admissible angle pairs they must read the
-        # phases of one PhaseTag step per medium; a rejected input must be
-        # rejected by all three
+        # apply_qnd runs one apply_kerr step per medium.  Its counts must be
+        # each party's signed photon counts per angle, summed straight from
+        # the coupling table, repr for repr, and at 40 admissible angle pairs
+        # they must read the phases of one PhaseTag step per medium; a
+        # rejected input must be rejected by all three
         rng = np.random.default_rng(3)
         inputs = ([case.input_state() for case in BRANCH_CASES]
                   + [single_pair_state(flipped) for flipped in (False, True)]
@@ -262,7 +266,7 @@ class TestCountingDetector:
             cfg = default_config(variant)
             for state in inputs:
                 assert (repr(outcome(counted, state, cfg))
-                        == repr(outcome(_per_medium_apply_qnd, state, cfg))), (cfg, state)
+                        == repr(outcome(_summed_counts, state, cfg))), (cfg, state)
         pairs = _admissible_angle_pairs(40, seed=11)
         configs = [default_config(Variant.QND2)] + [
             cfg for theta, theta_prime in pairs

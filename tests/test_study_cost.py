@@ -4,23 +4,27 @@ A study runs the branch suite, a stage-1 run of each two-angle detector,
 a stage-2 run and the PBS baseline at one admissible pair, as the
 benchmark's fresh-angle workload does.  Once the process is warm, the
 only work the pair brings is its six count classes: no passing branch
-result is rebuilt, no tag beyond the classes' is made, and no ``Enum``
-member is hashed in Python.
+result is rebuilt, no tag beyond the classes' is made, no ``Enum``
+member is hashed in Python, and no detector or state is built.
 """
 
 import enum
+import sys
 
 from kerrpurify import (
     NoiseParams,
     PdcSourceParams,
     PhaseTag,
+    PureState,
     QndConfig,
     Variant,
     pbs_baseline,
     run_branch_suite,
+    single_pair_state,
     stage1_run,
     stage2_run,
 )
+from kerrpurify import protocol, qnd
 from kerrpurify.branches import CaseResult
 
 
@@ -60,3 +64,31 @@ def test_a_warm_study_at_a_fresh_pair_builds_only_its_count_classes(monkeypatch)
     assert passing == []
     assert len(tags) <= 6  # at most one per count class {0, t, t', 2t, 2t', t+t'}
     assert enum_hashes == []
+
+
+def test_a_warm_study_at_a_fresh_pair_runs_no_detector(monkeypatch):
+    # detectors run once per process, in cached tables and branch results,
+    # so a warm study must call no detector, Kerr medium or state builder
+    # through any kerrpurify namespace that binds one
+    _study(PhaseTag(5, 16), PhaseTag(37, 64))  # warms every per-process cache
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("apply_qnd", "apply_kerr"):
+        original, wrapper = getattr(qnd, name), counted(name, getattr(qnd, name))
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "kerrpurify" or module_name.startswith("kerrpurify."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+    of = PureState.__dict__["of"].__func__
+    monkeypatch.setattr(PureState, "of", staticmethod(counted("PureState.of", of)))
+    suite, *reports = _study(PhaseTag(7, 32), PhaseTag(45, 64))  # no cache holds this pair
+    ran = list(calls)
+    protocol.apply_qnd(single_pair_state(), Variant.QND1)  # the counters do count
+    monkeypatch.undo()
+    assert all(r.passed for r in suite) and len(reports) == 4
+    assert ran == []
+    assert {"apply_qnd", "apply_kerr", "PureState.of"} <= set(calls)
