@@ -165,10 +165,12 @@ def _stage1_runs(args, cfg: QndConfig, seed: int, points):
     """(report, CSV row) of each (p1, p2, f0) point of a stage-1 grid."""
     params = [{"p1": p1, "p2": p2, "f0": f0, "variant": cfg.variant, "cfg": cfg}
               for p1, p2, f0 in points]
+    cells = [cfg.variant.value, args.mode, args.trials, seed]  # the same at every point
     for p, report in zip(params, _reports("stage1", args, seed, params)):
-        yield report, [p["p1"], p["p2"], p["f0"], cfg.variant.value, args.mode, args.trials, seed,
-                       report.fidelity, report.extras["closed_form_fidelity"],
-                       report.yield_fraction, *[report.counts[k] for k in COUNT_KEYS]]
+        # a report's counts are in COUNT_KEYS order
+        yield report, [p["p1"], p["p2"], p["f0"], *cells, report.fidelity,
+                       report.extras["closed_form_fidelity"], report.yield_fraction,
+                       *report.counts.values()]
 
 
 def _stage2_runs(args, seed: int, fidelities: list):

@@ -45,19 +45,19 @@ weighs its class weight times its own factor.  A row's class is its
 one ``Verdict`` field, and ``COUNT_KEYS``, the report's count buckets,
 are the verdicts' values in their order.
 
-``_weighted_rows`` checks a grid of points of one detector config and
-gives each point's class weights; a single run is a grid of one.  A
-table carries the row indices of each verdict and the rows that keep a
-pair, so ``_row_sums`` adds each bucket's rows in table order with no
-lookup per row: ``exact_reports`` (the CLI's exact runs) sums each
-point's row weights with it, and ``monte_carlo`` its draws of each row.
-The library's exact-only single-point runs (``stage1_run``,
-``stage2_run``, ``pbs_baseline``) add the records of ``enumerate_exact``,
-the same rows less those of zero weight, in the same order, so every
-mode agrees to the bit, and ``_report`` builds every report.  Exact runs
-weight and sum their (at most 20) rows in Python floats, with the IEEE
-products and sums a vector library would give; only Monte Carlo, for
-the Philox stream and the word counts below, imports numpy.
+``_weighted_rows`` checks each point of a grid of one detector config
+and gives its class weights; a single run is a grid of one.  A table
+carries one column of (row, class, factor, multiplier) terms per report
+total, so ``exact_reports`` (the CLI's exact runs) adds each point's
+class weight times factor straight down each column (``_exact_sums``),
+with no list of row weights, and ``monte_carlo`` its draws of each row
+(``_row_sums``).  The library's exact-only single-point runs
+(``stage1_run``, ``stage2_run``, ``pbs_baseline``) add the records of
+``enumerate_exact``, the same rows less those of zero weight, in the
+same order, so every mode agrees to the bit, and ``_report`` builds
+every report.  Exact runs weight and sum their (at most 20) rows in
+Python floats; only Monte Carlo, for the Philox stream and the word
+counts below, imports numpy.
 Every kept row's fidelity is exactly 1.0 (correct) or 0.0 (erroneous),
 so a report's fidelity is its correct total over its kept total.
 Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
@@ -255,18 +255,19 @@ class RowTable(NamedTuple):
 
     ``rows[i]`` is an ``OutcomeRecord`` whose weight is its probability
     given its event class ``cls[i]``; at a parameter point the row weighs
-    that class's weight times ``factor[i]``.  ``by_verdict`` holds the
-    indices of each verdict's rows in COUNT_KEYS order, ``kept`` the
-    (index, kept pairs) of each row that keeps a pair, and ``probes`` the
-    distinct probe counts of the rows in first-appearance order: a run
-    reads each of these once as a phase.
+    that class's weight times ``factor[i]``.  ``terms`` holds one column
+    per report total, the verdicts in COUNT_KEYS order and then the kept
+    pairs: the (row, class, factor, multiplier) of each row that adds to
+    the total, in table order, the multiplier 1 in a verdict's column and
+    the row's kept pairs in the last.  ``probes`` holds the distinct probe
+    counts of the rows in first-appearance order: a run reads each of these
+    once as a phase.
     """
 
     rows: tuple
     cls: tuple
     factor: tuple
-    by_verdict: tuple
-    kept: tuple
+    terms: tuple
     probes: tuple
 
     def weights(self, class_weights: Sequence) -> list:
@@ -277,11 +278,12 @@ class RowTable(NamedTuple):
 def _row_table(classes) -> RowTable:
     """Flatten the records of each event class, in class order."""
     rows = tuple(r for records in classes for r in records)
-    return RowTable(rows, tuple(c for c, records in enumerate(classes) for _ in records),
-                    tuple(r.weight for r in rows),
-                    tuple(tuple(i for i, r in enumerate(rows) if r.verdict is verdict)
-                          for verdict in _BUCKET),
-                    tuple((i, r.kept_pairs) for i, r in enumerate(rows) if r.kept_pairs),
+    cls = tuple(c for c, records in enumerate(classes) for _ in records)
+    indexed = [(i, c, r.weight, r) for i, (c, r) in enumerate(zip(cls, rows))]
+    return RowTable(rows, cls, tuple(r.weight for r in rows),
+                    tuple(tuple((i, c, f, 1) for i, c, f, r in indexed if r.verdict is verdict)
+                          for verdict in _BUCKET)
+                    + (tuple((i, c, f, r.kept_pairs) for i, c, f, r in indexed if r.kept_pairs),),
                     tuple(dict.fromkeys(c for r in rows for c in r[:2])))
 
 
@@ -438,9 +440,8 @@ def _stage1_class_weights(params: dict) -> list:
     total = src.p1 + src.p2
     if total <= 0:
         raise ConfigError("p1 + p2 must be positive")
-    w1, w2 = src.p1 / total, src.p2 / total
-    noise = (f0, 1.0 - f0)
-    return [w1 * wn for wn in noise] + [w2 * wn1 * wn2 for wn1, wn2 in iproduct(noise, noise)]
+    w1, w2, flip = src.p1 / total, src.p2 / total, 1.0 - f0
+    return [w1 * f0, w1 * flip, w2 * f0 * f0, w2 * f0 * flip, w2 * flip * f0, w2 * flip * flip]
 
 
 def _stage1_extras(params: dict, counts: list, pairs, events) -> dict:
@@ -477,6 +478,7 @@ class Pipeline(NamedTuple):
     """How one pipeline finds its outcome rows and weights them at a point."""
 
     keys: frozenset          # the parameter keys it reads; any other raises
+    needs: frozenset         # the keys it must be given; a missing one raises
     config: Callable         # params -> their detector config, checked; None: PBS
     table: Callable          # detector config -> its RowTable; stage 2 and PBS have one
     class_weights: Callable  # params -> the weight of each class of that table
@@ -485,13 +487,14 @@ class Pipeline(NamedTuple):
 
 PIPELINES = {
     "stage1": Pipeline(frozenset({"p1", "p2", "f0", "variant", "cfg"}),
+                       frozenset({"p1", "p2", "f0"}),
                        lambda p: _stage1_config(p.get("variant", Variant.QND1), p.get("cfg")),
                        lambda cfg: _stage1_rows(cfg.variant), _stage1_class_weights,
                        _stage1_extras),
-    "stage2": Pipeline(frozenset({"F"}), lambda p: default_config(Variant.QND2),
+    "stage2": Pipeline(frozenset({"F"}), frozenset({"F"}), lambda p: default_config(Variant.QND2),
                        lambda cfg: _stage2_table(),
                        _two_pair_class_weights, functools.partial(_two_pair_extras, False)),
-    "pbs": Pipeline(frozenset({"F"}), lambda p: None, lambda cfg: _pbs_table(),
+    "pbs": Pipeline(frozenset({"F"}), frozenset({"F"}), lambda p: None, lambda cfg: _pbs_table(),
                     _two_pair_class_weights, functools.partial(_two_pair_extras, True)),
 }
 
@@ -499,47 +502,65 @@ PIPELINES = {
 def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
     """(table, class weights at each point, config) of a pipeline over ``points``,
     parameter dicts of one detector config, each checked; a run is a grid of
-    one.  A row weighs its class weight times its factor (``RowTable.weights``)."""
+    one.  A row weighs its class weight times its factor (``RowTable.weights``).
+    Each point's config is checked, but only one that is not the previous
+    point's object joins the set, so a grid of one config hashes it once."""
     if pipeline not in PIPELINES:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     entry = PIPELINES[pipeline]
+    configs, last, class_weights = set(), object(), []  # ``last``: no point's config
     for p in points:
-        if not entry.keys.issuperset(p):
-            unknown = ", ".join(repr(k) for k in p if k not in entry.keys)
-            raise ConfigError(f"unknown parameter(s) {unknown} for {pipeline}; it reads: "
-                              + ", ".join(sorted(entry.keys)))
-    if not points:
-        return None, [], None
-    configs = {entry.config(p) for p in points}
+        if not (entry.keys.issuperset(p) and p.keys() >= entry.needs):
+            unknown = [k for k in p if k not in entry.keys]
+            names = ", ".join(map(repr, unknown or sorted(entry.needs - p.keys())))
+            raise ConfigError(f"{'unknown' if unknown else 'missing'} parameter(s) {names} for "
+                              f"{pipeline}; it reads: " + ", ".join(sorted(entry.keys)))
+        cfg = entry.config(p)
+        if cfg is not last:
+            configs.add(cfg)
+            last = cfg
+        class_weights.append(entry.class_weights(p))
     if len(configs) > 1:
         raise ConfigError("the points of one grid must share one detector config")
-    (cfg,) = configs
-    return entry.table(cfg), list(map(entry.class_weights, points)), cfg
+    return (entry.table(last), class_weights, last) if configs else (None, [], None)
 
 
 def _row_sums(table: RowTable, values: Sequence, zero) -> list:
-    """The bucket totals in COUNT_KEYS order and the kept-pair sum of the rows
-    of ``table`` valued ``values``, one per row: each verdict's values added in
-    row order onto ``zero``, 0.0 for the weights of an exact run, so a grid
-    point and a single run agree to the bit, or 0 for the integer draw counts
-    of a Monte Carlo run.  A row that keeps no pair adds nothing to the
-    pair sum (every value is >= 0, so skipping it changes no bit)."""
+    """The totals of ``table.terms`` over ``values``, one per row: each
+    column's values times multipliers added in table order onto ``zero``,
+    0 for the draw counts of a Monte Carlo run."""
     sums = []
-    for rows in table.by_verdict:
+    for terms in table.terms:
         total = zero
-        for i in rows:
-            total += values[i]
+        for i, _, _, m in terms:
+            total += values[i] * m
         sums.append(total)
-    pairs = zero
-    for i, kept in table.kept:
-        pairs += values[i] * kept
-    sums.append(pairs)
     return sums
+
+
+def _exact_sums(table: RowTable, class_weights: Sequence) -> list:
+    """The totals of ``table.terms`` at a point: each column's class weight
+    times factor (times the kept pairs in the last) added in table order
+    onto 0.0, the IEEE products and sums of a single run's records (a
+    zero-weight row adds 0.0), so both agree to the bit.  No ``sum()`` or
+    ``math.fsum``: from Python 3.12 ``sum()`` of floats is compensated and
+    ``fsum`` rounds once, so either would change bits."""
+    *verdicts, kept = table.terms
+    sums = []
+    for terms in verdicts:  # a verdict's multiplier is 1: skipping it changes no bit
+        total = 0.0
+        for _, c, f, _ in terms:
+            total += class_weights[c] * f
+        sums.append(total)
+    pairs = 0.0
+    for _, c, f, m in kept:
+        pairs += class_weights[c] * f * m
+    return [*sums, pairs]
 
 
 def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
             seed: int | None = None) -> RunReport:
-    """The report of a run at ``params`` from its totals in ``_row_sums`` order:
+    """The report of a run at ``params`` from its totals in ``RowTable.terms`` order:
     the weight sums of an exact run (``trials`` None, one event), or the
     draw counts of a Monte Carlo run."""
     *counts, pairs = sums
@@ -547,18 +568,16 @@ def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
     events = trials if mc else 1
     fid = counts[0] / kept if kept > 0 else None
     y = kept / events
-    return RunReport(
-        pipeline=pipeline, mode="mc" if mc else "exact", fidelity=fid, yield_fraction=y,
-        counts=dict(zip(COUNT_KEYS, counts)), trials=trials, seed=seed,
-        fidelity_stderr=math.sqrt(fid * (1.0 - fid) / kept) if mc and kept >= 2 else None,
-        yield_stderr=math.sqrt(y * (1.0 - y) / trials) if mc and trials >= 2 else None,
-        extras=PIPELINES[pipeline].extras(params, counts, pairs, events),
-    )
+    return RunReport(  # positional: passing ten keywords per point is measurably slower
+        pipeline, "mc" if mc else "exact", fid, y, dict(zip(COUNT_KEYS, counts)), trials, seed,
+        math.sqrt(fid * (1.0 - fid) / kept) if mc and kept >= 2 else None,
+        math.sqrt(y * (1.0 - y) / trials) if mc and trials >= 2 else None,
+        PIPELINES[pipeline].extras(params, counts, pairs, events))
 
 
 def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     """Exact report of a pipeline at ``params``: its records, the table's rows
-    less those of zero weight, added per bucket in ``_row_sums`` order.  One
+    less those of zero weight, added per bucket in ``_exact_sums`` order.  One
     pass over the records, as building their index columns would allocate
     more than the report itself."""
     sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
@@ -578,7 +597,7 @@ def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
     points = list(points)  # walked thrice: checked, weighed, reported
     table, class_weights, _ = _weighted_rows(pipeline, points)
     for p, weights in zip(points, class_weights):
-        yield _report(pipeline, p, _row_sums(table, table.weights(weights), 0.0))
+        yield _report(pipeline, p, _exact_sums(table, weights))
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,8 @@ def two_pair_weights(fidelity: float) -> list:
     """
     if not 0.0 < fidelity <= 1.0:
         raise ConfigError("fidelity must lie in (0, 1]")
-    single = {"phi+": fidelity, "psi+": 1.0 - fidelity}
-    return [single[k1] * single[k2] for k1, k2 in TWO_PAIR_KINDS]
+    flip = 1.0 - fidelity
+    return [fidelity * fidelity, fidelity * flip, flip * fidelity, flip * flip]
 
 
 def two_pair_state(kind1: str, kind2: str) -> PureState:

@@ -1105,22 +1105,31 @@ class TestOutcomeTables:
         ("pbs", {"F": 0.9}),
     ])
     def test_records_agree_with_the_row_columns(self, pipeline, params, monkeypatch):
-        # single runs sum the records, grids and Monte Carlo the weighted
-        # table rows by verdict: the totals agree to the bit, and with a loop
-        # that adds every row, zero-weight and pairless ones too
+        # single runs sum the records, grids the class weights down each
+        # column of terms and Monte Carlo its values of each row: the totals
+        # agree to the bit, and with a loop that adds every row, zero-weight
+        # and pairless ones too
         records = enumerate_exact(pipeline, params)
         table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
         w = table.weights(class_weights)
-        sums = protocol._row_sums(table, w, 0.0)
-        summed = []
-        monkeypatch.setattr(protocol, "_report", lambda *args: summed.append(args[2]))
-        protocol._exact(pipeline, params, records)
-        assert summed == [sums]
         reference = [0.0] * (len(COUNT_KEYS) + 1)
         for row, weight in zip(table.rows, w):
             reference[COUNT_KEYS.index(row.verdict.value)] += weight
             reference[-1] += weight * row.kept_pairs
-        assert sums == reference
+        reference = [x.hex() for x in reference]
+        assert [x.hex() for x in protocol._exact_sums(table, class_weights)] == reference
+        assert [x.hex() for x in protocol._row_sums(table, w, 0.0)] == reference
+        summed = []
+        monkeypatch.setattr(protocol, "_report", lambda *args: summed.append(args[2]))
+        protocol._exact(pipeline, params, records)
+        assert [[x.hex() for x in sums] for sums in summed] == [reference]
+        # the same columns count Monte Carlo draws, one integer per row
+        draws = list(range(1, len(table.rows) + 1))
+        counted = [0] * (len(COUNT_KEYS) + 1)
+        for row, n in zip(table.rows, draws):
+            counted[COUNT_KEYS.index(row.verdict.value)] += n
+            counted[-1] += n * row.kept_pairs
+        assert protocol._row_sums(table, draws, 0) == counted
 
 
 class TestOutcomeVocabulary:
@@ -1168,6 +1177,15 @@ class TestOutcomeVocabulary:
             for key in self.REPORT_KEYS:
                 assert doc[key] == getattr(report, "yield_fraction" if key == "yield" else key)
             assert json.loads(json.dumps(doc)) == doc
+
+
+def _float_bits(value):
+    """``value`` with every float, however deeply nested, as its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _float_bits(v) for k, v in value.items()}
+    return value
 
 
 class TestExactReports:
@@ -1236,6 +1254,21 @@ class TestExactReports:
             with pytest.raises(ConfigError, match=f"unknown parameter.*'{key}'.*{pipeline}"):
                 run()
 
+    @pytest.mark.parametrize("pipeline, key", [
+        ("stage1", "p1"), ("stage1", "p2"), ("stage1", "f0"), ("stage2", "F"), ("pbs", "F"),
+    ])
+    def test_a_missing_key_raises(self, pipeline, key):
+        # a point that lacks a key the pipeline needs names it, as a
+        # ConfigError, not a bare KeyError; a grid checks every point first
+        good = {"F": 0.8} if pipeline != "stage1" else {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        bad = {k: v for k, v in good.items() if k != key}
+        for run in (lambda: monte_carlo(pipeline, bad, 1000, 1),
+                    lambda: enumerate_exact(pipeline, bad),
+                    lambda: next(exact_reports(pipeline, [bad])),
+                    lambda: next(exact_reports(pipeline, [good, good, bad]))):
+            with pytest.raises(ConfigError, match=f"missing parameter.*'{key}'.*{pipeline}"):
+                run()
+
     def test_stage2_and_pbs_have_one_table_each(self):
         for table in (_stage2_table, _pbs_table):
             table.cache_clear()
@@ -1254,3 +1287,53 @@ class TestExactReports:
             list(exact_reports("stage1", [point, dict(point, cfg=other)]))
         with pytest.raises(ConfigError, match="one detector config"):
             list(exact_reports("stage1", [point, dict(point, variant=Variant.QND3)]))
+        # each point's config is compared with the previous point's only:
+        # configs that alternate still differ
+        alternating = [dict(point, cfg=cfg) for cfg in [default_config(Variant.QND1), other] * 50]
+        with pytest.raises(ConfigError, match="one detector config"):
+            list(exact_reports("stage1", alternating))
+        with pytest.raises(ConfigError, match="one detector config"):
+            list(exact_reports("stage1", alternating[:1] * 50 + alternating[1:2]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_grid_is_bit_identical_to_its_single_runs(self, data):
+        # every float of each grid report has the single run's bits,
+        # at points whose zero-weight classes add 0.0 to the grid's totals
+        # and are left out of the single run's records
+        pipeline = data.draw(st.sampled_from(["stage1", "stage2", "pbs"]))
+        if pipeline == "stage1":
+            variant = data.draw(st.sampled_from([Variant.QND1, Variant.QND3]))
+            share = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5)
+            f0 = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+            point = st.fixed_dictionaries({"p1": share, "p2": share, "f0": f0})
+            points = data.draw(st.lists(point.filter(lambda p: p["p1"] + p["p2"] > 0),
+                                        min_size=1, max_size=6))
+            points = [dict(p, variant=variant) for p in points]
+
+            def single(p):
+                return stage1_run(PdcSourceParams(p["p1"], p["p2"]), NoiseParams(p["f0"]),
+                                  variant)
+        else:
+            fidelity = st.sampled_from([1.0]) | st.floats(0.0, 1.0, exclude_min=True)
+            points = [{"F": F} for F in data.draw(st.lists(fidelity, min_size=1, max_size=6))]
+            run = stage2_run if pipeline == "stage2" else pbs_baseline
+
+            def single(p):
+                return run(p["F"])
+        # a stage-1 closed form whose denominator underflows (p1 = 0 and a
+        # subnormal p2) raises: the grid raises it at that point as the
+        # single run does, after the same reports
+        expected, got = [], []
+        for p in points:
+            try:
+                expected.append(_float_bits(single(p).to_dict()))
+            except ZeroDivisionError as exc:
+                expected.append(repr(exc))
+                break
+        try:
+            for report in exact_reports(pipeline, points):
+                got.append(_float_bits(report.to_dict()))
+        except ZeroDivisionError as exc:
+            got.append(repr(exc))
+        assert got == expected

@@ -5,7 +5,9 @@ a stage-2 run and the PBS baseline at one admissible pair, as the
 benchmark's fresh-angle workload does.  Once the process is warm, the
 only work the pair brings is its six count classes: no passing branch
 result is rebuilt, no tag beyond the classes' is made, no ``Enum``
-member is hashed in Python, and no detector or state is built.
+member is hashed in Python, and no detector or state is built.  A warm
+exact grid does only its points' own arithmetic: it hashes its detector
+config once per grid, and builds each point's parameter objects once.
 """
 
 import enum
@@ -18,6 +20,7 @@ from kerrpurify import (
     PureState,
     QndConfig,
     Variant,
+    exact_reports,
     pbs_baseline,
     run_branch_suite,
     single_pair_state,
@@ -92,3 +95,28 @@ def test_a_warm_study_at_a_fresh_pair_runs_no_detector(monkeypatch):
     assert all(r.passed for r in suite) and len(reports) == 4
     assert ran == []
     assert {"apply_qnd", "apply_kerr", "PureState.of"} <= set(calls)
+
+
+def test_a_warm_grid_hashes_its_config_once_and_checks_every_point(monkeypatch):
+    cfg = QndConfig(Variant.QND1, PhaseTag(3, 16), PhaseTag(29, 64))
+    points = [{"p1": p1, "p2": p2, "f0": f0, "variant": cfg.variant, "cfg": cfg}
+              for p1 in (0.05, 0.1, 0.15, 0.2, 0.25) for p2 in (0.01, 0.02, 0.03, 0.04)
+              for f0 in (0.6, 0.7, 0.8, 0.9, 1.0)]
+    expected = [r.to_dict() for r in exact_reports("stage1", points)]  # warms the table
+    hashes, built = [], []
+    config_hash = QndConfig.__hash__
+
+    def count_hash(self):
+        hashes.append(self)
+        return config_hash(self)
+
+    for cls in (PdcSourceParams, NoiseParams):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=check: built.append(type(self)) or check(self))
+    monkeypatch.setattr(QndConfig, "__hash__", count_hash)
+    reports = [r.to_dict() for r in exact_reports("stage1", points)]
+    monkeypatch.undo()
+    assert reports == expected and len(points) == 100
+    assert len(hashes) <= 1
+    assert built.count(PdcSourceParams) == built.count(NoiseParams) == 100
