@@ -14,6 +14,7 @@ with its expectation once per process.  At an angle pair the suite
 builds the configs, which reject angles whose phases would not keep the
 counts apart, and renders the counts of a mismatch as phases; a passing
 case prints no phase, so it returns one frozen result at every pair.
+Once every case is known to pass, a suite at any pair runs no case.
 """
 
 from __future__ import annotations
@@ -281,6 +282,13 @@ def run_branch_case(case: BranchCase, cfg: QndConfig) -> CaseResult:
     return CaseResult(case.case_id, case.description, False, _describe(mismatches, cfg))
 
 
+@functools.cache  # the counts hold no angle: one verdict per process
+def _passing_suite() -> tuple:
+    """Every case's frozen passing result, in case order, or () if a case fails."""
+    failing = any(case.mismatches() for case in BRANCH_CASES)
+    return () if failing else tuple(case.passing_result() for case in BRANCH_CASES)
+
+
 def run_branch_suite(theta: PhaseTag | None = None,
                      theta_prime: PhaseTag | None = None,
                      only=None) -> list:
@@ -290,7 +298,8 @@ def run_branch_suite(theta: PhaseTag | None = None,
     theta/theta_prime override the defaults of the one- and two-Kerr
     detectors (the parity gadget keeps its fixed pi, the opposite-shift
     layout uses theta).  The configs are built before any case runs, so
-    angles that make any of them invalid raise whatever ``only`` selects.
+    angles that make any of them invalid raise whatever ``only`` selects;
+    only a failing case then runs, to describe it at the pair's own phases.
     """
     if only is not None:
         if not only:
@@ -302,5 +311,7 @@ def run_branch_suite(theta: PhaseTag | None = None,
     for v in (Variant.QND1, Variant.QND3):
         cfgs[v] = QndConfig(v, theta or cfgs[v].theta, theta_prime or cfgs[v].theta_prime)
     cfgs[Variant.QND4] = QndConfig(Variant.QND4, theta or cfgs[Variant.QND4].theta)
+    if passing := _passing_suite():  # every case passes, at any pair
+        return [r for r in passing if only is None or r.case_id in only]
     return [run_branch_case(case, cfgs[case.variant]) for case in BRANCH_CASES
             if only is None or case.case_id in only]

@@ -32,18 +32,16 @@ read.  Each pipeline therefore enumerates its branch tree once per
 process into an immutable table of outcome rows, with probe counts for
 readings (see ``fock``): stage 1 once per detector, stage 2 (whose pi
 parity detector takes no config) and PBS once each.  A config only
-labels a run's records: ``enumerate_exact`` reads each distinct count
-class of the table (its ``probes``) once through the config that
-``_weighted_rows`` checked, which hands out the tags it keeps, and copies
-the rows by unpacking, so a run builds no tag; grids and Monte Carlo read
-no tag.  A row carries
-its probability within an event class: a clean or flipped single pair or a
-double emission with its two flips (stage 1), or a Bell-kind pair of the
-two-pair mixture (stage 2, PBS).  The PIPELINES registry pairs each table with the
-function that weights its classes at a parameter point, so a row
-weighs its class weight times its own factor.  A row's class is its
-one ``Verdict`` field, and ``COUNT_KEYS``, the report's count buckets,
-are the verdicts' values in their order.
+labels a run's records: ``enumerate_exact`` copies the rows by unpacking
+and looks each row's counts up in the ``classes`` tags of the config that
+``_weighted_rows`` checked, so a run builds no tag; grids and Monte Carlo
+read no tag.  A row carries its probability within an event class: a clean
+or flipped single pair or a double emission with its two flips (stage 1),
+or a Bell-kind pair of the two-pair mixture (stage 2, PBS).  The PIPELINES
+registry pairs each table with the function that weights its classes at a
+parameter point, so a row weighs its class weight times its own factor.
+A row's class is its one ``Verdict`` field, and ``COUNT_KEYS``, the
+report's count buckets, are the verdicts' values in their order.
 
 ``_weighted_rows`` checks each point of a grid of one detector config
 and gives its class weights; a single run is a grid of one.  A table
@@ -195,11 +193,16 @@ class RunReport:
 
 
 def stage1_fidelity_closed_form(p1: float, p2: float, f0: float) -> float:
-    """Kept-pair fidelity of stage 1 as a closed form."""
-    denom = p1 + 0.5 * p2 * (f0**2 + (1.0 - f0) ** 2)
-    if denom == 0.0:
-        raise ZeroDivisionError("p1 and p2 cannot both be zero")
-    return (p1 + 0.5 * p2 * f0**2) / denom
+    """Kept-pair fidelity of stage 1 as a closed form.  Where the numerator
+    (never above the denominator) is zero or subnormal, p1 and p2 are first
+    divided by p1 + p2, so a tiny p1 + p2 neither raises nor costs precision."""
+    numer = p1 + 0.5 * p2 * f0**2
+    if numer < 2.0**-1022:  # zero or subnormal
+        if p1 + p2 == 0.0:
+            raise ZeroDivisionError("p1 and p2 cannot both be zero")
+        p1, p2 = p1 / (p1 + p2), p2 / (p1 + p2)
+        numer = p1 + 0.5 * p2 * f0**2
+    return numer / (p1 + 0.5 * p2 * (f0**2 + (1.0 - f0) ** 2))
 
 
 def stage2_fidelity_map(fidelity: float) -> float:
@@ -259,20 +262,13 @@ class RowTable(NamedTuple):
     per report total, the verdicts in COUNT_KEYS order and then the kept
     pairs: the (row, class, factor, multiplier) of each row that adds to
     the total, in table order, the multiplier 1 in a verdict's column and
-    the row's kept pairs in the last.  ``probes`` holds the distinct probe
-    counts of the rows in first-appearance order: a run reads each of these
-    once as a phase.
+    the row's kept pairs in the last.
     """
 
     rows: tuple
     cls: tuple
     factor: tuple
     terms: tuple
-    probes: tuple
-
-    def weights(self, class_weights: Sequence) -> list:
-        """The weight of each row at a point whose classes weigh ``class_weights``."""
-        return [class_weights[c] * f for c, f in zip(self.cls, self.factor)]
 
 
 def _row_table(classes) -> RowTable:
@@ -283,8 +279,7 @@ def _row_table(classes) -> RowTable:
     return RowTable(rows, cls, tuple(r.weight for r in rows),
                     tuple(tuple((i, c, f, 1) for i, c, f, r in indexed if r.verdict is verdict)
                           for verdict in _BUCKET)
-                    + (tuple((i, c, f, r.kept_pairs) for i, c, f, r in indexed if r.kept_pairs),),
-                    tuple(dict.fromkeys(c for r in rows for c in r[:2])))
+                    + (tuple((i, c, f, r.kept_pairs) for i, c, f, r in indexed if r.kept_pairs),))
 
 
 class Reading(NamedTuple):
@@ -459,11 +454,6 @@ def _stage1_extras(params: dict, counts: list, pairs, events) -> dict:
     }
 
 
-def _two_pair_class_weights(params: dict) -> list:
-    """Weights of the ``TWO_PAIR_KINDS`` classes of the stage-2 and PBS tables."""
-    return two_pair_weights(params["F"])
-
-
 def _two_pair_extras(baseline: bool, params: dict, counts, pairs, events) -> dict:
     fidelity = params["F"]
     return {"closed_form_fidelity": stage2_fidelity_map(fidelity),
@@ -492,17 +482,17 @@ PIPELINES = {
                        lambda cfg: _stage1_rows(cfg.variant), _stage1_class_weights,
                        _stage1_extras),
     "stage2": Pipeline(frozenset({"F"}), frozenset({"F"}), lambda p: default_config(Variant.QND2),
-                       lambda cfg: _stage2_table(),
-                       _two_pair_class_weights, functools.partial(_two_pair_extras, False)),
+                       lambda cfg: _stage2_table(), lambda p: two_pair_weights(p["F"]),
+                       functools.partial(_two_pair_extras, False)),
     "pbs": Pipeline(frozenset({"F"}), frozenset({"F"}), lambda p: None, lambda cfg: _pbs_table(),
-                    _two_pair_class_weights, functools.partial(_two_pair_extras, True)),
+                    lambda p: two_pair_weights(p["F"]), functools.partial(_two_pair_extras, True)),
 }
 
 
 def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
     """(table, class weights at each point, config) of a pipeline over ``points``,
     parameter dicts of one detector config, each checked; a run is a grid of
-    one.  A row weighs its class weight times its factor (``RowTable.weights``).
+    one.  A row weighs its class weight times its factor.
     Each point's config is checked, but only one that is not the previous
     point's object joins the set, so a grid of one config hashes it once."""
     if pipeline not in PIPELINES:
@@ -720,7 +710,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
     cuts = [start + trials * k // spans for k in range(spans + 1)]
     sizes = [_chunks(end - begin, spans) for begin, end in zip(cuts, cuts[1:])]
     table, (class_weights,), _ = _weighted_rows(pipeline, [params])
-    w = np.array(table.weights(class_weights))
+    w = np.array([class_weights[c] * f for c, f in zip(table.cls, table.factor)])
     drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
     edges = np.cumsum(w[drawn])
     edges[-1] = 1.0  # round-off must leave no uniform above the top edge
@@ -785,14 +775,13 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
     Returns fresh records of the rows of nonzero weight, in table order,
     with their counts read as phases of the point's config: its angles keep
     the six count classes apart, so the rows' verdicts hold for the phases,
-    and each record holds the config's own tag of its class.
+    and each record holds the config's own tag of its class (``classes``).
     """
     table, (class_weights,), cfg = _weighted_rows(pipeline, [params])
-    # the config's tag of each count class; PBS rows read no probe, so its one class is None
-    tag = {c: cfg.phase(c) if cfg else None for c in table.probes}
-    return [_new_record((tag[a], tag[b], verdict, state, wi, fid, order, pairs))
-            for (a, b, verdict, state, _, fid, order, pairs), wi
-            in zip(table.rows, table.weights(class_weights)) if wi != 0.0]
+    tag = cfg.classes if cfg else {None: None}  # PBS rows read no probe
+    return [_new_record((tag[a], tag[b], verdict, state, w, fid, order, pairs))
+            for (a, b, verdict, state, _, fid, order, pairs), c, f
+            in zip(table.rows, table.cls, table.factor) if (w := class_weights[c] * f) != 0.0]
 
 
 def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:

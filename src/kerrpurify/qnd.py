@@ -34,8 +34,8 @@ the detector's row and party, Bob's on his own modes and probe; QND2's
 theta is pi, so it then keeps its count mod 2, and QND4 keeps signed
 counts.  No angle enters: a detector runs by its ``Variant``.
 A ``QndConfig`` is read only where a phase leaves the library: its
-``phase`` reads counts as a ``PhaseTag``, and it accepts only angles at
-which the counts the protocol produces read distinct phases.
+``classes`` and ``phase`` read counts as a ``PhaseTag``, and it accepts
+only angles at which the counts the protocol produces read distinct phases.
 
 Each probe is read out by homodyning it.  ``fock.project_probe`` is the
 exact-phase readout (used with QND1-QND3), on the counts.
@@ -125,13 +125,14 @@ def _check_phase_classes(t: PhaseTag, tp: PhaseTag) -> dict:
 class QndConfig:
     """The angles at which a detector's probe counts read as phases.
     Building one checks it, so a QndConfig that exists is valid: each
-    angle it reads is a ``PhaseTag``.  It keeps the tag of each count class
-    its detector reads, shared by the configs of one angle pair."""
+    angle it reads is a ``PhaseTag``.  ``classes`` maps each count class
+    its detector reads to its tag, one dict shared by the configs of one
+    angle pair and read, never changed, by exact runs."""
 
     variant: Variant
     theta: PhaseTag
     theta_prime: PhaseTag | None = None
-    _classes: dict = field(init=False, repr=False, compare=False)
+    classes: dict = field(init=False, repr=False, compare=False)  # count class -> its tag
 
     def __post_init__(self):
         t, tp = self.theta, self.theta_prime
@@ -148,13 +149,13 @@ class QndConfig:
             raise ConfigError("qnd2 requires theta = pi exactly")
         if self.variant == Variant.QND4 and (t == ZERO_PHASE or t == PI):
             raise ConfigError("qnd4 requires theta with +theta != -theta mod 2*pi")
-        object.__setattr__(self, "_classes", _check_phase_classes(t, tp) if reads_prime
+        object.__setattr__(self, "classes", _check_phase_classes(t, tp) if reads_prime
                            else {ZERO_COUNTS: ZERO_PHASE, (1, 0): t})
 
     def phase(self, counts: tuple) -> PhaseTag:
         """The probe phase a*theta + b*theta' of the probe counts (a, b): the
         config's own tag of a count class it keeps, else a new tag."""
-        tag = self._classes.get(counts)
+        tag = self.classes.get(counts)
         if tag is not None:
             return tag
         a, b = counts

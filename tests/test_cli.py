@@ -1142,3 +1142,19 @@ class TestCliContract:
             assert code == 2, (argv, code)
             assert out == "" and "Traceback" not in err, (argv, out, err)
             assert _snapshot(root) == before, (argv, err)
+
+
+class TestSubnormalEmission:
+    # p1 = 0 with a subnormal p2 is a valid point whose plain closed-form
+    # denominator underflows to 0: the command must still report it
+
+    def test_stage1_exits_0_with_a_finite_closed_form(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-m", "kerrpurify.cli", "stage1", "--p1", "0",
+                              "--p2", "5e-324", "--f0", "0", "--out", "run.json"],
+                             cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.returncode == 0 and out.stderr == ""
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert math.isfinite(doc["closed_form_fidelity"])
+        assert doc["closed_form_fidelity"] == doc["fidelity"] == 0.0

@@ -4,13 +4,16 @@ A study runs the branch suite, a stage-1 run of each two-angle detector,
 a stage-2 run and the PBS baseline at one admissible pair, as the
 benchmark's fresh-angle workload does.  Once the process is warm, the
 only work the pair brings is its six count classes: no passing branch
-result is rebuilt, no tag beyond the classes' is made, no ``Enum``
-member is hashed in Python, and no detector or state is built.  A warm
-exact grid does only its points' own arithmetic: it hashes its detector
-config once per grid, and builds each point's parameter objects once.
+result is rebuilt and no branch case is run, no tag beyond the classes'
+is made, no phase is read but through a config's ``classes``, no
+``Enum`` member is hashed in Python, and no detector or state is built.
+A warm exact grid does only its points' own arithmetic: it hashes its
+detector config once per grid, and builds each point's parameter
+objects once.
 """
 
 import enum
+import itertools
 import sys
 
 from kerrpurify import (
@@ -20,6 +23,7 @@ from kerrpurify import (
     PureState,
     QndConfig,
     Variant,
+    default_config,
     exact_reports,
     pbs_baseline,
     run_branch_suite,
@@ -27,7 +31,7 @@ from kerrpurify import (
     stage1_run,
     stage2_run,
 )
-from kerrpurify import protocol, qnd
+from kerrpurify import branches, protocol, qnd
 from kerrpurify.branches import CaseResult
 
 
@@ -67,6 +71,43 @@ def test_a_warm_study_at_a_fresh_pair_builds_only_its_count_classes(monkeypatch)
     assert passing == []
     assert len(tags) <= 6  # at most one per count class {0, t, t', 2t, 2t', t+t'}
     assert enum_hashes == []
+
+
+def test_a_warm_study_at_a_fresh_pair_reads_no_phase_and_runs_no_branch_case(monkeypatch):
+    # a run labels its rows from its config's class tags, and a suite whose
+    # cases all pass hands back their frozen results: neither reads a phase
+    _study(PhaseTag(5, 16), PhaseTag(37, 64))  # warms every per-process cache
+    calls = []
+    phase, run_case = QndConfig.phase, branches.run_branch_case
+    monkeypatch.setattr(QndConfig, "phase",
+                        lambda self, counts: calls.append("phase") or phase(self, counts))
+    monkeypatch.setattr(branches, "run_branch_case",
+                        lambda case, cfg: calls.append("case") or run_case(case, cfg))
+    suite, *reports = _study(PhaseTag(13, 32), PhaseTag(53, 64))  # no cache holds this pair
+    ran = list(calls)
+    default_config(Variant.QND1).phase((3, 0))  # the counters do count
+    branches.run_branch_case(branches.BRANCH_CASES[0], default_config(Variant.QND1))
+    monkeypatch.undo()
+    assert all(r.passed for r in suite) and len(reports) == 4
+    assert [r.case_id for r in suite] == list(branches.CASE_IDS)
+    assert all(r is case.passing_result() for r, case in zip(suite, branches.BRANCH_CASES))
+    assert ran == []
+    assert calls == ["phase", "case"]
+
+
+def test_every_table_reads_only_counts_its_config_tags():
+    # a run looks each row's probe counts up in its config's ``classes``:
+    # every stage-1 count is one of the qnd1 and qnd3 configs' six classes at
+    # any pair, every stage-2 count one of qnd2's two, and PBS reads no probe
+    pairs = [(None, None), (PhaseTag(3, 16), PhaseTag(29, 64))]
+    for variant, (theta, theta_prime) in itertools.product((Variant.QND1, Variant.QND3), pairs):
+        cfg = QndConfig(variant, theta, theta_prime) if theta else default_config(variant)
+        table = protocol._stage1_rows(variant)
+        counts = {c for row in table.rows for c in row[:2]}
+        assert len(counts) == 5 and counts <= cfg.classes.keys(), (variant, theta)
+    stage2 = {c for row in protocol._stage2_table().rows for c in row[:2]}
+    assert stage2 == default_config(Variant.QND2).classes.keys() == {(0, 0), (1, 0)}
+    assert {c for row in protocol._pbs_table().rows for c in row[:2]} == {None}
 
 
 def test_a_warm_study_at_a_fresh_pair_runs_no_detector(monkeypatch):
