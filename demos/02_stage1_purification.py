@@ -4,8 +4,8 @@
 A down-conversion source emits one pair with weight p1 and two pairs
 with weight p2.  Transmission flips each pair with probability 1-f0.
 The detector's homodyne comparison keeps every single-pair event and
-only the one-photon-per-port class of double emissions, which pushes
-the kept fidelity toward 1 as long as p2 << p1.
+only the double emissions that both parties read as theta + theta',
+which pushes the kept fidelity toward 1 as long as p2 << p1.
 """
 
 from kerrpurify import (

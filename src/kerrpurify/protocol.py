@@ -6,17 +6,19 @@ pairs.  Each pair independently suffers a bit flip with probability
 1-f0, passes the detector, and both parties compare homodyne readings.
 Single-pair events are always kept (Alice flips her photon when the
 readings differ).  Double emissions are kept only when both parties
-read theta+theta', the class whose photons exit one per port; those
-events yield two pairs.  Double emissions where both parties read the
-same doubled shift (2*theta or 2*theta') leave both pairs bunched at
-one port: their rows carry the verdict ``KEPT_SAME_PORT``, are tallied
-separately and are excluded from the headline fidelity, which then
-matches the closed form
+read theta+theta'; those events yield two pairs.  Double emissions
+where both parties read the same doubled shift (2*theta or 2*theta')
+carry the verdict ``KEPT_SAME_PORT``: they are tallied separately and
+left out of the headline fidelity, which then matches the closed form
 
     (p1 + p2 f0^2 / 2) / (p1 + p2 [f0^2 + (1-f0)^2] / 2)
 
-exactly.  Metrics under the convention that also counts the bunched
-events appear in the report extras.
+exactly.  Metrics under the convention that also counts them appear in
+the report extras.  These verdicts name reading classes.  Under qnd3
+they are port occupancies too: theta+theta' leaves one photon in each
+port of each party, a doubled shift none.  Under qnd1, the default,
+theta reads "upper H or lower V" and theta' "upper V or lower H", so
+each of the three classes has one photon per port in half its weight.
 
 Stage 2 (two pairs from an ideal source + the pi parity detector):
 keep when both parties read the same shift, flip the upper pair on the
@@ -54,37 +56,19 @@ with no list of row weights, and ``monte_carlo`` its draws of each row
 ``enumerate_exact``, the same rows less those of zero weight, in the
 same order, so every mode agrees to the bit, and ``_report`` builds
 every report.  Exact runs weight and sum their (at most 20) rows in
-Python floats; only Monte Carlo, for the Philox stream and the word
-counts below, imports numpy.
+Python floats; only Monte Carlo imports numpy.
 Every kept row's fidelity is exactly 1.0 (correct) or 0.0 (erroneous),
 so a report's fidelity is its correct total over its kept total.
-Monte Carlo has one entry point, ``monte_carlo``: it draws one uniform
-per trial and inverts the cumulative row weights with it.  Trial t reads
-word t of a counter-based stream keyed by the seed, so any partition of
-the trial range aggregates to identical counts.  A run cuts its range
-into one contiguous span per CPU the process may run on, but at most
-MC_SPANS (the widest split benchmarked) and never more spans than
-MC_CHUNK blocks, so a small run stays on one thread.  The caller counts
-the first span and a thread each other one (the caller too, should no
-thread start), every span reading its words from one Philox generator
-advanced to the span's start; numpy releases the GIL while it draws, the
-largest share of the work, so the spans run in parallel.  A span draws
-MC_CHUNK // spans trials at a time and frees them before the next draw,
-so at most MC_CHUNK words are in flight whatever the trial or CPU count,
-plus per span one buffer of their top bits and two count arrays.
 
-The uniform of word t is u_t = (word_t >> 11) 2**-53, and trial t draws
-row i when edge[i-1] <= u_t < edge[i].  Since u_t is a multiple of
-2**-53, u_t < e holds exactly when word_t < ceil(e 2**53) << 11, so
-each run turns its edges into integer limits once and counts straight
-from the raw words.  Each span keeps two counts for its whole life: a
-histogram of the words' top GUIDE_BITS bits, and for each limit the
-words in its guide bin below it, found by sorting the few words of the
-bins a limit cuts and searching them for the bin's start and the limit.
-Once all spans end, their counts are summed: the words below a limit are
-those of the bins below its bin plus those of its bin below it.  No float
-uniform and no per-trial search is made, and the stream, the counts and
-the reports are the ones the float inversion gives.
+Monte Carlo has one entry point, ``monte_carlo``.  Each trial draws one
+row from the row weights, independently, so a run's row counts are one
+multinomial draw of its trials at those weights, and a run makes just
+that draw: one ``Generator.multinomial`` call on the Philox generator
+keyed by the seed, over the rows of nonzero weight.  Its time and memory
+do not grow with the trial count, which lies in [1, 2**63).  NumPy's
+NEP 19 keeps the Philox stream fixed across numpy versions, but not
+the algorithm of ``multinomial``, so a seed gives the same report under
+one numpy version and may give another under the next.
 """
 
 from __future__ import annotations
@@ -92,8 +76,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
-import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product as iproduct
@@ -141,8 +123,9 @@ class Verdict(Enum):
     """The class of an outcome row, and the report bucket it is counted in.
 
     ``KEPT_SAME_PORT``: a stage-1 double emission where both parties read
-    the same doubled shift, so both pairs leave bunched at one port; the
-    headline fidelity and yield leave it out.
+    the same doubled shift; the headline fidelity and yield leave it out.
+    It names a reading class: none of its weight has one photon in each
+    port of each party under qnd3, half of it under qnd1 (module docstring).
     """
 
     __hash__ = object.__hash__  # an Enum equals only itself, so hash it by identity
@@ -326,7 +309,7 @@ def _classify_pair(state: PureState, flip: bool) -> tuple:
 
 
 # The rows below hold probe counts where a record holds tags.
-_KEEP = (1, 1)  # theta + theta': the double emissions that leave one photon per port
+_KEEP = (1, 1)  # theta + theta': the one reading of a double emission that is kept
 
 
 def _order1_row(leaf: Reading) -> OutcomeRecord:
@@ -596,20 +579,11 @@ def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
 
 # Only the Monte Carlo functions below import numpy, inside their bodies, so
 # exact runs and the CLI's start-up never load it.
-MC_CHUNK = 1 << 16  # trials drawn at once: bounds MC memory whatever the trial count
-MC_SPANS = 2  # most spans counted at once: the widest split benchmarked (BENCH_22.json)
-GUIDE_BITS = 12  # a chunk's words are binned on their top bits before the exact compares
-_ABOVE_ALL = 1 << GUIDE_BITS  # the guide bin of the limit 2**64, above every word
 
 
 def _philox(seed: int, start: int):
     """The Philox generator keyed by the seed, its next word that of trial
-    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64).
-
-    Counter-based: trial t always reads word t of the stream keyed by the
-    seed, so any partition of the trial range reproduces the same
-    per-trial words.
-    """
+    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64)."""
     import numpy as np
     seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
     if not 0 <= seed < 2**64:
@@ -626,139 +600,26 @@ def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
     return (_philox(seed, start).random_raw(n_trials) >> np.uint64(11)) * (2.0 ** -53)
 
 
-def _word_limits(edges: np.ndarray) -> tuple:
-    """(guide bin of each edge, bounds, mask of the guide bins the limits
-    cut).  ``bounds`` holds the start of each edge's guide bin, then its
-    limit: u_t < edge exactly when word_t < limit.
-
-    A uniform is a multiple of 2**-53, so u_t >= e is word_t >= ceil(e 2**53)
-    << 11.  An edge of 1.0 or above maps to 2**64, beyond uint64: its guide
-    bin is the sentinel _ABOVE_ALL, which every word lies below, and its
-    bin start and limit are both 0.
-    """
+def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple:
+    """(table, draws of each row): one multinomial draw of ``trials`` at the
+    row weights, from the Philox generator keyed by the seed.  Only rows of
+    nonzero weight take part, so numpy's last category, the one that takes
+    the remainder, is never a row of zero weight; the others draw 0."""
     import numpy as np
-    shift = np.uint64(64 - GUIDE_BITS)
-    scaled = np.ceil(edges * 2.0**53)
-    above_all = scaled >= 2.0**53
-    limits = np.where(above_all, 0.0, scaled).astype(np.uint64) << np.uint64(11)
-    bins = np.where(above_all, _ABOVE_ALL, (limits >> shift).astype(np.int64))
-    cut = np.zeros(_ABOVE_ALL + 1, dtype=bool)
-    cut[bins] = True
-    return bins, np.concatenate([limits >> shift << shift, limits]), cut
-
-
-def _count_chunk(stream, size: int, buf: np.ndarray, bounds: np.ndarray, cut: np.ndarray,
-                 hist: np.ndarray, in_bin: np.ndarray) -> None:
-    """Draw the next ``size`` words of ``stream`` and add them to a span's
-    counts, both kept for the span's life: ``hist`` counts the words' top
-    GUIDE_BITS bits, written into ``buf``, and ``in_bin`` the words in each
-    limit's guide bin below the limit (see ``_word_limits``).  Only the
-    words of the bins a limit cuts, a few per thousand, are kept, sorted and
-    searched for the bin starts and limits in ``bounds``; the chunk itself
-    is freed before the histogram is made."""
-    import numpy as np
-    words = stream.random_raw(size)
-    top = np.right_shift(words, np.uint64(64 - GUIDE_BITS), out=buf[:size]).view(np.int64)
-    near = words[cut[top]]
-    del words
-    near.sort()
-    below = np.searchsorted(near, bounds)  # near words below each bin start, then limit
-    in_bin += below[len(in_bin):] - below[:len(in_bin)]
-    hist += np.bincount(top, minlength=_ABOVE_ALL + 1)
-
-
-def _rows_drawn(bins: np.ndarray, hist: np.ndarray, in_bin: np.ndarray) -> np.ndarray:
-    """The words in [limit[i-1], limit[i]) for each limit i, from the
-    counts of ``_count_chunk`` over all chunks: the words in the bins below
-    a limit's bin plus those in its bin below it.  Every word lies in the
-    bins below the sentinel _ABOVE_ALL, whose ``hist`` and ``in_bin`` are 0."""
-    import numpy as np
-    return np.diff(np.cumsum(hist)[bins] - hist[bins] + in_bin, prepend=0)
-
-
-def _chunks(trials: int, spans: int = 1):
-    """Sizes of the slices covering [0, trials) that one of ``spans``
-    concurrent spans draws at a time, MC_CHUNK // spans trials each, yielded
-    lazily so that a huge trial count costs no memory up front."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    step = max(1, MC_CHUNK // spans)
-    return (min(step, trials - start) for start in range(0, trials, step))
-
-
-def _workers() -> int:
-    """Spans a run counts at once: the CPUs this process may run on, at
-    most MC_SPANS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(MC_SPANS, cpus)
-
-
-def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int,
-                   start: int = 0) -> tuple:
-    """(table, draws of each row) over trials [start, start + trials).
-
-    Each trial draws the row its uniform selects from the cumulative row
-    weights, counted on the raw words against the edges' integer limits,
-    span by span (see the module docstring).  A span that raises stops the
-    others, and its error is raised once every thread has ended.
-    """
-    import numpy as np
-    spans = max(1, min(_workers(), -(-trials // MC_CHUNK)))
-    cuts = [start + trials * k // spans for k in range(spans + 1)]
-    sizes = [_chunks(end - begin, spans) for begin, end in zip(cuts, cuts[1:])]
+    if not 1 <= trials < 2**63:  # numpy's multinomial takes no more
+        raise ValueError(f"trials must lie in [1, 2**63), not {trials}")
     table, (class_weights,), _ = _weighted_rows(pipeline, [params])
     w = np.array([class_weights[c] * f for c, f in zip(table.cls, table.factor)])
-    drawn = np.flatnonzero(w)  # a zero-weight row is never drawn
-    edges = np.cumsum(w[drawn])
-    edges[-1] = 1.0  # round-off must leave no uniform above the top edge
-    bins, bounds, cut = _word_limits(edges)
-    streams = [_philox(seed, begin) for begin in cuts[:-1]]  # checks the seed before any thread
-    hist = np.zeros((spans, _ABOVE_ALL + 1), dtype=np.int64)  # each span's counts
-    in_bin = np.zeros((spans, len(bins)), dtype=np.int64)
-    errors = []
-
-    def count(k: int) -> None:
-        buf = None  # the span's top bits, sized by its first (largest) slice
-        try:
-            for size in sizes[k]:
-                if errors:  # another span failed, and its error is raised
-                    return
-                if buf is None:
-                    buf = np.empty(size, dtype=np.uint64)
-                _count_chunk(streams[k], size, buf, bounds, cut, hist[k], in_bin[k])
-        except BaseException as exc:  # raised by the caller once all spans stop
-            errors.append(exc)
-
-    mine, started = [0], []  # the caller counts span 0 and any span no thread took
-    try:
-        for k in range(1, spans):
-            thread = threading.Thread(target=count, args=(k,))
-            try:
-                thread.start()
-            except RuntimeError:  # no new thread to be had
-                mine.append(k)
-            else:
-                started.append(thread)
-        for k in mine:
-            count(k)
-        for thread in started:
-            thread.join()
-    except BaseException as exc:  # interrupted while starting or joining
-        errors.append(exc)  # stops the spans still counting
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+    drawn = np.flatnonzero(w)
     row_counts = np.zeros(len(w), dtype=np.int64)
-    row_counts[drawn] = _rows_drawn(bins, hist.sum(axis=0), in_bin.sum(axis=0))
+    row_counts[drawn] = np.random.Generator(_philox(seed, 0)).multinomial(
+        trials, w[drawn] / w[drawn].sum())
     return table, row_counts
 
 
 def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
-    """Seeded Monte Carlo run of a named pipeline; same seed, same report."""
+    """Seeded Monte Carlo run of a named pipeline; same seed, same report
+    (under one numpy version, see the module docstring)."""
     # 1.5 raises; a numpy integer is reported as a plain int
     trials, seed = operator.index(trials), operator.index(seed)
     table, row_counts = _mc_row_counts(pipeline, params, trials, seed)

@@ -16,7 +16,6 @@ from kerrpurify import (
     Spatial,
     ZERO_COUNTS,
 )
-from kerrpurify.protocol import _row_sums
 
 ALL_PORT_MODES = tuple(
     ModeLabel(p, s, pol)
@@ -28,12 +27,6 @@ ALL_PORT_MODES = tuple(
 # angles in units of pi, admissible or not: tests assume() away the
 # pairs a QndConfig rejects
 angles = st.builds(Fraction, st.integers(1, 47), st.integers(2, 24))
-
-
-def mc_totals(table, row_counts) -> list:
-    """The integer totals a Monte Carlo run reports from its draws of each
-    row of ``table``: the draws of each verdict, then the kept pairs."""
-    return _row_sums(table, row_counts.tolist(), 0)
 
 
 def random_angle_pair(rng) -> tuple:

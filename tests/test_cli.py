@@ -471,6 +471,30 @@ class TestSeedRange:
         assert "Traceback" not in out + err
 
 
+class TestTrialRange:
+    # numpy's multinomial takes fewer than 2**63 trials and raises
+    # OverflowError beyond: the run refuses them first, with exit 2
+    @pytest.mark.parametrize("trials", ["0", str(2**63), str(2**64)])
+    @pytest.mark.parametrize("argv", [
+        ["stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8", "--out", "run.json",
+         "--csv", "rows.csv"],
+        ["sweep", "stage2", "--F", "0.7,0.8", "--baseline", "--csv", "rows.csv"],
+    ], ids=["stage1", "sweep"])
+    def test_a_trial_count_numpy_cannot_draw_exits_2_and_writes_nothing(
+            self, capsys, tmp_path, monkeypatch, argv, trials):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv + ["--mode", "mc", "--trials", trials], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "trials" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_largest_trial_count_runs(self, capsys, tmp_path):
+        out = tmp_path / "run.json"
+        assert run_cli(["stage2", "--F", "0.8", "--mode", "mc", "--trials", str(2**63 - 1),
+                        "--out", str(out)], capsys)[0] == 0
+        assert json.loads(out.read_text())["trials"] == 2**63 - 1
+
+
 NO_NUMPY_CLI = """
 import sys
 sys.modules["numpy"] = None  # importing numpy raises ImportError

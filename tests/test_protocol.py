@@ -6,13 +6,10 @@ import os
 import random
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +19,7 @@ from hypothesis import strategies as st
 from kerrpurify import (
     ConfigError,
     NoiseParams,
+    Party,
     PdcSourceParams,
     PhaseTag,
     QndConfig,
@@ -32,6 +30,7 @@ from kerrpurify import (
     monte_carlo,
     overlap,
     pbs_baseline,
+    project_probe,
     stage1_fidelity_closed_form,
     stage1_run,
     stage2_fidelity_map,
@@ -43,27 +42,23 @@ from kerrpurify import protocol, qnd
 from kerrpurify.branches import BRANCH_CASES, BranchCase
 from kerrpurify.protocol import (
     COUNT_KEYS,
-    MC_CHUNK,
     PHI_PLUS_MERGED,
     PSI_PLUS_MERGED,
     PSI_PLUS_UPPER,
-    _count_chunk,
     _mc_row_counts,
     _pbs_table,
     _philox,
-    _rows_drawn,
     _stage2_table,
-    _word_limits,
     pbs_records,
     stage1_records,
     stage2_records,
     trial_uniforms,
 )
-from kerrpurify.qnd import default_config
+from kerrpurify.qnd import apply_qnd, default_config
 from kerrpurify.sources import TWO_PAIR_KINDS, single_pair_state
 
-from conftest import angles, mc_totals, random_angle_pair
-from oracle import per_medium_phases
+from conftest import angles, random_angle_pair
+from oracle import pdc_emit, per_medium_phases
 
 
 class TestClosedForms:
@@ -503,16 +498,6 @@ class TestMonteCarlo:
         ])
         assert np.array_equal(full, parts)
 
-    def test_parallel_equals_serial_counts(self):
-        params = {"p1": 0.1, "p2": 0.02, "f0": 0.8}
-        table, full = _mc_row_counts("stage1", params, 80_000, 5)
-        _, lo = _mc_row_counts("stage1", params, 30_001, 5)
-        _, hi = _mc_row_counts("stage1", params, 49_999, 5, start=30_001)
-        assert np.array_equal(full, lo + hi)
-        serial = mc_totals(table, full)
-        assert serial == [a + b for a, b in zip(mc_totals(table, lo), mc_totals(table, hi))]
-        assert sum(serial[:-1]) == 80_000
-
     def test_stage1_within_three_sigma(self):
         report = monte_carlo("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8},
                              100_000, seed=0)
@@ -563,169 +548,82 @@ class TestMonteCarlo:
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             trial_uniforms(seed, 10)
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo("stage2", {"F": 0.8}, 10, seed)
 
     def test_largest_seed_accepted(self):
         assert trial_uniforms(2**64 - 1, 10).shape == (10,)
 
+    def test_distinct_seeds_give_distinct_row_counts(self):
+        for pipeline, params in MC_RUNS:
+            counts = {tuple(_mc_row_counts(pipeline, params, 100_000, seed)[1].tolist())
+                      for seed in range(100)}
+            assert len(counts) == 100, pipeline
 
-def _float_row_counts(edges, uniforms):
-    """The float reference: each uniform searched in the edges."""
-    return np.bincount(np.searchsorted(edges, uniforms, side="right"),
-                       minlength=len(edges))
-
-
-def _uniforms(words):
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
-def _integer_row_counts(edges, words, sizes=None):
-    """The rows drawn by ``words``, counted as one span counts them: chunk
-    by chunk, ``sizes`` words at a time (one chunk if None), into one
-    histogram and one in-bin count per limit."""
-    bins, bounds, cut = _word_limits(edges)
-    sizes = sizes or [len(words)]
-    assert sum(sizes) == len(words)
-    chunks = iter(np.split(words, np.cumsum(sizes)[:-1]))
-    stream = SimpleNamespace(random_raw=lambda size: next(chunks))
-    buf = np.empty(max(sizes), dtype=np.uint64)
-    hist = np.zeros(protocol._ABOVE_ALL + 1, dtype=np.int64)
-    in_bin = np.zeros(len(bins), dtype=np.int64)
-    for size in sizes:
-        _count_chunk(stream, size, buf, bounds, cut, hist, in_bin)
-    return _rows_drawn(bins, hist, in_bin)
-
-
-def _edges(weights):
-    """Cumulative edges as ``_mc_row_counts`` builds them."""
-    edges = np.cumsum(np.asarray(weights, dtype=float))
-    edges[-1] = 1.0
-    return edges
-
-
-def _words_at_edges(edges):
-    """The first word whose uniform reaches each edge below 1, and the word
-    just below it, found with exact rationals."""
-    planted = []
-    for e in edges:
-        first = math.ceil(Fraction(float(e)) * 2**53) << 11
-        if first < 2**64:
-            planted += [first, max(first - 1, 0)]
-    return np.array(planted + [0, 2**64 - 1], dtype=np.uint64)
-
-
-class TestWordLimitCounts:
-    """Counting rows on the raw words equals the float uniform search."""
-
-    def test_random_weights_with_tiny_rows(self):
-        rng = np.random.default_rng(20)
-        words = rng.integers(0, 2**64 - 1, size=4000, dtype=np.uint64, endpoint=True)
-        for _ in range(300):
-            w = rng.random(rng.integers(1, 21))
-            tiny = rng.random(len(w)) < 0.3
-            w[tiny] **= rng.integers(1, 31, size=tiny.sum())
-            edges = _edges(w / w.sum())
-            sample = np.concatenate([words, _words_at_edges(edges)])
-            assert np.array_equal(_integer_row_counts(edges, sample),
-                                  _float_row_counts(edges, _uniforms(sample)))
-
-    @pytest.mark.parametrize("edges", [
-        [0.5, 1.0, 1.0, 1.0],                              # rounds to 1.0 early
-        [0.25, 1.0000000000000002, 1.0],                   # rounds above 1.0
-        [1.0],
-        [2.0**-60, 2.0**-53, 0.5 - 2.0**-54, 1 - 2.0**-53, 1.0],
-    ])
-    def test_edges_at_and_above_one(self, edges):
-        edges = np.array(edges)
-        words = np.concatenate([
-            np.random.default_rng(1).integers(0, 2**64 - 1, size=1000, dtype=np.uint64,
-                                              endpoint=True),
-            _words_at_edges(edges),
-            np.array([2**64 - 2048, 2**64 - 2049], dtype=np.uint64),
-        ])
-        assert np.array_equal(_integer_row_counts(edges, words),
-                              _float_row_counts(edges, _uniforms(words)))
-
-    def test_words_planted_at_each_limit(self):
-        edges = _edges([0.1, 0.2, 1e-12, 0.3, 1e-300, 0.4 - 1e-12])
-        limits = _word_limits(edges)[1][len(edges):]
-        planted = np.concatenate([limits[:-1], limits[:-1] - np.uint64(1)])
-        counts = _integer_row_counts(edges, planted)
-        assert np.array_equal(counts, _float_row_counts(edges, _uniforms(planted)))
-        assert counts.sum() == len(planted)
-
-    @staticmethod
-    def planted_around(edges, rng, n_random=3000):
-        """Random words plus, for each limit below 2**64, the words at it and
-        one either side of it, shuffled."""
-        limits = _word_limits(edges)[1][len(edges):].astype(object)
-        planted = [w + d for w in limits[:-1] for d in (-1, 0, 1)]
-        words = np.concatenate([
-            rng.integers(0, 2**64 - 1, size=n_random, dtype=np.uint64, endpoint=True),
-            np.array(planted + [0, 2**64 - 1], dtype=np.uint64)])
-        rng.shuffle(words)
-        return words
-
-    def test_several_limits_in_one_guide_bin(self):
-        # four limits inside one 2**-12-wide bin, which holds a crowd of
-        # words, none of them at the bin's start, and one limit in a lower bin
-        edges = _edges([0.3, 0.20003, 1e-5, 2e-5, 3e-5, 0.5 - 9e-5])
-        bins, bounds, _ = _word_limits(edges)
-        assert bins[0] < bins[1] and len(set(bins[1:5].tolist())) == 1
-        assert bounds[1] < bounds[len(edges) + 1]
-        rng = np.random.default_rng(23)
-        crowd = rng.integers(2**63, 2**63 + 2**52, size=5000, dtype=np.uint64)
-        words = np.concatenate([self.planted_around(edges, rng), crowd])
-        counts = _integer_row_counts(edges, words)
-        assert np.array_equal(counts, _float_row_counts(edges, _uniforms(words)))
-        assert counts[2:5].sum() > 100 and counts.sum() == len(words)
-
-    @pytest.mark.parametrize("edges", [[0.25, 0.5, 1.0], [2.0**-12, 0.75, 1.0]])
-    def test_a_limit_exactly_at_its_bin_start(self, edges):
-        edges = np.array(edges)
-        bins, bounds, _ = _word_limits(edges)
-        starts, limits = bounds[:len(edges)], bounds[len(edges):]
-        assert np.array_equal(starts[:-1], limits[:-1])
-        words = self.planted_around(edges, np.random.default_rng(29))
-        assert np.array_equal(_integer_row_counts(edges, words),
-                              _float_row_counts(edges, _uniforms(words)))
-
-    @pytest.mark.parametrize("sizes", [[3006], [1000, 5, 1, 2000], [2, 3003, 1], [1502, 1504]])
-    def test_planted_words_over_chunks_of_unequal_size(self, sizes):
-        edges = _edges([0.1, 0.2, 1e-12, 0.3, 2.0**-12, 0.4 - 1e-12 - 2.0**-12])
-        words = self.planted_around(edges, np.random.default_rng(31), n_random=2989)
-        assert len(words) == sum(sizes)
-        counts = _integer_row_counts(edges, words, sizes)
-        assert np.array_equal(counts, _float_row_counts(edges, _uniforms(words)))
-        assert np.array_equal(counts, _integer_row_counts(edges, words))
-
-    @pytest.mark.parametrize("start", [3, 40_003, MC_CHUNK - 1])
-    @pytest.mark.parametrize("pipeline, params", [
-        ("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
-        ("stage2", {"F": 0.8}),
-        ("pbs", {"F": 1.0}),
-    ], ids=["stage1", "stage2", "pbs"])
-    def test_ranges_across_a_chunk_boundary(self, pipeline, params, start):
-        trials = MC_CHUNK + 4_001
-        table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
-        w = np.array(_row_weights(table, class_weights))
-        _, rows = _mc_row_counts(pipeline, params, trials, 13, start=start)
-        drawn = np.flatnonzero(w)
-        reference = _float_row_counts(_edges(w[drawn]), trial_uniforms(13, trials, start))
-        assert np.array_equal(rows[drawn], reference)
-        assert rows.sum() == trials
-
-    def test_chunks_of_a_huge_run_are_lazy(self):
+    @pytest.mark.parametrize("trials", [0, -1, 2**63, 2**64])
+    def test_a_trial_count_numpy_cannot_draw_raises_before_any_draw(self, monkeypatch,
+                                                                     trials):
+        # numpy's multinomial raises OverflowError from 2**63 on, which the CLI
+        # would not map to exit 2
+        drawn = []
+        monkeypatch.setattr(protocol, "_philox", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="trials"):
-            protocol._chunks(0)
+            monte_carlo("stage2", {"F": 0.8}, trials, 1)
+        assert drawn == []
+
+    def test_the_largest_trial_count_is_drawn(self):
+        report = monte_carlo("pbs", {"F": 0.8}, 2**63 - 1, 2)
+        assert sum(report.counts.values()) == report.trials == 2**63 - 1
+
+    def test_memory_does_not_grow_with_the_trial_count(self):
+        params = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        monte_carlo("stage1", params, 1000, 1)  # the table and numpy load first
         tracemalloc.start()
         try:
-            chunks = protocol._chunks(10**15)
-            first_two = [next(chunks), next(chunks)]
+            report = monte_carlo("stage1", params, 10**12, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert first_two == [MC_CHUNK, MC_CHUNK]
-        assert peak < 4096
+        assert sum(report.counts.values()) == 10**12
+        # a few arrays of one entry per row: about 3 KB, where the per-trial
+        # counter it replaced peaked at about 1.2 MB whatever the trial count
+        assert peak < 16 * 1024
+
+
+CHI_SQUARE_SEEDS, CHI_SQUARE_TRIALS = 400, 100_000
+
+
+@pytest.mark.parametrize("pipeline, params", [
+    ("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8}),
+    ("stage1", {"p1": 0.1, "p2": 0.1, "f0": 0.7}),
+    ("stage2", {"F": 0.8}),
+    ("pbs", {"F": 0.8}),
+], ids=["stage1-p2-0.01", "stage1-p2-0.1", "stage2", "pbs"])
+def test_row_counts_follow_the_exact_row_weights(pipeline, params):
+    """Pearson's chi-square of each seed's row counts against the exact row
+    weights, summed over 400 seeds at 10^5 trials each.
+
+    Every expected count is at least 90, so each seed's statistic is close
+    to chi-square with dof = rows - 1: mean dof, variance 2 dof (plus
+    (sum(1/p) - rows^2 - 2 rows + 2) / trials, below 0.07 here).  The sum
+    over the seeds is then about normal with mean seeds * dof and variance
+    2 * seeds * dof, and the test fails when it lies more than 6 standard
+    deviations from that mean.  A sampler that draws the exact weights
+    fails it with probability about 2e-9 per pipeline (the two-sided normal
+    tail beyond 6 sigma), 8e-9 for the four; a wrong or unnormalized row
+    weight, or a row that takes another's draws, moves the sum by far more.
+    """
+    table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
+    weights = np.array(_row_weights(table, class_weights))
+    expected = CHI_SQUARE_TRIALS * weights / weights.sum()
+    assert expected.min() >= 90
+    dof, total = len(weights) - 1, 0.0
+    for seed in range(CHI_SQUARE_SEEDS):
+        _, counts = _mc_row_counts(pipeline, params, CHI_SQUARE_TRIALS, seed)
+        assert counts.sum() == CHI_SQUARE_TRIALS
+        total += float(((counts - expected) ** 2 / expected).sum())
+    z = (total - CHI_SQUARE_SEEDS * dof) / math.sqrt(2 * CHI_SQUARE_SEEDS * dof)
+    assert abs(z) < 6, z
 
 
 MC_RUNS = [("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
@@ -737,15 +635,16 @@ PINNED_RUNS = """
 import json, os, sys
 from kerrpurify import protocol
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-assert protocol._workers() == 1
 print(json.dumps([protocol.monte_carlo(name, params, 300_001, 17).to_dict()
                   for name, params in json.loads(sys.argv[1])]))
 """
 
 
 class TestSpans:
-    """A Monte Carlo run counts one span of its trial range on each CPU, every
-    span from its own Philox generator; the counts do not depend on the cut."""
+    """``trial_uniforms`` reads any span [start, start + n) of a seed's
+    trial stream: ``_philox(seed, start)`` is the seed's Philox generator
+    advanced to word ``start``, whatever ``start % 4`` and however the
+    span's words are read."""
 
     @staticmethod
     def reference_words(seed, n, start):
@@ -755,89 +654,37 @@ class TestSpans:
         return bg.random_raw(start % 4 + n)[start % 4:]
 
     @staticmethod
-    def span_reads(seed, start, trials, spans):
-        """A span's reads as a run draws them: its generator, a chunk at a time."""
+    def span_reads(seed, start, trials, step):
+        """A span's words, read ``step`` at a time from one generator."""
         bg = _philox(seed, start)
-        return [bg.random_raw(size) for size in protocol._chunks(trials, spans)]
+        return [bg.random_raw(min(step, trials - k)) for k in range(0, trials, step)]
 
     @pytest.mark.parametrize("spans", [1, 2, 3, 4])
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 4_001, 40_002, 2**40 + 3])
-    def test_a_span_reads_the_trial_words(self, monkeypatch, start, spans):
+    def test_a_span_reads_the_trial_words(self, start, spans):
         # steps of 64 // spans words: 1000 words cross many steps, and every
         # value of start % 4 starts a span
-        monkeypatch.setattr(protocol, "MC_CHUNK", 64)
-        reads = self.span_reads(9, start, 1000, spans)
+        reads = self.span_reads(9, start, 1000, 64 // spans)
         assert len(reads) >= 15 and {len(r) for r in reads[:-1]} == {64 // spans}
         words = np.concatenate(reads)
         assert np.array_equal(words, self.reference_words(9, 1000, start))
         assert np.array_equal(words, _philox(9, start).random_raw(1000))
+        assert np.array_equal(trial_uniforms(9, 1000, start),
+                              (words >> np.uint64(11)) * 2.0**-53)
         if start < 10**6:  # the advance skips four words a step
             unadvanced = np.random.Philox(key=np.uint64(9)).random_raw(start + 1000)
             assert np.array_equal(words, unadvanced[start:])
 
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 65_538])
     def test_a_span_shorter_than_a_step_reads_the_trial_words(self, start):
-        [words] = self.span_reads(4, start, 7, 2)
+        [words] = self.span_reads(4, start, 7, 32)
         assert np.array_equal(words, self.reference_words(4, 7, start))
         assert np.array_equal(words, _philox(4, start).random_raw(7))
-
-    @staticmethod
-    def counted_spans(monkeypatch, workers):
-        """Patch the worker count; return the list each span's start joins."""
-        starts, philox = [], protocol._philox
-        monkeypatch.setattr(protocol, "_workers", lambda: workers)
-        monkeypatch.setattr(protocol, "_philox",
-                            lambda seed, start: starts.append(start) or philox(seed, start))
-        return starts
-
-    @pytest.mark.parametrize("start", [0, 5])
-    @pytest.mark.parametrize("pipeline, params", MC_RUNS, ids=["qnd1", "qnd3", "stage2", "pbs"])
-    def test_row_counts_do_not_depend_on_the_worker_count(self, monkeypatch, pipeline,
-                                                          params, start):
-        monkeypatch.setattr(protocol, "MC_CHUNK", 1000)
-        trials = 4_003
-        counts, cuts = [], []
-        for workers in (1, 2, 3, 4):
-            starts = self.counted_spans(monkeypatch, workers)
-            counts.append(_mc_row_counts(pipeline, params, trials, 21, start=start)[1])
-            assert len(starts) == workers
-            cuts += starts[1:]
-        assert any(cut % 4 for cut in cuts)  # some span starts inside a 4-word block
-        assert all(np.array_equal(c, counts[0]) for c in counts)
-        assert counts[0].sum() == trials
-
-    def test_eight_spans_under_a_short_switch_interval_count_as_one(self, monkeypatch):
-        # more spans than cores, switching threads every microsecond: a count
-        # lost or doubled between spans would change the rows
-        monkeypatch.setattr(protocol, "MC_CHUNK", 256)
-        one = _mc_row_counts("pbs", {"F": 0.7}, 20_003, 6, start=3)[1]
-        self.counted_spans(monkeypatch, 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            eight = _mc_row_counts("pbs", {"F": 0.7}, 20_003, 6, start=3)[1]
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(eight, one)
-
-    def test_four_spans_of_full_chunks_count_as_one(self, monkeypatch):
-        trials, start = 4 * MC_CHUNK + 6, 1
-        starts = self.counted_spans(monkeypatch, 4)
-        table, four = _mc_row_counts("stage2", {"F": 0.8}, trials, 2, start=start)
-        assert [s % 4 for s in starts] == [1, 2, 0, 1]
-        self.counted_spans(monkeypatch, 1)
-        assert np.array_equal(four, _mc_row_counts("stage2", {"F": 0.8}, trials, 2,
-                                                   start=start)[1])
-
-    def test_never_more_spans_than_chunks(self, monkeypatch):
-        for trials, spans in ((1, 1), (MC_CHUNK, 1), (MC_CHUNK + 1, 2), (3 * MC_CHUNK, 3)):
-            starts = self.counted_spans(monkeypatch, 8)
-            _mc_row_counts("pbs", {"F": 0.8}, trials, 1)
-            assert len(starts) == spans
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity call on this platform")
     def test_a_run_pinned_to_one_cpu_reports_the_same(self):
+        # a fresh process on one CPU reports what this one does on all of its CPUs
         env = dict(os.environ, PYTHONPATH=str(Path(protocol.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", PINNED_RUNS, json.dumps(MC_RUNS)], env=env,
                              capture_output=True, text=True, timeout=120)
@@ -845,119 +692,6 @@ class TestSpans:
         unpinned = [monte_carlo(name, params, 300_001, 17).to_dict()
                     for name, params in MC_RUNS]
         assert json.loads(out.stdout) == json.loads(json.dumps(unpinned))
-
-    @pytest.mark.parametrize("workers", [1, 2, 4, 8, 16])
-    def test_memory_does_not_grow_with_the_worker_count(self, monkeypatch, workers):
-        monkeypatch.setattr(protocol, "_workers", lambda: workers)
-        params = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
-        monte_carlo("stage1", params, 1000, 1)  # the table and numpy load first
-        tracemalloc.start()
-        try:
-            monte_carlo("stage1", params, 10**6, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # at 1 and 2 spans, two chunks' words alive at once or the top bits
-        # allocated per chunk would pass the 1.3 MB (1.3e6 bytes) that the
-        # previous counter peaked at
-        assert peak < (1.3e6 if workers <= 2 else 2 * 2**20)
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_a_failing_span_raises_and_every_thread_ends(self, monkeypatch, workers):
-        class SpanFailed(Exception):
-            pass
-
-        calls, count_chunk = iter(range(10**6)), protocol._count_chunk
-
-        def fail_second(*args):
-            if next(calls) == 1:
-                raise SpanFailed
-            return count_chunk(*args)
-
-        monkeypatch.setattr(protocol, "_workers", lambda: workers)
-        before = threading.active_count()
-        monkeypatch.setattr(protocol, "_count_chunk", fail_second)
-        with pytest.raises(SpanFailed):
-            monte_carlo("stage2", {"F": 0.8}, 8 * MC_CHUNK, 3)
-        assert threading.active_count() == before
-        assert next(calls) <= 1 + workers  # each other span stopped at its next chunk
-        monkeypatch.setattr(protocol, "_count_chunk", count_chunk)
-        monte_carlo("stage2", {"F": 0.8}, 8 * MC_CHUNK, 3)
-        assert threading.active_count() == before
-
-    def test_a_span_whose_thread_does_not_start_is_counted_by_the_caller(self, monkeypatch):
-        class Thread(threading.Thread):
-            def start(self):
-                raise RuntimeError("can't start new thread")
-
-        expected = monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK + 3, 8).to_dict()
-        before, counted, count_chunk = threading.active_count(), [], protocol._count_chunk
-
-        def count_here(stream, size, *args):  # which thread counts each chunk
-            counted.append((threading.current_thread(), size))
-            return count_chunk(stream, size, *args)
-
-        starts = self.counted_spans(monkeypatch, 4)
-        monkeypatch.setattr(protocol.threading, "Thread", Thread)
-        monkeypatch.setattr(protocol, "_count_chunk", count_here)
-        assert monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK + 3, 8).to_dict() == expected
-        assert len(starts) == 4 and threading.active_count() == before
-        assert {thread for thread, _ in counted} == {threading.main_thread()}
-        assert sum(size for _, size in counted) == 4 * MC_CHUNK + 3
-
-    def test_an_interrupt_while_joining_stops_every_span(self, monkeypatch):
-        joins, thread_calls = [], []
-
-        class Thread(threading.Thread):
-            def join(self, timeout=None):
-                joins.append(self)
-                if len(joins) == 1:  # Ctrl-C while the caller waits
-                    raise KeyboardInterrupt
-                super().join(timeout)
-
-        count_chunk = protocol._count_chunk
-
-        def count_words(*args):  # the thread's span is slow: the caller's ends first
-            if threading.current_thread() is not threading.main_thread():
-                thread_calls.append(None)
-                time.sleep(0.001)
-            return count_chunk(*args)
-
-        before = threading.active_count()
-        monkeypatch.setattr(protocol, "_workers", lambda: 2)
-        monkeypatch.setattr(protocol, "_count_chunk", count_words)
-        monkeypatch.setattr(protocol.threading, "Thread", Thread)
-        monkeypatch.setattr(protocol, "MC_CHUNK", 64)
-        with pytest.raises(KeyboardInterrupt):
-            monte_carlo("stage2", {"F": 0.8}, 100_000, 3)
-        assert len(joins) == 2 and threading.active_count() == before
-        assert len(thread_calls) < 50_000 // 32 // 2  # the thread's span stopped early
-
-    @pytest.mark.parametrize("workers", [2, 3, 64])
-    def test_at_most_mc_spans_spans(self, monkeypatch, workers):
-        monkeypatch.setattr(protocol.os, "sched_getaffinity", lambda pid: set(range(workers)),
-                            raising=False)
-        assert protocol._workers() == min(workers, protocol.MC_SPANS) == 2
-
-    @pytest.mark.parametrize("seed, error", [(2**64, ValueError), (-1, ValueError),
-                                             (1.5, TypeError)])
-    def test_the_seed_is_checked_before_any_thread_starts(self, monkeypatch, seed, error):
-        started = []
-
-        class Thread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(protocol, "_workers", lambda: 4)
-        monkeypatch.setattr(protocol.threading, "Thread", Thread)
-        with pytest.raises(error):
-            _mc_row_counts("stage2", {"F": 0.8}, 4 * MC_CHUNK, seed)
-        with pytest.raises(error):
-            monte_carlo("stage2", {"F": 0.8}, 4 * MC_CHUNK, seed)
-        assert started == []
-        _mc_row_counts("stage2", {"F": 0.8}, 4 * MC_CHUNK, 1)
-        assert len(started) == 3
 
 
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
@@ -1086,16 +820,6 @@ class TestOutcomeTables:
                 keep_probability = factor[(cls == c) & kept_rows].sum()
                 assert (keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
 
-    def test_chunked_mc_counts_equal_one_unchunked_draw(self, monkeypatch):
-        trials = 3 * MC_CHUNK + 17
-        runs = [("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}), ("stage2", {"F": 0.8}),
-                ("pbs", {"F": 0.8})]
-        chunked = [monte_carlo(name, params, trials, seed=5).to_dict() for name, params in runs]
-        monkeypatch.setattr(protocol, "MC_CHUNK", trials)
-        assert list(protocol._chunks(trials)) == [trials]
-        assert [monte_carlo(name, params, trials, seed=5).to_dict()
-                for name, params in runs] == chunked
-
     @pytest.mark.parametrize("pipeline, params", [
         ("stage1", {"p1": 0.1, "p2": 0.3, "f0": 1.0}),
         ("stage2", {"F": 1.0}),
@@ -1175,6 +899,26 @@ class TestOutcomeVocabulary:
                     same_port += 1
                     assert (r.fidelity, r.final_state, r.kept_pairs) == (None, None, 0)
             assert same_port > 0
+
+    @pytest.mark.parametrize("variant, shares", [
+        (Variant.QND1, {(2, 0): 0.5, (1, 1): 0.5, (0, 2): 0.5}),
+        (Variant.QND3, {(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0}),
+    ], ids=["qnd1", "qnd3"])
+    def test_the_share_of_one_photon_per_port_in_each_equal_double_reading(self, variant,
+                                                                          shares):
+        # a double emission through the detector, both parties projected on
+        # one reading (2 theta, theta + theta' or 2 theta'): the share of the
+        # weight left with one photon in each port of each party.  Under qnd3
+        # the readings are port occupancies; under qnd1, the default,
+        # KEPT_SAME_PORT and the kept theta + theta' are reading classes only
+        state = apply_qnd(pdc_emit(2), variant)
+        for counts, share in shares.items():
+            p_alice, post = project_probe(state, Party.ALICE, counts)
+            p_bob, post = project_probe(post, Party.BOB, counts)
+            assert p_alice * p_bob > 0.0
+            weights = [(abs(b.amplitude) ** 2, b.one_photon_per_port()) for b in post.branches]
+            total = sum(w for w, _ in weights)
+            assert abs(sum(w for w, one in weights if one) / total - share) < 1e-12, counts
 
     @pytest.mark.parametrize("pipeline, params", [
         ("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8}),
