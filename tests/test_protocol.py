@@ -6,10 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -445,6 +448,45 @@ def _row_weights(table, class_weights) -> list:
     return [class_weights[c] * f for c, f in zip(table.cls, table.factor)]
 
 
+def _table_weights(pipeline, params) -> np.ndarray:
+    """The row weights of one run's table."""
+    table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
+    return np.array(_row_weights(table, class_weights))
+
+
+def _one_draw(weights, trials, seed, normalize=True) -> np.ndarray:
+    """The row counts of one multinomial draw of ``trials`` at ``weights``
+    from a fresh Philox generator keyed by ``seed``; rows of zero weight
+    take no part and count 0."""
+    w = np.asarray(weights, dtype=float)
+    drawn = np.flatnonzero(w)
+    counts = np.zeros(len(w), dtype=np.int64)
+    p = w[drawn] / w[drawn].sum() if normalize else w[drawn]
+    counts[drawn] = np.random.Generator(np.random.Philox(key=np.uint64(seed))).multinomial(
+        trials, p)
+    return counts
+
+
+def _rows_weighing(monkeypatch, weights):
+    """Make every run's table one class whose rows weigh ``weights``."""
+    table = SimpleNamespace(cls=[0] * len(weights), factor=list(weights))
+    monkeypatch.setattr(protocol, "_weighted_rows", lambda pipeline, points: (table, [[1.0]], None))
+
+
+def _in_threads(calls) -> list:
+    """Run each ``(function, args)`` of ``calls`` on its own thread, all
+    released together; the result or the exception of each, in order."""
+    ready = threading.Barrier(len(calls))
+
+    def run(call):
+        ready.wait()
+        return call[0](*call[1])
+
+    with ThreadPoolExecutor(len(calls)) as pool:
+        futures = [pool.submit(run, call) for call in calls]
+        return [f.exception(timeout=120) or f.result() for f in futures]
+
+
 class TestMonteCarlo:
     def test_seed_reproducibility(self):
         a = monte_carlo("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8}, 50_000, seed=7)
@@ -497,6 +539,16 @@ class TestMonteCarlo:
             trial_uniforms(3, 250, start=750),
         ])
         assert np.array_equal(full, parts)
+
+    def test_parallel_equals_serial_counts(self):
+        # four runs at once on four threads report what each reports alone
+        runs = [(monte_carlo, (name, params, 80_000, seed))
+                for name, params in MC_RUNS for seed in (5, 6)]
+        serial = [monte_carlo(*args).to_dict() for _, args in runs]
+        for k in range(0, len(runs), 4):
+            parallel = _in_threads(runs[k:k + 4])
+            assert [r.to_dict() for r in parallel] == serial[k:k + 4]
+        assert all(sum(r["counts"].values()) == 80_000 for r in serial)
 
     def test_stage1_within_three_sigma(self):
         report = monte_carlo("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8},
@@ -626,6 +678,127 @@ def test_row_counts_follow_the_exact_row_weights(pipeline, params):
     assert abs(z) < 6, z
 
 
+class TestWordLimitCounts:
+    """Row counts and trial uniforms at the limits of float rounding: row
+    weights whose running sum reaches 1 before the last row or passes it,
+    rows of zero or tiny weight, and the words at the ends of each
+    uniform's bin of 2**11 words.  A run's rows are one multinomial draw
+    over its rows of nonzero weight, normalized, from ``_philox(seed, 0)``."""
+
+    def test_random_weights_with_tiny_rows(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        for seed in range(300):
+            w = rng.random(rng.integers(1, 21))
+            tiny = rng.random(len(w)) < 0.3
+            w[tiny] **= rng.integers(1, 31, size=tiny.sum())
+            w[rng.random(len(w)) < 0.2] = 0.0
+            w[rng.integers(len(w))] += 0.5  # some row weighs
+            # up to the most trials numpy takes, where a zero row last in the
+            # draw would take the rounding remainder: hundreds of draws
+            trials = int(rng.integers(1, 2**63 - 1, endpoint=True))
+            _rows_weighing(monkeypatch, w)
+            _, rows = _mc_row_counts("pbs", {"F": 0.8}, trials, seed)
+            assert np.array_equal(rows, _one_draw(w, trials, seed))
+            assert rows.sum() == trials and not rows[w == 0.0].any()
+
+    @pytest.mark.parametrize("edges", [
+        [0.5, 1.0, 1.0, 1.0],                              # rounds to 1.0 early
+        [0.25, 1.0000000000000002, 1.0],                   # rounds above 1.0
+        [1.0],
+        [2.0**-60, 2.0**-53, 0.5 - 2.0**-54, 1 - 2.0**-53, 1.0],
+    ])
+    def test_edges_at_and_above_one(self, monkeypatch, edges):
+        # the rows between running sums ``edges``, a step down weighing 0: at
+        # the most trials numpy takes no zero row draws one, and the total
+        # is exact, whatever the weights sum to
+        w = np.maximum(np.diff(edges, prepend=0.0), 0.0)
+        _rows_weighing(monkeypatch, w)
+        for trials in (1, 10**6, 2**63 - 1):
+            _, rows = _mc_row_counts("pbs", {"F": 0.8}, trials, 3)
+            assert np.array_equal(rows, _one_draw(w, trials, 3))
+            assert sum(rows.tolist()) == trials and not rows[w == 0.0].any()
+
+    def test_words_planted_at_each_limit(self, monkeypatch):
+        # the first and last word of some uniforms' bins and the word below
+        # each bin: a uniform is its word's top 53 bits, exactly, below 1
+        firsts = [k << 11 for k in (0, 1, 2, 2**52, 2**53 - 1)]
+        planted = sorted({w + d for w in firsts for d in (-1, 0, 2**11 - 1)} - {-1})
+        words = np.array(planted, dtype=np.uint64)
+        monkeypatch.setattr(protocol, "_philox",
+                            lambda seed, start: SimpleNamespace(random_raw=lambda n: words[:n]))
+        uniforms = trial_uniforms(0, len(words))
+        assert uniforms.tolist() == [float(Fraction(w >> 11, 2**53)) for w in planted]
+        assert uniforms[0] == 0.0 and uniforms[-1] == 1 - 2.0**-53
+        assert all(np.diff(uniforms) >= 0)
+
+    def test_several_limits_in_one_guide_bin(self, monkeypatch):
+        """Four small rows side by side, within 2**-12 of each other, each
+        draw their own share: at 10^10 trials a row's count is within 6
+        standard deviations of trials * weight, for each of five seeds.  A
+        sampler that draws the weights fails this with probability about
+        6e-8 (2e-9 per row and seed), one that hands a small row's draws to
+        its neighbour by far more than 6 deviations (316 draws for the
+        smallest row)."""
+        w = np.array([0.3, 0.20003, 1e-5, 2e-5, 3e-5, 0.5 - 9e-5])
+        p, trials = w / w.sum(), 10**10
+        _rows_weighing(monkeypatch, w)
+        for seed in range(5):
+            _, rows = _mc_row_counts("pbs", {"F": 0.8}, trials, seed)
+            assert rows.sum() == trials
+            z = (rows - trials * p) / np.sqrt(trials * p * (1 - p))
+            assert np.abs(z).max() < 6, z
+
+    @pytest.mark.parametrize("edges", [[0.25, 0.5, 1.0], [2.0**-12, 0.75, 1.0]])
+    def test_a_limit_exactly_at_its_bin_start(self, monkeypatch, edges):
+        # dyadic weights that sum to 1 exactly are drawn as they are:
+        # normalizing them changes no bit
+        w = np.diff(edges, prepend=0.0)
+        assert w.sum() == 1.0
+        _rows_weighing(monkeypatch, w)
+        for trials in (7, 10**6):
+            _, rows = _mc_row_counts("pbs", {"F": 0.8}, trials, 29)
+            assert np.array_equal(rows, _one_draw(w, trials, 29, normalize=False))
+
+    @pytest.mark.parametrize("sizes", [[3006], [1000, 5, 1, 2000], [2, 3003, 1], [1502, 1504]])
+    def test_planted_words_over_chunks_of_unequal_size(self, sizes):
+        # a seed's uniforms read in pieces of unequal size, each from its own
+        # start, and its words read a piece at a time from one generator,
+        # equal one read of them all
+        starts = np.cumsum([5] + sizes[:-1]).tolist()
+        pieces = [trial_uniforms(31, n, start) for n, start in zip(sizes, starts)]
+        assert np.array_equal(np.concatenate(pieces), trial_uniforms(31, 3006, 5))
+        bg = _philox(31, 5)
+        words = np.concatenate([bg.random_raw(n) for n in sizes])
+        assert np.array_equal(words, _philox(31, 5).random_raw(3006))
+
+    @pytest.mark.parametrize("trials", [3, 40_003, 65_535])
+    @pytest.mark.parametrize("pipeline, params", [
+        ("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
+        ("stage2", {"F": 0.8}),
+        ("pbs", {"F": 1.0}),
+    ], ids=["stage1", "stage2", "pbs"])
+    def test_ranges_across_a_chunk_boundary(self, pipeline, params, trials):
+        # a run's rows are one draw at its table's weights, from the
+        # generator a fresh Philox keyed by the seed is
+        w = _table_weights(pipeline, params)
+        _, rows = _mc_row_counts(pipeline, params, trials, 13)
+        assert np.array_equal(rows, _one_draw(w, trials, 13))
+        assert rows.sum() == trials and not rows[w == 0.0].any()
+
+    def test_chunks_of_a_huge_run_are_lazy(self):
+        with pytest.raises(ValueError, match="trials"):
+            _mc_row_counts("stage2", {"F": 0.8}, 0, 1)
+        _mc_row_counts("stage2", {"F": 0.8}, 1000, 1)  # the table and numpy load first
+        tracemalloc.start()
+        try:
+            _, rows = _mc_row_counts("stage2", {"F": 0.8}, 10**15, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(rows.tolist()) == 10**15
+        assert peak < 4096  # a few arrays of one entry per row
+
+
 MC_RUNS = [("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
            ("stage1", {"p1": 0.2, "p2": 0.1, "f0": 0.7, "variant": "qnd3"}),
            ("stage2", {"F": 0.8}),
@@ -692,6 +865,161 @@ class TestSpans:
         unpinned = [monte_carlo(name, params, 300_001, 17).to_dict()
                     for name, params in MC_RUNS]
         assert json.loads(out.stdout) == json.loads(json.dumps(unpinned))
+
+    @staticmethod
+    def counted_draws(monkeypatch) -> list:
+        """Record the (trials, pvals) of each multinomial draw a run makes."""
+        draws, generator = [], np.random.Generator
+
+        class Generator:
+            def __init__(self, bit_generator):
+                self.drawn = generator(bit_generator)
+
+            def multinomial(self, n, pvals):
+                draws.append((n, pvals))
+                return self.drawn.multinomial(n, pvals)
+
+        monkeypatch.setattr(np.random, "Generator", Generator)
+        return draws
+
+    @staticmethod
+    def counted_thread_starts(monkeypatch) -> list:
+        """Record each thread started, still starting it."""
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or start(self))
+        return started
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("pipeline, params", MC_RUNS, ids=["qnd1", "qnd3", "stage2", "pbs"])
+    def test_row_counts_do_not_depend_on_the_worker_count(self, pipeline, params, seed):
+        # 1 to 4 threads run at once from cold tables, which they build side by side
+        serial = _mc_row_counts(pipeline, params, 4_003, seed)[1]
+        for workers in (1, 2, 3, 4):
+            for table in TABLES:
+                table.cache_clear()
+            counts = _in_threads([(_mc_row_counts, (pipeline, params, 4_003, seed))] * workers)
+            assert all(np.array_equal(c[1], serial) for c in counts)
+        assert serial.sum() == 4_003
+
+    def test_eight_spans_under_a_short_switch_interval_count_as_one(self):
+        # more threads than cores, switching every microsecond: each run,
+        # on its own seed, reports what it reports alone
+        serial = [monte_carlo("pbs", {"F": 0.7}, 20_003, seed).to_dict() for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            eight = _in_threads([(monte_carlo, ("pbs", {"F": 0.7}, 20_003, seed))
+                                 for seed in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.to_dict() for r in eight] == serial
+
+    def test_never_more_spans_than_chunks(self, monkeypatch):
+        # however many trials, a run is one draw from the seed's generator
+        # at its start, and starts no thread
+        draws, started = self.counted_draws(monkeypatch), self.counted_thread_starts(monkeypatch)
+        starts, philox = [], protocol._philox
+        monkeypatch.setattr(protocol, "_philox",
+                            lambda seed, start: starts.append(start) or philox(seed, start))
+        w = _table_weights("pbs", {"F": 0.8})
+        for trials in (1, 65_536, 65_537, 3 * 65_536, 10**12):
+            draws.clear()
+            starts.clear()
+            _mc_row_counts("pbs", {"F": 0.8}, trials, 1)
+            [(n, pvals)] = draws
+            assert n == trials and len(pvals) == np.count_nonzero(w) and starts == [0]
+        assert started == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8, 16])
+    def test_memory_does_not_grow_with_the_worker_count(self, workers):
+        # each of ``workers`` runs at once holds a few arrays of one entry per
+        # row: together under 16 KB a run, at any trial count
+        params = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        monte_carlo("stage1", params, 1000, 1)  # the table and numpy load first
+        go = threading.Event()
+
+        def run(seed):
+            go.wait()
+            return monte_carlo("stage1", params, 10**(6 + seed % 7), seed)
+
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, seed) for seed in range(workers)]
+            tracemalloc.start()
+            try:
+                go.set()
+                reports = [f.result(timeout=120) for f in futures]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert [r.trials for r in reports] == [10**(6 + seed % 7) for seed in range(workers)]
+        assert peak < workers * 16 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_failing_span_raises_and_every_thread_ends(self, monkeypatch, workers):
+        # one of ``workers`` runs at once fails in its draw: it raises, the
+        # others report what they report alone, and no thread is left
+        class SpanFailed(Exception):
+            pass
+
+        def fail_seed_3(seed, start):
+            if seed == 3:
+                raise SpanFailed
+            return philox(seed, start)
+
+        runs = [("stage2", {"F": 0.8}, 50_000, seed) for seed in range(3, 3 + workers)]
+        expected = [monte_carlo(*args).to_dict() for args in runs]
+        before, philox = threading.active_count(), protocol._philox
+        monkeypatch.setattr(protocol, "_philox", fail_seed_3)
+        results = _in_threads([(monte_carlo, args) for args in runs])
+        assert isinstance(results[0], SpanFailed)
+        assert [r.to_dict() for r in results[1:]] == expected[1:]
+        assert threading.active_count() == before
+        monkeypatch.setattr(protocol, "_philox", philox)
+        assert monte_carlo(*runs[0]).to_dict() == expected[0]
+
+    def test_a_span_whose_thread_does_not_start_is_counted_by_the_caller(self, monkeypatch):
+        # a run needs no thread: with none able to start, the caller draws it
+        def start(self):
+            raise RuntimeError("can't start new thread")
+
+        expected = monte_carlo("stage2", {"F": 0.8}, 4 * 65_536 + 3, 8).to_dict()
+        drawn_on, philox = [], protocol._philox
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(protocol, "_philox", lambda seed, first: drawn_on.append(
+            threading.current_thread()) or philox(seed, first))
+        assert monte_carlo("stage2", {"F": 0.8}, 4 * 65_536 + 3, 8).to_dict() == expected
+        assert drawn_on == [threading.main_thread()]
+
+    def test_an_interrupt_while_joining_stops_every_span(self, monkeypatch):
+        # Ctrl-C in a draw leaves the run as KeyboardInterrupt, with no
+        # thread left and nothing cached half made: the next run reports
+        # what it did before
+        def interrupt(seed, start):
+            raise KeyboardInterrupt
+
+        expected = monte_carlo("stage2", {"F": 0.8}, 100_000, 3).to_dict()
+        before, philox = threading.active_count(), protocol._philox
+        monkeypatch.setattr(protocol, "_philox", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo("stage2", {"F": 0.8}, 100_000, 3)
+        assert threading.active_count() == before
+        monkeypatch.setattr(protocol, "_philox", philox)
+        assert monte_carlo("stage2", {"F": 0.8}, 100_000, 3).to_dict() == expected
+
+    @pytest.mark.parametrize("seed, error", [(2**64, ValueError), (-1, ValueError),
+                                             (1.5, TypeError)])
+    def test_the_seed_is_checked_before_any_thread_starts(self, monkeypatch, seed, error):
+        # a seed outside [0, 2**64), or not an integer, raises before any
+        # draw; no run starts a thread
+        draws, started = self.counted_draws(monkeypatch), self.counted_thread_starts(monkeypatch)
+        with pytest.raises(error):
+            _mc_row_counts("stage2", {"F": 0.8}, 4 * 65_536, seed)
+        with pytest.raises(error):
+            monte_carlo("stage2", {"F": 0.8}, 4 * 65_536, seed)
+        assert draws == []
+        _mc_row_counts("stage2", {"F": 0.8}, 4 * 65_536, 1)
+        assert len(draws) == 1 and started == []
 
 
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
@@ -819,6 +1147,19 @@ class TestOutcomeTables:
                 assert (kept.pop() if kept else Verdict.DISCARDED) == expected[kinds]
                 keep_probability = factor[(cls == c) & kept_rows].sum()
                 assert (keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
+
+    def test_chunked_mc_counts_equal_one_unchunked_draw(self):
+        # a run's rows are one draw at its table's weights, whatever the
+        # trial count, and its report sums them
+        trials = 3 * 65_536 + 17
+        runs = [("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}), ("stage2", {"F": 0.8}),
+                ("pbs", {"F": 0.8})]
+        for name, params in runs:
+            table, rows = _mc_row_counts(name, params, trials, 5)
+            assert np.array_equal(rows, _one_draw(_table_weights(name, params), trials, 5))
+            report = monte_carlo(name, params, trials, seed=5)
+            assert report.to_dict() == protocol._report(
+                name, params, protocol._row_sums(table, rows.tolist(), 0), trials, 5).to_dict()
 
     @pytest.mark.parametrize("pipeline, params", [
         ("stage1", {"p1": 0.1, "p2": 0.3, "f0": 1.0}),
