@@ -26,7 +26,8 @@ for p2 in (p1**2, 10 * p1**2):
         print(f"{p2:8.4f} {f0:5.2f} {report.fidelity:14.10f} "
               f"{closed:14.10f} {report.yield_fraction:8.4f}")
 
-print("\nThe enumerator also tallies double emissions that bunch at one port")
+print("\nThe enumerator also tallies double emissions where both parties "
+      "read the same doubled shift")
 report = stage1_run(PdcSourceParams(0.1, 0.05), NoiseParams(0.8))
 for key, value in report.counts.items():
     print(f"  {key:<18s} {value:.6f}")

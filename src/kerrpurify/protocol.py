@@ -64,11 +64,14 @@ Monte Carlo has one entry point, ``monte_carlo``.  Each trial draws one
 row from the row weights, independently, so a run's row counts are one
 multinomial draw of its trials at those weights, and a run makes just
 that draw: one ``Generator.multinomial`` call on the Philox generator
-keyed by the seed, over the rows of nonzero weight.  Its time and memory
-do not grow with the trial count, which lies in [1, 2**63).  NumPy's
-NEP 19 keeps the Philox stream fixed across numpy versions, but not
-the algorithm of ``multinomial``, so a seed gives the same report under
-one numpy version and may give another under the next.
+keyed by the seed, over the rows of nonzero weight.  A run builds no
+generator: it rekeys its thread's one Philox to the state a new one keyed
+by the seed starts in, so the same seed gives the same report on any
+thread and in any process.  Its time and memory do not grow with the
+trial count, which lies in [1, 2**63).  NumPy's NEP 19 keeps the Philox
+stream fixed across numpy versions, but not the algorithm of
+``multinomial``, so a seed gives the same report under one numpy
+version and may give another under the next.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import threading
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import product as iproduct
@@ -581,15 +585,27 @@ def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
 # exact runs and the CLI's start-up never load it.
 
 
+_per_thread = threading.local()  # .philox: the calling thread's one Philox generator
+
+
 def _philox(seed: int, start: int):
     """The Philox generator keyed by the seed, its next word that of trial
-    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64)."""
+    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64).
+
+    It is the calling thread's one generator, rekeyed: valid until the same
+    thread's next call, so a caller reads it at once.  It starts in the state
+    of a fresh ``Philox(key=seed)``, whatever was read from it before."""
     import numpy as np
     seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
-    bg = np.random.Philox(key=np.uint64(seed))
-    bg.advance(start // 4)  # one counter step yields four words
+    bg = getattr(_per_thread, "philox", None)
+    if bg is None:  # a fixed seed, so the build reads no OS entropy
+        bg = _per_thread.philox = np.random.Philox(0)
+    bg.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if start >= 4:
+        bg.advance(start // 4)  # one counter step yields four words
     bg.random_raw(start % 4)  # drop the step's words before the start
     return bg
 

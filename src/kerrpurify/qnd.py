@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .elements import pbs
 from .fock import (
@@ -106,10 +107,10 @@ def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
 
 
 @functools.lru_cache(maxsize=8)  # qnd1 and qnd3 at one angle pair share one check
-def _check_phase_classes(t: PhaseTag, tp: PhaseTag) -> dict:
-    """The tag of each of the six count classes at (t, tp), or ConfigError
-    if two of them read one phase; a refusal is not cached, so it raises
-    on every build."""
+def _check_phase_classes(t: PhaseTag, tp: PhaseTag) -> MappingProxyType:
+    """The tag of each of the six count classes at (t, tp), read-only since
+    the cache shares it, or ConfigError if two of them read one phase; a
+    refusal is not cached, so it raises on every build."""
     if t == tp:
         raise ConfigError("theta and theta_prime must differ mod 2*pi")
     classes = {ZERO_COUNTS: ZERO_PHASE, (1, 0): t, (0, 1): tp, (2, 0): t * 2, (0, 2): tp * 2,
@@ -118,7 +119,7 @@ def _check_phase_classes(t: PhaseTag, tp: PhaseTag) -> dict:
         raise ConfigError(
             "phase classes {0, t, t', 2t, 2t', t+t'} must be pairwise distinct mod 2*pi"
         )
-    return classes
+    return MappingProxyType(classes)
 
 
 @dataclass(frozen=True)
@@ -126,13 +127,13 @@ class QndConfig:
     """The angles at which a detector's probe counts read as phases.
     Building one checks it, so a QndConfig that exists is valid: each
     angle it reads is a ``PhaseTag``.  ``classes`` maps each count class
-    its detector reads to its tag, one dict shared by the configs of one
-    angle pair and read, never changed, by exact runs."""
+    its detector reads to its tag, a read-only mapping shared by the
+    configs of one angle pair and read by exact runs."""
 
     variant: Variant
     theta: PhaseTag
     theta_prime: PhaseTag | None = None
-    classes: dict = field(init=False, repr=False, compare=False)  # count class -> its tag
+    classes: MappingProxyType = field(init=False, repr=False, compare=False)  # counts -> tag
 
     def __post_init__(self):
         t, tp = self.theta, self.theta_prime
@@ -150,7 +151,7 @@ class QndConfig:
         if self.variant == Variant.QND4 and (t == ZERO_PHASE or t == PI):
             raise ConfigError("qnd4 requires theta with +theta != -theta mod 2*pi")
         object.__setattr__(self, "classes", _check_phase_classes(t, tp) if reads_prime
-                           else {ZERO_COUNTS: ZERO_PHASE, (1, 0): t})
+                           else MappingProxyType({ZERO_COUNTS: ZERO_PHASE, (1, 0): t}))
 
     def phase(self, counts: tuple) -> PhaseTag:
         """The probe phase a*theta + b*theta' of the probe counts (a, b): the

@@ -1022,6 +1022,47 @@ class TestSpans:
         assert len(draws) == 1 and started == []
 
 
+class TestThreadGenerator:
+    """``_philox`` rekeys the calling thread's one Philox generator: it reads
+    what a new generator keyed by the seed reads, whatever was read from it
+    before, and only a thread's first run builds one."""
+
+    @pytest.mark.parametrize("start", [0, 3, 4, 2**40 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1], ids=["0", "1", "2^63", "2^64-1"])
+    def test_a_dirty_generator_reads_a_fresh_one_s_words(self, seed, start):
+        # buffered words and a buffered uint32 are dropped by the rekey
+        bg = _philox(12345, 2)
+        bg.random_raw(3)
+        np.random.Generator(bg).integers(2**32, dtype=np.uint32)
+        assert bg.state["buffer_pos"] < 4 and bg.state["has_uint32"] == 1
+        assert _philox(seed, start) is bg
+        fresh = np.random.Philox(key=np.uint64(seed))
+        fresh.advance(start // 4)
+        fresh.random_raw(start % 4)
+        assert repr(bg.state) == repr(fresh.state)
+        assert np.array_equal(bg.random_raw(64), TestSpans.reference_words(seed, 64, start))
+
+    def test_runs_on_one_thread_build_no_generator(self, monkeypatch):
+        # after a warm-up, ten runs on this thread build no Philox and a run
+        # on a new thread builds its own, once
+        built, philox = [], np.random.Philox
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *args, **kwargs: built.append(args) or philox(*args, **kwargs))
+        params = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        monte_carlo("stage1", params, 1000, 0)
+        built.clear()
+        serial = [monte_carlo("stage1", params, 1000, seed).to_dict() for seed in range(10)]
+        assert built == []
+        [threaded] = _in_threads([(monte_carlo, ("stage1", params, 1000, 3))])
+        assert len(built) == 1 and threaded.to_dict() == serial[3]
+
+    @pytest.mark.parametrize("pipeline, params", MC_RUNS, ids=["qnd1", "qnd3", "stage2", "pbs"])
+    def test_a_seed_run_again_after_another_reports_the_same(self, pipeline, params):
+        first, other, again = (monte_carlo(pipeline, params, 50_003, seed).to_dict()
+                               for seed in (3, 5, 3))
+        assert first == again and other != first
+
+
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
 TABLES = (protocol._stage1_rows, _stage2_table, _pbs_table)
 

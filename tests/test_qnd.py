@@ -159,6 +159,20 @@ class TestConfig:
         info = qnd._check_phase_classes.cache_info()
         assert (info.misses, info.hits) == (1 + 4, 3)
 
+    def test_a_config_s_classes_refuse_writes(self):
+        # qnd1 and qnd3 at one pair share one cached mapping, so a write to
+        # one config's tags would relabel every later run at that pair
+        t, tp = PhaseTag(3, 16), PhaseTag(29, 64)
+        with pytest.raises(TypeError):
+            QndConfig(Variant.QND1, t, tp).classes[(1, 1)] = PhaseTag(1, 2)
+        for cfg in (default_config(Variant.QND2), QndConfig(Variant.QND4, t)):
+            with pytest.raises(TypeError):
+                cfg.classes[(1, 0)] = PhaseTag(1, 2)
+        qnd3 = QndConfig(Variant.QND3, t, tp)
+        assert dict(qnd3.classes) == {ZERO_COUNTS: ZERO_PHASE, (1, 0): t, (0, 1): tp,
+                                      (2, 0): t * 2, (0, 2): tp * 2, (1, 1): t + tp}
+        assert qnd3.phase((1, 1)) == t + tp
+
     @pytest.mark.parametrize("variant, angles", [
         (Variant.QND1, (Fraction(1, 4), Fraction(3, 4))),
         (Variant.QND3, (Fraction(1, 4), Fraction(3, 4))),
