@@ -125,6 +125,9 @@ class PhaseTag:
     def __setattr__(self, name, value):
         raise AttributeError("PhaseTag is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild a tag through the checked constructor
+        return PhaseTag, (self.num, self.den)
+
     @property
     def value(self) -> Fraction:
         """Phase in units of pi, reduced, in [0, 2)."""

@@ -50,8 +50,7 @@ and gives its class weights; a single run is a grid of one.  A table
 carries one column of (row, class, factor, multiplier) terms per report
 total, so ``exact_reports`` (the CLI's exact runs) adds each point's
 class weight times factor straight down each column (``_exact_sums``),
-with no list of row weights, and ``monte_carlo`` its draws of each row
-(``_row_sums``).  The library's exact-only single-point runs
+with no list of row weights.  The library's exact-only single-point runs
 (``stage1_run``, ``stage2_run``, ``pbs_baseline``) add the records of
 ``enumerate_exact``, the same rows less those of zero weight, in the
 same order, so every mode agrees to the bit, and ``_report`` builds
@@ -67,7 +66,12 @@ that draw: one ``Generator.multinomial`` call on the Philox generator
 keyed by the seed, over the rows of nonzero weight.  A run builds no
 generator: it rekeys its thread's one Philox to the state a new one keyed
 by the seed starts in, so the same seed gives the same report on any
-thread and in any process.  Its time and memory do not grow with the
+thread and in any process.  On a table's first run, Monte Carlo builds
+and keeps numpy columns of its class indices, its factors and a uint64
+matrix of its terms' multipliers (``_mc_columns``).  A run then weighs
+its rows as the same products in one array, and its five totals are the
+matrix times its draws of each row, exact integers even where the kept
+pairs pass 2**63.  Its time and memory do not grow with the
 trial count, which lies in [1, 2**63).  NumPy's NEP 19 keeps the Philox
 stream fixed across numpy versions, but not the algorithm of
 ``multinomial``, so a seed gives the same report under one numpy
@@ -502,19 +506,6 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
     return (entry.table(last), class_weights, last) if configs else (None, [], None)
 
 
-def _row_sums(table: RowTable, values: Sequence, zero) -> list:
-    """The totals of ``table.terms`` over ``values``, one per row: each
-    column's values times multipliers added in table order onto ``zero``,
-    0 for the draw counts of a Monte Carlo run."""
-    sums = []
-    for terms in table.terms:
-        total = zero
-        for i, _, _, m in terms:
-            total += values[i] * m
-        sums.append(total)
-    return sums
-
-
 def _exact_sums(table: RowTable, class_weights: Sequence) -> list:
     """The totals of ``table.terms`` at a point: each column's class weight
     times factor (times the kept pairs in the last) added in table order
@@ -541,12 +532,15 @@ def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
     the weight sums of an exact run (``trials`` None, one event), or the
     draw counts of a Monte Carlo run."""
     *counts, pairs = sums
-    kept, mc = counts[0] + counts[1], trials is not None
+    correct, erroneous, same_port, discarded = counts
+    kept, mc = correct + erroneous, trials is not None
     events = trials if mc else 1
-    fid = counts[0] / kept if kept > 0 else None
+    fid = correct / kept if kept > 0 else None
     y = kept / events
     return RunReport(  # positional: passing ten keywords per point is measurably slower
-        pipeline, "mc" if mc else "exact", fid, y, dict(zip(COUNT_KEYS, counts)), trials, seed,
+        pipeline, "mc" if mc else "exact", fid, y,
+        {"kept_correct": correct, "kept_erroneous": erroneous, "kept_same_port": same_port,
+         "discarded": discarded}, trials, seed,
         math.sqrt(fid * (1.0 - fid) / kept) if mc and kept >= 2 else None,
         math.sqrt(y * (1.0 - y) / trials) if mc and trials >= 2 else None,
         PIPELINES[pipeline].extras(params, counts, pairs, events))
@@ -606,7 +600,8 @@ def _philox(seed: int, start: int):
                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     if start >= 4:
         bg.advance(start // 4)  # one counter step yields four words
-    bg.random_raw(start % 4)  # drop the step's words before the start
+    if start % 4:
+        bg.random_raw(start % 4)  # drop the step's words before the start
     return bg
 
 
@@ -614,6 +609,26 @@ def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
     """One uniform in [0, 1) for each trial: (word >> 11) * 2**-53."""
     import numpy as np
     return (_philox(seed, start).random_raw(n_trials) >> np.uint64(11)) * (2.0 ** -53)
+
+
+_columns: dict = {}  # id(table) -> (table, its columns); holding the table keeps the id its own
+
+
+def _mc_columns(table: RowTable) -> tuple:
+    """(table, class indices, factors, terms matrix): its numpy columns,
+    built on its first Monte Carlo run.  Row k of the uint64 matrix holds
+    the multipliers of ``terms[k]`` at their rows' indices, so the matrix
+    times a run's draws of each row is its totals: uint64, as the kept pairs
+    of 2**63 - 1 trials can pass 2**63."""
+    entry = _columns.get(id(table))
+    if entry is None:
+        import numpy as np
+        terms = np.zeros((len(table.terms), len(table.cls)), dtype=np.uint64)
+        for total, column in zip(terms, table.terms):
+            for i, _, _, m in column:
+                total[i] = m
+        entry = _columns[id(table)] = (table, np.array(table.cls), np.array(table.factor), terms)
+    return entry
 
 
 def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple:
@@ -625,11 +640,12 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple
     if not 1 <= trials < 2**63:  # numpy's multinomial takes no more
         raise ValueError(f"trials must lie in [1, 2**63), not {trials}")
     table, (class_weights,), _ = _weighted_rows(pipeline, [params])
-    w = np.array([class_weights[c] * f for c, f in zip(table.cls, table.factor)])
-    drawn = np.flatnonzero(w)
-    row_counts = np.zeros(len(w), dtype=np.int64)
-    row_counts[drawn] = np.random.Generator(_philox(seed, 0)).multinomial(
-        trials, w[drawn] / w[drawn].sum())
+    _, cls, factor, _ = _mc_columns(table)
+    w = np.array(class_weights)[cls] * factor  # each row's class weight times factor
+    (drawn,) = w.nonzero()
+    w = w[drawn]
+    row_counts = np.zeros(len(cls), dtype=np.int64)
+    row_counts[drawn] = np.random.Generator(_philox(seed, 0)).multinomial(trials, w / w.sum())
     return table, row_counts
 
 
@@ -639,7 +655,10 @@ def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunR
     # 1.5 raises; a numpy integer is reported as a plain int
     trials, seed = operator.index(trials), operator.index(seed)
     table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
-    return _report(pipeline, params, _row_sums(table, row_counts.tolist(), 0), trials, seed)
+    terms = _mc_columns(table)[3]
+    # the draws are never negative, so their uint64 view holds the same counts
+    totals = (terms @ row_counts.view(terms.dtype)).tolist()
+    return _report(pipeline, params, totals, trials, seed)
 
 
 # ---------------------------------------------------------------------------

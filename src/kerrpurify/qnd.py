@@ -153,6 +153,9 @@ class QndConfig:
         object.__setattr__(self, "classes", _check_phase_classes(t, tp) if reads_prime
                            else MappingProxyType({ZERO_COUNTS: ZERO_PHASE, (1, 0): t}))
 
+    def __reduce__(self):  # pickle and copy rebuild a config, and its classes, through the checks
+        return QndConfig, (self.variant, self.theta, self.theta_prime)
+
     def phase(self, counts: tuple) -> PhaseTag:
         """The probe phase a*theta + b*theta' of the probe counts (a, b): the
         config's own tag of a count class it keeps, else a new tag."""

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -23,6 +25,11 @@ ALL_PORT_MODES = tuple(
     for s in (Spatial.UPPER, Spatial.LOWER)
     for pol in Pol
 )
+
+# pickle, copy and deepcopy: each rebuilds an object, as a process pool would
+copiers = pytest.mark.parametrize(
+    "copier", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"])
 
 # angles in units of pi, admissible or not: tests assume() away the
 # pairs a QndConfig rejects

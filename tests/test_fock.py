@@ -1,6 +1,7 @@
 """Core state representation: exact phases, branches, probe counts, projection."""
 
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from kerrpurify import (
 )
 from kerrpurify.branches import U1, U2, U3, U4, operator_state
 
-from conftest import random_pure_state, assert_states_equal
+from conftest import copiers, random_pure_state, assert_states_equal
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
 B1H = ModeLabel(Party.BOB, Spatial.UPPER, Pol.H)
@@ -82,6 +83,25 @@ class TestPhaseTag:
 
     def test_hash_consistency(self):
         assert len({PhaseTag(1, 4), PhaseTag(2, 8), PhaseTag(9, 4)}) == 1
+
+    @copiers
+    def test_a_tag_is_rebuilt_equal_and_immutable(self, copier):
+        for tag in (ZERO_PHASE, PhaseTag(1, 4), PhaseTag(7, 3), PhaseTag(-1, 8), PI):
+            again = copier(tag)
+            assert again == tag and hash(again) == hash(tag)
+            assert (again.num, again.den) == (tag.num, tag.den)
+            with pytest.raises(AttributeError, match="immutable"):
+                again.num = 0
+
+    @pytest.mark.parametrize("args, error", [((1, 0), ZeroDivisionError),
+                                             ((1.0, 4), TypeError)], ids=["den-0", "float"])
+    def test_a_tampered_pickle_is_refused_by_the_constructor(self, args, error):
+        class Tampered:
+            def __reduce__(self):
+                return PhaseTag, args
+
+        with pytest.raises(error):
+            pickle.loads(pickle.dumps(Tampered()))
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):

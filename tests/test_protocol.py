@@ -60,7 +60,7 @@ from kerrpurify.protocol import (
 from kerrpurify.qnd import apply_qnd, default_config
 from kerrpurify.sources import TWO_PAIR_KINDS, single_pair_state
 
-from conftest import angles, random_angle_pair
+from conftest import angles, copiers, random_angle_pair
 from oracle import pdc_emit, per_medium_phases
 
 
@@ -467,9 +467,16 @@ def _one_draw(weights, trials, seed, normalize=True) -> np.ndarray:
     return counts
 
 
+def _terms_totals(table, draws) -> list:
+    """The report totals of ``draws`` of each row of ``table``: each column
+    of ``terms`` adds its rows' draws times their multipliers."""
+    return [sum(draws[i] * m for i, _, _, m in column) for column in table.terms]
+
+
 def _rows_weighing(monkeypatch, weights):
-    """Make every run's table one class whose rows weigh ``weights``."""
-    table = SimpleNamespace(cls=[0] * len(weights), factor=list(weights))
+    """Make every run's table one class whose rows weigh ``weights`` and add
+    to no report total."""
+    table = protocol.RowTable((), (0,) * len(weights), tuple(weights), ())
     monkeypatch.setattr(protocol, "_weighted_rows", lambda pipeline, points: (table, [[1.0]], None))
 
 
@@ -520,6 +527,17 @@ class TestMonteCarlo:
         assert type(report.trials) is int
         plain = monte_carlo("stage2", {"F": 0.8}, 1000, 1)
         assert json.dumps(report.to_dict()) == json.dumps(plain.to_dict())
+
+    def test_kept_pairs_past_2_63_are_counted_exactly(self):
+        # p2 = 1, f0 = 1: every event is a double emission and about half are
+        # kept with two pairs each, so at 2**63 - 1 trials the kept pairs pass
+        # 2**63, where an int64 total wraps negative
+        trials = 2**63 - 1
+        report = monte_carlo("stage1", {"p1": 0.0, "p2": 1.0, "f0": 1.0}, trials, 0)
+        correct = report.counts["kept_correct"]
+        assert sum(report.counts.values()) == trials
+        assert 2 * correct > 2**63
+        assert report.extras["kept_pairs_per_event"] == 2 * correct / trials
 
     def test_a_trial_count_that_is_not_an_integer_raises(self):
         with pytest.raises(TypeError):
@@ -1063,6 +1081,37 @@ class TestThreadGenerator:
         assert first == again and other != first
 
 
+class TestColumnCache:
+    """A table's numpy columns are built on its first Monte Carlo run and
+    kept with the table: later runs build none, and a table built anew, or
+    put in place by a test, is weighed by its own columns."""
+
+    def test_warm_runs_build_no_columns_and_a_new_table_builds_once(self, monkeypatch):
+        for pipeline, params in MC_RUNS:
+            monte_carlo(pipeline, params, 1000, 0)
+        warm = dict(protocol._columns)
+        for pipeline, params in MC_RUNS:
+            for seed in range(10):
+                monte_carlo(pipeline, params, 1000, seed)
+        assert protocol._columns.keys() == warm.keys()
+        assert all(protocol._columns[key] is entry for key, entry in warm.items())
+        # a stand-in table of three rows, then the rebuilt stage-2 table of 16
+        _rows_weighing(monkeypatch, [0.25, 0.5, 0.25])
+        assert _mc_row_counts("stage2", {"F": 0.8}, 1000, 1)[1].tolist() == \
+               _one_draw([0.25, 0.5, 0.25], 1000, 1).tolist()
+        monkeypatch.undo()
+        _stage2_table.cache_clear()
+        before = dict(protocol._columns)
+        table, rows = _mc_row_counts("stage2", {"F": 0.8}, 40_003, 7)
+        assert table is _stage2_table()
+        assert protocol._columns.keys() - before.keys() == {id(table)}
+        assert protocol._columns[id(table)][0] is table
+        assert np.array_equal(rows, _one_draw(_table_weights("stage2", {"F": 0.8}), 40_003, 7))
+        report = monte_carlo("stage2", {"F": 0.8}, 40_003, 7)
+        assert len(protocol._columns) == len(before) + 1
+        assert report.counts == dict(zip(COUNT_KEYS, _terms_totals(table, rows.tolist())))
+
+
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
 TABLES = (protocol._stage1_rows, _stage2_table, _pbs_table)
 
@@ -1200,7 +1249,7 @@ class TestOutcomeTables:
             assert np.array_equal(rows, _one_draw(_table_weights(name, params), trials, 5))
             report = monte_carlo(name, params, trials, seed=5)
             assert report.to_dict() == protocol._report(
-                name, params, protocol._row_sums(table, rows.tolist(), 0), trials, 5).to_dict()
+                name, params, _terms_totals(table, rows.tolist()), trials, 5).to_dict()
 
     @pytest.mark.parametrize("pipeline, params", [
         ("stage1", {"p1": 0.1, "p2": 0.3, "f0": 1.0}),
@@ -1224,10 +1273,9 @@ class TestOutcomeTables:
         ("pbs", {"F": 0.9}),
     ])
     def test_records_agree_with_the_row_columns(self, pipeline, params, monkeypatch):
-        # single runs sum the records, grids the class weights down each
-        # column of terms and Monte Carlo its values of each row: the totals
-        # agree to the bit, and with a loop that adds every row, zero-weight
-        # and pairless ones too
+        # single runs sum the records and grids the class weights down each
+        # column of terms: the totals agree to the bit, and with a loop that
+        # adds every row, zero-weight and pairless ones too
         records = enumerate_exact(pipeline, params)
         table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
         w = _row_weights(table, class_weights)
@@ -1237,18 +1285,32 @@ class TestOutcomeTables:
             reference[-1] += weight * row.kept_pairs
         reference = [x.hex() for x in reference]
         assert [x.hex() for x in protocol._exact_sums(table, class_weights)] == reference
-        assert [x.hex() for x in protocol._row_sums(table, w, 0.0)] == reference
         summed = []
         monkeypatch.setattr(protocol, "_report", lambda *args: summed.append(args[2]))
         protocol._exact(pipeline, params, records)
         assert [[x.hex() for x in sums] for sums in summed] == [reference]
-        # the same columns count Monte Carlo draws, one integer per row
-        draws = list(range(1, len(table.rows) + 1))
-        counted = [0] * (len(COUNT_KEYS) + 1)
-        for row, n in zip(table.rows, draws):
-            counted[COUNT_KEYS.index(row.verdict.value)] += n
-            counted[-1] += n * row.kept_pairs
-        assert protocol._row_sums(table, draws, 0) == counted
+        # the same columns, as Monte Carlo's uint64 matrix, count its draws,
+        # one integer per row, exactly: also where the kept pairs pass 2**63
+        terms = protocol._mc_columns(table)[3]
+        n_rows = len(table.rows)
+        for draws in (list(range(1, n_rows + 1)), [(2**63 - 1) // n_rows] * n_rows):
+            counted = [0] * (len(COUNT_KEYS) + 1)
+            for row, n in zip(table.rows, draws):
+                counted[COUNT_KEYS.index(row.verdict.value)] += n
+                counted[-1] += n * row.kept_pairs
+            assert (terms @ np.array(draws, dtype=np.uint64)).tolist() == counted
+            assert _terms_totals(table, draws) == counted
+
+
+@copiers
+def test_records_are_rebuilt_equal(copier):
+    # records hold tags and states; a process pool would send them pickled
+    cfg = QndConfig(Variant.QND3, PhaseTag(7, 32), PhaseTag(45, 64))
+    runs = MC_RUNS + [("stage1", {"p1": 0.1, "p2": 0.05, "f0": 0.8, "variant": cfg.variant,
+                                  "cfg": cfg})]
+    for pipeline, params in runs:
+        records = enumerate_exact(pipeline, params)
+        assert copier(records) == records
 
 
 class TestOutcomeVocabulary:
@@ -1260,6 +1322,18 @@ class TestOutcomeVocabulary:
     def test_count_keys_are_the_verdicts(self):
         assert COUNT_KEYS == ("kept_correct", "kept_erroneous", "kept_same_port", "discarded")
         assert [Verdict(k) for k in COUNT_KEYS] == list(Verdict)
+
+    @pytest.mark.parametrize("pipeline, params", MC_RUNS, ids=["qnd1", "qnd3", "stage2", "pbs"])
+    def test_every_report_counts_in_count_keys_order(self, pipeline, params):
+        single = {"stage1": lambda p: stage1_run(PdcSourceParams(p["p1"], p["p2"]),
+                                                 NoiseParams(p["f0"]),
+                                                 p.get("variant", Variant.QND1)),
+                  "stage2": lambda p: stage2_run(p["F"]), "pbs": lambda p: pbs_baseline(p["F"])}
+        reports = [single[pipeline](params), *exact_reports(pipeline, [params]),
+                   monte_carlo(pipeline, params, 1, 0), monte_carlo(pipeline, params, 10**6, 5)]
+        for report in reports:
+            assert tuple(report.counts) == COUNT_KEYS, report.mode
+            assert tuple(report.to_dict()["counts"]) == COUNT_KEYS
 
     def test_same_port_rows_carry_their_own_verdict(self):
         rng, configs = random.Random(41), [default_config(Variant.QND1),

@@ -2,10 +2,12 @@
 
 import contextlib
 import io
+import pickle
 import random
 import re
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -42,8 +44,8 @@ from kerrpurify import (
 from kerrpurify import cli, qnd
 from kerrpurify.branches import BRANCH_CASES, HHHH, HHVV, VVHH, VVVV, operator_state
 
-from conftest import (angles, assert_states_equal, photon_distribution, random_angle_pair,
-                      random_pure_state)
+from conftest import (angles, assert_states_equal, copiers, photon_distribution,
+                      random_angle_pair, random_pure_state)
 from oracle import assert_same_phases, per_medium_phases, rendered_phases
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
@@ -172,6 +174,34 @@ class TestConfig:
         assert dict(qnd3.classes) == {ZERO_COUNTS: ZERO_PHASE, (1, 0): t, (0, 1): tp,
                                       (2, 0): t * 2, (0, 2): tp * 2, (1, 1): t + tp}
         assert qnd3.phase((1, 1)) == t + tp
+
+    @copiers
+    def test_a_config_is_rebuilt_through_its_checks(self, copier):
+        t, tp = PhaseTag(7, 32), PhaseTag(45, 64)
+        configs = [default_config(v) for v in Variant] + [
+            QndConfig(Variant.QND1, t, tp), QndConfig(Variant.QND3, t, tp),
+            QndConfig(Variant.QND4, t)]
+        for cfg in configs:
+            again = copier(cfg)
+            assert again == cfg and dict(again.classes) == dict(cfg.classes)
+            assert type(again.classes) is MappingProxyType
+            with pytest.raises(TypeError):
+                again.classes[(9, 9)] = ZERO_PHASE
+
+    @pytest.mark.parametrize("args", [
+        (Variant.QND1, PhaseTag(1, 4), PhaseTag(1, 4)),
+        (Variant.QND3, PhaseTag(1, 2), PI),
+        (Variant.QND2, THETA, None),
+        (Variant.QND4, PI, None),
+        (Variant.QND1, 0.25, PhaseTag(3, 4)),
+    ], ids=["qnd1-equal", "qnd3-degenerate", "qnd2-not-pi", "qnd4-pi", "qnd1-float"])
+    def test_a_tampered_pickle_is_refused_by_the_checks(self, args):
+        class Tampered:
+            def __reduce__(self):
+                return QndConfig, args
+
+        with pytest.raises(ConfigError):
+            pickle.loads(pickle.dumps(Tampered()))
 
     @pytest.mark.parametrize("variant, angles", [
         (Variant.QND1, (Fraction(1, 4), Fraction(3, 4))),
