@@ -304,8 +304,9 @@ def run_branch_suite(theta: PhaseTag | None = None,
     if only is not None:
         if not only:
             raise ValueError("only names no case id; pass None to run every case")
-        unknown = set(only) - set(CASE_IDS)
-        if unknown:
+        if isinstance(only, str):
+            raise ValueError(f"only is a collection of case ids, not the string {only!r}")
+        if unknown := set(only) - set(CASE_IDS):
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
     cfgs = {v: default_config(v) for v in Variant}
     for v in (Variant.QND1, Variant.QND3):

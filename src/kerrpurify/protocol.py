@@ -42,22 +42,20 @@ or flipped single pair or a double emission with its two flips (stage 1),
 or a Bell-kind pair of the two-pair mixture (stage 2, PBS).  The PIPELINES
 registry pairs each table with the function that weights its classes at a
 parameter point, so a row weighs its class weight times its own factor.
-A row's class is its one ``Verdict`` field, and ``COUNT_KEYS``, the
-report's count buckets, are the verdicts' values in their order.
+A row counts in the report bucket of its ``Verdict``: ``COUNT_KEYS``,
+the report's count buckets, are the verdicts' values in their order.
 
 ``_weighted_rows`` checks each point of a grid of one detector config
 and gives its class weights; a single run is a grid of one.  A table
-carries one column of (row, class, factor, multiplier) terms per report
-total, so ``exact_reports`` (the CLI's exact runs) adds each point's
-class weight times factor straight down each column (``_exact_sums``),
-with no list of row weights.  The library's exact-only single-point runs
-(``stage1_run``, ``stage2_run``, ``pbs_baseline``) add the records of
-``enumerate_exact``, the same rows less those of zero weight, in the
-same order, so every mode agrees to the bit, and ``_report`` builds
-every report.  Exact runs weight and sum their (at most 20) rows in
-Python floats; only Monte Carlo imports numpy.
-Every kept row's fidelity is exactly 1.0 (correct) or 0.0 (erroneous),
-so a report's fidelity is its correct total over its kept total.
+holds one column per row, its (class, factor, bucket, kept pairs).
+``exact_reports`` (the CLI's exact runs) totals a point in one pass down
+them (``_exact_sums``); the exact-only single runs (``stage1_run``,
+``stage2_run``, ``pbs_baseline``) add the records of ``enumerate_exact``,
+the same rows less those of zero weight, in the same order, so every
+mode agrees to the bit.  ``_report`` builds every report.  Exact runs
+sum their (at most 20) rows in Python floats, so only Monte Carlo
+imports numpy.  A kept row's fidelity is exactly 1.0 (correct) or 0.0
+(erroneous): a report's fidelity is its correct total over its kept total.
 
 Monte Carlo has one entry point, ``monte_carlo``.  Each trial draws one
 row from the row weights, independently, so a run's row counts are one
@@ -66,16 +64,15 @@ that draw: one ``Generator.multinomial`` call on the Philox generator
 keyed by the seed, over the rows of nonzero weight.  A run builds no
 generator: it rekeys its thread's one Philox to the state a new one keyed
 by the seed starts in, so the same seed gives the same report on any
-thread and in any process.  On a table's first run, Monte Carlo builds
-and keeps numpy columns of its class indices, its factors and a uint64
-matrix of its terms' multipliers (``_mc_columns``).  A run then weighs
-its rows as the same products in one array, and its five totals are the
-matrix times its draws of each row, exact integers even where the kept
-pairs pass 2**63.  Its time and memory do not grow with the
-trial count, which lies in [1, 2**63).  NumPy's NEP 19 keeps the Philox
-stream fixed across numpy versions, but not the algorithm of
-``multinomial``, so a seed gives the same report under one numpy
-version and may give another under the next.
+thread and in any process.  A table's first run builds and keeps numpy
+arrays of its class indices and factors and a uint64 matrix of its
+buckets and kept pairs (``_mc_columns``); a run weighs its rows in one
+array, and its five totals are the matrix times its draws of each row,
+exact integers even where the kept pairs pass 2**63.  Its time and
+memory do not grow with the trial count, which lies in [1, 2**63).
+NumPy's NEP 19 keeps the Philox stream fixed across numpy versions, but
+not the algorithm of ``multinomial``, so a seed gives the same report
+under one numpy version and may give another under the next.
 """
 
 from __future__ import annotations
@@ -244,33 +241,26 @@ _BUCKET = {verdict: i for i, verdict in enumerate(Verdict)}  # its index in COUN
 _new_record = functools.partial(tuple.__new__, OutcomeRecord)  # _make less its Python frame
 
 
-class RowTable(NamedTuple):
-    """The outcome rows of one pipeline and config, with their columns.
+@dataclass(frozen=True, eq=False)  # equal only to itself, hashed by identity
+class RowTable:
+    """The outcome rows of one pipeline and config, with one column per row.
 
     ``rows[i]`` is an ``OutcomeRecord`` whose weight is its probability
-    given its event class ``cls[i]``; at a parameter point the row weighs
-    that class's weight times ``factor[i]``.  ``terms`` holds one column
-    per report total, the verdicts in COUNT_KEYS order and then the kept
-    pairs: the (row, class, factor, multiplier) of each row that adds to
-    the total, in table order, the multiplier 1 in a verdict's column and
-    the row's kept pairs in the last.
+    given its event class; ``columns[i]`` is its (class, factor, bucket,
+    kept pairs): at a parameter point the row weighs that class's weight
+    times the factor, its verdict's index in COUNT_KEYS is the bucket it
+    adds to, and its weight times its kept pairs adds to the kept pairs.
     """
 
     rows: tuple
-    cls: tuple
-    factor: tuple
-    terms: tuple
+    columns: tuple
 
 
 def _row_table(classes) -> RowTable:
     """Flatten the records of each event class, in class order."""
-    rows = tuple(r for records in classes for r in records)
-    cls = tuple(c for c, records in enumerate(classes) for _ in records)
-    indexed = [(i, c, r.weight, r) for i, (c, r) in enumerate(zip(cls, rows))]
-    return RowTable(rows, cls, tuple(r.weight for r in rows),
-                    tuple(tuple((i, c, f, 1) for i, c, f, r in indexed if r.verdict is verdict)
-                          for verdict in _BUCKET)
-                    + (tuple((i, c, f, r.kept_pairs) for i, c, f, r in indexed if r.kept_pairs),))
+    return RowTable(tuple(r for records in classes for r in records),
+                    tuple((c, r.weight, _BUCKET[r.verdict], r.kept_pairs)
+                          for c, records in enumerate(classes) for r in records))
 
 
 class Reading(NamedTuple):
@@ -411,7 +401,9 @@ def _stage1_config(variant, cfg) -> QndConfig:
         variant = Variant(variant)
     if variant not in (Variant.QND1, Variant.QND3):
         raise ConfigError("stage 1 runs with the qnd1 or qnd3 detector")
-    cfg = cfg or default_config(variant)
+    cfg = default_config(variant) if cfg is None else cfg
+    if not isinstance(cfg, QndConfig):
+        raise ConfigError(f"a stage-1 cfg is a QndConfig, not {type(cfg).__name__}")
     if cfg.variant != variant:
         raise ConfigError("config variant does not match the requested detector")
     return cfg
@@ -507,30 +499,27 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
 
 
 def _exact_sums(table: RowTable, class_weights: Sequence) -> list:
-    """The totals of ``table.terms`` at a point: each column's class weight
-    times factor (times the kept pairs in the last) added in table order
-    onto 0.0, the IEEE products and sums of a single run's records (a
-    zero-weight row adds 0.0), so both agree to the bit.  No ``sum()`` or
-    ``math.fsum``: from Python 3.12 ``sum()`` of floats is compensated and
-    ``fsum`` rounds once, so either would change bits."""
-    *verdicts, kept = table.terms
-    sums = []
-    for terms in verdicts:  # a verdict's multiplier is 1: skipping it changes no bit
-        total = 0.0
-        for _, c, f, _ in terms:
-            total += class_weights[c] * f
-        sums.append(total)
-    pairs = 0.0
-    for _, c, f, m in kept:
-        pairs += class_weights[c] * f * m
-    return [*sums, pairs]
+    """The totals of ``table`` at a point: each row's class weight times
+    factor added onto 0.0 in its bucket and, times its kept pairs, in the
+    kept pairs, in table order (a pairless row's +0.0, skipped as it changes
+    no bit): a single run's IEEE products and sums of its records, to the
+    bit.  No ``sum()`` or ``math.fsum``: from Python 3.12 ``sum()`` of floats
+    is compensated and ``fsum`` rounds once, so either would change bits."""
+    sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
+    for c, f, bucket, kept in table.columns:
+        w = class_weights[c] * f
+        sums[bucket] += w
+        if kept:  # most stage-1 rows keep no pair: skipping them is measurably faster
+            pairs += w * kept
+    sums[-1] = pairs
+    return sums
 
 
 def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
             seed: int | None = None) -> RunReport:
-    """The report of a run at ``params`` from its totals in ``RowTable.terms`` order:
-    the weight sums of an exact run (``trials`` None, one event), or the
-    draw counts of a Monte Carlo run."""
+    """The report of a run at ``params`` from its totals (COUNT_KEYS, then the
+    kept pairs): the weight sums of an exact run (``trials`` None, one
+    event), or the draw counts of a Monte Carlo run."""
     *counts, pairs = sums
     correct, erroneous, same_port, discarded = counts
     kept, mc = correct + erroneous, trials is not None
@@ -611,24 +600,19 @@ def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
     return (_philox(seed, start).random_raw(n_trials) >> np.uint64(11)) * (2.0 ** -53)
 
 
-_columns: dict = {}  # id(table) -> (table, its columns); holding the table keeps the id its own
-
-
+@functools.cache  # one entry per table, which the cache keeps alive
 def _mc_columns(table: RowTable) -> tuple:
-    """(table, class indices, factors, terms matrix): its numpy columns,
-    built on its first Monte Carlo run.  Row k of the uint64 matrix holds
-    the multipliers of ``terms[k]`` at their rows' indices, so the matrix
+    """(class indices, factors, totals matrix): the numpy columns of
+    ``table``, built on its first Monte Carlo run.  Column i of the uint64
+    matrix holds 1 in row i's bucket and its kept pairs last, so the matrix
     times a run's draws of each row is its totals: uint64, as the kept pairs
     of 2**63 - 1 trials can pass 2**63."""
-    entry = _columns.get(id(table))
-    if entry is None:
-        import numpy as np
-        terms = np.zeros((len(table.terms), len(table.cls)), dtype=np.uint64)
-        for total, column in zip(terms, table.terms):
-            for i, _, _, m in column:
-                total[i] = m
-        entry = _columns[id(table)] = (table, np.array(table.cls), np.array(table.factor), terms)
-    return entry
+    import numpy as np
+    cls, factor, bucket, kept = (np.array(column) for column in zip(*table.columns))
+    matrix = np.zeros((len(COUNT_KEYS) + 1, len(cls)), dtype=np.uint64)
+    matrix[bucket, np.arange(len(cls))] = 1
+    matrix[-1] = kept
+    return cls, factor, matrix
 
 
 def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple:
@@ -640,7 +624,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple
     if not 1 <= trials < 2**63:  # numpy's multinomial takes no more
         raise ValueError(f"trials must lie in [1, 2**63), not {trials}")
     table, (class_weights,), _ = _weighted_rows(pipeline, [params])
-    _, cls, factor, _ = _mc_columns(table)
+    cls, factor, _ = _mc_columns(table)
     w = np.array(class_weights)[cls] * factor  # each row's class weight times factor
     (drawn,) = w.nonzero()
     w = w[drawn]
@@ -655,9 +639,9 @@ def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunR
     # 1.5 raises; a numpy integer is reported as a plain int
     trials, seed = operator.index(trials), operator.index(seed)
     table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
-    terms = _mc_columns(table)[3]
+    matrix = _mc_columns(table)[2]
     # the draws are never negative, so their uint64 view holds the same counts
-    totals = (terms @ row_counts.view(terms.dtype)).tolist()
+    totals = (matrix @ row_counts.view(matrix.dtype)).tolist()
     return _report(pipeline, params, totals, trials, seed)
 
 
@@ -676,8 +660,8 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
     table, (class_weights,), cfg = _weighted_rows(pipeline, [params])
     tag = cfg.classes if cfg else {None: None}  # PBS rows read no probe
     return [_new_record((tag[a], tag[b], verdict, state, w, fid, order, pairs))
-            for (a, b, verdict, state, _, fid, order, pairs), c, f
-            in zip(table.rows, table.cls, table.factor) if (w := class_weights[c] * f) != 0.0]
+            for (a, b, verdict, state, _, fid, order, pairs), (c, f, _, _)
+            in zip(table.rows, table.columns) if (w := class_weights[c] * f) != 0.0]
 
 
 def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:

@@ -141,6 +141,9 @@ def test_suite_filtering():
     assert len(results) == 1 and results[0].case_id == "qnd1-double-clean"
     with pytest.raises(ValueError):
         run_branch_suite(only={"nonexistent-case"})
+    # a bare case id is not a selection of its characters
+    with pytest.raises(ValueError, match="case ids, not the string 'qnd1-single-clean'"):
+        run_branch_suite(only="qnd1-single-clean")
 
 
 @pytest.mark.parametrize("only", [[], "", set(), ()], ids=["list", "str", "set", "tuple"])

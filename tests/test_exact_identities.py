@@ -45,7 +45,7 @@ def exact_sums(name: str, table, class_weights: list) -> tuple:
     """(total weight, kept weight, kept weight times fidelity) of ``table``,
     every row snapped to its dyadic factor and fidelity."""
     total = kept = fid_sum = Fraction(0)
-    for i, (row, c, factor) in enumerate(zip(table.rows, table.cls, table.factor)):
+    for i, (row, (c, factor, _, _)) in enumerate(zip(table.rows, table.columns)):
         w = class_weights[c] * snap(float(factor), f"{name} row {i} factor")
         total += w
         if row.verdict in KEPT:

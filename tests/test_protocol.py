@@ -247,7 +247,7 @@ class TestSinglePairLeaves:
                     leaves = protocol.single_pair_leaves(cfg.variant, flipped)
                     assert len({(leaf.alice, leaf.bob) for leaf in leaves}) == len(leaves) == 2
                     tags = [(r.probe_alice, r.probe_bob)
-                            for r, c in zip(records, counted.cls) if c == flipped]
+                            for r, (c, *_) in zip(records, counted.columns) if c == flipped]
                     assert set(tags) == {(cfg.phase(leaf.alice), cfg.phase(leaf.bob))
                                          for leaf in leaves}
 
@@ -304,7 +304,7 @@ class TestPerAngleRender:
                                            Verdict.KEPT_ERRONEOUS)) == kept
             for c, want in enumerate(expected):
                 got = sorted((record.probe_alice, record.probe_bob, factor)
-                             for record, k, factor in zip(records, table.cls, table.factor)
+                             for record, (k, factor, _, _) in zip(records, table.columns)
                              if k == c)
                 assert len(got) == len(want)
                 for (tag_a, tag_b, factor), (want_a, want_b, p) in zip(got, sorted(want)):
@@ -445,7 +445,7 @@ class TestEnumerateExact:
 
 def _row_weights(table, class_weights) -> list:
     """The weight of each row of ``table`` at a point whose classes weigh ``class_weights``."""
-    return [class_weights[c] * f for c, f in zip(table.cls, table.factor)]
+    return [class_weights[c] * f for c, f, _, _ in table.columns]
 
 
 def _table_weights(pipeline, params) -> np.ndarray:
@@ -467,16 +467,22 @@ def _one_draw(weights, trials, seed, normalize=True) -> np.ndarray:
     return counts
 
 
-def _terms_totals(table, draws) -> list:
-    """The report totals of ``draws`` of each row of ``table``: each column
-    of ``terms`` adds its rows' draws times their multipliers."""
-    return [sum(draws[i] * m for i, _, _, m in column) for column in table.terms]
+def _columns_totals(table, draws) -> list:
+    """The report totals of ``draws`` of each row of ``table``: each row adds
+    its draws to its bucket's total and its draws times its kept pairs to
+    the last."""
+    totals = [0] * (len(COUNT_KEYS) + 1)
+    for (_, _, bucket, kept), n in zip(table.columns, draws):
+        totals[bucket] += n
+        totals[-1] += n * kept
+    return totals
 
 
 def _rows_weighing(monkeypatch, weights):
-    """Make every run's table one class whose rows weigh ``weights`` and add
-    to no report total."""
-    table = protocol.RowTable((), (0,) * len(weights), tuple(weights), ())
+    """Make every run's table one class whose rows weigh ``weights``, all
+    discarded, with no kept pair."""
+    discarded = COUNT_KEYS.index(Verdict.DISCARDED.value)
+    table = protocol.RowTable((), tuple((0, w, discarded, 0) for w in weights))
     monkeypatch.setattr(protocol, "_weighted_rows", lambda pipeline, points: (table, [[1.0]], None))
 
 
@@ -1089,27 +1095,36 @@ class TestColumnCache:
     def test_warm_runs_build_no_columns_and_a_new_table_builds_once(self, monkeypatch):
         for pipeline, params in MC_RUNS:
             monte_carlo(pipeline, params, 1000, 0)
-        warm = dict(protocol._columns)
+        tables = [protocol._weighted_rows(pipeline, [params])[0] for pipeline, params in MC_RUNS]
+        warm = [protocol._mc_columns(table) for table in tables]
+        info = protocol._mc_columns.cache_info()
         for pipeline, params in MC_RUNS:
             for seed in range(10):
                 monte_carlo(pipeline, params, 1000, seed)
-        assert protocol._columns.keys() == warm.keys()
-        assert all(protocol._columns[key] is entry for key, entry in warm.items())
+        assert protocol._mc_columns.cache_info()[1:] == info[1:]  # no miss, no new entry
+        assert all(protocol._mc_columns(t) is entry for t, entry in zip(tables, warm))
         # a stand-in table of three rows, then the rebuilt stage-2 table of 16
         _rows_weighing(monkeypatch, [0.25, 0.5, 0.25])
         assert _mc_row_counts("stage2", {"F": 0.8}, 1000, 1)[1].tolist() == \
                _one_draw([0.25, 0.5, 0.25], 1000, 1).tolist()
         monkeypatch.undo()
         _stage2_table.cache_clear()
-        before = dict(protocol._columns)
+        before = protocol._mc_columns.cache_info()
         table, rows = _mc_row_counts("stage2", {"F": 0.8}, 40_003, 7)
         assert table is _stage2_table()
-        assert protocol._columns.keys() - before.keys() == {id(table)}
-        assert protocol._columns[id(table)][0] is table
+        after = protocol._mc_columns.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
+        cls, factor, matrix = protocol._mc_columns(table)
+        assert protocol._mc_columns.cache_info().misses == after.misses
+        assert cls.tolist() == [c for c, _, _, _ in table.columns]
+        assert factor.tolist() == [f for _, f, _, _ in table.columns]
         assert np.array_equal(rows, _one_draw(_table_weights("stage2", {"F": 0.8}), 40_003, 7))
         report = monte_carlo("stage2", {"F": 0.8}, 40_003, 7)
-        assert len(protocol._columns) == len(before) + 1
-        assert report.counts == dict(zip(COUNT_KEYS, _terms_totals(table, rows.tolist())))
+        assert protocol._mc_columns.cache_info().currsize == after.currsize
+        assert report.counts == dict(zip(COUNT_KEYS, _columns_totals(table, rows.tolist())))
+        # a table is its own key: an equal copy is another table, built anew
+        protocol._mc_columns(protocol.RowTable(table.rows, table.columns))
+        assert protocol._mc_columns.cache_info().misses == after.misses + 1
 
 
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
@@ -1229,7 +1244,7 @@ class TestOutcomeTables:
         for table in (_stage2_table(), _pbs_table()):
             kept_rows = np.array([r.verdict in (Verdict.KEPT_CORRECT, Verdict.KEPT_ERRONEOUS)
                                   for r in table.rows])
-            cls, factor = np.asarray(table.cls), np.asarray(table.factor)
+            cls, factor, _, _ = map(np.array, zip(*table.columns))
             for c, kinds in enumerate(TWO_PAIR_KINDS):
                 kept = {table.rows[i].verdict
                         for i in np.flatnonzero((cls == c) & kept_rows)}
@@ -1249,7 +1264,7 @@ class TestOutcomeTables:
             assert np.array_equal(rows, _one_draw(_table_weights(name, params), trials, 5))
             report = monte_carlo(name, params, trials, seed=5)
             assert report.to_dict() == protocol._report(
-                name, params, _terms_totals(table, rows.tolist()), trials, 5).to_dict()
+                name, params, _columns_totals(table, rows.tolist()), trials, 5).to_dict()
 
     @pytest.mark.parametrize("pipeline, params", [
         ("stage1", {"p1": 0.1, "p2": 0.3, "f0": 1.0}),
@@ -1273,8 +1288,8 @@ class TestOutcomeTables:
         ("pbs", {"F": 0.9}),
     ])
     def test_records_agree_with_the_row_columns(self, pipeline, params, monkeypatch):
-        # single runs sum the records and grids the class weights down each
-        # column of terms: the totals agree to the bit, and with a loop that
+        # single runs sum the records and grids the class weights down the
+        # rows' columns: the totals agree to the bit, and with a loop that
         # adds every row, zero-weight and pairless ones too
         records = enumerate_exact(pipeline, params)
         table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
@@ -1291,15 +1306,15 @@ class TestOutcomeTables:
         assert [[x.hex() for x in sums] for sums in summed] == [reference]
         # the same columns, as Monte Carlo's uint64 matrix, count its draws,
         # one integer per row, exactly: also where the kept pairs pass 2**63
-        terms = protocol._mc_columns(table)[3]
+        matrix = protocol._mc_columns(table)[2]
         n_rows = len(table.rows)
         for draws in (list(range(1, n_rows + 1)), [(2**63 - 1) // n_rows] * n_rows):
             counted = [0] * (len(COUNT_KEYS) + 1)
             for row, n in zip(table.rows, draws):
                 counted[COUNT_KEYS.index(row.verdict.value)] += n
                 counted[-1] += n * row.kept_pairs
-            assert (terms @ np.array(draws, dtype=np.uint64)).tolist() == counted
-            assert _terms_totals(table, draws) == counted
+            assert (matrix @ np.array(draws, dtype=np.uint64)).tolist() == counted
+            assert _columns_totals(table, draws) == counted
 
 
 @copiers
@@ -1465,6 +1480,19 @@ class TestExactReports:
                     lambda: next(exact_reports(pipeline, [bad])),
                     lambda: next(exact_reports(pipeline, [good, good, bad]))):
             with pytest.raises(ConfigError, match=f"unknown parameter.*'{key}'.*{pipeline}"):
+                run()
+
+    @pytest.mark.parametrize("cfg", ["qnd3", "", Variant.QND1, 0.25])
+    def test_a_stage1_cfg_that_is_not_a_config_raises(self, cfg):
+        # a cfg of another type is named in a ConfigError, as an angle that is
+        # not a PhaseTag is, at every entry point; a falsy one is no default
+        good = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        bad = dict(good, cfg=cfg)
+        for run in (lambda: monte_carlo("stage1", bad, 1000, 1),
+                    lambda: enumerate_exact("stage1", bad),
+                    lambda: next(exact_reports("stage1", [good, good, bad])),
+                    lambda: stage1_run(SRC, NOISE, cfg=cfg)):
+            with pytest.raises(ConfigError, match=f"cfg is a QndConfig, not {type(cfg).__name__}$"):
                 run()
 
     @pytest.mark.parametrize("pipeline, key", [
