@@ -296,10 +296,10 @@ def run_branch_suite(theta: PhaseTag | None = None,
     an empty selection raises ValueError like an unknown case id.
 
     theta/theta_prime override the defaults of the one- and two-Kerr
-    detectors (the parity gadget keeps its fixed pi, the opposite-shift
-    layout uses theta).  The configs are built before any case runs, so
-    angles that make any of them invalid raise whatever ``only`` selects;
-    only a failing case then runs, to describe it at the pair's own phases.
+    detectors (the opposite-shift layout uses theta).  The qnd1, qnd3 and qnd4
+    configs are built first, in that order, so angles that make any of them
+    invalid raise whatever ``only`` selects; only a failing case then runs,
+    described at the pair's phases (a parity case at the default's fixed pi).
     """
     if only is not None:
         if not only:
@@ -308,11 +308,11 @@ def run_branch_suite(theta: PhaseTag | None = None,
             raise ValueError(f"only is a collection of case ids, not the string {only!r}")
         if unknown := set(only) - set(CASE_IDS):
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
-    cfgs = {v: default_config(v) for v in Variant}
-    for v in (Variant.QND1, Variant.QND3):
-        cfgs[v] = QndConfig(v, theta or cfgs[v].theta, theta_prime or cfgs[v].theta_prime)
-    cfgs[Variant.QND4] = QndConfig(Variant.QND4, theta or cfgs[Variant.QND4].theta)
+    base = map(default_config, (Variant.QND1, Variant.QND3, Variant.QND4))
+    cfgs = {d.variant: QndConfig(d.variant, theta or d.theta,  # qnd4 reads no theta_prime
+                                 d.theta_prime and (theta_prime or d.theta_prime)) for d in base}
     if passing := _passing_suite():  # every case passes, at any pair
         return [r for r in passing if only is None or r.case_id in only]
+    cfgs[Variant.QND2] = default_config(Variant.QND2)  # pi, whatever the pair
     return [run_branch_case(case, cfgs[case.variant]) for case in BRANCH_CASES
             if only is None or case.case_id in only]

@@ -48,14 +48,14 @@ the report's count buckets, are the verdicts' values in their order.
 ``_weighted_rows`` checks each point of a grid of one detector config
 and gives its class weights; a single run is a grid of one.  A table
 holds one column per row, its (class, factor, bucket, kept pairs).
-``exact_reports`` (the CLI's exact runs) totals a point in one pass down
-them (``_exact_sums``); the exact-only single runs (``stage1_run``,
-``stage2_run``, ``pbs_baseline``) add the records of ``enumerate_exact``,
-the same rows less those of zero weight, in the same order, so every
-mode agrees to the bit.  ``_report`` builds every report.  Exact runs
-sum their (at most 20) rows in Python floats, so only Monte Carlo
-imports numpy.  A kept row's fidelity is exactly 1.0 (correct) or 0.0
-(erroneous): a report's fidelity is its correct total over its kept total.
+``exact_reports`` (the CLI's, ``stage2_run``'s and ``pbs_baseline``'s exact
+runs) totals a point in one pass down them (``_exact_sums``); ``stage1_run``
+adds the records of ``enumerate_exact`` (the tracer of the benchmark counts
+``stage1_records``), the rows less those of zero weight, in the same order:
+every mode agrees to the bit.  ``_report`` builds every report.  Exact runs
+sum their (at most 20) rows in Python floats, so only Monte Carlo imports
+numpy.  A kept row's fidelity is exactly 1.0 (correct) or 0.0 (erroneous):
+a report's fidelity is its correct total over its kept total.
 
 Monte Carlo has one entry point, ``monte_carlo``.  Each trial draws one
 row from the row weights, independently, so a run's row counts are one
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import threading
 from dataclasses import asdict, dataclass, field
@@ -397,7 +398,7 @@ def _pbs_table() -> RowTable:
 # ---------------------------------------------------------------------------
 
 def _stage1_config(variant, cfg) -> QndConfig:
-    if isinstance(variant, str):
+    if variant in ("qnd1", "qnd3"):  # any other string is refused below, as variant=3 is
         variant = Variant(variant)
     if variant not in (Variant.QND1, Variant.QND3):
         raise ConfigError("stage 1 runs with the qnd1 or qnd3 detector")
@@ -483,7 +484,12 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
     entry = PIPELINES[pipeline]
     configs, last, class_weights = set(), object(), []  # ``last``: no point's config
     for p in points:
-        if not (entry.keys.issuperset(p) and p.keys() >= entry.needs):
+        try:
+            known = p.keys() >= entry.needs and entry.keys.issuperset(p)
+        except AttributeError:  # not a mapping: a bare dict walks its keys
+            raise ConfigError(f"a point is a parameter dict, not {type(p).__name__}; "
+                              "pass an iterable of parameter dicts") from None
+        if not known:
             unknown = [k for k in p if k not in entry.keys]
             names = ", ".join(map(repr, unknown or sorted(entry.needs - p.keys())))
             raise ConfigError(f"{'unknown' if unknown else 'missing'} parameter(s) {names} for "
@@ -492,7 +498,12 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
         if cfg is not last:
             configs.add(cfg)
             last = cfg
-        class_weights.append(entry.class_weights(p))
+        try:
+            class_weights.append(entry.class_weights(p))
+        except TypeError as err:  # name each value that is not a number
+            bad = [k for k in p if k in entry.needs and not isinstance(p[k], numbers.Real)]
+            raise ConfigError(f"{pipeline} parameters are real numbers: " + ", ".join(
+                f"{k!r} is a {type(p[k]).__name__}" for k in bad)) from err
     if len(configs) > 1:
         raise ConfigError("the points of one grid must share one detector config")
     return (entry.table(last), class_weights, last) if configs else (None, [], None)
@@ -536,10 +547,10 @@ def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
 
 
 def _exact(pipeline: str, params: dict, records: list) -> RunReport:
-    """Exact report of a pipeline at ``params``: its records, the table's rows
-    less those of zero weight, added per bucket in ``_exact_sums`` order.  One
-    pass over the records, as building their index columns would allocate
-    more than the report itself."""
+    """Exact report of a pipeline at ``params`` (``stage1_run``'s): its records,
+    the table's rows less those of zero weight, added per bucket in
+    ``_exact_sums`` order.  One pass over the records, as building their
+    index columns would allocate more than the report itself."""
     sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
     for _, _, verdict, _, weight, _, _, kept in records:
         sums[_BUCKET[verdict]] += weight
@@ -551,9 +562,9 @@ def _exact(pipeline: str, params: dict, records: list) -> RunReport:
 def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
     """The exact report at each of ``points``, any iterable of parameter
     dicts of one detector config, all checked, as a single run checks each,
-    before the first report.  Each point sums the table's rows at its
-    weights, and a single run its records, the same rows less those of zero
-    weight, so each report is the single run's to the bit."""
+    before the first report.  Each point sums the table's rows at its weights
+    (a stage-2 or PBS single run is a grid of one), and a stage-1 run its
+    records, the rows less those of zero weight: the same bits."""
     points = list(points)  # walked thrice: checked, weighed, reported
     table, class_weights, _ = _weighted_rows(pipeline, points)
     for p, weights in zip(points, class_weights):
@@ -705,9 +716,9 @@ def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
 
 def stage2_run(fidelity: float) -> RunReport:
     """Exact report of one stage-2 purification round."""
-    return _exact("stage2", {"F": fidelity}, stage2_records(fidelity))
+    return next(exact_reports("stage2", [{"F": fidelity}]))
 
 
 def pbs_baseline(fidelity: float) -> RunReport:
     """Exact report of one PBS parity-check baseline round."""
-    return _exact("pbs", {"F": fidelity}, pbs_records(fidelity))
+    return next(exact_reports("pbs", [{"F": fidelity}]))

@@ -136,6 +136,30 @@ def test_a_passing_case_is_shared_across_angle_pairs_and_a_failure_is_not(monkey
                 a.detail = "changed"
 
 
+def test_a_failing_qnd2_case_is_described_at_the_qnd2_default(monkeypatch):
+    # a passing suite builds no qnd2 config; a failing one still describes a
+    # qnd2 mismatch at qnd2's own default angle, pi, whatever the pair
+    case = next(c for c in BRANCH_CASES if c.case_id == "qnd2-phi-phi")
+    branch = next(b for b in case.expected_state().branches if b.probe == ((1, 0), (1, 0)))
+    mismatches = BranchCase.mismatches
+    monkeypatch.setattr(BranchCase, "mismatches",
+                        lambda self: ((branch, None),) if self is case else mismatches(self))
+    branches._passing_suite.cache_clear()
+    try:
+        pairs = [(PhaseTag(3, 16), PhaseTag(29, 64)), (None, None)]
+        results = [run_branch_suite(theta=t, theta_prime=tp) for t, tp in pairs]
+    finally:  # the suite's verdict is cached: find the passing one again
+        monkeypatch.undo()
+        branches._passing_suite.cache_clear()
+    pi = default_config(Variant.QND2).phase((1, 0))
+    for suite in results:
+        [failed] = [r for r in suite if not r.passed]
+        assert failed.case_id == case.case_id
+        assert failed.detail.startswith("unexpected branch")
+        assert f"probes ({pi}, {pi})" in failed.detail
+    assert branches._passing_suite()
+
+
 def test_suite_filtering():
     results = run_branch_suite(only={"qnd1-double-clean"})
     assert len(results) == 1 and results[0].case_id == "qnd1-double-clean"

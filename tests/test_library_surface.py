@@ -14,9 +14,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("src/kerrpurify/*.py"))
 
-# the functions only ``LAYERS`` names; deleting them is a benchmark change
+# the functions only ``LAYERS`` names; deleting them is a benchmark change.  The
+# stage-2 and PBS single runs are grids of one, so their ``*_records`` joined these.
 PINNED_ONLY = {"create_photon", "trial_uniforms", "stage1_monte_carlo", "stage2_monte_carlo",
-               "two_pair_components"}
+               "two_pair_components", "stage2_records", "pbs_records"}
 
 SRC_LINE_CEILING = 2565  # the seed's src/: it may shrink, never grow past this
 

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -1441,6 +1442,17 @@ class TestExactReports:
         for points in ([{"F": F} for F in grid], ({"F": F} for F in grid)):
             assert [r.to_dict() for r in exact_reports(pipeline, points)] == single
 
+    @pytest.mark.parametrize("F", [1.0, 0.999999999, 0.8, 0.55, 0.5, 5e-324])
+    @pytest.mark.parametrize("run, pipeline", [(stage2_run, "stage2"), (pbs_baseline, "pbs")])
+    def test_two_pair_single_runs_equal_their_records_summed(self, run, pipeline, F):
+        # the single runs sum the table's columns as a grid of one; the records
+        # of enumerate_exact, the rows of nonzero weight, must add to the same bits
+        records = enumerate_exact(pipeline, {"F": F})
+        summed = protocol._exact(pipeline, {"F": F}, records)
+        assert _float_bits(run(F).to_dict()) == _float_bits(summed.to_dict())
+        if F == 1.0:  # three of the four classes weigh 0 and give no record
+            assert len(records) < len(protocol.PIPELINES[pipeline].table(None).rows)
+
     def test_empty_grid_has_no_reports(self):
         assert list(exact_reports("stage1", [])) == []
         assert list(exact_reports("stage2", iter([]))) == []
@@ -1494,6 +1506,58 @@ class TestExactReports:
                     lambda: stage1_run(SRC, NOISE, cfg=cfg)):
             with pytest.raises(ConfigError, match=f"cfg is a QndConfig, not {type(cfg).__name__}$"):
                 run()
+
+    @pytest.mark.parametrize("points", [{"F": 0.8}, ["F"], [["F"]], [("F", 0.8)], [0.8],
+                                        [{"F": 0.8}, None]],
+                             ids=["bare-dict", "str", "list", "pair", "float", "none-after-good"])
+    def test_points_that_are_not_parameter_dicts_raise(self, points):
+        # a bare dict would walk its keys as points: every point must be a mapping
+        for pipeline in ("stage2", "pbs"):
+            with pytest.raises(ConfigError, match="an iterable of parameter dicts"):
+                list(exact_reports(pipeline, points))
+        for point in [p for p in points if not isinstance(p, dict)]:
+            for run in (lambda: enumerate_exact("stage2", point),
+                        lambda: monte_carlo("pbs", point, 1000, 1)):
+                with pytest.raises(ConfigError, match=f"dict, not {type(point).__name__};"):
+                    run()
+
+    @pytest.mark.parametrize("pipeline, key, value", [
+        ("stage2", "F", "0.8"), ("pbs", "F", None), ("stage2", "F", 0.8j),
+        ("pbs", "F", Decimal("0.8")),
+        ("stage1", "p1", "0.1"), ("stage1", "p2", [0.01]), ("stage1", "f0", None),
+    ], ids=["F-str", "F-none", "F-complex", "F-decimal", "p1-str", "p2-list", "f0-none"])
+    def test_a_value_that_is_not_a_number_raises_naming_its_key(self, pipeline, key, value):
+        # the TypeError of the class-weight arithmetic is a ConfigError naming
+        # the key, at every entry point, single runs included
+        good = {"F": 0.8} if pipeline != "stage1" else {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        bad = dict(good, **{key: value})
+        runs = [lambda: monte_carlo(pipeline, bad, 1000, 1),
+                lambda: enumerate_exact(pipeline, bad),
+                lambda: next(exact_reports(pipeline, [good, good, bad]))]
+        if pipeline == "stage1":
+            src, noise = SimpleNamespace(p1=bad["p1"], p2=bad["p2"]), SimpleNamespace(f0=bad["f0"])
+            runs.append(lambda: stage1_run(src, noise))
+        else:
+            runs.append(lambda: (stage2_run if pipeline == "stage2" else pbs_baseline)(value))
+        for run in runs:
+            with pytest.raises(ConfigError, match=f"^{pipeline} parameters are real numbers: "
+                                                  f"'{key}' is a {type(value).__name__}$"):
+                run()
+
+    @pytest.mark.parametrize("variant", ["qnd9", "QND1", "qnd2", "", 3, None])
+    def test_a_variant_stage1_cannot_run_raises(self, variant):
+        # an unknown name is refused as an unknown value is, not by the enum
+        good = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+        bad = dict(good, variant=variant)
+        for run in (lambda: monte_carlo("stage1", bad, 1000, 1),
+                    lambda: enumerate_exact("stage1", bad),
+                    lambda: next(exact_reports("stage1", [good, good, bad])),
+                    lambda: stage1_run(SRC, NOISE, variant)):
+            with pytest.raises(ConfigError, match="^stage 1 runs with the qnd1 or qnd3 detector$"):
+                run()
+        for name in ("qnd1", "qnd3"):  # the two names it runs still stand for their detectors
+            named = stage1_run(SRC, NOISE, name).to_dict()
+            assert named == stage1_run(SRC, NOISE, Variant(name)).to_dict()
 
     @pytest.mark.parametrize("pipeline, key", [
         ("stage1", "p1"), ("stage1", "p2"), ("stage1", "f0"), ("stage2", "F"), ("pbs", "F"),

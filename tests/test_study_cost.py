@@ -7,9 +7,10 @@ only work the pair brings is its six count classes: no passing branch
 result is rebuilt and no branch case is run, no tag beyond the classes'
 is made, no phase is read but through a config's ``classes``, no
 ``Enum`` member is hashed in Python, and no detector or state is built.
-A warm exact grid does only its points' own arithmetic: it hashes its
-detector config once per grid, and builds each point's parameter
-objects once.
+Only the two stage-1 runs turn rows into records, and the suite builds
+just the three configs whose cases it checks.  A warm exact grid does
+only its points' own arithmetic: it hashes its detector config once per
+grid, and builds each point's parameter objects once.
 """
 
 import enum
@@ -93,6 +94,28 @@ def test_a_warm_study_at_a_fresh_pair_reads_no_phase_and_runs_no_branch_case(mon
     assert all(r is case.passing_result() for r, case in zip(suite, branches.BRANCH_CASES))
     assert ran == []
     assert calls == ["phase", "case"]
+
+
+def test_a_warm_study_enumerates_only_stage1_and_its_suite_builds_three_configs(monkeypatch):
+    # stage 2 and PBS sum their tables' columns, so only the two stage-1 runs
+    # turn rows into records; the suite builds the qnd1, qnd3 and qnd4 configs
+    # it checks, from their defaults, and a passing suite reads no qnd2 default
+    _study(PhaseTag(5, 16), PhaseTag(37, 64))  # warms every per-process cache
+    enumerated, built, defaults = [], [], []
+    enumerate_exact, post_init, default = (protocol.enumerate_exact, QndConfig.__post_init__,
+                                           branches.default_config)
+    monkeypatch.setattr(protocol, "enumerate_exact",
+                        lambda name, p: enumerated.append(name) or enumerate_exact(name, p))
+    monkeypatch.setattr(QndConfig, "__post_init__",
+                        lambda self: built.append(self.variant) or post_init(self))
+    monkeypatch.setattr(branches, "default_config", lambda v: defaults.append(v) or default(v))
+    suite, *reports = _study(PhaseTag(9, 32), PhaseTag(49, 64))  # no cache holds this pair
+    monkeypatch.undo()
+    assert all(r.passed for r in suite) and len(reports) == 4
+    assert enumerated == ["stage1", "stage1"]
+    qnd1, qnd3, qnd4 = Variant.QND1, Variant.QND3, Variant.QND4
+    assert built == [qnd1, qnd3, qnd4, qnd1, qnd3]  # the suite's three, then the runs' two
+    assert defaults == [qnd1, qnd3, qnd4]
 
 
 def test_every_table_reads_only_counts_its_config_tags():
