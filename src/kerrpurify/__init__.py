@@ -34,7 +34,6 @@ from .elements import (
 )
 from .qnd import (
     HomodyneOutcome,
-    KerrMedium,
     QndConfig,
     Variant,
     apply_kerr,

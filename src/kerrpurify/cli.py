@@ -163,8 +163,7 @@ def _reports(pipeline: str, args, seed: int, points: list):
 
 def _stage1_runs(args, cfg: QndConfig, seed: int, points):
     """(report, CSV row) of each (p1, p2, f0) point of a stage-1 grid."""
-    params = [{"p1": p1, "p2": p2, "f0": f0, "variant": cfg.variant, "cfg": cfg}
-              for p1, p2, f0 in points]
+    params = [{"p1": p1, "p2": p2, "f0": f0, "cfg": cfg} for p1, p2, f0 in points]
     cells = [cfg.variant.value, args.mode, args.trials, seed]  # the same at every point
     for p, report in zip(params, _reports("stage1", args, seed, params)):
         # a report's counts are in COUNT_KEYS order

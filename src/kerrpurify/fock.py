@@ -179,12 +179,8 @@ ZERO_COUNTS = (0, 0)  # the probe counts of an unshifted probe
 _NO_PROBE = (ZERO_COUNTS, ZERO_COUNTS)
 
 
-def _canonical_occupations(occupations) -> tuple:
-    if isinstance(occupations, Mapping):
-        items = occupations.items()
-    else:
-        items = occupations
-    kept = [(m, int(n)) for m, n in items if n != 0]
+def _canonical_occupations(occupations: Mapping) -> tuple:
+    kept = [(m, int(n)) for m, n in occupations.items() if n != 0]
     for m, n in kept:
         if n < 0:
             raise OccupancyViolationError(f"negative occupation on {m}")
@@ -205,7 +201,8 @@ class BranchState:
     probe: tuple = _NO_PROBE
 
     @staticmethod
-    def of(occupations, amplitude, probe=_NO_PROBE) -> "BranchState":
+    def of(occupations: Mapping, amplitude, probe=_NO_PROBE) -> "BranchState":
+        """The branch of a mode -> count mapping, zero counts dropped."""
         return BranchState(_canonical_occupations(occupations), complex(amplitude), tuple(probe))
 
     def key(self):
@@ -218,16 +215,9 @@ class BranchState:
                 return n
         return 0
 
-    def photons(self, party=None, spatial=None) -> int:
-        """Count photons matching the given mode filters."""
-        total = 0
-        for m, n in self.occupations:
-            if party is not None and m.party != party:
-                continue
-            if spatial is not None and m.spatial != spatial:
-                continue
-            total += n
-        return total
+    def photons(self, party: Party, spatial: Spatial) -> int:
+        """Count the photons in one party's spatial port, of either polarization."""
+        return sum(n for m, n in self.occupations if m.party == party and m.spatial == spatial)
 
     def with_amplitude(self, amplitude) -> "BranchState":
         return BranchState(self.occupations, complex(amplitude), self.probe)
@@ -239,7 +229,7 @@ class BranchState:
 
     def one_photon_per_port(self) -> bool:
         """One photon in each party's upper and lower port: two single-photon pairs."""
-        return all(self.photons(party=p, spatial=s) == 1
+        return all(self.photons(p, s) == 1
                    for p in Party for s in (Spatial.UPPER, Spatial.LOWER))
 
     def map_modes(self, fn: Callable[[ModeLabel], ModeLabel]) -> "BranchState":

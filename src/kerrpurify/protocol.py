@@ -397,8 +397,13 @@ def _pbs_table() -> RowTable:
 # class weights and extras at one parameter point
 # ---------------------------------------------------------------------------
 
+_UNNAMED = object()  # a stage-1 detector not named: the cfg's, else qnd1
+
+
 def _stage1_config(variant, cfg) -> QndConfig:
-    if variant in ("qnd1", "qnd3"):  # any other string is refused below, as variant=3 is
+    if variant is _UNNAMED:
+        variant = cfg.variant if isinstance(cfg, QndConfig) else Variant.QND1
+    elif variant in ("qnd1", "qnd3"):  # any other string is refused below, as variant=3 is
         variant = Variant(variant)
     if variant not in (Variant.QND1, Variant.QND3):
         raise ConfigError("stage 1 runs with the qnd1 or qnd3 detector")
@@ -462,7 +467,7 @@ class Pipeline(NamedTuple):
 PIPELINES = {
     "stage1": Pipeline(frozenset({"p1", "p2", "f0", "variant", "cfg"}),
                        frozenset({"p1", "p2", "f0"}),
-                       lambda p: _stage1_config(p.get("variant", Variant.QND1), p.get("cfg")),
+                       lambda p: _stage1_config(p.get("variant", _UNNAMED), p.get("cfg")),
                        lambda cfg: _stage1_rows(cfg.variant), _stage1_class_weights,
                        _stage1_extras),
     "stage2": Pipeline(frozenset({"F"}), frozenset({"F"}), lambda p: default_config(Variant.QND2),
@@ -565,7 +570,15 @@ def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
     before the first report.  Each point sums the table's rows at its weights
     (a stage-2 or PBS single run is a grid of one), and a stage-1 run its
     records, the rows less those of zero weight: the same bits."""
-    points = list(points)  # walked thrice: checked, weighed, reported
+    try:
+        points = list(points)  # walked thrice: checked, weighed, reported
+    except TypeError:  # refuse points that are not iterable, not a caller's own error
+        try:
+            iter(points)
+        except TypeError:
+            raise ConfigError("points are an iterable of parameter dicts, not "
+                              f"{type(points).__name__}") from None
+        raise
     table, class_weights, _ = _weighted_rows(pipeline, points)
     for p, weights in zip(points, class_weights):
         yield _report(pipeline, p, _exact_sums(table, weights))
@@ -647,8 +660,12 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple
 def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of a named pipeline; same seed, same report
     (under one numpy version, see the module docstring)."""
-    # 1.5 raises; a numpy integer is reported as a plain int
-    trials, seed = operator.index(trials), operator.index(seed)
+    try:  # 1.5 raises; a numpy integer is reported as a plain int
+        trials = operator.index(trials)
+        seed = operator.index(seed)
+    except TypeError:  # trials is an int here only if seed raised
+        name, value = ("seed", seed) if isinstance(trials, int) else ("trials", trials)
+        raise TypeError(f"{name} is an integer, not {type(value).__name__}") from None
     table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
     matrix = _mc_columns(table)[2]
     # the draws are never negative, so their uint64 view holds the same counts
@@ -680,7 +697,7 @@ def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> di
 
 
 def stage1_records(src: PdcSourceParams, noise: NoiseParams,
-                   variant=Variant.QND1, cfg: QndConfig | None = None) -> list:
+                   variant=_UNNAMED, cfg: QndConfig | None = None) -> list:
     """Exhaustive outcome enumeration of one stage-1 emission event."""
     return enumerate_exact("stage1", _stage1_params(src, noise, variant, cfg))
 
@@ -695,7 +712,7 @@ def pbs_records(fidelity: float) -> list:
     return enumerate_exact("pbs", {"F": fidelity})
 
 
-def stage1_monte_carlo(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
+def stage1_monte_carlo(src: PdcSourceParams, noise: NoiseParams, variant=_UNNAMED,
                        cfg: QndConfig | None = None, trials: int = 100_000,
                        seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of stage 1."""
@@ -707,7 +724,7 @@ def stage2_monte_carlo(fidelity: float, trials: int = 100_000, seed: int = 0) ->
     return monte_carlo("stage2", {"F": fidelity}, trials, seed)
 
 
-def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=Variant.QND1,
+def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=_UNNAMED,
                cfg: QndConfig | None = None) -> RunReport:
     """Exact report of one stage-1 emission event."""
     return _exact("stage1", _stage1_params(src, noise, variant, cfg),

@@ -1,6 +1,6 @@
 """The four cross-Kerr QND detector gadgets and the probe homodyne readout.
 
-A Kerr medium couples one signal mode to one party's coherent probe:
+A Kerr medium couples one signal mode to its own party's coherent probe:
 n photons in the signal mode shift that probe's phase by n*theta and
 leave the photons untouched; in the probe counts of ``fock`` a shift by
 theta adds (1, 0) and one by theta' adds (0, 1).  Each detector
@@ -82,25 +82,18 @@ class Variant(Enum):
     QND4 = "qnd4"
 
 
-@dataclass(frozen=True)
-class KerrMedium:
-    """One cross-Kerr coupling: signal mode -> probe counts per photon,
-    (1, 0) for a shift by theta and (0, 1) for one by theta'."""
+def apply_kerr(state: PureState, mode: ModeLabel, counts: tuple) -> PureState:
+    """Add n * counts to the probe of ``mode``'s party for the n photons in
+    ``mode``: (1, 0) per photon for a shift by theta, (0, 1) for one by theta'."""
+    party, (da, dc) = mode.party, counts
 
-    signal_mode: ModeLabel
-    counts_per_photon: tuple
-    probe_party: Party
-
-
-def apply_kerr(state: PureState, medium: KerrMedium) -> PureState:
-    """Add n * counts to the probe for the n photons in the signal mode."""
     def shift(b):
-        n = b.occupation(medium.signal_mode)
+        n = b.occupation(mode)
         if not n:
             return b
         probe = list(b.probe)
-        (a, c), (da, dc) = probe[medium.probe_party], medium.counts_per_photon
-        probe[medium.probe_party] = (a + n * da, c + n * dc)
+        a, c = probe[party]
+        probe[party] = (a + n * da, c + n * dc)
         return BranchState(b.occupations, b.amplitude, tuple(probe))
 
     return state.map_branches(shift)
@@ -180,17 +173,16 @@ def default_config(variant: Variant) -> QndConfig:
 
 
 # The module docstring's table: each party's media per detector, as
-# (spatial port, polarization, QndConfig angle, sign).  n photons in that
-# mode shift the party's own probe by n * sign * angle.
+# (spatial port, polarization, probe counts per photon).  n photons in that
+# mode add n * counts to the party's own probe: (1, 0) is +theta, (0, 1)
+# is +theta' and (-1, 0) is -theta.
 _COUPLINGS = {
-    Variant.QND1: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.V, "theta", 1),
-                   (Spatial.UPPER, Pol.V, "theta_prime", 1),
-                   (Spatial.LOWER, Pol.H, "theta_prime", 1)),
-    Variant.QND2: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.V, "theta", 1)),
-    Variant.QND3: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.UPPER, Pol.V, "theta", 1),
-                   (Spatial.LOWER, Pol.H, "theta_prime", 1),
-                   (Spatial.LOWER, Pol.V, "theta_prime", 1)),
-    Variant.QND4: ((Spatial.UPPER, Pol.H, "theta", 1), (Spatial.LOWER, Pol.H, "theta", -1)),
+    Variant.QND1: ((Spatial.UPPER, Pol.H, (1, 0)), (Spatial.LOWER, Pol.V, (1, 0)),
+                   (Spatial.UPPER, Pol.V, (0, 1)), (Spatial.LOWER, Pol.H, (0, 1))),
+    Variant.QND2: ((Spatial.UPPER, Pol.H, (1, 0)), (Spatial.LOWER, Pol.V, (1, 0))),
+    Variant.QND3: ((Spatial.UPPER, Pol.H, (1, 0)), (Spatial.UPPER, Pol.V, (1, 0)),
+                   (Spatial.LOWER, Pol.H, (0, 1)), (Spatial.LOWER, Pol.V, (0, 1))),
+    Variant.QND4: ((Spatial.UPPER, Pol.H, (1, 0)), (Spatial.LOWER, Pol.H, (-1, 0))),
 }
 
 
@@ -206,10 +198,9 @@ def apply_qnd(state: PureState, variant: Variant) -> PureState:
     if variant == Variant.QND3:
         for party in Party:
             state = pbs(state, party)
-    for spatial, pol, angle, sign in _COUPLINGS[variant]:
-        counts = (sign, 0) if angle == "theta" else (0, sign)
+    for spatial, pol, counts in _COUPLINGS[variant]:
         for party in Party:  # each party's medium on its own mode, shifting its own probe
-            state = apply_kerr(state, KerrMedium(ModeLabel(party, spatial, pol), counts, party))
+            state = apply_kerr(state, ModeLabel(party, spatial, pol), counts)
     if variant == Variant.QND2:  # theta = pi: two shifts are none
         state = state.map_branches(lambda b: BranchState(
             b.occupations, b.amplitude, tuple((a % 2, c) for a, c in b.probe)))

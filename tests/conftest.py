@@ -84,7 +84,7 @@ def photon_distribution(state: PureState) -> dict:
     """Probability mass on each total photon number."""
     dist = {}
     for b in state.branches:
-        n = b.photons()
+        n = sum(n for _, n in b.occupations)
         dist[n] = dist.get(n, 0.0) + abs(b.amplitude) ** 2
     return dist
 

@@ -6,7 +6,9 @@ emission as two independent single pairs.  It is kept here as input for
 an oracle that compares the two pictures.
 
 ``per_medium_phases`` runs a detector the long way, in phases: one
-``PhaseTag`` step per Kerr medium and branch at the config's angles.
+``PhaseTag`` step per Kerr medium and branch at the config's angles,
+from the media of ``MEDIA``, a table of its own written from the paper
+rather than read from the library's.
 The library's detectors add probe counts and read them as phases only
 at the end; ``rendered_phases`` reads a count-valued state that way, so
 the two can be compared at any angles.
@@ -15,9 +17,25 @@ the two can be compared at any angles.
 import math
 from itertools import combinations_with_replacement
 
-from kerrpurify import BranchState, ModeLabel, Party, PureState, Variant, pbs, single_pair_state
-from kerrpurify.qnd import _COUPLINGS
+from kerrpurify import (BranchState, ModeLabel, Party, Pol, PureState, Spatial, Variant, pbs,
+                        single_pair_state)
 from kerrpurify.sources import CLEAN
+
+U, L, H, V = Spatial.UPPER, Spatial.LOWER, Pol.H, Pol.V
+
+# Each party's Kerr media per detector, after Sheng, Deng and Zhou, PRA 77,
+# 042308 (2008), and the cross-Kerr parity gate of Nemoto and Munro, PRL 93,
+# 250502 (2004): (spatial port, polarization, QndConfig angle, sign); n
+# photons in that mode shift the party's own probe by n * sign * angle.
+# qnd3's media sit behind a PBS on the party's two ports.
+MEDIA = {
+    Variant.QND1: ((U, H, "theta", 1), (L, V, "theta", 1),
+                   (U, V, "theta_prime", 1), (L, H, "theta_prime", 1)),
+    Variant.QND2: ((U, H, "theta", 1), (L, V, "theta", 1)),  # theta = pi: the parity
+    Variant.QND3: ((U, H, "theta", 1), (U, V, "theta", 1),
+                   (L, H, "theta_prime", 1), (L, V, "theta_prime", 1)),
+    Variant.QND4: ((U, H, "theta", 1), (L, H, "theta", -1)),
+}
 
 
 def pdc_emit(order: int) -> PureState:
@@ -60,7 +78,7 @@ def rendered_phases(state: PureState, cfg) -> dict:
 
 def per_medium_phases(state: PureState, cfg) -> dict:
     """The detector ``cfg`` names, in phases: after qnd3's beam splitters,
-    each medium of its coupling table adds sign * angle per photon in its
+    each medium of ``MEDIA`` adds sign * angle per photon in its
     mode to its party's phase, one ``PhaseTag`` step per medium and branch.
     Returns what ``rendered_phases`` returns.  The one-photon-per-port
     check of qnd2 and qnd4 is the caller's."""
@@ -69,7 +87,7 @@ def per_medium_phases(state: PureState, cfg) -> dict:
     items = []
     for b in state.branches:
         phases = [cfg.phase(counts) for counts in b.probe]
-        for spatial, pol, angle, sign in _COUPLINGS[cfg.variant]:
+        for spatial, pol, angle, sign in MEDIA[cfg.variant]:
             for party in Party:
                 n = b.occupation(ModeLabel(party, spatial, pol))
                 phases[party] = phases[party] + getattr(cfg, angle) * (sign * n)

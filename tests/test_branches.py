@@ -217,7 +217,7 @@ def _create_photon_chain(entries) -> PureState:
         coeff, groups = entry[0], entry[1]
         probe = entry[2] if len(entry) > 2 else (ZERO_COUNTS, ZERO_COUNTS)
         for combo in iproduct(*groups):
-            s = PureState((BranchState.of((), coeff, probe),))
+            s = PureState((BranchState.of({}, coeff, probe),))
             for term in combo:
                 for m in term:
                     s = create_photon(s, m)

@@ -147,7 +147,7 @@ class TestMeasureDiagonal:
         for key in ("+", "-"):
             prob, post = outcomes[key]
             assert abs(prob - 0.5) < 1e-12
-            assert post.branches[0].photons() == 0
+            assert sum(n for _, n in post.branches[0].occupations) == 0
 
     def test_four_photon_projection_to_phi_plus(self):
         # both parties read '+' on the lower pair of the all-equal

@@ -513,10 +513,11 @@ class TestMonteCarlo:
         b = monte_carlo("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8}, 50_000, seed=8)
         assert a.counts != b.counts
 
-    @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
     def test_a_seed_that_is_not_an_integer_raises(self, seed):
-        # 1.5 must not draw seed 1's stream while reporting "seed": 1.5
-        with pytest.raises(TypeError):
+        # 1.5 must not draw seed 1's stream while reporting "seed": 1.5; the
+        # message names the argument
+        with pytest.raises(TypeError, match=f"^seed is an integer, not {type(seed).__name__}$"):
             monte_carlo("stage2", {"F": 0.8}, 1000, seed=seed)
 
     @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5)], ids=["uint64", "int64"])
@@ -546,9 +547,12 @@ class TestMonteCarlo:
         assert 2 * correct > 2**63
         assert report.extras["kept_pairs_per_event"] == 2 * correct / trials
 
-    def test_a_trial_count_that_is_not_an_integer_raises(self):
-        with pytest.raises(TypeError):
-            monte_carlo("stage2", {"F": 0.8}, 1000.0, 1)
+    @pytest.mark.parametrize("trials, seed", [(1000.0, 1), ("1000", 1), (None, 1), (1000.0, "1")],
+                             ids=["float", "str", "none", "float-and-str-seed"])
+    def test_a_trial_count_that_is_not_an_integer_raises(self, trials, seed):
+        # named in the message; trials is read first, so a bad seed beside it is not
+        with pytest.raises(TypeError, match=f"^trials is an integer, not {type(trials).__name__}$"):
+            monte_carlo("stage2", {"F": 0.8}, trials, seed)
 
     def test_a_uniforms_seed_that_is_not_an_integer_raises(self):
         # 1.5 must not draw seed 1's words
@@ -1558,6 +1562,56 @@ class TestExactReports:
         for name in ("qnd1", "qnd3"):  # the two names it runs still stand for their detectors
             named = stage1_run(SRC, NOISE, name).to_dict()
             assert named == stage1_run(SRC, NOISE, Variant(name)).to_dict()
+
+    @pytest.mark.parametrize("cfg", [default_config(Variant.QND3),
+                                     QndConfig(Variant.QND3, PhaseTag(1, 8), PhaseTag(5, 8)),
+                                     QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8))],
+                             ids=["qnd3-default", "qnd3-1/8", "qnd1-1/8"])
+    def test_a_cfg_alone_names_its_detector(self, cfg):
+        # a stage-1 point with a cfg and no variant runs the cfg's detector:
+        # every entry point reports what the point that names both reports,
+        # bit for bit (a float's repr round-trips, so equal JSON is equal bits)
+        alone = {"p1": 0.1, "p2": 0.01, "f0": 0.8, "cfg": cfg}
+        both = dict(alone, variant=cfg.variant)
+        src, noise = PdcSourceParams(0.1, 0.01), NoiseParams(0.8)
+        for run in (lambda p: [r.to_dict() for r in exact_reports("stage1", [p, p])],
+                    lambda p: repr(enumerate_exact("stage1", p)),
+                    lambda p: monte_carlo("stage1", p, 10**6, 5).to_dict(),
+                    lambda p: stage1_run(src, noise, **{k: p[k] for k in ("variant", "cfg")
+                                                        if k in p}).to_dict()):
+            assert json.dumps(run(alone)) == json.dumps(run(both))
+        # a variant that is given is still checked against the cfg
+        other = Variant.QND1 if cfg.variant == Variant.QND3 else Variant.QND3
+        for run in (lambda: enumerate_exact("stage1", dict(alone, variant=other)),
+                    lambda: stage1_run(src, noise, other, cfg)):
+            with pytest.raises(ConfigError, match="does not match the requested detector"):
+                run()
+
+    @pytest.mark.parametrize("variant", [Variant.QND2, Variant.QND4], ids=["qnd2", "qnd4"])
+    def test_a_cfg_alone_of_another_detector_cannot_run_stage1(self, variant):
+        cfg = default_config(variant)
+        for run in (lambda: enumerate_exact("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8,
+                                                       "cfg": cfg}),
+                    lambda: stage1_run(SRC, NOISE, cfg=cfg)):
+            with pytest.raises(ConfigError, match="^stage 1 runs with the qnd1 or qnd3 detector$"):
+                run()
+
+    @pytest.mark.parametrize("points", [0.8, None, 3, Variant.QND1],
+                             ids=["float", "none", "int", "variant"])
+    def test_points_that_are_not_iterable_raise(self, points):
+        for pipeline in ("stage1", "stage2", "pbs"):
+            with pytest.raises(ConfigError, match="^points are an iterable of parameter dicts, "
+                                                  f"not {type(points).__name__}$"):
+                list(exact_reports(pipeline, points))
+
+    def test_a_type_error_of_the_callers_own_generator_passes_through(self):
+        # only a failing iter(points) is refused; the caller's own error is theirs
+        def points():
+            yield {"F": 0.8}
+            raise TypeError("the caller's own")
+
+        with pytest.raises(TypeError, match="^the caller's own$"):
+            list(exact_reports("stage2", points()))
 
     @pytest.mark.parametrize("pipeline, key", [
         ("stage1", "p1"), ("stage1", "p2"), ("stage1", "f0"), ("stage2", "F"), ("pbs", "F"),

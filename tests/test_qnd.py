@@ -18,7 +18,6 @@ from kerrpurify import (
     BranchState,
     ConfigError,
     EnsembleState,
-    KerrMedium,
     ModeLabel,
     OccupancyViolationError,
     Party,
@@ -46,7 +45,7 @@ from kerrpurify.branches import BRANCH_CASES, HHHH, HHVV, VVHH, VVVV, operator_s
 
 from conftest import (angles, assert_states_equal, copiers, photon_distribution,
                       random_angle_pair, random_pure_state)
-from oracle import assert_same_phases, per_medium_phases, rendered_phases
+from oracle import MEDIA, assert_same_phases, per_medium_phases, rendered_phases
 
 A1H = ModeLabel(Party.ALICE, Spatial.UPPER, Pol.H)
 THETA = PhaseTag(1, 4)
@@ -54,29 +53,28 @@ THETA = PhaseTag(1, 4)
 
 class TestKerrPrimitive:
     # a shift by theta adds the probe counts (1, 0); QndConfig.phase reads them
-    def medium(self, counts=(1, 0)):
-        return KerrMedium(A1H, counts, Party.ALICE)
-
     def test_one_photon_shifts_probe(self):
-        st = create_photon(operator_state([(1, ())]), A1H)
-        out = apply_kerr(st, self.medium())
-        assert out.branches[0].probe[Party.ALICE] == (1, 0)
-        assert out.branches[0].probe[Party.BOB] == ZERO_COUNTS
+        # the medium shifts the probe of its own mode's party, and only that one
+        for party in Party:
+            mode = ModeLabel(party, Spatial.UPPER, Pol.H)
+            out = apply_kerr(create_photon(operator_state([(1, ())]), mode), mode, (1, 0))
+            assert out.branches[0].probe[party] == (1, 0)
+            assert out.branches[0].probe[1 - party] == ZERO_COUNTS
         assert default_config(Variant.QND1).phase((1, 0)) == THETA
 
     def test_vacuum_unshifted(self):
-        out = apply_kerr(operator_state([(1, ())]), self.medium())
+        out = apply_kerr(operator_state([(1, ())]), A1H, (1, 0))
         assert out.branches[0].probe[Party.ALICE] == ZERO_COUNTS
 
     def test_two_photons_double_shift(self):
         st = create_photon(create_photon(operator_state([(1, ())]), A1H), A1H)
-        out = apply_kerr(st, self.medium())
+        out = apply_kerr(st, A1H, (1, 0))
         assert out.branches[0].probe[Party.ALICE] == (2, 0)
         assert default_config(Variant.QND1).phase((2, 0)) == THETA * 2
 
     def test_signal_untouched(self):
         st = create_photon(operator_state([(1, ())]), A1H)
-        out = apply_kerr(st, self.medium())
+        out = apply_kerr(st, A1H, (1, 0))
         assert out.branches[0].occupations == st.branches[0].occupations
         assert out.branches[0].amplitude == st.branches[0].amplitude
 
@@ -86,10 +84,9 @@ class TestKerrPrimitive:
         for _ in range(1000):
             st = random_pure_state(rng)
             a, b = (tuple(int(n) for n in rng.integers(-8, 8, size=2)) for _ in range(2))
-            two = apply_kerr(apply_kerr(st, KerrMedium(A1H, a, Party.ALICE)),
-                             KerrMedium(A1H, b, Party.ALICE))
+            two = apply_kerr(apply_kerr(st, A1H, a), A1H, b)
             summed = (a[0] + b[0], a[1] + b[1])
-            one = apply_kerr(st, KerrMedium(A1H, summed, Party.ALICE))
+            one = apply_kerr(st, A1H, summed)
             assert_states_equal(two, one)
             assert cfg.phase(summed) == cfg.phase(a) + cfg.phase(b)
 
@@ -223,7 +220,9 @@ class TestConfig:
 class TestCouplingTable:
     def test_module_docstring_draws_the_table(self):
         # the docstring's rows "(port,pol) -> +-angle", read in order under
-        # each detector's heading, are that detector's _COUPLINGS entry
+        # each detector's heading, are the tests' own table of the paper's
+        # media and, as counts per photon, that detector's _COUPLINGS entry:
+        # +theta is (1, 0), +theta' is (0, 1) and -theta is (-1, 0)
         drawn = {}
         for line in qnd.__doc__.splitlines():
             heading = re.match(r"  (QND[1-4]) ", line)
@@ -233,12 +232,15 @@ class TestCouplingTable:
                                                      line):
                 media.append((Spatial[port.upper()], Pol[pol], angle.replace("'", "_prime"),
                               1 if sign == "+" else -1))
-        assert drawn == {v: list(rows) for v, rows in qnd._COUPLINGS.items()}
+        assert drawn == {v: list(rows) for v, rows in MEDIA.items()}
+        as_counts = {v: [(spatial, pol, (sign, 0) if angle == "theta" else (0, sign))
+                         for spatial, pol, angle, sign in rows] for v, rows in drawn.items()}
+        assert as_counts == {v: list(rows) for v, rows in qnd._COUPLINGS.items()}
 
 
 def _check_ports(state: PureState, cfg: QndConfig) -> None:
     if cfg.variant in (Variant.QND2, Variant.QND4) and any(
-            b.photons(party=party, spatial=spatial) != 1 for b in state.branches
+            b.photons(party, spatial) != 1 for b in state.branches
             for party in Party for spatial in (Spatial.UPPER, Spatial.LOWER)):
         raise OccupancyViolationError("one photon per port")
 
@@ -246,7 +248,7 @@ def _check_ports(state: PureState, cfg: QndConfig) -> None:
 def _summed_counts(state: PureState, cfg: QndConfig) -> PureState:
     """Reference detector in counts, with no ``apply_kerr``: after qnd3's PBS,
     each party's probe gains, per angle, the signed photon counts of that
-    party's own _COUPLINGS modes; qnd2's theta is pi, so its theta count is
+    party's own ``MEDIA`` modes; qnd2's theta is pi, so its theta count is
     then taken mod 2."""
     _check_ports(state, cfg)
     if cfg.variant == Variant.QND3:
@@ -255,7 +257,7 @@ def _summed_counts(state: PureState, cfg: QndConfig) -> PureState:
     def counted(b):
         probe = []
         for party, (a, c) in zip(Party, b.probe):
-            for spatial, pol, angle, sign in qnd._COUPLINGS[cfg.variant]:
+            for spatial, pol, angle, sign in MEDIA[cfg.variant]:
                 n = sign * b.occupation(ModeLabel(party, spatial, pol))
                 a, c = (a + n, c) if angle == "theta" else (a, c + n)
             probe.append((a % 2 if cfg.variant == Variant.QND2 else a, c))
