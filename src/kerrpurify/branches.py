@@ -7,7 +7,8 @@ without a transmission bit flip, double emissions with zero, one or
 two flipped pairs, the four two-pair Bell products through the
 parity-check detector, and the opposite-shift parity layout.  Inputs
 and expectations are ``sources.operator_state`` polynomials over the
-source's pair terms.
+source's pair terms; a two-pair term (``HHVV`` and the like) is an
+upper pair term plus a lower one.
 
 Probe counts hold no angle, so each case compares its detector's output
 with its expectation once per process.  At an angle pair the suite
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .fock import ConfigError, ModeLabel, Party, PhaseTag, Pol, PureState, Spatial
+from .fock import ConfigError, PhaseTag, PureState
 from .qnd import QndConfig, Variant, apply_qnd, default_config
 from .sources import (
     A1H, A1V, A2H, A2V, B1H, B1V, B2H, B2V,
@@ -33,34 +34,12 @@ from .sources import (
 # output-port terms of the two-Kerr detector acting on a flipped pair
 G1, G2, G3, G4 = (A1V, B2H), (A1H, B2V), (A2V, B1H), (A2H, B1V)
 
-
-def _pol4(p1, p2, p3, p4):
-    """Four single photons in order (a1, b1, a2, b2)."""
-    return (
-        ModeLabel(Party.ALICE, Spatial.UPPER, p1),
-        ModeLabel(Party.BOB, Spatial.UPPER, p2),
-        ModeLabel(Party.ALICE, Spatial.LOWER, p3),
-        ModeLabel(Party.BOB, Spatial.LOWER, p4),
-    )
-
-
-H, V = Pol.H, Pol.V
-HHHH = _pol4(H, H, H, H)
-HHVV = _pol4(H, H, V, V)
-VVHH = _pol4(V, V, H, H)
-VVVV = _pol4(V, V, V, V)
-HHHV = _pol4(H, H, H, V)
-HHVH = _pol4(H, H, V, H)
-VVHV = _pol4(V, V, H, V)
-VVVH = _pol4(V, V, V, H)
-VHHH = _pol4(V, H, H, H)
-VHVV = _pol4(V, H, V, V)
-HVHH = _pol4(H, V, H, H)
-HVVV = _pol4(H, V, V, V)
-VHVH = _pol4(V, H, V, H)
-VHHV = _pol4(V, H, H, V)
-HVVH = _pol4(H, V, V, H)
-HVHV = _pol4(H, V, H, V)
+# two pairs, one on the upper ports and one on the lower, named by the
+# polarizations of (a1, b1, a2, b2): an upper pair term plus a lower one
+HHHH, HHVV, VVHH, VVVV = U1 + U3, U1 + U4, U2 + U3, U2 + U4
+HHHV, HHVH, VVHV, VVVH = U1 + F4, U1 + F3, U2 + F4, U2 + F3
+VHHH, VHVV, HVHH, HVVV = F1 + U3, F1 + U4, F2 + U3, F2 + U4
+VHVH, VHHV, HVVH, HVHV = F1 + F3, F1 + F4, F2 + F3, F2 + F4
 
 
 # each phase recipe of the expected entries as probe counts (a, b), the phase
@@ -306,7 +285,11 @@ def run_branch_suite(theta: PhaseTag | None = None,
             raise ValueError("only names no case id; pass None to run every case")
         if isinstance(only, str):
             raise ValueError(f"only is a collection of case ids, not the string {only!r}")
-        if unknown := set(only) - set(CASE_IDS):
+        try:
+            only = set(only)  # an iterator is read once
+        except TypeError:  # True, 3: not a collection of ids
+            raise ValueError(f"only is a collection of case ids, not {only!r}") from None
+        if unknown := only - set(CASE_IDS):
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
     base = map(default_config, (Variant.QND1, Variant.QND3, Variant.QND4))
     cfgs = {d.variant: QndConfig(d.variant, theta or d.theta,  # qnd4 reads no theta_prime

@@ -219,14 +219,22 @@ def stage2_iterate(f0: float, rounds: int) -> list:
     own yield, then multiplied by yield/2 for every later round (each
     round consumes pairs two at a time).
     """
-    if not 0.5 < f0 <= 1.0:
+    try:
+        valid = 0.5 < f0 <= 1.0
+    except TypeError:  # "0.8", None
+        raise ConfigError(f"F is a real number, not {type(f0).__name__}") from None
+    if not valid:
         raise ConfigError("iteration requires fidelity in (1/2, 1]")
+    try:
+        round_range = range(1, rounds + 1)
+    except TypeError:  # None, 2.0
+        raise TypeError(f"rounds is an integer, not {type(rounds).__name__}") from None
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]")
     rows = []
     fid = f0
     cumulative = 1.0
-    for k in range(1, rounds + 1):
+    for k in round_range:
         y = stage2_yield(fid)
         fid = stage2_fidelity_map(fid)
         cumulative = y if k == 1 else cumulative * y / 2.0
@@ -397,11 +405,8 @@ def _pbs_table() -> RowTable:
 # class weights and extras at one parameter point
 # ---------------------------------------------------------------------------
 
-_UNNAMED = object()  # a stage-1 detector not named: the cfg's, else qnd1
-
-
 def _stage1_config(variant, cfg) -> QndConfig:
-    if variant is _UNNAMED:
+    if variant is None:  # not named: the cfg's detector, else qnd1
         variant = cfg.variant if isinstance(cfg, QndConfig) else Variant.QND1
     elif variant in ("qnd1", "qnd3"):  # any other string is refused below, as variant=3 is
         variant = Variant(variant)
@@ -467,7 +472,7 @@ class Pipeline(NamedTuple):
 PIPELINES = {
     "stage1": Pipeline(frozenset({"p1", "p2", "f0", "variant", "cfg"}),
                        frozenset({"p1", "p2", "f0"}),
-                       lambda p: _stage1_config(p.get("variant", _UNNAMED), p.get("cfg")),
+                       lambda p: _stage1_config(p.get("variant"), p.get("cfg")),
                        lambda cfg: _stage1_rows(cfg.variant), _stage1_class_weights,
                        _stage1_extras),
     "stage2": Pipeline(frozenset({"F"}), frozenset({"F"}), lambda p: default_config(Variant.QND2),
@@ -484,9 +489,10 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
     one.  A row weighs its class weight times its factor.
     Each point's config is checked, but only one that is not the previous
     point's object joins the set, so a grid of one config hashes it once."""
-    if pipeline not in PIPELINES:
-        raise ConfigError(f"unknown pipeline {pipeline!r}")
-    entry = PIPELINES[pipeline]
+    try:
+        entry = PIPELINES[pipeline]
+    except (KeyError, TypeError):  # TypeError: a name that cannot be a key, as ["stage1"]
+        raise ConfigError(f"unknown pipeline {pipeline!r}") from None
     configs, last, class_weights = set(), object(), []  # ``last``: no point's config
     for p in points:
         try:
@@ -595,15 +601,18 @@ def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
 _per_thread = threading.local()  # .philox: the calling thread's one Philox generator
 
 
-def _philox(seed: int, start: int):
-    """The Philox generator keyed by the seed, its next word that of trial
-    ``start``.  The seed is the 64-bit key, an integer in [0, 2**64).
+def _philox(seed: int):
+    """The Philox generator keyed by the seed, its next word the seed's
+    first.  The seed is the 64-bit key, an integer in [0, 2**64).
 
     It is the calling thread's one generator, rekeyed: valid until the same
-    thread's next call, so a caller reads it at once.  It starts in the state
+    thread's next call, so a caller reads it at once.  It is in the state
     of a fresh ``Philox(key=seed)``, whatever was read from it before."""
     import numpy as np
-    seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
+    try:
+        seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
+    except TypeError:
+        raise TypeError(f"seed is an integer, not {type(seed).__name__}") from None
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bg = getattr(_per_thread, "philox", None)
@@ -611,17 +620,21 @@ def _philox(seed: int, start: int):
         bg = _per_thread.philox = np.random.Philox(0)
     bg.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
                 "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    if start >= 4:
-        bg.advance(start // 4)  # one counter step yields four words
-    if start % 4:
-        bg.random_raw(start % 4)  # drop the step's words before the start
     return bg
 
 
-def trial_uniforms(seed: int, n_trials: int, start: int = 0) -> np.ndarray:
-    """One uniform in [0, 1) for each trial: (word >> 11) * 2**-53."""
+def trial_uniforms(seed: int, n_trials: int) -> np.ndarray:
+    """One uniform in [0, 1) for each trial, from the seed's first word on:
+    (word >> 11) * 2**-53."""
     import numpy as np
-    return (_philox(seed, start).random_raw(n_trials) >> np.uint64(11)) * (2.0 ** -53)
+    bg = _philox(seed)
+    try:
+        words = bg.random_raw(n_trials)
+    except TypeError:  # "8", 8.0
+        raise TypeError(f"n_trials is an integer, not {type(n_trials).__name__}") from None
+    except ValueError as err:  # -1: numpy's "negative dimensions are not allowed"
+        raise ValueError(f"n_trials {n_trials!r}: {err}") from None
+    return (words >> np.uint64(11)) * (2.0 ** -53)
 
 
 @functools.cache  # one entry per table, which the cache keeps alive
@@ -653,7 +666,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple
     (drawn,) = w.nonzero()
     w = w[drawn]
     row_counts = np.zeros(len(cls), dtype=np.int64)
-    row_counts[drawn] = np.random.Generator(_philox(seed, 0)).multinomial(trials, w / w.sum())
+    row_counts[drawn] = np.random.Generator(_philox(seed)).multinomial(trials, w / w.sum())
     return table, row_counts
 
 
@@ -697,7 +710,7 @@ def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> di
 
 
 def stage1_records(src: PdcSourceParams, noise: NoiseParams,
-                   variant=_UNNAMED, cfg: QndConfig | None = None) -> list:
+                   variant=None, cfg: QndConfig | None = None) -> list:
     """Exhaustive outcome enumeration of one stage-1 emission event."""
     return enumerate_exact("stage1", _stage1_params(src, noise, variant, cfg))
 
@@ -712,7 +725,7 @@ def pbs_records(fidelity: float) -> list:
     return enumerate_exact("pbs", {"F": fidelity})
 
 
-def stage1_monte_carlo(src: PdcSourceParams, noise: NoiseParams, variant=_UNNAMED,
+def stage1_monte_carlo(src: PdcSourceParams, noise: NoiseParams, variant=None,
                        cfg: QndConfig | None = None, trials: int = 100_000,
                        seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of stage 1."""
@@ -724,7 +737,7 @@ def stage2_monte_carlo(fidelity: float, trials: int = 100_000, seed: int = 0) ->
     return monte_carlo("stage2", {"F": fidelity}, trials, seed)
 
 
-def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=_UNNAMED,
+def stage1_run(src: PdcSourceParams, noise: NoiseParams, variant=None,
                cfg: QndConfig | None = None) -> RunReport:
     """Exact report of one stage-1 emission event."""
     return _exact("stage1", _stage1_params(src, noise, variant, cfg),

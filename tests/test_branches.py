@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import re
 from itertools import product as iproduct
 
 import pytest
@@ -160,6 +161,19 @@ def test_a_failing_qnd2_case_is_described_at_the_qnd2_default(monkeypatch):
     assert branches._passing_suite()
 
 
+TWO_PAIR_NAMES = [a + b + c + d for a, b, c, d in iproduct("HV", repeat=4)]
+
+
+@pytest.mark.parametrize("name", TWO_PAIR_NAMES)
+def test_a_two_pair_term_is_the_four_photons_its_name_spells(name):
+    # an upper pair term plus a lower one: the modes (a1, b1, a2, b2), in
+    # that order, with the polarizations the name gives
+    ports = [(Party.ALICE, Spatial.UPPER), (Party.BOB, Spatial.UPPER),
+             (Party.ALICE, Spatial.LOWER), (Party.BOB, Spatial.LOWER)]
+    assert getattr(branches, name) == tuple(ModeLabel(party, spatial, Pol[pol])
+                                            for (party, spatial), pol in zip(ports, name))
+
+
 def test_suite_filtering():
     results = run_branch_suite(only={"qnd1-double-clean"})
     assert len(results) == 1 and results[0].case_id == "qnd1-double-clean"
@@ -168,6 +182,19 @@ def test_suite_filtering():
     # a bare case id is not a selection of its characters
     with pytest.raises(ValueError, match="case ids, not the string 'qnd1-single-clean'"):
         run_branch_suite(only="qnd1-single-clean")
+
+
+@pytest.mark.parametrize("only", [True, 3, [["qnd1-single-clean"]]], ids=["bool", "int", "nested"])
+def test_a_selection_that_is_not_a_collection_of_ids_raises(only):
+    # refused as a bare string is, with a ValueError that names ``only``
+    message = f"^only is a collection of case ids, not {re.escape(repr(only))}$"
+    with pytest.raises(ValueError, match=message):
+        run_branch_suite(only=only)
+
+
+def test_an_iterator_of_case_ids_is_a_selection():
+    results = run_branch_suite(only=iter(["qnd1-double-clean", "qnd2-psi-psi"]))
+    assert [r.case_id for r in results] == ["qnd1-double-clean", "qnd2-psi-psi"]
 
 
 @pytest.mark.parametrize("only", [[], "", set(), ()], ids=["list", "str", "set", "tuple"])

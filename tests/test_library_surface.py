@@ -6,6 +6,8 @@ level, so a method that shares a name with a used function passes.
 imports numpy."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -40,6 +42,27 @@ def test_every_library_definition_has_a_caller_outside_tests():
     stray = unused - {fn for fns in layers.values() for fn in fns}
     assert not stray, f"only tests call {sorted(stray)}"
     assert unused == PINNED_ONLY
+
+
+def test_no_public_default_is_an_anonymous_object():
+    # a default reads in a signature as what a caller may pass, so no public
+    # callable's default is a sentinel that prints "<object object at 0x...>"
+    anonymous = []
+    for path in SOURCES:
+        if path.stem == "__init__":  # it defines nothing: its names are the modules'
+            continue
+        module = importlib.import_module(f"kerrpurify.{path.stem}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except ValueError:  # a builtin with no signature
+                continue
+            anonymous += [f"{path.stem}.{name}({p.name}={p.default!r})" for p in params
+                          if " object at 0x" in repr(p.default)]
+    assert not anonymous, anonymous
 
 
 def test_src_stays_within_the_seed_line_count():

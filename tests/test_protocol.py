@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -381,6 +382,17 @@ class TestIteration:
                 with pytest.raises(ValueError, match=r"\[1, 537\]"):
                     stage2_iterate(f0, rounds)
 
+    @pytest.mark.parametrize("f0", ["0.8", None, 0.8j], ids=["str", "none", "complex"])
+    def test_a_fidelity_that_is_not_a_real_number_raises_naming_it(self, f0):
+        with pytest.raises(ConfigError, match=f"^F is a real number, not {type(f0).__name__}$"):
+            stage2_iterate(f0, 2)
+
+    @pytest.mark.parametrize("rounds", [None, 2.0, "2"], ids=["none", "float", "str"])
+    def test_a_round_count_that_is_not_an_integer_raises_naming_it(self, rounds):
+        with pytest.raises(TypeError, match=f"^rounds is an integer, not {type(rounds).__name__}$"):
+            stage2_iterate(0.8, rounds)
+        assert stage2_iterate(0.8, np.int64(2)) == stage2_iterate(0.8, 2)
+
 
 class TestPbsBaseline:
     def test_reference_point(self):
@@ -555,19 +567,27 @@ class TestMonteCarlo:
             monte_carlo("stage2", {"F": 0.8}, trials, seed)
 
     def test_a_uniforms_seed_that_is_not_an_integer_raises(self):
-        # 1.5 must not draw seed 1's words
-        with pytest.raises(TypeError):
+        # 1.5 must not draw seed 1's words; the message names the seed
+        with pytest.raises(TypeError, match="^seed is an integer, not float$"):
             trial_uniforms(1.5, 8)
         assert np.array_equal(trial_uniforms(np.uint64(1), 8), trial_uniforms(1, 8))
 
+    @pytest.mark.parametrize("n_trials, error, message", [
+        ("8", TypeError, "^n_trials is an integer, not str$"),
+        (8.0, TypeError, "^n_trials is an integer, not float$"),
+        (-1, ValueError, "^n_trials -1: "),
+    ], ids=["str", "float", "negative"])
+    def test_a_uniforms_count_that_is_not_a_count_raises_naming_it(self, n_trials, error,
+                                                                    message):
+        with pytest.raises(error, match=message):
+            trial_uniforms(1, n_trials)
+        assert trial_uniforms(1, np.int64(0)).shape == (0,)
+
     def test_uniforms_slice_consistent(self):
+        # a shorter read of a seed's stream is the start of a longer one
         full = trial_uniforms(3, 1000)
-        parts = np.concatenate([
-            trial_uniforms(3, 250),
-            trial_uniforms(3, 500, start=250),
-            trial_uniforms(3, 250, start=750),
-        ])
-        assert np.array_equal(full, parts)
+        for n in (0, 1, 250, 999):
+            assert np.array_equal(trial_uniforms(3, n), full[:n])
 
     def test_parallel_equals_serial_counts(self):
         # four runs at once on four threads report what each reports alone
@@ -712,7 +732,7 @@ class TestWordLimitCounts:
     weights whose running sum reaches 1 before the last row or passes it,
     rows of zero or tiny weight, and the words at the ends of each
     uniform's bin of 2**11 words.  A run's rows are one multinomial draw
-    over its rows of nonzero weight, normalized, from ``_philox(seed, 0)``."""
+    over its rows of nonzero weight, normalized, from ``_philox(seed)``."""
 
     def test_random_weights_with_tiny_rows(self, monkeypatch):
         rng = np.random.default_rng(20)
@@ -754,7 +774,7 @@ class TestWordLimitCounts:
         planted = sorted({w + d for w in firsts for d in (-1, 0, 2**11 - 1)} - {-1})
         words = np.array(planted, dtype=np.uint64)
         monkeypatch.setattr(protocol, "_philox",
-                            lambda seed, start: SimpleNamespace(random_raw=lambda n: words[:n]))
+                            lambda seed: SimpleNamespace(random_raw=lambda n: words[:n]))
         uniforms = trial_uniforms(0, len(words))
         assert uniforms.tolist() == [float(Fraction(w >> 11, 2**53)) for w in planted]
         assert uniforms[0] == 0.0 and uniforms[-1] == 1 - 2.0**-53
@@ -790,15 +810,13 @@ class TestWordLimitCounts:
 
     @pytest.mark.parametrize("sizes", [[3006], [1000, 5, 1, 2000], [2, 3003, 1], [1502, 1504]])
     def test_planted_words_over_chunks_of_unequal_size(self, sizes):
-        # a seed's uniforms read in pieces of unequal size, each from its own
-        # start, and its words read a piece at a time from one generator,
-        # equal one read of them all
-        starts = np.cumsum([5] + sizes[:-1]).tolist()
-        pieces = [trial_uniforms(31, n, start) for n, start in zip(sizes, starts)]
-        assert np.array_equal(np.concatenate(pieces), trial_uniforms(31, 3006, 5))
-        bg = _philox(31, 5)
+        # a seed's words read a piece at a time from one generator, in pieces
+        # of unequal size, equal one read of them all, and its uniforms are
+        # their top 53 bits
+        bg = _philox(31)
         words = np.concatenate([bg.random_raw(n) for n in sizes])
-        assert np.array_equal(words, _philox(31, 5).random_raw(3006))
+        assert np.array_equal(words, _philox(31).random_raw(3006))
+        assert np.array_equal(trial_uniforms(31, 3006), (words >> np.uint64(11)) * 2.0**-53)
 
     @pytest.mark.parametrize("trials", [3, 40_003, 65_535])
     @pytest.mark.parametrize("pipeline, params", [
@@ -843,45 +861,36 @@ print(json.dumps([protocol.monte_carlo(name, params, 300_001, 17).to_dict()
 
 
 class TestSpans:
-    """``trial_uniforms`` reads any span [start, start + n) of a seed's
-    trial stream: ``_philox(seed, start)`` is the seed's Philox generator
-    advanced to word ``start``, whatever ``start % 4`` and however the
-    span's words are read."""
+    """``trial_uniforms`` reads a seed's trial stream from its first word:
+    ``_philox(seed)`` is the seed's Philox generator, however its words
+    are read."""
 
     @staticmethod
-    def reference_words(seed, n, start):
-        """Words start .. start + n - 1, drawn whole from a fresh generator."""
-        bg = np.random.Philox(key=np.uint64(seed))
-        bg.advance(start // 4)  # four words a counter step
-        return bg.random_raw(start % 4 + n)[start % 4:]
+    def reference_words(seed, n):
+        """The seed's first n words, drawn whole from a fresh generator."""
+        return np.random.Philox(key=np.uint64(seed)).random_raw(n)
 
     @staticmethod
-    def span_reads(seed, start, trials, step):
+    def span_reads(seed, trials, step):
         """A span's words, read ``step`` at a time from one generator."""
-        bg = _philox(seed, start)
+        bg = _philox(seed)
         return [bg.random_raw(min(step, trials - k)) for k in range(0, trials, step)]
 
     @pytest.mark.parametrize("spans", [1, 2, 3, 4])
-    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4_001, 40_002, 2**40 + 3])
-    def test_a_span_reads_the_trial_words(self, start, spans):
-        # steps of 64 // spans words: 1000 words cross many steps, and every
-        # value of start % 4 starts a span
-        reads = self.span_reads(9, start, 1000, 64 // spans)
+    def test_a_span_reads_the_trial_words(self, spans):
+        # steps of 64 // spans words: 1000 words cross many steps, and the
+        # 21-word steps end at every word of a four-word counter step
+        reads = self.span_reads(9, 1000, 64 // spans)
         assert len(reads) >= 15 and {len(r) for r in reads[:-1]} == {64 // spans}
         words = np.concatenate(reads)
-        assert np.array_equal(words, self.reference_words(9, 1000, start))
-        assert np.array_equal(words, _philox(9, start).random_raw(1000))
-        assert np.array_equal(trial_uniforms(9, 1000, start),
-                              (words >> np.uint64(11)) * 2.0**-53)
-        if start < 10**6:  # the advance skips four words a step
-            unadvanced = np.random.Philox(key=np.uint64(9)).random_raw(start + 1000)
-            assert np.array_equal(words, unadvanced[start:])
+        assert np.array_equal(words, self.reference_words(9, 1000))
+        assert np.array_equal(words, _philox(9).random_raw(1000))
+        assert np.array_equal(trial_uniforms(9, 1000), (words >> np.uint64(11)) * 2.0**-53)
 
-    @pytest.mark.parametrize("start", [0, 1, 2, 3, 65_538])
-    def test_a_span_shorter_than_a_step_reads_the_trial_words(self, start):
-        [words] = self.span_reads(4, start, 7, 32)
-        assert np.array_equal(words, self.reference_words(4, 7, start))
-        assert np.array_equal(words, _philox(4, start).random_raw(7))
+    def test_a_span_shorter_than_a_step_reads_the_trial_words(self):
+        [words] = self.span_reads(4, 7, 32)
+        assert np.array_equal(words, self.reference_words(4, 7))
+        assert np.array_equal(words, _philox(4).random_raw(7))
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity call on this platform")
@@ -945,19 +954,18 @@ class TestSpans:
         assert [r.to_dict() for r in eight] == serial
 
     def test_never_more_spans_than_chunks(self, monkeypatch):
-        # however many trials, a run is one draw from the seed's generator
-        # at its start, and starts no thread
+        # however many trials, a run is one draw from the seed's generator,
+        # and starts no thread
         draws, started = self.counted_draws(monkeypatch), self.counted_thread_starts(monkeypatch)
-        starts, philox = [], protocol._philox
-        monkeypatch.setattr(protocol, "_philox",
-                            lambda seed, start: starts.append(start) or philox(seed, start))
+        seeds, philox = [], protocol._philox
+        monkeypatch.setattr(protocol, "_philox", lambda seed: seeds.append(seed) or philox(seed))
         w = _table_weights("pbs", {"F": 0.8})
         for trials in (1, 65_536, 65_537, 3 * 65_536, 10**12):
             draws.clear()
-            starts.clear()
+            seeds.clear()
             _mc_row_counts("pbs", {"F": 0.8}, trials, 1)
             [(n, pvals)] = draws
-            assert n == trials and len(pvals) == np.count_nonzero(w) and starts == [0]
+            assert n == trials and len(pvals) == np.count_nonzero(w) and seeds == [1]
         assert started == []
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8, 16])
@@ -991,10 +999,10 @@ class TestSpans:
         class SpanFailed(Exception):
             pass
 
-        def fail_seed_3(seed, start):
+        def fail_seed_3(seed):
             if seed == 3:
                 raise SpanFailed
-            return philox(seed, start)
+            return philox(seed)
 
         runs = [("stage2", {"F": 0.8}, 50_000, seed) for seed in range(3, 3 + workers)]
         expected = [monte_carlo(*args).to_dict() for args in runs]
@@ -1015,8 +1023,8 @@ class TestSpans:
         expected = monte_carlo("stage2", {"F": 0.8}, 4 * 65_536 + 3, 8).to_dict()
         drawn_on, philox = [], protocol._philox
         monkeypatch.setattr(threading.Thread, "start", start)
-        monkeypatch.setattr(protocol, "_philox", lambda seed, first: drawn_on.append(
-            threading.current_thread()) or philox(seed, first))
+        monkeypatch.setattr(protocol, "_philox", lambda seed: drawn_on.append(
+            threading.current_thread()) or philox(seed))
         assert monte_carlo("stage2", {"F": 0.8}, 4 * 65_536 + 3, 8).to_dict() == expected
         assert drawn_on == [threading.main_thread()]
 
@@ -1024,7 +1032,7 @@ class TestSpans:
         # Ctrl-C in a draw leaves the run as KeyboardInterrupt, with no
         # thread left and nothing cached half made: the next run reports
         # what it did before
-        def interrupt(seed, start):
+        def interrupt(seed):
             raise KeyboardInterrupt
 
         expected = monte_carlo("stage2", {"F": 0.8}, 100_000, 3).to_dict()
@@ -1056,20 +1064,18 @@ class TestThreadGenerator:
     what a new generator keyed by the seed reads, whatever was read from it
     before, and only a thread's first run builds one."""
 
-    @pytest.mark.parametrize("start", [0, 3, 4, 2**40 + 3])
+    @pytest.mark.parametrize("read", [0, 1, 2, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1], ids=["0", "1", "2^63", "2^64-1"])
-    def test_a_dirty_generator_reads_a_fresh_one_s_words(self, seed, start):
-        # buffered words and a buffered uint32 are dropped by the rekey
-        bg = _philox(12345, 2)
-        bg.random_raw(3)
+    def test_a_dirty_generator_reads_a_fresh_one_s_words(self, seed, read):
+        # buffered words and a buffered uint32 are dropped by the rekey,
+        # however many words were read before them
+        bg = _philox(12345)
+        bg.random_raw(read)
         np.random.Generator(bg).integers(2**32, dtype=np.uint32)
         assert bg.state["buffer_pos"] < 4 and bg.state["has_uint32"] == 1
-        assert _philox(seed, start) is bg
-        fresh = np.random.Philox(key=np.uint64(seed))
-        fresh.advance(start // 4)
-        fresh.random_raw(start % 4)
-        assert repr(bg.state) == repr(fresh.state)
-        assert np.array_equal(bg.random_raw(64), TestSpans.reference_words(seed, 64, start))
+        assert _philox(seed) is bg
+        assert repr(bg.state) == repr(np.random.Philox(key=np.uint64(seed)).state)
+        assert np.array_equal(bg.random_raw(64), TestSpans.reference_words(seed, 64))
 
     def test_runs_on_one_thread_build_no_generator(self, monkeypatch):
         # after a warm-up, ten runs on this thread build no Philox and a run
@@ -1463,6 +1469,16 @@ class TestExactReports:
         with pytest.raises(ConfigError, match="unknown pipeline"):
             next(exact_reports("nope", []))
 
+    @pytest.mark.parametrize("name", [["stage1"], {"a": 1}, "Stage1", None],
+                             ids=["list", "dict", "case", "none"])
+    def test_a_pipeline_name_that_names_none_raises(self, name):
+        # a name that cannot be a key is unknown too, not an unhashable TypeError
+        for run in (lambda: next(exact_reports(name, [{"F": 0.8}])),
+                    lambda: enumerate_exact(name, {"F": 0.8}),
+                    lambda: monte_carlo(name, {"F": 0.8}, 1000, 1)):
+            with pytest.raises(ConfigError, match=f"^unknown pipeline {re.escape(repr(name))}$"):
+                run()
+
     @pytest.mark.parametrize("pipeline, bad", [
         ("stage1", {"p1": 0.6, "p2": 0.6, "f0": 0.8}),
         ("stage1", {"p1": 0.0, "p2": 0.0, "f0": 0.8}),
@@ -1548,7 +1564,7 @@ class TestExactReports:
                                                   f"'{key}' is a {type(value).__name__}$"):
                 run()
 
-    @pytest.mark.parametrize("variant", ["qnd9", "QND1", "qnd2", "", 3, None])
+    @pytest.mark.parametrize("variant", ["qnd9", "QND1", "qnd2", "", 3])
     def test_a_variant_stage1_cannot_run_raises(self, variant):
         # an unknown name is refused as an unknown value is, not by the enum
         good = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
@@ -1586,6 +1602,24 @@ class TestExactReports:
                     lambda: stage1_run(src, noise, other, cfg)):
             with pytest.raises(ConfigError, match="does not match the requested detector"):
                 run()
+
+    @pytest.mark.parametrize("cfg", [None, default_config(Variant.QND3),
+                                     QndConfig(Variant.QND1, PhaseTag(1, 8), PhaseTag(5, 8))],
+                             ids=["no-cfg", "qnd3-default", "qnd1-1/8"])
+    def test_a_variant_of_none_reads_as_omitted(self, cfg):
+        # variant=None is the default: it runs the cfg's detector, else qnd1,
+        # and every entry point reports what the point without the key reports
+        omitted = {"p1": 0.1, "p2": 0.01, "f0": 0.8, "cfg": cfg}
+        given = dict(omitted, variant=None)
+        src, noise = PdcSourceParams(0.1, 0.01), NoiseParams(0.8)
+        for run in (lambda p: [r.to_dict() for r in exact_reports("stage1", [p, p])],
+                    lambda p: repr(enumerate_exact("stage1", p)),
+                    lambda p: monte_carlo("stage1", p, 10**6, 5).to_dict(),
+                    lambda p: stage1_run(src, noise, **{k: p[k] for k in ("variant", "cfg")
+                                                        if k in p}).to_dict()):
+            assert json.dumps(run(given)) == json.dumps(run(omitted))
+        named = Variant.QND1 if cfg is None else cfg.variant
+        assert stage1_run(src, noise, None, cfg) == stage1_run(src, noise, named, cfg)
 
     @pytest.mark.parametrize("variant", [Variant.QND2, Variant.QND4], ids=["qnd2", "qnd4"])
     def test_a_cfg_alone_of_another_detector_cannot_run_stage1(self, variant):
