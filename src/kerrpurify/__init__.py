@@ -5,7 +5,6 @@ from .fock import (
     AmbiguousRoutingError,
     BranchState,
     ConfigError,
-    EnsembleState,
     ModeLabel,
     OccupancyViolationError,
     Party,
@@ -33,13 +32,11 @@ from .elements import (
     sigma_z,
 )
 from .qnd import (
-    HomodyneOutcome,
     QndConfig,
     Variant,
     apply_kerr,
     apply_qnd,
     default_config,
-    homodyne_x,
 )
 from .sources import (
     NoiseParams,

@@ -281,14 +281,15 @@ def run_branch_suite(theta: PhaseTag | None = None,
     described at the pair's phases (a parity case at the default's fixed pi).
     """
     if only is not None:
-        if not only:
+        try:
+            ids = set(only)  # read once; an empty iterator is truthy, its set is not
+        except TypeError:  # True, 3: not a collection of ids
+            raise ValueError(f"only is a collection of case ids, not {only!r}") from None
+        if not ids:
             raise ValueError("only names no case id; pass None to run every case")
         if isinstance(only, str):
             raise ValueError(f"only is a collection of case ids, not the string {only!r}")
-        try:
-            only = set(only)  # an iterator is read once
-        except TypeError:  # True, 3: not a collection of ids
-            raise ValueError(f"only is a collection of case ids, not {only!r}") from None
+        only = ids
         if unknown := only - set(CASE_IDS):
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
     base = map(default_config, (Variant.QND1, Variant.QND3, Variant.QND4))

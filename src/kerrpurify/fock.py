@@ -40,7 +40,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 PRUNE_TOL = 1e-12
-NORM_TOL = 1e-10
 
 
 class SimulationError(Exception):
@@ -151,14 +150,6 @@ class PhaseTag:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def magnitude_class(self) -> "PhaseTag":
-        """Canonical representative of the {+phi, -phi} pair.
-
-        An X-quadrature readout cannot tell +phi from -phi; both map to
-        the same class, represented by min(phi, 2*pi - phi).
-        """
-        return self if self.num <= self.den else -self
 
     @classmethod
     def parse(cls, text: str) -> "PhaseTag":
@@ -348,40 +339,3 @@ def inner(a: PureState, b: PureState) -> complex:
 def overlap(a: PureState, b: PureState) -> float:
     """|<b|a>|^2."""
     return abs(inner(a, b)) ** 2
-
-
-@dataclass(frozen=True)
-class EnsembleState:
-    """Weighted mixture of pure states."""
-
-    components: tuple
-
-    @staticmethod
-    def of(pairs) -> "EnsembleState":
-        """Mixture of (weight, state) pairs; zero weights are dropped.
-
-        A negative or NaN weight or a total other than 1 raises.
-        """
-        weighted = [(float(w), s) for w, s in pairs]
-        if not all(w >= 0 for w, _ in weighted):
-            raise ValueError("negative or NaN ensemble weight")
-        comps = tuple((w, s) for w, s in weighted if w > 0.0)
-        total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"ensemble weights sum to {total}, not 1")
-        return EnsembleState(comps)
-
-    def overlap(self, target: PureState) -> float:
-        """<target| rho |target>."""
-        return sum(w * overlap(s, target) for w, s in self.components)
-
-    def purity(self) -> float:
-        """tr(rho^2), from the Gram matrix of the components."""
-        total = 0.0
-        for wi, si in self.components:
-            for wj, sj in self.components:
-                total += wi * wj * abs(inner(si, sj)) ** 2
-        return total
-
-    def __len__(self) -> int:
-        return len(self.components)

@@ -219,11 +219,9 @@ def stage2_iterate(f0: float, rounds: int) -> list:
     own yield, then multiplied by yield/2 for every later round (each
     round consumes pairs two at a time).
     """
-    try:
-        valid = 0.5 < f0 <= 1.0
-    except TypeError:  # "0.8", None
-        raise ConfigError(f"F is a real number, not {type(f0).__name__}") from None
-    if not valid:
+    if not isinstance(f0, numbers.Real):  # "0.8", None, Decimal("0.8")
+        raise ConfigError(f"F is a real number, not {type(f0).__name__}")
+    if not 0.5 < f0 <= 1.0:
         raise ConfigError("iteration requires fidelity in (1/2, 1]")
     try:
         round_range = range(1, rounds + 1)
@@ -629,8 +627,8 @@ def trial_uniforms(seed: int, n_trials: int) -> np.ndarray:
     import numpy as np
     bg = _philox(seed)
     try:
-        words = bg.random_raw(n_trials)
-    except TypeError:  # "8", 8.0
+        words = bg.random_raw(operator.index(n_trials))  # None would draw one bare word
+    except TypeError:  # "8", 8.0, None
         raise TypeError(f"n_trials is an integer, not {type(n_trials).__name__}") from None
     except ValueError as err:  # -1: numpy's "negative dimensions are not allowed"
         raise ValueError(f"n_trials {n_trials!r}: {err}") from None

@@ -1,4 +1,4 @@
-"""The four cross-Kerr QND detector gadgets and the probe homodyne readout.
+"""The four cross-Kerr QND detector gadgets.
 
 A Kerr medium couples one signal mode to its own party's coherent probe:
 n photons in the signal mode shift that probe's phase by n*theta and
@@ -37,13 +37,10 @@ A ``QndConfig`` is read only where a phase leaves the library: its
 ``classes`` and ``phase`` read counts as a ``PhaseTag``, and it accepts
 only angles at which the counts the protocol produces read distinct phases.
 
-Each probe is read out by homodyning it.  ``fock.project_probe`` is the
-exact-phase readout (used with QND1-QND3), on the counts.
-``homodyne_x`` is the X-quadrature readout, which cannot distinguish
-+phi from -phi: the two phases fall in one outcome class, and
-postselecting that class leaves a *mixture* of the +phi and -phi branch
-groups, never their superposition.  That coarse-graining is what makes QND4 strictly
-weaker than QND2 for keeping the odd-parity component.
+Each probe is read out by ``fock.project_probe``, on its exact counts.  An
+X-quadrature readout cannot tell +phi from -phi, so it would keep QND4's
+odd-parity branches as a mixture, where QND2's pi shift tags both alike and
+keeps their superposition; demo 04 compares the two.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from .elements import pbs
 from .fock import (
     BranchState,
     ConfigError,
-    EnsembleState,
     ModeLabel,
     OccupancyViolationError,
     Party,
@@ -68,8 +64,6 @@ from .fock import (
     PI,
     ZERO_COUNTS,
     ZERO_PHASE,
-    probe_outcomes,
-    project_probe,
 )
 
 
@@ -205,39 +199,3 @@ def apply_qnd(state: PureState, variant: Variant) -> PureState:
         state = state.map_branches(lambda b: BranchState(
             b.occupations, b.amplitude, tuple((a % 2, c) for a, c in b.probe)))
     return state
-
-
-@dataclass(frozen=True)
-class HomodyneOutcome:
-    outcome: PhaseTag
-    probability: float
-    post_state: EnsembleState
-
-
-def homodyne_x(state: PureState, party: Party, cfg: QndConfig) -> list:
-    """Enumerate the X-quadrature outcome classes of one party's probe.
-
-    The readout cannot tell +phi from -phi, so each outcome is a
-    ``magnitude_class`` of the exact phases at ``cfg``'s angles.  Within a
-    class the branch groups of different phases decohere: the post-state
-    is an ensemble with one component per phase, the ``project_probe``
-    state of its counts at weight p_phase / p_class.  The measured probe
-    register resets to 0.  Two counts of one phase raise ConfigError: the
-    angles would make the readout merge branch groups the counts keep apart.
-    """
-    classes: dict[PhaseTag, list] = {}
-    phases = set()
-    for counts, prob in probe_outcomes(state, party).items():
-        tag = cfg.phase(counts)
-        if tag in phases:
-            raise ConfigError(f"two probe counts read the phase {tag} at these angles")
-        phases.add(tag)
-        classes.setdefault(tag.magnitude_class(), []).append((tag, counts, prob))
-    outcomes = []
-    for cls, members in sorted(classes.items()):
-        cls_prob = sum(prob for *_, prob in members)
-        comps = [(prob / cls_prob, project_probe(state, party, counts)[1])
-                 for _, counts, prob in sorted(members)]
-        outcomes.append(HomodyneOutcome(cls, cls_prob, EnsembleState.of(comps)))
-    return outcomes
-

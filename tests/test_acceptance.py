@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from kerrpurify import (
-    EnsembleState,
     NoiseParams,
     Party,
     PdcSourceParams,
@@ -20,11 +19,12 @@ from kerrpurify import (
     ZERO_COUNTS,
     apply_qnd,
     default_config,
-    homodyne_x,
+    inner,
     monte_carlo,
     overlap,
     pbs,
     pbs_baseline,
+    probe_outcomes,
     project_probe,
     run_branch_suite,
     sigma_x,
@@ -120,20 +120,36 @@ def test_criterion_5_magnitude_readout_degradation():
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
         target = operator_state([(1, ((HHVV, VVHH),))])
 
+        # an X readout of Alice's probe keeps each class of |phase|, and
+        # within a class the project_probe states of its phases decohere
         cfg4 = default_config(Variant.QND4)
         out4 = apply_qnd(inp, Variant.QND4)
-        outcomes = {o.outcome: o for o in
-                    homodyne_x(out4, Party.ALICE, cfg4)}
-        picked = outcomes[cfg4.theta.magnitude_class()]
-        assert abs(picked.probability - 0.5) < 1e-12
-        final = []
-        for w, comp in picked.post_state.components:
-            for ob in homodyne_x(comp, Party.BOB, cfg4):
-                for w2, c2 in ob.post_state.components:
-                    final.append((w * ob.probability * w2, c2))
-        mixture = EnsembleState.of(final)
-        assert abs(mixture.overlap(target) - 0.5) < 1e-12
-        assert abs(mixture.purity() - 0.5) < 1e-12
+        classes = {}
+        for counts, p in probe_outcomes(out4, Party.ALICE).items():
+            v = cfg4.phase(counts).value
+            classes.setdefault(min(v, 2 - v), []).append((counts, p))
+        assert sorted(classes) == [0, cfg4.theta.value]
+
+        [(zero, p_zero)] = classes[0]  # one phase: the even-parity class stays pure
+        _, even = project_probe(out4, Party.ALICE, zero)
+        assert abs(p_zero - 0.5) < 1e-12
+        assert abs(overlap(even, operator_state([(1, ((HHHH, VVVV),))])) - 1.0) < 1e-12
+
+        picked = classes[cfg4.theta.value]
+        p_class = sum(p for _, p in picked)
+        assert len(picked) == 2 and abs(p_class - 0.5) < 1e-12
+        mixture = []
+        for counts, p in picked:
+            _, after_a = project_probe(out4, Party.ALICE, counts)
+            for bob_counts in probe_outcomes(after_a, Party.BOB):
+                p_bob, comp = project_probe(after_a, Party.BOB, bob_counts)
+                mixture.append((p / p_class * p_bob, comp))
+        assert abs(sum(w for w, _ in mixture) - 1.0) < 1e-12
+        fid = sum(w * overlap(comp, target) for w, comp in mixture)
+        purity = sum(wi * wj * abs(inner(ci, cj)) ** 2
+                     for wi, ci in mixture for wj, cj in mixture)
+        assert abs(fid - 0.5) < 1e-12
+        assert abs(purity - 0.5) < 1e-12
 
         out2 = apply_qnd(inp, Variant.QND2)
         _, after_a = project_probe(out2, Party.ALICE, ZERO_COUNTS)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from kerrpurify import (
     BranchState,
-    EnsembleState,
     ModeLabel,
     Party,
     PhaseTag,
@@ -69,12 +68,6 @@ class TestPhaseTag:
         assert PhaseTag(1, 4) * 3 == PhaseTag(3, 4)
         assert PhaseTag(3, 4) * 2 == PhaseTag(3, 2)
         assert PhaseTag(1, 2) * 4 == ZERO_PHASE
-
-    def test_magnitude_class(self):
-        assert PhaseTag(1, 4).magnitude_class() == PhaseTag(1, 4)
-        assert PhaseTag(7, 4).magnitude_class() == PhaseTag(1, 4)
-        assert PI.magnitude_class() == PI
-        assert ZERO_PHASE.magnitude_class() == ZERO_PHASE
 
     def test_parse(self):
         assert PhaseTag.parse("3/4") == PhaseTag(3, 4)
@@ -154,7 +147,6 @@ class TestPhaseTagProperties:
         assert (-ta).value == (-fa) % 2
         assert (ta * k).value == (fa * k) % 2
         assert (ta < tb) == (fa < fb)
-        assert ta.magnitude_class().value == min(fa, (-fa) % 2)
 
     @settings(max_examples=300, deadline=None)
     @given(a=tag_inputs(), b=tag_inputs())
@@ -383,28 +375,3 @@ class TestProductAndOverlap:
         a = create_photon(operator_state([(1, ())]), A1H)
         b = create_photon(operator_state([(1, ())]), B1H)
         assert inner(a, b) == 0
-
-
-class TestEnsemble:
-    def test_weight_validation(self):
-        st = single_pair_state()
-        with pytest.raises(ValueError):
-            EnsembleState.of([(0.5, st)])
-
-    def test_negative_or_nan_weight_rejected(self):
-        # checked before zero and negative weights drop out of the mixture
-        state = single_pair_state()
-        for bad in (-1e-11, float("nan")):
-            with pytest.raises(ValueError, match="negative or NaN"):
-                EnsembleState.of([(1.0, state), (bad, state)])
-        assert len(EnsembleState.of([(1.0, state), (0.0, state)])) == 1
-
-    def test_purity_of_pure(self):
-        ens = EnsembleState.of([(1.0, single_pair_state())])
-        assert abs(ens.purity() - 1.0) < 1e-12
-
-    def test_mixture_purity(self):
-        a = create_photon(operator_state([(1, ())]), A1H)
-        b = create_photon(operator_state([(1, ())]), B1H)
-        ens = EnsembleState.of([(0.5, a), (0.5, b)])
-        assert abs(ens.purity() - 0.5) < 1e-12

@@ -36,6 +36,7 @@ from kerrpurify import (
     overlap,
     pbs_baseline,
     project_probe,
+    run_branch_suite,
     stage1_fidelity_closed_form,
     stage1_run,
     stage2_fidelity_map,
@@ -392,6 +393,19 @@ class TestIteration:
         with pytest.raises(TypeError, match=f"^rounds is an integer, not {type(rounds).__name__}$"):
             stage2_iterate(0.8, rounds)
         assert stage2_iterate(0.8, np.int64(2)) == stage2_iterate(0.8, 2)
+
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: stage2_iterate(Decimal("0.8"), 2), ConfigError, "^F is a real number, not Decimal$"),
+    (lambda: trial_uniforms(1, None), TypeError, "^n_trials is an integer, not NoneType$"),
+    (lambda: run_branch_suite(only=iter([])), ValueError, "^only names no case id"),
+], ids=["decimal-fidelity", "none-trial-count", "empty-iterator-selection"])
+def test_an_argument_that_passed_a_comparison_or_a_truth_test_is_refused(call, error, message):
+    # a Decimal compares with floats but fails in the yield's float arithmetic,
+    # numpy reads a None size as one bare word, and an empty iterator is truthy
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestPbsBaseline:

@@ -1,4 +1,4 @@
-"""Kerr primitive, detector gadget configs, X-quadrature homodyne readout."""
+"""Kerr primitive, detector gadgets and their configs, the parity readout."""
 
 import contextlib
 import io
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from kerrpurify import (
     BranchState,
     ConfigError,
-    EnsembleState,
     ModeLabel,
     OccupancyViolationError,
     Party,
@@ -34,9 +33,7 @@ from kerrpurify import (
     apply_qnd,
     create_photon,
     default_config,
-    homodyne_x,
     pbs,
-    probe_outcomes,
     project_probe,
     single_pair_state,
 )
@@ -440,73 +437,6 @@ class TestGadgetInvariants:
 
 
 class TestHomodyne:
-    POOL_CFG = default_config(Variant.QND1)  # reads conftest's probe counts as six phases
-
-    def test_components_are_project_probe_states(self, rng):
-        # each class holds the project_probe state of the counts of each of
-        # its phases, weighted by the phase's share of the class probability
-        cfg, two_tag_classes = self.POOL_CFG, 0
-        for _ in range(200):
-            st = random_pure_state(rng)
-            for party in Party:
-                probs = probe_outcomes(st, party)
-                outcomes = homodyne_x(st, party, cfg)
-                assert [o.outcome for o in outcomes] == \
-                    sorted({cfg.phase(counts).magnitude_class() for counts in probs})
-                for o in outcomes:
-                    members = sorted((cfg.phase(counts), counts) for counts in probs
-                                     if cfg.phase(counts).magnitude_class() == o.outcome)
-                    two_tag_classes += len(members) == 2
-                    assert abs(o.probability - sum(probs[c] for _, c in members)) < 1e-12
-                    assert len(o.post_state) == len(members)
-                    for (_, counts), (w, comp) in zip(members, o.post_state.components):
-                        prob, post = project_probe(st, party, counts)
-                        assert abs(w - prob / o.probability) < 1e-12
-                        assert_states_equal(comp, post)
-        assert two_tag_classes > 0
-
-    def test_two_counts_of_one_phase_raise(self):
-        # 3 * pi/4 = 3pi/4: at qnd1's default angles the counts (3, 0) and
-        # (0, 1) read one phase, whose readout the counts cannot represent
-        st = PureState.of(BranchState.of({A1H: 1}, 1.0, (counts, ZERO_COUNTS))
-                          for counts in ((3, 0), (0, 1)))
-        with pytest.raises(ConfigError, match="read the phase"):
-            homodyne_x(st, Party.ALICE, self.POOL_CFG)
-
-    def test_probabilities_sum_to_one(self, rng):
-        for _ in range(200):
-            st = random_pure_state(rng)
-            outs = homodyne_x(st, Party.BOB, self.POOL_CFG)
-            assert abs(sum(o.probability for o in outs) - 1.0) < 1e-10
-
-    def magnitude_outcome(self, outcome_tag):
-        inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
-        cfg = default_config(Variant.QND4)
-        out = apply_qnd(inp, Variant.QND4)
-        outcomes = {o.outcome: o for o in
-                    homodyne_x(out, Party.ALICE, cfg)}
-        return cfg, outcomes[outcome_tag]
-
-    def test_magnitude_class_is_mixture(self):
-        cfg, o = self.magnitude_outcome(THETA)
-        assert abs(o.probability - 0.5) < 1e-12
-        # finish with Bob's readout; each component is already tag-definite
-        final = []
-        for w, comp in o.post_state.components:
-            for ob in homodyne_x(comp, Party.BOB, cfg):
-                for w2, c2 in ob.post_state.components:
-                    final.append((w * ob.probability * w2, c2))
-        ens = EnsembleState.of(final)
-        target = operator_state([(1, ((HHVV, VVHH),))])
-        assert abs(ens.overlap(target) - 0.5) < 1e-12
-        assert abs(ens.purity() - 0.5) < 1e-12
-
-    def test_zero_class_stays_pure(self):
-        _, o = self.magnitude_outcome(ZERO_PHASE)
-        assert len(o.post_state) == 1
-        target = operator_state([(1, ((HHHH, VVVV),))])
-        assert abs(o.post_state.overlap(target) - 1.0) < 1e-12
-
     def test_parity_detector_keeps_superposition(self):
         from kerrpurify import overlap
 
