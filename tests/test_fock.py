@@ -69,6 +69,12 @@ class TestPhaseTag:
         assert PhaseTag(3, 4) * 2 == PhaseTag(3, 2)
         assert PhaseTag(1, 2) * 4 == ZERO_PHASE
 
+    def test_magnitude_class(self):
+        # an X readout keeps |phase|: min(t, -t) under the tag order
+        for tag, magnitude in ((PhaseTag(1, 4), PhaseTag(1, 4)), (PhaseTag(7, 4), PhaseTag(1, 4)),
+                               (PI, PI), (ZERO_PHASE, ZERO_PHASE)):
+            assert min(tag, -tag) == magnitude
+
     def test_parse(self):
         assert PhaseTag.parse("3/4") == PhaseTag(3, 4)
         assert PhaseTag.parse("1") == PI
@@ -147,6 +153,7 @@ class TestPhaseTagProperties:
         assert (-ta).value == (-fa) % 2
         assert (ta * k).value == (fa * k) % 2
         assert (ta < tb) == (fa < fb)
+        assert min(ta, -ta).value == min(fa, (-fa) % 2)
 
     @settings(max_examples=300, deadline=None)
     @given(a=tag_inputs(), b=tag_inputs())
@@ -375,3 +382,19 @@ class TestProductAndOverlap:
         a = create_photon(operator_state([(1, ())]), A1H)
         b = create_photon(operator_state([(1, ())]), B1H)
         assert inner(a, b) == 0
+
+
+def purity(mixture) -> float:
+    """Tr rho^2 of a list of (weight, pure state), read from inner."""
+    return sum(wi * wj * abs(inner(ci, cj)) ** 2 for wi, ci in mixture for wj, cj in mixture)
+
+
+class TestEnsemble:
+    def test_purity_of_pure(self, rng):
+        for _ in range(50):
+            assert abs(purity([(1.0, random_pure_state(rng))]) - 1.0) < 1e-10
+
+    def test_mixture_purity(self):
+        a = create_photon(operator_state([(1, ())]), A1H)
+        b = create_photon(operator_state([(1, ())]), B1H)
+        assert abs(purity([(0.5, a), (0.5, b)]) - 0.5) < 1e-12

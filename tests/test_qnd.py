@@ -33,7 +33,10 @@ from kerrpurify import (
     apply_qnd,
     create_photon,
     default_config,
+    inner,
+    overlap,
     pbs,
+    probe_outcomes,
     project_probe,
     single_pair_state,
 )
@@ -436,10 +439,80 @@ class TestGadgetInvariants:
                 apply_qnd(single_pair_state(), detector)
 
 
-class TestHomodyne:
-    def test_parity_detector_keeps_superposition(self):
-        from kerrpurify import overlap
+def x_readout(state: PureState, party: Party, cfg: QndConfig) -> dict:
+    """An X-quadrature readout of ``party``'s probe, built as demo 04 builds it:
+    {|phase| value: [(probability, counts)]}, one class per magnitude of the phase."""
+    classes = {}
+    for counts, p in probe_outcomes(state, party).items():
+        v = cfg.phase(counts).value
+        classes.setdefault(min(v, 2 - v), []).append((p, counts))
+    return classes
 
+
+class TestHomodyne:
+    POOL_CFG = default_config(Variant.QND1)  # reads conftest's probe counts as six phases
+
+    def test_components_are_project_probe_states(self, rng):
+        # a class holds the project_probe states of its phases, +t and -t,
+        # each weighted by the phase's share of the class probability
+        cfg, two_tag_classes = self.POOL_CFG, 0
+        for _ in range(200):
+            st = random_pure_state(rng)
+            for party in Party:
+                for v, members in x_readout(st, party, cfg).items():
+                    tags = {cfg.phase(counts) for _, counts in members}
+                    assert len(tags) == len(members) <= 2
+                    assert all(min(t, -t).value == v for t in tags)
+                    two_tag_classes += len(members) == 2
+                    p_class = sum(p for p, _ in members)
+                    for p, counts in members:
+                        prob, post = project_probe(st, party, counts)
+                        assert abs(prob - p) < 1e-12
+                        assert abs(post.norm_squared() - 1.0) < 1e-12
+                        # the read register resets
+                        assert all(b.probe[party] == ZERO_COUNTS for b in post.branches)
+                    assert abs(sum(p / p_class for p, _ in members) - 1.0) < 1e-12
+        assert two_tag_classes > 0
+
+    def test_probabilities_sum_to_one(self, rng):
+        for _ in range(200):
+            st = random_pure_state(rng)
+            classes = x_readout(st, Party.BOB, self.POOL_CFG)
+            assert abs(sum(p for members in classes.values() for p, _ in members) - 1.0) < 1e-10
+
+    @staticmethod
+    def magnitude_outcome(magnitude: PhaseTag):
+        inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
+        cfg = default_config(Variant.QND4)
+        out = apply_qnd(inp, Variant.QND4)
+        return cfg, out, x_readout(out, Party.ALICE, cfg)[magnitude.value]
+
+    def test_magnitude_class_is_mixture(self):
+        cfg, out, members = self.magnitude_outcome(THETA)
+        p_class = sum(p for p, _ in members)
+        assert len(members) == 2 and abs(p_class - 0.5) < 1e-12
+        # finish with Bob's readout; each component is already tag-definite
+        final = []
+        for p, counts in members:
+            _, after_a = project_probe(out, Party.ALICE, counts)
+            for bob_counts in probe_outcomes(after_a, Party.BOB):
+                p_bob, comp = project_probe(after_a, Party.BOB, bob_counts)
+                final.append((p / p_class * p_bob, comp))
+        target = operator_state([(1, ((HHVV, VVHH),))])
+        fid = sum(w * overlap(comp, target) for w, comp in final)
+        purity = sum(wi * wj * abs(inner(ci, cj)) ** 2 for wi, ci in final for wj, cj in final)
+        assert abs(fid - 0.5) < 1e-12
+        assert abs(purity - 0.5) < 1e-12
+
+    def test_zero_class_stays_pure(self):
+        _, out, members = self.magnitude_outcome(ZERO_PHASE)
+        [(p, counts)] = members
+        _, post = project_probe(out, Party.ALICE, counts)
+        target = operator_state([(1, ((HHHH, VVVV),))])
+        assert abs(p - 0.5) < 1e-12
+        assert abs(overlap(post, target) - 1.0) < 1e-12
+
+    def test_parity_detector_keeps_superposition(self):
         inp = operator_state([(1, ((HHHH, VVVV, HHVV, VVHH),))])
         out = apply_qnd(inp, Variant.QND2)
         _, after_a = project_probe(out, Party.ALICE, ZERO_COUNTS)
