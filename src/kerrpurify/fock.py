@@ -100,8 +100,8 @@ class PhaseTag:
 
     The value is held as the reduced integer pair (num, den), den > 0 and
     0 <= num < 2*den.  Arithmetic is exact and taken modulo 2*pi, and two
-    tags are equal when their pairs are, so equality is a float-free
-    integer comparison.  ``PhaseTag(3, 4)`` is the phase 3*pi/4.
+    tags are equal when their pairs are: a float-free integer comparison,
+    and phases mod 2*pi have no order.  ``PhaseTag(3, 4)`` is 3*pi/4.
     """
 
     __slots__ = ("num", "den")
@@ -135,18 +135,12 @@ class PhaseTag:
     def __add__(self, other: "PhaseTag") -> "PhaseTag":
         return PhaseTag(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __neg__(self) -> "PhaseTag":
-        return PhaseTag(-self.num, self.den)
-
     def __mul__(self, n: int) -> "PhaseTag":
         return PhaseTag(self.num * n, self.den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PhaseTag)
                 and self.num == other.num and self.den == other.den)
-
-    def __lt__(self, other: "PhaseTag") -> bool:
-        return self.num * other.den < other.num * self.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

@@ -204,6 +204,16 @@ def stage2_yield(fidelity: float) -> float:
     return fidelity**2 + (1.0 - fidelity) ** 2
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: a plain int as it is, a numpy integer through
+    ``operator.index``; a bool, 1.5 or "8" raises a TypeError naming ``name``."""
+    if type(value) is int:
+        return value
+    if type(value) is bool or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} is an integer, not {type(value).__name__}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class RoundRow:
     round: int
@@ -212,31 +222,27 @@ class RoundRow:
     cumulative_yield: float
 
 
-def stage2_iterate(f0: float, rounds: int) -> list:
+def stage2_iterate(fidelity: float, rounds: int) -> list:
     """Iterate the stage-2 map; fidelity increases monotonically toward 1.
 
     Cumulative yield is per initial two-pair group: the first round's
     own yield, then multiplied by yield/2 for every later round (each
     round consumes pairs two at a time).
     """
-    if not isinstance(f0, numbers.Real):  # "0.8", None, Decimal("0.8")
-        raise ConfigError(f"F is a real number, not {type(f0).__name__}")
-    if not 0.5 < f0 <= 1.0:
+    if type(fidelity) is bool or not isinstance(fidelity, numbers.Real):  # True, "0.8", None
+        raise ConfigError(f"F is a real number, not {type(fidelity).__name__}")
+    if not 0.5 < fidelity <= 1.0:
         raise ConfigError("iteration requires fidelity in (1/2, 1]")
-    try:
-        round_range = range(1, rounds + 1)
-    except TypeError:  # None, 2.0
-        raise TypeError(f"rounds is an integer, not {type(rounds).__name__}") from None
+    rounds = _integer("rounds", rounds)
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]")
     rows = []
-    fid = f0
     cumulative = 1.0
-    for k in round_range:
-        y = stage2_yield(fid)
-        fid = stage2_fidelity_map(fid)
+    for k in range(1, rounds + 1):
+        y = stage2_yield(fidelity)
+        fidelity = stage2_fidelity_map(fidelity)
         cumulative = y if k == 1 else cumulative * y / 2.0
-        rows.append(RoundRow(k, fid, y, cumulative))
+        rows.append(RoundRow(k, fidelity, y, cumulative))
     return rows
 
 
@@ -406,10 +412,8 @@ def _pbs_table() -> RowTable:
 def _stage1_config(variant, cfg) -> QndConfig:
     if variant is None:  # not named: the cfg's detector, else qnd1
         variant = cfg.variant if isinstance(cfg, QndConfig) else Variant.QND1
-    elif variant in ("qnd1", "qnd3"):  # any other string is refused below, as variant=3 is
-        variant = Variant(variant)
-    if variant not in (Variant.QND1, Variant.QND3):
-        raise ConfigError("stage 1 runs with the qnd1 or qnd3 detector")
+    if variant not in (Variant.QND1, Variant.QND3):  # "qnd1" too: a Variant names a detector
+        raise ConfigError(f"stage 1 runs with the qnd1 or qnd3 detector, not {variant!r}")
     cfg = default_config(variant) if cfg is None else cfg
     if not isinstance(cfg, QndConfig):
         raise ConfigError(f"a stage-1 cfg is a QndConfig, not {type(cfg).__name__}")
@@ -510,7 +514,8 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
         try:
             class_weights.append(entry.class_weights(p))
         except TypeError as err:  # name each value that is not a number
-            bad = [k for k in p if k in entry.needs and not isinstance(p[k], numbers.Real)]
+            bad = [k for k in p if k in entry.needs
+                   and (type(p[k]) is bool or not isinstance(p[k], numbers.Real))]
             raise ConfigError(f"{pipeline} parameters are real numbers: " + ", ".join(
                 f"{k!r} is a {type(p[k]).__name__}" for k in bad)) from err
     if len(configs) > 1:
@@ -607,10 +612,7 @@ def _philox(seed: int):
     thread's next call, so a caller reads it at once.  It is in the state
     of a fresh ``Philox(key=seed)``, whatever was read from it before."""
     import numpy as np
-    try:
-        seed = operator.index(seed)  # 1.5 raises, not drawing seed 1's words
-    except TypeError:
-        raise TypeError(f"seed is an integer, not {type(seed).__name__}") from None
+    seed = _integer("seed", seed)  # 1.5 raises, not drawing seed 1's words
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2**64)")
     bg = getattr(_per_thread, "philox", None)
@@ -626,10 +628,9 @@ def trial_uniforms(seed: int, n_trials: int) -> np.ndarray:
     (word >> 11) * 2**-53."""
     import numpy as np
     bg = _philox(seed)
+    n_trials = _integer("n_trials", n_trials)  # None would draw one bare word
     try:
-        words = bg.random_raw(operator.index(n_trials))  # None would draw one bare word
-    except TypeError:  # "8", 8.0, None
-        raise TypeError(f"n_trials is an integer, not {type(n_trials).__name__}") from None
+        words = bg.random_raw(n_trials)
     except ValueError as err:  # -1: numpy's "negative dimensions are not allowed"
         raise ValueError(f"n_trials {n_trials!r}: {err}") from None
     return (words >> np.uint64(11)) * (2.0 ** -53)
@@ -660,7 +661,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple
         raise ValueError(f"trials must lie in [1, 2**63), not {trials}")
     table, (class_weights,), _ = _weighted_rows(pipeline, [params])
     cls, factor, _ = _mc_columns(table)
-    w = np.array(class_weights)[cls] * factor  # each row's class weight times factor
+    w = np.array(class_weights, dtype=float)[cls] * factor  # a row's class weight times factor
     (drawn,) = w.nonzero()
     w = w[drawn]
     row_counts = np.zeros(len(cls), dtype=np.int64)
@@ -671,12 +672,7 @@ def _mc_row_counts(pipeline: str, params: dict, trials: int, seed: int) -> tuple
 def monte_carlo(pipeline: str, params: dict, trials: int, seed: int = 0) -> RunReport:
     """Seeded Monte Carlo run of a named pipeline; same seed, same report
     (under one numpy version, see the module docstring)."""
-    try:  # 1.5 raises; a numpy integer is reported as a plain int
-        trials = operator.index(trials)
-        seed = operator.index(seed)
-    except TypeError:  # trials is an int here only if seed raised
-        name, value = ("seed", seed) if isinstance(trials, int) else ("trials", trials)
-        raise TypeError(f"{name} is an integer, not {type(value).__name__}") from None
+    trials, seed = _integer("trials", trials), _integer("seed", seed)  # reported as plain ints
     table, row_counts = _mc_row_counts(pipeline, params, trials, seed)
     matrix = _mc_columns(table)[2]
     # the draws are never negative, so their uint64 view holds the same counts

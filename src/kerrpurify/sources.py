@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
+from sys import float_info
 
 from .fock import (
     BranchState,
@@ -85,7 +86,9 @@ class PdcSourceParams:
     p2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
+        if type(self.p1) is bool or type(self.p2) is bool:  # refused as "0.1" is, not read as 1
+            raise TypeError("emission probabilities are real numbers, not bools")
+        if not (abs(self.p1) <= float_info.max and abs(self.p2) <= float_info.max):  # 10**400
             raise ValueError("emission probabilities must be finite numbers")
         if self.p1 < 0 or self.p2 < 0:
             raise ValueError("emission probabilities must be non-negative")
@@ -101,6 +104,8 @@ class NoiseParams:
     f0: float
 
     def __post_init__(self):
+        if type(self.f0) is bool:  # refused as "0.8" is, not read as 1
+            raise TypeError("f0 is a real number, not bool")
         if not 0.0 <= self.f0 <= 1.0:  # false for NaN too
             raise ValueError("f0 must lie in [0, 1]")
 
@@ -132,6 +137,8 @@ def two_pair_weights(fidelity: float) -> list:
     weight of each (kind1, kind2) of ``TWO_PAIR_KINDS``, in that order;
     kind1 is the upper pair.
     """
+    if type(fidelity) is bool:  # refused as "0.8" is, not read as 1
+        raise TypeError("F is a real number, not bool")
     if not 0.0 < fidelity <= 1.0:
         raise ConfigError("fidelity must lie in (0, 1]")
     flip = 1.0 - fidelity

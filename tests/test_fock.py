@@ -1,6 +1,7 @@
 """Core state representation: exact phases, branches, probe counts, projection."""
 
 import math
+import operator
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -70,10 +71,10 @@ class TestPhaseTag:
         assert PhaseTag(1, 2) * 4 == ZERO_PHASE
 
     def test_magnitude_class(self):
-        # an X readout keeps |phase|: min(t, -t) under the tag order
+        # an X readout keeps |phase|: the smaller value of t and t * -1
         for tag, magnitude in ((PhaseTag(1, 4), PhaseTag(1, 4)), (PhaseTag(7, 4), PhaseTag(1, 4)),
                                (PI, PI), (ZERO_PHASE, ZERO_PHASE)):
-            assert min(tag, -tag) == magnitude
+            assert min(tag.value, (tag * -1).value) == magnitude.value
 
     def test_parse(self):
         assert PhaseTag.parse("3/4") == PhaseTag(3, 4)
@@ -144,16 +145,22 @@ class TestPhaseTagProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(a=tag_inputs(), b=tag_inputs(), k=st.integers(-50, 50))
-    def test_arithmetic_and_order_match_the_reference(self, a, b, k):
+    def test_arithmetic_matches_the_reference(self, a, b, k):
         (ta, fa), (tb, fb) = a, b
         for tag, ref in ((ta, fa), (tb, fb)):
             assert tag.value == ref
             assert 0 <= tag.num < 2 * tag.den and math.gcd(tag.num, tag.den) == 1
         assert (ta + tb).value == (fa + fb) % 2
-        assert (-ta).value == (-fa) % 2
+        assert (ta * -1).value == (-fa) % 2
         assert (ta * k).value == (fa * k) % 2
-        assert (ta < tb) == (fa < fb)
-        assert min(ta, -ta).value == min(fa, (-fa) % 2)
+        assert min(ta.value, (ta * -1).value) == min(fa, (-fa) % 2)
+
+    def test_a_tag_has_no_order_and_no_minus(self):
+        # phases mod 2*pi have no order, and -t is spelled t * -1
+        with pytest.raises(TypeError):
+            sorted([PI, PhaseTag(1, 4)])
+        with pytest.raises(TypeError):
+            operator.neg(PI)
 
     @settings(max_examples=300, deadline=None)
     @given(a=tag_inputs(), b=tag_inputs())

@@ -273,10 +273,15 @@ def _per_medium_classes(cfg: QndConfig) -> list:
     return classes
 
 
+def _by_values(row: tuple) -> tuple:
+    """Sort key of an (Alice's tag, Bob's tag, factor) row: the tags' values, then the factor."""
+    return row[0].value, row[1].value, row[2]
+
+
 class TestPerAngleRender:
     """A config reads its detector's count-valued rows as phases; at every
     accepted angle pair each class must hold the rows of an enumeration in
-    phases, compared as lists sorted by tags."""
+    phases, compared as lists sorted by the tags' values (phases have no order)."""
 
     @settings(max_examples=40, deadline=None)
     @given(theta=angles, theta_prime=angles)
@@ -306,11 +311,12 @@ class TestPerAngleRender:
                 assert (record.verdict in (Verdict.KEPT_CORRECT,
                                            Verdict.KEPT_ERRONEOUS)) == kept
             for c, want in enumerate(expected):
-                got = sorted((record.probe_alice, record.probe_bob, factor)
-                             for record, (k, factor, _, _) in zip(records, table.columns)
-                             if k == c)
+                got = sorted(((record.probe_alice, record.probe_bob, factor)
+                              for record, (k, factor, _, _) in zip(records, table.columns)
+                              if k == c), key=_by_values)
                 assert len(got) == len(want)
-                for (tag_a, tag_b, factor), (want_a, want_b, p) in zip(got, sorted(want)):
+                want = sorted(want, key=_by_values)
+                for (tag_a, tag_b, factor), (want_a, want_b, p) in zip(got, want):
                     assert (tag_a, tag_b) == (want_a, want_b)
                     assert abs(factor - p) < 1e-12
 
@@ -404,6 +410,39 @@ class TestIteration:
 def test_an_argument_that_passed_a_comparison_or_a_truth_test_is_refused(call, error, message):
     # a Decimal compares with floats but fails in the yield's float arithmetic,
     # numpy reads a None size as one bare word, and an empty iterator is truthy
+    with pytest.raises(error, match=message):
+        call()
+
+
+STAGE1_POINT = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
+
+
+def _named_bool(pipeline: str, key: str) -> str:
+    return f"^{pipeline} parameters are real numbers: '{key}' is a bool$"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: monte_carlo("stage2", {"F": 0.8}, True, 1), TypeError,
+     "^trials is an integer, not bool$"),
+    (lambda: monte_carlo("stage2", {"F": 0.8}, 1000, False), TypeError,
+     "^seed is an integer, not bool$"),
+    (lambda: trial_uniforms(True, 8), TypeError, "^seed is an integer, not bool$"),
+    (lambda: trial_uniforms(1, True), TypeError, "^n_trials is an integer, not bool$"),
+    (lambda: stage2_iterate(0.8, True), TypeError, "^rounds is an integer, not bool$"),
+    (lambda: stage2_iterate(True, 1), ConfigError, "^F is a real number, not bool$"),
+    (lambda: list(exact_reports("stage2", [{"F": True}])), ConfigError,
+     _named_bool("stage2", "F")),
+    (lambda: stage2_run(True), ConfigError, _named_bool("stage2", "F")),
+    (lambda: list(exact_reports("stage1", [dict(STAGE1_POINT, p1=False)])), ConfigError,
+     _named_bool("stage1", "p1")),
+    (lambda: monte_carlo("stage1", dict(STAGE1_POINT, p2=True), 1000, 1), ConfigError,
+     _named_bool("stage1", "p2")),
+    (lambda: enumerate_exact("stage1", dict(STAGE1_POINT, f0=True)), ConfigError,
+     _named_bool("stage1", "f0")),
+], ids=["trials", "seed", "uniforms-seed", "n_trials", "rounds", "F-iterate", "F-exact_reports",
+        "F-stage2_run", "p1", "p2", "f0"])
+def test_a_bool_is_not_read_as_a_number(call, error, message):
+    # True is no count of 1 and no fidelity of 1: a bool is refused as a str is
     with pytest.raises(error, match=message):
         call()
 
@@ -861,16 +900,19 @@ class TestWordLimitCounts:
 
 
 MC_RUNS = [("stage1", {"p1": 0.1, "p2": 0.02, "f0": 0.8}),
-           ("stage1", {"p1": 0.2, "p2": 0.1, "f0": 0.7, "variant": "qnd3"}),
+           ("stage1", {"p1": 0.2, "p2": 0.1, "f0": 0.7, "variant": Variant.QND3}),
            ("stage2", {"F": 0.8}),
            ("pbs", {"F": 0.7})]
 
 PINNED_RUNS = """
 import json, os, sys
 from kerrpurify import protocol
+from kerrpurify.qnd import Variant
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+runs = [(name, {k: Variant(v) if k == "variant" else v for k, v in params.items()})
+        for name, params in json.loads(sys.argv[1])]  # a detector is sent as its value
 print(json.dumps([protocol.monte_carlo(name, params, 300_001, 17).to_dict()
-                  for name, params in json.loads(sys.argv[1])]))
+                  for name, params in runs]))
 """
 
 
@@ -911,7 +953,8 @@ class TestSpans:
     def test_a_run_pinned_to_one_cpu_reports_the_same(self):
         # a fresh process on one CPU reports what this one does on all of its CPUs
         env = dict(os.environ, PYTHONPATH=str(Path(protocol.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", PINNED_RUNS, json.dumps(MC_RUNS)], env=env,
+        sent = json.dumps(MC_RUNS, default=lambda variant: variant.value)
+        out = subprocess.run([sys.executable, "-c", PINNED_RUNS, sent], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         unpinned = [monte_carlo(name, params, 300_001, 17).to_dict()
@@ -1578,20 +1621,18 @@ class TestExactReports:
                                                   f"'{key}' is a {type(value).__name__}$"):
                 run()
 
-    @pytest.mark.parametrize("variant", ["qnd9", "QND1", "qnd2", "", 3])
+    @pytest.mark.parametrize("variant", ["qnd9", "QND1", "qnd2", "", 3, "qnd1", "qnd3"])
     def test_a_variant_stage1_cannot_run_raises(self, variant):
-        # an unknown name is refused as an unknown value is, not by the enum
+        # a Variant names a detector: any other value is refused, its names too
         good = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
         bad = dict(good, variant=variant)
         for run in (lambda: monte_carlo("stage1", bad, 1000, 1),
                     lambda: enumerate_exact("stage1", bad),
                     lambda: next(exact_reports("stage1", [good, good, bad])),
                     lambda: stage1_run(SRC, NOISE, variant)):
-            with pytest.raises(ConfigError, match="^stage 1 runs with the qnd1 or qnd3 detector$"):
+            with pytest.raises(ConfigError, match="^stage 1 runs with the qnd1 or qnd3 detector, "
+                                                  f"not {re.escape(repr(variant))}$"):
                 run()
-        for name in ("qnd1", "qnd3"):  # the two names it runs still stand for their detectors
-            named = stage1_run(SRC, NOISE, name).to_dict()
-            assert named == stage1_run(SRC, NOISE, Variant(name)).to_dict()
 
     @pytest.mark.parametrize("cfg", [default_config(Variant.QND3),
                                      QndConfig(Variant.QND3, PhaseTag(1, 8), PhaseTag(5, 8)),
@@ -1641,7 +1682,8 @@ class TestExactReports:
         for run in (lambda: enumerate_exact("stage1", {"p1": 0.1, "p2": 0.01, "f0": 0.8,
                                                        "cfg": cfg}),
                     lambda: stage1_run(SRC, NOISE, cfg=cfg)):
-            with pytest.raises(ConfigError, match="^stage 1 runs with the qnd1 or qnd3 detector$"):
+            with pytest.raises(ConfigError, match="^stage 1 runs with the qnd1 or qnd3 detector, "
+                                                  f"not {re.escape(repr(variant))}$"):
                 run()
 
     @pytest.mark.parametrize("points", [0.8, None, 3, Variant.QND1],
@@ -1731,3 +1773,67 @@ class TestExactReports:
         # no drawn point may raise, a subnormal p2 with p1 = 0 included
         expected = [_float_bits(single(p).to_dict()) for p in points]
         assert [_float_bits(r.to_dict()) for r in exact_reports(pipeline, points)] == expected
+
+
+# ROADMAP item 18's junk values, one of each kind.  Its integers are counts
+# a call may take (-1, 0, 2) or past every range (10**400), so that no call
+# allocates a large array.
+JUNK = [None, "0.8", "", True, False, math.nan, math.inf, -math.inf, -1, 0, 2, 10**400, 5e-324,
+        Fraction(4, 5), Decimal("0.8"), 0.8j, np.float64(0.8), np.int64(2), [0.8], (2,),
+        {"F": 0.8}, b"0.8", object()]
+PIPELINE_POINTS = {"stage1": {**STAGE1_POINT, "variant": Variant.QND1, "cfg": None},
+                   "stage2": {"F": 0.8}, "pbs": {"F": 0.7}}
+INTEGER_ARGUMENTS = {"trials", "seed", "n_trials", "rounds"}
+NUMBER_ARGUMENTS = INTEGER_ARGUMENTS | {"p1", "p2", "f0", "F", "fidelity"}
+ENTRY_POINTS = {
+    "exact_reports": lambda a: list(exact_reports(a["pipeline"], a["points"])),
+    "enumerate_exact": lambda a: enumerate_exact(a["pipeline"], a["params"]),
+    "monte_carlo": lambda a: monte_carlo(a["pipeline"], a["params"], a["trials"], a["seed"]),
+    "stage2_iterate": lambda a: stage2_iterate(a["fidelity"], a["rounds"]),
+    "trial_uniforms": lambda a: trial_uniforms(a["seed"], a["n_trials"]),
+}
+
+
+@st.composite
+def library_calls(draw) -> tuple:
+    """(entry point, argument, junk value, arguments): a valid call of an entry
+    point with one argument, or one parameter of its point, set to junk."""
+    entry = draw(st.sampled_from(sorted(ENTRY_POINTS)))
+    if entry == "stage2_iterate":
+        args, params = {"fidelity": 0.8, "rounds": 2}, {}
+    elif entry == "trial_uniforms":
+        args, params = {"seed": 1, "n_trials": 8}, {}
+    else:
+        pipeline = draw(st.sampled_from(sorted(PIPELINE_POINTS)))
+        params = dict(PIPELINE_POINTS[pipeline])
+        args = {"pipeline": pipeline}
+        if entry == "exact_reports":
+            args["points"] = [params]
+        else:
+            args["params"] = params
+        if entry == "monte_carlo":
+            args.update(trials=1000, seed=1)
+    argument = draw(st.sampled_from(sorted(args) + sorted(params)))
+    junk = draw(st.sampled_from(JUNK))
+    (args if argument in args else params)[argument] = junk
+    return entry, argument, junk, args
+
+
+class TestRefusalContract:
+    """Junk given to one argument of a library entry point ends in a result
+    or a clean refusal, never in a bare Python error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(library_calls())
+    def test_junk_returns_or_is_refused_cleanly(self, call):
+        entry, argument, junk, args = call
+        try:
+            ENTRY_POINTS[entry](args)
+        except (ConfigError, ValueError):
+            pass
+        except TypeError as err:  # only an integer argument's own refusal
+            assert argument in INTEGER_ARGUMENTS, (entry, argument, junk, err)
+            assert str(err).startswith(f"{argument} is an integer"), (entry, argument, junk, err)
+        else:
+            assert not (type(junk) is bool and argument in NUMBER_ARGUMENTS), (
+                f"{entry} read the bool {junk} given for {argument} as a number")
