@@ -33,6 +33,7 @@ All values are immutable; operations return new states.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
@@ -108,8 +109,9 @@ class PhaseTag:
 
     def __init__(self, numerator=0, denominator=1):
         if type(numerator) is not int or type(denominator) is not int:
-            if isinstance(numerator, float) or isinstance(denominator, float):
-                raise TypeError("a phase is an exact rational of pi, not a float")
+            for arg in (numerator, denominator):  # int and Fraction skip the slower ABC test
+                if not isinstance(arg, (int, Fraction, numbers.Rational)) or type(arg) is bool:
+                    raise TypeError(f"a phase is an exact rational of pi, not {type(arg).__name__}")
             f = (numerator if type(numerator) is Fraction and denominator == 1
                  else Fraction(numerator, denominator))
             numerator, denominator = f.numerator, f.denominator

@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 import threading
 from dataclasses import asdict, dataclass, field
@@ -105,6 +104,7 @@ from .sources import (
     TWO_PAIR_KINDS,
     NoiseParams,
     PdcSourceParams,
+    _real,
     bell_pair,
     single_pair_state,
     two_pair_state,
@@ -229,9 +229,7 @@ def stage2_iterate(fidelity: float, rounds: int) -> list:
     own yield, then multiplied by yield/2 for every later round (each
     round consumes pairs two at a time).
     """
-    if type(fidelity) is bool or not isinstance(fidelity, numbers.Real):  # True, "0.8", None
-        raise ConfigError(f"F is a real number, not {type(fidelity).__name__}")
-    if not 0.5 < fidelity <= 1.0:
+    if not 0.5 < _real("F", fidelity) <= 1.0:
         raise ConfigError("iteration requires fidelity in (1/2, 1]")
     rounds = _integer("rounds", rounds)
     if not 1 <= rounds <= MAX_ROUNDS:
@@ -451,9 +449,8 @@ def _stage1_extras(params: dict, counts: list, pairs, events) -> dict:
 
 
 def _two_pair_extras(baseline: bool, params: dict, counts, pairs, events) -> dict:
-    fidelity = params["F"]
-    return {"closed_form_fidelity": stage2_fidelity_map(fidelity),
-            "closed_form_yield": (0.5 if baseline else 1.0) * stage2_yield(fidelity)}
+    return {"closed_form_fidelity": stage2_fidelity_map(params["F"]),
+            "closed_form_yield": (0.5 if baseline else 1.0) * stage2_yield(params["F"])}
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +508,7 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
         if cfg is not last:
             configs.add(cfg)
             last = cfg
-        try:
-            class_weights.append(entry.class_weights(p))
-        except TypeError as err:  # name each value that is not a number
-            bad = [k for k in p if k in entry.needs
-                   and (type(p[k]) is bool or not isinstance(p[k], numbers.Real))]
-            raise ConfigError(f"{pipeline} parameters are real numbers: " + ", ".join(
-                f"{k!r} is a {type(p[k]).__name__}" for k in bad)) from err
+        class_weights.append(entry.class_weights(p))
     if len(configs) > 1:
         raise ConfigError("the points of one grid must share one detector config")
     return (entry.table(last), class_weights, last) if configs else (None, [], None)
@@ -580,14 +571,11 @@ def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
     (a stage-2 or PBS single run is a grid of one), and a stage-1 run its
     records, the rows less those of zero weight: the same bits."""
     try:
-        points = list(points)  # walked thrice: checked, weighed, reported
-    except TypeError:  # refuse points that are not iterable, not a caller's own error
-        try:
-            iter(points)
-        except TypeError:
-            raise ConfigError("points are an iterable of parameter dicts, not "
-                              f"{type(points).__name__}") from None
-        raise
+        walk = iter(points)
+    except TypeError:  # not iterable; a caller's generator's own TypeError passes below
+        raise ConfigError("points are an iterable of parameter dicts, not "
+                          f"{type(points).__name__}") from None
+    points = list(walk)  # walked thrice: checked, weighed, reported
     table, class_weights, _ = _weighted_rows(pipeline, points)
     for p, weights in zip(points, class_weights):
         yield _report(pipeline, p, _exact_sums(table, weights))
@@ -700,7 +688,12 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
 
 
 def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:
-    return {"p1": src.p1, "p2": src.p2, "f0": noise.f0, "variant": variant, "cfg": cfg}
+    try:
+        return {"p1": src.p1, "p2": src.p2, "f0": noise.f0, "variant": variant, "cfg": cfg}
+    except AttributeError:  # caught on the raising path only: any object with the fields runs
+        name, kind, value = (("noise", "NoiseParams", noise) if hasattr(src, "p1")
+                             and hasattr(src, "p2") else ("src", "PdcSourceParams", src))
+        raise ConfigError(f"{name} is a {kind}, not {type(value).__name__}") from None
 
 
 def stage1_records(src: PdcSourceParams, noise: NoiseParams,

@@ -123,6 +123,8 @@ class QndConfig:
     classes: MappingProxyType = field(init=False, repr=False, compare=False)  # counts -> tag
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):  # "qnd1" too: a Variant names a detector
+            raise ConfigError(f"variant is a Variant, not {type(self.variant).__name__}")
         t, tp = self.theta, self.theta_prime
         reads_prime = self.variant in (Variant.QND1, Variant.QND3)
         if reads_prime and tp is None:

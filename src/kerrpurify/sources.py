@@ -19,6 +19,7 @@ share one convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product as iproduct
 from sys import float_info
@@ -50,6 +51,13 @@ U1, U2, U3, U4 = (A1H, B1H), (A1V, B1V), (A2H, B2H), (A2V, B2V)
 F1, F2, F3, F4 = (A1V, B1H), (A1H, B1V), (A2V, B2H), (A2H, B2V)
 CLEAN = (U1, U2, U3, U4)
 FLIPPED = (F1, F2, F3, F4)
+
+
+def _real(name: str, value):
+    """``value`` if it is a ``numbers.Real`` but no bool, else a ConfigError naming ``name``."""
+    if type(value) is not float and (type(value) is bool or not isinstance(value, numbers.Real)):
+        raise ConfigError(f"{name} is a real number, not {type(value).__name__}")
+    return value
 
 
 def operator_state(entries) -> PureState:
@@ -86,27 +94,23 @@ class PdcSourceParams:
     p2: float
 
     def __post_init__(self):
-        if type(self.p1) is bool or type(self.p2) is bool:  # refused as "0.1" is, not read as 1
-            raise TypeError("emission probabilities are real numbers, not bools")
-        if not (abs(self.p1) <= float_info.max and abs(self.p2) <= float_info.max):  # 10**400
+        p1, p2 = _real("p1", self.p1), _real("p2", self.p2)
+        if not (abs(p1) <= float_info.max and abs(p2) <= float_info.max):  # 10**400
             raise ValueError("emission probabilities must be finite numbers")
-        if self.p1 < 0 or self.p2 < 0:
+        if p1 < 0 or p2 < 0:
             raise ValueError("emission probabilities must be non-negative")
-        if self.p1 + self.p2 > 1 + 1e-12:
+        if p1 + p2 > 1 + 1e-12:
             raise ValueError("p1 + p2 must not exceed 1")
 
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """f0: probability that a pair crosses the channel without a bit flip,
-    checked when built."""
+    """f0: probability that a pair crosses the channel without a bit flip, checked when built."""
 
     f0: float
 
     def __post_init__(self):
-        if type(self.f0) is bool:  # refused as "0.8" is, not read as 1
-            raise TypeError("f0 is a real number, not bool")
-        if not 0.0 <= self.f0 <= 1.0:  # false for NaN too
+        if not 0.0 <= _real("f0", self.f0) <= 1.0:  # false for NaN too
             raise ValueError("f0 must lie in [0, 1]")
 
 
@@ -137,9 +141,7 @@ def two_pair_weights(fidelity: float) -> list:
     weight of each (kind1, kind2) of ``TWO_PAIR_KINDS``, in that order;
     kind1 is the upper pair.
     """
-    if type(fidelity) is bool:  # refused as "0.8" is, not read as 1
-        raise TypeError("F is a real number, not bool")
-    if not 0.0 < fidelity <= 1.0:
+    if not 0.0 < _real("F", fidelity) <= 1.0:
         raise ConfigError("fidelity must lie in (0, 1]")
     flip = 1.0 - fidelity
     return [fidelity * fidelity, fidelity * flip, flip * fidelity, flip * flip]

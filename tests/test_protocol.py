@@ -2,6 +2,7 @@
 
 import json
 import math
+import numbers
 import os
 import random
 import re
@@ -417,8 +418,8 @@ def test_an_argument_that_passed_a_comparison_or_a_truth_test_is_refused(call, e
 STAGE1_POINT = {"p1": 0.1, "p2": 0.01, "f0": 0.8}
 
 
-def _named_bool(pipeline: str, key: str) -> str:
-    return f"^{pipeline} parameters are real numbers: '{key}' is a bool$"
+def _named_bool(key: str) -> str:
+    return f"^{key} is a real number, not bool$"
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -430,17 +431,22 @@ def _named_bool(pipeline: str, key: str) -> str:
     (lambda: trial_uniforms(1, True), TypeError, "^n_trials is an integer, not bool$"),
     (lambda: stage2_iterate(0.8, True), TypeError, "^rounds is an integer, not bool$"),
     (lambda: stage2_iterate(True, 1), ConfigError, "^F is a real number, not bool$"),
-    (lambda: list(exact_reports("stage2", [{"F": True}])), ConfigError,
-     _named_bool("stage2", "F")),
-    (lambda: stage2_run(True), ConfigError, _named_bool("stage2", "F")),
+    (lambda: list(exact_reports("stage2", [{"F": True}])), ConfigError, _named_bool("F")),
+    (lambda: stage2_run(True), ConfigError, _named_bool("F")),
     (lambda: list(exact_reports("stage1", [dict(STAGE1_POINT, p1=False)])), ConfigError,
-     _named_bool("stage1", "p1")),
+     _named_bool("p1")),
     (lambda: monte_carlo("stage1", dict(STAGE1_POINT, p2=True), 1000, 1), ConfigError,
-     _named_bool("stage1", "p2")),
+     _named_bool("p2")),
     (lambda: enumerate_exact("stage1", dict(STAGE1_POINT, f0=True)), ConfigError,
-     _named_bool("stage1", "f0")),
+     _named_bool("f0")),
+    (lambda: list(exact_reports("stage2", [{"F": np.True_}])), ConfigError, _named_bool("F")),
+    (lambda: pbs_baseline(np.True_), ConfigError, _named_bool("F")),
+    (lambda: monte_carlo("stage1", dict(STAGE1_POINT, f0=np.True_), 1000, 1), ConfigError,
+     _named_bool("f0")),
+    (lambda: stage2_iterate(np.False_, 1), ConfigError, _named_bool("F")),
 ], ids=["trials", "seed", "uniforms-seed", "n_trials", "rounds", "F-iterate", "F-exact_reports",
-        "F-stage2_run", "p1", "p2", "f0"])
+        "F-stage2_run", "p1", "p2", "f0", "numpy-F-exact_reports", "numpy-F-pbs_baseline",
+        "numpy-f0", "numpy-F-iterate"])
 def test_a_bool_is_not_read_as_a_number(call, error, message):
     # True is no count of 1 and no fidelity of 1: a bool is refused as a str is
     with pytest.raises(error, match=message):
@@ -1604,8 +1610,8 @@ class TestExactReports:
         ("stage1", "p1", "0.1"), ("stage1", "p2", [0.01]), ("stage1", "f0", None),
     ], ids=["F-str", "F-none", "F-complex", "F-decimal", "p1-str", "p2-list", "f0-none"])
     def test_a_value_that_is_not_a_number_raises_naming_its_key(self, pipeline, key, value):
-        # the TypeError of the class-weight arithmetic is a ConfigError naming
-        # the key, at every entry point, single runs included
+        # the class weights read each value as a real number or refuse it with a
+        # ConfigError naming its key, at every entry point, single runs included
         good = {"F": 0.8} if pipeline != "stage1" else {"p1": 0.1, "p2": 0.01, "f0": 0.8}
         bad = dict(good, **{key: value})
         runs = [lambda: monte_carlo(pipeline, bad, 1000, 1),
@@ -1617,9 +1623,27 @@ class TestExactReports:
         else:
             runs.append(lambda: (stage2_run if pipeline == "stage2" else pbs_baseline)(value))
         for run in runs:
-            with pytest.raises(ConfigError, match=f"^{pipeline} parameters are real numbers: "
-                                                  f"'{key}' is a {type(value).__name__}$"):
+            with pytest.raises(ConfigError,
+                               match=f"^{key} is a real number, not {type(value).__name__}$"):
                 run()
+
+    @pytest.mark.parametrize("src, noise, message", [
+        (None, NoiseParams(0.8), "^src is a PdcSourceParams, not NoneType$"),
+        ({"p1": 0.1, "p2": 0.01}, NoiseParams(0.8), "^src is a PdcSourceParams, not dict$"),
+        (SimpleNamespace(p1=0.1), NoiseParams(0.8), "^src is a PdcSourceParams, not "
+                                                    "SimpleNamespace$"),
+        (PdcSourceParams(0.1, 0.01), 0.8, "^noise is a NoiseParams, not float$"),
+        (PdcSourceParams(0.1, 0.01), None, "^noise is a NoiseParams, not NoneType$"),
+    ], ids=["src-none", "src-dict", "src-without-p2", "noise-float", "noise-none"])
+    def test_a_single_run_names_the_object_it_cannot_read(self, src, noise, message):
+        # any object with the fields runs; one without them is refused by name,
+        # not with the AttributeError of its read
+        for run in (stage1_run, stage1_records,
+                    lambda s, n: protocol.stage1_monte_carlo(s, n, trials=1000, seed=1)):
+            with pytest.raises(ConfigError, match=message):
+                run(src, noise)
+        duck = SimpleNamespace(p1=0.1, p2=0.01), SimpleNamespace(f0=0.8)
+        assert stage1_run(*duck) == stage1_run(PdcSourceParams(0.1, 0.01), NoiseParams(0.8))
 
     @pytest.mark.parametrize("variant", ["qnd9", "QND1", "qnd2", "", 3, "qnd1", "qnd3"])
     def test_a_variant_stage1_cannot_run_raises(self, variant):
@@ -1778,9 +1802,9 @@ class TestExactReports:
 # ROADMAP item 18's junk values, one of each kind.  Its integers are counts
 # a call may take (-1, 0, 2) or past every range (10**400), so that no call
 # allocates a large array.
-JUNK = [None, "0.8", "", True, False, math.nan, math.inf, -math.inf, -1, 0, 2, 10**400, 5e-324,
-        Fraction(4, 5), Decimal("0.8"), 0.8j, np.float64(0.8), np.int64(2), [0.8], (2,),
-        {"F": 0.8}, b"0.8", object()]
+JUNK = [None, "0.8", "", True, False, np.True_, np.False_, math.nan, math.inf, -math.inf, -1, 0,
+        2, 10**400, 5e-324, Fraction(4, 5), Decimal("0.8"), 0.8j, np.float64(0.8), np.int64(2),
+        [0.8], (2,), {"F": 0.8}, b"0.8", object()]
 PIPELINE_POINTS = {"stage1": {**STAGE1_POINT, "variant": Variant.QND1, "cfg": None},
                    "stage2": {"F": 0.8}, "pbs": {"F": 0.7}}
 INTEGER_ARGUMENTS = {"trials", "seed", "n_trials", "rounds"}
@@ -1791,6 +1815,24 @@ ENTRY_POINTS = {
     "monte_carlo": lambda a: monte_carlo(a["pipeline"], a["params"], a["trials"], a["seed"]),
     "stage2_iterate": lambda a: stage2_iterate(a["fidelity"], a["rounds"]),
     "trial_uniforms": lambda a: trial_uniforms(a["seed"], a["n_trials"]),
+    "PdcSourceParams": lambda a: PdcSourceParams(a["p1"], a["p2"]),
+    "NoiseParams": lambda a: NoiseParams(a["f0"]),
+    "QndConfig": lambda a: QndConfig(a["variant"], a["theta"], a["theta_prime"]),
+    "stage1_run": lambda a: stage1_run(a["src"], a["noise"], a["variant"], a["cfg"]),
+    "stage2_run": lambda a: stage2_run(a["fidelity"]),
+    "pbs_baseline": lambda a: pbs_baseline(a["fidelity"]),
+}
+# the valid arguments of each entry point that takes no pipeline name
+PLAIN_ARGUMENTS = {
+    "stage2_iterate": {"fidelity": 0.8, "rounds": 2},
+    "trial_uniforms": {"seed": 1, "n_trials": 8},
+    "PdcSourceParams": {"p1": 0.1, "p2": 0.01},
+    "NoiseParams": {"f0": 0.8},
+    "QndConfig": {"variant": Variant.QND1, "theta": PhaseTag(1, 4), "theta_prime": PhaseTag(3, 4)},
+    "stage1_run": {"src": PdcSourceParams(0.1, 0.01), "noise": NoiseParams(0.8), "variant": None,
+                   "cfg": None},
+    "stage2_run": {"fidelity": 0.8},
+    "pbs_baseline": {"fidelity": 0.7},
 }
 
 
@@ -1799,10 +1841,8 @@ def library_calls(draw) -> tuple:
     """(entry point, argument, junk value, arguments): a valid call of an entry
     point with one argument, or one parameter of its point, set to junk."""
     entry = draw(st.sampled_from(sorted(ENTRY_POINTS)))
-    if entry == "stage2_iterate":
-        args, params = {"fidelity": 0.8, "rounds": 2}, {}
-    elif entry == "trial_uniforms":
-        args, params = {"seed": 1, "n_trials": 8}, {}
+    if entry in PLAIN_ARGUMENTS:
+        args, params = dict(PLAIN_ARGUMENTS[entry]), {}
     else:
         pipeline = draw(st.sampled_from(sorted(PIPELINE_POINTS)))
         params = dict(PIPELINE_POINTS[pipeline])
@@ -1823,7 +1863,7 @@ class TestRefusalContract:
     """Junk given to one argument of a library entry point ends in a result
     or a clean refusal, never in a bare Python error."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=1500, deadline=None)
     @given(library_calls())
     def test_junk_returns_or_is_refused_cleanly(self, call):
         entry, argument, junk, args = call
@@ -1835,5 +1875,21 @@ class TestRefusalContract:
             assert argument in INTEGER_ARGUMENTS, (entry, argument, junk, err)
             assert str(err).startswith(f"{argument} is an integer"), (entry, argument, junk, err)
         else:
-            assert not (type(junk) is bool and argument in NUMBER_ARGUMENTS), (
+            assert not (isinstance(junk, (bool, np.bool_)) and argument in NUMBER_ARGUMENTS), (
                 f"{entry} read the bool {junk} given for {argument} as a number")
+
+    @pytest.mark.parametrize("junk", JUNK, ids=[f"{i}-{type(j).__name__}"
+                                                 for i, j in enumerate(JUNK)])
+    def test_a_phase_tag_takes_only_an_exact_rational(self, junk):
+        # a bool is no phase of pi, and Fraction's own refusal would name no type
+        exact = type(junk) is not bool and isinstance(junk, numbers.Rational)
+        for args in ((junk,), (1, junk)):
+            if not exact:
+                with pytest.raises(TypeError, match="^a phase is an exact rational of pi, not "
+                                                    f"{type(junk).__name__}$"):
+                    PhaseTag(*args)
+            elif args[-1] == 0 and len(args) == 2:
+                with pytest.raises(ZeroDivisionError):
+                    PhaseTag(*args)
+            else:
+                assert PhaseTag(*args).value == Fraction(*args) % 2, args

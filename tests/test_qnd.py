@@ -216,6 +216,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="PhaseTag"):
             QndConfig(variant, *angles)
 
+    @pytest.mark.parametrize("variant", ["qnd1", None, 1], ids=["str", "none", "int"])
+    def test_a_variant_that_is_not_a_variant_is_rejected(self, variant):
+        # a Variant names a detector, as stage 1 refuses "qnd1"
+        with pytest.raises(ConfigError,
+                           match=f"^variant is a Variant, not {type(variant).__name__}$"):
+            QndConfig(variant, PhaseTag(1, 4), PhaseTag(3, 4))
+
 
 class TestCouplingTable:
     def test_module_docstring_draws_the_table(self):

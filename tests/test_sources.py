@@ -1,11 +1,15 @@
 """Pair sources, emission statistics, and bit-flip noise."""
 
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kerrpurify import (
     BranchState,
+    ConfigError,
     ModeLabel,
     NoiseParams,
     Party,
@@ -118,6 +122,27 @@ class TestNoise:
             NoiseParams(1.2)
         with pytest.raises(ValueError):
             PdcSourceParams(0.9, 0.2)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PdcSourceParams(True, 0.01), "p1 is a real number, not bool"),
+        (lambda: PdcSourceParams(0.1, "0.01"), "p2 is a real number, not str"),
+        (lambda: PdcSourceParams(np.array(0.1), 0.01), "p1 is a real number, not ndarray"),
+        (lambda: NoiseParams(np.True_), "f0 is a real number, not bool"),
+        (lambda: NoiseParams(None), "f0 is a real number, not NoneType"),
+        (lambda: two_pair_weights(np.False_), "F is a real number, not bool"),
+        (lambda: two_pair_weights(Decimal("0.8")), "F is a real number, not Decimal"),
+    ], ids=["p1-bool", "p2-str", "p1-0d-array", "f0-numpy-bool", "f0-none", "F-numpy-bool",
+            "F-decimal"])
+    def test_a_value_that_is_not_a_real_number_is_refused_naming_it(self, build, message):
+        # a bool, numpy's too, is no probability of 1, and a 0-d array no number
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build()
+
+    def test_every_real_number_is_read(self):
+        assert PdcSourceParams(Fraction(1, 10), np.float64(0.01)).p1 == Fraction(1, 10)
+        assert NoiseParams(np.int64(1)).f0 == 1
+        assert two_pair_weights(np.float64(0.8)) == two_pair_weights(0.8)
+        assert two_pair_weights(Fraction(4, 5)) == pytest.approx(two_pair_weights(0.8))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, value):
