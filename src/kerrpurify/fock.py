@@ -150,6 +150,8 @@ class PhaseTag:
     @classmethod
     def parse(cls, text: str) -> "PhaseTag":
         """Parse 'p/q' or 'p' as the phase (p/q)*pi."""
+        if not isinstance(text, str):
+            raise TypeError(f"a phase parses from a str, not {type(text).__name__}")
         try:
             return cls(Fraction(text.strip()))
         except ZeroDivisionError:

@@ -54,8 +54,9 @@ adds the records of ``enumerate_exact`` (the tracer of the benchmark counts
 ``stage1_records``), the rows less those of zero weight, in the same order:
 every mode agrees to the bit.  ``_report`` builds every report.  Exact runs
 sum their (at most 20) rows in Python floats, so only Monte Carlo imports
-numpy.  A kept row's fidelity is exactly 1.0 (correct) or 0.0 (erroneous):
-a report's fidelity is its correct total over its kept total.
+numpy.  A kept row's verdict says whether its pair ends in phi+ (correct)
+or psi+ (erroneous), each to an overlap within 1e-12 of 1 checked when its
+table is built: a report's fidelity is its correct total over its kept total.
 
 Monte Carlo has one entry point, ``monte_carlo``.  Each trial draws one
 row from the row weights, independently, so a run's row counts are one
@@ -119,7 +120,7 @@ PSI_PLUS_MERGED = bell_pair("psi+", Spatial.MERGED)
 PHI_PLUS_UPPER = bell_pair("phi+", Spatial.UPPER)
 PSI_PLUS_UPPER = bell_pair("psi+", Spatial.UPPER)
 
-_FID_TOL = 1e-9
+_FID_TOL = 1e-12
 # the most stage2_iterate rounds: round 1 keeps >= 1/2 for F in (1/2, 1], each later round
 # >= 1/4 of the last, so round N keeps >= 2^-(2N-1), a nonzero double while 2N - 1 <= 1074
 MAX_ROUNDS = 537
@@ -146,18 +147,13 @@ COUNT_KEYS = tuple(v.value for v in Verdict)
 
 
 class OutcomeRecord(NamedTuple):
-    """One enumerated leaf of a pipeline: readings, verdict, kept state.
-
-    Only a KEPT_CORRECT or KEPT_ERRONEOUS row carries a fidelity and a state.
-    """
+    """One enumerated leaf of a pipeline: readings, verdict, weight and the
+    pairs it keeps (0 unless its verdict is KEPT_CORRECT or KEPT_ERRONEOUS)."""
 
     probe_alice: PhaseTag | None
     probe_bob: PhaseTag | None
     verdict: Verdict
-    final_state: PureState | None
     weight: float
-    fidelity: float | None = None
-    order: int | None = None
     kept_pairs: int = 0
 
 
@@ -230,7 +226,7 @@ def stage2_iterate(fidelity: float, rounds: int) -> list:
     round consumes pairs two at a time).
     """
     if not 0.5 < _real("F", fidelity) <= 1.0:
-        raise ConfigError("iteration requires fidelity in (1/2, 1]")
+        raise ConfigError("iteration requires F in (1/2, 1]")
     rounds = _integer("rounds", rounds)
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]")
@@ -307,14 +303,12 @@ def _verdict(fid_phi: float, fid_psi: float) -> Verdict:
     )
 
 
-def _classify_pair(state: PureState, flip: bool) -> tuple:
-    """(coupled state, phi+ fidelity, verdict) of a projected pair that Alice
-    bit-flips first when ``flip``."""
+def _classify_pair(state: PureState, flip: bool) -> Verdict:
+    """The verdict of a projected pair that Alice bit-flips first when ``flip``."""
     if flip:
         state = sigma_x(state, Party.ALICE)
     final = coupler(coupler(state, Party.ALICE), Party.BOB)
-    fid = overlap(final, PHI_PLUS_MERGED)
-    return final, fid, _verdict(fid, overlap(final, PSI_PLUS_MERGED))
+    return _verdict(overlap(final, PHI_PLUS_MERGED), overlap(final, PSI_PLUS_MERGED))
 
 
 # The rows below hold probe counts where a record holds tags.
@@ -323,9 +317,8 @@ _KEEP = (1, 1)  # theta + theta': the one reading of a double emission that is k
 
 def _order1_row(leaf: Reading) -> OutcomeRecord:
     """A single emission, always kept: Alice flips when the readings differ."""
-    final, fid, verdict = _classify_pair(leaf.state, leaf.alice != leaf.bob)
-    return OutcomeRecord(leaf.alice, leaf.bob, verdict, final, leaf.probability,
-                         fid, order=1, kept_pairs=1)
+    verdict = _classify_pair(leaf.state, leaf.alice != leaf.bob)
+    return OutcomeRecord(leaf.alice, leaf.bob, verdict, leaf.probability, 1)
 
 
 def _order2_row(l1: Reading, l2: Reading) -> OutcomeRecord:
@@ -335,11 +328,11 @@ def _order2_row(l1: Reading, l2: Reading) -> OutcomeRecord:
     weight = l1.probability * l2.probability
     if alice != bob or alice != _KEEP:
         verdict = Verdict.KEPT_SAME_PORT if alice == bob else Verdict.DISCARDED
-        return OutcomeRecord(alice, bob, verdict, None, weight, order=2)
-    (final, fid, verdict), (_, _, verdict2) = (_classify_pair(l.state, False) for l in (l1, l2))
+        return OutcomeRecord(alice, bob, verdict, weight)
+    verdict, verdict2 = (_classify_pair(l.state, False) for l in (l1, l2))
     if verdict != verdict2:
         raise SimulationError("the two kept pairs disagree on correctness")
-    return OutcomeRecord(alice, bob, verdict, final, weight, fid, order=2, kept_pairs=2)
+    return OutcomeRecord(alice, bob, verdict, weight, 2)
 
 
 @functools.cache  # two detectors, enumerated once each
@@ -359,10 +352,8 @@ def _kept_pair_rows(state: PureState, weight: float, alice, bob) -> list:
     for oa, (pa, s1) in diagonal_outcomes(state, Party.ALICE, Spatial.LOWER).items():
         for ob, (pb, s2) in diagonal_outcomes(s1, Party.BOB, Spatial.LOWER).items():
             final = sigma_z(s2, Party.ALICE, {Spatial.UPPER}) if oa != ob else s2
-            fid = overlap(final, PHI_PLUS_UPPER)
-            verdict = _verdict(fid, overlap(final, PSI_PLUS_UPPER))
-            rows.append(OutcomeRecord(alice, bob, verdict, final, weight * pa * pb, fid,
-                                      kept_pairs=1))
+            verdict = _verdict(overlap(final, PHI_PLUS_UPPER), overlap(final, PSI_PLUS_UPPER))
+            rows.append(OutcomeRecord(alice, bob, verdict, weight * pa * pb, 1))
     return rows
 
 
@@ -375,7 +366,7 @@ def _stage2_table() -> RowTable:
         rows = []
         for p, alice, bob, post in _readings(apply_qnd(two_pair_state(*kinds), Variant.QND2)):
             if alice != bob:
-                rows.append(OutcomeRecord(alice, bob, Verdict.DISCARDED, None, p))
+                rows.append(OutcomeRecord(alice, bob, Verdict.DISCARDED, p))
                 continue
             if alice == ZERO_COUNTS:
                 post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
@@ -396,7 +387,7 @@ def _pbs_table() -> RowTable:
         p_keep = sum(abs(b.amplitude) ** 2 for b in keep)
         rows = []
         if p_keep < 1.0 - 1e-15:
-            rows.append(OutcomeRecord(None, None, Verdict.DISCARDED, None, 1.0 - p_keep))
+            rows.append(OutcomeRecord(None, None, Verdict.DISCARDED, 1.0 - p_keep))
         if p_keep > 0.0:
             rows += _kept_pair_rows(PureState.of(keep).normalize(), p_keep, None, None)
         classes.append(rows)
@@ -557,7 +548,7 @@ def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     ``_exact_sums`` order.  One pass over the records, as building their
     index columns would allocate more than the report itself."""
     sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
-    for _, _, verdict, _, weight, _, _, kept in records:
+    for _, _, verdict, weight, kept in records:
         sums[_BUCKET[verdict]] += weight
         pairs += weight * kept
     sums[-1] = pairs
@@ -682,8 +673,8 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
     """
     table, (class_weights,), cfg = _weighted_rows(pipeline, [params])
     tag = cfg.classes if cfg else {None: None}  # PBS rows read no probe
-    return [_new_record((tag[a], tag[b], verdict, state, w, fid, order, pairs))
-            for (a, b, verdict, state, _, fid, order, pairs), (c, f, _, _)
+    return [_new_record((tag[a], tag[b], verdict, w, pairs))
+            for (a, b, verdict, _, pairs), (c, f, _, _)
             in zip(table.rows, table.columns) if (w := class_weights[c] * f) != 0.0]
 
 

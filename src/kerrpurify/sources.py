@@ -142,7 +142,7 @@ def two_pair_weights(fidelity: float) -> list:
     kind1 is the upper pair.
     """
     if not 0.0 < _real("F", fidelity) <= 1.0:
-        raise ConfigError("fidelity must lie in (0, 1]")
+        raise ConfigError("F must lie in (0, 1]")
     flip = 1.0 - fidelity
     return [fidelity * fidelity, fidelity * flip, flip * fidelity, flip * flip]
 

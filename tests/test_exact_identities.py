@@ -1,17 +1,17 @@
 """The closed forms as exact identities of the outcome tables.
 
-Every row factor and kept fidelity of the four tables (stage 1 with qnd1
-and qnd3, stage 2, PBS) lies within a few ulps of a dyadic rational.
-Snapped to it and weighted by the class weights written in ``Fraction``s,
-the rows sum exactly.  Cross-multiplied, each identity below is a
-polynomial of degree at most 2 in p1 and in p2 and 4 in f0 (stage 1), or
-4 in F (stage 2, PBS).  A polynomial that vanishes on a grid of degree + 1
-values per variable is zero, so exact equality on a 3 x 3 x 5 grid, or at
-5 values of F, proves each identity at every parameter point.
+Every row factor of the four tables (stage 1 with qnd1 and qnd3, stage 2,
+PBS) lies within a few ulps of a dyadic rational.  Snapped to it and
+weighted by the class weights written in ``Fraction``s, the rows sum
+exactly.  Cross-multiplied, each identity below is a polynomial of degree
+at most 2 in p1 and in p2 and 4 in f0 (stage 1), or 4 in F (stage 2, PBS).
+A polynomial that vanishes on a grid of degree + 1 values per variable is
+zero, so exact equality on a 3 x 3 x 5 grid, or at 5 values of F, proves
+each identity at every parameter point.
 
-Every kept fidelity is exactly 1.0 or 0.0, not only near a dyadic, so a
-report's fidelity is its correct total over its kept total; the last two
-tests pin that.
+A kept row's verdict is its fidelity, 1 (phi+) or 0 (psi+), so a report's
+fidelity is its correct total over its kept total; the last two tests pin
+that.
 """
 
 import math
@@ -42,16 +42,17 @@ def snap(value: float, what: str) -> Fraction:
 
 
 def exact_sums(name: str, table, class_weights: list) -> tuple:
-    """(total weight, kept weight, kept weight times fidelity) of ``table``,
-    every row snapped to its dyadic factor and fidelity."""
-    total = kept = fid_sum = Fraction(0)
+    """(total weight, kept weight, correct weight) of ``table``, every row
+    snapped to its dyadic factor."""
+    total = kept = correct = Fraction(0)
     for i, (row, (c, factor, _, _)) in enumerate(zip(table.rows, table.columns)):
         w = class_weights[c] * snap(float(factor), f"{name} row {i} factor")
         total += w
         if row.verdict in KEPT:
             kept += w
-            fid_sum += w * snap(row.fidelity, f"{name} row {i} fidelity")
-    return total, kept, fid_sum
+        if row.verdict is Verdict.KEPT_CORRECT:
+            correct += w
+    return total, kept, correct
 
 
 def stage1_weights(p1: Fraction, p2: Fraction, f0: Fraction) -> list:
@@ -83,22 +84,22 @@ FS = (Fraction(1, 5), Fraction(2, 5), Fraction(1, 2), Fraction(3, 4), Fraction(1
 def test_stage1_closed_forms_hold_exactly(variant):
     table = _stage1_rows(variant)
     for p1, p2, f0 in iproduct(P1S, P2S, F0S):
-        total, kept, fid_sum = exact_sums(variant.value, table, stage1_weights(p1, p2, f0))
+        total, kept, correct = exact_sums(variant.value, table, stage1_weights(p1, p2, f0))
         keep = p1 + p2 * (f0**2 + (1 - f0) ** 2) / 2
         assert total == 1, (p1, p2, f0)
         assert kept == keep / (p1 + p2), (p1, p2, f0)
-        assert fid_sum / kept == (p1 + p2 * f0**2 / 2) / keep, (p1, p2, f0)
+        assert correct / kept == (p1 + p2 * f0**2 / 2) / keep, (p1, p2, f0)
 
 
 @pytest.mark.parametrize("name, table, yield_share", [
     ("stage2", _stage2_table, 1), ("pbs", _pbs_table, Fraction(1, 2))], ids=["stage2", "pbs"])
 def test_two_pair_closed_forms_hold_exactly(name, table, yield_share):
     for fidelity in FS:
-        total, kept, fid_sum = exact_sums(name, table(), two_pair_exact(fidelity))
+        total, kept, correct = exact_sums(name, table(), two_pair_exact(fidelity))
         keep = fidelity**2 + (1 - fidelity) ** 2
         assert total == 1, fidelity
         assert kept == yield_share * keep, fidelity
-        assert fid_sum / kept == fidelity**2 / keep, fidelity
+        assert correct / kept == fidelity**2 / keep, fidelity
 
 
 TABLES = {"qnd1": lambda: _stage1_rows(Variant.QND1), "qnd3": lambda: _stage1_rows(Variant.QND3),
@@ -107,23 +108,19 @@ TABLES = {"qnd1": lambda: _stage1_rows(Variant.QND1), "qnd3": lambda: _stage1_ro
 
 @pytest.mark.parametrize("name", TABLES)
 def test_kept_rows_have_fidelity_exactly_one_or_zero(name):
-    # what lets a report's fidelity be its correct total over its kept total
-    exact = {Verdict.KEPT_CORRECT: 1.0, Verdict.KEPT_ERRONEOUS: 0.0}
+    # what lets a report's fidelity be its correct total over its kept total:
+    # a kept row's verdict is its fidelity, 1 or 0, and every table holds both
     rows = TABLES[name]().rows
-    assert {row.verdict for row in rows}.issuperset(exact)
-    for i, row in enumerate(rows):
-        if row.verdict in exact:
-            assert type(row.fidelity) is float and row.fidelity == exact[row.verdict], (i, row)
-        else:
-            assert row.fidelity is None, (i, row)
+    assert {row.verdict for row in rows}.issuperset(KEPT)
 
 
 def _fidelity_weighted(weighted) -> float:
-    """The kept-fidelity sum of (record, weight) pairs, added in row order."""
+    """The kept-fidelity sum of (record, weight) pairs, added in row order:
+    the weight of each KEPT_CORRECT record, whose fidelity is 1."""
     total = 0.0
     for record, w in weighted:
-        if record.fidelity is not None:
-            total = total + w * record.fidelity
+        if record.verdict is Verdict.KEPT_CORRECT:
+            total = total + w
     return total
 
 

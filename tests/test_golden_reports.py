@@ -49,8 +49,8 @@ def configs() -> dict:
 def record_dicts(records) -> list:
     return [{"probe_alice": None if r.probe_alice is None else repr(r.probe_alice),
              "probe_bob": None if r.probe_bob is None else repr(r.probe_bob),
-             "verdict": r.verdict.value, "weight": r.weight, "fidelity": r.fidelity,
-             "order": r.order, "kept_pairs": r.kept_pairs} for r in records]
+             "verdict": r.verdict.value, "weight": r.weight, "kept_pairs": r.kept_pairs}
+            for r in records]
 
 
 def golden_reports() -> dict:

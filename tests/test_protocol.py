@@ -28,13 +28,14 @@ from kerrpurify import (
     Party,
     PdcSourceParams,
     PhaseTag,
+    PureState,
     QndConfig,
+    SimulationError,
     Variant,
     Verdict,
     enumerate_exact,
     exact_reports,
     monte_carlo,
-    overlap,
     pbs_baseline,
     project_probe,
     run_branch_suite,
@@ -49,9 +50,7 @@ from kerrpurify import protocol, qnd
 from kerrpurify.branches import BRANCH_CASES, BranchCase
 from kerrpurify.protocol import (
     COUNT_KEYS,
-    PHI_PLUS_MERGED,
-    PSI_PLUS_MERGED,
-    PSI_PLUS_UPPER,
+    OutcomeRecord,
     _mc_row_counts,
     _pbs_table,
     _philox,
@@ -138,27 +137,27 @@ class TestStage1Exact:
         # carries exactly half the weight
         records = stage1_records(PdcSourceParams(0.1, 0.01), NoiseParams(1.0))
         w2 = 0.01 / 0.11
-        kept = sum(r.weight for r in records if r.order == 2 and r.kept_pairs > 0)
+        kept = sum(r.weight for r in records if r.kept_pairs == 2)
         assert abs(kept - 0.5 * w2) < 1e-12
         same_port = sum(r.weight for r in records if r.verdict == Verdict.KEPT_SAME_PORT)
         assert abs(same_port - 0.5 * w2) < 1e-12
 
     def test_single_emissions_exactly_phi_plus(self):
         records = stage1_records(PdcSourceParams(0.1, 0.01), NoiseParams(0.7))
-        singles = [r for r in records if r.order == 1]
+        singles = [r for r in records if r.kept_pairs == 1]
         assert len(singles) == 4  # 2 noise cases x 2 joint readings each
+        assert protocol._FID_TOL <= 1e-12  # a kept verdict holds its overlap to 1e-12
         for r in singles:
             assert r.verdict == Verdict.KEPT_CORRECT
-            assert abs(overlap(r.final_state, PHI_PLUS_MERGED) - 1.0) < 1e-12
 
     def test_one_flip_doubles_all_discarded(self):
+        # a double emission of one clean and one flipped pair is never kept,
+        # so no kept double emission mixes a correct and an erroneous pair
         records = stage1_records(PdcSourceParams(0.0, 0.01), NoiseParams(0.8))
-        mixed = [
-            r for r in records
-            if r.order == 2 and r.kept_pairs > 0 and r.fidelity is not None
-            and 1e-9 < r.fidelity < 1 - 1e-9
-        ]
-        assert mixed == []
+        doubles = [c for c, *_ in protocol._stage1_rows(Variant.QND1).columns if c >= 2]
+        assert len(records) == len(doubles)  # p1 = 0: the single pairs weigh nothing
+        one_flip = [r for r, c in zip(records, doubles) if c in (3, 4)]
+        assert one_flip and all(r.verdict == Verdict.DISCARDED for r in one_flip)
 
     def test_weights_sum_to_one(self):
         for f0 in (0.55, 0.8, 1.0):
@@ -176,9 +175,8 @@ class TestStage1Exact:
     def test_erroneous_keeps_end_in_psi_plus(self):
         records = stage1_records(PdcSourceParams(0.1, 0.05), NoiseParams(0.7))
         errs = [r for r in records if r.verdict == Verdict.KEPT_ERRONEOUS]
-        assert errs
-        for r in errs:
-            assert abs(overlap(r.final_state, PSI_PLUS_MERGED) - 1.0) < 1e-12
+        assert errs and all(r.kept_pairs > 0 for r in errs)
+        assert protocol._FID_TOL <= 1e-12  # each is psi+ to an overlap within 1e-12 of 1
 
     def test_detector_variants_agree(self, rng):
         for _ in range(20):
@@ -242,8 +240,8 @@ class TestSinglePairLeaves:
             for cfg in cfgs:
                 counted = protocol._stage1_rows(cfg.variant)
                 records = enumerate_exact("stage1", dict(point, variant=cfg.variant, cfg=cfg))
-                assert [r[2:4] + r[5:] for r in records] == [
-                    row[2:4] + row[5:] for row in counted.rows]
+                assert [(r.verdict, r.kept_pairs) for r in records] == [
+                    (row.verdict, row.kept_pairs) for row in counted.rows]
                 assert [(r.probe_alice, r.probe_bob) for r in records] == [
                     (cfg.phase(row.probe_alice), cfg.phase(row.probe_bob))
                     for row in counted.rows]
@@ -297,13 +295,13 @@ class TestPerAngleRender:
             records = enumerate_exact("stage1", dict(point, variant=variant, cfg=cfg))
             table = protocol._stage1_rows(variant)
             assert len(records) == len(table.rows) == sum(map(len, expected))
-            for record, row in zip(records, table.rows):
-                assert record[2:4] + record[5:] == row[2:4] + row[5:]
+            for record, row, (c, *_) in zip(records, table.rows, table.columns):
+                assert (record.verdict, record.kept_pairs) == (row.verdict, row.kept_pairs)
                 assert (record.probe_alice, record.probe_bob) == (cfg.phase(row.probe_alice),
                                                                   cfg.phase(row.probe_bob))
                 # the keep rule, read on the phases themselves
                 tag_a, tag_b = record.probe_alice, record.probe_bob
-                if record.order == 1:
+                if c < 2:  # a single emission
                     kept = True
                 else:
                     kept = tag_a == tag_b == cfg.theta + cfg.theta_prime
@@ -347,9 +345,8 @@ class TestStage2Exact:
     def test_erroneous_keeps_end_in_psi_plus(self):
         records = stage2_records(0.8)
         errs = [r for r in records if r.verdict == Verdict.KEPT_ERRONEOUS]
-        assert errs
-        for r in errs:
-            assert abs(overlap(r.final_state, PSI_PLUS_UPPER) - 1.0) < 1e-12
+        assert errs and all(r.kept_pairs == 1 for r in errs)
+        assert protocol._FID_TOL <= 1e-12  # each is psi+ to an overlap within 1e-12 of 1
 
     def test_weights_sum_to_one(self):
         assert abs(sum(r.weight for r in stage2_records(0.7)) - 1.0) < 1e-12
@@ -1327,6 +1324,22 @@ class TestOutcomeTables:
                 keep_probability = factor[(cls == c) & kept_rows].sum()
                 assert (keep_probability == 0.0) == (expected[kinds] == Verdict.DISCARDED)
 
+    def test_a_kept_verdict_needs_an_overlap_within_1e_12_of_one(self):
+        # a record holds no state: its kept verdict is the overlap check itself
+        assert protocol._verdict(1.0, 0.0) == Verdict.KEPT_CORRECT
+        assert protocol._verdict(0.0, 1.0) == Verdict.KEPT_ERRONEOUS
+        for fid_phi, fid_psi in ((1.0 - 2e-12, 0.0), (0.0, 1.0 - 2e-12)):
+            with pytest.raises(SimulationError, match="neither phi\\+ nor psi\\+"):
+                protocol._verdict(fid_phi, fid_psi)
+
+    def test_a_record_is_its_readings_verdict_weight_and_kept_pairs(self):
+        fields = ("probe_alice", "probe_bob", "verdict", "weight", "kept_pairs")
+        assert OutcomeRecord._fields == fields
+        for table in (protocol._stage1_rows(Variant.QND1), protocol._stage1_rows(Variant.QND3),
+                      _stage2_table(), _pbs_table()):
+            assert all(type(row) is OutcomeRecord for row in table.rows)
+            assert not any(isinstance(value, PureState) for row in table.rows for value in row)
+
     def test_chunked_mc_counts_equal_one_unchunked_draw(self):
         # a run's rows are one draw at its table's weights, whatever the
         # trial count, and its report sums them
@@ -1437,12 +1450,15 @@ class TestOutcomeVocabulary:
             params = {"p1": 0.1, "p2": 0.05, "f0": 0.8, "variant": cfg.variant, "cfg": cfg}
             keep_tag = cfg.theta + cfg.theta_prime
             same_port = 0
-            for r in enumerate_exact("stage1", params):
-                bunched = r.order == 2 and r.probe_alice == r.probe_bob != keep_tag
+            records = enumerate_exact("stage1", params)
+            columns = protocol._stage1_rows(cfg.variant).columns
+            assert len(records) == len(columns)  # every row weighs something here
+            for r, (c, *_) in zip(records, columns):
+                bunched = c >= 2 and r.probe_alice == r.probe_bob != keep_tag
                 assert (r.verdict == Verdict.KEPT_SAME_PORT) == bunched
                 if bunched:
                     same_port += 1
-                    assert (r.fidelity, r.final_state, r.kept_pairs) == (None, None, 0)
+                    assert r.kept_pairs == 0
             assert same_port > 0
 
     @pytest.mark.parametrize("variant, shares", [
@@ -1821,6 +1837,7 @@ ENTRY_POINTS = {
     "stage1_run": lambda a: stage1_run(a["src"], a["noise"], a["variant"], a["cfg"]),
     "stage2_run": lambda a: stage2_run(a["fidelity"]),
     "pbs_baseline": lambda a: pbs_baseline(a["fidelity"]),
+    "apply_qnd": lambda a: apply_qnd(single_pair_state(), a["variant"]),
 }
 # the valid arguments of each entry point that takes no pipeline name
 PLAIN_ARGUMENTS = {
@@ -1833,6 +1850,7 @@ PLAIN_ARGUMENTS = {
                    "cfg": None},
     "stage2_run": {"fidelity": 0.8},
     "pbs_baseline": {"fidelity": 0.7},
+    "apply_qnd": {"variant": Variant.QND1},
 }
 
 
@@ -1877,6 +1895,13 @@ class TestRefusalContract:
         else:
             assert not (isinstance(junk, (bool, np.bool_)) and argument in NUMBER_ARGUMENTS), (
                 f"{entry} read the bool {junk} given for {argument} as a number")
+
+    @pytest.mark.parametrize("junk", [pytest.param(j, id=f"{i}-{type(j).__name__}")
+                                      for i, j in enumerate(JUNK) if not isinstance(j, str)])
+    def test_a_phase_parses_only_from_a_str(self, junk):
+        refusal = f"^a phase parses from a str, not {type(junk).__name__}$"
+        with pytest.raises(TypeError, match=refusal):
+            PhaseTag.parse(junk)
 
     @pytest.mark.parametrize("junk", JUNK, ids=[f"{i}-{type(j).__name__}"
                                                  for i, j in enumerate(JUNK)])

@@ -442,7 +442,7 @@ class TestGadgetInvariants:
     def test_only_a_variant_runs(self):
         # a detector runs by its Variant alone: a config or a name is refused
         for detector in (default_config(Variant.QND1), "qnd1"):
-            with pytest.raises(TypeError, match="Variant"):
+            with pytest.raises(ConfigError, match="Variant"):
                 apply_qnd(single_pair_state(), detector)
 
 
