@@ -252,6 +252,9 @@ def _describe(mismatches: tuple, cfg: QndConfig) -> str:
 def run_branch_case(case: BranchCase, cfg: QndConfig) -> CaseResult:
     """The case's check, a mismatch reported at the angles of ``cfg``, a
     config of the case's detector; a pass is the case's one frozen result."""
+    for name, value, kind in (("case", case, BranchCase), ("cfg", cfg, QndConfig)):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} is a {kind.__name__}, not {type(value).__name__}")
     if cfg.variant != case.variant:
         raise ConfigError(f"case {case.case_id} runs {case.variant.value}, "
                           f"not {cfg.variant.value}")

@@ -34,7 +34,7 @@ read.  Each pipeline therefore enumerates its branch tree once per
 process into an immutable table of outcome rows, with probe counts for
 readings (see ``fock``): stage 1 once per detector, stage 2 (whose pi
 parity detector takes no config) and PBS once each.  A config only
-labels a run's records: ``enumerate_exact`` copies the rows by unpacking
+labels a run's records: ``enumerate_exact`` reads the rows by unpacking
 and looks each row's counts up in the ``classes`` tags of the config that
 ``_weighted_rows`` checked, so a run builds no tag; grids and Monte Carlo
 read no tag.  A row carries its probability within an event class: a clean
@@ -47,7 +47,7 @@ the report's count buckets, are the verdicts' values in their order.
 
 ``_weighted_rows`` checks each point of a grid of one detector config
 and gives its class weights; a single run is a grid of one.  A table
-holds one column per row, its (class, factor, bucket, kept pairs).
+is one tuple of rows (``RowTable``), each fact of a row held once.
 ``exact_reports`` (the CLI's, ``stage2_run``'s and ``pbs_baseline``'s exact
 runs) totals a point in one pass down them (``_exact_sums``); ``stage1_run``
 adds the records of ``enumerate_exact`` (the tracer of the benchmark counts
@@ -245,29 +245,22 @@ def stage2_iterate(fidelity: float, rounds: int) -> list:
 # ---------------------------------------------------------------------------
 
 _BUCKET = {verdict: i for i, verdict in enumerate(Verdict)}  # its index in COUNT_KEYS
+_VERDICTS = tuple(Verdict)  # a bucket's verdict
 _new_record = functools.partial(tuple.__new__, OutcomeRecord)  # _make less its Python frame
 
 
-@dataclass(frozen=True, eq=False)  # equal only to itself, hashed by identity
-class RowTable:
-    """The outcome rows of one pipeline and config, with one column per row.
+class RowTable(tuple):
+    """The rows of one pipeline and config, each (class, alice, bob, bucket,
+    factor, kept pairs), its bucket its verdict's index in COUNT_KEYS.  No
+    other table equals it, and it hashes by identity: a cache of tables reads no row."""
 
-    ``rows[i]`` is an ``OutcomeRecord`` whose weight is its probability
-    given its event class; ``columns[i]`` is its (class, factor, bucket,
-    kept pairs): at a parameter point the row weighs that class's weight
-    times the factor, its verdict's index in COUNT_KEYS is the bucket it
-    adds to, and its weight times its kept pairs adds to the kept pairs.
-    """
-
-    rows: tuple
-    columns: tuple
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _row_table(classes) -> RowTable:
-    """Flatten the records of each event class, in class order."""
-    return RowTable(tuple(r for records in classes for r in records),
-                    tuple((c, r.weight, _BUCKET[r.verdict], r.kept_pairs)
-                          for c, records in enumerate(classes) for r in records))
+    """Flatten the rows (alice, bob, verdict, factor, kept pairs) of each class, in order."""
+    return RowTable((c, alice, bob, _BUCKET[verdict], factor, kept)
+                    for c, rows in enumerate(classes) for alice, bob, verdict, factor, kept in rows)
 
 
 class Reading(NamedTuple):
@@ -311,28 +304,27 @@ def _classify_pair(state: PureState, flip: bool) -> Verdict:
     return _verdict(overlap(final, PHI_PLUS_MERGED), overlap(final, PSI_PLUS_MERGED))
 
 
-# The rows below hold probe counts where a record holds tags.
 _KEEP = (1, 1)  # theta + theta': the one reading of a double emission that is kept
 
 
-def _order1_row(leaf: Reading) -> OutcomeRecord:
+def _order1_row(leaf: Reading) -> tuple:
     """A single emission, always kept: Alice flips when the readings differ."""
     verdict = _classify_pair(leaf.state, leaf.alice != leaf.bob)
-    return OutcomeRecord(leaf.alice, leaf.bob, verdict, leaf.probability, 1)
+    return leaf.alice, leaf.bob, verdict, leaf.probability, 1
 
 
-def _order2_row(l1: Reading, l2: Reading) -> OutcomeRecord:
+def _order2_row(l1: Reading, l2: Reading) -> tuple:
     """Classify a joint double-emission outcome from its two pair leaves."""
     alice = (l1.alice[0] + l2.alice[0], l1.alice[1] + l2.alice[1])
     bob = (l1.bob[0] + l2.bob[0], l1.bob[1] + l2.bob[1])
     weight = l1.probability * l2.probability
     if alice != bob or alice != _KEEP:
         verdict = Verdict.KEPT_SAME_PORT if alice == bob else Verdict.DISCARDED
-        return OutcomeRecord(alice, bob, verdict, weight)
+        return alice, bob, verdict, weight, 0
     verdict, verdict2 = (_classify_pair(l.state, False) for l in (l1, l2))
     if verdict != verdict2:
         raise SimulationError("the two kept pairs disagree on correctness")
-    return OutcomeRecord(alice, bob, verdict, weight, 2)
+    return alice, bob, verdict, weight, 2
 
 
 @functools.cache  # two detectors, enumerated once each
@@ -353,7 +345,7 @@ def _kept_pair_rows(state: PureState, weight: float, alice, bob) -> list:
         for ob, (pb, s2) in diagonal_outcomes(s1, Party.BOB, Spatial.LOWER).items():
             final = sigma_z(s2, Party.ALICE, {Spatial.UPPER}) if oa != ob else s2
             verdict = _verdict(overlap(final, PHI_PLUS_UPPER), overlap(final, PSI_PLUS_UPPER))
-            rows.append(OutcomeRecord(alice, bob, verdict, weight * pa * pb, 1))
+            rows.append((alice, bob, verdict, weight * pa * pb, 1))
     return rows
 
 
@@ -366,7 +358,7 @@ def _stage2_table() -> RowTable:
         rows = []
         for p, alice, bob, post in _readings(apply_qnd(two_pair_state(*kinds), Variant.QND2)):
             if alice != bob:
-                rows.append(OutcomeRecord(alice, bob, Verdict.DISCARDED, p))
+                rows.append((alice, bob, Verdict.DISCARDED, p, 0))
                 continue
             if alice == ZERO_COUNTS:
                 post = sigma_x(post, Party.ALICE, {Spatial.UPPER})
@@ -387,7 +379,7 @@ def _pbs_table() -> RowTable:
         p_keep = sum(abs(b.amplitude) ** 2 for b in keep)
         rows = []
         if p_keep < 1.0 - 1e-15:
-            rows.append(OutcomeRecord(None, None, Verdict.DISCARDED, 1.0 - p_keep))
+            rows.append((None, None, Verdict.DISCARDED, 1.0 - p_keep, 0))
         if p_keep > 0.0:
             rows += _kept_pair_rows(PureState.of(keep).normalize(), p_keep, None, None)
         classes.append(rows)
@@ -513,7 +505,7 @@ def _exact_sums(table: RowTable, class_weights: Sequence) -> list:
     bit.  No ``sum()`` or ``math.fsum``: from Python 3.12 ``sum()`` of floats
     is compensated and ``fsum`` rounds once, so either would change bits."""
     sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
-    for c, f, bucket, kept in table.columns:
+    for c, _, _, bucket, f, kept in table:
         w = class_weights[c] * f
         sums[bucket] += w
         if kept:  # most stage-1 rows keep no pair: skipping them is measurably faster
@@ -545,8 +537,8 @@ def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
 def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     """Exact report of a pipeline at ``params`` (``stage1_run``'s): its records,
     the table's rows less those of zero weight, added per bucket in
-    ``_exact_sums`` order.  One pass over the records, as building their
-    index columns would allocate more than the report itself."""
+    ``_exact_sums`` order.  One pass over the records, as turning them into
+    rows first would allocate more than the report itself."""
     sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
     for _, _, verdict, weight, kept in records:
         sums[_BUCKET[verdict]] += weight
@@ -617,13 +609,14 @@ def trial_uniforms(seed: int, n_trials: int) -> np.ndarray:
 
 @functools.cache  # one entry per table, which the cache keeps alive
 def _mc_columns(table: RowTable) -> tuple:
-    """(class indices, factors, totals matrix): the numpy columns of
+    """(class indices, factors, totals matrix): numpy arrays of the rows of
     ``table``, built on its first Monte Carlo run.  Column i of the uint64
     matrix holds 1 in row i's bucket and its kept pairs last, so the matrix
     times a run's draws of each row is its totals: uint64, as the kept pairs
     of 2**63 - 1 trials can pass 2**63."""
     import numpy as np
-    cls, factor, bucket, kept = (np.array(column) for column in zip(*table.columns))
+    cls, _, _, bucket, factor, kept = zip(*table)
+    cls, factor = np.array(cls), np.array(factor)
     matrix = np.zeros((len(COUNT_KEYS) + 1, len(cls)), dtype=np.uint64)
     matrix[bucket, np.arange(len(cls))] = 1
     matrix[-1] = kept
@@ -673,9 +666,8 @@ def enumerate_exact(pipeline: str, params: dict) -> list:
     """
     table, (class_weights,), cfg = _weighted_rows(pipeline, [params])
     tag = cfg.classes if cfg else {None: None}  # PBS rows read no probe
-    return [_new_record((tag[a], tag[b], verdict, w, pairs))
-            for (a, b, verdict, _, pairs), (c, f, _, _)
-            in zip(table.rows, table.columns) if (w := class_weights[c] * f) != 0.0]
+    return [_new_record((tag[a], tag[b], _VERDICTS[bucket], w, kept))
+            for c, a, b, bucket, f, kept in table if (w := class_weights[c] * f) != 0.0]
 
 
 def _stage1_params(src: PdcSourceParams, noise: NoiseParams, variant, cfg) -> dict:

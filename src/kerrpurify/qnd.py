@@ -185,8 +185,9 @@ _COUPLINGS = {
 def apply_qnd(state: PureState, variant: Variant) -> PureState:
     """Run the detector ``variant``: one ``apply_kerr`` per medium of its
     ``_COUPLINGS`` row and party.  The probes gain counts, so no angle enters."""
-    if not isinstance(variant, Variant):
-        raise ConfigError(f"variant is a Variant, not {type(variant).__name__}")
+    for name, value, kind in (("state", state, PureState), ("variant", variant, Variant)):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} is a {kind.__name__}, not {type(value).__name__}")
     if variant in (Variant.QND2, Variant.QND4):
         if not all(b.one_photon_per_port() for b in state.branches):
             raise OccupancyViolationError(

@@ -22,7 +22,7 @@ import pytest
 
 from kerrpurify import (NoiseParams, PdcSourceParams, Variant, Verdict, enumerate_exact,
                         exact_reports, monte_carlo, pbs_baseline, stage1_run, stage2_run)
-from kerrpurify.protocol import (_mc_row_counts, _pbs_table, _stage1_class_weights,
+from kerrpurify.protocol import (_VERDICTS, _mc_row_counts, _pbs_table, _stage1_class_weights,
                                  _stage1_rows, _stage2_table)
 from kerrpurify.sources import TWO_PAIR_KINDS, two_pair_weights
 
@@ -45,12 +45,12 @@ def exact_sums(name: str, table, class_weights: list) -> tuple:
     """(total weight, kept weight, correct weight) of ``table``, every row
     snapped to its dyadic factor."""
     total = kept = correct = Fraction(0)
-    for i, (row, (c, factor, _, _)) in enumerate(zip(table.rows, table.columns)):
+    for i, (c, _, _, bucket, factor, _) in enumerate(table):
         w = class_weights[c] * snap(float(factor), f"{name} row {i} factor")
         total += w
-        if row.verdict in KEPT:
+        if _VERDICTS[bucket] in KEPT:
             kept += w
-        if row.verdict is Verdict.KEPT_CORRECT:
+        if _VERDICTS[bucket] is Verdict.KEPT_CORRECT:
             correct += w
     return total, kept, correct
 
@@ -110,16 +110,15 @@ TABLES = {"qnd1": lambda: _stage1_rows(Variant.QND1), "qnd3": lambda: _stage1_ro
 def test_kept_rows_have_fidelity_exactly_one_or_zero(name):
     # what lets a report's fidelity be its correct total over its kept total:
     # a kept row's verdict is its fidelity, 1 or 0, and every table holds both
-    rows = TABLES[name]().rows
-    assert {row.verdict for row in rows}.issuperset(KEPT)
+    assert {_VERDICTS[bucket] for _, _, _, bucket, _, _ in TABLES[name]()}.issuperset(KEPT)
 
 
 def _fidelity_weighted(weighted) -> float:
-    """The kept-fidelity sum of (record, weight) pairs, added in row order:
-    the weight of each KEPT_CORRECT record, whose fidelity is 1."""
+    """The kept-fidelity sum of (verdict, weight) pairs, added in row order:
+    the weight of each KEPT_CORRECT row, whose fidelity is 1."""
     total = 0.0
-    for record, w in weighted:
-        if record.verdict is Verdict.KEPT_CORRECT:
+    for verdict, w in weighted:
+        if verdict is Verdict.KEPT_CORRECT:
             total = total + w
     return total
 
@@ -142,8 +141,9 @@ def test_report_fidelity_is_correct_over_kept(pipeline, points):
         mc = monte_carlo(pipeline, point, 30_001, seed=11)
         table, draws = _mc_row_counts(pipeline, point, 30_001, 11)
         for report, fid_sum in ((single[pipeline](point),
-                                 _fidelity_weighted((r, r.weight) for r in records)),
-                                (mc, _fidelity_weighted(zip(table.rows, draws.tolist())))):
+                                 _fidelity_weighted((r.verdict, r.weight) for r in records)),
+                                (mc, _fidelity_weighted((_VERDICTS[row[3]], n) for row, n
+                                                        in zip(table, draws.tolist())))):
             correct, erroneous = report.counts["kept_correct"], report.counts["kept_erroneous"]
             assert fid_sum == correct, (report.mode, point)
             assert report.fidelity == correct / (correct + erroneous), (report.mode, point)

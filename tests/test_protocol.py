@@ -47,7 +47,7 @@ from kerrpurify import (
     stage2_yield,
 )
 from kerrpurify import protocol, qnd
-from kerrpurify.branches import BRANCH_CASES, BranchCase
+from kerrpurify.branches import BRANCH_CASES, BranchCase, run_branch_case
 from kerrpurify.protocol import (
     COUNT_KEYS,
     OutcomeRecord,
@@ -154,7 +154,7 @@ class TestStage1Exact:
         # a double emission of one clean and one flipped pair is never kept,
         # so no kept double emission mixes a correct and an erroneous pair
         records = stage1_records(PdcSourceParams(0.0, 0.01), NoiseParams(0.8))
-        doubles = [c for c, *_ in protocol._stage1_rows(Variant.QND1).columns if c >= 2]
+        doubles = [c for c, *_ in protocol._stage1_rows(Variant.QND1) if c >= 2]
         assert len(records) == len(doubles)  # p1 = 0: the single pairs weigh nothing
         one_flip = [r for r, c in zip(records, doubles) if c in (3, 4)]
         assert one_flip and all(r.verdict == Verdict.DISCARDED for r in one_flip)
@@ -241,15 +241,14 @@ class TestSinglePairLeaves:
                 counted = protocol._stage1_rows(cfg.variant)
                 records = enumerate_exact("stage1", dict(point, variant=cfg.variant, cfg=cfg))
                 assert [(r.verdict, r.kept_pairs) for r in records] == [
-                    (row.verdict, row.kept_pairs) for row in counted.rows]
+                    (protocol._VERDICTS[bucket], kept) for _, _, _, bucket, _, kept in counted]
                 assert [(r.probe_alice, r.probe_bob) for r in records] == [
-                    (cfg.phase(row.probe_alice), cfg.phase(row.probe_bob))
-                    for row in counted.rows]
+                    (cfg.phase(alice), cfg.phase(bob)) for _, alice, bob, *_ in counted]
                 for flipped in (False, True):
                     leaves = protocol.single_pair_leaves(cfg.variant, flipped)
                     assert len({(leaf.alice, leaf.bob) for leaf in leaves}) == len(leaves) == 2
                     tags = [(r.probe_alice, r.probe_bob)
-                            for r, (c, *_) in zip(records, counted.columns) if c == flipped]
+                            for r, (c, *_) in zip(records, counted) if c == flipped]
                     assert set(tags) == {(cfg.phase(leaf.alice), cfg.phase(leaf.bob))
                                          for leaf in leaves}
 
@@ -294,11 +293,11 @@ class TestPerAngleRender:
             expected = _per_medium_classes(cfg)
             records = enumerate_exact("stage1", dict(point, variant=variant, cfg=cfg))
             table = protocol._stage1_rows(variant)
-            assert len(records) == len(table.rows) == sum(map(len, expected))
-            for record, row, (c, *_) in zip(records, table.rows, table.columns):
-                assert (record.verdict, record.kept_pairs) == (row.verdict, row.kept_pairs)
-                assert (record.probe_alice, record.probe_bob) == (cfg.phase(row.probe_alice),
-                                                                  cfg.phase(row.probe_bob))
+            assert len(records) == len(table) == sum(map(len, expected))
+            for record, (c, alice, bob, bucket, _, kept) in zip(records, table):
+                assert (record.verdict, record.kept_pairs) == (protocol._VERDICTS[bucket], kept)
+                assert (record.probe_alice, record.probe_bob) == (cfg.phase(alice),
+                                                                  cfg.phase(bob))
                 # the keep rule, read on the phases themselves
                 tag_a, tag_b = record.probe_alice, record.probe_bob
                 if c < 2:  # a single emission
@@ -311,7 +310,7 @@ class TestPerAngleRender:
                                            Verdict.KEPT_ERRONEOUS)) == kept
             for c, want in enumerate(expected):
                 got = sorted(((record.probe_alice, record.probe_bob, factor)
-                              for record, (k, factor, _, _) in zip(records, table.columns)
+                              for record, (k, _, _, _, factor, _) in zip(records, table)
                               if k == c), key=_by_values)
                 assert len(got) == len(want)
                 want = sorted(want, key=_by_values)
@@ -505,16 +504,16 @@ class TestEnumerateExact:
         assert len(made) == built
         six = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)]
         assert all(cfgs[Variant.QND1].phase(c) is cfgs[Variant.QND3].phase(c) for c in six)
-        assert len(records) == len(table.rows) == 20
+        assert len(records) == len(table) == 20
         cfg = cfgs[variant]
-        for record, row in zip(records, table.rows):
-            assert record.probe_alice is cfg.phase(row.probe_alice)
-            assert record.probe_bob is cfg.phase(row.probe_bob)
+        for record, (_, alice, bob, *_) in zip(records, table):
+            assert record.probe_alice is cfg.phase(alice)
+            assert record.probe_bob is cfg.phase(bob)
 
 
 def _row_weights(table, class_weights) -> list:
     """The weight of each row of ``table`` at a point whose classes weigh ``class_weights``."""
-    return [class_weights[c] * f for c, f, _, _ in table.columns]
+    return [class_weights[c] * f for c, _, _, _, f, _ in table]
 
 
 def _table_weights(pipeline, params) -> np.ndarray:
@@ -541,7 +540,7 @@ def _columns_totals(table, draws) -> list:
     its draws to its bucket's total and its draws times its kept pairs to
     the last."""
     totals = [0] * (len(COUNT_KEYS) + 1)
-    for (_, _, bucket, kept), n in zip(table.columns, draws):
+    for (_, _, _, bucket, _, kept), n in zip(table, draws):
         totals[bucket] += n
         totals[-1] += n * kept
     return totals
@@ -551,7 +550,7 @@ def _rows_weighing(monkeypatch, weights):
     """Make every run's table one class whose rows weigh ``weights``, all
     discarded, with no kept pair."""
     discarded = COUNT_KEYS.index(Verdict.DISCARDED.value)
-    table = protocol.RowTable((), tuple((0, w, discarded, 0) for w in weights))
+    table = protocol.RowTable((0, None, None, discarded, w, 0) for w in weights)
     monkeypatch.setattr(protocol, "_weighted_rows", lambda pipeline, points: (table, [[1.0]], None))
 
 
@@ -1187,14 +1186,16 @@ class TestColumnCache:
         assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
         cls, factor, matrix = protocol._mc_columns(table)
         assert protocol._mc_columns.cache_info().misses == after.misses
-        assert cls.tolist() == [c for c, _, _, _ in table.columns]
-        assert factor.tolist() == [f for _, f, _, _ in table.columns]
+        assert cls.tolist() == [c for c, _, _, _, _, _ in table]
+        assert factor.tolist() == [f for _, _, _, _, f, _ in table]
         assert np.array_equal(rows, _one_draw(_table_weights("stage2", {"F": 0.8}), 40_003, 7))
         report = monte_carlo("stage2", {"F": 0.8}, 40_003, 7)
         assert protocol._mc_columns.cache_info().currsize == after.currsize
         assert report.counts == dict(zip(COUNT_KEYS, _columns_totals(table, rows.tolist())))
-        # a table is its own key: an equal copy is another table, built anew
-        protocol._mc_columns(protocol.RowTable(table.rows, table.columns))
+        # a table is its own key: a copy of its rows is another table, built anew
+        copy = protocol.RowTable(table)
+        assert tuple(copy) == tuple(table) and copy != table
+        protocol._mc_columns(copy)
         assert protocol._mc_columns.cache_info().misses == after.misses + 1
 
 
@@ -1265,7 +1266,7 @@ class TestOutcomeTables:
         monkeypatch.setattr(QndConfig, "__post_init__", angle_read)
         monkeypatch.setattr(PhaseTag, "__init__", angle_read)
         tables = [protocol._stage1_rows(v) for v in (Variant.QND1, Variant.QND3)]
-        assert all(t.rows for t in tables + [_stage2_table(), _pbs_table()])
+        assert all(len(t) for t in tables + [_stage2_table(), _pbs_table()])
         assert all(case.mismatches() == () for case in BRANCH_CASES)
 
     def test_warm_cache_report_equals_cold(self):
@@ -1313,12 +1314,12 @@ class TestOutcomeTables:
                     ("phi+", "psi+"): Verdict.DISCARDED,
                     ("psi+", "phi+"): Verdict.DISCARDED}
         for table in (_stage2_table(), _pbs_table()):
-            kept_rows = np.array([r.verdict in (Verdict.KEPT_CORRECT, Verdict.KEPT_ERRONEOUS)
-                                  for r in table.rows])
-            cls, factor, _, _ = map(np.array, zip(*table.columns))
+            verdicts = [protocol._VERDICTS[bucket] for _, _, _, bucket, _, _ in table]
+            kept_rows = np.array([v in (Verdict.KEPT_CORRECT, Verdict.KEPT_ERRONEOUS)
+                                  for v in verdicts])
+            cls, factor = (np.array([row[i] for row in table]) for i in (0, 4))
             for c, kinds in enumerate(TWO_PAIR_KINDS):
-                kept = {table.rows[i].verdict
-                        for i in np.flatnonzero((cls == c) & kept_rows)}
+                kept = {verdicts[i] for i in np.flatnonzero((cls == c) & kept_rows)}
                 assert len(kept) <= 1
                 assert (kept.pop() if kept else Verdict.DISCARDED) == expected[kinds]
                 keep_probability = factor[(cls == c) & kept_rows].sum()
@@ -1335,10 +1336,29 @@ class TestOutcomeTables:
     def test_a_record_is_its_readings_verdict_weight_and_kept_pairs(self):
         fields = ("probe_alice", "probe_bob", "verdict", "weight", "kept_pairs")
         assert OutcomeRecord._fields == fields
+        for pipeline, params in MC_RUNS:
+            records = enumerate_exact(pipeline, params)
+            assert records and all(type(r) is OutcomeRecord for r in records)
+            assert not any(isinstance(value, PureState) for r in records for value in r)
+
+    def test_a_table_is_one_tuple_of_flat_rows(self):
+        # each fact of a row is held once: a row is the plain tuple (class,
+        # Alice's counts, Bob's counts, bucket, factor, kept pairs), no record
+        # and no state, and a table keeps no second copy of its rows beside them
         for table in (protocol._stage1_rows(Variant.QND1), protocol._stage1_rows(Variant.QND3),
                       _stage2_table(), _pbs_table()):
-            assert all(type(row) is OutcomeRecord for row in table.rows)
-            assert not any(isinstance(value, PureState) for row in table.rows for value in row)
+            assert isinstance(table, tuple) and table
+            assert not hasattr(table, "columns") and not hasattr(table, "rows")
+            for row in table:
+                assert type(row) is tuple and len(row) == 6, row
+                assert not isinstance(row, OutcomeRecord)
+                c, alice, bob, bucket, factor, kept = row
+                assert type(c) is int and type(factor) is float and type(kept) is int
+                assert type(bucket) is int and 0 <= bucket < len(COUNT_KEYS)
+                assert not any(isinstance(value, (PureState, Verdict)) for value in row)
+                assert alice is None or (type(alice) is tuple and len(alice) == 2)
+                assert bob is None or (type(bob) is tuple and len(bob) == 2)
+            assert table == table and hash(table) == object.__hash__(table)
 
     def test_chunked_mc_counts_equal_one_unchunked_draw(self):
         # a run's rows are one draw at its table's weights, whatever the
@@ -1376,30 +1396,30 @@ class TestOutcomeTables:
     ])
     def test_records_agree_with_the_row_columns(self, pipeline, params, monkeypatch):
         # single runs sum the records and grids the class weights down the
-        # rows' columns: the totals agree to the bit, and with a loop that
+        # table's rows: the totals agree to the bit, and with a loop that
         # adds every row, zero-weight and pairless ones too
         records = enumerate_exact(pipeline, params)
         table, (class_weights,), _ = protocol._weighted_rows(pipeline, [params])
         w = _row_weights(table, class_weights)
         reference = [0.0] * (len(COUNT_KEYS) + 1)
-        for row, weight in zip(table.rows, w):
-            reference[COUNT_KEYS.index(row.verdict.value)] += weight
-            reference[-1] += weight * row.kept_pairs
+        for (_, _, _, bucket, _, kept), weight in zip(table, w):
+            reference[bucket] += weight
+            reference[-1] += weight * kept
         reference = [x.hex() for x in reference]
         assert [x.hex() for x in protocol._exact_sums(table, class_weights)] == reference
         summed = []
         monkeypatch.setattr(protocol, "_report", lambda *args: summed.append(args[2]))
         protocol._exact(pipeline, params, records)
         assert [[x.hex() for x in sums] for sums in summed] == [reference]
-        # the same columns, as Monte Carlo's uint64 matrix, count its draws,
+        # the same rows, as Monte Carlo's uint64 matrix, count its draws,
         # one integer per row, exactly: also where the kept pairs pass 2**63
         matrix = protocol._mc_columns(table)[2]
-        n_rows = len(table.rows)
+        n_rows = len(table)
         for draws in (list(range(1, n_rows + 1)), [(2**63 - 1) // n_rows] * n_rows):
             counted = [0] * (len(COUNT_KEYS) + 1)
-            for row, n in zip(table.rows, draws):
-                counted[COUNT_KEYS.index(row.verdict.value)] += n
-                counted[-1] += n * row.kept_pairs
+            for (_, _, _, bucket, _, kept), n in zip(table, draws):
+                counted[bucket] += n
+                counted[-1] += n * kept
             assert (matrix @ np.array(draws, dtype=np.uint64)).tolist() == counted
             assert _columns_totals(table, draws) == counted
 
@@ -1451,9 +1471,9 @@ class TestOutcomeVocabulary:
             keep_tag = cfg.theta + cfg.theta_prime
             same_port = 0
             records = enumerate_exact("stage1", params)
-            columns = protocol._stage1_rows(cfg.variant).columns
-            assert len(records) == len(columns)  # every row weighs something here
-            for r, (c, *_) in zip(records, columns):
+            rows = protocol._stage1_rows(cfg.variant)
+            assert len(records) == len(rows)  # every row weighs something here
+            for r, (c, *_) in zip(records, rows):
                 bunched = c >= 2 and r.probe_alice == r.probe_bob != keep_tag
                 assert (r.verdict == Verdict.KEPT_SAME_PORT) == bunched
                 if bunched:
@@ -1534,13 +1554,13 @@ class TestExactReports:
     @pytest.mark.parametrize("F", [1.0, 0.999999999, 0.8, 0.55, 0.5, 5e-324])
     @pytest.mark.parametrize("run, pipeline", [(stage2_run, "stage2"), (pbs_baseline, "pbs")])
     def test_two_pair_single_runs_equal_their_records_summed(self, run, pipeline, F):
-        # the single runs sum the table's columns as a grid of one; the records
+        # the single runs sum the table's rows as a grid of one; the records
         # of enumerate_exact, the rows of nonzero weight, must add to the same bits
         records = enumerate_exact(pipeline, {"F": F})
         summed = protocol._exact(pipeline, {"F": F}, records)
         assert _float_bits(run(F).to_dict()) == _float_bits(summed.to_dict())
         if F == 1.0:  # three of the four classes weigh 0 and give no record
-            assert len(records) < len(protocol.PIPELINES[pipeline].table(None).rows)
+            assert len(records) < len(protocol.PIPELINES[pipeline].table(None))
 
     def test_empty_grid_has_no_reports(self):
         assert list(exact_reports("stage1", [])) == []
@@ -1837,8 +1857,19 @@ ENTRY_POINTS = {
     "stage1_run": lambda a: stage1_run(a["src"], a["noise"], a["variant"], a["cfg"]),
     "stage2_run": lambda a: stage2_run(a["fidelity"]),
     "pbs_baseline": lambda a: pbs_baseline(a["fidelity"]),
-    "apply_qnd": lambda a: apply_qnd(single_pair_state(), a["variant"]),
+    "apply_qnd": lambda a: apply_qnd(a["state"], a["variant"]),
+    "stage1_records": lambda a: stage1_records(a["src"], a["noise"], a["variant"], a["cfg"]),
+    "stage2_records": lambda a: stage2_records(a["fidelity"]),
+    "pbs_records": lambda a: pbs_records(a["fidelity"]),
+    "stage1_monte_carlo": lambda a: protocol.stage1_monte_carlo(
+        a["src"], a["noise"], a["variant"], a["cfg"], a["trials"], a["seed"]),
+    "stage2_monte_carlo": lambda a: protocol.stage2_monte_carlo(a["fidelity"], a["trials"],
+                                                                a["seed"]),
+    "run_branch_suite": lambda a: run_branch_suite(a["theta"], a["theta_prime"], a["only"]),
+    "run_branch_case": lambda a: run_branch_case(a["case"], a["cfg"]),
 }
+STAGE1_ARGUMENTS = {"src": PdcSourceParams(0.1, 0.01), "noise": NoiseParams(0.8), "variant": None,
+                    "cfg": None}
 # the valid arguments of each entry point that takes no pipeline name
 PLAIN_ARGUMENTS = {
     "stage2_iterate": {"fidelity": 0.8, "rounds": 2},
@@ -1846,11 +1877,18 @@ PLAIN_ARGUMENTS = {
     "PdcSourceParams": {"p1": 0.1, "p2": 0.01},
     "NoiseParams": {"f0": 0.8},
     "QndConfig": {"variant": Variant.QND1, "theta": PhaseTag(1, 4), "theta_prime": PhaseTag(3, 4)},
-    "stage1_run": {"src": PdcSourceParams(0.1, 0.01), "noise": NoiseParams(0.8), "variant": None,
-                   "cfg": None},
+    "stage1_run": STAGE1_ARGUMENTS,
     "stage2_run": {"fidelity": 0.8},
     "pbs_baseline": {"fidelity": 0.7},
-    "apply_qnd": {"variant": Variant.QND1},
+    "apply_qnd": {"state": single_pair_state(), "variant": Variant.QND1},
+    "stage1_records": STAGE1_ARGUMENTS,
+    "stage2_records": {"fidelity": 0.8},
+    "pbs_records": {"fidelity": 0.7},
+    "stage1_monte_carlo": dict(STAGE1_ARGUMENTS, trials=1000, seed=1),
+    "stage2_monte_carlo": {"fidelity": 0.8, "trials": 1000, "seed": 1},
+    "run_branch_suite": {"theta": PhaseTag(3, 16), "theta_prime": PhaseTag(29, 64),
+                         "only": ["qnd2-phi-phi"]},
+    "run_branch_case": {"case": BRANCH_CASES[0], "cfg": default_config(BRANCH_CASES[0].variant)},
 }
 
 
@@ -1881,7 +1919,7 @@ class TestRefusalContract:
     """Junk given to one argument of a library entry point ends in a result
     or a clean refusal, never in a bare Python error."""
 
-    @settings(max_examples=1500, deadline=None)
+    @settings(max_examples=2375, deadline=None)  # 125 per entry point
     @given(library_calls())
     def test_junk_returns_or_is_refused_cleanly(self, call):
         entry, argument, junk, args = call

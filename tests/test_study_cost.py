@@ -97,7 +97,7 @@ def test_a_warm_study_at_a_fresh_pair_reads_no_phase_and_runs_no_branch_case(mon
 
 
 def test_a_warm_study_enumerates_only_stage1_and_its_suite_builds_three_configs(monkeypatch):
-    # stage 2 and PBS sum their tables' columns, so only the two stage-1 runs
+    # stage 2 and PBS sum their tables' rows, so only the two stage-1 runs
     # turn rows into records; the suite builds the qnd1, qnd3 and qnd4 configs
     # it checks, from their defaults, and a passing suite reads no qnd2 default
     _study(PhaseTag(5, 16), PhaseTag(37, 64))  # warms every per-process cache
@@ -126,11 +126,11 @@ def test_every_table_reads_only_counts_its_config_tags():
     for variant, (theta, theta_prime) in itertools.product((Variant.QND1, Variant.QND3), pairs):
         cfg = QndConfig(variant, theta, theta_prime) if theta else default_config(variant)
         table = protocol._stage1_rows(variant)
-        counts = {c for row in table.rows for c in row[:2]}
+        counts = {c for row in table for c in row[1:3]}
         assert len(counts) == 5 and counts <= cfg.classes.keys(), (variant, theta)
-    stage2 = {c for row in protocol._stage2_table().rows for c in row[:2]}
+    stage2 = {c for row in protocol._stage2_table() for c in row[1:3]}
     assert stage2 == default_config(Variant.QND2).classes.keys() == {(0, 0), (1, 0)}
-    assert {c for row in protocol._pbs_table().rows for c in row[:2]} == {None}
+    assert {c for row in protocol._pbs_table() for c in row[1:3]} == {None}
 
 
 def test_a_warm_study_at_a_fresh_pair_runs_no_detector(monkeypatch):
