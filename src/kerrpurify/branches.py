@@ -296,8 +296,11 @@ def run_branch_suite(theta: PhaseTag | None = None,
         if unknown := only - set(CASE_IDS):
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
     base = map(default_config, (Variant.QND1, Variant.QND3, Variant.QND4))
-    cfgs = {d.variant: QndConfig(d.variant, theta or d.theta,  # qnd4 reads no theta_prime
-                                 d.theta_prime and (theta_prime or d.theta_prime)) for d in base}
+    # only None is no angle given: 0, "" or False is an angle the config refuses
+    cfgs = {d.variant: QndConfig(d.variant, d.theta if theta is None else theta,
+                                 d.theta_prime and (d.theta_prime if theta_prime is None
+                                                    else theta_prime))  # None for qnd4
+            for d in base}
     if passing := _passing_suite():  # every case passes, at any pair
         return [r for r in passing if only is None or r.case_id in only]
     cfgs[Variant.QND2] = default_config(Variant.QND2)  # pi, whatever the pair

@@ -161,32 +161,42 @@ def _reports(pipeline: str, args, seed: int, points: list):
     return (monte_carlo(pipeline, p, args.trials, seed) for p in points)
 
 
-def _stage1_runs(args, cfg: QndConfig, seed: int, points):
-    """(report, CSV row) of each (p1, p2, f0) point of a stage-1 grid."""
-    params = [{"p1": p1, "p2": p2, "f0": f0, "cfg": cfg} for p1, p2, f0 in points]
-    cells = [cfg.variant.value, args.mode, args.trials, seed]  # the same at every point
-    for p, report in zip(params, _reports("stage1", args, seed, params)):
+def _cells(values) -> list:
+    """The CSV cell of each value: None empty, any other value its str."""
+    return ["" if v is None else str(v) for v in values]
+
+
+def _stage1_runs(args, cfg: QndConfig, seed: int, axes):
+    """(report, CSV row) of each point of the cartesian grid of ``axes``, the
+    p1, p2 and f0 values (a command's grid is one point).  A row's grid and
+    constant cells are text, each formatted once per grid and found by its
+    place, not its value: 0.0 and -0.0 are one key but two cells.  A row is
+    a tuple, which holds no spare slots."""
+    params = [{"p1": p1, "p2": p2, "f0": f0, "cfg": cfg} for p1, p2, f0 in iproduct(*axes)]
+    cells = _cells([cfg.variant.value, args.mode, args.trials, seed])  # the same at every point
+    points = iproduct(*(map(str, axis) for axis in axes))  # grid values: floats, no None
+    for point, report in zip(points, _reports("stage1", args, seed, params)):
         # a report's counts are in COUNT_KEYS order
-        yield report, [p["p1"], p["p2"], p["f0"], *cells, report.fidelity,
-                       report.extras["closed_form_fidelity"], report.yield_fraction,
-                       *report.counts.values()]
+        yield report, (*point, *cells, report.fidelity, report.extras["closed_form_fidelity"],
+                       report.yield_fraction, *report.counts.values())
 
 
 def _stage2_runs(args, seed: int, fidelities: list):
     """(rounds, baseline report or None, CSV rows: one per round, with the
     baseline cells filled in round 1 only) of each point of a stage-2 grid;
-    ``stage2_iterate`` checks every point before any baseline runs."""
+    ``stage2_iterate`` checks every point before any baseline runs.  Cells
+    and rows are as in ``_stage1_runs``."""
     iterated = [stage2_iterate(fidelity, args.rounds) for fidelity in fidelities]
     bases = (_reports("pbs", args, seed, [{"F": fidelity} for fidelity in fidelities])
              if args.baseline else repeat(None))
-    for fidelity, rounds, base in zip(fidelities, iterated, bases):
+    cells = _cells([args.mode, args.trials, seed])  # the same at every point
+    for point, rounds, base in zip(map(str, fidelities), iterated, bases):
         rows = []
         for r in rounds:
-            row = [fidelity, args.mode, args.trials, seed,
-                   r.round, r.fidelity, r.round_yield, r.cumulative_yield]
+            row = (point, *cells, r.round, r.fidelity, r.round_yield, r.cumulative_yield)
             if base is not None:
                 ratio = r.round_yield / base.yield_fraction if base.yield_fraction else None
-                row += [base.yield_fraction, ratio] if r.round == 1 else [None, None]
+                row += (base.yield_fraction, ratio) if r.round == 1 else (None, None)
             rows.append(row)
         yield rounds, base, rows
 
@@ -222,8 +232,7 @@ def _append_csv(path, header, rows, before_rows=lambda: None) -> None:
         if first:  # an empty row ends a last line left open, or the first row would join it
             fh.buffer.seek(-1, io.SEEK_END)
             lead = [] if fh.buffer.read(1) in b"\r\n" else [()]
-        fh.writelines(",".join(["" if v is None else str(v) for v in row]) + "\r\n"
-                      for row in chain(lead, rows))
+        fh.writelines(",".join(_cells(row)) + "\r\n" for row in chain(lead, rows))
 
 
 def _write_run(args, doc: dict, header, rows, summary: str) -> None:
@@ -244,10 +253,11 @@ def _write_run(args, doc: dict, header, rows, summary: str) -> None:
 def cmd_stage1(args) -> int:
     cfg = _detector(args, Variant(args.variant or "qnd1"))
     seed = _resolved_sampling(args)
-    [(report, row)] = _stage1_runs(args, cfg, seed, [(args.p1, args.p2, args.f0)])
-    # the JSON params: the row's point columns, from p1 to seed, and the angles
-    params = dict(zip(STAGE1_CSV_HEADER[:7], row), theta=str(cfg.theta.value),
-                  theta_prime=str(cfg.theta_prime.value))
+    [(report, row)] = _stage1_runs(args, cfg, seed, ([args.p1], [args.p2], [args.f0]))
+    # the JSON params: the row's point columns, from p1 to seed, as numbers, and the angles
+    params = dict(zip(STAGE1_CSV_HEADER, (args.p1, args.p2, args.f0, cfg.variant.value,
+                                          args.mode, args.trials, seed)),
+                  theta=str(cfg.theta.value), theta_prime=str(cfg.theta_prime.value))
     doc = _report_doc("stage1", params, report)
     doc["closed_form_fidelity"] = report.extras["closed_form_fidelity"]
     summary = (f"stage1 [{args.mode}] fidelity={_fmt(report.fidelity)} "
@@ -261,9 +271,9 @@ def cmd_stage2(args) -> int:
     seed = _resolved_sampling(args)
     [(rounds, base, rows)] = _stage2_runs(args, seed, [args.F])
     [report] = _reports("stage2", args, seed, [{"F": args.F}])
-    # the JSON params: the rows' point columns, from F to seed, and the options
-    params = dict(zip(STAGE2_CSV_HEADER[:4], rows[0]), rounds=args.rounds,
-                  baseline=bool(args.baseline))
+    # the JSON params: the rows' point columns, from F to seed, as numbers, and the options
+    params = dict(zip(STAGE2_CSV_HEADER, (args.F, args.mode, args.trials, seed)),
+                  rounds=args.rounds, baseline=bool(args.baseline))
     doc = _report_doc("stage2", params, report)
     doc["rounds"] = [{"round": r.round, "fidelity": r.fidelity, "yield": r.round_yield,
                       "cumulative_yield": r.cumulative_yield} for r in rounds]
@@ -297,8 +307,8 @@ def cmd_sweep(args) -> int:
     seed = _resolved_sampling(args)
     if args.pipeline == "stage1":
         cfg = _detector(args, Variant(args.variant or "qnd1"))
-        grid = iproduct(args.p1, args.p2, args.f0)
-        rows = [row for _, row in _stage1_runs(args, cfg, seed, grid)]
+        axes = (args.p1, args.p2, args.f0)
+        rows = [row for _, row in _stage1_runs(args, cfg, seed, axes)]
         header = STAGE1_CSV_HEADER
     else:
         rows = [row for _, _, rows in _stage2_runs(args, seed, args.F) for row in rows]

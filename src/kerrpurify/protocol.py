@@ -49,14 +49,16 @@ the report's count buckets, are the verdicts' values in their order.
 and gives its class weights; a single run is a grid of one.  A table
 is one tuple of rows (``RowTable``), each fact of a row held once.
 ``exact_reports`` (the CLI's, ``stage2_run``'s and ``pbs_baseline``'s exact
-runs) totals a point in one pass down them (``_exact_sums``); ``stage1_run``
-adds the records of ``enumerate_exact`` (the tracer of the benchmark counts
-``stage1_records``), the rows less those of zero weight, in the same order:
-every mode agrees to the bit.  ``_report`` builds every report.  Exact runs
-sum their (at most 20) rows in Python floats, so only Monte Carlo imports
-numpy.  A kept row's verdict says whether its pair ends in phi+ (correct)
-or psi+ (erroneous), each to an overlap within 1e-12 of 1 checked when its
-table is built: a report's fidelity is its correct total over its kept total.
+runs) totals a point with straight-line code compiled once per table
+(``_exact_sums``), which adds the rows' weights in table order;
+``stage1_run`` adds the records of ``enumerate_exact`` (the tracer of the
+benchmark counts ``stage1_records``), the rows less those of zero weight,
+in the same order: every mode agrees to the bit.  ``_report`` builds every
+report.  Exact runs add their (at most 20) row weights in Python floats,
+so only Monte Carlo imports numpy.  A kept row's verdict says whether its
+pair ends in phi+ (correct) or psi+ (erroneous), each to an overlap within
+1e-12 of 1 checked when its table is built: a report's fidelity is its
+correct total over its kept total.
 
 Monte Carlo has one entry point, ``monte_carlo``.  Each trial draws one
 row from the row weights, independently, so a run's row counts are one
@@ -105,6 +107,8 @@ from .sources import (
     TWO_PAIR_KINDS,
     NoiseParams,
     PdcSourceParams,
+    _check_emission,
+    _check_noise,
     _real,
     bell_pair,
     single_pair_state,
@@ -406,13 +410,15 @@ def _stage1_config(variant, cfg) -> QndConfig:
 def _stage1_class_weights(params: dict) -> list:
     """Weights of the classes of ``_stage1_rows``: an emission is one pair
     or two in the ratio p1 : p2, and each pair is flipped with probability
-    1 - f0.  Building the parameter objects checks them."""
-    src = PdcSourceParams(params["p1"], params["p2"])
-    f0 = NoiseParams(params["f0"]).f0
-    total = src.p1 + src.p2
+    1 - f0.  The point is checked by the two checks that building a
+    ``PdcSourceParams`` and a ``NoiseParams`` runs, with no object built."""
+    p1, p2, f0 = params["p1"], params["p2"], params["f0"]
+    _check_emission(p1, p2)
+    _check_noise(f0)
+    total = p1 + p2
     if total <= 0:
         raise ConfigError("p1 + p2 must be positive")
-    w1, w2, flip = src.p1 / total, src.p2 / total, 1.0 - f0
+    w1, w2, flip = p1 / total, p2 / total, 1.0 - f0
     return [w1 * f0, w1 * flip, w2 * f0 * f0, w2 * f0 * flip, w2 * flip * f0, w2 * flip * flip]
 
 
@@ -497,21 +503,36 @@ def _weighted_rows(pipeline: str, points: Sequence) -> tuple:
     return (entry.table(last), class_weights, last) if configs else (None, [], None)
 
 
-def _exact_sums(table: RowTable, class_weights: Sequence) -> list:
-    """The totals of ``table`` at a point: each row's class weight times
-    factor added onto 0.0 in its bucket and, times its kept pairs, in the
-    kept pairs, in table order (a pairless row's +0.0, skipped as it changes
-    no bit): a single run's IEEE products and sums of its records, to the
-    bit.  No ``sum()`` or ``math.fsum``: from Python 3.12 ``sum()`` of floats
-    is compensated and ``fsum`` rounds once, so either would change bits."""
-    sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
-    for c, _, _, bucket, f, kept in table:
-        w = class_weights[c] * f
-        sums[bucket] += w
-        if kept:  # most stage-1 rows keep no pair: skipping them is measurably faster
-            pairs += w * kept
-    sums[-1] = pairs
-    return sums
+@functools.cache  # one function per table, which the cache keeps alive
+def _exact_sums(table: RowTable) -> Callable:
+    """The function from a point's class weights to the totals of ``table``
+    (COUNT_KEYS, then the kept pairs), compiled on the table's first exact
+    run.  It is straight-line code, one expression per total, each adding
+    its rows' class weight times factor (times kept pairs) onto 0.0, left to
+    right in table order, as a loop over the rows would: a single run's IEEE
+    products and sums of its records, to the bit.  A product that rows share
+    is computed once, a pairless row's +0.0 and a times 1 are left out, as
+    neither changes a bit.  No ``sum()`` or ``math.fsum``: from Python 3.12
+    ``sum()`` of floats is compensated and ``fsum`` rounds once, so either
+    would change bits."""
+    products: dict = {}  # the text of each product -> the local it is computed into
+
+    def term(product: str) -> str:
+        return products.setdefault(product, f"t{len(products)}")
+
+    totals = [["0.0"] for _ in range(len(COUNT_KEYS) + 1)]
+    for c, _, _, bucket, factor, kept in table:
+        weight = term(f"w{c} * {float(factor)!r}")  # a float's repr reads back to its bits
+        totals[bucket].append(weight)
+        if kept:
+            totals[-1].append(weight if kept == 1 else term(f"{weight} * {kept}"))
+    classes = ", ".join(f"w{c}" for c in range(1 + max(row[0] for row in table)))
+    body = [f"{classes}, = class_weights"]
+    body += [f"{name} = {product}" for product, name in products.items()]
+    body.append(f"return [{', '.join(' + '.join(terms) for terms in totals)}]")
+    namespace: dict = {}
+    exec("def sums(class_weights):\n    " + "\n    ".join(body), namespace)
+    return namespace["sums"]
 
 
 def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
@@ -536,9 +557,9 @@ def _report(pipeline: str, params: dict, sums: list, trials: int | None = None,
 
 def _exact(pipeline: str, params: dict, records: list) -> RunReport:
     """Exact report of a pipeline at ``params`` (``stage1_run``'s): its records,
-    the table's rows less those of zero weight, added per bucket in
-    ``_exact_sums`` order.  One pass over the records, as turning them into
-    rows first would allocate more than the report itself."""
+    the table's rows less those of zero weight, added per bucket in table
+    order, as ``_exact_sums`` adds the rows.  One pass over the records, as
+    turning them into rows first would allocate more than the report itself."""
     sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
     for _, _, verdict, weight, kept in records:
         sums[_BUCKET[verdict]] += weight
@@ -560,8 +581,10 @@ def exact_reports(pipeline: str, points: Iterable) -> Iterator[RunReport]:
                           f"{type(points).__name__}") from None
     points = list(walk)  # walked thrice: checked, weighed, reported
     table, class_weights, _ = _weighted_rows(pipeline, points)
-    for p, weights in zip(points, class_weights):
-        yield _report(pipeline, p, _exact_sums(table, weights))
+    if class_weights:  # an empty grid has no table
+        sums = _exact_sums(table)
+        for p, weights in zip(points, class_weights):
+            yield _report(pipeline, p, sums(weights))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,25 @@ def operator_state(entries) -> PureState:
     return PureState.of(branches).normalize()
 
 
+def _check_emission(p1, p2) -> None:
+    """Refuse emission weights that are not finite, non-negative real numbers
+    summing to at most 1; ``PdcSourceParams`` and stage-1 points both call it."""
+    p1, p2 = _real("p1", p1), _real("p2", p2)
+    if not (abs(p1) <= float_info.max and abs(p2) <= float_info.max):  # 10**400
+        raise ValueError("emission probabilities must be finite numbers")
+    if p1 < 0 or p2 < 0:
+        raise ValueError("emission probabilities must be non-negative")
+    if p1 + p2 > 1 + 1e-12:
+        raise ValueError("p1 + p2 must not exceed 1")
+
+
+def _check_noise(f0) -> None:
+    """Refuse an f0 that is not a real number in [0, 1]; ``NoiseParams`` and
+    stage-1 points both call it."""
+    if not 0.0 <= _real("f0", f0) <= 1.0:  # false for NaN too
+        raise ValueError("f0 must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class PdcSourceParams:
     """Relative weights of one-pair and two-pair emission events, checked
@@ -94,13 +113,7 @@ class PdcSourceParams:
     p2: float
 
     def __post_init__(self):
-        p1, p2 = _real("p1", self.p1), _real("p2", self.p2)
-        if not (abs(p1) <= float_info.max and abs(p2) <= float_info.max):  # 10**400
-            raise ValueError("emission probabilities must be finite numbers")
-        if p1 < 0 or p2 < 0:
-            raise ValueError("emission probabilities must be non-negative")
-        if p1 + p2 > 1 + 1e-12:
-            raise ValueError("p1 + p2 must not exceed 1")
+        _check_emission(self.p1, self.p2)
 
 
 @dataclass(frozen=True)
@@ -110,8 +123,7 @@ class NoiseParams:
     f0: float
 
     def __post_init__(self):
-        if not 0.0 <= _real("f0", self.f0) <= 1.0:  # false for NaN too
-            raise ValueError("f0 must lie in [0, 1]")
+        _check_noise(self.f0)
 
 
 def single_pair_state(flipped: bool = False) -> PureState:

@@ -275,6 +275,16 @@ class TestSweep:
                        capsys)[0] == 0
         assert swept.read_bytes() == single.read_bytes()
 
+    def test_each_spelling_of_a_grid_value_is_written(self, capsys, tmp_path):
+        # a cell is formatted by its place in the grid, never looked up by
+        # its value: -0.0 == 0.0, yet each is written as its own spelling
+        path = tmp_path / "grid.csv"
+        assert run_cli(["sweep", "stage1", "--p1=-0.0,0.1", "--p2", "0.01", "--f0=-0.0,0.0",
+                        "--csv", str(path)], capsys)[0] == 0
+        _, *rows = read_csv(path)
+        assert [row[:3] for row in rows] == [[p1, "0.01", f0] for p1 in ("-0.0", "0.1")
+                                             for f0 in ("-0.0", "0.0")]
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "stage1", "--p1", "0.1", "--p2", "0.01", "--f0", "0.8,1.5,0.9"],
         ["sweep", "stage1", "--p1", "0.1,0.7", "--p2", "0.4", "--f0", "0.8"],
@@ -442,7 +452,9 @@ class TestCsvText:
     def test_rows_hold_builtin_cells_only(self, capsys, tmp_path, monkeypatch, argv, mode):
         # str and repr differ for a numpy scalar (np.float64(0.5) renders as
         # 0.5 and as np.float64(0.5)), so every cell must be a built-in value:
-        # Monte Carlo counts reach the rows through .tolist()
+        # Monte Carlo counts reach the rows through .tolist().  A row's grid
+        # and constant cells are text, formatted once per grid: a name, the
+        # repr of a float of the command's grid, or its --trials or --seed
         cells = []
         real_append = cli._append_csv
 
@@ -454,7 +466,13 @@ class TestCsvText:
         assert run_cli(argv + mode + ["--csv", str(tmp_path / "rows.csv")], capsys)[0] == 0
         assert cells
         assert {type(v) for v in cells} <= {float, int, type(None), str}, cells
-        assert {v for v in cells if type(v) is str} <= {"qnd1", "qnd3", "exact", "mc"}
+        tokens = argv + mode
+        given = dict(zip(tokens, tokens[1:]))  # each flag -> its value
+        grid = {repr(float(x)) for flag in ("--p1", "--p2", "--f0", "--F") if flag in given
+                for x in given[flag].split(",")}
+        integers = {given.get("--trials", ""), given.get("--seed", "0")}  # no --trials: empty
+        names = {"qnd1", "qnd3", "exact", "mc"}
+        assert {v for v in cells if type(v) is str} <= names | grid | integers
 
 
 class TestSeedRange:

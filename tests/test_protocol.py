@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kerrpurify import (
@@ -61,7 +61,7 @@ from kerrpurify.protocol import (
     trial_uniforms,
 )
 from kerrpurify.qnd import apply_qnd, default_config
-from kerrpurify.sources import TWO_PAIR_KINDS, single_pair_state
+from kerrpurify.sources import TWO_PAIR_KINDS, single_pair_state, two_pair_weights
 
 from conftest import angles, copiers, random_angle_pair
 from oracle import pdc_emit, per_medium_phases
@@ -1199,6 +1199,107 @@ class TestColumnCache:
         assert protocol._mc_columns.cache_info().misses == after.misses + 1
 
 
+def _loop_sums(table, class_weights) -> list:
+    """The reference of ``protocol._exact_sums``, one row at a time: each
+    row's class weight times factor added onto 0.0 in its bucket and, times
+    its kept pairs, in the kept pairs, in table order (a pairless row's
+    +0.0 skipped, as it changes no bit)."""
+    sums, pairs = [0.0] * (len(COUNT_KEYS) + 1), 0.0
+    for c, _, _, bucket, f, kept in table:
+        w = class_weights[c] * f
+        sums[bucket] += w
+        if kept:
+            pairs += w * kept
+    sums[-1] = pairs
+    return sums
+
+
+@st.composite
+def exact_points(draw) -> tuple:
+    """(pipeline, point) of any pipeline and either stage-1 detector, its
+    edges drawn often: signed zeros, the smallest subnormal and numbers
+    small enough that their class weights are subnormal."""
+    pipeline = draw(st.sampled_from(["stage1", "stage2", "pbs"]))
+    if pipeline != "stage1":
+        edge = st.sampled_from([1.0, 1.0 - 2.0**-53, 5e-324, 1e-160, 2.0**-1022])
+        return pipeline, {"F": draw(edge | st.floats(0.0, 1.0, exclude_min=True))}
+    share = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5]) | st.floats(0.0, 0.5)
+    f0 = st.sampled_from([0.0, -0.0, 1.0, 1.0 - 2.0**-53, 1e-160]) | st.floats(0.0, 1.0)
+    point = {"p1": draw(share), "p2": draw(share), "f0": draw(f0),
+             "variant": draw(st.sampled_from([Variant.QND1, Variant.QND3]))}
+    assume(point["p1"] + point["p2"] > 0)
+    return pipeline, point
+
+
+def _subnormal(x: float) -> bool:
+    return 0.0 < abs(x) < 2.0**-1022
+
+
+class TestCompiledSums:
+    """Exact totals come from straight-line code compiled once per table:
+    the same IEEE products and sums as the row loop, to the bit, and one
+    compilation per table, kept with it."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(exact_points())
+    @example(("stage1", {"p1": 0.0, "p2": 5e-324, "f0": 0.0, "variant": Variant.QND1}))
+    @example(("stage1", {"p1": 5e-324, "p2": 0.5, "f0": 1.0, "variant": Variant.QND3}))
+    @example(("stage1", {"p1": 0.3, "p2": 0.2, "f0": 0.0, "variant": Variant.QND1}))
+    @example(("stage2", {"F": 1.0}))
+    @example(("pbs", {"F": 1e-160}))
+    def test_compiled_sums_equal_the_row_loop_to_the_bit(self, case):
+        pipeline, point = case
+        table, (class_weights,), _ = protocol._weighted_rows(pipeline, [point])
+        compiled = protocol._exact_sums(table)(class_weights)
+        assert [x.hex() for x in compiled] == [x.hex() for x in _loop_sums(table, class_weights)]
+
+    @pytest.mark.parametrize("pipeline, point", [
+        ("stage1", {"p1": 5e-324, "p2": 0.5, "f0": 1.0}),
+        ("stage1", {"p1": 0.5, "p2": 1e-300, "f0": 1e-10}),
+        ("stage2", {"F": 1e-160}),
+        ("pbs", {"F": 1e-160}),
+    ])
+    def test_subnormal_class_weights_add_as_the_loop_adds(self, pipeline, point):
+        # the edges the property draws reach subnormal weights: check one does
+        table, (class_weights,), _ = protocol._weighted_rows(pipeline, [point])
+        assert any(map(_subnormal, class_weights))
+        compiled = protocol._exact_sums(table)(class_weights)
+        assert [x.hex() for x in compiled] == [x.hex() for x in _loop_sums(table, class_weights)]
+
+    def test_a_warm_grid_compiles_nothing_and_a_new_table_compiles_once(self):
+        stage1 = [{"p1": 0.1, "p2": 0.01, "f0": f0} for f0 in (0.6, 0.8)]
+        grids = ([("stage1", [dict(p, variant=v) for p in stage1])
+                  for v in (Variant.QND1, Variant.QND3)]
+                 + [(pipeline, [{"F": F} for F in (0.6, 0.8)]) for pipeline in ("stage2", "pbs")])
+        warm = [[r.to_dict() for r in exact_reports(*grid)] for grid in grids]
+        info = protocol._exact_sums.cache_info()
+        for _ in range(3):
+            assert [[r.to_dict() for r in exact_reports(*grid)] for grid in grids] == warm
+        assert protocol._exact_sums.cache_info()[1:] == info[1:]  # no miss, no new entry
+        # Monte Carlo runs and records compile nothing
+        for pipeline, points in grids:
+            monte_carlo(pipeline, points[0], 1000, 1)
+            enumerate_exact(pipeline, points[0])
+        assert protocol._exact_sums.cache_info()[1:] == info[1:]
+        # a table built anew compiles once, on its first exact run
+        _stage2_table.cache_clear()
+        before = protocol._exact_sums.cache_info()
+        assert [r.to_dict() for r in exact_reports(*grids[2])] == warm[2]
+        after = protocol._exact_sums.cache_info()
+        assert (after.misses, after.currsize) == (before.misses + 1, before.currsize + 1)
+        assert [r.to_dict() for r in exact_reports("stage2", [{"F": 0.7}])]
+        assert protocol._exact_sums.cache_info().misses == after.misses
+        # a table is its own key: a copy of its rows is another table, compiled anew
+        copy = protocol.RowTable(_stage2_table())
+        sums = protocol._exact_sums(copy)
+        assert protocol._exact_sums.cache_info().misses == after.misses + 1
+        weights = two_pair_weights(0.8)
+        assert sums(weights) == protocol._exact_sums(_stage2_table())(weights)
+        # an empty grid builds no table and compiles nothing
+        assert list(exact_reports("pbs", [])) == []
+        assert protocol._exact_sums.cache_info().misses == after.misses + 1
+
+
 SRC, NOISE = PdcSourceParams(0.1, 0.02), NoiseParams(0.8)
 TABLES = (protocol._stage1_rows, _stage2_table, _pbs_table)
 
@@ -1406,7 +1507,7 @@ class TestOutcomeTables:
             reference[bucket] += weight
             reference[-1] += weight * kept
         reference = [x.hex() for x in reference]
-        assert [x.hex() for x in protocol._exact_sums(table, class_weights)] == reference
+        assert [x.hex() for x in protocol._exact_sums(table)(class_weights)] == reference
         summed = []
         monkeypatch.setattr(protocol, "_report", lambda *args: summed.append(args[2]))
         protocol._exact(pipeline, params, records)
@@ -1933,6 +2034,17 @@ class TestRefusalContract:
         else:
             assert not (isinstance(junk, (bool, np.bool_)) and argument in NUMBER_ARGUMENTS), (
                 f"{entry} read the bool {junk} given for {argument} as a number")
+
+    @pytest.mark.parametrize("angle", ["theta", "theta_prime"])
+    @pytest.mark.parametrize("junk", [pytest.param(j, id=f"{i}-{type(j).__name__}")
+                                      for i, j in enumerate(JUNK) if j is not None and not j])
+    def test_a_falsy_angle_is_refused_not_read_as_none(self, angle, junk):
+        # only None means "no angle given"; 0, "", False and np.False_ are
+        # angles that are not PhaseTags, whatever the cases they select
+        refusal = f"^an angle is a PhaseTag, an exact rational of pi, not {type(junk).__name__}$"
+        for only in (None, ["qnd1-double-clean"]):
+            with pytest.raises(ConfigError, match=refusal):
+                run_branch_suite(**{angle: junk}, only=only)
 
     @pytest.mark.parametrize("junk", [pytest.param(j, id=f"{i}-{type(j).__name__}")
                                       for i, j in enumerate(JUNK) if not isinstance(j, str)])

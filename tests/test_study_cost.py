@@ -10,7 +10,8 @@ is made, no phase is read but through a config's ``classes``, no
 Only the two stage-1 runs turn rows into records, and the suite builds
 just the three configs whose cases it checks.  A warm exact grid does
 only its points' own arithmetic: it hashes its detector config once per
-grid, and builds each point's parameter objects once.
+grid, and checks each point once, with the checks of the parameter
+objects but no object built.
 """
 
 import enum
@@ -32,7 +33,7 @@ from kerrpurify import (
     stage1_run,
     stage2_run,
 )
-from kerrpurify import branches, protocol, qnd
+from kerrpurify import branches, protocol, qnd, sources
 from kerrpurify.branches import CaseResult
 
 
@@ -167,20 +168,32 @@ def test_a_warm_grid_hashes_its_config_once_and_checks_every_point(monkeypatch):
               for p1 in (0.05, 0.1, 0.15, 0.2, 0.25) for p2 in (0.01, 0.02, 0.03, 0.04)
               for f0 in (0.6, 0.7, 0.8, 0.9, 1.0)]
     expected = [r.to_dict() for r in exact_reports("stage1", points)]  # warms the table
-    hashes, built = [], []
+    hashes, checked, built = [], [], []
     config_hash = QndConfig.__hash__
 
     def count_hash(self):
         hashes.append(self)
         return config_hash(self)
 
+    # a point runs the checks that building its parameter objects runs, in
+    # whichever namespace calls them, and builds no object
+    for name in ("_check_emission", "_check_noise"):
+        check = getattr(sources, name)
+
+        def counted(*args, name=name, check=check):
+            checked.append(name)
+            return check(*args)
+        for module in (sources, protocol):
+            monkeypatch.setattr(module, name, counted)
     for cls in (PdcSourceParams, NoiseParams):
-        check = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__",
-                            lambda self, check=check: built.append(type(self)) or check(self))
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=post_init:
+                            built.append(type(self)) or post_init(self))
     monkeypatch.setattr(QndConfig, "__hash__", count_hash)
     reports = [r.to_dict() for r in exact_reports("stage1", points)]
+    PdcSourceParams(0.1, 0.01), NoiseParams(0.8)  # the counters do count
     monkeypatch.undo()
     assert reports == expected and len(points) == 100
     assert len(hashes) <= 1
-    assert built.count(PdcSourceParams) == built.count(NoiseParams) == 100
+    assert checked.count("_check_emission") == checked.count("_check_noise") == 101
+    assert built == [PdcSourceParams, NoiseParams]
